@@ -1,9 +1,8 @@
 """Command-line front end: train | eval <task> | inspect | tune | export.
 
 Flags may also come from a key=value config file (--config); explicit flags
-win.  All randomized behavior flows from --seed, and --threads 1 (the
-default) is the deterministic contract: re-running a command with identical
-flags reproduces its outputs byte for byte.
+win.  All randomized behavior flows from --seed: re-running a command with
+identical flags reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -31,8 +30,6 @@ from typespace.params import (
 )
 
 EVAL_TASKS = ("ranking", "induction", "analogy", "link_prediction", "triple_classification")
-
-THREADS_ENV = "TYPESPACE_THREADS"
 
 
 class UsageError(ValueError):
@@ -66,7 +63,6 @@ _FLAG_CASTERS = {
     "window": int,
     "min_count": int,
     "min_mentions": int,
-    "threads": int,
     "seed": int,
     "alpha": float,
     "beta": float,
@@ -127,7 +123,6 @@ def build_parser() -> _Parser:
     _add_common(p_train)
     _add_hyper(p_train)
     _add_data(p_train)
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.add_argument("--out", default=None, help="model file to write")
 
     p_eval = sub.add_parser("eval", description="Evaluate a trained model on one task.")
@@ -154,7 +149,6 @@ def build_parser() -> _Parser:
     _add_common(p_tune)
     _add_hyper(p_tune)
     _add_data(p_tune)
-    p_tune.add_argument("--threads", type=int, default=None)
     p_tune.add_argument("--task", default="ranking", choices=("ranking",))
     p_tune.add_argument("--problems", default=None)
     p_tune.add_argument("--alphas", default=None, help="comma-separated mixing weights")
@@ -186,13 +180,6 @@ def _hyperparams_from(args) -> Hyperparams:
     )
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else 1
-
-
 def _ingest_all(args):
     corpus_path = _require_file(args.corpus, "--corpus")
     window = args.window if args.window is not None else 10
@@ -217,30 +204,13 @@ def _ingest_all(args):
     return data, vocab, catalog, ts, store
 
 
-def _train_once(args, hp, threads, log_path):
-    data, vocab, catalog, ts, store = _ingest_all(args)
-    cfg = TrainConfig(
-        hp=hp,
-        threads=threads,
-        deterministic=(threads == 1),
-        shuffle_seed=hp.seed,
-        log_path=log_path,
-    )
-    params, report = train(data, cfg)
-    return params, report, vocab, catalog, store
-
-
 def cmd_train(args) -> int:
     if args.out is None:
         raise UsageError("--out is required")
     hp = _hyperparams_from(args)
-    threads = _threads_from(args)
     log_path = args.out + ".log.jsonl"
-    try:
-        params, report, vocab, catalog, store = _train_once(args, hp, threads, log_path)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data, vocab, catalog, _, store = _ingest_all(args)
+    params, report = train(data, TrainConfig(hp=hp, shuffle_seed=hp.seed, log_path=log_path))
     save_model(
         args.out,
         params.model,
@@ -345,14 +315,12 @@ def cmd_tune(args) -> int:
     problems_path = _require_file(args.problems, "--problems")
     problems = evalharness.load_ranking_problems(problems_path)
     base_hp = _hyperparams_from(args)
-    threads = _threads_from(args)
     alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else None
     betas = [float(x) for x in args.betas.split(",")] if args.betas else None
     data, vocab, catalog, ts, store = _ingest_all(args)
 
     def objective(hp):
-        cfg = TrainConfig(hp=hp, threads=threads, deterministic=(threads == 1), shuffle_seed=hp.seed)
-        params, _ = train(data, cfg)
+        params, _ = train(data, TrainConfig(hp=hp, shuffle_seed=hp.seed))
         view = EmbeddingView(
             entity_ids=catalog.ids,
             points=params.model.entity_points,
@@ -408,6 +376,7 @@ def main(argv=None) -> int:
         ingest.CorpusValidationError,
         ingest.EmptyVocabularyError,
         ingest.SubclassCycleError,
+        evalharness.ProblemFormatError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

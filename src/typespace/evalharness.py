@@ -28,6 +28,10 @@ class DegenerateRankingError(ValueError):
     """All training values are equal; no direction can be fitted."""
 
 
+class ProblemFormatError(ValueError):
+    """A problem file is not valid JSON, or one of its records is malformed."""
+
+
 @dataclass(frozen=True)
 class EmbeddingView:
     """Id-addressable view of a trained model, shared by all tasks."""
@@ -91,54 +95,64 @@ class AnalogyProblem:
     test_idx: tuple[int, ...]
 
 
-def _problem_records(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data if isinstance(data, list) else [data]
+def _problem_records(path, build) -> list:
+    """Parse a problem file holding one JSON object or a list of them and
+    build one problem per record; a file that is not JSON, or a record that
+    `build` cannot read, raises ProblemFormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
+    out = []
+    for i, rec in enumerate(data if isinstance(data, list) else [data]):
+        try:
+            out.append(build(rec))
+        except KeyError as exc:
+            raise ProblemFormatError(f"{path}: record {i} lacks the field {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ProblemFormatError(f"{path}: record {i}: {exc}") from None
+    return out
 
 
 def load_ranking_problems(path) -> list[RankingProblem]:
-    out = []
-    for rec in _problem_records(path):
+    def build(rec):
         split = rec["split"]
-        out.append(
-            RankingProblem(
-                type_id=rec["type"],
-                attribute=rec["attribute"],
-                values={k: float(v) for k, v in rec["values"].items()},
-                train=tuple(split["train"]),
-                valid=tuple(split["valid"]),
-                test=tuple(split["test"]),
-            )
+        return RankingProblem(
+            type_id=rec["type"],
+            attribute=rec["attribute"],
+            values={k: float(v) for k, v in rec["values"].items()},
+            train=tuple(split["train"]),
+            valid=tuple(split["valid"]),
+            test=tuple(split["test"]),
         )
-    return out
+
+    return _problem_records(path, build)
 
 
 def load_induction_problems(path) -> list[InductionProblem]:
-    out = []
-    for rec in _problem_records(path):
+    def build(rec):
         split = rec["split"]
-        out.append(
-            InductionProblem(
-                relation=rec["relation"],
-                target=rec["target"],
-                train=tuple(split["train"]),
-                valid=tuple(split["valid"]),
-                test=tuple(split["test"]),
-            )
+        return InductionProblem(
+            relation=rec["relation"],
+            target=rec["target"],
+            train=tuple(split["train"]),
+            valid=tuple(split["valid"]),
+            test=tuple(split["test"]),
         )
-    return out
+
+    return _problem_records(path, build)
 
 
 def load_analogy_problems(path) -> list[AnalogyProblem]:
-    out = []
-    for rec in _problem_records(path):
+    def build(rec):
         quads = tuple(tuple(q) for q in rec["quads"])
         split = rec.get("split") or {}
         tune_idx = tuple(split.get("tune", ()))
         test_idx = tuple(split.get("test", range(len(quads))))
-        out.append(AnalogyProblem(quads=quads, tune_idx=tune_idx, test_idx=test_idx))
-    return out
+        return AnalogyProblem(quads=quads, tune_idx=tune_idx, test_idx=test_idx)
+
+    return _problem_records(path, build)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ import numpy as np
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TripleStore
 from typespace.params import (
     EmbeddingModel,
-    GroupParams,
     Hyperparams,
     ModelParams,
     RelationParams,
-    TypeParams,
+    SubspaceBlock,
     TypeSubspaceParams,
     anchor_span_matrix,
+    group_endpoint,
+    group_points,
 )
 
 _SIMPLEX_SUM_TOL = 1e-6
@@ -98,18 +99,13 @@ class LossBreakdown:
         }
 
 
-def weight_f(x: float, x_max: float, exp: float) -> float:
-    """Co-occurrence weighting: (x/x_max)**exp below x_max, 1 beyond."""
-    if x < 0:
+def weight_f(x, x_max: float, exp: float):
+    """Co-occurrence weighting, elementwise on a count or an array of
+    counts: (x/x_max)**exp below x_max, 1 beyond."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < 0):
         raise ValueError("co-occurrence count must be non-negative")
-    if x < x_max:
-        return (x / x_max) ** exp
-    return 1.0
-
-
-def _weights(counts: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    w = np.power(counts / hp.x_max, hp.weight_exp)
-    return np.minimum(w, 1.0)
+    return np.minimum(np.power(x / x_max, exp), 1.0)
 
 
 def glove_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
@@ -122,7 +118,7 @@ def glove_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams)
     cj = model.ctx_vecs[table.cols]
     pred = np.einsum("ij,ij->i", wi, cj) + model.word_bias[table.rows] + model.ctx_bias[table.cols]
     resid = pred - np.log(table.weights)
-    return float(np.sum(_weights(table.weights, hp) * resid * resid))
+    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
 
 
 def entity_word_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
@@ -137,13 +133,27 @@ def entity_word_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperp
     wj = model.word_vecs[table.cols]
     pred = np.einsum("ij,ij->i", pe, wj) + model.entity_bias[table.rows] + model.word_bias[table.cols]
     resid = pred - np.log(table.weights)
-    return float(np.sum(_weights(table.weights, hp) * resid * resid))
+    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
 
 
 def _check_simplex(coeffs: np.ndarray, what: str) -> None:
     sums = coeffs.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > _SIMPLEX_SUM_TOL) or np.any(coeffs < -_SIMPLEX_NEG_TOL):
         raise SimplexViolationError(f"{what} coefficients violate the simplex constraint")
+
+
+def block_terms(block: SubspaceBlock, points: np.ndarray):
+    """Fit of a subspace block: its points (one per coefficient row)
+    against their convex combinations of the block's anchors.
+
+    Returns (resid, loss, anchor_grad, coeff_grad): the residual rows, the
+    sum of their squares, and its partials with respect to the anchors and
+    to the coefficient rows.  The partial with respect to point i is
+    2 * resid[i].
+    """
+    resid = points - block.coeffs @ block.anchors
+    loss = float(np.sum(resid * resid))
+    return resid, loss, -2.0 * block.coeffs.T @ resid, -2.0 * resid @ block.anchors.T
 
 
 def type_loss(types: TypeSubspaceParams, model: EmbeddingModel, comb: bool = False) -> float:
@@ -155,21 +165,26 @@ def type_loss(types: TypeSubspaceParams, model: EmbeddingModel, comb: bool = Fal
         if len(tp.members) == 0:
             continue
         _check_simplex(tp.coeffs, f"type {type_id!r} lambda")
-        resid = model.entity_points[tp.members] - tp.coeffs @ tp.anchors
-        total += float(np.sum(resid * resid))
+        total += block_terms(tp, model.entity_points[tp.members])[1]
     if comb:
         total += type_comb_penalty(types)
     return total
 
 
+def comb_penalty_terms(anchors: np.ndarray, tiny: float = 1e-12):
+    """Loss and anchor partials of the anchor-cohesion penalty: the summed
+    Euclidean distances of the anchors to their centroid.  At a kink
+    (anchor exactly at the centroid) the zero subgradient is used."""
+    centered = anchors - anchors.mean(axis=0)
+    norms = np.linalg.norm(centered, axis=1)
+    safe = np.where(norms > tiny, norms, 1.0)
+    units = np.where((norms > tiny)[:, None], centered / safe[:, None], 0.0)
+    return float(np.sum(norms)), units - units.mean(axis=0)
+
+
 def type_comb_penalty(types: TypeSubspaceParams) -> float:
-    """Sum over types and anchors of the Euclidean distance between each
-    anchor and the anchor centroid."""
-    total = 0.0
-    for tp in types.per_type.values():
-        centered = tp.anchors - tp.anchors.mean(axis=0)
-        total += float(np.sum(np.linalg.norm(centered, axis=1)))
-    return total
+    """Anchor-cohesion penalty summed over types."""
+    return sum(comb_penalty_terms(tp.anchors)[0] for tp in types.per_type.values())
 
 
 def rel_dist_loss(store: TripleStore, model: EmbeddingModel, rels: RelationParams) -> float:
@@ -177,26 +192,12 @@ def rel_dist_loss(store: TripleStore, model: EmbeddingModel, rels: RelationParam
     visited once through its (head, rel) group and once through its
     (rel, tail) group, so the total is twice the per-triple sum."""
     total = 0.0
-    for (e, k), tails in store.rhs.items():
-        target = model.entity_points[e] + rels.vectors[k]
-        diffs = model.entity_points[np.array(tails)] - target
-        total += float(np.sum(diffs * diffs))
-    for (k, f), heads in store.lhs.items():
-        target = model.entity_points[f] - rels.vectors[k]
-        diffs = model.entity_points[np.array(heads)] - target
-        total += float(np.sum(diffs * diffs))
+    for side, index in (("rhs", store.rhs), ("lhs", store.lhs)):
+        for key, members in index.items():
+            points = group_points(model.entity_points, rels.vectors, np.array(members), side, key)
+            diffs = points[:-1] - points[-1]
+            total += float(np.sum(diffs * diffs))
     return total
-
-
-def _group_points(gp: GroupParams, model: EmbeddingModel, rels: RelationParams, key, side: str) -> np.ndarray:
-    pts = model.entity_points[gp.members]
-    if side == "rhs":
-        e, k = key
-        virtual = model.entity_points[e] + rels.vectors[k]
-    else:
-        k, f = key
-        virtual = model.entity_points[f] - rels.vectors[k]
-    return np.vstack([pts, virtual[None, :]])
 
 
 def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
@@ -204,13 +205,26 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     heads of a tail, plus the translated endpoint) against its convex
     combination of the group anchors."""
     total = 0.0
-    for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
+    for side, groups in rels.sides():
         for key, gp in groups.items():
             _check_simplex(gp.coeffs, f"group {side}{key} mu")
-            pts = _group_points(gp, model, rels, key, side)
-            resid = pts - gp.coeffs @ gp.anchors
-            total += float(np.sum(resid * resid))
+            total += block_terms(gp, group_points(model.entity_points, rels.vectors, gp.members, side, key))[1]
     return total
+
+
+def group_point_gradients(gp: SubspaceBlock, side: str, key: tuple[int, int], resid: np.ndarray):
+    """Partials of a relation group's fit with respect to entity points and
+    its relation vector, from the residuals block_terms returned.
+
+    Returns ({entity: partial}, relation, partial): the virtual member's
+    partial goes to its endpoint entity and, signed, to the relation.
+    """
+    point_grads = 2.0 * resid
+    virt = point_grads[-1]
+    entity, k, sign = group_endpoint(side, key)
+    grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
+    grads[entity] = grads[entity] + virt if entity in grads else virt
+    return grads, k, sign * virt
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -230,7 +244,7 @@ def regularizer(types: TypeSubspaceParams, rels: RelationParams, variant: str) -
         for tp in types.per_type.values():
             j1 += nuclear_norm(anchor_span_matrix(tp.anchors))
     if flags.reg2:
-        for groups in (rels.rhs_groups, rels.lhs_groups):
+        for _, groups in rels.sides():
             for gp in groups.values():
                 j2 += nuclear_norm(anchor_span_matrix(gp.anchors))
     return j1, j2
@@ -308,35 +322,16 @@ def entity_word_entry_terms(model: EmbeddingModel, e: int, j: int, y: float, hp:
     return loss, grads
 
 
-def type_term_gradients(model: EmbeddingModel, type_id: str, tp: TypeParams):
-    """Loss and partials of one type's convex-combination residuals,
-    vectorized over member entities."""
+def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
+    """Loss and addressed partials of one type's convex-combination fit."""
     if len(tp.members) == 0:
         return 0.0, {}
-    resid = model.entity_points[tp.members] - tp.coeffs @ tp.anchors
-    loss = float(np.sum(resid * resid))
-    grads: dict = {("anchors", type_id): -2.0 * tp.coeffs.T @ resid}
-    lam_grad = -2.0 * resid @ tp.anchors.T
-    for row, e in enumerate(tp.members):
-        grads[("lambda", type_id, row)] = lam_grad[row]
-        key = ("entity", int(e))
-        if key in grads:
-            grads[key] = grads[key] + 2.0 * resid[row]
-        else:
-            grads[key] = 2.0 * resid[row]
+    resid, loss, anchor_grad, coeff_grad = block_terms(tp, model.entity_points[tp.members])
+    grads: dict = {("anchors", type_id): anchor_grad}
+    for row, e in enumerate(tp.members.tolist()):
+        grads[("lambda", type_id, row)] = coeff_grad[row]
+        grads[("entity", e)] = 2.0 * resid[row]
     return loss, grads
-
-
-def comb_penalty_gradients(type_id: str, tp: TypeParams, tiny: float = 1e-12):
-    """Loss and anchor partials of the anchor-cohesion penalty.  At a kink
-    (anchor exactly at the centroid) the zero subgradient is used."""
-    centered = tp.anchors - tp.anchors.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1)
-    loss = float(np.sum(norms))
-    safe = np.where(norms > tiny, norms, 1.0)
-    units = np.where((norms > tiny)[:, None], centered / safe[:, None], 0.0)
-    grad = units - units.mean(axis=0)
-    return loss, {("anchors", type_id): grad}
 
 
 def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int):
@@ -354,33 +349,17 @@ def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k
     return loss, grads
 
 
-def rel_group_gradients(model: EmbeddingModel, rels: RelationParams, side: str, key: tuple[int, int], gp: GroupParams):
-    """Loss and partials of one relation group's subspace residuals."""
-    pts = _group_points(gp, model, rels, key, side)
-    resid = pts - gp.coeffs @ gp.anchors
-    loss = float(np.sum(resid * resid))
-    grads: dict = {("q", side, key): -2.0 * gp.coeffs.T @ resid}
-    mu_grad = -2.0 * resid @ gp.anchors.T
-    for row in range(resid.shape[0]):
-        grads[("mu", side, key, row)] = mu_grad[row]
-
-    def bump(addr, vec):
-        if addr in grads:
-            grads[addr] = grads[addr] + vec
-        else:
-            grads[addr] = vec.copy()
-
-    for row, member in enumerate(gp.members):
-        bump(("entity", int(member)), 2.0 * resid[row])
-    virt = 2.0 * resid[-1]
-    if side == "rhs":
-        e, k = key
-        bump(("entity", e), virt)
-        bump(("rel", k), virt)
-    else:
-        k, f = key
-        bump(("entity", f), virt)
-        bump(("rel", k), -virt)
+def rel_group_gradients(model: EmbeddingModel, rels: RelationParams, side: str, key: tuple[int, int], gp: SubspaceBlock):
+    """Loss and addressed partials of one relation group's subspace fit."""
+    points = group_points(model.entity_points, rels.vectors, gp.members, side, key)
+    resid, loss, anchor_grad, coeff_grad = block_terms(gp, points)
+    grads: dict = {("q", side, key): anchor_grad}
+    for row, g in enumerate(coeff_grad):
+        grads[("mu", side, key, row)] = g
+    entity_grads, k, rel_grad = group_point_gradients(gp, side, key, resid)
+    for e, g in entity_grads.items():
+        grads[("entity", e)] = g
+    grads[("rel", k)] = rel_grad
     return loss, grads
 
 
@@ -409,7 +388,6 @@ class Batch:
         store: TripleStore | None,
         params: ModelParams,
         comb: bool = False,
-        include_rel_dim: bool = True,
     ) -> "Batch":
         b = cls(comb=comb)
         if word_word is not None:
@@ -419,9 +397,8 @@ class Batch:
         b.type_ids = sorted(params.types.per_type)
         if store is not None:
             b.triples = list(store.triples)
-        if include_rel_dim:
-            b.rhs_keys = sorted(params.rels.rhs_groups)
-            b.lhs_keys = sorted(params.rels.lhs_groups)
+        b.rhs_keys = sorted(params.rels.rhs_groups)
+        b.lhs_keys = sorted(params.rels.lhs_groups)
         return b
 
 
@@ -455,19 +432,17 @@ def loss_and_gradients(batch: Batch, params: ModelParams, hp: Hyperparams):
         total += loss
         _merge(grads, g)
         if batch.comb:
-            loss, g = comb_penalty_gradients(type_id, types[type_id])
+            loss, g = comb_penalty_terms(types[type_id].anchors)
             total += loss
-            _merge(grads, g)
+            _merge(grads, {("anchors", type_id): g})
     for e, k, f in batch.triples:
         loss, g = rel_dist_triple_terms(model, rels, e, k, f)
         total += loss
         _merge(grads, g)
-    for key in batch.rhs_keys:
-        loss, g = rel_group_gradients(model, rels, "rhs", key, rels.rhs_groups[key])
-        total += loss
-        _merge(grads, g)
-    for key in batch.lhs_keys:
-        loss, g = rel_group_gradients(model, rels, "lhs", key, rels.lhs_groups[key])
-        total += loss
-        _merge(grads, g)
+    groups = dict(rels.sides())
+    for side, keys in (("rhs", batch.rhs_keys), ("lhs", batch.lhs_keys)):
+        for key in keys:
+            loss, g = rel_group_gradients(model, rels, side, key, groups[side][key])
+            total += loss
+            _merge(grads, g)
     return total, grads

@@ -1,11 +1,13 @@
 """Stochastic proximal training.
 
 Each epoch makes three passes: (1) a shuffled pass over word-word and
-entity-word entries with per-entry AdaGrad updates, (2) a pass over types
-updating the simplex coefficients by projected gradient and the anchors by
-a gradient step followed by singular-value thresholding of the anchor span
-matrix, (3) a symmetric pass over relation triples and groups.  The
-nuclear norms are handled only by the proximal step, never by gradients.
+entity-word entries with per-entry AdaGrad updates, (2) a pass over types,
+(3) a pass over relation triples and then relation groups.  Types and
+relation groups are the same subspace block, and one block step updates
+either: the simplex coefficients by projected gradient, the anchors by a
+gradient step, then singular-value thresholding of the anchor span matrix.
+The nuclear norms are handled only by the proximal step, never by
+gradients.  Training is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,11 +22,10 @@ import numpy as np
 from typespace.ingest import CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
 from typespace.objective import (
     LossBreakdown,
-    _group_points,
-    comb_penalty_gradients,
-    rel_group_gradients,
+    block_terms,
+    comb_penalty_terms,
+    group_point_gradients,
     total_objective,
-    type_term_gradients,
     variant_flags,
     weight_f,
 )
@@ -34,6 +34,7 @@ from typespace.params import (
     ModelParams,
     anchor_span_matrix,
     clone_params,
+    group_points,
     init_parameters,
     set_anchor_span_matrix,
 )
@@ -106,16 +107,8 @@ def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
 @dataclass
 class TrainConfig:
     hp: Hyperparams
-    threads: int = 1
-    deterministic: bool = True
     shuffle_seed: int = 0
     log_path: str | None = None
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.deterministic and self.threads != 1:
-            raise ValueError("deterministic mode requires threads=1")
 
 
 @dataclass
@@ -166,14 +159,12 @@ class _AdaState:
         self.ctx_bias = np.zeros_like(m.ctx_bias)
         self.entity_bias = np.zeros_like(m.entity_bias)
         self.rel = np.zeros_like(params.rels.vectors)
-        self.anchors = {t: np.zeros_like(tp.anchors) for t, tp in params.types.items()}
-        self.coeffs = {t: np.zeros_like(tp.coeffs) for t, tp in params.types.items()}
-        self.q = {
-            ("rhs", key): np.zeros_like(g.anchors) for key, g in params.rels.rhs_groups.items()
-        } | {("lhs", key): np.zeros_like(g.anchors) for key, g in params.rels.lhs_groups.items()}
-        self.mu = {
-            ("rhs", key): np.zeros_like(g.coeffs) for key, g in params.rels.rhs_groups.items()
-        } | {("lhs", key): np.zeros_like(g.coeffs) for key, g in params.rels.lhs_groups.items()}
+        # (anchor, coefficient) accumulators per block, keyed by type id for
+        # types and by (side, key) for relation groups.
+        blocks = dict(params.types.items())
+        for side, groups in params.rels.sides():
+            blocks.update({(side, key): g for key, g in groups.items()})
+        self.blocks = {addr: (np.zeros_like(b.anchors), np.zeros_like(b.coeffs)) for addr, b in blocks.items()}
 
 
 def _text_pass(entries, order, params, state, hp, alpha):
@@ -217,7 +208,7 @@ def _prepare_text_entries(data: TrainData, hp: Hyperparams):
         tags.append(np.full(len(table), tag, dtype=np.int8))
         rows.append(table.rows)
         cols.append(table.cols)
-        fvals.append(np.array([weight_f(x, hp.x_max, hp.weight_exp) for x in table.weights]))
+        fvals.append(weight_f(table.weights, hp.x_max, hp.weight_exp))
         logs.append(np.log(table.weights))
     if not tags:
         return None
@@ -230,34 +221,48 @@ def _prepare_text_entries(data: TrainData, hp: Hyperparams):
     )
 
 
-def _type_pass(params, state, hp, flags, report):
-    """Projected-gradient updates of lambda rows, a gradient step on the
-    anchors, then singular-value thresholding of the anchor span matrix
-    (anchor 0 held as base point)."""
-    m = params.model
+def _block_step(block, points, acc, hp, prox, comb, report, label) -> np.ndarray:
+    """One update of a subspace block whose current points are `points`.
+
+    Projected AdaGrad on each simplex coefficient row, an AdaGrad step on
+    the anchors (plus the anchor-cohesion penalty when comb is set), then,
+    when prox is set, singular-value thresholding of the anchor span matrix
+    with anchor 0 held as base point.  acc is the block's (anchor,
+    coefficient) accumulator pair.  Returns the residuals of the anchor
+    step, for the caller to turn into point gradients.
+    """
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
+    acc_anchors, acc_coeffs = acc
+    # Row by row, with a per-row product: a row's gradient depends on no
+    # other row, but the batched product rounds differently and would move
+    # every trajectory in its last bits.
+    for row in range(block.coeffs.shape[0]):
+        resid = points[row] - block.coeffs[row] @ block.anchors
+        g = scale * (-2.0) * (block.anchors @ resid)
+        adagrad_step(block.coeffs[row], g, acc_coeffs[row], lr, name=f"coeffs[{label}][{row}]")
+        block.coeffs[row] = project_to_simplex(block.coeffs[row])
+    resid, _, anchor_grad, _ = block_terms(block, points)
+    if comb:
+        anchor_grad = anchor_grad + comb_penalty_terms(block.anchors)[1]
+    adagrad_step(block.anchors, scale * anchor_grad, acc_anchors, lr, name=f"anchors[{label}]")
+    if prox:
+        tau = hp.beta_reg * anchor_prox_scale(lr, acc_anchors)
+        set_anchor_span_matrix(block.anchors, prox_nuclear(anchor_span_matrix(block.anchors), tau))
+        report.prox_calls += 1
+    return resid
+
+
+def _type_pass(params, state, hp, flags, report):
+    """One block step per non-empty type, in type-id order; the entity
+    points stay fixed."""
+    prox = flags.reg1 and hp.beta_reg > 0.0
     for type_id in sorted(params.types.per_type):
         tp = params.types[type_id]
         if len(tp.members) == 0:
             continue
-        acc_coeffs = state.coeffs[type_id]
-        for row, e in enumerate(tp.members):
-            resid = m.entity_points[e] - tp.coeffs[row] @ tp.anchors
-            g = scale * (-2.0) * (tp.anchors @ resid)
-            adagrad_step(tp.coeffs[row], g, acc_coeffs[row], lr, name=f"lambda[{type_id}][{row}]")
-            tp.coeffs[row] = project_to_simplex(tp.coeffs[row])
-        _, grads = type_term_gradients(m, type_id, tp)
-        anchor_grad = grads[("anchors", type_id)]
-        if flags.comb:
-            _, comb_grads = comb_penalty_gradients(type_id, tp)
-            anchor_grad = anchor_grad + comb_grads[("anchors", type_id)]
-        adagrad_step(tp.anchors, scale * anchor_grad, state.anchors[type_id], lr, name=f"anchors[{type_id}]")
-        if flags.reg1 and hp.beta_reg > 0.0:
-            tau = hp.beta_reg * anchor_prox_scale(lr, state.anchors[type_id])
-            span = prox_nuclear(anchor_span_matrix(tp.anchors), tau)
-            set_anchor_span_matrix(tp.anchors, span)
-            report.prox_calls += 1
+        points = params.model.entity_points[tp.members]
+        _block_step(tp, points, state.blocks[type_id], hp, prox, flags.comb, report, type_id)
 
 
 def _rel_dist_pass(params, state, data, hp, rng):
@@ -278,36 +283,22 @@ def _rel_dist_pass(params, state, data, hp, rng):
 
 
 def _rel_dim_pass(params, state, hp, flags, report):
-    """Symmetric to the type pass, over relation groups: projected mu
-    updates, member-point and relation-vector updates, an anchor step, and
-    thresholding of the group span matrix when regularization is active."""
+    """One block step per relation group, then AdaGrad steps on the
+    group's member points and its relation vector."""
     m = params.model
+    rels = params.rels
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    for side, groups in (("rhs", params.rels.rhs_groups), ("lhs", params.rels.lhs_groups)):
+    prox = flags.reg2 and hp.beta_reg > 0.0
+    for side, groups in rels.sides():
         for key in sorted(groups):
             gp = groups[key]
-            acc_mu = state.mu[(side, key)]
-            pts = _group_points(gp, m, params.rels, key, side)
-            for row in range(gp.coeffs.shape[0]):
-                resid = pts[row] - gp.coeffs[row] @ gp.anchors
-                g = scale * (-2.0) * (gp.anchors @ resid)
-                adagrad_step(gp.coeffs[row], g, acc_mu[row], lr, name=f"mu[{side}{key}][{row}]")
-                gp.coeffs[row] = project_to_simplex(gp.coeffs[row])
-            _, grads = rel_group_gradients(m, params.rels, side, key, gp)
-            adagrad_step(gp.anchors, scale * grads[("q", side, key)], state.q[(side, key)], lr, name=f"q[{side}{key}]")
-            for addr, g in grads.items():
-                if addr[0] == "entity":
-                    e = addr[1]
-                    adagrad_step(m.entity_points[e], scale * g, state.entity[e], lr, name=f"entity[{e}]")
-                elif addr[0] == "rel":
-                    k = addr[1]
-                    adagrad_step(params.rels.vectors[k], scale * g, state.rel[k], lr, name=f"rel[{k}]")
-            if flags.reg2 and hp.beta_reg > 0.0:
-                tau = hp.beta_reg * anchor_prox_scale(lr, state.q[(side, key)])
-                span = prox_nuclear(anchor_span_matrix(gp.anchors), tau)
-                set_anchor_span_matrix(gp.anchors, span)
-                report.prox_calls += 1
+            points = group_points(m.entity_points, rels.vectors, gp.members, side, key)
+            resid = _block_step(gp, points, state.blocks[(side, key)], hp, prox, False, report, f"{side}{key}")
+            entity_grads, k, rel_grad = group_point_gradients(gp, side, key, resid)
+            for e, g in entity_grads.items():
+                adagrad_step(m.entity_points[e], scale * g, state.entity[e], lr, name=f"entity[{e}]")
+            adagrad_step(rels.vectors[k], scale * rel_grad, state.rel[k], lr, name=f"rel[{k}]")
 
 
 def train(
@@ -315,9 +306,7 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Run cfg.hp.epochs epochs of stochastic proximal optimization.
 
-    With deterministic=True the result is a pure function of the inputs and
-    seeds.  threads > 1 shards the text pass over lock-free workers; races
-    on shared word vectors are accepted and results are not reproducible.
+    The result is a pure function of the inputs and seeds.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
@@ -337,17 +326,7 @@ def train(
             try:
                 if entries is not None and alpha > 0.0:
                     order = rng.permutation(len(entries[0]))
-                    if cfg.threads == 1:
-                        _text_pass(entries, order, params, state, hp, alpha)
-                    else:
-                        shards = np.array_split(order, cfg.threads)
-                        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                            list(
-                                pool.map(
-                                    lambda shard: _text_pass(entries, shard, params, state, hp, alpha),
-                                    shards,
-                                )
-                            )
+                    _text_pass(entries, order, params, state, hp, alpha)
                 if flags.type_active:
                     _type_pass(params, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:

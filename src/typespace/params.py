@@ -91,62 +91,47 @@ class EmbeddingModel:
     def n_words(self):
         return self.word_vecs.shape[0]
 
-    @property
-    def dim(self):
-        return self.entity_points.shape[1]
-
 
 @dataclass
-class TypeParams:
-    """Per-type subspace parameters: n+1 anchor points and one simplex
-    coefficient row per member entity."""
+class SubspaceBlock:
+    """Points modelled as convex combinations of n+1 anchor points.
+
+    A type block has one simplex row of `coeffs` per member entity.  A
+    relation-group block has one row per member entity and a last row for
+    the group's translated virtual member (see group_points).
+    """
 
     anchors: np.ndarray  # (n+1, n)
     members: np.ndarray  # (m,) entity indices, ascending
-    coeffs: np.ndarray   # (m, n+1) rows on the probability simplex
+    coeffs: np.ndarray   # (m, n+1) for a type, (m+1, n+1) for a group
+
+    def copy(self) -> "SubspaceBlock":
+        return SubspaceBlock(self.anchors.copy(), self.members.copy(), self.coeffs.copy())
 
 
 @dataclass
 class TypeSubspaceParams:
-    per_type: dict[str, TypeParams] = field(default_factory=dict)
+    per_type: dict[str, SubspaceBlock] = field(default_factory=dict)
 
-    def __getitem__(self, type_id: str) -> TypeParams:
+    def __getitem__(self, type_id: str) -> SubspaceBlock:
         return self.per_type[type_id]
 
     def __contains__(self, type_id: str) -> bool:
         return type_id in self.per_type
-
-    def __iter__(self):
-        return iter(self.per_type)
 
     def items(self):
         return self.per_type.items()
 
 
 @dataclass
-class GroupParams:
-    """Subspace parameters for one relation group.
-
-    Member points of a tail group (e, k) are the embeddings of the tails
-    plus the translated head; of a head group (k, f), the heads plus the
-    translated tail.  `coeffs` has one simplex row per real member and a
-    final row for the translated virtual member.
-    """
-
-    anchors: np.ndarray  # (n+1, n)
-    members: np.ndarray  # (m,) entity indices, ascending
-    coeffs: np.ndarray   # (m+1, n+1)
-
-
-@dataclass
 class RelationParams:
     vectors: np.ndarray  # (R, n) translation vector per relation
-    rhs_groups: dict[tuple[int, int], GroupParams] = field(default_factory=dict)  # (head, rel)
-    lhs_groups: dict[tuple[int, int], GroupParams] = field(default_factory=dict)  # (rel, tail)
+    rhs_groups: dict[tuple[int, int], SubspaceBlock] = field(default_factory=dict)  # (head, rel)
+    lhs_groups: dict[tuple[int, int], SubspaceBlock] = field(default_factory=dict)  # (rel, tail)
 
-    @property
-    def n_relations(self):
-        return self.vectors.shape[0]
+    def sides(self):
+        """(side, groups) for the tail groups ("rhs") and the head groups ("lhs")."""
+        return (("rhs", self.rhs_groups), ("lhs", self.lhs_groups))
 
 
 @dataclass
@@ -167,6 +152,29 @@ def anchor_span_matrix(anchors: np.ndarray) -> np.ndarray:
 def set_anchor_span_matrix(anchors: np.ndarray, span: np.ndarray) -> None:
     """Rewrite anchors 1..n from a span matrix, keeping anchor 0 as base."""
     anchors[1:] = anchors[0] + span
+
+
+def group_endpoint(side: str, key: tuple[int, int]) -> tuple[int, int, float]:
+    """(entity, relation, sign) of a relation group's virtual member, the
+    point entity + sign * relation: the translated head e + r_k of a tail
+    group (e, k), or the translated tail f - r_k of a head group (k, f)."""
+    if side == "rhs":
+        e, k = key
+        return e, k, 1.0
+    k, f = key
+    return f, k, -1.0
+
+
+def group_points(entity_points: np.ndarray, vectors: np.ndarray, members: np.ndarray, side: str, key) -> np.ndarray:
+    """A relation group's member points, its virtual member last."""
+    entity, k, sign = group_endpoint(side, key)
+    return np.vstack([entity_points[members], entity_points[entity] + sign * vectors[k]])
+
+
+def _new_block(points: np.ndarray, members: np.ndarray, n: int, rng) -> SubspaceBlock:
+    noise = 0.1 / n
+    anchors = points.mean(axis=0)[None, :] + rng.uniform(-noise, noise, size=(n + 1, n))
+    return SubspaceBlock(anchors=anchors, members=members, coeffs=np.full((len(points), n + 1), 1.0 / (n + 1)))
 
 
 def init_parameters(
@@ -203,29 +211,17 @@ def init_parameters(
         entity_bias=np.zeros(n_entities),
     )
 
-    noise = 0.1 / n
     types = TypeSubspaceParams()
     for type_id in type_system.type_ids:
         members = np.array(type_system.instances[type_id], dtype=np.int64)
-        centroid = model.entity_points[members].mean(axis=0)
-        anchors = centroid[None, :] + rng.uniform(-noise, noise, size=(n + 1, n))
-        coeffs = np.full((len(members), n + 1), 1.0 / (n + 1))
-        types.per_type[type_id] = TypeParams(anchors=anchors, members=members, coeffs=coeffs)
+        types.per_type[type_id] = _new_block(model.entity_points[members], members, n, rng)
 
-    vectors = uniform((len(triples.relation_ids), n))
-    rels = RelationParams(vectors=vectors)
-    for (e, k), tails in triples.rhs.items():
-        members = np.array(tails, dtype=np.int64)
-        points = np.vstack([model.entity_points[members], model.entity_points[e] + vectors[k]])
-        anchors = points.mean(axis=0)[None, :] + rng.uniform(-noise, noise, size=(n + 1, n))
-        coeffs = np.full((len(members) + 1, n + 1), 1.0 / (n + 1))
-        rels.rhs_groups[(e, k)] = GroupParams(anchors=anchors, members=members, coeffs=coeffs)
-    for (k, f), heads in triples.lhs.items():
-        members = np.array(heads, dtype=np.int64)
-        points = np.vstack([model.entity_points[members], model.entity_points[f] - vectors[k]])
-        anchors = points.mean(axis=0)[None, :] + rng.uniform(-noise, noise, size=(n + 1, n))
-        coeffs = np.full((len(members) + 1, n + 1), 1.0 / (n + 1))
-        rels.lhs_groups[(k, f)] = GroupParams(anchors=anchors, members=members, coeffs=coeffs)
+    rels = RelationParams(vectors=uniform((len(triples.relation_ids), n)))
+    for (side, groups), index in zip(rels.sides(), (triples.rhs, triples.lhs)):
+        for key, entities in index.items():
+            members = np.array(entities, dtype=np.int64)
+            points = group_points(model.entity_points, rels.vectors, members, side, key)
+            groups[key] = _new_block(points, members, n, rng)
 
     return ModelParams(model=model, types=types, rels=rels)
 
@@ -354,6 +350,16 @@ def _read_hyperparams(r: _Reader) -> Hyperparams:
     )
 
 
+def _write_block(w: _Writer, block: SubspaceBlock):
+    w.array(block.anchors)
+    w.index_array(block.members)
+    w.array(block.coeffs)
+
+
+def _read_block(r: _Reader) -> SubspaceBlock:
+    return SubspaceBlock(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+
+
 def save_model(
     path,
     model: EmbeddingModel,
@@ -382,22 +388,16 @@ def save_model(
 
     w.u64(len(types.per_type))
     for type_id in sorted(types.per_type):
-        tp = types.per_type[type_id]
         w.string(type_id)
-        w.array(tp.anchors)
-        w.index_array(tp.members)
-        w.array(tp.coeffs)
+        _write_block(w, types.per_type[type_id])
 
     w.array(rels.vectors)
-    for groups in (rels.rhs_groups, rels.lhs_groups):
+    for _, groups in rels.sides():
         w.u64(len(groups))
         for key in sorted(groups):
-            gp = groups[key]
             w.i64(key[0])
             w.i64(key[1])
-            w.array(gp.anchors)
-            w.index_array(gp.members)
-            w.array(gp.coeffs)
+            _write_block(w, groups[key])
 
     payload = w.payload()
     checksum = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
@@ -440,14 +440,13 @@ def load_model(path) -> LoadedModel:
     types = TypeSubspaceParams()
     for _ in range(r.u64()):
         type_id = r.string()
-        types.per_type[type_id] = TypeParams(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+        types.per_type[type_id] = _read_block(r)
 
-    vectors = r.array()
-    rels = RelationParams(vectors=vectors)
-    for groups in (rels.rhs_groups, rels.lhs_groups):
+    rels = RelationParams(vectors=r.array())
+    for _, groups in rels.sides():
         for _ in range(r.u64()):
             key = (r.i64(), r.i64())
-            groups[key] = GroupParams(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+            groups[key] = _read_block(r)
 
     if r.pos != len(payload):
         raise ModelIntegrityError("trailing bytes after model payload")
@@ -475,21 +474,10 @@ def clone_params(params: ModelParams) -> ModelParams:
         ctx_bias=params.model.ctx_bias.copy(),
         entity_bias=params.model.entity_bias.copy(),
     )
-    types = TypeSubspaceParams(
-        {
-            t: TypeParams(tp.anchors.copy(), tp.members.copy(), tp.coeffs.copy())
-            for t, tp in params.types.items()
-        }
-    )
+    types = TypeSubspaceParams({t: tp.copy() for t, tp in params.types.items()})
     rels = RelationParams(
         vectors=params.rels.vectors.copy(),
-        rhs_groups={
-            key: GroupParams(g.anchors.copy(), g.members.copy(), g.coeffs.copy())
-            for key, g in params.rels.rhs_groups.items()
-        },
-        lhs_groups={
-            key: GroupParams(g.anchors.copy(), g.members.copy(), g.coeffs.copy())
-            for key, g in params.rels.lhs_groups.items()
-        },
+        rhs_groups={key: g.copy() for key, g in params.rels.rhs_groups.items()},
+        lhs_groups={key: g.copy() for key, g in params.rels.lhs_groups.items()},
     )
     return ModelParams(model, types, rels)

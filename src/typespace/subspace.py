@@ -24,14 +24,19 @@ class SubspaceSummary:
     basis: np.ndarray  # (effective_dim, n), orthonormal rows
 
 
+def _rank_of_singular_values(s: np.ndarray, rank_eps: float) -> int:
+    """Number of the descending singular values s exceeding
+    rank_eps * max(sigma_1, 1)."""
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > rank_eps * max(float(s[0]), 1.0)))
+
+
 def effective_rank(m: np.ndarray, rank_eps: float = 1e-3) -> int:
     """Number of singular values exceeding rank_eps * max(sigma_1, 1)."""
     if not np.all(np.isfinite(m)):
         raise ValueError("effective_rank of a non-finite matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > rank_eps * max(float(s[0]), 1.0)))
+    return _rank_of_singular_values(np.linalg.svd(m, compute_uv=False), rank_eps)
 
 
 def type_subspace(types: TypeSubspaceParams, type_id: str, rank_eps: float = 1e-3) -> SubspaceSummary:
@@ -42,7 +47,7 @@ def type_subspace(types: TypeSubspaceParams, type_id: str, rank_eps: float = 1e-
     tp = types[type_id]
     span = anchor_span_matrix(tp.anchors)
     _, s, vt = np.linalg.svd(span, full_matrices=False)
-    dim = int(np.sum(s > rank_eps * max(float(s[0]), 1.0))) if s.size else 0
+    dim = _rank_of_singular_values(s, rank_eps)
     return SubspaceSummary(
         type_id=type_id,
         effective_dim=dim,

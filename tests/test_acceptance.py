@@ -332,7 +332,6 @@ def test_criterion_08_determinism_and_round_trip(micro_dir, tmp_path):
                 "--beta", "1.0",
                 "--min-count", "3",
                 "--min-mentions", "3",
-                "--threads", "1",
                 "--seed", "7",
                 "--out", str(out),
             ]

@@ -88,7 +88,6 @@ class TestTrain:
                     "--dim", "6",
                     "--min-count", "3",
                     "--min-mentions", "3",
-                    "--threads", "1",
                     "--seed", "7",
                     "--out", str(out),
                 ]
@@ -157,6 +156,26 @@ class TestEval:
         bad.write_bytes(bytes(blob))
         code = run(["eval", "ranking", "--model", str(bad), "--problems", "x"])
         assert code == 1
+
+    def test_ranking_problem_without_split_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        with open(micro_dir["ranking"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        del record["split"]
+        problems = tmp_path / "nosplit.json"
+        problems.write_text(json.dumps(record))
+        code = run(["eval", "ranking", "--model", str(trained_model), "--problems", str(problems)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "split" in err and len(err.strip().splitlines()) == 1
+
+    def test_malformed_problem_json_exit_one(self, trained_model, tmp_path, capsys):
+        problems = tmp_path / "broken.json"
+        problems.write_text('{"type": "city", "attribute": ')
+        code = run(["eval", "ranking", "--model", str(trained_model), "--problems", str(problems)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and len(err.strip().splitlines()) == 1
 
 
 class TestInspect:
@@ -272,17 +291,6 @@ class TestTune:
 
     def test_missing_problems_exit_one(self, micro_dir, capsys):
         assert run(["tune", "--corpus", micro_dir["corpus"]]) == 1
-
-
-class TestThreadsEnvVar:
-    def test_env_default_respected(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        args = argparse.Namespace(threads=None)
-        assert cli._threads_from(args) == 3
-        args = argparse.Namespace(threads=1)
-        assert cli._threads_from(args) == 1  # explicit flag wins
 
 
 class TestIdempotence:

@@ -28,11 +28,10 @@ from typespace.objective import (
 )
 from typespace.params import (
     EmbeddingModel,
-    GroupParams,
     Hyperparams,
     ModelParams,
     RelationParams,
-    TypeParams,
+    SubspaceBlock,
     TypeSubspaceParams,
 )
 
@@ -124,7 +123,7 @@ class TestEntityWordLoss:
 
 def one_type(anchors, members, coeffs):
     return TypeSubspaceParams(
-        {"t": TypeParams(np.asarray(anchors, dtype=np.float64), np.asarray(members, dtype=np.int64), np.asarray(coeffs, dtype=np.float64))}
+        {"t": SubspaceBlock(np.asarray(anchors, dtype=np.float64), np.asarray(members, dtype=np.int64), np.asarray(coeffs, dtype=np.float64))}
     )
 
 
@@ -220,7 +219,7 @@ class TestRelDimLoss:
         rels = RelationParams(vectors=np.array([[0.0, 0.0]]))
         coeffs = np.zeros((2, 3))
         coeffs[:, 0] = 1.0
-        rels.rhs_groups[(0, 0)] = GroupParams(
+        rels.rhs_groups[(0, 0)] = SubspaceBlock(
             anchors=np.array([[1.0, 2.0], [9.0, 9.0], [7.0, 7.0]]),
             members=np.array([1]),
             coeffs=coeffs,
@@ -236,7 +235,7 @@ class TestRelDimLoss:
         model = make_model(np.array([[0.0, 2.0], [0.0, 2.0]]))
         rels = RelationParams(vectors=np.array([[0.0, 0.0]]))
         coeffs = np.full((2, 3), np.array([0.5, 0.5, 0.0]))
-        rels.rhs_groups[(0, 0)] = GroupParams(anchors=anchors, members=np.array([1]), coeffs=coeffs)
+        rels.rhs_groups[(0, 0)] = SubspaceBlock(anchors=anchors, members=np.array([1]), coeffs=coeffs)
         assert rel_dim_loss(model, rels) == pytest.approx(8.0, rel=1e-12)
 
 
@@ -326,10 +325,10 @@ class TestTotalObjective:
         rels = RelationParams(vectors=rvec)
         qa = np.array([[0.1, 0.0], [0.0, 0.2], [0.3, 0.1]])
         mu = np.array([[0.4, 0.3, 0.3], [0.25, 0.5, 0.25]])
-        rels.rhs_groups[(0, 0)] = GroupParams(anchors=qa, members=np.array([1]), coeffs=mu)
+        rels.rhs_groups[(0, 0)] = SubspaceBlock(anchors=qa, members=np.array([1]), coeffs=mu)
         qb = np.array([[0.0, -0.1], [0.2, 0.2], [-0.2, 0.0]])
         mu2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.1, 0.6, 0.3]])
-        rels.lhs_groups[(0, 1)] = GroupParams(anchors=qb, members=np.array([0]), coeffs=mu2)
+        rels.lhs_groups[(0, 1)] = SubspaceBlock(anchors=qb, members=np.array([0]), coeffs=mu2)
         params = ModelParams(model, types, rels)
         ww = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): 4.0, (1, 0): 4.0})
         ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 3.0, (1, 1): 9.0})

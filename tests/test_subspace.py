@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from typespace.params import TypeParams, TypeSubspaceParams
+from typespace.params import SubspaceBlock, TypeSubspaceParams
 from typespace.subspace import (
     centroid,
     effective_rank,
@@ -15,7 +15,7 @@ def types_with_anchors(anchors):
     anchors = np.asarray(anchors, dtype=np.float64)
     m = anchors.shape[0]
     return TypeSubspaceParams(
-        {"t": TypeParams(anchors, np.array([0]), np.full((1, m), 1.0 / m))}
+        {"t": SubspaceBlock(anchors, np.array([0]), np.full((1, m), 1.0 / m))}
     )
 
 
