@@ -72,14 +72,22 @@ _FLAG_CASTERS = {
 
 
 def _merge_config(args):
-    """Fill unset flags from the config file; explicit flags win."""
+    """Fill unset flags from the config file; explicit flags win.  A key
+    that names no flag of the command, or a value the flag rejects, is a
+    usage error."""
     if not getattr(args, "config", None):
         return
     conf = _read_config(args.config)
     for key, raw in conf.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+        if key in ("command", "config") or not hasattr(args, key):
+            raise UsageError(f"{args.config}: key {key!r} names no flag of {args.command!r}")
+        if getattr(args, key) is not None:
             continue
-        setattr(args, key, _FLAG_CASTERS.get(key, str)(raw))
+        cast = _FLAG_CASTERS.get(key, str)
+        try:
+            setattr(args, key, cast(raw))
+        except ValueError:
+            raise UsageError(f"{args.config}: {key}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _require_file(path, flag):
@@ -375,6 +383,7 @@ def main(argv=None) -> int:
         ingest.CorpusParseError,
         ingest.CorpusValidationError,
         ingest.EmptyVocabularyError,
+        ingest.NoCommonTypeError,
         ingest.SubclassCycleError,
         evalharness.ProblemFormatError,
         FileNotFoundError,

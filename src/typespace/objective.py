@@ -108,17 +108,41 @@ def weight_f(x, x_max: float, exp: float):
     return np.minimum(np.power(x / x_max, exp), 1.0)
 
 
+# Table kind -> (gradient address name, EmbeddingModel attribute) of its
+# fit's row vectors, column vectors, row biases and column biases.  The
+# address names are also the trainer's AdaGrad accumulator names.
+_TEXT_FITS = {
+    WORD_WORD: (("word", "word_vecs"), ("ctx", "ctx_vecs"), ("word_bias", "word_bias"), ("ctx_bias", "ctx_bias")),
+    ENTITY_WORD: (
+        ("entity", "entity_points"),
+        ("word", "word_vecs"),
+        ("entity_bias", "entity_bias"),
+        ("word_bias", "word_bias"),
+    ),
+}
+
+
+def text_fit(model: EmbeddingModel, kind: str):
+    """(address names, model arrays) of a table kind's bilinear fit, in the
+    order row vectors, column vectors, row biases, column biases."""
+    pairs = _TEXT_FITS[kind]
+    return tuple(name for name, _ in pairs), tuple(getattr(model, attr) for _, attr in pairs)
+
+
+def _text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
+    if len(table) == 0:
+        return 0.0
+    _, (u, v, bu, bv) = text_fit(model, table.kind)
+    pred = np.einsum("ij,ij->i", u[table.rows], v[table.cols]) + bu[table.rows] + bv[table.cols]
+    resid = pred - np.log(table.weights)
+    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
+
+
 def glove_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
     """Weighted least-squares fit of word-word log co-occurrence."""
     if table.kind != WORD_WORD:
         raise ValueError("glove_loss expects a word-word table")
-    if len(table) == 0:
-        return 0.0
-    wi = model.word_vecs[table.rows]
-    cj = model.ctx_vecs[table.cols]
-    pred = np.einsum("ij,ij->i", wi, cj) + model.word_bias[table.rows] + model.ctx_bias[table.cols]
-    resid = pred - np.log(table.weights)
-    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
+    return _text_loss(table, model, hp)
 
 
 def entity_word_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
@@ -127,13 +151,7 @@ def entity_word_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperp
     biases."""
     if table.kind != ENTITY_WORD:
         raise ValueError("entity_word_loss expects an entity-word table")
-    if len(table) == 0:
-        return 0.0
-    pe = model.entity_points[table.rows]
-    wj = model.word_vecs[table.cols]
-    pred = np.einsum("ij,ij->i", pe, wj) + model.entity_bias[table.rows] + model.word_bias[table.cols]
-    resid = pred - np.log(table.weights)
-    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
+    return _text_loss(table, model, hp)
 
 
 def _check_simplex(coeffs: np.ndarray, what: str) -> None:
@@ -284,42 +302,24 @@ def total_objective(
 
 
 # ---------------------------------------------------------------------------
-# Per-item smooth terms and their exact partials.  The trainer applies these
-# one item at a time; loss_and_gradients sums them over a batch.  Gradient
-# addresses are tuples: ("entity", e), ("word", j), ("ctx", j),
-# ("word_bias", j), ("ctx_bias", j), ("entity_bias", e), ("rel", k),
-# ("anchors", type_id), ("lambda", type_id, row),
-# ("q", side, key), ("mu", side, key, row).
+# Per-item smooth terms and their exact partials.  The trainer steps with
+# these one item at a time, scaled by its mixing weight; loss_and_gradients
+# sums them over a batch.  Gradient addresses are tuples: ("entity", e),
+# ("word", j), ("ctx", j), ("word_bias", j), ("ctx_bias", j),
+# ("entity_bias", e), ("rel", k), ("anchors", type_id),
+# ("lambda", type_id, row), ("q", side, key), ("mu", side, key, row).
 
 
-def glove_entry_terms(model: EmbeddingModel, i: int, j: int, x: float, hp: Hyperparams):
-    """Loss and partials of one word-word entry."""
-    fx = weight_f(x, hp.x_max, hp.weight_exp)
-    resid = float(model.word_vecs[i] @ model.ctx_vecs[j]) + model.word_bias[i] + model.ctx_bias[j] - math.log(x)
-    coef = 2.0 * fx * resid
-    loss = fx * resid * resid
-    grads = {
-        ("word", i): coef * model.ctx_vecs[j],
-        ("ctx", j): coef * model.word_vecs[i],
-        ("word_bias", i): coef,
-        ("ctx_bias", j): coef,
-    }
-    return loss, grads
+def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
+    """Loss f * (u.v + b_u + b_v - log x)**2 of one text entry, with weight
+    fx = f(x) and logx = log x, and its partials times scale.
 
-
-def entity_word_entry_terms(model: EmbeddingModel, e: int, j: int, y: float, hp: Hyperparams):
-    """Loss and partials of one entity-word entry."""
-    fy = weight_f(y, hp.x_max, hp.weight_exp)
-    resid = float(model.entity_points[e] @ model.word_vecs[j]) + model.entity_bias[e] + model.word_bias[j] - math.log(y)
-    coef = 2.0 * fy * resid
-    loss = fy * resid * resid
-    grads = {
-        ("entity", e): coef * model.word_vecs[j],
-        ("word", j): coef * model.entity_points[e],
-        ("entity_bias", e): coef,
-        ("word_bias", j): coef,
-    }
-    return loss, grads
+    Returns (loss, d/du, d/dv, d/db); d/db is the partial with respect to
+    either bias.
+    """
+    resid = float(u @ v) + bu + bv - logx
+    coef = scale * 2.0 * fx * resid
+    return fx * resid * resid, coef * v, coef * u, coef
 
 
 def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
@@ -334,19 +334,17 @@ def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
     return loss, grads
 
 
-def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int):
-    """Loss and partials of one triple's translation residual; the factor 2
-    reflects the triple's appearance in both group sums."""
+def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int, scale=1.0):
+    """Loss and addressed partials, times scale, of one triple's translation
+    residual; the factor 2 reflects the triple's appearance in both group
+    sums.  For a self-loop (e == f) the two entity partials cancel, and the
+    one entity partial is zero."""
     r = model.entity_points[f] - model.entity_points[e] - rels.vectors[k]
     loss = 2.0 * float(r @ r)
-    grads = {
-        ("entity", f): 4.0 * r,
-        ("entity", e): -4.0 * r,
-        ("rel", k): -4.0 * r,
-    }
+    g = scale * 4.0 * r
     if e == f:
-        grads = {("entity", e): np.zeros_like(r), ("rel", k): -4.0 * r}
-    return loss, grads
+        return loss, {("entity", e): np.zeros_like(r), ("rel", k): -g}
+    return loss, {("entity", f): g, ("entity", e): -g, ("rel", k): -g}
 
 
 def rel_group_gradients(model: EmbeddingModel, rels: RelationParams, side: str, key: tuple[int, int], gp: SubspaceBlock):
@@ -419,14 +417,13 @@ def loss_and_gradients(batch: Batch, params: ModelParams, hp: Hyperparams):
     model, types, rels = params.model, params.types, params.rels
     total = 0.0
     grads: dict = {}
-    for i, j, x in batch.ww:
-        loss, g = glove_entry_terms(model, i, j, x, hp)
-        total += loss
-        _merge(grads, g)
-    for e, j, y in batch.ew:
-        loss, g = entity_word_entry_terms(model, e, j, y, hp)
-        total += loss
-        _merge(grads, g)
+    for kind, entries in ((WORD_WORD, batch.ww), (ENTITY_WORD, batch.ew)):
+        (nu, nv, nbu, nbv), (u, v, bu, bv) = text_fit(model, kind)
+        for i, j, x in entries:
+            fx = weight_f(x, hp.x_max, hp.weight_exp)
+            loss, gu, gv, gb = text_entry_terms(u[i], v[j], bu[i], bv[j], fx, math.log(x))
+            total += loss
+            _merge(grads, {(nu, i): gu, (nv, j): gv, (nbu, i): gb, (nbv, j): gb})
     for type_id in batch.type_ids:
         loss, g = type_term_gradients(model, type_id, types[type_id])
         total += loss

@@ -19,12 +19,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from typespace.ingest import CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
+from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
 from typespace.objective import (
     LossBreakdown,
     block_terms,
     comb_penalty_terms,
     group_point_gradients,
+    rel_dist_triple_terms,
+    text_entry_terms,
+    text_fit,
     total_objective,
     variant_flags,
     weight_f,
@@ -42,6 +45,9 @@ from typespace.subspace import effective_rank
 
 ADAGRAD_EPS = 1e-8
 
+# A text entry's tag is its table kind's index here.
+_TEXT_KINDS = (WORD_WORD, ENTITY_WORD)
+
 
 class NonFiniteGradientError(FloatingPointError):
     """A gradient went NaN/Inf; the message names the parameter."""
@@ -57,16 +63,17 @@ class TrainingDivergedError(RuntimeError):
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum(x) = 1} (sort-based)."""
+    """Euclidean projection onto {x : x >= 0, sum(x) = 1} (sort-based),
+    row by row along the last axis."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a non-finite vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
     cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    theta = css[rho - 1] / rho
+    rho = v.shape[-1] - np.argmax(np.flip(cond, axis=-1), axis=-1)
+    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
 
 
@@ -170,42 +177,31 @@ class _AdaState:
 def _text_pass(entries, order, params, state, hp, alpha):
     """Per-entry AdaGrad updates over precomputed text entries.
 
-    entries is (tags, rows, cols, fvals, logs); tag 0 = word-word,
-    1 = entity-word.
+    entries is (tags, rows, cols, fvals, logs); a tag indexes _TEXT_KINDS.
     """
     tags, rows, cols, fvals, logs = entries
-    m = params.model
     lr = hp.learn_rate
+    fits = []
+    for kind in _TEXT_KINDS:
+        names, arrays = text_fit(params.model, kind)
+        fits.append((names, arrays, tuple(getattr(state, name) for name in names)))
     for idx in order:
         i = rows[idx]
         j = cols[idx]
-        f = fvals[idx]
-        if tags[idx] == 0:
-            resid = float(m.word_vecs[i] @ m.ctx_vecs[j]) + m.word_bias[i] + m.ctx_bias[j] - logs[idx]
-            coef = alpha * 2.0 * f * resid
-            gi = coef * m.ctx_vecs[j]
-            gj = coef * m.word_vecs[i]
-            adagrad_step(m.word_vecs[i], gi, state.word[i], lr, name=f"word[{i}]")
-            adagrad_step(m.ctx_vecs[j], gj, state.ctx[j], lr, name=f"ctx[{j}]")
-            adagrad_step(m.word_bias[i : i + 1], [coef], state.word_bias[i : i + 1], lr, name=f"word_bias[{i}]")
-            adagrad_step(m.ctx_bias[j : j + 1], [coef], state.ctx_bias[j : j + 1], lr, name=f"ctx_bias[{j}]")
-        else:
-            resid = float(m.entity_points[i] @ m.word_vecs[j]) + m.entity_bias[i] + m.word_bias[j] - logs[idx]
-            coef = alpha * 2.0 * f * resid
-            ge = coef * m.word_vecs[j]
-            gj = coef * m.entity_points[i]
-            adagrad_step(m.entity_points[i], ge, state.entity[i], lr, name=f"entity[{i}]")
-            adagrad_step(m.word_vecs[j], gj, state.word[j], lr, name=f"word[{j}]")
-            adagrad_step(m.entity_bias[i : i + 1], [coef], state.entity_bias[i : i + 1], lr, name=f"entity_bias[{i}]")
-            adagrad_step(m.word_bias[j : j + 1], [coef], state.word_bias[j : j + 1], lr, name=f"word_bias[{j}]")
+        (nu, nv, nbu, nbv), (u, v, bu, bv), (su, sv, sbu, sbv) = fits[tags[idx]]
+        _, gu, gv, gb = text_entry_terms(u[i], v[j], bu[i], bv[j], fvals[idx], logs[idx], alpha)
+        adagrad_step(u[i], gu, su[i], lr, name=f"{nu}[{i}]")
+        adagrad_step(v[j], gv, sv[j], lr, name=f"{nv}[{j}]")
+        adagrad_step(bu[i : i + 1], [gb], sbu[i : i + 1], lr, name=f"{nbu}[{i}]")
+        adagrad_step(bv[j : j + 1], [gb], sbv[j : j + 1], lr, name=f"{nbv}[{j}]")
 
 
 def _prepare_text_entries(data: TrainData, hp: Hyperparams):
     tags, rows, cols, fvals, logs = [], [], [], [], []
-    for tag, table in ((0, data.word_word), (1, data.entity_word)):
+    for table in (data.word_word, data.entity_word):
         if table is None or len(table) == 0:
             continue
-        tags.append(np.full(len(table), tag, dtype=np.int8))
+        tags.append(np.full(len(table), _TEXT_KINDS.index(table.kind), dtype=np.int8))
         rows.append(table.rows)
         cols.append(table.cols)
         fvals.append(weight_f(table.weights, hp.x_max, hp.weight_exp))
@@ -224,7 +220,7 @@ def _prepare_text_entries(data: TrainData, hp: Hyperparams):
 def _block_step(block, points, acc, hp, prox, comb, report, label) -> np.ndarray:
     """One update of a subspace block whose current points are `points`.
 
-    Projected AdaGrad on each simplex coefficient row, an AdaGrad step on
+    Projected AdaGrad on the simplex coefficient rows, an AdaGrad step on
     the anchors (plus the anchor-cohesion penalty when comb is set), then,
     when prox is set, singular-value thresholding of the anchor span matrix
     with anchor 0 held as base point.  acc is the block's (anchor,
@@ -234,14 +230,8 @@ def _block_step(block, points, acc, hp, prox, comb, report, label) -> np.ndarray
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     acc_anchors, acc_coeffs = acc
-    # Row by row, with a per-row product: a row's gradient depends on no
-    # other row, but the batched product rounds differently and would move
-    # every trajectory in its last bits.
-    for row in range(block.coeffs.shape[0]):
-        resid = points[row] - block.coeffs[row] @ block.anchors
-        g = scale * (-2.0) * (block.anchors @ resid)
-        adagrad_step(block.coeffs[row], g, acc_coeffs[row], lr, name=f"coeffs[{label}][{row}]")
-        block.coeffs[row] = project_to_simplex(block.coeffs[row])
+    adagrad_step(block.coeffs, scale * block_terms(block, points)[3], acc_coeffs, lr, name=f"coeffs[{label}]")
+    block.coeffs[:] = project_to_simplex(block.coeffs)
     resid, _, anchor_grad, _ = block_terms(block, points)
     if comb:
         anchor_grad = anchor_grad + comb_penalty_terms(block.anchors)[1]
@@ -267,19 +257,15 @@ def _type_pass(params, state, hp, flags, report):
 
 def _rel_dist_pass(params, state, data, hp, rng):
     """Per-triple AdaGrad updates of both entity points and the relation
-    vector; the factor 2 reflects each triple's membership in the two
-    grouped sums."""
-    m = params.model
+    vector, in shuffled triple order."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     triples = data.triples.triples
     for idx in rng.permutation(len(triples)):
         e, k, f = triples[idx]
-        r = m.entity_points[f] - m.entity_points[e] - params.rels.vectors[k]
-        if e != f:
-            adagrad_step(m.entity_points[f], scale * 4.0 * r, state.entity[f], lr, name=f"entity[{f}]")
-            adagrad_step(m.entity_points[e], scale * (-4.0) * r, state.entity[e], lr, name=f"entity[{e}]")
-        adagrad_step(params.rels.vectors[k], scale * (-4.0) * r, state.rel[k], lr, name=f"rel[{k}]")
+        for (name, i), g in rel_dist_triple_terms(params.model, params.rels, e, k, f, scale)[1].items():
+            values = params.rels.vectors if name == "rel" else params.model.entity_points
+            adagrad_step(values[i], g, getattr(state, name)[i], lr, name=f"{name}[{i}]")
 
 
 def _rel_dim_pass(params, state, hp, flags, report):

@@ -33,7 +33,8 @@ VARIANTS = (
 
 
 class ModelFormatError(ValueError):
-    """Wrong magic string or incompatible format version."""
+    """Wrong magic string, incompatible format version, or contents that
+    disagree with each other (shapes, member indices)."""
 
 
 class ModelIntegrityError(ValueError):
@@ -356,8 +357,28 @@ def _write_block(w: _Writer, block: SubspaceBlock):
     w.array(block.coeffs)
 
 
-def _read_block(r: _Reader) -> SubspaceBlock:
-    return SubspaceBlock(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+def _read_block(r: _Reader, n: int, virtual: int, where: tuple) -> SubspaceBlock:
+    """Read a block and check its shapes against the embedding dimension n;
+    a relation group has one virtual coefficient row."""
+    block = SubspaceBlock(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+    for name, shape in (("anchors", (n + 1, n)), ("coeffs", (len(block.members) + virtual, n + 1))):
+        got = getattr(block, name).shape
+        if got != shape:
+            raise ModelFormatError(f"{' '.join(map(str, where))}: {name} shape {got}, expected {shape}")
+    return block
+
+
+def _check_members(blocks: dict, n_entities: int) -> None:
+    """Reject member indices outside the entity table, naming the first
+    block that holds one; one vectorized test covers the common case."""
+
+    def in_range(members):
+        return np.all((members >= 0) & (members < n_entities))
+
+    if not blocks or in_range(np.concatenate([b.members for b in blocks.values()])):
+        return
+    where = next(where for where, b in blocks.items() if not in_range(b.members))
+    raise ModelFormatError(f"{' '.join(map(str, where))}: member index out of range of {n_entities} entities")
 
 
 def save_model(
@@ -437,19 +458,21 @@ def load_model(path) -> LoadedModel:
         entity_bias=r.array(),
     )
 
+    blocks = {}
     types = TypeSubspaceParams()
     for _ in range(r.u64()):
         type_id = r.string()
-        types.per_type[type_id] = _read_block(r)
+        blocks["type", type_id] = types.per_type[type_id] = _read_block(r, hp.n, 0, ("type", type_id))
 
     rels = RelationParams(vectors=r.array())
-    for _, groups in rels.sides():
+    for side, groups in rels.sides():
         for _ in range(r.u64()):
             key = (r.i64(), r.i64())
-            groups[key] = _read_block(r)
+            blocks["group", side, key] = groups[key] = _read_block(r, hp.n, 1, ("group", side, key))
 
     if r.pos != len(payload):
         raise ModelIntegrityError("trailing bytes after model payload")
+    _check_members(blocks, len(entity_ids))
     return LoadedModel(model, types, rels, hp, entity_ids, word_ids, relation_ids)
 
 

@@ -169,6 +169,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert "split" in err and len(err.strip().splitlines()) == 1
 
+    def test_induction_without_common_type_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        # A city and a person: the subclass graph gives them no common type.
+        problems = tmp_path / "mixed.json"
+        problems.write_text(
+            json.dumps({"relation": "r", "target": "t", "split": {"train": ["c00", "p00"], "valid": [], "test": []}})
+        )
+        code = run(
+            [
+                "eval", "induction",
+                "--model", str(trained_model),
+                "--problems", str(problems),
+                "--instances", micro_dir["instances"],
+                "--subclass", micro_dir["subclass"],
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no type contains" in err and len(err.strip().splitlines()) == 1
+
     def test_malformed_problem_json_exit_one(self, trained_model, tmp_path, capsys):
         problems = tmp_path / "broken.json"
         problems.write_text('{"type": "city", "attribute": ')
@@ -262,6 +281,26 @@ class TestConfigFile:
         conf = tmp_path / "bad.conf"
         conf.write_text("not a key value line\n")
         assert run(["train", "--config", str(conf), "--out", "x"]) == 1
+
+    def _train_with_config(self, micro_dir, tmp_path, *lines):
+        conf = tmp_path / "run.conf"
+        base = [f"corpus={micro_dir['corpus']}", "variant=text", "dim=4", "min_count=3", "min_mentions=3"]
+        conf.write_text("\n".join(base + list(lines)) + "\n")
+        return conf, run(["train", "--config", str(conf), "--out", str(tmp_path / "m.bin")])
+
+    @pytest.mark.parametrize("line", ["epochz=3", "threads=4"])
+    def test_unknown_key_exit_one(self, micro_dir, tmp_path, capsys, line):
+        _, code = self._train_with_config(micro_dir, tmp_path, "epochs=1", line)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(line.split("=")[0]) in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_uncastable_value_exit_one(self, micro_dir, tmp_path, capsys):
+        conf, code = self._train_with_config(micro_dir, tmp_path, "epochs=abc")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(conf) in err and "epochs='abc'" in err and len(err.strip().splitlines()) == 1
 
 
 class TestTune:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from reference_impls import (
     simplex_bisection_oracle,
     simplex_grid_search,
 )
-from typespace import synth
-from typespace.objective import nuclear_norm
+from typespace import optimize, synth
+from typespace.objective import Batch, loss_and_gradients, nuclear_norm
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
     TrainData,
     TrainingDivergedError,
+    TrainReport,
     adagrad_step,
     anchor_prox_scale,
     project_to_simplex,
@@ -49,9 +51,11 @@ class TestProjectToSimplex:
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            v = rng.normal(scale=2.5, size=3)
+        rows = rng.normal(scale=2.5, size=(200, 3))
+        for v in rows:
             assert np.max(np.abs(project_to_simplex(v) - simplex_bisection_oracle(v))) <= 1e-6
+        # A matrix is projected row by row, to the bit.
+        assert np.array_equal(project_to_simplex(rows), np.array([project_to_simplex(v) for v in rows]))
 
     def test_never_beats_grid_by_more_than_resolution(self):
         rng = np.random.default_rng(2)
@@ -259,6 +263,83 @@ class TestTrain:
         assert report.epochs == 5
         assert len(report.wall_ms) == 5
         assert len(report.dim_trace) == 5
+
+
+class TestTrainerStepsWithCheckedGradients:
+    """The gradients the trainer's passes hand to adagrad_step are alpha or
+    (1 - alpha) times the loss_and_gradients partials that the
+    finite-difference suite checks, at the same parameters."""
+
+    ALPHA = 0.3
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        # Records every step and moves nothing, so all gradients of a pass
+        # are taken at the same parameters.
+        calls = []
+
+        def record(values, grad, state, lr, name="param"):
+            calls.append((name, np.array(grad, dtype=np.float64)))
+
+        monkeypatch.setattr(optimize, "adagrad_step", record)
+        return calls
+
+    def _instance(self, seed):
+        ww, ew, store, params, hp = random_instance(seed)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        return data, params, replace(hp, alpha_mix=self.ALPHA)
+
+    @staticmethod
+    def _assert_steps(steps, expected):
+        assert [name for name, _ in steps] == [name for name, _ in expected]
+        for (name, got), (_, want) in zip(steps, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_text_pass(self, steps):
+        data, params, hp = self._instance(3)
+        entries = optimize._prepare_text_entries(data, hp)
+        ww, ew = data.word_word, data.entity_word
+        order = [0, len(ww)]  # the first word-word entry, then the first entity-word entry
+        optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
+        expected = []
+        for field, table, names in (
+            ("ww", ww, ("word", "ctx", "word_bias", "ctx_bias")),
+            ("ew", ew, ("entity", "word", "entity_bias", "word_bias")),
+        ):
+            i, j = int(table.rows[0]), int(table.cols[0])
+            batch = Batch(**{field: [(i, j, float(table.weights[0]))]})
+            grads = loss_and_gradients(batch, params, hp)[1]
+            for name, idx in zip(names, (i, j, i, j)):
+                expected.append((f"{name}[{idx}]", self.ALPHA * np.atleast_1d(grads[(name, idx)])))
+        self._assert_steps(steps, expected)
+
+    def test_rel_dist_pass(self, steps):
+        data, params, hp = self._instance(4)
+        # One ordinary triple and one self-loop, whose entity is stepped once
+        # with a zero gradient.
+        e, k, f = data.triples.triples[0]
+        data = replace(data, triples=replace(data.triples, triples=((e, k, f), (e, k, e))))
+        optimize._rel_dist_pass(params, optimize._AdaState(params), data, hp, np.random.default_rng(0))
+        expected = []
+        for idx in np.random.default_rng(0).permutation(2):
+            grads = loss_and_gradients(Batch(triples=[data.triples.triples[idx]]), params, hp)[1]
+            expected += [(f"{name}[{i}]", (1.0 - self.ALPHA) * g) for (name, i), g in grads.items()]
+        self._assert_steps(steps, expected)
+        assert [name for name, _ in steps].count(f"entity[{e}]") == 2
+
+    def test_block_step(self, steps):
+        data, params, hp = self._instance(5)
+        tp = params.types["t1"]
+        before = loss_and_gradients(Batch(type_ids=["t1"]), params, hp)[1]
+        points = params.model.entity_points[tp.members]
+        acc = optimize._AdaState(params).blocks["t1"]
+        optimize._block_step(tp, points, acc, hp, False, False, TrainReport(), "t1")
+        # The anchor step follows the coefficient step: its gradient is
+        # taken at the projected coefficients.
+        after = loss_and_gradients(Batch(type_ids=["t1"]), params, hp)[1]
+        coeff_grad = np.array([before[("lambda", "t1", row)] for row in range(len(tp.members))])
+        scale = 1.0 - self.ALPHA
+        self._assert_steps(steps, [("coeffs[t1]", scale * coeff_grad), ("anchors[t1]", scale * after[("anchors", "t1")])])
 
 
 class TestAnchorProxScale:

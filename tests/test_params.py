@@ -179,6 +179,27 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "block, field, edit, message",
+        [
+            ("type", "members", lambda a: np.append(a[:-1], 99), "member index out of range"),
+            ("type", "members", lambda a: np.append(a[:-1], -1), "member index out of range"),
+            ("type", "coeffs", lambda a: a[:-1], "coeffs shape"),
+            ("type", "anchors", lambda a: a[:-1], "anchors shape"),
+            ("group", "coeffs", lambda a: a[:-1], "coeffs shape"),  # no virtual row
+        ],
+        ids=["member_too_large", "member_negative", "type_coeff_rows", "anchor_rows", "group_coeff_rows"],
+    )
+    def test_inconsistent_contents_rejected(self, tmp_path, block, field, edit, message):
+        # save_model writes whatever it is given, so the file's checksum is
+        # valid and only the consistency checks can reject it.
+        params, hp, _ = small_setup()
+        target = params.types["thing"] if block == "type" else next(iter(params.rels.rhs_groups.values()))
+        setattr(target, field, edit(getattr(target, field)))
+        path = self._save(tmp_path, params, hp)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     def test_save_is_deterministic(self, tmp_path):
         params, hp, _ = small_setup(seed=11)
         p1 = tmp_path / "m1.bin"
