@@ -30,6 +30,7 @@ from typespace.params import (
 )
 
 EVAL_TASKS = ("ranking", "induction", "analogy", "link_prediction", "triple_classification")
+TUNE_TASKS = ("ranking",)
 
 
 class UsageError(ValueError):
@@ -57,6 +58,17 @@ def _read_config(path) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def boolean(raw: str) -> bool:
+    """A config-file value for an on/off flag."""
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
 _FLAG_CASTERS = {
     "dim": int,
     "epochs": int,
@@ -68,11 +80,14 @@ _FLAG_CASTERS = {
     "beta": float,
     "lr": float,
     "rank_eps": float,
+    "text": boolean,
+    "from_points": boolean,
 }
 
 
 def _merge_config(args):
-    """Fill unset flags from the config file; explicit flags win.  A key
+    """Fill unset flags from the config file; explicit flags win.  Every
+    flag's unset value is None, and its command resolves the default.  A key
     that names no flag of the command, or a value the flag rejects, is a
     usage error."""
     if not getattr(args, "config", None):
@@ -150,6 +165,7 @@ def build_parser() -> _Parser:
     p_inspect.add_argument(
         "--from-points",
         action="store_true",
+        default=None,
         help="measure dimensions from the entity point cloud instead of the anchors",
     )
 
@@ -157,7 +173,7 @@ def build_parser() -> _Parser:
     _add_common(p_tune)
     _add_hyper(p_tune)
     _add_data(p_tune)
-    p_tune.add_argument("--task", default="ranking", choices=("ranking",))
+    p_tune.add_argument("--task", default=None, choices=TUNE_TASKS, help="validation task (default ranking)")
     p_tune.add_argument("--problems", default=None)
     p_tune.add_argument("--alphas", default=None, help="comma-separated mixing weights")
     p_tune.add_argument("--betas", default=None, help="comma-separated regularization strengths")
@@ -166,7 +182,7 @@ def build_parser() -> _Parser:
     p_export = sub.add_parser("export", description="Export embeddings.")
     _add_common(p_export)
     p_export.add_argument("--model", default=None)
-    p_export.add_argument("--text", action="store_true", help="write 'id v1 ... vn' text lines")
+    p_export.add_argument("--text", action="store_true", default=None, help="write 'id v1 ... vn' text lines")
     p_export.add_argument("--out", default=None)
 
     return parser
@@ -320,6 +336,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    task = args.task if args.task is not None else "ranking"
+    if task not in TUNE_TASKS:
+        raise UsageError(f"--task: unknown task {task!r}; expected one of {', '.join(TUNE_TASKS)}")
     problems_path = _require_file(args.problems, "--problems")
     problems = evalharness.load_ranking_problems(problems_path)
     base_hp = _hyperparams_from(args)

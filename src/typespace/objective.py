@@ -133,9 +133,9 @@ def _text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams)
     if len(table) == 0:
         return 0.0
     _, (u, v, bu, bv) = text_fit(model, table.kind)
-    pred = np.einsum("ij,ij->i", u[table.rows], v[table.cols]) + bu[table.rows] + bv[table.cols]
-    resid = pred - np.log(table.weights)
-    return float(np.sum(weight_f(table.weights, hp.x_max, hp.weight_exp) * resid * resid))
+    i, j = table.rows, table.cols
+    fx = weight_f(table.weights, hp.x_max, hp.weight_exp)
+    return float(np.sum(text_entry_terms(u[i], v[j], bu[i], bv[j], fx, np.log(table.weights))[0]))
 
 
 def glove_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
@@ -314,12 +314,14 @@ def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
     """Loss f * (u.v + b_u + b_v - log x)**2 of one text entry, with weight
     fx = f(x) and logx = log x, and its partials times scale.
 
+    Takes one entry, or a batch with u and v stacked as rows and the other
+    arguments as arrays; the dot product gives the same bits either way.
     Returns (loss, d/du, d/dv, d/db); d/db is the partial with respect to
     either bias.
     """
-    resid = float(u @ v) + bu + bv - logx
+    resid = np.einsum("...i,...i->...", u, v) + bu + bv - logx
     coef = scale * 2.0 * fx * resid
-    return fx * resid * resid, coef * v, coef * u, coef
+    return fx * resid * resid, coef[..., None] * v, coef[..., None] * u, coef
 
 
 def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):

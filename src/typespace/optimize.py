@@ -1,13 +1,17 @@
 """Stochastic proximal training.
 
 Each epoch makes three passes: (1) a shuffled pass over word-word and
-entity-word entries with per-entry AdaGrad updates, (2) a pass over types,
-(3) a pass over relation triples and then relation groups.  Types and
-relation groups are the same subspace block, and one block step updates
-either: the simplex coefficients by projected gradient, the anchors by a
-gradient step, then singular-value thresholding of the anchor span matrix.
-The nuclear norms are handled only by the proximal step, never by
-gradients.  Training is a pure function of its inputs and seeds.
+entity-word entries with AdaGrad updates, (2) a pass over types, (3) a pass
+over relation triples and then relation groups.  The text pass runs the
+per-entry loop over the shuffled order as an exact level schedule: an
+entry's level is one more than the highest level of any earlier entry
+sharing a row with it, and each level's entries of one table kind, which
+write distinct rows, take one vectorized step.  Types and relation groups
+are the same subspace block, and one block step updates either: the
+simplex coefficients by projected gradient, the anchors by a gradient
+step, then singular-value thresholding of the anchor span matrix.  The
+nuclear norms are handled only by the proximal step, never by gradients.
+Training is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -91,14 +95,25 @@ def prox_nuclear(m: np.ndarray, tau: float) -> np.ndarray:
     return (u * shrunk) @ vt
 
 
-def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: str = "param") -> None:
+def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: str = "param", rows=None) -> None:
     """In-place AdaGrad update: accumulate g**2, then move each coordinate
-    by -lr * g / sqrt(G + eps)."""
+    by -lr * g / sqrt(G + eps).
+
+    With rows (distinct indices), grad holds one gradient row per index and
+    only those rows of values and state move.  The gradient is checked once;
+    a non-finite one raises before anything moves and names its first
+    non-finite row as name[row].
+    """
     g = np.asarray(grad, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    finite = np.isfinite(g)
+    if not finite.all():
+        if rows is not None:
+            name = f"{name}[{rows[int(np.argmin(finite.reshape(len(g), -1).all(axis=1)))]}]"
         raise NonFiniteGradientError(f"non-finite gradient for {name}")
-    state += g * g
-    values -= lr * g / np.sqrt(state + ADAGRAD_EPS)
+    idx = ... if rows is None else rows
+    acc = state[idx] + g * g
+    state[idx] = acc
+    values[idx] = values[idx] - lr * g / np.sqrt(acc + ADAGRAD_EPS)
 
 
 def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
@@ -174,8 +189,41 @@ class _AdaState:
         self.blocks = {addr: (np.zeros_like(b.anchors), np.zeros_like(b.coeffs)) for addr, b in blocks.items()}
 
 
-def _text_pass(entries, order, params, state, hp, alpha):
-    """Per-entry AdaGrad updates over precomputed text entries.
+def _text_schedule(tags, rows, cols, order, fits):
+    """The entries of order as batches of one (level, table kind), in level
+    order.  An entry's level is one more than the highest level of any
+    earlier entry that writes one of its rows, so a batch writes distinct
+    rows and every row sees its updates in the order of order.  Rows are
+    keyed per vector array (a word row is one key in both table kinds); a
+    bias row is written with its vector row and shares its key.
+    """
+    offsets: dict[str, int] = {}  # first key of each vector array
+    n_keys = 0
+    for names, arrays, _ in fits:
+        for name, arr in zip(names[:2], arrays[:2]):
+            if name not in offsets:
+                offsets[name] = n_keys
+                n_keys += len(arr)
+    kinds = tags[order]
+    keys_u = np.array([offsets[names[0]] for names, _, _ in fits])[kinds] + rows[order]
+    keys_v = np.array([offsets[names[1]] for names, _, _ in fits])[kinds] + cols[order]
+    last = [0] * n_keys
+    levels = []
+    for a, b in zip(keys_u.tolist(), keys_v.tolist()):
+        la = last[a]
+        lb = last[b]
+        level = (la if la > lb else lb) + 1
+        last[a] = last[b] = level
+        levels.append(level)
+    batch_keys = np.array(levels, dtype=np.int64) * len(fits) + kinds
+    perm = np.argsort(batch_keys, kind="stable")
+    return np.split(order[perm], np.flatnonzero(np.diff(batch_keys[perm], prepend=-1)))[1:]
+
+
+def _text_pass(entries, order, params, state, hp, alpha) -> int:
+    """AdaGrad updates over precomputed text entries, bit for bit those of
+    a per-entry loop in the given order, one step per batch of
+    _text_schedule; returns the number of batches.
 
     entries is (tags, rows, cols, fvals, logs); a tag indexes _TEXT_KINDS.
     """
@@ -185,15 +233,17 @@ def _text_pass(entries, order, params, state, hp, alpha):
     for kind in _TEXT_KINDS:
         names, arrays = text_fit(params.model, kind)
         fits.append((names, arrays, tuple(getattr(state, name) for name in names)))
-    for idx in order:
+    batches = _text_schedule(tags, rows, cols, np.asarray(order, dtype=np.intp), fits)
+    for idx in batches:
         i = rows[idx]
         j = cols[idx]
-        (nu, nv, nbu, nbv), (u, v, bu, bv), (su, sv, sbu, sbv) = fits[tags[idx]]
+        (nu, nv, nbu, nbv), (u, v, bu, bv), (su, sv, sbu, sbv) = fits[tags[idx[0]]]
         _, gu, gv, gb = text_entry_terms(u[i], v[j], bu[i], bv[j], fvals[idx], logs[idx], alpha)
-        adagrad_step(u[i], gu, su[i], lr, name=f"{nu}[{i}]")
-        adagrad_step(v[j], gv, sv[j], lr, name=f"{nv}[{j}]")
-        adagrad_step(bu[i : i + 1], [gb], sbu[i : i + 1], lr, name=f"{nbu}[{i}]")
-        adagrad_step(bv[j : j + 1], [gb], sbv[j : j + 1], lr, name=f"{nbv}[{j}]")
+        adagrad_step(u, gu, su, lr, nu, rows=i)
+        adagrad_step(v, gv, sv, lr, nv, rows=j)
+        adagrad_step(bu, gb, sbu, lr, nbu, rows=i)
+        adagrad_step(bv, gb, sbv, lr, nbv, rows=j)
+    return len(batches)
 
 
 def _prepare_text_entries(data: TrainData, hp: Hyperparams):
@@ -270,7 +320,8 @@ def _rel_dist_pass(params, state, data, hp, rng):
 
 def _rel_dim_pass(params, state, hp, flags, report):
     """One block step per relation group, then AdaGrad steps on the
-    group's member points and its relation vector."""
+    group's member points (one row step; members are distinct) and its
+    relation vector."""
     m = params.model
     rels = params.rels
     lr = hp.learn_rate
@@ -282,8 +333,8 @@ def _rel_dim_pass(params, state, hp, flags, report):
             points = group_points(m.entity_points, rels.vectors, gp.members, side, key)
             resid = _block_step(gp, points, state.blocks[(side, key)], hp, prox, False, report, f"{side}{key}")
             entity_grads, k, rel_grad = group_point_gradients(gp, side, key, resid)
-            for e, g in entity_grads.items():
-                adagrad_step(m.entity_points[e], scale * g, state.entity[e], lr, name=f"entity[{e}]")
+            grads = scale * np.array(list(entity_grads.values()))
+            adagrad_step(m.entity_points, grads, state.entity, lr, "entity", rows=list(entity_grads))
             adagrad_step(rels.vectors[k], scale * rel_grad, state.rel[k], lr, name=f"rel[{k}]")
 
 
@@ -309,10 +360,11 @@ def train(
     try:
         for epoch in range(hp.epochs):
             t0 = time.perf_counter()
+            text_batches = 0
             try:
                 if entries is not None and alpha > 0.0:
                     order = rng.permutation(len(entries[0]))
-                    _text_pass(entries, order, params, state, hp, alpha)
+                    text_batches = _text_pass(entries, order, params, state, hp, alpha)
                 if flags.type_active:
                     _type_pass(params, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:
@@ -338,7 +390,13 @@ def train(
             report.wall_ms.append(wall_ms)
             report.dim_trace.append(dims)
             if log_fh is not None:
-                record = {"epoch": epoch + 1, **breakdown.as_dict(), "wall_ms": wall_ms, "dims": dims}
+                record = {
+                    "epoch": epoch + 1,
+                    **breakdown.as_dict(),
+                    "wall_ms": wall_ms,
+                    "text_batches": text_batches,
+                    "dims": dims,
+                }
                 log_fh.write(json.dumps(record) + "\n")
                 log_fh.flush()
             last_good = clone_params(params)

@@ -254,3 +254,33 @@ def finite_difference_check(loss_fn, params, analytic, h=1e-5, only_touched=True
             err = abs(fd - a) if scale < 1e-7 else abs(fd - a) / scale
             worst = max(worst, err)
     return worst
+
+
+# --- sequential text pass ------------------------------------------------------
+
+# Tag -> (model attribute, accumulator name) of the row vectors, column
+# vectors, row biases and column biases a text entry writes: tag 0 is a
+# word-word entry, tag 1 an entity-word entry.
+_TEXT_ROLES = (
+    (("word_vecs", "word"), ("ctx_vecs", "ctx"), ("word_bias", "word_bias"), ("ctx_bias", "ctx_bias")),
+    (("entity_points", "entity"), ("word_vecs", "word"), ("entity_bias", "entity_bias"), ("word_bias", "word_bias")),
+)
+
+
+def ref_text_pass(entries, order, model, state, lr, alpha, eps=1e-8):
+    """One entry at a time, in order: the gradient of
+    alpha * f * (u.v + b_u + b_v - log x)**2 at the current rows, then an
+    AdaGrad step on each of the four rows.  The dot product is the one-row
+    einsum, whose bits the trainer's batched dot reproduces."""
+    tags, rows, cols, fvals, logs = entries
+    for idx in order:
+        (u, su), (v, sv), (bu, sbu), (bv, sbv) = (
+            (getattr(model, attr), getattr(state, acc)) for attr, acc in _TEXT_ROLES[tags[idx]]
+        )
+        i, j = rows[idx], cols[idx]
+        resid = np.einsum("i,i->", u[i], v[j]) + bu[i] + bv[j] - logs[idx]
+        coef = alpha * 2.0 * fvals[idx] * resid
+        steps = ((u, su, i, coef * v[j]), (v, sv, j, coef * u[i]), (bu, sbu, i, coef), (bv, sbv, j, coef))
+        for values, accum, r, g in steps:
+            accum[r] = accum[r] + g * g
+            values[r] = values[r] - lr * g / np.sqrt(accum[r] + eps)

@@ -302,6 +302,44 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(conf) in err and "epochs='abc'" in err and len(err.strip().splitlines()) == 1
 
+    def _config(self, tmp_path, *lines):
+        conf = tmp_path / "flags.conf"
+        conf.write_text("\n".join(lines) + "\n")
+        return str(conf)
+
+    def test_text_flag_from_config(self, trained_model, tmp_path):
+        out = tmp_path / "emb.txt"
+        conf = self._config(tmp_path, "text=1")
+        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(out)]) == 0
+        flag_out = tmp_path / "flag.txt"
+        assert run(["export", "--model", str(trained_model), "--text", "--out", str(flag_out)]) == 0
+        assert out.read_bytes() == flag_out.read_bytes()
+
+    def test_explicit_text_flag_beats_config(self, trained_model, tmp_path):
+        out = tmp_path / "emb.txt"
+        conf = self._config(tmp_path, "text=0")
+        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(out)]) == 1
+        assert run(["export", "--config", conf, "--model", str(trained_model), "--text", "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_from_points_flag_from_config(self, trained_model, tmp_path, capsys):
+        assert run(["inspect", "--model", str(trained_model), "--from-points"]) == 0
+        flag_out = capsys.readouterr().out
+        conf = self._config(tmp_path, "from-points=yes")
+        assert run(["inspect", "--config", conf, "--model", str(trained_model)]) == 0
+        assert capsys.readouterr().out == flag_out
+
+    def test_uncastable_boolean_exit_one(self, trained_model, tmp_path, capsys):
+        conf = self._config(tmp_path, "text=maybe")
+        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(tmp_path / "e.txt")]) == 1
+        assert "text='maybe' is not a valid boolean" in capsys.readouterr().err
+
+    def test_tune_task_from_config(self, micro_dir, tmp_path, capsys):
+        conf = self._config(tmp_path, "task=induction")
+        argv = ["tune", "--config", conf, "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"]]
+        assert run(argv) == 1
+        assert "--task: unknown task 'induction'" in capsys.readouterr().err
+
 
 class TestTune:
     def test_tiny_grid_runs(self, micro_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from reference_impls import (
     simplex_grid_search,
 )
 from typespace import optimize, synth
-from typespace.objective import Batch, loss_and_gradients, nuclear_norm
+from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable
+from typespace.objective import Batch, loss_and_gradients, nuclear_norm, rel_group_gradients, variant_flags
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
@@ -146,6 +148,33 @@ class TestAdagrad:
         with pytest.raises(NonFiniteGradientError, match="entity\\[3\\]"):
             adagrad_step(v, np.array([np.nan]), np.zeros(1), lr=0.1, name="entity[3]")
 
+    def test_row_step_names_first_non_finite_row(self):
+        values = np.arange(15.0).reshape(5, 3)
+        state = np.ones((5, 3))
+        grad = np.ones((3, 3))
+        grad[1, 2] = np.nan
+        with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[17\]$"):
+            adagrad_step(values, grad, state, 0.1, "word", rows=[4, 17, 2])
+        grad[2, 0] = np.inf
+        with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[0\]$"):
+            adagrad_step(values, grad, state, 0.1, "word", rows=[3, 0, 1])
+        # The check comes before any row moves.
+        assert np.array_equal(values, np.arange(15.0).reshape(5, 3))
+        assert np.array_equal(state, np.ones((5, 3)))
+
+    def test_row_step_matches_per_row_steps(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(6, 4))
+        state = rng.uniform(size=(6, 4))
+        grad = rng.normal(size=(3, 4))
+        rows = [5, 1, 3]
+        want_values, want_state = values.copy(), state.copy()
+        for r, g in zip(rows, grad):
+            adagrad_step(want_values[r], g, want_state[r], 0.05)
+        adagrad_step(values, grad, state, 0.05, "entity", rows=rows)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(state, want_state)
+
 
 def _simplex_ok(params, tol=1e-9):
     for tp in params.types.per_type.values():
@@ -220,6 +249,37 @@ class TestTrain:
         for key in ("j_glove", "j_text_entity", "j_type", "total", "wall_ms", "dims"):
             assert key in lines[0]
 
+    def test_epoch_log_counts_text_batches(self, tmp_path):
+        hp = Hyperparams(n=3, alpha_mix=1.0, epochs=2, variant="text", seed=1)
+
+        def batches(ww, ew):
+            data = TrainData(3, 5, ww, ew, synth.empty_type_system(), synth.empty_triple_store())
+            log_path = tmp_path / "log.jsonl"
+            train(data, TrainConfig(hp=hp, shuffle_seed=1, log_path=str(log_path)))
+            return [json.loads(line)["text_batches"] for line in log_path.read_text().strip().split("\n")]
+
+        # Entries on disjoint rows take one step per table kind ...
+        disjoint_ww = CooccurrenceTable.from_dict(WORD_WORD, {(i, i): float(i + 2) for i in range(4)})
+        disjoint_ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 4): 3.0})
+        assert batches(disjoint_ww, disjoint_ew) == [2, 2]
+        # ... and entries that all write word 0 take one step each.
+        hub_ww = CooccurrenceTable.from_dict(WORD_WORD, {(0, j): float(j + 2) for j in range(5)})
+        hub_ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(e, 0): 3.0 for e in range(3)})
+        assert batches(hub_ww, hub_ew) == [8, 8]
+
+    def test_text_divergence_names_row(self):
+        ww, ew, store, params, hp = random_instance(7)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        j = int(ww.cols[0])
+        params.model.ctx_vecs[j] = np.nan
+        hp = replace(hp, alpha_mix=0.5, variant="text")
+        message = r"^diverged at epoch 1: non-finite gradient for word\[\d+\]$"
+        with pytest.raises(TrainingDivergedError, match=message) as exc:
+            train(data, TrainConfig(hp=hp, shuffle_seed=0), params)
+        # The named row is the word of an entry that reads the NaN context row.
+        row = int(re.search(r"\[(\d+)\]", str(exc.value)).group(1))
+        assert row in ww.rows[ww.cols == j].tolist()
+
     def test_type_comb_trajectory_pinned(self, micro_dir):
         # Types, the comb penalty, relation groups and the SVT prox all
         # run; the per-epoch totals were recorded before the type and
@@ -274,12 +334,12 @@ class TestTrainerStepsWithCheckedGradients:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        # Records every step and moves nothing, so all gradients of a pass
-        # are taken at the same parameters.
+        # Records every step as (name, rows, gradient) and moves nothing, so
+        # all gradients of a pass are taken at the same parameters.
         calls = []
 
-        def record(values, grad, state, lr, name="param"):
-            calls.append((name, np.array(grad, dtype=np.float64)))
+        def record(values, grad, state, lr, name="param", rows=None):
+            calls.append((name, rows, np.array(grad, dtype=np.float64)))
 
         monkeypatch.setattr(optimize, "adagrad_step", record)
         return calls
@@ -291,27 +351,46 @@ class TestTrainerStepsWithCheckedGradients:
 
     @staticmethod
     def _assert_steps(steps, expected):
-        assert [name for name, _ in steps] == [name for name, _ in expected]
-        for (name, got), (_, want) in zip(steps, expected):
+        # A row step is compared row by row, as name[row].
+        named = []
+        for name, rows, grad in steps:
+            named += [(name, grad)] if rows is None else [(f"{name}[{r}]", g) for r, g in zip(rows, grad)]
+        assert [name for name, _ in named] == [name for name, _ in expected]
+        for (name, got), (_, want) in zip(named, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_text_pass(self, steps):
         data, params, hp = self._instance(3)
         entries = optimize._prepare_text_entries(data, hp)
-        ww, ew = data.word_word, data.entity_word
-        order = [0, len(ww)]  # the first word-word entry, then the first entity-word entry
-        optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
-        expected = []
-        for field, table, names in (
-            ("ww", ww, ("word", "ctx", "word_bias", "ctx_bias")),
-            ("ew", ew, ("entity", "word", "entity_bias", "word_bias")),
-        ):
-            i, j = int(table.rows[0]), int(table.cols[0])
-            batch = Batch(**{field: [(i, j, float(table.weights[0]))]})
-            grads = loss_and_gradients(batch, params, hp)[1]
-            for name, idx in zip(names, (i, j, i, j)):
-                expected.append((f"{name}[{idx}]", self.ALPHA * np.atleast_1d(grads[(name, idx)])))
-        self._assert_steps(steps, expected)
+        order = np.random.default_rng(3).permutation(len(entries[0]))
+        n_batches = optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
+        assert len(steps) == 4 * n_batches
+        tables = {
+            ("word", "ctx", "word_bias", "ctx_bias"): ("ww", data.word_word),
+            ("entity", "word", "entity_bias", "word_bias"): ("ew", data.entity_word),
+        }
+        seen = []
+        for b in range(n_batches):
+            # One batch steps row vectors, column vectors, row biases and
+            # column biases; the k-th rows of all four belong to one entry.
+            batch = steps[4 * b : 4 * b + 4]
+            names = tuple(name for name, _, _ in batch)
+            field, table = tables[names]
+            i_rows, j_rows = batch[0][1], batch[1][1]
+            assert np.array_equal(batch[2][1], i_rows) and np.array_equal(batch[3][1], j_rows)
+            for k, (i, j) in enumerate(zip(i_rows.tolist(), j_rows.tolist())):
+                x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
+                grads = loss_and_gradients(Batch(**{field: [(i, j, x)]}), params, hp)[1]
+                for (name, _, got), idx in zip(batch, (i, j, i, j)):
+                    want = self.ALPHA * np.atleast_1d(grads[(name, idx)])
+                    got_row = np.atleast_1d(got[k])
+                    np.testing.assert_allclose(got_row, want, rtol=1e-12, atol=1e-15, err_msg=f"{name}[{idx}]")
+                seen.append((field, i, j))
+        everything = [
+            (field, int(i), int(j)) for field, table in tables.values() for i, j in zip(table.rows, table.cols)
+        ]
+        assert sorted(seen) == sorted(everything)
+        assert n_batches < len(everything)  # some batch holds several entries
 
     def test_rel_dist_pass(self, steps):
         data, params, hp = self._instance(4)
@@ -325,7 +404,7 @@ class TestTrainerStepsWithCheckedGradients:
             grads = loss_and_gradients(Batch(triples=[data.triples.triples[idx]]), params, hp)[1]
             expected += [(f"{name}[{i}]", (1.0 - self.ALPHA) * g) for (name, i), g in grads.items()]
         self._assert_steps(steps, expected)
-        assert [name for name, _ in steps].count(f"entity[{e}]") == 2
+        assert [name for name, _, _ in steps].count(f"entity[{e}]") == 2
 
     def test_block_step(self, steps):
         data, params, hp = self._instance(5)
@@ -340,6 +419,25 @@ class TestTrainerStepsWithCheckedGradients:
         coeff_grad = np.array([before[("lambda", "t1", row)] for row in range(len(tp.members))])
         scale = 1.0 - self.ALPHA
         self._assert_steps(steps, [("coeffs[t1]", scale * coeff_grad), ("anchors[t1]", scale * after[("anchors", "t1")])])
+
+    def test_rel_dim_pass(self, steps):
+        data, params, hp = self._instance(6)
+        hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
+        optimize._rel_dim_pass(params, optimize._AdaState(params), hp, variant_flags(hp.variant), TrainReport())
+        # A group's coefficient step is test_block_step's; the anchor, member
+        # and relation steps are taken at the projected coefficients, which
+        # the pass leaves behind.
+        steps[:] = [step for step in steps if not step[0].startswith("coeffs[")]
+        scale = 1.0 - self.ALPHA
+        expected = []
+        for side, groups in params.rels.sides():
+            for key in sorted(groups):
+                grads = rel_group_gradients(params.model, params.rels, side, key, groups[key])[1]
+                expected.append((f"anchors[{side}{key}]", scale * grads[("q", side, key)]))
+                expected += [(f"entity[{addr[1]}]", scale * g) for addr, g in grads.items() if addr[0] == "entity"]
+                expected += [(f"rel[{addr[1]}]", scale * g) for addr, g in grads.items() if addr[0] == "rel"]
+        assert sum(len(groups) for _, groups in params.rels.sides()) > 1
+        self._assert_steps(steps, expected)
 
 
 class TestAnchorProxScale:
