@@ -246,9 +246,12 @@ def group_point_gradients(gp: SubspaceBlock, side: str, key: tuple[int, int], re
 
 
 def nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
+    """Sum of singular values; 0 for an all-zero matrix (a block the prox
+    collapsed to a point) without an SVD."""
     if not np.all(np.isfinite(m)):
         raise ValueError("nuclear norm of a non-finite matrix")
+    if not np.any(m):
+        return 0.0
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 

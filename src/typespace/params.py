@@ -8,6 +8,7 @@ format round-trips losslessly; a text export is available for interop.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -34,7 +35,8 @@ VARIANTS = (
 
 class ModelFormatError(ValueError):
     """Wrong magic string, incompatible format version, or contents that
-    disagree with each other (shapes, member indices)."""
+    disagree with each other (array shapes against the id tables and the
+    embedding dimension, member indices, relation-group keys)."""
 
 
 class ModelIntegrityError(ValueError):
@@ -357,14 +359,22 @@ def _write_block(w: _Writer, block: SubspaceBlock):
     w.array(block.coeffs)
 
 
+def _check_shapes(where: tuple, arrays) -> None:
+    """Reject the first (name, array, expected shape) whose shape differs."""
+    for name, arr, shape in arrays:
+        if arr.shape != shape:
+            prefix = f"{' '.join(map(str, where))}: " if where else ""
+            raise ModelFormatError(f"{prefix}{name} shape {arr.shape}, expected {shape}")
+
+
 def _read_block(r: _Reader, n: int, virtual: int, where: tuple) -> SubspaceBlock:
     """Read a block and check its shapes against the embedding dimension n;
     a relation group has one virtual coefficient row."""
     block = SubspaceBlock(anchors=r.array(), members=r.index_array(), coeffs=r.array())
-    for name, shape in (("anchors", (n + 1, n)), ("coeffs", (len(block.members) + virtual, n + 1))):
-        got = getattr(block, name).shape
-        if got != shape:
-            raise ModelFormatError(f"{' '.join(map(str, where))}: {name} shape {got}, expected {shape}")
+    _check_shapes(where, (
+        ("anchors", block.anchors, (n + 1, n)),
+        ("coeffs", block.coeffs, (len(block.members) + virtual, n + 1)),
+    ))
     return block
 
 
@@ -379,6 +389,26 @@ def _check_members(blocks: dict, n_entities: int) -> None:
         return
     where = next(where for where, b in blocks.items() if not in_range(b.members))
     raise ModelFormatError(f"{' '.join(map(str, where))}: member index out of range of {n_entities} entities")
+
+
+def _check_group_keys(rels: RelationParams, n_entities: int, n_relations: int) -> None:
+    """Reject a relation-group key whose entity or relation index is out of
+    range, naming the first such group; one vectorized test covers both
+    sides."""
+    rhs, lhs = (
+        np.fromiter(itertools.chain.from_iterable(groups), np.int64, 2 * len(groups)).reshape(-1, 2)
+        for _, groups in rels.sides()
+    )
+    # (entity, relation) per key: a tail group's key is (e, k), a head group's (k, f).
+    pairs = np.concatenate([rhs, lhs[:, ::-1]])
+    bad = ((pairs < 0) | (pairs >= (n_entities, n_relations))).any(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    side, key = ("rhs", rhs[i]) if i < len(rhs) else ("lhs", lhs[i - len(rhs)])
+    raise ModelFormatError(
+        f"group {side} {tuple(key.tolist())}: key index out of range of {n_entities} entities and {n_relations} relations"
+    )
 
 
 def save_model(
@@ -472,7 +502,18 @@ def load_model(path) -> LoadedModel:
 
     if r.pos != len(payload):
         raise ModelIntegrityError("trailing bytes after model payload")
-    _check_members(blocks, len(entity_ids))
+    n_e, n_w, n_r = len(entity_ids), len(word_ids), len(relation_ids)
+    _check_shapes((), (
+        ("entity_points", model.entity_points, (n_e, hp.n)),
+        ("entity_bias", model.entity_bias, (n_e,)),
+        ("word_vecs", model.word_vecs, (n_w, hp.n)),
+        ("ctx_vecs", model.ctx_vecs, (n_w, hp.n)),
+        ("word_bias", model.word_bias, (n_w,)),
+        ("ctx_bias", model.ctx_bias, (n_w,)),
+        ("relation vectors", rels.vectors, (n_r, hp.n)),
+    ))
+    _check_members(blocks, n_e)
+    _check_group_keys(rels, n_e, n_r)
     return LoadedModel(model, types, rels, hp, entity_ids, word_ids, relation_ids)
 
 

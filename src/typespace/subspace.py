@@ -33,9 +33,12 @@ def _rank_of_singular_values(s: np.ndarray, rank_eps: float) -> int:
 
 
 def effective_rank(m: np.ndarray, rank_eps: float = 1e-3) -> int:
-    """Number of singular values exceeding rank_eps * max(sigma_1, 1)."""
+    """Number of singular values exceeding rank_eps * max(sigma_1, 1); 0 for
+    an all-zero matrix without an SVD."""
     if not np.all(np.isfinite(m)):
         raise ValueError("effective_rank of a non-finite matrix")
+    if not np.any(m):
+        return 0
     return _rank_of_singular_values(np.linalg.svd(m, compute_uv=False), rank_eps)
 
 

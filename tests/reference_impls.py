@@ -132,6 +132,12 @@ def simplex_grid_search(v, steps=200):
     return best, best_val
 
 
+def ref_prox_nuclear(m, tau):
+    """Singular-value thresholding by the full SVD: U max(S - tau, 0) V^T."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
 def prox_objective(x, m, tau):
     return 0.5 * float(np.sum((x - m) ** 2)) + tau * float(np.sum(np.linalg.svd(x, compute_uv=False)))
 

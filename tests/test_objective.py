@@ -249,6 +249,13 @@ class TestNuclearNorm:
     def test_rank_one_off_diagonal(self):
         assert nuclear_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0, rel=1e-12)
 
+    def test_zero_matrix_takes_no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("unexpected SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        assert nuclear_norm(np.zeros((4, 4))) == 0.0
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             nuclear_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))

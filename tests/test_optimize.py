@@ -9,6 +9,7 @@ from conftest import random_instance
 from reference_impls import (
     prox_objective,
     prox_subgradient_residual,
+    ref_prox_nuclear,
     simplex_bisection_oracle,
     simplex_grid_search,
 )
@@ -117,6 +118,37 @@ class TestProxNuclear:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             prox_nuclear(np.eye(2), -0.1)
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("unexpected factorization")
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, forbidden)
+
+    def test_zero_case_takes_no_factorization(self, monkeypatch):
+        m = np.random.default_rng(7).normal(size=(6, 6))
+        fro = float(np.sqrt(np.vdot(m, m)))
+        self._forbid(monkeypatch, "svd", "eigh")
+        for tau in (fro, 2.0 * fro):
+            out = prox_nuclear(m, tau)
+            assert out.shape == m.shape and not out.any()
+
+    def test_gram_case_takes_no_svd(self, monkeypatch):
+        m = np.random.default_rng(8).normal(size=(6, 6))
+        s = np.linalg.svd(m, compute_uv=False)
+        tau = 0.5 * float(s[2] + s[3])  # keeps three singular values
+        expected = ref_prox_nuclear(m, tau)
+        self._forbid(monkeypatch, "svd")
+        assert np.linalg.norm(prox_nuclear(m, tau) - expected) <= 1e-13 * np.linalg.norm(m)
+
+    def test_small_tau_falls_back_to_svd_formula(self, monkeypatch):
+        m = np.random.default_rng(9).normal(size=(6, 6))
+        tau = 0.5 * optimize.GRAM_MIN_TAU * np.linalg.norm(m)
+        expected = ref_prox_nuclear(m, tau)
+        self._forbid(monkeypatch, "eigh")
+        assert np.array_equal(prox_nuclear(m, tau), expected)
 
 
 class TestAdagrad:
@@ -266,6 +298,26 @@ class TestTrain:
         hub_ww = CooccurrenceTable.from_dict(WORD_WORD, {(0, j): float(j + 2) for j in range(5)})
         hub_ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(e, 0): 3.0 for e in range(3)})
         assert batches(hub_ww, hub_ew) == [8, 8]
+
+    def test_epoch_log_counts_collapsed_blocks(self, tmp_path):
+        data = replace(synth.chain_graph(8), type_system=synth.single_type_system("thing", 8))
+
+        def prox_zero(beta):
+            hp = Hyperparams(n=3, alpha_mix=0.5, beta_reg=beta, epochs=2, variant="full", seed=1)
+            log_path = tmp_path / "log.jsonl"
+            _, report = train(data, TrainConfig(hp=hp, shuffle_seed=1, log_path=str(log_path)))
+            records = [json.loads(line) for line in log_path.read_text().strip().split("\n")]
+            return [r["prox_zero"] for r in records], report
+
+        # A huge beta collapses every block in every epoch: one prox per
+        # type and relation group, each returning the zero span ...
+        counts, report = prox_zero(1e6)
+        assert report.prox_calls == 2 * (1 + len(data.triples.rhs) + len(data.triples.lhs))
+        assert counts == [report.prox_calls // 2] * 2
+        assert report.prox_zero == report.prox_calls
+        # ... and beta 0 thresholds nothing.
+        counts, report = prox_zero(0.0)
+        assert counts == [0, 0] and report.prox_zero == 0
 
     def test_text_divergence_names_row(self):
         ww, ew, store, params, hp = random_instance(7)

@@ -108,6 +108,67 @@ def assert_params_equal(a, b):
             assert np.array_equal(ga[key].coeffs, gb[key].coeffs)
 
 
+_TARGETS = {
+    "type": lambda p: p.types["thing"],
+    "group": lambda p: next(iter(p.rels.rhs_groups.values())),
+    "model": lambda p: p.model,
+    "rels": lambda p: p.rels,
+}
+
+
+def _edit(target, field, edit):
+    def tamper(params):
+        obj = _TARGETS[target](params)
+        setattr(obj, field, edit(getattr(obj, field)))
+
+    return tamper
+
+
+def _rekey(side, key):
+    """Move the first group of a side to another key."""
+
+    def tamper(params):
+        groups = getattr(params.rels, f"{side}_groups")
+        groups[key] = groups.pop(next(iter(groups)))
+
+    return tamper
+
+
+def _extra_row(a):
+    return np.concatenate([a, a[:1]])
+
+
+def _short_width(a):
+    return a[:, :-1]
+
+
+_KEY_RANGE = "key index out of range"
+# case id -> (tamper, message); small_setup has 5 entities, 4 words and 2
+# relations.
+_INCONSISTENT = {
+    "member_too_large": (_edit("type", "members", lambda a: np.append(a[:-1], 99)), "member index out of range"),
+    "member_negative": (_edit("type", "members", lambda a: np.append(a[:-1], -1)), "member index out of range"),
+    "type_coeff_rows": (_edit("type", "coeffs", lambda a: a[:-1]), "coeffs shape"),
+    "anchor_rows": (_edit("type", "anchors", lambda a: a[:-1]), "anchors shape"),
+    "group_coeff_rows": (_edit("group", "coeffs", lambda a: a[:-1]), "coeffs shape"),  # no virtual row
+    "entity_point_rows": (_edit("model", "entity_points", _extra_row), "entity_points shape"),
+    "entity_bias_rows": (_edit("model", "entity_bias", _extra_row), "entity_bias shape"),
+    "word_vec_rows": (_edit("model", "word_vecs", _extra_row), "word_vecs shape"),
+    "ctx_vec_rows": (_edit("model", "ctx_vecs", _extra_row), "ctx_vecs shape"),
+    "word_bias_rows": (_edit("model", "word_bias", _extra_row), "word_bias shape"),
+    "ctx_bias_rows": (_edit("model", "ctx_bias", _extra_row), "ctx_bias shape"),
+    "relation_vector_rows": (_edit("rels", "vectors", _extra_row), "relation vectors shape"),
+    "entity_point_width": (_edit("model", "entity_points", _short_width), "entity_points shape"),
+    "word_vec_width": (_edit("model", "word_vecs", _short_width), "word_vecs shape"),
+    "ctx_vec_width": (_edit("model", "ctx_vecs", _short_width), "ctx_vecs shape"),
+    "relation_vector_width": (_edit("rels", "vectors", _short_width), "relation vectors shape"),
+    "rhs_key_entity": (_rekey("rhs", (5, 0)), _KEY_RANGE),
+    "rhs_key_relation": (_rekey("rhs", (0, 2)), _KEY_RANGE),
+    "lhs_key_relation_negative": (_rekey("lhs", (-1, 0)), _KEY_RANGE),
+    "lhs_key_entity": (_rekey("lhs", (0, 5)), _KEY_RANGE),
+}
+
+
 class TestPersistence:
     def _save(self, tmp_path, params, hp):
         path = tmp_path / "model.bin"
@@ -179,24 +240,19 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "block, field, edit, message",
-        [
-            ("type", "members", lambda a: np.append(a[:-1], 99), "member index out of range"),
-            ("type", "members", lambda a: np.append(a[:-1], -1), "member index out of range"),
-            ("type", "coeffs", lambda a: a[:-1], "coeffs shape"),
-            ("type", "anchors", lambda a: a[:-1], "anchors shape"),
-            ("group", "coeffs", lambda a: a[:-1], "coeffs shape"),  # no virtual row
-        ],
-        ids=["member_too_large", "member_negative", "type_coeff_rows", "anchor_rows", "group_coeff_rows"],
-    )
-    def test_inconsistent_contents_rejected(self, tmp_path, block, field, edit, message):
+    @pytest.mark.parametrize("tamper, message", _INCONSISTENT.values(), ids=_INCONSISTENT.keys())
+    def test_inconsistent_contents_rejected(self, tmp_path, tamper, message):
         # save_model writes whatever it is given, so the file's checksum is
-        # valid and only the consistency checks can reject it.
+        # valid and only the consistency checks can reject it.  The id
+        # tables keep the untampered sizes: 5 entities, 4 words, 2 relations.
         params, hp, _ = small_setup()
-        target = params.types["thing"] if block == "type" else next(iter(params.rels.rhs_groups.values()))
-        setattr(target, field, edit(getattr(target, field)))
-        path = self._save(tmp_path, params, hp)
+        tamper(params)
+        path = tmp_path / "model.bin"
+        save_model(
+            path, params.model, params.types, params.rels, hp,
+            entity_ids=[f"e{i}" for i in range(5)], word_ids=[f"w{j}" for j in range(4)],
+            relation_ids=["next", "skip"],
+        )
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 

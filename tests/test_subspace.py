@@ -23,6 +23,13 @@ class TestEffectiveRank:
     def test_zero_matrix(self):
         assert effective_rank(np.zeros((4, 4))) == 0
 
+    def test_zero_matrix_takes_no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("unexpected SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        assert effective_rank(np.zeros((4, 4))) == 0
+
     def test_identity(self):
         assert effective_rank(np.eye(4), 1e-3) == 4
 
