@@ -13,24 +13,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from typespace import evalharness, ingest, subspace
 from typespace.evalharness import EmbeddingView
 from typespace.optimize import TrainConfig, TrainData, TrainingDivergedError, train, tune
-from typespace.params import (
-    Hyperparams,
-    ModelFormatError,
-    ModelIntegrityError,
-    VARIANTS,
-    export_text,
-    load_model,
-    save_model,
-)
+from typespace.params import Hyperparams, ModelFormatError, ModelIntegrityError, export_text, load_model, save_model
 
 EVAL_TASKS = ("ranking", "induction", "analogy", "link_prediction", "triple_classification")
-TUNE_TASKS = ("ranking",)
 
 
 class UsageError(ValueError):
@@ -80,7 +72,6 @@ _FLAG_CASTERS = {
     "beta": float,
     "lr": float,
     "rank_eps": float,
-    "text": boolean,
     "from_points": boolean,
 }
 
@@ -173,35 +164,40 @@ def build_parser() -> _Parser:
     _add_common(p_tune)
     _add_hyper(p_tune)
     _add_data(p_tune)
-    p_tune.add_argument("--task", default=None, choices=TUNE_TASKS, help="validation task (default ranking)")
-    p_tune.add_argument("--problems", default=None)
+    p_tune.add_argument("--problems", default=None, help="ranking problems to validate against")
     p_tune.add_argument("--alphas", default=None, help="comma-separated mixing weights")
     p_tune.add_argument("--betas", default=None, help="comma-separated regularization strengths")
     p_tune.add_argument("--out", default=None, help="where to write the chosen hyperparameters")
 
-    p_export = sub.add_parser("export", description="Export embeddings.")
+    p_export = sub.add_parser("export", description="Export embeddings as 'id v1 ... vn' text lines.")
     _add_common(p_export)
     p_export.add_argument("--model", default=None)
-    p_export.add_argument("--text", action="store_true", default=None, help="write 'id v1 ... vn' text lines")
     p_export.add_argument("--out", default=None)
 
     return parser
 
 
+# Hyperparams field of each hyperparameter flag.
+_HP_FIELDS = {
+    "dim": "n", "alpha": "alpha_mix", "beta": "beta_reg", "epochs": "epochs",
+    "lr": "learn_rate", "variant": "variant", "rank_eps": "rank_eps", "seed": "seed",
+}
+
+
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError of a rejected value turned
+    into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _hyperparams_from(args) -> Hyperparams:
-    variant = args.variant if args.variant is not None else "full"
-    if variant not in VARIANTS:
-        raise UsageError(f"--variant: unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
-    return Hyperparams(
-        n=args.dim if args.dim is not None else 50,
-        alpha_mix=args.alpha if args.alpha is not None else 0.5,
-        beta_reg=args.beta if args.beta is not None else 300.0,
-        epochs=args.epochs if args.epochs is not None else 20,
-        learn_rate=args.lr if args.lr is not None else 0.05,
-        variant=variant,
-        rank_eps=args.rank_eps if args.rank_eps is not None else 1e-3,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    """Hyperparams from the flags that were set; Hyperparams supplies the
+    defaults and checks the values."""
+    fields = {name: getattr(args, flag) for flag, name in _HP_FIELDS.items() if getattr(args, flag) is not None}
+    return _checked(Hyperparams, **fields)
 
 
 def _ingest_all(args):
@@ -211,7 +207,7 @@ def _ingest_all(args):
     min_mentions = args.min_mentions if args.min_mentions is not None else 10
     docs = ingest.load_corpus(corpus_path)
     vocab, catalog = ingest.build_vocab_and_catalog(docs, min_count, min_mentions)
-    word_word = ingest.count_word_word(docs, vocab, window)
+    word_word = _checked(ingest.count_word_word, docs, vocab, window)
     entity_word = ingest.count_entity_word(docs, vocab, catalog, window)
     if args.instances or args.subclass:
         _require_file(args.instances, "--instances")
@@ -223,7 +219,7 @@ def _ingest_all(args):
         _require_file(args.triples, "--triples")
         store = ingest.load_triples(args.triples, catalog)
     else:
-        store = ingest.TripleStore((), {}, (), {}, {}, 0)
+        store = ingest.index_triples((), catalog)
     data = TrainData.from_ingest(vocab, catalog, word_word, entity_word, ts, store)
     return data, vocab, catalog, ts, store
 
@@ -245,8 +241,7 @@ def cmd_train(args) -> int:
         word_ids=vocab.words,
         relation_ids=store.relation_ids,
     )
-    final = report.losses[-1].total if report.losses else float("nan")
-    print(f"trained {hp.epochs} epochs (variant={hp.variant}); final total loss {final:.6g}")
+    print(f"trained {hp.epochs} epochs (variant={hp.variant}); final total loss {report.losses[-1].total:.6g}")
     print(f"model written to {args.out}; epoch log at {log_path}")
     return 0
 
@@ -302,6 +297,9 @@ def cmd_eval(args) -> int:
         results = evalharness.eval_link_prediction(rows, view)
     else:
         rows = ingest._read_tsv(problems_path, 5)
+        bad = next((row for row in rows if row[3] not in ("0", "1")), None)
+        if bad is not None:
+            raise UsageError(f"{problems_path}: label {bad[3]!r} of triple {bad[:3]} is not 0 or 1")
         valid = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "valid"]
         test = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "test"]
         results = evalharness.eval_triple_classification(valid, test, view)
@@ -335,15 +333,26 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _grid(raw, flag, base_hp: Hyperparams, field: str):
+    """The values of a comma-separated grid flag, each checked as the given
+    Hyperparams field; None when the flag is unset."""
+    if not raw:
+        return None
+    try:
+        values = [float(x) for x in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag}: {raw!r} is not a comma-separated list of numbers") from None
+    for value in values:
+        _checked(replace, base_hp, **{field: value})
+    return values
+
+
 def cmd_tune(args) -> int:
-    task = args.task if args.task is not None else "ranking"
-    if task not in TUNE_TASKS:
-        raise UsageError(f"--task: unknown task {task!r}; expected one of {', '.join(TUNE_TASKS)}")
     problems_path = _require_file(args.problems, "--problems")
     problems = evalharness.load_ranking_problems(problems_path)
     base_hp = _hyperparams_from(args)
-    alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else None
-    betas = [float(x) for x in args.betas.split(",")] if args.betas else None
+    alphas = _grid(args.alphas, "--alphas", base_hp, "alpha_mix")
+    betas = _grid(args.betas, "--betas", base_hp, "beta_reg")
     data, vocab, catalog, ts, store = _ingest_all(args)
 
     def objective(hp):
@@ -365,8 +374,6 @@ def cmd_tune(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if not args.text:
-        raise UsageError("export currently supports only --text")
     if args.out is None:
         raise UsageError("--out is required")
     loaded, _ = _load_view(args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,23 +124,6 @@ class CooccurrenceTable:
     def to_dict(self) -> dict[tuple[int, int], float]:
         return {(int(r), int(c)): float(w) for r, c, w in zip(self.rows, self.cols, self.weights)}
 
-    @classmethod
-    def merge(cls, tables: "list[CooccurrenceTable]") -> "CooccurrenceTable":
-        """Additive merge of per-shard tables; order never affects the result."""
-        if not tables:
-            raise ValueError("nothing to merge")
-        kind = tables[0].kind
-        if any(t.kind != kind for t in tables):
-            raise ValueError("cannot merge tables of different kinds")
-        parts: dict[tuple[int, int], list[float]] = {}
-        for t in tables:
-            for r, c, w in zip(t.rows, t.cols, t.weights):
-                parts.setdefault((int(r), int(c)), []).append(float(w))
-        # Summing each key's contributions in sorted order makes the merge
-        # independent of shard order despite float rounding.
-        acc = {key: float(np.sum(np.sort(vals))) for key, vals in parts.items()}
-        return cls.from_dict(kind, acc)
-
 
 @dataclass(frozen=True)
 class TypeSystem:
@@ -159,9 +142,6 @@ class TypeSystem:
 
     def instance_set(self, type_id: str) -> frozenset[int]:
         return frozenset(self.instances[type_id])
-
-    def is_subtype(self, t: str, s: str) -> bool:
-        return s in self.ancestors.get(t, frozenset())
 
 
 @dataclass(frozen=True)
@@ -229,44 +209,6 @@ def load_corpus(path, entity_catalog: EntityCatalog | None = None) -> list[Docum
             _validate_document(doc, lineno)
             docs.append(doc)
     return docs
-
-
-def expand_anchor_mentions(doc: Document, surface_forms: dict[str, list[str]]) -> Document:
-    """Add a mention at every exact, case-insensitive occurrence of an
-    already-mentioned entity's surface form.
-
-    Matching is greedy left-to-right per sentence; a candidate overlapping
-    any existing or previously added mention is skipped.  Entities are
-    processed in sorted id order so the result is deterministic.
-    """
-    mentioned = sorted({m.entity for m in doc.mentions})
-    occupied: dict[int, list[tuple[int, int]]] = {}
-    for m in doc.mentions:
-        occupied.setdefault(m.sentence, []).append(m.span)
-    added: list[Mention] = []
-    for entity in mentioned:
-        surface = surface_forms.get(entity)
-        if not surface:
-            continue
-        pattern = tuple(t.lower() for t in surface)
-        width = len(pattern)
-        for sent_idx, tokens in enumerate(doc.sentences):
-            spans = occupied.setdefault(sent_idx, [])
-            pos = 0
-            while pos + width <= len(tokens):
-                if tokens[pos : pos + width] == pattern and not any(
-                    pos < e and s < pos + width for s, e in spans
-                ):
-                    spans.append((pos, pos + width))
-                    added.append(Mention(entity, sent_idx, (pos, pos + width)))
-                    pos += width
-                else:
-                    pos += 1
-    if not added:
-        return doc
-    out = replace(doc, mentions=doc.mentions + tuple(added))
-    _validate_document(out)
-    return out
 
 
 def build_vocab_and_catalog(
@@ -499,7 +441,13 @@ def load_triples(path, catalog: EntityCatalog) -> TripleStore:
         triples.add((head, rel, tail))
     if dropped:
         warnings.warn(f"{dropped} triple(s) dropped (unknown entity or reserved relation)")
+    return index_triples(triples, catalog, dropped)
 
+
+def index_triples(triples, catalog: EntityCatalog, dropped: int = 0) -> TripleStore:
+    """Index distinct (head, relation, tail) id triples whose entities the
+    catalog holds: relations numbered in sorted id order, the index triples
+    sorted, and both group indexes built from them."""
     relation_ids = tuple(sorted({r for _, r, _ in triples}))
     rel_index = {r: k for k, r in enumerate(relation_ids)}
     indexed = tuple(

@@ -31,6 +31,7 @@ from typespace.params import (
     anchor_span_matrix,
     group_endpoint,
     group_points,
+    variant_flags,
 )
 
 _SIMPLEX_SUM_TOL = 1e-6
@@ -39,38 +40,6 @@ _SIMPLEX_NEG_TOL = 1e-9
 
 class SimplexViolationError(ValueError):
     """A lambda/mu coefficient row left the probability simplex."""
-
-
-@dataclass(frozen=True)
-class VariantFlags:
-    """Which objective components a model variant activates."""
-
-    type_active: bool
-    comb: bool
-    rel_dim_active: bool
-    rel_dist_active: bool
-    reg1: bool
-    reg2: bool
-
-
-_VARIANT_TABLE = {
-    "full": VariantFlags(True, False, True, True, True, True),
-    "no_rel": VariantFlags(True, False, False, False, True, False),
-    "no_type": VariantFlags(False, False, True, True, False, True),
-    "no_nn": VariantFlags(False, False, True, True, False, False),
-    "text": VariantFlags(False, False, False, False, False, False),
-    "rel_dim": VariantFlags(True, False, True, False, True, True),
-    "rel_dist": VariantFlags(True, False, False, True, True, False),
-    "type_comb": VariantFlags(True, True, True, True, True, True),
-    "type_dist": VariantFlags(True, True, True, True, False, True),
-}
-
-
-def variant_flags(variant: str) -> VariantFlags:
-    try:
-        return _VARIANT_TABLE[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 @dataclass
@@ -84,19 +53,6 @@ class LossBreakdown:
     j_reg1: float = 0.0
     j_reg2: float = 0.0
     total: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "j_glove": self.j_glove,
-            "j_text_entity": self.j_text_entity,
-            "j_type": self.j_type,
-            "j_type_comb_penalty": self.j_type_comb_penalty,
-            "j_rel_dim": self.j_rel_dim,
-            "j_rel_dist": self.j_rel_dist,
-            "j_reg1": self.j_reg1,
-            "j_reg2": self.j_reg2,
-            "total": self.total,
-        }
 
 
 def weight_f(x, x_max: float, exp: float):
@@ -129,29 +85,17 @@ def text_fit(model: EmbeddingModel, kind: str):
     return tuple(name for name, _ in pairs), tuple(getattr(model, attr) for _, attr in pairs)
 
 
-def _text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
+def text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
+    """Weighted least-squares fit of a table's log counts by the bilinear
+    fit text_fit chooses for its kind: word against context vectors for a
+    word-word table, entity points against word vectors for an entity-word
+    table."""
     if len(table) == 0:
         return 0.0
     _, (u, v, bu, bv) = text_fit(model, table.kind)
     i, j = table.rows, table.cols
     fx = weight_f(table.weights, hp.x_max, hp.weight_exp)
     return float(np.sum(text_entry_terms(u[i], v[j], bu[i], bv[j], fx, np.log(table.weights))[0]))
-
-
-def glove_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
-    """Weighted least-squares fit of word-word log co-occurrence."""
-    if table.kind != WORD_WORD:
-        raise ValueError("glove_loss expects a word-word table")
-    return _text_loss(table, model, hp)
-
-
-def entity_word_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
-    """Weighted least-squares fit of entity-word log co-occurrence; rows are
-    entity points, columns word vectors, biases are the entity and word
-    biases."""
-    if table.kind != ENTITY_WORD:
-        raise ValueError("entity_word_loss expects an entity-word table")
-    return _text_loss(table, model, hp)
 
 
 def _check_simplex(coeffs: np.ndarray, what: str) -> None:
@@ -174,18 +118,15 @@ def block_terms(block: SubspaceBlock, points: np.ndarray):
     return resid, loss, -2.0 * block.coeffs.T @ resid, -2.0 * resid @ block.anchors.T
 
 
-def type_loss(types: TypeSubspaceParams, model: EmbeddingModel, comb: bool = False) -> float:
+def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
     """Sum of squared residuals of entity points against their convex
-    combination of type anchors; with comb=True adds the anchor-cohesion
-    penalty (unsquared distances to the anchor centroid)."""
+    combination of type anchors."""
     total = 0.0
     for type_id, tp in types.items():
         if len(tp.members) == 0:
             continue
         _check_simplex(tp.coeffs, f"type {type_id!r} lambda")
         total += block_terms(tp, model.entity_points[tp.members])[1]
-    if comb:
-        total += type_comb_penalty(types)
     return total
 
 
@@ -206,16 +147,12 @@ def type_comb_penalty(types: TypeSubspaceParams) -> float:
 
 
 def rel_dist_loss(store: TripleStore, model: EmbeddingModel, rels: RelationParams) -> float:
-    """Translation loss summed through both group indexes: each triple is
-    visited once through its (head, rel) group and once through its
-    (rel, tail) group, so the total is twice the per-triple sum."""
-    total = 0.0
-    for side, index in (("rhs", store.rhs), ("lhs", store.lhs)):
-        for key, members in index.items():
-            points = group_points(model.entity_points, rels.vectors, np.array(members), side, key)
-            diffs = points[:-1] - points[-1]
-            total += float(np.sum(diffs * diffs))
-    return total
+    """Translation loss 2 * sum of |P_f - P_e - r_k|^2 over the triples, the
+    residual of rel_dist_triple_terms: each triple counts once in its
+    (head, rel) group and once in its (rel, tail) group."""
+    e, k, f = np.array(store.triples, dtype=np.int64).reshape(-1, 3).T
+    r = model.entity_points[f] - model.entity_points[e] - rels.vectors[k]
+    return 2.0 * float(np.sum(r * r))
 
 
 def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
@@ -283,11 +220,11 @@ def total_objective(
     flags = variant_flags(hp.variant)
     out = LossBreakdown()
     if word_word is not None:
-        out.j_glove = glove_loss(word_word, params.model, hp)
+        out.j_glove = text_loss(word_word, params.model, hp)
     if entity_word is not None:
-        out.j_text_entity = entity_word_loss(entity_word, params.model, hp)
+        out.j_text_entity = text_loss(entity_word, params.model, hp)
     if flags.type_active:
-        out.j_type = type_loss(params.types, params.model, comb=False)
+        out.j_type = type_loss(params.types, params.model)
         if flags.comb:
             out.j_type_comb_penalty = type_comb_penalty(params.types)
     if flags.rel_dim_active:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from typespace.objective import (
     text_entry_terms,
     text_fit,
     total_objective,
-    variant_flags,
     weight_f,
 )
 from typespace.params import (
@@ -44,6 +43,7 @@ from typespace.params import (
     group_points,
     init_parameters,
     set_anchor_span_matrix,
+    variant_flags,
 )
 from typespace.subspace import effective_rank
 
@@ -421,7 +421,7 @@ def train(
             if log_fh is not None:
                 record = {
                     "epoch": epoch + 1,
-                    **breakdown.as_dict(),
+                    **asdict(breakdown),
                     "wall_ms": wall_ms,
                     "text_batches": text_batches,
                     "prox_zero": report.prox_zero - prox_zero,

@@ -20,17 +20,38 @@ from typespace.ingest import TripleStore, TypeSystem
 MAGIC = b"TYSPACE1"
 FORMAT_VERSION = 1
 
-VARIANTS = (
-    "full",
-    "no_rel",
-    "no_type",
-    "no_nn",
-    "text",
-    "rel_dim",
-    "rel_dist",
-    "type_comb",
-    "type_dist",
-)
+
+@dataclass(frozen=True)
+class VariantFlags:
+    """Which objective components a model variant activates."""
+
+    type_active: bool
+    comb: bool
+    rel_dim_active: bool
+    rel_dist_active: bool
+    reg1: bool
+    reg2: bool
+
+
+_VARIANT_TABLE = {
+    "full": VariantFlags(True, False, True, True, True, True),
+    "no_rel": VariantFlags(True, False, False, False, True, False),
+    "no_type": VariantFlags(False, False, True, True, False, True),
+    "no_nn": VariantFlags(False, False, True, True, False, False),
+    "text": VariantFlags(False, False, False, False, False, False),
+    "rel_dim": VariantFlags(True, False, True, False, True, True),
+    "rel_dist": VariantFlags(True, False, False, True, True, False),
+    "type_comb": VariantFlags(True, True, True, True, True, True),
+    "type_dist": VariantFlags(True, True, True, True, False, True),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
+
+
+def variant_flags(variant: str) -> VariantFlags:
+    try:
+        return _VARIANT_TABLE[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}") from None
 
 
 class ModelFormatError(ValueError):
@@ -67,12 +88,13 @@ class Hyperparams:
             raise ValueError("x_max must be positive")
         if not 0.0 < self.weight_exp <= 1.0:
             raise ValueError("weight_exp must lie in (0, 1]")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.learn_rate <= 0.0:
             raise ValueError("learn_rate must be positive")
         if self.rank_eps <= 0.0:
             raise ValueError("rank_eps must be positive")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        variant_flags(self.variant)  # rejects an unknown variant
 
 
 @dataclass
@@ -339,7 +361,7 @@ def _write_hyperparams(w: _Writer, hp: Hyperparams):
 
 
 def _read_hyperparams(r: _Reader) -> Hyperparams:
-    return Hyperparams(
+    fields = dict(
         n=r.i64(),
         alpha_mix=r.f64(),
         beta_reg=r.f64(),
@@ -351,6 +373,10 @@ def _read_hyperparams(r: _Reader) -> Hyperparams:
         rank_eps=r.f64(),
         seed=r.i64(),
     )
+    try:
+        return Hyperparams(**fields)
+    except ValueError as exc:
+        raise ModelFormatError(f"hyperparameters: {exc}") from None
 
 
 def _write_block(w: _Writer, block: SubspaceBlock):

@@ -15,7 +15,7 @@ from typespace.ingest import (
     EntityCatalog,
     TripleStore,
     TypeSystem,
-    Vocabulary,
+    index_triples,
 )
 from typespace.optimize import TrainData
 
@@ -42,10 +42,6 @@ def single_type_system(type_id: str, n_entities: int) -> TypeSystem:
         instances={type_id: members},
         ancestors={type_id: frozenset({type_id})},
     )
-
-
-def dummy_vocabulary(words=("thing",)) -> Vocabulary:
-    return Vocabulary(tuple(words), tuple(1 for _ in words), 0)
 
 
 def make_micro_corpus(out_dir, seed: int = 7) -> dict[str, str]:
@@ -280,28 +276,13 @@ def chain_graph(n_entities: int = 20) -> TrainData:
         rows.append((catalog.ids[i], "next", catalog.ids[i + 1]))
     for i in range(n_entities - 2):
         rows.append((catalog.ids[i], "skip", catalog.ids[i + 2]))
-    relation_ids = tuple(sorted({r for _, r, _ in rows}))
-    rel_index = {r: k for k, r in enumerate(relation_ids)}
-    indexed = tuple(sorted((int(h[1:]), rel_index[r], int(t[1:])) for h, r, t in rows))
-    rhs: dict[tuple[int, int], list[int]] = {}
-    lhs: dict[tuple[int, int], list[int]] = {}
-    for e, k, f in indexed:
-        rhs.setdefault((e, k), []).append(f)
-        lhs.setdefault((k, f), []).append(e)
-    store = TripleStore(
-        relation_ids=relation_ids,
-        rel_index=rel_index,
-        triples=indexed,
-        rhs={k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
-        lhs={k: tuple(sorted(v)) for k, v in sorted(lhs.items())},
-    )
     return TrainData(
         n_entities=n_entities,
         n_words=1,
         word_word=None,
         entity_word=None,
         type_system=empty_type_system(),
-        triples=store,
+        triples=index_triples(rows, catalog),
     )
 
 

@@ -72,6 +72,28 @@ class TestTrain:
         assert code == 1
         assert "variant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--dim", "0"),
+            ("--alpha", "2"),
+            ("--lr", "-1"),
+            ("--beta", "-1"),
+            ("--rank-eps", "0"),
+            ("--window", "0"),
+            ("--epochs", "0"),
+            ("--epochs", "-1"),
+        ],
+    )
+    def test_bad_value_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.bin"
+        argv = ["train", "--corpus", micro_dir["corpus"], "--variant", "text", "--epochs", "1", "--dim", "4",
+                "--min-count", "3", "--min-mentions", "3", flag, value, "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "m.bin.log.jsonl").exists()
+
     def test_deterministic_reruns_byte_identical(self, micro_dir, tmp_path):
         outs = []
         for name in ("a.bin", "b.bin"):
@@ -148,6 +170,21 @@ class TestEval:
             assert code == 0, task
             payload = json.loads(results.read_text())
             assert payload["task"] == task
+
+    @pytest.mark.parametrize("label", ["yes", "1.0", "2", "-1"])
+    def test_classification_label_not_binary_exit_one(self, trained_model, micro_dir, tmp_path, capsys, label):
+        with open(micro_dir["tc"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        h, r, t, _, split = lines[0].split("\t")
+        problems = tmp_path / "tc.tsv"
+        problems.write_text("\n".join(lines + [f"{h}\t{r}\t{t}\t{label}\t{split}"]) + "\n")
+        results = tmp_path / "res.json"
+        argv = ["eval", "triple_classification", "--model", str(trained_model), "--problems", str(problems),
+                "--results", str(results)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert repr(label) in err and "not 0 or 1" in err and len(err.strip().splitlines()) == 1
+        assert not results.exists()
 
     def test_corrupt_model_exit_one(self, trained_model, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -242,16 +279,13 @@ class TestInspect:
 class TestExport:
     def test_text_export(self, trained_model, tmp_path):
         out = tmp_path / "emb.txt"
-        assert run(["export", "--model", str(trained_model), "--text", "--out", str(out)]) == 0
+        assert run(["export", "--model", str(trained_model), "--out", str(out)]) == 0
         loaded = load_model(trained_model)
         lines = out.read_text().strip().split("\n")
         assert len(lines) == len(loaded.entity_ids) + len(loaded.word_ids)
         first = lines[0].split()
         assert first[0] == loaded.entity_ids[0]
         assert np.allclose([float(x) for x in first[1:]], loaded.model.entity_points[0])
-
-    def test_without_text_flag_exit_one(self, trained_model, tmp_path):
-        assert run(["export", "--model", str(trained_model), "--out", str(tmp_path / "e.txt")]) == 1
 
 
 class TestConfigFile:
@@ -307,20 +341,19 @@ class TestConfigFile:
         conf.write_text("\n".join(lines) + "\n")
         return str(conf)
 
-    def test_text_flag_from_config(self, trained_model, tmp_path):
-        out = tmp_path / "emb.txt"
-        conf = self._config(tmp_path, "text=1")
-        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(out)]) == 0
-        flag_out = tmp_path / "flag.txt"
-        assert run(["export", "--model", str(trained_model), "--text", "--out", str(flag_out)]) == 0
-        assert out.read_bytes() == flag_out.read_bytes()
+    def _inspect_out(self, capsys, *argv):
+        assert run(["inspect", *argv]) == 0
+        return capsys.readouterr().out
 
-    def test_explicit_text_flag_beats_config(self, trained_model, tmp_path):
-        out = tmp_path / "emb.txt"
-        conf = self._config(tmp_path, "text=0")
-        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(out)]) == 1
-        assert run(["export", "--config", conf, "--model", str(trained_model), "--text", "--out", str(out)]) == 0
-        assert out.exists()
+    def test_explicit_from_points_beats_config(self, trained_model, tmp_path, capsys):
+        model = ["--model", str(trained_model)]
+        from_anchors = self._inspect_out(capsys, *model)
+        from_points = self._inspect_out(capsys, *model, "--from-points")
+        # The trained anchors and points differ in rank, so the two outputs tell the flag's value.
+        assert from_points != from_anchors
+        conf = self._config(tmp_path, "from-points=0")
+        assert self._inspect_out(capsys, "--config", conf, *model) == from_anchors
+        assert self._inspect_out(capsys, "--config", conf, *model, "--from-points") == from_points
 
     def test_from_points_flag_from_config(self, trained_model, tmp_path, capsys):
         assert run(["inspect", "--model", str(trained_model), "--from-points"]) == 0
@@ -330,15 +363,10 @@ class TestConfigFile:
         assert capsys.readouterr().out == flag_out
 
     def test_uncastable_boolean_exit_one(self, trained_model, tmp_path, capsys):
-        conf = self._config(tmp_path, "text=maybe")
-        assert run(["export", "--config", conf, "--model", str(trained_model), "--out", str(tmp_path / "e.txt")]) == 1
-        assert "text='maybe' is not a valid boolean" in capsys.readouterr().err
-
-    def test_tune_task_from_config(self, micro_dir, tmp_path, capsys):
-        conf = self._config(tmp_path, "task=induction")
-        argv = ["tune", "--config", conf, "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"]]
-        assert run(argv) == 1
-        assert "--task: unknown task 'induction'" in capsys.readouterr().err
+        conf = self._config(tmp_path, "from-points=maybe")
+        assert run(["inspect", "--config", conf, "--model", str(trained_model)]) == 1
+        err = capsys.readouterr().err
+        assert "from_points='maybe' is not a valid boolean" in err and len(err.strip().splitlines()) == 1
 
 
 class TestTune:
@@ -368,6 +396,16 @@ class TestTune:
 
     def test_missing_problems_exit_one(self, micro_dir, capsys):
         assert run(["tune", "--corpus", micro_dir["corpus"]]) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--alphas", "a,b"), ("--betas", "1,x"), ("--alphas", "0.5,2"), ("--betas", "-1")])
+    def test_bad_grid_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "best.json"
+        argv = ["tune", "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"], "--dim", "4",
+                "--epochs", "1", "--min-count", "3", "--min-mentions", "3", flag, value, "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestIdempotence:

@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from typespace import ingest
+from typespace import ingest, synth
 from typespace.ingest import (
-    CooccurrenceTable,
     CorpusParseError,
     CorpusValidationError,
     Document,
@@ -13,11 +12,9 @@ from typespace.ingest import (
     Mention,
     NoCommonTypeError,
     SubclassCycleError,
-    WORD_WORD,
     build_vocab_and_catalog,
     count_entity_word,
     count_word_word,
-    expand_anchor_mentions,
     load_corpus,
     load_triples,
     load_type_system,
@@ -112,46 +109,6 @@ class TestLoadCorpus:
         catalog = ingest.EntityCatalog(("real",), (1,), 0)
         docs = load_corpus(p, catalog)
         assert docs[0].mentions[0].entity == "ghost"
-
-
-class TestExpandAnchorMentions:
-    def test_adds_mention_for_surface_occurrence(self):
-        d = doc(
-            sentences=(("acme", "corp", "expanded"), ("we", "love", "acme", "corp")),
-            mentions=(Mention("X", 0, (0, 2)),),
-        )
-        out = expand_anchor_mentions(d, {"X": ["acme", "corp"]})
-        assert Mention("X", 1, (2, 4)) in out.mentions
-        assert Mention("X", 0, (0, 2)) in out.mentions
-
-    def test_occurrence_inside_existing_span_not_added(self):
-        d = doc(
-            sentences=(("big", "acme", "corp"), ("acme", "corp", "x")),
-            mentions=(Mention("Y", 0, (0, 3)), Mention("X", 1, (0, 2))),
-        )
-        out = expand_anchor_mentions(d, {"X": ["acme", "corp"], "Y": ["big", "acme", "corp"]})
-        # X's surface occurs inside Y's span in sentence 0: not added there
-        assert all(not (m.entity == "X" and m.sentence == 0) for m in out.mentions)
-
-    def test_greedy_left_to_right_keeps_first_of_overlapping(self):
-        # tokens "a a a": candidates for surface "a a" at positions 0 and 1
-        # overlap; the greedy scan keeps only position 0.
-        d = doc(
-            sentences=(("z",), ("a", "a", "a")),
-            mentions=(Mention("X", 0, (0, 1)),),
-        )
-        out = expand_anchor_mentions(d, {"X": ["a", "a"]})
-        added = [m for m in out.mentions if m.sentence == 1]
-        assert added == [Mention("X", 1, (0, 2))]
-
-    def test_no_matches_returns_unchanged(self):
-        d = doc(sentences=(("q", "w"),), mentions=(Mention("X", 0, (0, 1)),))
-        assert expand_anchor_mentions(d, {"X": ["missing", "surface"]}) is d
-
-    def test_case_insensitive_surface(self):
-        d = doc(sentences=(("paris", "is", "big"),), mentions=(Mention("P", 0, (0, 1)),))
-        out = expand_anchor_mentions(d, {"P": ["Big"]})
-        assert Mention("P", 0, (2, 3)) in out.mentions
 
 
 class TestVocabAndCatalog:
@@ -392,6 +349,13 @@ class TestTriples:
         (tmp_path / "t.tsv").write_text("# comment\ne1\tk\te2\n")
         assert len(load_triples(tmp_path / "t.tsv", _catalog("e1", "e2"))) == 1
 
+    def test_chain_graph_store_matches_loaded_file(self, tmp_path):
+        chain = synth.chain_graph(7).triples
+        ids = [f"e{i:02d}" for i in range(7)]
+        rows = [(ids[e], chain.relation_ids[k], ids[f]) for e, k, f in chain.triples]
+        (tmp_path / "t.tsv").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in reversed(rows)))
+        assert load_triples(tmp_path / "t.tsv", _catalog(*ids)) == chain
+
 
 def _ts(instances, edges=()):
     """instances: {type: entity index tuple}; closure computed naively."""
@@ -478,19 +442,3 @@ class TestDeterminismAndMerge:
             assert np.array_equal(a.rows, b.rows)
             assert np.array_equal(a.cols, b.cols)
             assert np.array_equal(a.weights, b.weights)
-
-    def test_sharded_counting_merge_order_invariant(self, micro_dir):
-        docs = load_corpus(micro_dir["corpus"])
-        vocab, _ = build_vocab_and_catalog(docs, 3, 3)
-        whole = count_word_word(docs, vocab, 5)
-        shards = [count_word_word(docs[i::4], vocab, 5) for i in range(4)]
-        merged = CooccurrenceTable.merge(shards)
-        merged_rev = CooccurrenceTable.merge(shards[::-1])
-        assert whole.to_dict() == pytest.approx(merged.to_dict())
-        assert merged.to_dict() == merged_rev.to_dict()
-
-    def test_merge_rejects_mixed_kinds(self):
-        a = CooccurrenceTable.from_dict(WORD_WORD, {(0, 0): 1.0})
-        b = CooccurrenceTable.from_dict(ingest.ENTITY_WORD, {(0, 0): 1.0})
-        with pytest.raises(ValueError):
-            CooccurrenceTable.merge([a, b])

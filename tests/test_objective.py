@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,14 +15,14 @@ from typespace.ingest import (
 from typespace.objective import (
     Batch,
     SimplexViolationError,
-    entity_word_loss,
-    glove_loss,
     loss_and_gradients,
     nuclear_norm,
     regularizer,
     rel_dim_loss,
     rel_dist_loss,
+    text_loss,
     total_objective,
+    type_comb_penalty,
     type_loss,
     variant_flags,
     weight_f,
@@ -81,44 +82,38 @@ class TestGloveLoss:
     def test_log_one_zero_residual(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): 1.0})
-        assert glove_loss(table, model, HP) == 0.0
+        assert text_loss(table, model, HP) == 0.0
 
     def test_count_e_unit_residual(self):
         # pred = 2 against log(e) = 1 leaves residual 1, so the loss is
         # exactly f(e) = (e/100)**0.75.
         model = make_model(np.zeros((1, 2)), word_bias=[2.0, 0.0])
         table = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): math.e})
-        assert glove_loss(table, model, HP) == pytest.approx(0.06694541859110348, rel=1e-12)
-        assert glove_loss(table, model, HP) == pytest.approx((math.e / 100.0) ** 0.75, rel=1e-12)
+        assert text_loss(table, model, HP) == pytest.approx(0.06694541859110348, rel=1e-12)
+        assert text_loss(table, model, HP) == pytest.approx((math.e / 100.0) ** 0.75, rel=1e-12)
 
     def test_empty_table(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(WORD_WORD, {})
-        assert glove_loss(table, model, HP) == 0.0
-
-    def test_wrong_kind_rejected(self):
-        model = make_model(np.zeros((1, 2)))
-        table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 1.0})
-        with pytest.raises(ValueError):
-            glove_loss(table, model, HP)
+        assert text_loss(table, model, HP) == 0.0
 
 
 class TestEntityWordLoss:
     def test_count_one_zero_params(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 1.0})
-        assert entity_word_loss(table, model, HP) == 0.0
+        assert text_loss(table, model, HP) == 0.0
 
     def test_exact_fit_zero(self):
         model = make_model(np.array([[1.0, 0.0]]), word_vecs=np.array([[math.log(7.0), 0.0], [0.0, 0.0]]))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 7.0})
-        assert entity_word_loss(table, model, HP) == pytest.approx(0.0, abs=1e-15)
+        assert text_loss(table, model, HP) == pytest.approx(0.0, abs=1e-15)
 
     def test_count_two_zero_params(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 2.0})
         # f(2) * (ln 2)^2, frozen
-        assert entity_word_loss(table, model, HP) == pytest.approx(0.02555191292596024, rel=1e-12)
+        assert text_loss(table, model, HP) == pytest.approx(0.02555191292596024, rel=1e-12)
 
 
 def one_type(anchors, members, coeffs):
@@ -159,11 +154,14 @@ class TestTypeLoss:
 
     def test_comb_penalty_added(self):
         anchors = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
-        model = make_model(np.array([[0.0, 0.0]]))
         types = one_type(anchors, [0], [[1.0, 0.0, 0.0]])
-        base = type_loss(types, model)
         # centroid (2/3, 0); distances: 2/3, 4/3, 2/3
-        assert type_loss(types, model, comb=True) == pytest.approx(base + 8.0 / 3.0, rel=1e-12)
+        assert type_comb_penalty(types) == pytest.approx(8.0 / 3.0, rel=1e-12)
+        ww, ew, store, params, _ = random_instance(1)
+        for variant, comb in (("full", False), ("type_comb", True)):
+            hp = Hyperparams(n=4, alpha_mix=0.5, beta_reg=0.0, variant=variant, epochs=1)
+            expected = type_comb_penalty(params.types) if comb else 0.0
+            assert total_objective(ww, ew, store, params, hp).j_type_comb_penalty == expected
 
 
 def store_from_triples(triples, n_rel=1):
@@ -403,7 +401,7 @@ class TestTotalObjective:
             for variant in VARIANTS:
                 hp = Hyperparams(n=4, alpha_mix=0.4, beta_reg=0.0, variant=variant, epochs=1)
                 out = total_objective(ww, ew, store, params, hp)
-                for val in out.as_dict().values():
+                for val in asdict(out).values():
                     assert val >= 0.0
 
     def test_entry_order_invariance(self):

@@ -41,6 +41,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(n=0)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_at_least_one(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            Hyperparams(epochs=epochs)
+
 
 class TestInit:
     def test_deterministic_given_seed(self):
@@ -254,6 +259,16 @@ class TestPersistence:
             relation_ids=["next", "skip"],
         )
         with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("variant", "bogus")])
+    def test_rejected_hyperparams_are_a_format_error(self, tmp_path, field, value):
+        # A file written before a hyperparameter check existed can hold a
+        # value the check now rejects; loading it names the value.
+        params, hp, _ = small_setup()
+        object.__setattr__(hp, field, value)
+        path = self._save(tmp_path, params, hp)
+        with pytest.raises(ModelFormatError, match=f"hyperparameters: .*{field}"):
             load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
