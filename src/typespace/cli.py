@@ -193,22 +193,25 @@ def _checked(make, *args, **kwargs):
         raise UsageError(str(exc)) from None
 
 
+def _set_flags(args, fields: dict[str, str]) -> dict:
+    """{parameter: value} of the set flags of fields ({flag: parameter})."""
+    return {name: getattr(args, flag) for flag, name in fields.items() if getattr(args, flag) is not None}
+
+
 def _hyperparams_from(args) -> Hyperparams:
     """Hyperparams from the flags that were set; Hyperparams supplies the
     defaults and checks the values."""
-    fields = {name: getattr(args, flag) for flag, name in _HP_FIELDS.items() if getattr(args, flag) is not None}
-    return _checked(Hyperparams, **fields)
+    return _checked(Hyperparams, **_set_flags(args, _HP_FIELDS))
 
 
 def _ingest_all(args):
     corpus_path = _require_file(args.corpus, "--corpus")
-    window = args.window if args.window is not None else 10
-    min_count = args.min_count if args.min_count is not None else 10
-    min_mentions = args.min_mentions if args.min_mentions is not None else 10
     docs = ingest.load_corpus(corpus_path)
-    vocab, catalog = ingest.build_vocab_and_catalog(docs, min_count, min_mentions)
-    word_word = _checked(ingest.count_word_word, docs, vocab, window)
-    entity_word = ingest.count_entity_word(docs, vocab, catalog, window)
+    counts = _set_flags(args, {"min_count": "min_count", "min_mentions": "min_doc_mentions"})
+    vocab, catalog = ingest.build_vocab_and_catalog(docs, **counts)
+    window = _set_flags(args, {"window": "window"})
+    word_word = _checked(ingest.count_word_word, docs, vocab, **window)
+    entity_word = ingest.count_entity_word(docs, vocab, catalog, **window)
     if args.instances or args.subclass:
         _require_file(args.instances, "--instances")
         _require_file(args.subclass, "--subclass")
@@ -314,7 +317,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     loaded, _ = _load_view(args)
-    rank_eps = args.rank_eps if args.rank_eps is not None else loaded.hp.rank_eps
+    hp = loaded.hp if args.rank_eps is None else _checked(replace, loaded.hp, rank_eps=args.rank_eps)
     type_ids = sorted(loaded.types.per_type)
     if args.type_filter is not None:
         if args.type_filter not in loaded.types.per_type:
@@ -323,9 +326,9 @@ def cmd_inspect(args) -> int:
     print("type_id\tnum_entities\teffective_dim\tsingular_values")
     for type_id in type_ids:
         tp = loaded.types[type_id]
-        summary = subspace.type_subspace(loaded.types, type_id, rank_eps)
+        summary = subspace.type_subspace(loaded.types, type_id, hp.rank_eps)
         if args.from_points:
-            dim = subspace.point_cloud_rank(loaded.model.entity_points[tp.members], rank_eps)
+            dim = subspace.point_cloud_rank(loaded.model.entity_points[tp.members], hp.rank_eps)
         else:
             dim = summary.effective_dim
         top = ",".join(f"{s:.6g}" for s in summary.singular_values[:10])

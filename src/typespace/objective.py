@@ -28,8 +28,9 @@ from typespace.params import (
     RelationParams,
     SubspaceBlock,
     TypeSubspaceParams,
+    GroupPlan,
     anchor_span_matrix,
-    group_endpoint,
+    group_plan,
     group_points,
     variant_flags,
 )
@@ -104,18 +105,23 @@ def _check_simplex(coeffs: np.ndarray, what: str) -> None:
         raise SimplexViolationError(f"{what} coefficients violate the simplex constraint")
 
 
-def block_terms(block: SubspaceBlock, points: np.ndarray):
-    """Fit of a subspace block: its points (one per coefficient row)
-    against their convex combinations of the block's anchors.
+def block_resid(block: SubspaceBlock, points: np.ndarray) -> np.ndarray:
+    """Residual rows of a subspace block's fit: its points (one per
+    coefficient row) minus their convex combinations of the anchors.  Its
+    loss is block_loss(resid), whose partial for point i is 2 * resid[i]."""
+    return points - block.coeffs @ block.anchors
 
-    Returns (resid, loss, anchor_grad, coeff_grad): the residual rows, the
-    sum of their squares, and its partials with respect to the anchors and
-    to the coefficient rows.  The partial with respect to point i is
-    2 * resid[i].
-    """
-    resid = points - block.coeffs @ block.anchors
-    loss = float(np.sum(resid * resid))
-    return resid, loss, -2.0 * block.coeffs.T @ resid, -2.0 * resid @ block.anchors.T
+
+def block_loss(resid: np.ndarray) -> float:
+    return float(np.sum(resid * resid))
+
+
+def block_anchor_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
+    return -2.0 * block.coeffs.T @ resid
+
+
+def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
+    return -2.0 * resid @ block.anchors.T
 
 
 def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
@@ -126,7 +132,7 @@ def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
         if len(tp.members) == 0:
             continue
         _check_simplex(tp.coeffs, f"type {type_id!r} lambda")
-        total += block_terms(tp, model.entity_points[tp.members])[1]
+        total += block_loss(block_resid(tp, model.entity_points[tp.members]))
     return total
 
 
@@ -163,23 +169,22 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     for side, groups in rels.sides():
         for key, gp in groups.items():
             _check_simplex(gp.coeffs, f"group {side}{key} mu")
-            total += block_terms(gp, group_points(model.entity_points, rels.vectors, gp.members, side, key))[1]
+            points = group_points(model.entity_points, rels.vectors, group_plan(gp.members, side, key))
+            total += block_loss(block_resid(gp, points))
     return total
 
 
-def group_point_gradients(gp: SubspaceBlock, side: str, key: tuple[int, int], resid: np.ndarray):
-    """Partials of a relation group's fit with respect to entity points and
-    its relation vector, from the residuals block_terms returned.
-
-    Returns ({entity: partial}, relation, partial): the virtual member's
-    partial goes to its endpoint entity and, signed, to the relation.
-    """
+def group_point_gradients(plan: GroupPlan, resid: np.ndarray):
+    """Partials of a relation group's fit with respect to the entities
+    plan.step_rows (one row each) and to its relation vector, from the
+    group's residual rows.  The virtual member's partial goes to its
+    endpoint entity and, signed, to the relation."""
     point_grads = 2.0 * resid
     virt = point_grads[-1]
-    entity, k, sign = group_endpoint(side, key)
-    grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
-    grads[entity] = grads[entity] + virt if entity in grads else virt
-    return grads, k, sign * virt
+    grads = point_grads[: len(plan.step_rows)]
+    if plan.end_pos < len(plan.rows) - 1:  # the endpoint is a member
+        grads[plan.end_pos] += virt
+    return grads, plan.sign * virt
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -194,17 +199,12 @@ def nuclear_norm(m: np.ndarray) -> float:
 
 def regularizer(types: TypeSubspaceParams, rels: RelationParams, variant: str) -> tuple[float, float]:
     """Nuclear norms of the anchor span matrices, zeroed for variants that
-    exclude each component."""
+    exclude each component: the reference for the sums the trainer carries
+    from its proxes, and what total_objective uses when no prox ran."""
     flags = variant_flags(variant)
-    j1 = 0.0
-    j2 = 0.0
-    if flags.reg1:
-        for tp in types.per_type.values():
-            j1 += nuclear_norm(anchor_span_matrix(tp.anchors))
-    if flags.reg2:
-        for _, groups in rels.sides():
-            for gp in groups.values():
-                j2 += nuclear_norm(anchor_span_matrix(gp.anchors))
+    groups = (gp for _, side in rels.sides() for gp in side.values())
+    j1 = sum((nuclear_norm(anchor_span_matrix(tp.anchors)) for tp in types.per_type.values()), 0.0) if flags.reg1 else 0.0
+    j2 = sum((nuclear_norm(anchor_span_matrix(gp.anchors)) for gp in groups), 0.0) if flags.reg2 else 0.0
     return j1, j2
 
 
@@ -214,9 +214,11 @@ def total_objective(
     store: TripleStore | None,
     params: ModelParams,
     hp: Hyperparams,
+    reg: tuple[float, float] | None = None,
 ) -> LossBreakdown:
     """Assemble the full objective for the configured variant; inactive
-    components are reported as zero."""
+    components are reported as zero.  reg is (j_reg1, j_reg2) as the trainer
+    carries them from its proxes; regularizer computes them when it is None."""
     flags = variant_flags(hp.variant)
     out = LossBreakdown()
     if word_word is not None:
@@ -231,7 +233,7 @@ def total_objective(
         out.j_rel_dim = rel_dim_loss(params.model, params.rels)
     if flags.rel_dist_active and store is not None:
         out.j_rel_dist = rel_dist_loss(store, params.model, params.rels)
-    out.j_reg1, out.j_reg2 = regularizer(params.types, params.rels, hp.variant)
+    out.j_reg1, out.j_reg2 = regularizer(params.types, params.rels, hp.variant) if reg is None else reg
     alpha = hp.alpha_mix
     out.total = (
         alpha * (out.j_glove + out.j_text_entity)
@@ -268,12 +270,13 @@ def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
     """Loss and addressed partials of one type's convex-combination fit."""
     if len(tp.members) == 0:
         return 0.0, {}
-    resid, loss, anchor_grad, coeff_grad = block_terms(tp, model.entity_points[tp.members])
-    grads: dict = {("anchors", type_id): anchor_grad}
+    resid = block_resid(tp, model.entity_points[tp.members])
+    coeff_grad = block_coeff_grad(tp, resid)
+    grads: dict = {("anchors", type_id): block_anchor_grad(tp, resid)}
     for row, e in enumerate(tp.members.tolist()):
         grads[("lambda", type_id, row)] = coeff_grad[row]
         grads[("entity", e)] = 2.0 * resid[row]
-    return loss, grads
+    return block_loss(resid), grads
 
 
 def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int, scale=1.0):
@@ -291,16 +294,16 @@ def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k
 
 def rel_group_gradients(model: EmbeddingModel, rels: RelationParams, side: str, key: tuple[int, int], gp: SubspaceBlock):
     """Loss and addressed partials of one relation group's subspace fit."""
-    points = group_points(model.entity_points, rels.vectors, gp.members, side, key)
-    resid, loss, anchor_grad, coeff_grad = block_terms(gp, points)
-    grads: dict = {("q", side, key): anchor_grad}
-    for row, g in enumerate(coeff_grad):
+    plan = group_plan(gp.members, side, key)
+    resid = block_resid(gp, group_points(model.entity_points, rels.vectors, plan))
+    grads: dict = {("q", side, key): block_anchor_grad(gp, resid)}
+    for row, g in enumerate(block_coeff_grad(gp, resid)):
         grads[("mu", side, key, row)] = g
-    entity_grads, k, rel_grad = group_point_gradients(gp, side, key, resid)
-    for e, g in entity_grads.items():
+    entity_grads, rel_grad = group_point_gradients(plan, resid)
+    for e, g in zip(plan.step_rows.tolist(), entity_grads):
         grads[("entity", e)] = g
-    grads[("rel", k)] = rel_grad
-    return loss, grads
+    grads[("rel", plan.rel)] = rel_grad
+    return block_loss(resid), grads
 
 
 @dataclass

@@ -26,9 +26,12 @@ import numpy as np
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
 from typespace.objective import (
     LossBreakdown,
-    block_terms,
+    block_anchor_grad,
+    block_coeff_grad,
+    block_resid,
     comb_penalty_terms,
     group_point_gradients,
+    nuclear_norm,
     rel_dist_triple_terms,
     text_entry_terms,
     text_fit,
@@ -40,6 +43,7 @@ from typespace.params import (
     ModelParams,
     anchor_span_matrix,
     clone_params,
+    group_plan,
     group_points,
     init_parameters,
     set_anchor_span_matrix,
@@ -59,6 +63,8 @@ GRAM_MIN_TAU = 1e-2
 # A text entry's tag is its table kind's index here.
 _TEXT_KINDS = (WORD_WORD, ENTITY_WORD)
 
+PASSES = ("text", "type", "rel_dist", "rel_group", "objective")  # the keys of an epoch's pass_ms
+
 
 class NonFiniteGradientError(FloatingPointError):
     """A gradient went NaN/Inf; the message names the parameter."""
@@ -77,20 +83,20 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1} (sort-based),
     row by row along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project a non-finite vector")
-    u = np.flip(np.sort(v, axis=-1), axis=-1)
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, v.shape[-1] + 1)
-    cond = u - css / idx > 0
-    rho = v.shape[-1] - np.argmax(np.flip(cond, axis=-1), axis=-1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = u.cumsum(axis=-1) - 1.0
+    cond = u - css / np.arange(1, v.shape[-1] + 1) > 0
+    rho = v.shape[-1] - cond[..., ::-1].argmax(axis=-1)
     theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
 
 
-def prox_nuclear(m: np.ndarray, tau: float) -> np.ndarray:
+def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     """Proximal operator of tau * nuclear norm: shrink every singular value
-    by tau, clamping at zero (singular-value thresholding, SVT).
+    by tau, clamping at zero (singular-value thresholding, SVT).  Returns
+    the result and its nuclear norm, the sum of the shrunk singular values.
 
     Exact in each of three cases, chosen from the input:
     - ||M||_F <= tau: zero, with no factorization, since sigma_1 <= ||M||_F.
@@ -106,18 +112,20 @@ def prox_nuclear(m: np.ndarray, tau: float) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("cannot threshold a non-finite matrix")
     if tau == 0.0:
-        return m.copy()
+        return m.copy(), nuclear_norm(m)
     fro2 = float(np.vdot(m, m))
     tau2 = tau * tau
     if fro2 <= tau2:
-        return np.zeros_like(m)
+        return np.zeros_like(m), 0.0
     if tau2 < GRAM_MIN_TAU * GRAM_MIN_TAU * fro2:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-        return (u * np.maximum(s - tau, 0.0)) @ vt
+        shrunk = np.maximum(s - tau, 0.0)
+        return (u * shrunk) @ vt, float(np.sum(shrunk))
     lam, v = np.linalg.eigh(m.T @ m)  # ascending
     k = int(np.count_nonzero(lam > tau2))
     vk = v[:, v.shape[1] - k:]
-    return ((m @ vk) * (1.0 - tau / np.sqrt(lam[lam.size - k:]))) @ vk.T
+    sigma = np.sqrt(lam[lam.size - k:])
+    return ((m @ vk) * (1.0 - tau / sigma)) @ vk.T, float(np.sum(sigma - tau))
 
 
 def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: str = "param", rows=None) -> None:
@@ -138,7 +146,7 @@ def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: s
     idx = ... if rows is None else rows
     acc = state[idx] + g * g
     state[idx] = acc
-    values[idx] = values[idx] - lr * g / np.sqrt(acc + ADAGRAD_EPS)
+    values[idx] -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
 
 
 def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
@@ -148,7 +156,7 @@ def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
     This coupling is deliberately isolated here so it can be revised in one
     place.
     """
-    return lr / math.sqrt(float(np.mean(accum)) + ADAGRAD_EPS)
+    return lr / math.sqrt(float(np.sum(accum)) / accum.size + ADAGRAD_EPS)
 
 
 @dataclass
@@ -163,6 +171,7 @@ class TrainReport:
     losses: list[LossBreakdown] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
     dim_trace: list[dict[str, int]] = field(default_factory=list)
+    pass_ms: list[dict[str, float]] = field(default_factory=list)  # per epoch, keyed like PASSES
     prox_calls: int = 0
     prox_zero: int = 0  # proxes whose result was the zero span
 
@@ -284,16 +293,10 @@ def _prepare_text_entries(data: TrainData, hp: Hyperparams):
         logs.append(np.log(table.weights))
     if not tags:
         return None
-    return (
-        np.concatenate(tags),
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(fvals),
-        np.concatenate(logs),
-    )
+    return tuple(np.concatenate(parts) for parts in (tags, rows, cols, fvals, logs))
 
 
-def _block_step(block, points, acc, hp, prox, comb, report, label) -> np.ndarray:
+def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.ndarray, float]:
     """One update of a subspace block whose current points are `points`.
 
     Projected AdaGrad on the simplex coefficient rows, an AdaGrad step on
@@ -301,36 +304,43 @@ def _block_step(block, points, acc, hp, prox, comb, report, label) -> np.ndarray
     when prox is set, singular-value thresholding of the anchor span matrix
     with anchor 0 held as base point.  acc is the block's (anchor,
     coefficient) accumulator pair.  Returns the residuals of the anchor
-    step, for the caller to turn into point gradients.
+    step, for the caller to turn into point gradients, and the nuclear norm
+    of the new span (0.0 without prox).
     """
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     acc_anchors, acc_coeffs = acc
-    adagrad_step(block.coeffs, scale * block_terms(block, points)[3], acc_coeffs, lr, name=f"coeffs[{label}]")
+    coeff_grad = block_coeff_grad(block, block_resid(block, points))
+    adagrad_step(block.coeffs, scale * coeff_grad, acc_coeffs, lr, name=f"coeffs[{label}]")
     block.coeffs[:] = project_to_simplex(block.coeffs)
-    resid, _, anchor_grad, _ = block_terms(block, points)
+    resid = block_resid(block, points)
+    anchor_grad = block_anchor_grad(block, resid)
     if comb:
         anchor_grad = anchor_grad + comb_penalty_terms(block.anchors)[1]
     adagrad_step(block.anchors, scale * anchor_grad, acc_anchors, lr, name=f"anchors[{label}]")
-    if prox:
-        tau = hp.beta_reg * anchor_prox_scale(lr, acc_anchors)
-        span = prox_nuclear(anchor_span_matrix(block.anchors), tau)
-        set_anchor_span_matrix(block.anchors, span)
-        report.prox_calls += 1
-        report.prox_zero += not span.any()
-    return resid
+    if not prox:
+        return resid, 0.0
+    tau = hp.beta_reg * anchor_prox_scale(lr, acc_anchors)
+    span, norm = prox_nuclear(anchor_span_matrix(block.anchors), tau)
+    set_anchor_span_matrix(block.anchors, span)
+    report.prox_calls += 1
+    report.prox_zero += not span.any()
+    return resid, norm
 
 
-def _type_pass(params, state, hp, flags, report):
+def _type_pass(params, state, hp, flags, report) -> float:
     """One block step per non-empty type, in type-id order; the entity
-    points stay fixed."""
+    points stay fixed.  Returns the sum of the stepped types' span nuclear
+    norms after their proxes."""
     prox = flags.reg1 and hp.beta_reg > 0.0
+    reg = 0.0
     for type_id in sorted(params.types.per_type):
         tp = params.types[type_id]
         if len(tp.members) == 0:
             continue
         points = params.model.entity_points[tp.members]
-        _block_step(tp, points, state.blocks[type_id], hp, prox, flags.comb, report, type_id)
+        reg += _block_step(tp, points, state.blocks[type_id], hp, prox, flags.comb, report, type_id)[1]
+    return reg
 
 
 def _rel_dist_pass(params, state, data, hp, rng):
@@ -346,24 +356,41 @@ def _rel_dist_pass(params, state, data, hp, rng):
             adagrad_step(values[i], g, getattr(state, name)[i], lr, name=f"{name}[{i}]")
 
 
-def _rel_dim_pass(params, state, hp, flags, report):
-    """One block step per relation group, then AdaGrad steps on the
-    group's member points (one row step; members are distinct) and its
-    relation vector."""
-    m = params.model
-    rels = params.rels
+def _group_plans(params, state):
+    """(block, index plan, accumulator pair, label) per relation group, in
+    pass order: tail groups then head groups, each side in key order."""
+    return [
+        (groups[key], group_plan(groups[key].members, side, key), state.blocks[(side, key)], f"{side}{key}")
+        for side, groups in params.rels.sides()
+        for key in sorted(groups)
+    ]
+
+
+def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
+    """One block step per relation group of plans, then AdaGrad steps on
+    the group's entity points (one row step) and its relation vector.
+    Returns the sum of the groups' span nuclear norms after their proxes."""
+    m, rels = params.model, params.rels
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     prox = flags.reg2 and hp.beta_reg > 0.0
-    for side, groups in rels.sides():
-        for key in sorted(groups):
-            gp = groups[key]
-            points = group_points(m.entity_points, rels.vectors, gp.members, side, key)
-            resid = _block_step(gp, points, state.blocks[(side, key)], hp, prox, False, report, f"{side}{key}")
-            entity_grads, k, rel_grad = group_point_gradients(gp, side, key, resid)
-            grads = scale * np.array(list(entity_grads.values()))
-            adagrad_step(m.entity_points, grads, state.entity, lr, "entity", rows=list(entity_grads))
-            adagrad_step(rels.vectors[k], scale * rel_grad, state.rel[k], lr, name=f"rel[{k}]")
+    reg = 0.0
+    for gp, plan, acc, label in plans:
+        points = group_points(m.entity_points, rels.vectors, plan)
+        resid, norm = _block_step(gp, points, acc, hp, prox, False, report, label)
+        reg += norm
+        entity_grads, rel_grad = group_point_gradients(plan, resid)
+        adagrad_step(m.entity_points, scale * entity_grads, state.entity, lr, "entity", rows=plan.step_rows)
+        adagrad_step(rels.vectors[plan.rel], scale * rel_grad, state.rel[plan.rel], lr, name=f"rel[{plan.rel}]")
+    return reg
+
+
+def _timed(pass_ms, name, fn, *args):
+    """fn(*args), with its wall time in milliseconds stored as pass_ms[name]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    pass_ms[name] = (time.perf_counter() - t0) * 1000.0
+    return out
 
 
 def train(
@@ -371,7 +398,9 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Run cfg.hp.epochs epochs of stochastic proximal optimization.
 
-    The result is a pure function of the inputs and seeds.
+    The result is a pure function of the inputs and seeds.  With beta > 0
+    each pass proxes a block last, so the objective takes the nuclear norms
+    the proxes return; an empty type, never stepped, keeps its first norm.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
@@ -382,48 +411,53 @@ def train(
     report = TrainReport()
     entries = _prepare_text_entries(data, hp)
     alpha = hp.alpha_mix
+    plans = _group_plans(params, state)
+    carry_reg = hp.beta_reg > 0.0
+    idle = [tp for tp in params.types.per_type.values() if len(tp.members) == 0] if carry_reg and flags.reg1 else []
+    idle_reg1 = sum(nuclear_norm(anchor_span_matrix(tp.anchors)) for tp in idle)
 
     log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     last_good: ModelParams | None = None
     try:
         for epoch in range(hp.epochs):
             t0 = time.perf_counter()
+            pass_ms = dict.fromkeys(PASSES, 0.0)
             text_batches = 0
-            prox_zero = report.prox_zero
+            reg1 = reg2 = 0.0
+            prox_calls, prox_zero = report.prox_calls, report.prox_zero
             try:
                 if entries is not None and alpha > 0.0:
                     order = rng.permutation(len(entries[0]))
-                    text_batches = _text_pass(entries, order, params, state, hp, alpha)
+                    text_batches = _timed(pass_ms, "text", _text_pass, entries, order, params, state, hp, alpha)
                 if flags.type_active:
-                    _type_pass(params, state, hp, flags, report)
+                    reg1 = _timed(pass_ms, "type", _type_pass, params, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:
-                    _rel_dist_pass(params, state, data, hp, rng)
+                    _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
                 if flags.rel_dim_active:
-                    _rel_dim_pass(params, state, hp, flags, report)
+                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report, plans)
             except NonFiniteGradientError as exc:
-                raise TrainingDivergedError(
-                    f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch
-                ) from exc
+                raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 
-            breakdown = total_objective(data.word_word, data.entity_word, data.triples, params, hp)
+            reg = (idle_reg1 + reg1, reg2) if carry_reg else None
+            breakdown = _timed(
+                pass_ms, "objective", total_objective, data.word_word, data.entity_word, data.triples, params, hp, reg
+            )
             wall_ms = (time.perf_counter() - t0) * 1000.0
             if not math.isfinite(breakdown.total):
-                raise TrainingDivergedError(
-                    f"total loss became non-finite at epoch {epoch + 1}", last_good, epoch
-                )
-            dims = {
-                t: effective_rank(anchor_span_matrix(tp.anchors), hp.rank_eps)
-                for t, tp in params.types.items()
-            }
+                raise TrainingDivergedError(f"total loss became non-finite at epoch {epoch + 1}", last_good, epoch)
+            dims = {t: effective_rank(anchor_span_matrix(tp.anchors), hp.rank_eps) for t, tp in params.types.items()}
             report.losses.append(breakdown)
             report.wall_ms.append(wall_ms)
+            report.pass_ms.append(pass_ms)
             report.dim_trace.append(dims)
             if log_fh is not None:
                 record = {
                     "epoch": epoch + 1,
                     **asdict(breakdown),
                     "wall_ms": wall_ms,
+                    "pass_ms": pass_ms,
                     "text_batches": text_batches,
+                    "prox_calls": report.prox_calls - prox_calls,
                     "prox_zero": report.prox_zero - prox_zero,
                     "dims": dims,
                 }

@@ -12,6 +12,7 @@ import itertools
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,21 +180,35 @@ def set_anchor_span_matrix(anchors: np.ndarray, span: np.ndarray) -> None:
     anchors[1:] = anchors[0] + span
 
 
-def group_endpoint(side: str, key: tuple[int, int]) -> tuple[int, int, float]:
-    """(entity, relation, sign) of a relation group's virtual member, the
-    point entity + sign * relation: the translated head e + r_k of a tail
-    group (e, k), or the translated tail f - r_k of a head group (k, f)."""
-    if side == "rhs":
-        e, k = key
-        return e, k, 1.0
-    k, f = key
-    return f, k, -1.0
+class GroupPlan(NamedTuple):
+    """Index plan of a relation group's fit.  Its points are
+    entity_points[rows] (members, then the endpoint), with sign * vectors[rel]
+    added to the last row, the virtual member: the translated head e + r_k
+    of a tail group (e, k), or the translated tail f - r_k of a head group
+    (k, f).  Its point gradients step the distinct entities step_rows (the
+    members, then the endpoint unless it is one), the endpoint at end_pos."""
+
+    rows: np.ndarray
+    rel: int
+    sign: float
+    step_rows: np.ndarray
+    end_pos: int
 
 
-def group_points(entity_points: np.ndarray, vectors: np.ndarray, members: np.ndarray, side: str, key) -> np.ndarray:
+def group_plan(members: np.ndarray, side: str, key: tuple[int, int]) -> GroupPlan:
+    entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
+    rows = np.concatenate((members, [entity]))
+    listed = members.tolist()
+    if entity in listed:
+        return GroupPlan(rows, k, sign, members, listed.index(entity))
+    return GroupPlan(rows, k, sign, rows, len(listed))
+
+
+def group_points(entity_points: np.ndarray, vectors: np.ndarray, plan: GroupPlan) -> np.ndarray:
     """A relation group's member points, its virtual member last."""
-    entity, k, sign = group_endpoint(side, key)
-    return np.vstack([entity_points[members], entity_points[entity] + sign * vectors[k]])
+    points = entity_points[plan.rows]
+    points[-1] += plan.sign * vectors[plan.rel]
+    return points
 
 
 def _new_block(points: np.ndarray, members: np.ndarray, n: int, rng) -> SubspaceBlock:
@@ -245,7 +260,7 @@ def init_parameters(
     for (side, groups), index in zip(rels.sides(), (triples.rhs, triples.lhs)):
         for key, entities in index.items():
             members = np.array(entities, dtype=np.int64)
-            points = group_points(model.entity_points, rels.vectors, members, side, key)
+            points = group_points(model.entity_points, rels.vectors, group_plan(members, side, key))
             groups[key] = _new_block(points, members, n, rng)
 
     return ModelParams(model=model, types=types, rels=rels)

@@ -290,3 +290,57 @@ def ref_text_pass(entries, order, model, state, lr, alpha, eps=1e-8):
         for values, accum, r, g in steps:
             accum[r] = accum[r] + g * g
             values[r] = values[r] - lr * g / np.sqrt(accum[r] + eps)
+
+
+# --- sequential relation-group pass ------------------------------------------
+
+
+def _ref_simplex_rows(v):
+    """Sort-based Euclidean projection of each row onto the simplex."""
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    cond = u - css / np.arange(1, v.shape[-1] + 1) > 0
+    rho = v.shape[-1] - np.argmax(np.flip(cond, axis=-1), axis=-1)
+    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
+    return np.maximum(v - theta, 0.0)
+
+
+def _ref_adagrad(values, idx, g, state, lr, eps=1e-8):
+    acc = state[idx] + g * g
+    state[idx] = acc
+    values[idx] = values[idx] - lr * g / np.sqrt(acc + eps)
+
+
+def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
+    """One group at a time, tail groups then head groups in key order: the
+    group's points (members, then the endpoint moved by +r_k for a tail
+    group (e, k) or -r_k for a head group (k, f)), a projected AdaGrad step
+    on its coefficients, an AdaGrad step on its anchors, with prox set the
+    thresholding of the anchor span by prox_nuclear at
+    beta * lr / sqrt(mean G + eps), then AdaGrad steps on the entities (the
+    endpoint's partial added to its member row when it is a member) and on
+    the relation vector.  state holds the accumulators as the trainer's
+    _AdaState does."""
+    m, rels = params.model, params.rels
+    lr = hp.learn_rate
+    scale = 1.0 - hp.alpha_mix
+    for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
+        for key in sorted(groups):
+            gp = groups[key]
+            acc_anchors, acc_coeffs = state.blocks[(side, key)]
+            entity, k = key if side == "rhs" else (key[1], key[0])
+            sign = 1.0 if side == "rhs" else -1.0
+            points = np.vstack([m.entity_points[gp.members], m.entity_points[entity] + sign * rels.vectors[k]])
+            resid = points - gp.coeffs @ gp.anchors
+            _ref_adagrad(gp.coeffs, ..., scale * (-2.0 * resid @ gp.anchors.T), acc_coeffs, lr)
+            gp.coeffs[:] = _ref_simplex_rows(gp.coeffs)
+            resid = points - gp.coeffs @ gp.anchors
+            _ref_adagrad(gp.anchors, ..., scale * (-2.0 * gp.coeffs.T @ resid), acc_anchors, lr)
+            if prox:
+                tau = hp.beta_reg * lr / math.sqrt(float(np.mean(acc_anchors)) + 1e-8)
+                gp.anchors[1:] = gp.anchors[0] + prox_nuclear(gp.anchors[1:] - gp.anchors[0], tau)[0]
+            point_grads = 2.0 * resid
+            grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
+            grads[entity] = grads[entity] + point_grads[-1] if entity in grads else point_grads[-1]
+            _ref_adagrad(m.entity_points, list(grads), scale * np.array(list(grads.values())), state.entity, lr)
+            _ref_adagrad(rels.vectors, k, scale * (sign * point_grads[-1]), state.rel, lr)

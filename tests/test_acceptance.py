@@ -99,15 +99,15 @@ def test_criterion_01_gradient_suite():
 def test_criterion_02_prox_and_projection_oracles():
     sw = Stopwatch(10.0)
     # closed-form diagonal cases, exact
-    assert np.allclose(prox_nuclear(np.diag([3.0, 1.0]), 1.0), np.diag([2.0, 0.0]), atol=1e-12)
+    assert np.allclose(prox_nuclear(np.diag([3.0, 1.0]), 1.0)[0], np.diag([2.0, 0.0]), atol=1e-12)
     m = np.random.default_rng(0).normal(size=(4, 4))
-    assert np.array_equal(prox_nuclear(m, 0.0), m)
+    assert np.array_equal(prox_nuclear(m, 0.0)[0], m)
     # subgradient optimality + perturbation certification on 100 matrices
     rng = np.random.default_rng(42)
     for _ in range(100):
         mat = rng.normal(size=(5, 5))
         tau = 0.7
-        x = prox_nuclear(mat, tau)
+        x = prox_nuclear(mat, tau)[0]
         assert ref.prox_subgradient_residual(x, mat, tau) < 1e-8
         fx = ref.prox_objective(x, mat, tau)
         for _ in range(1000):

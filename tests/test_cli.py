@@ -234,6 +234,32 @@ class TestEval:
         assert "not valid JSON" in err and len(err.strip().splitlines()) == 1
 
 
+class TestIngestDefaults:
+    @staticmethod
+    def _tables_equal(got, want):
+        return got.kind == want.kind and all(
+            np.array_equal(getattr(got, name), getattr(want, name)) for name in ("rows", "cols", "weights")
+        )
+
+    def test_unset_flags_take_the_ingest_defaults(self, micro_dir):
+        args = cli.build_parser().parse_args(["train", "--corpus", micro_dir["corpus"]])
+        data, vocab, catalog, _, _ = cli._ingest_all(args)
+        docs = ingest.load_corpus(micro_dir["corpus"])
+        want_vocab, want_catalog = ingest.build_vocab_and_catalog(docs)
+        assert vocab == want_vocab and catalog == want_catalog
+        assert self._tables_equal(data.word_word, ingest.count_word_word(docs, want_vocab))
+        assert self._tables_equal(data.entity_word, ingest.count_entity_word(docs, want_vocab, want_catalog))
+
+    def test_set_flags_reach_the_ingest_functions(self, micro_dir):
+        argv = ["train", "--corpus", micro_dir["corpus"], "--min-count", "3", "--min-mentions", "2", "--window", "4"]
+        data, vocab, catalog, _, _ = cli._ingest_all(cli.build_parser().parse_args(argv))
+        docs = ingest.load_corpus(micro_dir["corpus"])
+        want_vocab, want_catalog = ingest.build_vocab_and_catalog(docs, 3, 2)
+        assert vocab == want_vocab and catalog == want_catalog
+        assert self._tables_equal(data.word_word, ingest.count_word_word(docs, want_vocab, 4))
+        assert self._tables_equal(data.entity_word, ingest.count_entity_word(docs, want_vocab, want_catalog, 4))
+
+
 class TestInspect:
     def test_matches_subspace_module(self, trained_model, capsys):
         code = run(["inspect", "--model", str(trained_model)])
@@ -274,6 +300,15 @@ class TestInspect:
         assert run(["inspect", "--model", str(trained_model), "--from-points"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rank_eps_not_positive_exit_one(self, trained_model, capsys, value):
+        code = run(["inspect", "--model", str(trained_model), "--rank-eps", value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "rank_eps" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestExport:

@@ -7,15 +7,17 @@ import pytest
 
 from conftest import random_instance
 from reference_impls import (
+    collect_param_arrays,
     prox_objective,
     prox_subgradient_residual,
     ref_prox_nuclear,
+    ref_rel_dim_pass,
     simplex_bisection_oracle,
     simplex_grid_search,
 )
 from typespace import optimize, synth
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable
-from typespace.objective import Batch, loss_and_gradients, nuclear_norm, rel_group_gradients, variant_flags
+from typespace.objective import Batch, loss_and_gradients, nuclear_norm, regularizer, rel_group_gradients, variant_flags
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
@@ -29,7 +31,7 @@ from typespace.optimize import (
     train,
     tune,
 )
-from typespace.params import Hyperparams, init_parameters
+from typespace.params import Hyperparams, clone_params, init_parameters
 
 
 class TestProjectToSimplex:
@@ -76,18 +78,20 @@ class TestProjectToSimplex:
 class TestProxNuclear:
     def test_tau_zero_identity(self):
         m = np.random.default_rng(0).normal(size=(4, 4))
-        assert np.array_equal(prox_nuclear(m, 0.0), m)
+        out, norm = prox_nuclear(m, 0.0)
+        assert np.array_equal(out, m) and norm == nuclear_norm(m)
 
     def test_diagonal_shrinkage(self):
-        out = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
+        out, norm = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
+        assert norm == pytest.approx(2.0, rel=1e-12)
 
     def test_never_increases_nuclear_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             m = rng.normal(size=(5, 5))
             tau = float(rng.uniform(0.0, 2.0))
-            assert nuclear_norm(prox_nuclear(m, tau)) <= nuclear_norm(m) + 1e-10
+            assert nuclear_norm(prox_nuclear(m, tau)[0]) <= nuclear_norm(m) + 1e-10
 
     def test_firmly_nonexpansive(self):
         rng = np.random.default_rng(4)
@@ -95,20 +99,20 @@ class TestProxNuclear:
             a = rng.normal(size=(4, 4))
             b = rng.normal(size=(4, 4))
             tau = float(rng.uniform(0.0, 2.0))
-            pa, pb = prox_nuclear(a, tau), prox_nuclear(b, tau)
+            pa, pb = prox_nuclear(a, tau)[0], prox_nuclear(b, tau)[0]
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
 
     def test_subgradient_optimality(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = rng.normal(size=(5, 5))
-            x = prox_nuclear(m, 0.7)
+            x = prox_nuclear(m, 0.7)[0]
             assert prox_subgradient_residual(x, m, 0.7) < 1e-8
 
     def test_perturbation_certification(self):
         rng = np.random.default_rng(6)
         m = rng.normal(size=(5, 5))
-        x = prox_nuclear(m, 0.7)
+        x = prox_nuclear(m, 0.7)[0]
         fx = prox_objective(x, m, 0.7)
         for _ in range(1000):
             d = rng.normal(size=(5, 5))
@@ -132,8 +136,8 @@ class TestProxNuclear:
         fro = float(np.sqrt(np.vdot(m, m)))
         self._forbid(monkeypatch, "svd", "eigh")
         for tau in (fro, 2.0 * fro):
-            out = prox_nuclear(m, tau)
-            assert out.shape == m.shape and not out.any()
+            out, norm = prox_nuclear(m, tau)
+            assert out.shape == m.shape and not out.any() and norm == 0.0
 
     def test_gram_case_takes_no_svd(self, monkeypatch):
         m = np.random.default_rng(8).normal(size=(6, 6))
@@ -141,14 +145,14 @@ class TestProxNuclear:
         tau = 0.5 * float(s[2] + s[3])  # keeps three singular values
         expected = ref_prox_nuclear(m, tau)
         self._forbid(monkeypatch, "svd")
-        assert np.linalg.norm(prox_nuclear(m, tau) - expected) <= 1e-13 * np.linalg.norm(m)
+        assert np.linalg.norm(prox_nuclear(m, tau)[0] - expected) <= 1e-13 * np.linalg.norm(m)
 
     def test_small_tau_falls_back_to_svd_formula(self, monkeypatch):
         m = np.random.default_rng(9).normal(size=(6, 6))
         tau = 0.5 * optimize.GRAM_MIN_TAU * np.linalg.norm(m)
         expected = ref_prox_nuclear(m, tau)
         self._forbid(monkeypatch, "eigh")
-        assert np.array_equal(prox_nuclear(m, tau), expected)
+        assert np.array_equal(prox_nuclear(m, tau)[0], expected)
 
 
 class TestAdagrad:
@@ -319,6 +323,23 @@ class TestTrain:
         counts, report = prox_zero(0.0)
         assert counts == [0, 0] and report.prox_zero == 0
 
+    def test_epoch_log_times_each_pass(self, tmp_path):
+        ww, ew, store, params, hp = random_instance(2)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=3, variant="full")
+        log_path = tmp_path / "log.jsonl"
+        _, report = train(data, TrainConfig(hp=hp, shuffle_seed=1, log_path=str(log_path)), params)
+        records = [json.loads(line) for line in log_path.read_text().strip().split("\n")]
+        assert [r["pass_ms"] for r in records] == report.pass_ms
+        for record in records:
+            times = record["pass_ms"]
+            assert list(times) == list(optimize.PASSES)
+            assert all(t >= 0.0 for t in times.values())
+            assert sum(times.values()) <= record["wall_ms"]
+            # One prox per type and relation group.
+            assert record["prox_calls"] == len(params.types.per_type) + len(store.rhs) + len(store.lhs)
+        assert sum(r["prox_calls"] for r in records) == report.prox_calls
+
     def test_text_divergence_names_row(self):
         ww, ew, store, params, hp = random_instance(7)
         data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
@@ -475,7 +496,9 @@ class TestTrainerStepsWithCheckedGradients:
     def test_rel_dim_pass(self, steps):
         data, params, hp = self._instance(6)
         hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
-        optimize._rel_dim_pass(params, optimize._AdaState(params), hp, variant_flags(hp.variant), TrainReport())
+        state = optimize._AdaState(params)
+        plans = optimize._group_plans(params, state)
+        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
         # A group's coefficient step is test_block_step's; the anchor, member
         # and relation steps are taken at the projected coefficients, which
         # the pass leaves behind.
@@ -490,6 +513,80 @@ class TestTrainerStepsWithCheckedGradients:
                 expected += [(f"rel[{addr[1]}]", scale * g) for addr, g in grads.items() if addr[0] == "rel"]
         assert sum(len(groups) for _, groups in params.rels.sides()) > 1
         self._assert_steps(steps, expected)
+
+
+class TestRelGroupPass:
+    """The planned relation-group pass against the per-group loop it
+    replaced (reference_impls.ref_rel_dim_pass), bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_matches_per_group_loop(self, beta):
+        self_loops = 0
+        for seed in range(10):
+            ww, ew, store, params, hp = random_instance(seed)
+            hp = replace(hp, alpha_mix=0.3, beta_reg=beta)
+            ref_params = clone_params(params)
+            state, ref_state = optimize._AdaState(params), optimize._AdaState(ref_params)
+            plans = optimize._group_plans(params, state)
+            self_loops += sum(plan.end_pos < len(plan.rows) - 1 for _, plan, _, _ in plans)
+            for _ in range(2):  # the second pass starts from non-zero accumulators
+                optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+                ref_rel_dim_pass(ref_params, ref_state, hp, beta > 0.0, prox_nuclear)
+            for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
+                assert np.array_equal(got, want), name
+            assert np.array_equal(state.entity, ref_state.entity) and np.array_equal(state.rel, ref_state.rel)
+            for addr, accs in state.blocks.items():
+                for got, want in zip(accs, ref_state.blocks[addr]):
+                    assert np.array_equal(got, want), addr
+        assert self_loops > 0  # some group's endpoint is one of its members
+
+
+class TestCarriedNuclearNorms:
+    """With beta > 0 the objective takes the nuclear norms the proxes
+    returned; they must be regularizer's at the parameters it scores."""
+
+    @pytest.fixture
+    def objective_calls(self, monkeypatch):
+        calls = []
+
+        def recording(ww, ew, store, params, hp, reg=None):
+            calls.append((reg, regularizer(params.types, params.rels, hp.variant)))
+            return total_objective(ww, ew, store, params, hp, reg)
+
+        total_objective = optimize.total_objective
+        monkeypatch.setattr(optimize, "total_objective", recording)
+        return calls
+
+    @staticmethod
+    def _micro(micro_dir):
+        from typespace import ingest
+
+        docs = ingest.load_corpus(micro_dir["corpus"])
+        vocab, catalog = ingest.build_vocab_and_catalog(docs, 3, 3)
+        ts = ingest.load_type_system(micro_dir["instances"], micro_dir["subclass"], catalog)
+        return TrainData.from_ingest(
+            vocab, catalog, ingest.count_word_word(docs, vocab, 5), ingest.count_entity_word(docs, vocab, catalog, 5),
+            ts, ingest.load_triples(micro_dir["triples"], catalog),
+        )
+
+    @pytest.mark.parametrize("variant", ["full", "type_comb", "rel_dim", "no_type"])
+    @pytest.mark.parametrize("instance", ["micro", "random"])
+    def test_carried_sums_equal_regularizer(self, micro_dir, objective_calls, instance, variant):
+        for beta in (0.0, 0.01, 0.5, 1.0):
+            if instance == "micro":
+                data, start, hp = self._micro(micro_dir), None, Hyperparams(n=6, seed=7)
+            else:
+                ww, ew, store, start, hp = random_instance(3)
+                data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+            hp = replace(hp, alpha_mix=0.5, beta_reg=beta, epochs=3, variant=variant)
+            objective_calls.clear()
+            train(data, TrainConfig(hp=hp, shuffle_seed=7), start)
+            assert len(objective_calls) == 3
+            for carried, reference in objective_calls:
+                if beta == 0.0:
+                    assert carried is None  # no prox ran: regularizer scores the norms
+                else:
+                    assert carried == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestAnchorProxScale:

@@ -1,10 +1,12 @@
-"""The three-case singular-value thresholding against the full-SVD formula."""
+"""The three-case singular-value thresholding against the full-SVD formula,
+and the nuclear norm it returns against that of its result."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_impls import ref_prox_nuclear
+from typespace.objective import nuclear_norm
 from typespace.optimize import GRAM_MIN_TAU, prox_nuclear
 
 
@@ -46,13 +48,25 @@ def _tau(draw, m, s):
     return float(np.nextafter(tau, step)) if step else tau
 
 
+def _draw_case(draw):
+    m, s = draw(_matrices())
+    tau = _tau(draw, m, s)
+    if tau <= 0.0:  # a zero singular value as the threshold
+        tau = float(np.nextafter(0.0, 1.0))
+    return m, tau
+
+
 class TestProxNuclearProperty:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_matches_full_svd_formula(self, data):
-        m, s = data.draw(_matrices())
-        tau = _tau(data.draw, m, s)
-        if tau <= 0.0:  # a zero singular value as the threshold
-            tau = float(np.nextafter(0.0, 1.0))
-        err = np.linalg.norm(prox_nuclear(m, tau) - ref_prox_nuclear(m, tau))
+        m, tau = _draw_case(data.draw)
+        err = np.linalg.norm(prox_nuclear(m, tau)[0] - ref_prox_nuclear(m, tau))
         assert err <= 1e-12 * np.linalg.norm(m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_returned_norm_is_nuclear_norm_of_result(self, data):
+        m, tau = _draw_case(data.draw)
+        x, norm = prox_nuclear(m, tau)
+        assert abs(norm - nuclear_norm(x)) <= 1e-12 * np.linalg.norm(m)
