@@ -2,7 +2,8 @@
 
 Flags may also come from a key=value config file (--config); explicit flags
 win.  All randomized behavior flows from --seed: re-running a command with
-identical flags reproduces its outputs byte for byte.
+identical flags reproduces its outputs byte for byte, apart from the
+`wall_ms` times.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -280,6 +282,7 @@ def cmd_eval(args) -> int:
     loaded, view = _load_view(args)
     problems_path = _require_file(args.problems, "--problems")
 
+    t0 = time.perf_counter()
     if args.task == "ranking":
         results = evalharness.eval_ranking(evalharness.load_ranking_problems(problems_path), view)
     elif args.task == "induction":
@@ -306,6 +309,7 @@ def cmd_eval(args) -> int:
         valid = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "valid"]
         test = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "test"]
         results = evalharness.eval_triple_classification(valid, test, view)
+    results["wall_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     out_path = args.results or (os.path.splitext(problems_path)[0] + f".results_{args.task}.json")
     with open(out_path, "w", encoding="utf-8") as fh:

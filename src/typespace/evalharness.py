@@ -223,15 +223,11 @@ def average_precision(relevance) -> float:
     """Mean of precision-at-hit over relevant positions; 0 when nothing is
     relevant."""
     rel = np.asarray(relevance, dtype=bool)
-    hits = 0
-    precisions = []
-    for pos, r in enumerate(rel, start=1):
-        if r:
-            hits += 1
-            precisions.append(hits / pos)
-    if not precisions:
+    if not rel.any():
         return 0.0
-    return float(np.mean(precisions))
+    hits = np.cumsum(rel)[rel]
+    positions = np.flatnonzero(rel) + 1
+    return float(np.mean(hits / positions))
 
 
 def reciprocal_rank(relevance) -> float:
@@ -246,21 +242,24 @@ def reciprocal_rank(relevance) -> float:
 # Attribute ranking
 
 
-def _hinge_direction(diffs: np.ndarray, c: float, iters: int = 400) -> np.ndarray:
-    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 by AdaGrad subgradient
-    descent with iterate averaging."""
+def _hinge_directions(diffs: np.ndarray, reg_grid, iters: int = 400) -> np.ndarray:
+    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of reg_grid
+    by AdaGrad subgradient descent with iterate averaging, one row of the
+    iterate per c.  Margins take one matrix-vector product per row, and the
+    violated-pair sums one product laid out to add pairs in order, as a lone
+    solve rounds them: a margin one ulp off flips a violation at the hinge."""
     n = diffs.shape[1]
-    w = np.zeros(n)
-    accum = np.zeros(n)
-    avg = np.zeros(n)
+    scale = (2.0 / np.asarray(reg_grid, dtype=np.float64))[:, None]
+    w = np.zeros((scale.size, n))
+    accum = np.zeros_like(w)
+    avg = np.zeros_like(w)
     lr = 0.5
     half = iters // 2
     for t in range(iters):
-        margins = diffs @ w
-        viol = margins < 1.0
-        g = -diffs[viol].sum(axis=0) + (2.0 / c) * w
+        viol = (np.array([diffs @ row for row in w]) < 1.0).astype(np.float64)
+        g = -(diffs.T @ viol.T).T + scale * w
         accum += g * g
-        w = w - lr * g / np.sqrt(accum + 1e-8)
+        w -= lr * g / np.sqrt(accum + 1e-8)
         if t >= half:
             avg += w
     return avg / max(iters - half, 1)
@@ -271,8 +270,9 @@ def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
 
     train_pairs/val_pairs are (point, value) sequences.  The regularization
     constant is chosen from reg_grid by validation Spearman correlation
-    (training correlation when no validation pairs are given).  Returns the
-    direction vector and a zero offset (an offset never changes a ranking).
+    (training correlation when no validation pairs are given); the first
+    constant of the grid wins ties.  Returns the direction vector and a zero
+    offset (an offset never changes a ranking).
     """
     train_pts = np.asarray([p for p, _ in train_pairs], dtype=np.float64)
     train_vals = np.asarray([v for _, v in train_pairs], dtype=np.float64)
@@ -286,10 +286,10 @@ def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
         val_vals = np.asarray([v for _, v in val_pairs], dtype=np.float64)
     else:
         val_pts, val_vals = train_pts, train_vals
+    directions = _hinge_directions(diffs, reg_grid)
     best_w = None
     best_rho = -math.inf
-    for c in reg_grid:
-        w = _hinge_direction(diffs, c)
+    for w in directions:
         rho = spearman(val_pts @ w, val_vals) if len(val_vals) >= 2 else 0.0
         if rho > best_rho:
             best_rho = rho
@@ -340,22 +340,24 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
     the relevant items."""
     per_problem = []
     aps, p5s, rrs = [], [], []
+    skipped = 0
     for prob in problems:
         if not prob.train:
             raise ValueError(f"induction problem ({prob.relation!r}, {prob.target!r}) has no training positives")
         all_pos = list(prob.train) + list(prob.valid) + list(prob.test)
         pos_idx = [view.index[e] for e in all_pos if e in view.index]
         if len(pos_idx) < len(all_pos):
+            skipped += len(all_pos) - len(pos_idx)
             warnings.warn(f"induction problem ({prob.relation!r}, {prob.target!r}): unresolved positives dropped")
         type_id = most_specific_common_type(pos_idx, ts)
         excluded = {view.index[e] for e in list(prob.train) + list(prob.valid) if e in view.index}
-        candidates = [i for i in ts.instances[type_id] if i not in excluded]
+        candidates = np.asarray([i for i in ts.instances[type_id] if i not in excluded], dtype=np.int64)
         train_pts = view.points[[view.index[e] for e in prob.train if e in view.index]]
         center = centroid(train_pts)
         dists = np.linalg.norm(view.points[candidates] - center, axis=1)
-        order = sorted(range(len(candidates)), key=lambda i: (dists[i], candidates[i]))
-        test_set = {view.index[e] for e in prob.test if e in view.index}
-        relevance = [candidates[i] in test_set for i in order]
+        ranked = candidates[np.lexsort((candidates, dists))]
+        test_idx = [view.index[e] for e in prob.test if e in view.index]
+        relevance = np.isin(ranked, test_idx)
         ap = average_precision(relevance)
         p5 = precision_at_k(relevance, 5)
         rr = reciprocal_rank(relevance)
@@ -379,6 +381,7 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
         "map": float(np.mean(aps)) if aps else 0.0,
         "p_at_5": float(np.mean(p5s)) if p5s else 0.0,
         "mrr": float(np.mean(rrs)) if rrs else 0.0,
+        "skipped": skipped,
     }
 
 
@@ -386,12 +389,18 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
 # Analogy
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float(a @ b) / (na * nb)
+def _best_cosine(pool_pts: np.ndarray, pool_norms: np.ndarray, target: np.ndarray, allowed: np.ndarray):
+    """Pool position of the allowed candidate of highest cosine to target,
+    or None when none scores above -inf.  A zero norm scores -1.0, the first
+    maximum wins and NaN never does.  Rows are summed in numpy's fixed order,
+    not by BLAS, so equal rows score equal bits wherever they sit."""
+    target_norm = float(np.linalg.norm(target))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sims = np.add.reduce(pool_pts * target, axis=1) / (pool_norms * target_norm)
+    sims[(pool_norms == 0.0) | (target_norm == 0.0)] = -1.0
+    sims[~allowed | np.isnan(sims)] = -math.inf
+    best = int(np.argmax(sims))
+    return best if sims[best] > -math.inf else None
 
 
 def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -> dict:
@@ -402,10 +411,12 @@ def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -
     if not gold_idx:
         raise ValueError("analogy problem has no resolvable gold answers")
     pool_type = most_specific_common_type(gold_idx, ts)
-    pool = list(ts.instances[pool_type])
+    pool = np.asarray(ts.instances[pool_type], dtype=np.int64)
     degenerate = len(pool) == 1
     if degenerate:
         warnings.warn("analogy candidate pool has a single entity; accuracy is trivially 1")
+    pool_pts = view.points[pool]
+    pool_norms = np.linalg.norm(pool_pts, axis=1)
     correct = 0
     evaluated = 0
     skipped = 0
@@ -415,19 +426,11 @@ def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -
             warnings.warn(f"analogy quad {(a, b, c, d)} skipped: unknown entity")
             skipped += 1
             continue
-        target = view.points[view.index[b]] - view.points[view.index[a]] + view.points[view.index[c]]
-        query = {view.index[a], view.index[b], view.index[c]}
-        best = None
-        best_sim = -math.inf
-        for cand in pool:
-            if cand in query:
-                continue
-            sim = _cosine(view.points[cand], target)
-            if sim > best_sim:
-                best_sim = sim
-                best = cand
+        ia, ib, ic = view.index[a], view.index[b], view.index[c]
+        target = view.points[ib] - view.points[ia] + view.points[ic]
+        best = _best_cosine(pool_pts, pool_norms, target, (pool != ia) & (pool != ib) & (pool != ic))
         evaluated += 1
-        if best is not None and best == view.index[d]:
+        if best is not None and pool[best] == view.index[d]:
             correct += 1
     accuracy = correct / evaluated if evaluated else 0.0
     return {
@@ -495,21 +498,21 @@ def _best_threshold(scores, labels) -> float:
     """Midpoint between the consecutive sorted scores that maximizes
     accuracy of the rule "positive iff score > threshold"; ties prefer the
     smallest threshold.  With no distinct score pair the single score value
-    is used (classifying everything negative)."""
+    is used (classifying everything negative).  Correct counts per cut come
+    from cumulative label counts; NaN scores sort last, never above a cut."""
     order = np.argsort(scores, kind="mergesort")
     s = np.asarray(scores, dtype=np.float64)[order]
     y = np.asarray(labels, dtype=bool)[order]
-    candidates = [0.5 * (a + b) for a, b in zip(s, s[1:]) if a != b]
-    if not candidates:
+    distinct = np.flatnonzero(s[:-1] != s[1:])
+    if distinct.size == 0:
         return float(s[0])
-    best_delta = candidates[0]
-    best_acc = -1.0
-    for delta in candidates:
-        acc = float(np.mean((s > delta) == y))
-        if acc > best_acc:
-            best_acc = acc
-            best_delta = delta
-    return best_delta
+    candidates = 0.5 * (s[distinct] + s[distinct + 1])
+    non_nan = s.size - int(np.count_nonzero(np.isnan(s)))
+    cuts = np.searchsorted(s[:non_nan], candidates, side="right")
+    pos_below = np.concatenate(([0], np.cumsum(y)))
+    neg_below = np.arange(s.size + 1) - pos_below
+    correct = neg_below[cuts] + (pos_below[non_nan] - pos_below[cuts])
+    return float(candidates[int(np.argmax(correct))])
 
 
 def eval_triple_classification(valid_rows, test_rows, view: EmbeddingView) -> dict:

@@ -254,6 +254,8 @@ def init_parameters(
     types = TypeSubspaceParams()
     for type_id in type_system.type_ids:
         members = np.array(type_system.instances[type_id], dtype=np.int64)
+        if members.size == 0:
+            raise ValueError(f"type {type_id!r} has no member entities; its anchors would have no centroid")
         types.per_type[type_id] = _new_block(model.entity_points[members], members, n, rng)
 
     rels = RelationParams(vectors=uniform((len(triples.relation_ids), n)))

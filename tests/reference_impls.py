@@ -344,3 +344,83 @@ def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
             grads[entity] = grads[entity] + point_grads[-1] if entity in grads else point_grads[-1]
             _ref_adagrad(m.entity_points, list(grads), scale * np.array(list(grads.values())), state.entity, lr)
             _ref_adagrad(rels.vectors, k, scale * (sign * point_grads[-1]), state.rel, lr)
+
+
+# --- per-candidate evaluation loops ------------------------------------------
+
+
+def ref_hinge_direction(diffs, c, iters=400):
+    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for one c by AdaGrad
+    subgradient descent with iterate averaging, summing the violated rows of
+    D directly."""
+    n = diffs.shape[1]
+    w = np.zeros(n)
+    accum = np.zeros(n)
+    avg = np.zeros(n)
+    lr = 0.5
+    half = iters // 2
+    for t in range(iters):
+        margins = diffs @ w
+        viol = margins < 1.0
+        g = -diffs[viol].sum(axis=0) + (2.0 / c) * w
+        accum += g * g
+        w = w - lr * g / np.sqrt(accum + 1e-8)
+        if t >= half:
+            avg += w
+    return avg / max(iters - half, 1)
+
+
+def ref_analogy_answer(points, pool, query, target):
+    """The pool entity of highest cosine to target, skipping the query
+    entities: a zero norm scores -1, only a strictly higher score replaces
+    the best so far (so the first maximum wins and NaN never does), and
+    None when nothing beats -inf."""
+    best = None
+    best_sim = -math.inf
+    for cand in pool:
+        if cand in query:
+            continue
+        na = float(np.linalg.norm(points[cand]))
+        nb = float(np.linalg.norm(target))
+        sim = -1.0 if na == 0.0 or nb == 0.0 else float(points[cand] @ target) / (na * nb)
+        if sim > best_sim:
+            best_sim = sim
+            best = cand
+    return best
+
+
+def ref_induction_relevance(candidates, dists, test_set):
+    """Relevance flags of the candidates sorted by (distance, entity index)."""
+    order = sorted(range(len(candidates)), key=lambda i: (dists[i], candidates[i]))
+    return [candidates[i] in test_set for i in order]
+
+
+def ref_precisions_at_hits(relevance):
+    """hits/position at each relevant position, in order."""
+    hits = 0
+    out = []
+    for pos, r in enumerate(relevance, start=1):
+        if r:
+            hits += 1
+            out.append(hits / pos)
+    return out
+
+
+def ref_best_threshold(scores, labels):
+    """Every midpoint between consecutive distinct sorted scores scored by
+    the accuracy of "positive iff score > threshold"; the first best wins,
+    and with no distinct pair the single score is returned."""
+    order = np.argsort(scores, kind="mergesort")
+    s = np.asarray(scores, dtype=np.float64)[order]
+    y = np.asarray(labels, dtype=bool)[order]
+    candidates = [0.5 * (a + b) for a, b in zip(s, s[1:]) if a != b]
+    if not candidates:
+        return float(s[0])
+    best_delta = candidates[0]
+    best_acc = -1.0
+    for delta in candidates:
+        acc = float(np.mean((s > delta) == y))
+        if acc > best_acc:
+            best_acc = acc
+            best_delta = delta
+    return best_delta

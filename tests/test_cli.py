@@ -171,6 +171,34 @@ class TestEval:
             payload = json.loads(results.read_text())
             assert payload["task"] == task
 
+    @pytest.mark.parametrize("task", cli.EVAL_TASKS)
+    def test_results_carry_wall_ms_and_skipped(self, trained_model, micro_dir, tmp_path, task):
+        problems = {
+            "ranking": micro_dir["ranking"], "induction": micro_dir["induction"], "analogy": micro_dir["analogy"],
+            "link_prediction": micro_dir["lp_test"], "triple_classification": micro_dir["tc"],
+        }[task]
+        extra = ["--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        results = tmp_path / "res.json"
+        argv = ["eval", task, "--model", str(trained_model), "--problems", problems, "--results", str(results)]
+        assert run(argv + (extra if task in ("induction", "analogy") else [])) == 0
+        payload = json.loads(results.read_text())
+        assert isinstance(payload["wall_ms"], float) and payload["wall_ms"] > 0.0
+        assert isinstance(payload["skipped"], int) and payload["skipped"] >= 0
+
+    def test_induction_counts_unresolved_positives(self, trained_model, micro_dir, tmp_path):
+        with open(micro_dir["induction"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        record["split"]["test"] = list(record["split"]["test"]) + ["ghost1", "ghost2"]
+        problems = tmp_path / "ghosts.json"
+        problems.write_text(json.dumps(record))
+        results = tmp_path / "res.json"
+        argv = ["eval", "induction", "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"], "--results", str(results)]
+        with pytest.warns(UserWarning, match="unresolved positives dropped"):
+            assert run(argv) == 0
+        assert json.loads(results.read_text())["skipped"] == 2
+
     @pytest.mark.parametrize("label", ["yes", "1.0", "2", "-1"])
     def test_classification_label_not_binary_exit_one(self, trained_model, micro_dir, tmp_path, capsys, label):
         with open(micro_dir["tc"], encoding="utf-8") as fh:
@@ -445,6 +473,7 @@ class TestTune:
 
 class TestIdempotence:
     def test_eval_rerun_byte_identical(self, trained_model, micro_dir, tmp_path):
+        # Everything but the line holding the run's own wall time.
         blobs = []
         for name in ("r1.json", "r2.json"):
             results = tmp_path / name
@@ -452,7 +481,9 @@ class TestIdempotence:
                 ["eval", "ranking", "--model", str(trained_model), "--problems", micro_dir["ranking"], "--results", str(results)]
             )
             assert code == 0
-            blobs.append(results.read_bytes())
+            lines = results.read_bytes().splitlines(keepends=True)
+            assert sum(line.lstrip().startswith(b'"wall_ms": ') for line in lines) == 1
+            blobs.append(b"".join(line for line in lines if not line.lstrip().startswith(b'"wall_ms": ')))
         assert blobs[0] == blobs[1]
 
 

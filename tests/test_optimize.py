@@ -16,7 +16,7 @@ from reference_impls import (
     simplex_grid_search,
 )
 from typespace import optimize, synth
-from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable
+from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TypeSystem
 from typespace.objective import Batch, loss_and_gradients, nuclear_norm, regularizer, rel_group_gradients, variant_flags
 from typespace.optimize import (
     NonFiniteGradientError,
@@ -237,6 +237,18 @@ class TestTrain:
         hp = Hyperparams(n=4, alpha_mix=0.5, beta_reg=100.0, epochs=3, variant="no_nn", seed=0)
         _, report = train(data, TrainConfig(hp=hp, shuffle_seed=0))
         assert report.prox_calls == 0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_empty_type_one_line_error(self, beta):
+        ww, ew, store, _, _ = random_instance(0)
+        ts = TypeSystem(
+            ("hollow", "t1"), (), {"hollow": (), "t1": (0, 1, 2)}, {"hollow": (), "t1": (0, 1, 2)},
+            {"hollow": frozenset({"hollow"}), "t1": frozenset({"t1"})},
+        )
+        hp = Hyperparams(n=4, beta_reg=beta, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="'hollow' has no member entities") as exc_info:
+            train(TrainData(6, 5, ww, ew, ts, store), TrainConfig(hp=hp, shuffle_seed=0))
+        assert "\n" not in str(exc_info.value)
 
     def test_deterministic_reruns_identical(self):
         data, _, _ = synth.attribute_corpus(n_entities=30, seed=5)
