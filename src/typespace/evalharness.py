@@ -506,7 +506,8 @@ def _best_threshold(scores, labels) -> float:
     distinct = np.flatnonzero(s[:-1] != s[1:])
     if distinct.size == 0:
         return float(s[0])
-    candidates = 0.5 * (s[distinct] + s[distinct + 1])
+    with np.errstate(invalid="ignore", over="ignore"):  # a (-inf, inf) pair's midpoint is NaN, as in float math
+        candidates = 0.5 * (s[distinct] + s[distinct + 1])
     non_nan = s.size - int(np.count_nonzero(np.isnan(s)))
     cuts = np.searchsorted(s[:non_nan], candidates, side="right")
     pos_below = np.concatenate(([0], np.cumsum(y)))

@@ -9,6 +9,7 @@ input files yield bit-identical tables and indexes.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import logging
 import warnings
@@ -183,11 +184,11 @@ def _validate_document(doc: Document, lineno: int | None = None) -> None:
                 )
 
 
-def load_corpus(path, entity_catalog: EntityCatalog | None = None) -> list[Document]:
+def load_corpus(path) -> list[Document]:
     """Load a JSON-lines corpus file into validated documents.
 
-    Tokens are lowercased on load.  Mentions of entities unknown to
-    `entity_catalog` are kept; filtering happens when counting.
+    Tokens are lowercased on load.  Mentions of every entity are kept;
+    filtering by the entity catalog happens when counting.
     """
     docs: list[Document] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -266,8 +267,6 @@ def count_word_word(docs: list[Document], vocab: Vocabulary, window: int = 10) -
                     d = q - p
                     if d > window:
                         break
-                    if d == 0:
-                        continue
                     w = 1.0 / d
                     acc[(i, j)] = acc.get((i, j), 0.0) + w
                     acc[(j, i)] = acc.get((j, i), 0.0) + w
@@ -326,35 +325,6 @@ def _read_tsv(path, n_fields: int):
     return rows
 
 
-def _find_cycle(nodes, parents_of):
-    """Return one cycle in the child->parent graph, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    stack_path: list[str] = []
-
-    def visit(v):
-        color[v] = GREY
-        stack_path.append(v)
-        for p in parents_of.get(v, ()):
-            if color[p] == GREY:
-                i = stack_path.index(p)
-                return stack_path[i:] + [p]
-            if color[p] == WHITE:
-                found = visit(p)
-                if found:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in sorted(nodes):
-        if color[v] == WHITE:
-            found = visit(v)
-            if found:
-                return found
-    return None
-
-
 def load_type_system(instances_path, subclass_path, catalog: EntityCatalog) -> TypeSystem:
     """Load instance assertions and the subclass DAG, and close instance
     sets upward: an entity asserted of t belongs to E_s for every supertype
@@ -366,22 +336,22 @@ def load_type_system(instances_path, subclass_path, catalog: EntityCatalog) -> T
     instance_rows = _read_tsv(instances_path, 2)
     edge_rows = _read_tsv(subclass_path, 2)
 
-    parents_of: dict[str, list[str]] = {}
-    all_types: set[str] = set()
+    # child -> parents, every type a node; dicts keep the file's order, so
+    # the cycle an error names does not depend on string hashing.
+    parents_of: dict[str, dict[str, None]] = {}
     for child, parent in edge_rows:
-        all_types.update((child, parent))
-        lst = parents_of.setdefault(child, [])
-        if parent not in lst:
-            lst.append(parent)
-
-    cycle = _find_cycle(all_types, parents_of)
-    if cycle:
-        raise SubclassCycleError("subclass cycle: " + " -> ".join(cycle))
+        parents_of.setdefault(child, {})[parent] = None
+        parents_of.setdefault(parent, {})
+    for _, type_id in instance_rows:
+        parents_of.setdefault(type_id, {})
+    try:
+        order = tuple(graphlib.TopologicalSorter(parents_of).static_order())  # parents first
+    except graphlib.CycleError as exc:
+        raise SubclassCycleError("subclass cycle: " + " -> ".join(reversed(exc.args[1]))) from None
 
     asserted: dict[str, set[int]] = {}
     dropped = 0
     for entity_id, type_id in instance_rows:
-        all_types.add(type_id)
         e = catalog.index.get(entity_id)
         if e is None:
             dropped += 1
@@ -390,25 +360,16 @@ def load_type_system(instances_path, subclass_path, catalog: EntityCatalog) -> T
     if dropped:
         warnings.warn(f"{dropped} instance assertion(s) referenced entities outside the catalog")
 
-    # Reflexive-transitive ancestor sets; acyclic, so memoization terminates.
-    anc_cache: dict[str, frozenset[str]] = {}
+    ancestors: dict[str, frozenset[str]] = {}  # reflexive-transitive
+    for t in order:
+        ancestors[t] = frozenset({t}.union(*(ancestors[p] for p in parents_of[t])))
 
-    def ancestors(t: str) -> frozenset[str]:
-        got = anc_cache.get(t)
-        if got is None:
-            acc = {t}
-            for p in parents_of.get(t, ()):
-                acc.update(ancestors(p))
-            got = frozenset(acc)
-            anc_cache[t] = got
-        return got
-
-    closed: dict[str, set[int]] = {t: set() for t in all_types}
+    closed: dict[str, set[int]] = {t: set() for t in order}
     for t, members in asserted.items():
-        for s in ancestors(t):
+        for s in ancestors[t]:
             closed[s].update(members)
 
-    kept = tuple(sorted(t for t in all_types if closed[t]))
+    kept = tuple(sorted(t for t in order if closed[t]))
     kept_set = set(kept)
     edges = tuple(sorted((c, p) for c, p in {tuple(r) for r in edge_rows} if c in kept_set and p in kept_set))
     return TypeSystem(
@@ -416,7 +377,7 @@ def load_type_system(instances_path, subclass_path, catalog: EntityCatalog) -> T
         subclass_edges=edges,
         asserted={t: tuple(sorted(asserted[t])) for t in kept if t in asserted},
         instances={t: tuple(sorted(closed[t])) for t in kept},
-        ancestors={t: frozenset(ancestors(t) & kept_set) for t in kept},
+        ancestors={t: ancestors[t] & kept_set for t in kept},
     )
 
 

@@ -129,8 +129,6 @@ def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
     combination of type anchors."""
     total = 0.0
     for type_id, tp in types.items():
-        if len(tp.members) == 0:
-            continue
         _check_simplex(tp.coeffs, f"type {type_id!r} lambda")
         total += block_loss(block_resid(tp, model.entity_points[tp.members]))
     return total
@@ -268,8 +266,6 @@ def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
 
 def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
     """Loss and addressed partials of one type's convex-combination fit."""
-    if len(tp.members) == 0:
-        return 0.0, {}
     resid = block_resid(tp, model.entity_points[tp.members])
     coeff_grad = block_coeff_grad(tp, resid)
     grads: dict = {("anchors", type_id): block_anchor_grad(tp, resid)}

@@ -329,15 +329,13 @@ def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.n
 
 
 def _type_pass(params, state, hp, flags, report) -> float:
-    """One block step per non-empty type, in type-id order; the entity
-    points stay fixed.  Returns the sum of the stepped types' span nuclear
-    norms after their proxes."""
+    """One block step per type, in type-id order; the entity points stay
+    fixed.  Returns the sum of the types' span nuclear norms after their
+    proxes."""
     prox = flags.reg1 and hp.beta_reg > 0.0
     reg = 0.0
     for type_id in sorted(params.types.per_type):
         tp = params.types[type_id]
-        if len(tp.members) == 0:
-            continue
         points = params.model.entity_points[tp.members]
         reg += _block_step(tp, points, state.blocks[type_id], hp, prox, flags.comb, report, type_id)[1]
     return reg
@@ -400,7 +398,7 @@ def train(
 
     The result is a pure function of the inputs and seeds.  With beta > 0
     each pass proxes a block last, so the objective takes the nuclear norms
-    the proxes return; an empty type, never stepped, keeps its first norm.
+    the proxes return.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
@@ -413,8 +411,6 @@ def train(
     alpha = hp.alpha_mix
     plans = _group_plans(params, state)
     carry_reg = hp.beta_reg > 0.0
-    idle = [tp for tp in params.types.per_type.values() if len(tp.members) == 0] if carry_reg and flags.reg1 else []
-    idle_reg1 = sum(nuclear_norm(anchor_span_matrix(tp.anchors)) for tp in idle)
 
     log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     last_good: ModelParams | None = None
@@ -438,7 +434,7 @@ def train(
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 
-            reg = (idle_reg1 + reg1, reg2) if carry_reg else None
+            reg = (reg1, reg2) if carry_reg else None
             breakdown = _timed(
                 pass_ms, "objective", total_objective, data.word_word, data.entity_word, data.triples, params, hp, reg
             )

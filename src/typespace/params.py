@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,7 @@ class ModelIntegrityError(ValueError):
 
 @dataclass(frozen=True)
 class Hyperparams:
+    # The model file stores the fields in this order (_write_hyperparams).
     n: int = 50
     alpha_mix: float = 0.5
     beta_reg: float = 300.0
@@ -364,34 +365,19 @@ class _Reader:
         return np.frombuffer(self.raw(count * 8), dtype="<i8").astype(np.int64)
 
 
+# Hyperparams field annotation -> _Writer/_Reader method.
+_HP_CODECS = {"int": "i64", "float": "f64", "str": "string"}
+
+
 def _write_hyperparams(w: _Writer, hp: Hyperparams):
-    w.i64(hp.n)
-    w.f64(hp.alpha_mix)
-    w.f64(hp.beta_reg)
-    w.f64(hp.x_max)
-    w.f64(hp.weight_exp)
-    w.i64(hp.epochs)
-    w.f64(hp.learn_rate)
-    w.string(hp.variant)
-    w.f64(hp.rank_eps)
-    w.i64(hp.seed)
+    for f in fields(Hyperparams):
+        getattr(w, _HP_CODECS[f.type])(getattr(hp, f.name))
 
 
 def _read_hyperparams(r: _Reader) -> Hyperparams:
-    fields = dict(
-        n=r.i64(),
-        alpha_mix=r.f64(),
-        beta_reg=r.f64(),
-        x_max=r.f64(),
-        weight_exp=r.f64(),
-        epochs=r.i64(),
-        learn_rate=r.f64(),
-        variant=r.string(),
-        rank_eps=r.f64(),
-        seed=r.i64(),
-    )
+    values = {f.name: getattr(r, _HP_CODECS[f.type])() for f in fields(Hyperparams)}
     try:
-        return Hyperparams(**fields)
+        return Hyperparams(**values)
     except ValueError as exc:
         raise ModelFormatError(f"hyperparameters: {exc}") from None
 

@@ -5,8 +5,11 @@ operator definitions, independent of the package's vectorized code paths.
 """
 
 import math
+import warnings
 
 import numpy as np
+
+from typespace.ingest import SubclassCycleError, TypeSystem, _read_tsv
 
 
 # --- rank-based metrics ----------------------------------------------------
@@ -413,7 +416,7 @@ def ref_best_threshold(scores, labels):
     order = np.argsort(scores, kind="mergesort")
     s = np.asarray(scores, dtype=np.float64)[order]
     y = np.asarray(labels, dtype=bool)[order]
-    candidates = [0.5 * (a + b) for a, b in zip(s, s[1:]) if a != b]
+    candidates = [0.5 * (a + b) for a, b in zip(s.tolist(), s[1:].tolist()) if a != b]
     if not candidates:
         return float(s[0])
     best_delta = candidates[0]
@@ -424,3 +427,95 @@ def ref_best_threshold(scores, labels):
             best_acc = acc
             best_delta = delta
     return best_delta
+
+
+# --- recursive type-hierarchy closure ------------------------------------------
+
+
+def _ref_find_cycle(nodes, parents_of):
+    """Return one cycle in the child->parent graph, or None (recursive DFS)."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in nodes}
+    stack_path = []
+
+    def visit(v):
+        color[v] = GREY
+        stack_path.append(v)
+        for p in parents_of.get(v, ()):
+            if color[p] == GREY:
+                i = stack_path.index(p)
+                return stack_path[i:] + [p]
+            if color[p] == WHITE:
+                found = visit(p)
+                if found:
+                    return found
+        stack_path.pop()
+        color[v] = BLACK
+        return None
+
+    for v in sorted(nodes):
+        if color[v] == WHITE:
+            found = visit(v)
+            if found:
+                return found
+    return None
+
+
+def ref_load_type_system(instances_path, subclass_path, catalog):
+    """ingest.load_type_system by a recursive cycle search and a recursive,
+    memoised ancestor closure; it fails on hierarchies deeper than Python's
+    recursion limit."""
+    instance_rows = _read_tsv(instances_path, 2)
+    edge_rows = _read_tsv(subclass_path, 2)
+
+    parents_of = {}
+    all_types = set()
+    for child, parent in edge_rows:
+        all_types.update((child, parent))
+        lst = parents_of.setdefault(child, [])
+        if parent not in lst:
+            lst.append(parent)
+
+    cycle = _ref_find_cycle(all_types, parents_of)
+    if cycle:
+        raise SubclassCycleError("subclass cycle: " + " -> ".join(cycle))
+
+    asserted = {}
+    dropped = 0
+    for entity_id, type_id in instance_rows:
+        all_types.add(type_id)
+        e = catalog.index.get(entity_id)
+        if e is None:
+            dropped += 1
+            continue
+        asserted.setdefault(type_id, set()).add(e)
+    if dropped:
+        warnings.warn(f"{dropped} instance assertion(s) referenced entities outside the catalog")
+
+    anc_cache = {}
+
+    def ancestors(t):
+        got = anc_cache.get(t)
+        if got is None:
+            acc = {t}
+            for p in parents_of.get(t, ()):
+                acc.update(ancestors(p))
+            got = frozenset(acc)
+            anc_cache[t] = got
+        return got
+
+    closed = {t: set() for t in all_types}
+    for t, members in asserted.items():
+        for s in ancestors(t):
+            closed[s].update(members)
+
+    kept = tuple(sorted(t for t in all_types if closed[t]))
+    kept_set = set(kept)
+    edges = tuple(sorted((c, p) for c, p in {tuple(r) for r in edge_rows} if c in kept_set and p in kept_set))
+    return TypeSystem(
+        type_ids=kept,
+        subclass_edges=edges,
+        asserted={t: tuple(sorted(asserted[t])) for t in kept if t in asserted},
+        instances={t: tuple(sorted(closed[t])) for t in kept},
+        ancestors={t: frozenset(ancestors(t) & kept_set) for t in kept},
+    )

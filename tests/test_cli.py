@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,40 @@ class TestTrain:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def _train_with_subclass(self, micro_dir, tmp_path, extra_edges):
+        subclass = tmp_path / "subclass.tsv"
+        subclass.write_text(Path(micro_dir["subclass"]).read_text() + extra_edges)
+        return run(
+            [
+                "train",
+                "--corpus", micro_dir["corpus"],
+                "--instances", micro_dir["instances"],
+                "--subclass", str(subclass),
+                "--triples", micro_dir["triples"],
+                "--variant", "full",
+                "--epochs", "1",
+                "--dim", "4",
+                "--beta", "0.5",
+                "--min-count", "3",
+                "--min-mentions", "3",
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+
+    def test_deep_subclass_chain_exit_zero(self, micro_dir, tmp_path):
+        chain = "place\tt0\n" + "".join(f"t{i}\tt{i + 1}\n" for i in range(1500))
+        assert self._train_with_subclass(micro_dir, tmp_path, chain) == 0
+        assert "t1500" in load_model(tmp_path / "m.bin").types
+
+    def test_subclass_cycle_one_line_exit_one(self, micro_dir, tmp_path, capsys):
+        assert self._train_with_subclass(micro_dir, tmp_path, "t\tu\nu\tv\nv\tt\n") == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: subclass cycle: ")
+        names = err.strip()[len("error: subclass cycle: "):].split(" -> ")
+        assert len(names) == 4 and names[0] == names[-1] and set(names) == {"t", "u", "v"}
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestEval:

@@ -1,8 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from reference_impls import ref_load_type_system
 from typespace import ingest, synth
 from typespace.ingest import (
     CorpusParseError,
@@ -106,8 +110,7 @@ class TestLoadCorpus:
             p,
             [{"doc_id": "d", "sentences": [["x"]], "mentions": [{"entity": "ghost", "sentence": 0, "span": [0, 1]}]}],
         )
-        catalog = ingest.EntityCatalog(("real",), (1,), 0)
-        docs = load_corpus(p, catalog)
+        docs = load_corpus(p)
         assert docs[0].mentions[0].entity == "ghost"
 
 
@@ -312,6 +315,56 @@ class TestTypeSystem:
             ts = load_type_system(tmp_path / "inst.tsv", tmp_path / "sub.tsv", _catalog(*ids))
             for child, parent in ts.subclass_edges:
                 assert set(ts.instances[child]) <= set(ts.instances[parent])
+
+    def test_deep_chain_loads(self, tmp_path):
+        # Deeper than Python's recursion limit: the closure must not recurse.
+        (tmp_path / "inst.tsv").write_text("e1\tt0\n")
+        (tmp_path / "sub.tsv").write_text("".join(f"t{i}\tt{i + 1}\n" for i in range(1500)))
+        ts = load_type_system(tmp_path / "inst.tsv", tmp_path / "sub.tsv", _catalog("e1"))
+        assert len(ts.ancestors["t0"]) == 1501
+        assert ts.instances["t1500"] == (0,)
+
+    @staticmethod
+    def _load(loader, tmp_path):
+        """(TypeSystem or the cycle error's message, warning messages)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = loader(tmp_path / "inst.tsv", tmp_path / "sub.tsv", _catalog(*(f"e{i}" for i in range(5))))
+            except SubclassCycleError as exc:
+                got = str(exc)
+        return got, [str(w.message) for w in caught]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_recursive_loader(self, tmp_path, data):
+        # Edges run from t_i up to t_j, j > i, so they form a DAG until a
+        # back edge (j <= i, self-loops included) closes a cycle.  t6 and t7
+        # appear only in instance rows, e5 and e6 are outside the catalog,
+        # and edge types may have no instances at all.
+        pair = st.tuples(st.integers(0, 5), st.integers(0, 5))
+        up = data.draw(st.lists(pair.filter(lambda p: p[0] < p[1]), max_size=12))
+        back = data.draw(st.lists(pair.filter(lambda p: p[0] >= p[1]), max_size=2))
+        duplicates = data.draw(st.lists(st.sampled_from(up), max_size=3)) if up else []
+        edges = data.draw(st.permutations(up + back + duplicates))
+        rows = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)), max_size=12))
+        (tmp_path / "sub.tsv").write_text("".join(f"t{c}\tt{p}\n" for c, p in edges))
+        (tmp_path / "inst.tsv").write_text("".join(f"e{e}\tt{t}\n" for e, t in rows))
+
+        got, got_warnings = self._load(load_type_system, tmp_path)
+        want, want_warnings = self._load(ref_load_type_system, tmp_path)
+        assert got_warnings == want_warnings
+        if not isinstance(want, str):
+            assert got == want
+            return
+        # Both name a cycle, not necessarily the same one: a closed walk
+        # along child -> parent edges of the file.
+        file_edges = {(f"t{c}", f"t{p}") for c, p in edges}
+        for message in (got, want):
+            assert message.startswith("subclass cycle: ")
+            names = message[len("subclass cycle: "):].split(" -> ")
+            assert len(names) >= 2 and names[0] == names[-1]
+            assert all(step in file_edges for step in zip(names, names[1:]))
 
 
 class TestTriples:

@@ -31,7 +31,7 @@ from typespace.optimize import (
     train,
     tune,
 )
-from typespace.params import Hyperparams, clone_params, init_parameters
+from typespace.params import Hyperparams, SubspaceBlock, anchor_span_matrix, clone_params, init_parameters
 
 
 class TestProjectToSimplex:
@@ -599,6 +599,28 @@ class TestCarriedNuclearNorms:
                     assert carried is None  # no prox ran: regularizer scores the norms
                 else:
                     assert carried == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("variant", ["full", "type_comb", "no_rel"])
+    def test_empty_type_takes_the_block_step(self, objective_calls, variant, beta):
+        # init_parameters refuses an empty type, but params a caller builds
+        # may hold one; it takes the same block step as any other type.
+        ww, ew, store, params, hp = random_instance(3)
+        n = hp.n
+        anchors = np.random.default_rng(3).normal(size=(n + 1, n))
+        params.types.per_type["hollow"] = SubspaceBlock(anchors, np.zeros(0, dtype=np.int64), np.zeros((0, n + 1)))
+        hp = replace(hp, alpha_mix=0.5, beta_reg=beta, epochs=3, variant=variant)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        trained, report = train(data, TrainConfig(hp=hp, shuffle_seed=7), params)
+        assert len(objective_calls) == 3 and all(np.isfinite(lb.total) for lb in report.losses)
+        for carried, reference in objective_calls:
+            if beta == 0.0:
+                assert carried is None
+            else:
+                assert carried[0] == pytest.approx(reference[0], rel=1e-12, abs=0.0)
+        if variant == "full" and beta > 0.0:
+            assert not anchor_span_matrix(trained.types["hollow"].anchors).any()
 
 
 class TestAnchorProxScale:

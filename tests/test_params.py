@@ -6,6 +6,10 @@ from typespace.params import (
     Hyperparams,
     ModelFormatError,
     ModelIntegrityError,
+    _Reader,
+    _Writer,
+    _read_hyperparams,
+    _write_hyperparams,
     anchor_span_matrix,
     clone_params,
     export_text,
@@ -45,6 +49,22 @@ class TestHyperparams:
     def test_epochs_at_least_one(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             Hyperparams(epochs=epochs)
+
+    def test_encoding_is_pinned(self):
+        # The model file holds the fields in declaration order; reordering
+        # Hyperparams' fields would change the file format.
+        hp = Hyperparams(
+            n=7, alpha_mix=0.25, beta_reg=1.5, x_max=42.0, weight_exp=0.5, epochs=3, learn_rate=0.125,
+            variant="type_comb", rank_eps=0.01, seed=11,
+        )
+        w = _Writer()
+        _write_hyperparams(w, hp)
+        assert w.payload().hex() == (
+            "0700000000000000000000000000d03f000000000000f83f0000000000004540000000000000e03f"
+            "0300000000000000000000000000c03f0900000000000000747970655f636f6d627b14ae47e17a84"
+            "3f0b00000000000000"
+        )
+        assert _read_hyperparams(_Reader(w.payload())) == hp
 
 
 class TestInit:
