@@ -490,8 +490,10 @@ def eval_link_prediction(test_triples, view: EmbeddingView) -> dict:
 # Triple classification
 
 
-def _triple_score(view: EmbeddingView, h: int, r: int, t: int) -> float:
-    return -float(np.linalg.norm(view.points[t] - view.points[h] - view.rel_vectors[r]))
+def _triple_scores(view: EmbeddingView, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Score of each (head, relation, tail) index row: minus the length of
+    its translation residual."""
+    return -np.linalg.norm(view.points[tails] - view.points[heads] - view.rel_vectors[rels], axis=1)
 
 
 def _best_threshold(scores, labels) -> float:
@@ -524,40 +526,36 @@ def eval_triple_classification(valid_rows, test_rows, view: EmbeddingView) -> di
         raise ValueError("model carries no relation vectors")
 
     def resolve(rows):
-        out = {}
-        skipped = 0
-        for h, r, t, label in rows:
-            if h not in view.index or t not in view.index or r not in view.rel_index:
-                skipped += 1
-                continue
-            score = _triple_score(view, view.index[h], view.rel_index[r], view.index[t])
-            out.setdefault(r, []).append((score, bool(int(label))))
-        return out, skipped
+        """Relation ids, scores and labels of the resolvable rows, in row
+        order, and the count of the others."""
+        kept = [
+            (h, r, t, bool(int(label)))
+            for h, r, t, label in rows
+            if h in view.index and t in view.index and r in view.rel_index
+        ]
+        rows_idx = np.array(
+            [(view.index[h], view.rel_index[r], view.index[t]) for h, r, t, _ in kept], dtype=np.intp
+        ).reshape(-1, 3)
+        labels = np.array([y for _, _, _, y in kept], dtype=bool)
+        scores = _triple_scores(view, *rows_idx.T)
+        return [r for _, r, _, _ in kept], rows_idx[:, 1], scores, labels, len(rows) - len(kept)
 
-    valid_by_rel, skipped_valid = resolve(valid_rows)
-    test_by_rel, skipped_test = resolve(test_rows)
+    valid_rels, valid_ids, valid_scores, valid_labels, skipped_valid = resolve(valid_rows)
+    test_rels, _, test_scores, test_labels, skipped_test = resolve(test_rows)
     if skipped_valid or skipped_test:
         warnings.warn(f"triple classification skipped {skipped_valid + skipped_test} unresolvable rows")
 
-    all_scores = [s for rows in valid_by_rel.values() for s, _ in rows]
-    all_labels = [y for rows in valid_by_rel.values() for _, y in rows]
-    global_delta = _best_threshold(all_scores, all_labels) if all_scores else 0.0
-
+    global_delta = _best_threshold(valid_scores, valid_labels) if valid_rels else 0.0
     thresholds = {}
-    for rel, rows in valid_by_rel.items():
-        thresholds[rel] = _best_threshold([s for s, _ in rows], [y for _, y in rows])
-
-    correct = 0
-    total = 0
-    for rel, rows in test_by_rel.items():
-        delta = thresholds.get(rel)
-        if delta is None:
+    for rel in dict.fromkeys(valid_rels):
+        sel = valid_ids == view.rel_index[rel]
+        thresholds[rel] = _best_threshold(valid_scores[sel], valid_labels[sel])
+    for rel in dict.fromkeys(test_rels):
+        if rel not in thresholds:
             warnings.warn(f"relation {rel!r} absent from validation; using the global threshold")
-            delta = global_delta
-        for score, label in rows:
-            total += 1
-            if (score > delta) == label:
-                correct += 1
+    deltas = np.array([thresholds.get(rel, global_delta) for rel in test_rels])
+    correct = int(np.count_nonzero((test_scores > deltas) == test_labels))
+    total = len(test_rels)
     accuracy = correct / total if total else 0.0
     return {
         "task": "triple_classification",

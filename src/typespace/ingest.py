@@ -12,8 +12,12 @@ from __future__ import annotations
 import graphlib
 import json
 import logging
+import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,10 @@ ENTITY_WORD = "entity-word"
 # Relation ids carrying type assertions; those belong in the type system,
 # never in the triple store.
 _RESERVED_RELATIONS = {"instance_of", "subclass_of"}
+
+# Tokens per encoded chunk in the counters: bounds their scratch arrays, and
+# so the peak memory of counting, whatever the corpus size.
+_CHUNK_TOKENS = 8192
 
 
 class CorpusParseError(ValueError):
@@ -47,7 +55,7 @@ class NoCommonTypeError(LookupError):
     """No semantic type contains all the requested entities."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     entity: str
     sentence: int
@@ -187,8 +195,9 @@ def _validate_document(doc: Document, lineno: int | None = None) -> None:
 def load_corpus(path) -> list[Document]:
     """Load a JSON-lines corpus file into validated documents.
 
-    Tokens are lowercased on load.  Mentions of every entity are kept;
-    filtering by the entity catalog happens when counting.
+    Tokens are lowercased and interned on load, so equal tokens are one
+    string object.  Mentions of every entity are kept; filtering by the
+    entity catalog happens when counting.
     """
     docs: list[Document] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -198,7 +207,7 @@ def load_corpus(path) -> list[Document]:
             try:
                 rec = json.loads(line)
                 doc_id = rec["doc_id"]
-                sentences = tuple(tuple(str(t).lower() for t in sent) for sent in rec["sentences"])
+                sentences = tuple(tuple(map(sys.intern, map(str.lower, map(str, sent)))) for sent in rec["sentences"])
                 mentions = tuple(
                     Mention(m["entity"], int(m["sentence"]), (int(m["span"][0]), int(m["span"][1])))
                     for m in rec.get("mentions", [])
@@ -221,12 +230,9 @@ def build_vocab_and_catalog(
     min_doc_mentions distinct documents are dropped.  Indices are sorted by
     descending frequency, ties by id, so runs are reproducible.
     """
-    word_freq: dict[str, int] = {}
+    word_freq = Counter(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs)))
     entity_docs: dict[str, set[str]] = {}
     for doc in docs:
-        for sent in doc.sentences:
-            for tok in sent:
-                word_freq[tok] = word_freq.get(tok, 0) + 1
         for m in doc.mentions:
             entity_docs.setdefault(m.entity, set()).add(doc.doc_id)
     kept_words = sorted(
@@ -246,31 +252,135 @@ def build_vocab_and_catalog(
     return vocab, catalog
 
 
+class _Chunk(NamedTuple):
+    """Consecutive documents with every token encoded as a vocabulary id."""
+
+    docs: list[Document]
+    ids: np.ndarray  # vocabulary id of each token, -1 out of vocabulary
+    sent_starts: np.ndarray  # token offset of each sentence, then the token count
+    doc_starts: np.ndarray  # sentence offset of each document, then the sentence count
+
+
+def _encoded_chunks(docs: list[Document], vocab: Vocabulary) -> Iterator[_Chunk]:
+    """The documents in order, in runs of whole documents of about
+    _CHUNK_TOKENS tokens each."""
+    get = vocab.index.get
+    batch: list[Document] = []
+    n_tok = 0
+    for k, doc in enumerate(docs, start=1):
+        batch.append(doc)
+        n_tok += sum(map(len, doc.sentences))
+        if n_tok < _CHUNK_TOKENS and k < len(docs):
+            continue
+        sents = [sent for d in batch for sent in d.sentences]
+        sent_starts = np.zeros(len(sents) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, sents), np.int64, len(sents)), out=sent_starts[1:])
+        doc_starts = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(d.sentences) for d in batch), np.int64, len(batch)), out=doc_starts[1:])
+        ids = np.fromiter(map(get, chain.from_iterable(sents), repeat(-1)), np.int64, n_tok)
+        yield _Chunk(batch, ids, sent_starts, doc_starts)
+        batch, n_tok = [], 0
+
+
+def _add_in_order(keys: np.ndarray, sums: np.ndarray, new_keys: np.ndarray, new_vals: np.ndarray):
+    """Add new_vals into the table of distinct sorted keys and their sums.
+
+    Each key's sum is taken in order, its old sum first and then its new
+    values in array order, as a loop of `acc[key] += val` would take it:
+    the stable sort keeps that order within a key and `np.add.at` adds
+    unbuffered, in index order.
+    """
+    keys = np.concatenate((keys, new_keys))
+    vals = np.concatenate((sums, new_vals))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    out = np.zeros(np.count_nonzero(first))
+    np.add.at(out, np.cumsum(first) - 1, vals[order])
+    return keys[first], out
+
+
+def _word_pairs(chunk: _Chunk, window: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's word-word contributions in the order of a loop over
+    positions p, then distances d = 1..window within the sentence: the
+    unordered word pair's key and 1/d, listed twice for a same-word pair
+    (the ordered pair and its mirror are the same entry)."""
+    ids = chunk.ids
+    lengths = np.diff(chunk.sent_starts)
+    width = min(window, int(lengths.max(initial=0)) - 1)
+    if width < 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    room = np.repeat(chunk.sent_starts[1:], lengths) - np.arange(len(ids))  # tokens to the sentence end
+    known = ids >= 0
+    ok = np.zeros((len(ids), width), dtype=bool)  # [p, d-1]: the pair (p, p + d) counts
+    for d in range(1, width + 1):
+        ok[:-d, d - 1] = known[:-d] & known[d:] & (room[:-d] > d)
+    p, dm1 = np.nonzero(ok)
+    i, j = ids[p], ids[p + dm1 + 1]
+    twice = 1 + (i == j)
+    keys = np.minimum(i, j) * n_words + np.maximum(i, j)
+    return np.repeat(keys, twice), np.repeat(1.0 / np.arange(1, width + 1)[dm1], twice)
+
+
 def count_word_word(docs: list[Document], vocab: Vocabulary, window: int = 10) -> CooccurrenceTable:
     """Word-word co-occurrence with 1/distance weighting.
 
     Every ordered in-vocabulary pair at token distance d, 1 <= d <= window,
     within one sentence contributes 1/d; sentence boundaries are never
-    crossed.
+    crossed.  Each entry sums its contributions in corpus order.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    idx = vocab.index
-    acc: dict[tuple[int, int], float] = {}
-    for doc in docs:
-        for sent in doc.sentences:
-            positions = [(p, idx[t]) for p, t in enumerate(sent) if t in idx]
-            for a in range(len(positions)):
-                p, i = positions[a]
-                for b in range(a + 1, len(positions)):
-                    q, j = positions[b]
-                    d = q - p
-                    if d > window:
-                        break
-                    w = 1.0 / d
-                    acc[(i, j)] = acc.get((i, j), 0.0) + w
-                    acc[(j, i)] = acc.get((j, i), 0.0) + w
-    return CooccurrenceTable.from_dict(WORD_WORD, acc)
+    n_words = len(vocab)
+    keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for chunk in _encoded_chunks(docs, vocab):
+        keys, sums = _add_in_order(keys, sums, *_word_pairs(chunk, window, n_words))
+    lo, hi = np.divmod(keys, n_words)
+    off = lo != hi
+    rows = np.concatenate((lo, hi[off]))
+    cols = np.concatenate((hi, lo[off]))
+    # Keys are distinct, so any sort gives this order; the stable one is the kernel _add_in_order
+    # already paged in, where a first quicksort would add resident code.
+    order = np.argsort(rows * n_words + cols, kind="stable")
+    return CooccurrenceTable(WORD_WORD, rows[order], cols[order], np.concatenate((sums, sums[off]))[order])
+
+
+def _ranges(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Positions begin[r], ..., begin[r] + length[r] - 1 of every range r."""
+    shift = np.repeat(begin - (np.cumsum(length) - length), length)
+    return shift + np.arange(len(shift))
+
+
+def _entity_word_keys(chunk: _Chunk, eidx: dict[str, int], window: int, n_words: int) -> np.ndarray:
+    """The chunk's entity-word keys, one per counted (entity, token):
+    window tokens on either side of each catalog mention, and every token
+    of a catalog entity's article document."""
+    mentions = [
+        (e, k, m.sentence, *m.span)
+        for k, doc in enumerate(chunk.docs)
+        for m in doc.mentions
+        if (e := eidx.get(m.entity)) is not None
+    ]
+    ent, k, sent, start, end = np.array(mentions, dtype=np.int64).reshape(-1, 5).T
+    sent = chunk.doc_starts[k] + sent
+    s0 = chunk.sent_starts[sent]
+    lo = np.maximum(start - window, 0)
+    hi = np.minimum(end + window, chunk.sent_starts[sent + 1] - s0)
+    articles = [
+        (e, k)
+        for k, doc in enumerate(chunk.docs)
+        if doc.article_of is not None and (e := eidx.get(doc.article_of)) is not None
+    ]
+    art_ent, art_doc = np.array(articles, dtype=np.int64).reshape(-1, 2).T
+    a0 = chunk.sent_starts[chunk.doc_starts[art_doc]]
+    a1 = chunk.sent_starts[chunk.doc_starts[art_doc + 1]]
+    begin = np.concatenate((s0 + lo, s0 + end, a0))  # left context, right context, article
+    length = np.concatenate((start - lo, hi - end, a1 - a0))
+    words = chunk.ids[_ranges(begin, length)]
+    entities = np.repeat(np.concatenate((ent, ent, art_ent)), length)
+    keep = words >= 0
+    return entities[keep] * n_words + words[keep]
 
 
 def count_entity_word(
@@ -279,36 +389,17 @@ def count_entity_word(
     """Entity-word co-occurrence: unweighted counts of vocabulary tokens
     within `window` tokens of a mention span (same sentence, span's own
     tokens excluded), plus every vocabulary token of the entity's own
-    article document."""
+    article document.  Mentions must address a span inside one of their
+    document's sentences, as `load_corpus` checks."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    widx = vocab.index
-    eidx = catalog.index
-    acc: dict[tuple[int, int], float] = {}
-    for doc in docs:
-        for m in doc.mentions:
-            e = eidx.get(m.entity)
-            if e is None:
-                continue
-            start, end = m.span
-            tokens = doc.sentences[m.sentence]
-            lo = max(0, start - window)
-            hi = min(len(tokens), end + window)
-            for q in range(lo, hi):
-                if start <= q < end:
-                    continue
-                j = widx.get(tokens[q])
-                if j is not None:
-                    acc[(e, j)] = acc.get((e, j), 0.0) + 1.0
-        if doc.article_of is not None:
-            e = eidx.get(doc.article_of)
-            if e is not None:
-                for sent in doc.sentences:
-                    for tok in sent:
-                        j = widx.get(tok)
-                        if j is not None:
-                            acc[(e, j)] = acc.get((e, j), 0.0) + 1.0
-    return CooccurrenceTable.from_dict(ENTITY_WORD, acc)
+    n_words = len(vocab)
+    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for chunk in _encoded_chunks(docs, vocab):
+        new = _entity_word_keys(chunk, catalog.index, window, n_words)
+        keys, counts = _add_in_order(keys, counts, new, np.ones(len(new)))
+    rows, cols = np.divmod(keys, n_words)
+    return CooccurrenceTable(ENTITY_WORD, rows, cols, counts)
 
 
 def _read_tsv(path, n_fields: int):

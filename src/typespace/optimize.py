@@ -17,6 +17,7 @@ Training is a pure function of its inputs and seeds.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -50,6 +51,8 @@ from typespace.params import (
     variant_flags,
 )
 from typespace.subspace import effective_rank
+
+log = logging.getLogger(__name__)
 
 ADAGRAD_EPS = 1e-8
 
@@ -414,6 +417,7 @@ def train(
 
     log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     last_good: ModelParams | None = None
+    collapsed = 0  # epochs in which every prox returned the zero span
     try:
         for epoch in range(hp.epochs):
             t0 = time.perf_counter()
@@ -446,6 +450,7 @@ def train(
             report.wall_ms.append(wall_ms)
             report.pass_ms.append(pass_ms)
             report.dim_trace.append(dims)
+            collapsed += report.prox_calls - prox_calls == report.prox_zero - prox_zero > 0
             if log_fh is not None:
                 record = {
                     "epoch": epoch + 1,
@@ -463,6 +468,11 @@ def train(
     finally:
         if log_fh is not None:
             log_fh.close()
+    if collapsed:
+        log.warning(
+            "every prox zeroed its span (rank 0) in %d of %d epoch(s); a smaller beta_reg keeps the subspaces",
+            collapsed, hp.epochs,
+        )
     return params, report
 
 

@@ -9,7 +9,14 @@ import warnings
 
 import numpy as np
 
-from typespace.ingest import SubclassCycleError, TypeSystem, _read_tsv
+from typespace.ingest import (
+    ENTITY_WORD,
+    WORD_WORD,
+    CooccurrenceTable,
+    SubclassCycleError,
+    TypeSystem,
+    _read_tsv,
+)
 
 
 # --- rank-based metrics ----------------------------------------------------
@@ -429,6 +436,12 @@ def ref_best_threshold(scores, labels):
     return best_delta
 
 
+def ref_triple_score(view, h, r, t):
+    """evalharness._triple_scores for one (head, relation, tail) index row:
+    its own norm call."""
+    return -float(np.linalg.norm(view.points[t] - view.points[h] - view.rel_vectors[r]))
+
+
 # --- recursive type-hierarchy closure ------------------------------------------
 
 
@@ -519,3 +532,62 @@ def ref_load_type_system(instances_path, subclass_path, catalog):
         instances={t: tuple(sorted(closed[t])) for t in kept},
         ancestors={t: frozenset(ancestors(t) & kept_set) for t in kept},
     )
+
+
+# --- co-occurrence counting loops ------------------------------------------------
+
+
+def ref_count_word_word(docs, vocab, window=10):
+    """ingest.count_word_word as one loop over sentence positions: each
+    entry's float sum is taken in corpus order."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    idx = vocab.index
+    acc: dict[tuple[int, int], float] = {}
+    for doc in docs:
+        for sent in doc.sentences:
+            positions = [(p, idx[t]) for p, t in enumerate(sent) if t in idx]
+            for a in range(len(positions)):
+                p, i = positions[a]
+                for b in range(a + 1, len(positions)):
+                    q, j = positions[b]
+                    d = q - p
+                    if d > window:
+                        break
+                    w = 1.0 / d
+                    acc[(i, j)] = acc.get((i, j), 0.0) + w
+                    acc[(j, i)] = acc.get((j, i), 0.0) + w
+    return CooccurrenceTable.from_dict(WORD_WORD, acc)
+
+
+def ref_count_entity_word(docs, vocab, catalog, window=10):
+    """ingest.count_entity_word as loops over mentions and article tokens."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    widx = vocab.index
+    eidx = catalog.index
+    acc: dict[tuple[int, int], float] = {}
+    for doc in docs:
+        for m in doc.mentions:
+            e = eidx.get(m.entity)
+            if e is None:
+                continue
+            start, end = m.span
+            tokens = doc.sentences[m.sentence]
+            lo = max(0, start - window)
+            hi = min(len(tokens), end + window)
+            for q in range(lo, hi):
+                if start <= q < end:
+                    continue
+                j = widx.get(tokens[q])
+                if j is not None:
+                    acc[(e, j)] = acc.get((e, j), 0.0) + 1.0
+        if doc.article_of is not None:
+            e = eidx.get(doc.article_of)
+            if e is not None:
+                for sent in doc.sentences:
+                    for tok in sent:
+                        j = widx.get(tok)
+                        if j is not None:
+                            acc[(e, j)] = acc.get((e, j), 0.0) + 1.0
+    return CooccurrenceTable.from_dict(ENTITY_WORD, acc)

@@ -1,11 +1,12 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from typespace import cli, evalharness, ingest, subspace
-from typespace.params import load_model
+from typespace.params import Hyperparams, load_model
 
 
 def run(argv):
@@ -138,6 +139,19 @@ class TestTrain:
                 "--out", str(tmp_path / "m.bin"),
             ]
         )
+
+    @pytest.mark.filterwarnings("ignore:.*outside the catalog", "ignore:.*triple\\(s\\) dropped")
+    def test_collapsed_proxes_warn_once(self, micro_dir, tmp_path, caplog):
+        # At the CLI defaults every prox of every epoch zeroes its span.
+        argv = ["train", "--out", str(tmp_path / "m.bin")]
+        for name in ("corpus", "instances", "subclass", "triples"):
+            argv += [f"--{name}", micro_dir[name]]
+        with caplog.at_level(logging.WARNING, logger="typespace.optimize"):
+            assert run(argv) == 0
+        records = [r for r in caplog.records if r.name == "typespace.optimize"]
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        epochs = Hyperparams().epochs
+        assert f"every prox zeroed its span (rank 0) in {epochs} of {epochs} epoch(s)" in records[0].getMessage()
 
     def test_deep_subclass_chain_exit_zero(self, micro_dir, tmp_path):
         chain = "place\tt0\n" + "".join(f"t{i}\tt{i + 1}\n" for i in range(1500))

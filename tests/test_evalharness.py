@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_impls as ref
 from typespace import synth
 from typespace.evalharness import (
+    _triple_scores,
     AnalogyProblem,
     DegenerateRankingError,
     EmbeddingView,
@@ -365,6 +368,23 @@ class TestEvalTripleClassification:
                 best_acc, best_delta = acc, delta
         assert out["thresholds"]["r"] == pytest.approx(best_delta)
         assert out["accuracy"] == pytest.approx(best_acc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_scores_match_per_row_norms(self, data):
+        n = data.draw(st.integers(1, 12))
+        n_ent = data.draw(st.integers(1, 10))
+        n_rel = data.draw(st.integers(1, 4))
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+        points = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n_ent, max_size=n_ent)))
+        rels = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n_rel, max_size=n_rel)))
+        view = make_view(points, rel_ids=[f"r{k}" for k in range(n_rel)], rel_vectors=rels)
+        entity, relation = st.integers(0, n_ent - 1), st.integers(0, n_rel - 1)
+        rows = data.draw(st.lists(st.tuples(entity, relation, entity)))
+        heads, rel_ids, tails = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        got = _triple_scores(view, heads, rel_ids, tails)
+        want = np.array([ref.ref_triple_score(view, h, r, t) for h, r, t in rows])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_missing_relation_uses_global_fallback(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])

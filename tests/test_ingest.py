@@ -1,12 +1,13 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import ref_load_type_system
+from reference_impls import ref_count_entity_word, ref_count_word_word, ref_load_type_system
 from typespace import ingest, synth
 from typespace.ingest import (
     CorpusParseError,
@@ -103,6 +104,19 @@ class TestLoadCorpus:
         p = tmp_path / "c.jsonl"
         write_corpus(p, [{"doc_id": "d", "sentences": [["Hello", "WORLD"]], "mentions": []}])
         assert load_corpus(p)[0].sentences == (("hello", "world"),)
+
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_corpus(
+            p,
+            [
+                {"doc_id": "d1", "sentences": [["The", "tower"], ["tower"]], "mentions": []},
+                {"doc_id": "d2", "sentences": [["TOWER", "the"]], "mentions": []},
+            ],
+        )
+        (d1, d2) = load_corpus(p)
+        assert d1.sentences[0][1] is d1.sentences[1][0] is d2.sentences[0][0]
+        assert d1.sentences[0][0] is d2.sentences[0][1]
 
     def test_unknown_entities_retained(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -260,6 +274,96 @@ class TestCountEntityWord:
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
         catalog = ingest.EntityCatalog(("real",), (1,), 0)
         assert len(count_entity_word(docs, vocab, catalog, window=5)) == 0
+
+
+def _identical(got, want):
+    """Same kind, and rows, cols and weights equal bit for bit, dtypes included."""
+    assert got.kind == want.kind
+    for name in ("rows", "cols", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_WORDS = ("a", "b", "c", "d", "e", "f")  # few words: repeats and same-word neighbours are common
+_ENTITIES = ("E0", "E1", "E2", "E3")
+
+
+@st.composite
+def _corpora(draw):
+    """Documents over a few words, a vocabulary that leaves some of them
+    out, and a catalog that leaves some mentioned entities out."""
+    docs = []
+    for k in range(draw(st.integers(0, 6))):
+        sentences = tuple(
+            tuple(draw(st.lists(st.sampled_from(_WORDS), max_size=12))) for _ in range(draw(st.integers(0, 4)))
+        )
+        mentions = []
+        for s, sent in enumerate(sentences):
+            for _ in range(draw(st.integers(0, 2)) if sent else 0):
+                start = draw(st.integers(0, len(sent) - 1))
+                end = draw(st.integers(start + 1, len(sent)))
+                mentions.append(Mention(draw(st.sampled_from(_ENTITIES)), s, (start, end)))
+        article_of = draw(st.none() | st.sampled_from(_ENTITIES))
+        docs.append(doc(doc_id=f"d{k}", sentences=sentences, mentions=mentions, article_of=article_of))
+    words = draw(st.lists(st.sampled_from(_WORDS), unique=True, min_size=1))
+    vocab = ingest.Vocabulary(tuple(words), tuple(1 for _ in words), 1)
+    entities = draw(st.lists(st.sampled_from(_ENTITIES), unique=True))
+    return docs, vocab, _catalog(*entities)
+
+
+class TestCountersMatchLoops:
+    """The array counters against the loops they replaced, over corpora with
+    out-of-vocabulary tokens, empty sentences, windows longer than a
+    sentence and, through a small chunk size, many chunks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_corpora(), window=st.integers(1, 14), chunk=st.integers(1, 40))
+    def test_word_word_bit_identical(self, corpus, window, chunk):
+        docs, vocab, _ = corpus
+        with mock.patch.object(ingest, "_CHUNK_TOKENS", chunk):
+            got = count_word_word(docs, vocab, window)
+        _identical(got, ref_count_word_word(docs, vocab, window))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_corpora(), window=st.integers(1, 14), chunk=st.integers(1, 40))
+    def test_entity_word_bit_identical(self, corpus, window, chunk):
+        docs, vocab, catalog = corpus
+        with mock.patch.object(ingest, "_CHUNK_TOKENS", chunk):
+            got = count_entity_word(docs, vocab, catalog, window)
+        _identical(got, ref_count_entity_word(docs, vocab, catalog, window))
+
+    def test_corpus_of_several_default_chunks(self):
+        # About four chunks at the module's own chunk size; Zipf-like word
+        # frequencies leave the rare words out of the vocabulary.
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(60)]
+        freq = 1.0 / np.arange(1, 61)
+        docs = []
+        for k in range(600):
+            sentences = [
+                tuple(rng.choice(words, size=rng.integers(1, 25), p=freq / freq.sum()).tolist())
+                for _ in range(rng.integers(1, 8))
+            ]
+            mentions = [Mention(f"E{rng.integers(12)}", s, (0, 1)) for s in range(len(sentences))]
+            docs.append(doc(doc_id=f"d{k}", sentences=sentences, mentions=mentions, article_of=f"E{k % 15}"))
+        assert sum(len(s) for d in docs for s in d.sentences) > 3 * ingest._CHUNK_TOKENS
+        vocab, _ = build_vocab_and_catalog(docs, min_count=200, min_doc_mentions=1)
+        assert 0 < len(vocab) < len(words)
+        catalog = _catalog(*(f"E{i}" for i in range(0, 15, 2)))
+        for window in (1, 10):
+            _identical(count_word_word(docs, vocab, window), ref_count_word_word(docs, vocab, window))
+            _identical(
+                count_entity_word(docs, vocab, catalog, window), ref_count_entity_word(docs, vocab, catalog, window)
+            )
+
+    def test_window_below_one_rejected(self):
+        docs = [doc()]
+        vocab, catalog = build_vocab_and_catalog(docs, 1, 1)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            count_word_word(docs, vocab, window=0)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            count_entity_word(docs, vocab, catalog, window=0)
 
 
 def _catalog(*ids):

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from dataclasses import replace
 
@@ -334,6 +335,20 @@ class TestTrain:
         # ... and beta 0 thresholds nothing.
         counts, report = prox_zero(0.0)
         assert counts == [0, 0] and report.prox_zero == 0
+
+    def test_collapsed_epochs_logged_once(self, caplog):
+        data = replace(synth.chain_graph(8), type_system=synth.single_type_system("thing", 8))
+
+        def warnings_at(beta):
+            hp = Hyperparams(n=3, alpha_mix=0.5, beta_reg=beta, epochs=2, variant="full", seed=1)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="typespace.optimize"):
+                train(data, TrainConfig(hp=hp, shuffle_seed=1))
+            return [r.getMessage() for r in caplog.records if r.name == "typespace.optimize"]
+
+        (message,) = warnings_at(1e6)
+        assert "in 2 of 2 epoch(s)" in message
+        assert warnings_at(0.0) == []
 
     def test_epoch_log_times_each_pass(self, tmp_path):
         ww, ew, store, params, hp = random_instance(2)
