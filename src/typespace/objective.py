@@ -15,8 +15,7 @@ its partials are computed exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +64,8 @@ def weight_f(x, x_max: float, exp: float):
     return np.minimum(np.power(x / x_max, exp), 1.0)
 
 
-# Table kind -> (gradient address name, EmbeddingModel attribute) of its
-# fit's row vectors, column vectors, row biases and column biases.  The
-# address names are also the trainer's AdaGrad accumulator names.
+# Table kind -> (AdaGrad accumulator name, EmbeddingModel attribute) of its
+# fit's row vectors, column vectors, row biases and column biases.
 _TEXT_FITS = {
     WORD_WORD: (("word", "word_vecs"), ("ctx", "ctx_vecs"), ("word_bias", "word_bias"), ("ctx_bias", "ctx_bias")),
     ENTITY_WORD: (
@@ -80,7 +78,7 @@ _TEXT_FITS = {
 
 
 def text_fit(model: EmbeddingModel, kind: str):
-    """(address names, model arrays) of a table kind's bilinear fit, in the
+    """(accumulator names, model arrays) of a table kind's bilinear fit, in the
     order row vectors, column vectors, row biases, column biases."""
     pairs = _TEXT_FITS[kind]
     return tuple(name for name, _ in pairs), tuple(getattr(model, attr) for _, attr in pairs)
@@ -241,13 +239,9 @@ def total_objective(
     return out
 
 
-# ---------------------------------------------------------------------------
 # Per-item smooth terms and their exact partials.  The trainer steps with
-# these one item at a time, scaled by its mixing weight; loss_and_gradients
-# sums them over a batch.  Gradient addresses are tuples: ("entity", e),
-# ("word", j), ("ctx", j), ("word_bias", j), ("ctx_bias", j),
-# ("entity_bias", e), ("rel", k), ("anchors", type_id),
-# ("lambda", type_id, row), ("q", side, key), ("mu", side, key, row).
+# these, scaled by its mixing weight, and the finite-difference suite checks
+# the trainer's steps.
 
 
 def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
@@ -264,123 +258,11 @@ def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
     return fx * resid * resid, coef[..., None] * v, coef[..., None] * u, coef
 
 
-def type_term_gradients(model: EmbeddingModel, type_id: str, tp: SubspaceBlock):
-    """Loss and addressed partials of one type's convex-combination fit."""
-    resid = block_resid(tp, model.entity_points[tp.members])
-    coeff_grad = block_coeff_grad(tp, resid)
-    grads: dict = {("anchors", type_id): block_anchor_grad(tp, resid)}
-    for row, e in enumerate(tp.members.tolist()):
-        grads[("lambda", type_id, row)] = coeff_grad[row]
-        grads[("entity", e)] = 2.0 * resid[row]
-    return block_loss(resid), grads
-
-
 def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int, scale=1.0):
-    """Loss and addressed partials, times scale, of one triple's translation
-    residual; the factor 2 reflects the triple's appearance in both group
-    sums.  For a self-loop (e == f) the two entity partials cancel, and the
-    one entity partial is zero."""
+    """Loss of one triple's translation residual r = P_f - P_e - r_k, and
+    g = its partial with respect to P_f times scale; the partials with
+    respect to P_e and r_k are -g.  The factor 2 reflects the triple's
+    appearance in both group sums.  For a self-loop (e == f) the two entity
+    partials cancel."""
     r = model.entity_points[f] - model.entity_points[e] - rels.vectors[k]
-    loss = 2.0 * float(r @ r)
-    g = scale * 4.0 * r
-    if e == f:
-        return loss, {("entity", e): np.zeros_like(r), ("rel", k): -g}
-    return loss, {("entity", f): g, ("entity", e): -g, ("rel", k): -g}
-
-
-def rel_group_gradients(model: EmbeddingModel, rels: RelationParams, side: str, key: tuple[int, int], gp: SubspaceBlock):
-    """Loss and addressed partials of one relation group's subspace fit."""
-    plan = group_plan(gp.members, side, key)
-    resid = block_resid(gp, group_points(model.entity_points, rels.vectors, plan))
-    grads: dict = {("q", side, key): block_anchor_grad(gp, resid)}
-    for row, g in enumerate(block_coeff_grad(gp, resid)):
-        grads[("mu", side, key, row)] = g
-    entity_grads, rel_grad = group_point_gradients(plan, resid)
-    for e, g in zip(plan.step_rows.tolist(), entity_grads):
-        grads[("entity", e)] = g
-    grads[("rel", plan.rel)] = rel_grad
-    return block_loss(resid), grads
-
-
-@dataclass
-class Batch:
-    """A subset of smooth objective terms for loss_and_gradients.
-
-    ww/ew are (row, col, count) entries; type_ids name whole type terms;
-    triples are (head, rel, tail) index triples; rhs_keys/lhs_keys name
-    relation groups.
-    """
-
-    ww: list = field(default_factory=list)
-    ew: list = field(default_factory=list)
-    type_ids: list = field(default_factory=list)
-    comb: bool = False
-    triples: list = field(default_factory=list)
-    rhs_keys: list = field(default_factory=list)
-    lhs_keys: list = field(default_factory=list)
-
-    @classmethod
-    def full(
-        cls,
-        word_word: CooccurrenceTable | None,
-        entity_word: CooccurrenceTable | None,
-        store: TripleStore | None,
-        params: ModelParams,
-        comb: bool = False,
-    ) -> "Batch":
-        b = cls(comb=comb)
-        if word_word is not None:
-            b.ww = [(int(r), int(c), float(w)) for r, c, w in zip(word_word.rows, word_word.cols, word_word.weights)]
-        if entity_word is not None:
-            b.ew = [(int(r), int(c), float(w)) for r, c, w in zip(entity_word.rows, entity_word.cols, entity_word.weights)]
-        b.type_ids = sorted(params.types.per_type)
-        if store is not None:
-            b.triples = list(store.triples)
-        b.rhs_keys = sorted(params.rels.rhs_groups)
-        b.lhs_keys = sorted(params.rels.lhs_groups)
-        return b
-
-
-def _merge(into: dict, grads: dict) -> None:
-    for key, val in grads.items():
-        if key in into:
-            into[key] = into[key] + val
-        else:
-            into[key] = val
-
-
-def loss_and_gradients(batch: Batch, params: ModelParams, hp: Hyperparams):
-    """Unweighted sum of the batch's smooth terms and its exact partials.
-
-    The alpha mixing weights are the optimizer's business; nuclear norms
-    never contribute here.
-    """
-    model, types, rels = params.model, params.types, params.rels
-    total = 0.0
-    grads: dict = {}
-    for kind, entries in ((WORD_WORD, batch.ww), (ENTITY_WORD, batch.ew)):
-        (nu, nv, nbu, nbv), (u, v, bu, bv) = text_fit(model, kind)
-        for i, j, x in entries:
-            fx = weight_f(x, hp.x_max, hp.weight_exp)
-            loss, gu, gv, gb = text_entry_terms(u[i], v[j], bu[i], bv[j], fx, math.log(x))
-            total += loss
-            _merge(grads, {(nu, i): gu, (nv, j): gv, (nbu, i): gb, (nbv, j): gb})
-    for type_id in batch.type_ids:
-        loss, g = type_term_gradients(model, type_id, types[type_id])
-        total += loss
-        _merge(grads, g)
-        if batch.comb:
-            loss, g = comb_penalty_terms(types[type_id].anchors)
-            total += loss
-            _merge(grads, {("anchors", type_id): g})
-    for e, k, f in batch.triples:
-        loss, g = rel_dist_triple_terms(model, rels, e, k, f)
-        total += loss
-        _merge(grads, g)
-    groups = dict(rels.sides())
-    for side, keys in (("rhs", batch.rhs_keys), ("lhs", batch.lhs_keys)):
-        for key in keys:
-            loss, g = rel_group_gradients(model, rels, side, key, groups[side][key])
-            total += loss
-            _merge(grads, g)
-    return total, grads
+    return 2.0 * float(r @ r), scale * 4.0 * r

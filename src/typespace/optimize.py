@@ -349,12 +349,16 @@ def _rel_dist_pass(params, state, data, hp, rng):
     vector, in shuffled triple order."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
+    points, vectors = params.model.entity_points, params.rels.vectors
     triples = data.triples.triples
     for idx in rng.permutation(len(triples)):
         e, k, f = triples[idx]
-        for (name, i), g in rel_dist_triple_terms(params.model, params.rels, e, k, f, scale)[1].items():
-            values = params.rels.vectors if name == "rel" else params.model.entity_points
-            adagrad_step(values[i], g, getattr(state, name)[i], lr, name=f"{name}[{i}]")
+        g = rel_dist_triple_terms(params.model, params.rels, e, k, f, scale)[1]
+        if e != f:
+            adagrad_step(points[f], g, state.entity[f], lr, name=f"entity[{f}]")
+        # A self-loop's entity partials cancel: its entity takes a zero step.
+        adagrad_step(points[e], -g if e != f else np.zeros_like(g), state.entity[e], lr, name=f"entity[{e}]")
+        adagrad_step(vectors[k], -g, state.rel[k], lr, name=f"rel[{k}]")
 
 
 def _group_plans(params, state):

@@ -9,6 +9,7 @@ format round-trips losslessly; a text export is available for interop.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, fields
@@ -56,9 +57,10 @@ def variant_flags(variant: str) -> VariantFlags:
 
 
 class ModelFormatError(ValueError):
-    """Wrong magic string, incompatible format version, or contents that
-    disagree with each other (array shapes against the id tables and the
-    embedding dimension, member indices, relation-group keys)."""
+    """Wrong magic string, incompatible format version, a non-finite
+    value, or contents that disagree with each other (array shapes against
+    the id tables and the embedding dimension, member indices,
+    relation-group keys)."""
 
 
 class ModelIntegrityError(ValueError):
@@ -353,11 +355,18 @@ class _Reader:
     def strings(self) -> tuple[str, ...]:
         return tuple(self.string() for _ in range(self.u64()))
 
-    def array(self) -> np.ndarray:
+    def array(self, name: str, where: tuple = ()) -> np.ndarray:
+        """The next float array; _label(where, name) names it in the error
+        for a NaN or infinite value."""
         ndim = self.u64()
         shape = tuple(self.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(self.raw(count * 8), dtype="<f8")
+        # A sum of squares is finite only if every value is, and it costs
+        # half the exact test; only an overflow of finite values needs that.
+        # vdot, unlike matmul and dot, raises no floating-point warning.
+        if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
+            raise ModelFormatError(f"{_label(where, name)} holds a non-finite value")
         return data.reshape(shape).copy()
 
     def index_array(self) -> np.ndarray:
@@ -388,18 +397,22 @@ def _write_block(w: _Writer, block: SubspaceBlock):
     w.array(block.coeffs)
 
 
+def _label(where: tuple, name: str) -> str:
+    """An array's name in an error, after the block (where) that holds it."""
+    return f"{' '.join(map(str, where))}: {name}" if where else name
+
+
 def _check_shapes(where: tuple, arrays) -> None:
     """Reject the first (name, array, expected shape) whose shape differs."""
     for name, arr, shape in arrays:
         if arr.shape != shape:
-            prefix = f"{' '.join(map(str, where))}: " if where else ""
-            raise ModelFormatError(f"{prefix}{name} shape {arr.shape}, expected {shape}")
+            raise ModelFormatError(f"{_label(where, name)} shape {arr.shape}, expected {shape}")
 
 
 def _read_block(r: _Reader, n: int, virtual: int, where: tuple) -> SubspaceBlock:
     """Read a block and check its shapes against the embedding dimension n;
     a relation group has one virtual coefficient row."""
-    block = SubspaceBlock(anchors=r.array(), members=r.index_array(), coeffs=r.array())
+    block = SubspaceBlock(anchors=r.array("anchors", where), members=r.index_array(), coeffs=r.array("coeffs", where))
     _check_shapes(where, (
         ("anchors", block.anchors, (n + 1, n)),
         ("coeffs", block.coeffs, (len(block.members) + virtual, n + 1)),
@@ -508,14 +521,9 @@ def load_model(path) -> LoadedModel:
     word_ids = r.strings()
     relation_ids = r.strings()
 
-    model = EmbeddingModel(
-        entity_points=r.array(),
-        word_vecs=r.array(),
-        ctx_vecs=r.array(),
-        word_bias=r.array(),
-        ctx_bias=r.array(),
-        entity_bias=r.array(),
-    )
+    model = EmbeddingModel(**{name: r.array(name) for name in (
+        "entity_points", "word_vecs", "ctx_vecs", "word_bias", "ctx_bias", "entity_bias"
+    )})
 
     blocks = {}
     types = TypeSubspaceParams()
@@ -523,7 +531,7 @@ def load_model(path) -> LoadedModel:
         type_id = r.string()
         blocks["type", type_id] = types.per_type[type_id] = _read_block(r, hp.n, 0, ("type", type_id))
 
-    rels = RelationParams(vectors=r.array())
+    rels = RelationParams(vectors=r.array("relation vectors"))
     for side, groups in rels.sides():
         for _ in range(r.u64()):
             key = (r.i64(), r.i64())

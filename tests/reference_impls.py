@@ -220,40 +220,49 @@ def collect_param_arrays(params):
     return arrs
 
 
-def gradient_dict_to_arrays(grads, params):
-    """Scatter a sparse gradient dict into dense arrays keyed like
-    collect_param_arrays."""
-    out = {str(name): np.zeros_like(arr) for name, arr in collect_param_arrays(params)}
+class StepRecorder:
+    """A stand-in for optimize.adagrad_step that moves nothing, so every
+    gradient of a pass is taken at the same parameters.
 
-    for addr, val in grads.items():
-        kind = addr[0]
-        if kind in ("entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias", "rel"):
-            out[kind][addr[1]] += val
-        elif kind == "anchors":
-            out[str(("anchors", addr[1]))] += val
-        elif kind == "lambda":
-            out[str(("lambda", addr[1]))][addr[2]] += val
-        elif kind == "q":
-            out[str(("q", addr[1], addr[2]))] += val
-        elif kind == "mu":
-            out[str(("mu", addr[1], addr[2]))][addr[3]] += val
+    Each gradient is added into a zero array shaped like the parameter array
+    the step would have moved (grads, keyed like collect_param_arrays, holds
+    the stepped arrays only).  The array is found by memory overlap, since a
+    step may move a row view.  steps lists (key, rows, gradient) per call in
+    call order; rows is None for a whole-array step and the row indices
+    otherwise, a row view counting as one row.
+    """
+
+    def __init__(self, params):
+        self.arrays = [(str(name), arr) for name, arr in collect_param_arrays(params)]
+        self.grads = {}
+        self.steps = []
+
+    def __call__(self, values, grad, state, lr, name="param", rows=None):
+        key, arr = next((key, arr) for key, arr in self.arrays if np.shares_memory(values, arr))
+        g = np.array(grad, dtype=np.float64)
+        dense = self.grads.setdefault(key, np.zeros_like(arr))
+        if values.shape != arr.shape:  # a row view
+            assert values.flags.c_contiguous and rows is None
+            rows = [(values.ctypes.data - arr.ctypes.data) // arr.strides[0]]
+            g = g[None]
+        if rows is None:
+            dense += g
         else:
-            raise KeyError(addr)
-    return out
+            np.add.at(dense, rows, g)
+        self.steps.append((key, None if rows is None else [int(r) for r in rows], g))
 
 
-def finite_difference_check(loss_fn, params, analytic, h=1e-5, only_touched=True):
+def finite_difference_check(loss_fn, params, analytic, h=1e-5):
     """Worst relative error between central finite differences of loss_fn
-    and the analytic gradient arrays.
+    and the analytic gradient arrays, over every entry of each array that
+    analytic names (keyed like collect_param_arrays).
 
     Near-zero partials (both sides below 1e-7) are compared absolutely.
-    With only_touched, arrays whose analytic gradient is identically zero
-    are skipped (their structural absence is asserted elsewhere).
     """
     worst = 0.0
     for name, arr in collect_param_arrays(params):
-        an = analytic[str(name)]
-        if only_touched and not np.any(an):
+        an = analytic.get(str(name))
+        if an is None:
             continue
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:

@@ -8,12 +8,13 @@ what is asserted.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import reference_impls as ref
 from conftest import random_instance
-from typespace import cli, synth
+from typespace import cli, optimize, synth
 from typespace.evalharness import (
     EmbeddingView,
     RankingProblem,
@@ -27,10 +28,11 @@ from typespace.evalharness import (
 )
 from typespace.evalharness import _rank_of  # tie-rule rank used by link prediction
 from typespace.ingest import TypeSystem
-from typespace.objective import Batch, loss_and_gradients, rel_dist_loss
+from typespace.objective import block_loss, block_resid, comb_penalty_terms, rel_dist_loss, text_loss
 from typespace.optimize import (
     TrainConfig,
     TrainData,
+    TrainReport,
     project_to_simplex,
     prox_nuclear,
     train,
@@ -38,9 +40,11 @@ from typespace.optimize import (
 from typespace.params import (
     Hyperparams,
     anchor_span_matrix,
+    group_points,
     init_parameters,
     load_model,
     save_model,
+    variant_flags,
 )
 from typespace.subspace import effective_rank, project_to_subspace, type_subspace
 
@@ -62,36 +66,137 @@ class Stopwatch:
         return elapsed
 
 
-COMPONENT_BATCHES = {
-    "word_word": lambda ww, ew, store, params: Batch(
-        ww=[(int(r), int(c), float(w)) for r, c, w in zip(ww.rows, ww.cols, ww.weights)]
-    ),
-    "entity_word": lambda ww, ew, store, params: Batch(
-        ew=[(int(r), int(c), float(w)) for r, c, w in zip(ew.rows, ew.cols, ew.weights)]
-    ),
-    "type": lambda ww, ew, store, params: Batch(type_ids=sorted(params.types.per_type)),
-    "type_comb_penalty": lambda ww, ew, store, params: Batch(type_ids=sorted(params.types.per_type), comb=True),
-    "rel_dim": lambda ww, ew, store, params: Batch(
-        rhs_keys=sorted(params.rels.rhs_groups), lhs_keys=sorted(params.rels.lhs_groups)
-    ),
-    "rel_dist": lambda ww, ew, store, params: Batch(triples=list(store.triples)),
-}
+# Arrays a pass's loss depends on that the pass does not step, so their
+# partials are not checked.  The type pass leaves the entity points fixed
+# (the FOUND on _type_pass in CHANGES.md, ROADMAP item 1); the fix of item 1
+# has to remove these entries.
+KNOWN_UNSTEPPED = {"type": {"entity"}, "type_comb": {"entity"}}
 
 
-def test_criterion_01_gradient_suite():
+def _pass_runs(ww, ew, store, params, hp, seed):
+    """(name, run, loss, keys, check) per pass run of acceptance 1: run()
+    runs the trainer's pass, loss() is that pass's loss times alpha or
+    1 - alpha, keys name the arrays the loss depends on (as
+    collect_param_arrays does), and check(recorder) asserts the order of the
+    recorded steps and returns a count for the caller to require non-zero
+    over all seeds."""
+    m, types, rels = params.model, params.types, params.rels
+    data = TrainData(m.n_entities, m.n_words, ww, ew, synth.empty_type_system(), store)
+    state = optimize._AdaState(params)
+    plans = optimize._group_plans(params, state)
+    alpha, rest = hp.alpha_mix, 1.0 - hp.alpha_mix
+
+    def order(size):  # the shuffle of the text and triple passes
+        return np.random.default_rng(seed).permutation(size)
+
+    def text():
+        entries = optimize._prepare_text_entries(data, hp)
+        optimize._text_pass(entries, order(len(entries[0])), params, state, hp, alpha)
+
+    def type_loss(comb):
+        total = 0.0
+        for tp in types.per_type.values():
+            total += block_loss(block_resid(tp, m.entity_points[tp.members]))
+            total += comb_penalty_terms(tp.anchors)[0] if comb else 0.0
+        return rest * total
+
+    def group_loss():
+        total = 0.0
+        for gp, plan, _, _ in plans:
+            total += block_loss(block_resid(gp, group_points(m.entity_points, rels.vectors, plan)))
+        return rest * total
+
+    def type_run(variant):
+        return lambda: optimize._type_pass(params, state, hp, variant_flags(variant), TrainReport())
+
+    def type_steps(rec):
+        return _check_block_steps(rec, [(types[t], []) for t in sorted(types.per_type)])
+
+    def group_steps(rec):
+        # A group's block step, then its points' entities and its relation.
+        blocks = [(gp, [("entity", plan.step_rows.tolist()), ("rel", [plan.rel])]) for gp, plan, _, _ in plans]
+        return _check_block_steps(rec, blocks)
+
+    type_keys = {str((kind, t)) for t in types.per_type for kind in ("anchors", "lambda")} | {"entity"}
+    group_keys = {str((kind, side, key)) for side, groups in rels.sides() for key in groups for kind in ("q", "mu")}
+    return [
+        ("text", text, lambda: alpha * (text_loss(ww, m, hp) + text_loss(ew, m, hp)),
+         {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew)),
+        ("type", type_run("full"), lambda: type_loss(False), type_keys, type_steps),
+        ("type_comb", type_run("type_comb"), lambda: type_loss(True), type_keys, type_steps),
+        ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
+         lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
+         lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
+        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans),
+         group_loss, group_keys | {"entity", "rel"}, group_steps),
+    ]
+
+
+def _check_text_steps(rec, ww, ew):
+    """Batches of four steps (row vectors, column vectors, row biases,
+    column biases) whose k-th rows are one entry's, and every entry stepped
+    exactly once.  Returns 1 when some batch holds several entries."""
+    tables = {("word", "ctx", "word_bias", "ctx_bias"): ww, ("entity", "word", "entity_bias", "word_bias"): ew}
+    assert len(rec.steps) % 4 == 0
+    seen = []
+    for b in range(0, len(rec.steps), 4):
+        (ku, i, _), (kv, j, _), (kbu, bi, _), (kbv, bj, _) = rec.steps[b : b + 4]
+        assert bi == i and bj == j
+        seen += [(tables[ku, kv, kbu, kbv].kind, r, c) for r, c in zip(i, j)]
+    assert sorted(seen) == sorted((t.kind, int(r), int(c)) for t in (ww, ew) for r, c in zip(t.rows, t.cols))
+    return int(len(rec.steps) // 4 < len(seen))
+
+
+def _check_rel_dist_steps(rec, triples, order):
+    """Per triple in pass order, steps on entity f, entity e and relation k;
+    a self-loop steps its entity once, with a zero gradient.  Returns the
+    number of self-loops."""
+    it = iter(rec.steps)
+    loops = 0
+    for e, k, f in (triples[idx] for idx in order):
+        if e != f:
+            assert next(it)[:2] == ("entity", [f])
+        key, rows, g = next(it)
+        assert (key, rows) == ("entity", [e])
+        if e == f:
+            assert not g.any()
+            loops += 1
+        assert next(it)[:2] == ("rel", [k])
+    assert next(it, None) is None
+    return loops
+
+
+def _check_block_steps(rec, blocks):
+    """Per (block, further steps) in pass order, the coefficient step, then
+    the anchor step, then the further (key, rows) steps.  Returns 0."""
+    key_of = {id(arr): key for key, arr in rec.arrays}
+    expected = []
+    for block, further in blocks:
+        expected += [(key_of[id(block.coeffs)], None), (key_of[id(block.anchors)], None), *further]
+    assert [step[:2] for step in rec.steps] == expected
+    return 0
+
+
+def test_criterion_01_gradient_suite(monkeypatch):
+    # The trainer's own passes, run with a recording adagrad_step that moves
+    # nothing, against central differences of each pass's loss.
     sw = Stopwatch(30.0)
     dims = [2, 3, 4, 5, 6, 8]
+    counts = {}
     for seed in range(50):
         n = dims[seed % len(dims)]
         ww, ew, store, params, hp = random_instance(seed, n=n, n_entities=5, n_words=4)
-        for name, make_batch in COMPONENT_BATCHES.items():
-            batch = make_batch(ww, ew, store, params)
-            _, grads = loss_and_gradients(batch, params, hp)
-            analytic = ref.gradient_dict_to_arrays(grads, params)
-            worst = ref.finite_difference_check(
-                lambda: loss_and_gradients(batch, params, hp)[0], params, analytic, h=1e-5
-            )
-            assert worst < 1e-4, f"component {name}, seed {seed}: rel err {worst:.2e}"
+        hp = replace(hp, alpha_mix=0.3, beta_reg=0.0)
+        for name, run, loss, keys, check in _pass_runs(ww, ew, store, params, hp, seed):
+            rec = ref.StepRecorder(params)
+            monkeypatch.setattr(optimize, "adagrad_step", rec)
+            run()
+            assert set(rec.grads) == keys - KNOWN_UNSTEPPED.get(name, set()), name
+            worst = ref.finite_difference_check(loss, params, rec.grads, h=1e-5)
+            assert worst < 1e-4, f"pass {name}, seed {seed}: rel err {worst:.2e}"
+            counts[name] = counts.get(name, 0) + check(rec)
+    # Some text batch held several entries, and some triple was a self-loop.
+    assert counts["text"] and counts["rel_dist"]
     elapsed = sw.check()
     report(f"ACCEPTANCE 1 gradient suite: PASS ({elapsed:.1f}s)")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from typespace import cli, evalharness, ingest, subspace
-from typespace.params import Hyperparams, load_model
+from typespace.params import Hyperparams, load_model, save_model
 
 
 def run(argv):
@@ -270,6 +270,16 @@ class TestEval:
         bad.write_bytes(bytes(blob))
         code = run(["eval", "ranking", "--model", str(bad), "--problems", "x"])
         assert code == 1
+
+    def test_non_finite_model_one_line_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        # A valid checksum over a NaN entity point: the load check names the array.
+        m = load_model(trained_model)
+        m.model.entity_points[1, 2] = np.nan
+        bad = tmp_path / "nan.bin"
+        save_model(bad, m.model, m.types, m.rels, m.hp, m.entity_ids, m.word_ids, m.relation_ids)
+        code = run(["eval", "ranking", "--model", str(bad), "--problems", micro_dir["ranking"]])
+        err = capsys.readouterr().err
+        assert code == 1 and err.strip() == "error: entity_points holds a non-finite value"
 
     def test_ranking_problem_without_split_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
         with open(micro_dir["ranking"], encoding="utf-8") as fh:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from reference_impls import best_simplex_fit_residual, finite_difference_check, gradient_dict_to_arrays
+from reference_impls import best_simplex_fit_residual
 from typespace.ingest import (
     CooccurrenceTable,
     ENTITY_WORD,
@@ -13,13 +13,12 @@ from typespace.ingest import (
     WORD_WORD,
 )
 from typespace.objective import (
-    Batch,
     SimplexViolationError,
-    loss_and_gradients,
     nuclear_norm,
     regularizer,
     rel_dim_loss,
     rel_dist_loss,
+    text_entry_terms,
     text_loss,
     total_objective,
     type_comb_penalty,
@@ -414,40 +413,35 @@ class TestTotalObjective:
 
 
 class TestLossAndGradients:
+    """text_entry_terms, the loss and partials the trainer's text pass steps
+    with; acceptance 1 finite-differences those steps."""
+
     def test_zero_residual_batch_zero_gradient(self):
-        model = make_model(np.zeros((1, 2)))
-        types = TypeSubspaceParams()
-        rels = RelationParams(vectors=np.zeros((0, 2)))
-        params = ModelParams(model, types, rels)
-        batch = Batch(ww=[(0, 1, 1.0)])
-        val, grads = loss_and_gradients(batch, params, Hyperparams(n=2, epochs=1))
-        assert val == 0.0
-        for g in grads.values():
-            assert np.all(np.asarray(g) == 0.0)
+        u, v = np.zeros((1, 2)), np.array([[0.3, -0.7]])
+        loss, gu, gv, gb = text_entry_terms(u, v, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1))
+        assert np.all(loss == 0.0)
+        for g in (gu, gv, gb):
+            assert np.all(g == 0.0)
 
     def test_single_entry_bias_partial(self):
         ww, ew, store, params, hp = random_instance(3)
         i, j, x = int(ww.rows[0]), int(ww.cols[0]), float(ww.weights[0])
-        batch = Batch(ww=[(i, j, x)])
-        _, grads = loss_and_gradients(batch, params, hp)
         m = params.model
-        resid = float(m.word_vecs[i] @ m.ctx_vecs[j]) + m.word_bias[i] + m.ctx_bias[j] - math.log(x)
         fx = weight_f(x, hp.x_max, hp.weight_exp)
-        assert grads[("word_bias", i)] == pytest.approx(2.0 * fx * resid, rel=1e-12)
+        gb = text_entry_terms(m.word_vecs[i], m.ctx_vecs[j], m.word_bias[i], m.ctx_bias[j], fx, math.log(x))[3]
+        resid = float(m.word_vecs[i] @ m.ctx_vecs[j]) + m.word_bias[i] + m.ctx_bias[j] - math.log(x)
+        assert gb == pytest.approx(2.0 * fx * resid, rel=1e-12)
 
     def test_gradients_only_touch_involved_parameters(self):
+        # In a batch, each entry's loss and partials are those of its own
+        # four rows taken alone, to the bit.
         ww, ew, store, params, hp = random_instance(5)
-        batch = Batch(ww=[(int(ww.rows[0]), int(ww.cols[0]), float(ww.weights[0]))])
-        _, grads = loss_and_gradients(batch, params, hp)
-        kinds = {addr[0] for addr in grads}
-        assert kinds <= {"word", "ctx", "word_bias", "ctx_bias"}
-
-    def test_finite_difference_smoke(self):
-        ww, ew, store, params, hp = random_instance(8)
-        batch = Batch.full(ww, ew, store, params, comb=True)
-        val, grads = loss_and_gradients(batch, params, hp)
-        analytic = gradient_dict_to_arrays(grads, params)
-        worst = finite_difference_check(
-            lambda: loss_and_gradients(batch, params, hp)[0], params, analytic
-        )
-        assert worst < 1e-4
+        m, i, j = params.model, ew.rows, ew.cols
+        fx, logx = weight_f(ew.weights, hp.x_max, hp.weight_exp), np.log(ew.weights)
+        batch = text_entry_terms(m.entity_points[i], m.word_vecs[j], m.entity_bias[i], m.word_bias[j], fx, logx)
+        for k in range(len(ew)):
+            alone = text_entry_terms(
+                m.entity_points[i[k]], m.word_vecs[j[k]], m.entity_bias[i[k]], m.word_bias[j[k]], fx[k], logx[k]
+            )
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[k], want)

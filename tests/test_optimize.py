@@ -18,7 +18,7 @@ from reference_impls import (
 )
 from typespace import optimize, synth
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TypeSystem
-from typespace.objective import Batch, loss_and_gradients, nuclear_norm, regularizer, rel_group_gradients, variant_flags
+from typespace.objective import nuclear_norm, regularizer, variant_flags
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
@@ -423,123 +423,6 @@ class TestTrain:
         assert report.epochs == 5
         assert len(report.wall_ms) == 5
         assert len(report.dim_trace) == 5
-
-
-class TestTrainerStepsWithCheckedGradients:
-    """The gradients the trainer's passes hand to adagrad_step are alpha or
-    (1 - alpha) times the loss_and_gradients partials that the
-    finite-difference suite checks, at the same parameters."""
-
-    ALPHA = 0.3
-
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        # Records every step as (name, rows, gradient) and moves nothing, so
-        # all gradients of a pass are taken at the same parameters.
-        calls = []
-
-        def record(values, grad, state, lr, name="param", rows=None):
-            calls.append((name, rows, np.array(grad, dtype=np.float64)))
-
-        monkeypatch.setattr(optimize, "adagrad_step", record)
-        return calls
-
-    def _instance(self, seed):
-        ww, ew, store, params, hp = random_instance(seed)
-        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
-        return data, params, replace(hp, alpha_mix=self.ALPHA)
-
-    @staticmethod
-    def _assert_steps(steps, expected):
-        # A row step is compared row by row, as name[row].
-        named = []
-        for name, rows, grad in steps:
-            named += [(name, grad)] if rows is None else [(f"{name}[{r}]", g) for r, g in zip(rows, grad)]
-        assert [name for name, _ in named] == [name for name, _ in expected]
-        for (name, got), (_, want) in zip(named, expected):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
-
-    def test_text_pass(self, steps):
-        data, params, hp = self._instance(3)
-        entries = optimize._prepare_text_entries(data, hp)
-        order = np.random.default_rng(3).permutation(len(entries[0]))
-        n_batches = optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
-        assert len(steps) == 4 * n_batches
-        tables = {
-            ("word", "ctx", "word_bias", "ctx_bias"): ("ww", data.word_word),
-            ("entity", "word", "entity_bias", "word_bias"): ("ew", data.entity_word),
-        }
-        seen = []
-        for b in range(n_batches):
-            # One batch steps row vectors, column vectors, row biases and
-            # column biases; the k-th rows of all four belong to one entry.
-            batch = steps[4 * b : 4 * b + 4]
-            names = tuple(name for name, _, _ in batch)
-            field, table = tables[names]
-            i_rows, j_rows = batch[0][1], batch[1][1]
-            assert np.array_equal(batch[2][1], i_rows) and np.array_equal(batch[3][1], j_rows)
-            for k, (i, j) in enumerate(zip(i_rows.tolist(), j_rows.tolist())):
-                x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
-                grads = loss_and_gradients(Batch(**{field: [(i, j, x)]}), params, hp)[1]
-                for (name, _, got), idx in zip(batch, (i, j, i, j)):
-                    want = self.ALPHA * np.atleast_1d(grads[(name, idx)])
-                    got_row = np.atleast_1d(got[k])
-                    np.testing.assert_allclose(got_row, want, rtol=1e-12, atol=1e-15, err_msg=f"{name}[{idx}]")
-                seen.append((field, i, j))
-        everything = [
-            (field, int(i), int(j)) for field, table in tables.values() for i, j in zip(table.rows, table.cols)
-        ]
-        assert sorted(seen) == sorted(everything)
-        assert n_batches < len(everything)  # some batch holds several entries
-
-    def test_rel_dist_pass(self, steps):
-        data, params, hp = self._instance(4)
-        # One ordinary triple and one self-loop, whose entity is stepped once
-        # with a zero gradient.
-        e, k, f = data.triples.triples[0]
-        data = replace(data, triples=replace(data.triples, triples=((e, k, f), (e, k, e))))
-        optimize._rel_dist_pass(params, optimize._AdaState(params), data, hp, np.random.default_rng(0))
-        expected = []
-        for idx in np.random.default_rng(0).permutation(2):
-            grads = loss_and_gradients(Batch(triples=[data.triples.triples[idx]]), params, hp)[1]
-            expected += [(f"{name}[{i}]", (1.0 - self.ALPHA) * g) for (name, i), g in grads.items()]
-        self._assert_steps(steps, expected)
-        assert [name for name, _, _ in steps].count(f"entity[{e}]") == 2
-
-    def test_block_step(self, steps):
-        data, params, hp = self._instance(5)
-        tp = params.types["t1"]
-        before = loss_and_gradients(Batch(type_ids=["t1"]), params, hp)[1]
-        points = params.model.entity_points[tp.members]
-        acc = optimize._AdaState(params).blocks["t1"]
-        optimize._block_step(tp, points, acc, hp, False, False, TrainReport(), "t1")
-        # The anchor step follows the coefficient step: its gradient is
-        # taken at the projected coefficients.
-        after = loss_and_gradients(Batch(type_ids=["t1"]), params, hp)[1]
-        coeff_grad = np.array([before[("lambda", "t1", row)] for row in range(len(tp.members))])
-        scale = 1.0 - self.ALPHA
-        self._assert_steps(steps, [("coeffs[t1]", scale * coeff_grad), ("anchors[t1]", scale * after[("anchors", "t1")])])
-
-    def test_rel_dim_pass(self, steps):
-        data, params, hp = self._instance(6)
-        hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
-        state = optimize._AdaState(params)
-        plans = optimize._group_plans(params, state)
-        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
-        # A group's coefficient step is test_block_step's; the anchor, member
-        # and relation steps are taken at the projected coefficients, which
-        # the pass leaves behind.
-        steps[:] = [step for step in steps if not step[0].startswith("coeffs[")]
-        scale = 1.0 - self.ALPHA
-        expected = []
-        for side, groups in params.rels.sides():
-            for key in sorted(groups):
-                grads = rel_group_gradients(params.model, params.rels, side, key, groups[key])[1]
-                expected.append((f"anchors[{side}{key}]", scale * grads[("q", side, key)]))
-                expected += [(f"entity[{addr[1]}]", scale * g) for addr, g in grads.items() if addr[0] == "entity"]
-                expected += [(f"rel[{addr[1]}]", scale * g) for addr, g in grads.items() if addr[0] == "rel"]
-        assert sum(len(groups) for _, groups in params.rels.sides()) > 1
-        self._assert_steps(steps, expected)
 
 
 class TestRelGroupPass:

@@ -167,6 +167,12 @@ def _short_width(a):
     return a[:, :-1]
 
 
+def _nan_last(a):
+    a = a.copy()
+    a.flat[-1] = np.nan
+    return a
+
+
 _KEY_RANGE = "key index out of range"
 # case id -> (tamper, message); small_setup has 5 entities, 4 words and 2
 # relations.
@@ -191,6 +197,7 @@ _INCONSISTENT = {
     "rhs_key_relation": (_rekey("rhs", (0, 2)), _KEY_RANGE),
     "lhs_key_relation_negative": (_rekey("lhs", (-1, 0)), _KEY_RANGE),
     "lhs_key_entity": (_rekey("lhs", (0, 5)), _KEY_RANGE),
+    "entity_point_nan": (_edit("model", "entity_points", _nan_last), "entity_points holds a non-finite value"),
 }
 
 
@@ -213,6 +220,7 @@ class TestPersistence:
         params, hp, _ = small_setup(seed=3)
         # make values non-trivial
         params.model.word_bias += 0.125
+        params.model.entity_points[0, 0] = 1e300  # finite, though its square overflows
         params.types["thing"].coeffs[0, 0] = 0.5
         params.types["thing"].coeffs[0, 1:] = 0.5 / (params.types["thing"].coeffs.shape[1] - 1)
         path = self._save(tmp_path, params, hp)
