@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from reference_impls import (
 )
 from typespace import optimize, synth
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TypeSystem
-from typespace.objective import nuclear_norm, regularizer, variant_flags
+from typespace.objective import nuclear_norm, regularizer, variant_flags, weight_f
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
@@ -423,6 +424,153 @@ class TestTrain:
         assert report.epochs == 5
         assert len(report.wall_ms) == 5
         assert len(report.dim_trace) == 5
+
+
+class TestTrainerStepsWithCheckedGradients:
+    """The gradients the trainer's passes hand to adagrad_step are alpha or
+    (1 - alpha) times the per-item partials of the objective, written out
+    here from the loss formulas, at the same parameters.  Acceptance 1
+    finite-differences the summed steps of each pass; these tests pin each
+    single step to its entry, triple or block."""
+
+    ALPHA = 0.3
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        # Records every step as (name, rows, gradient) and moves nothing, so
+        # all gradients of a pass are taken at the same parameters.
+        calls = []
+
+        def record(values, grad, state, lr, name="param", rows=None):
+            calls.append((name, rows, np.array(grad, dtype=np.float64)))
+
+        monkeypatch.setattr(optimize, "adagrad_step", record)
+        return calls
+
+    def _instance(self, seed):
+        ww, ew, store, params, hp = random_instance(seed)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        return data, params, replace(hp, alpha_mix=self.ALPHA)
+
+    @staticmethod
+    def _assert_steps(steps, expected):
+        # A row step is compared row by row, as name[row].
+        named = []
+        for name, rows, grad in steps:
+            named += [(name, grad)] if rows is None else [(f"{name}[{r}]", g) for r, g in zip(rows, grad)]
+        assert [name for name, _ in named] == [name for name, _ in expected]
+        for (name, got), (_, want) in zip(named, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @staticmethod
+    def _block_grads(block, points):
+        # Partials of |points - coeffs @ anchors|^2 in the coefficients, the
+        # anchors and the points.
+        resid = points - block.coeffs @ block.anchors
+        return -2.0 * resid @ block.anchors.T, -2.0 * block.coeffs.T @ resid, 2.0 * resid
+
+    def test_text_pass(self, steps):
+        data, params, hp = self._instance(3)
+        m = params.model
+        entries = optimize._prepare_text_entries(data, hp)
+        order = np.random.default_rng(3).permutation(len(entries[0]))
+        n_batches = optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
+        assert len(steps) == 4 * n_batches
+        # Step names of a batch -> (table, row vectors, column vectors, row
+        # biases, column biases).
+        fits = {
+            ("word", "ctx", "word_bias", "ctx_bias"): (
+                data.word_word, m.word_vecs, m.ctx_vecs, m.word_bias, m.ctx_bias),
+            ("entity", "word", "entity_bias", "word_bias"): (
+                data.entity_word, m.entity_points, m.word_vecs, m.entity_bias, m.word_bias),
+        }
+        seen = []
+        for b in range(n_batches):
+            # One batch steps row vectors, column vectors, row biases and
+            # column biases; the k-th rows of all four belong to one entry.
+            batch = steps[4 * b : 4 * b + 4]
+            table, u, v, bu, bv = fits[tuple(name for name, _, _ in batch)]
+            i_rows, j_rows = batch[0][1], batch[1][1]
+            assert np.array_equal(batch[2][1], i_rows) and np.array_equal(batch[3][1], j_rows)
+            for k, (i, j) in enumerate(zip(i_rows.tolist(), j_rows.tolist())):
+                x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
+                # d/dtheta of f(x) * (u.v + b_u + b_v - log x)^2.
+                coef = self.ALPHA * 2.0 * float(weight_f(x, hp.x_max, hp.weight_exp)) * (
+                    float(u[i] @ v[j]) + bu[i] + bv[j] - math.log(x)
+                )
+                for (name, _, got), want in zip(batch, (coef * v[j], coef * u[i], coef, coef)):
+                    np.testing.assert_allclose(
+                        np.atleast_1d(got[k]), np.atleast_1d(want), rtol=1e-12, atol=1e-15, err_msg=f"{name} {i},{j}"
+                    )
+                seen.append((table.kind, i, j))
+        everything = [(t.kind, int(i), int(j)) for t, *_ in fits.values() for i, j in zip(t.rows, t.cols)]
+        assert sorted(seen) == sorted(everything)
+        assert n_batches < len(everything)  # some batch holds several entries
+
+    def test_rel_dist_pass(self, steps):
+        data, params, hp = self._instance(4)
+        # One ordinary triple and one self-loop, whose entity is stepped once
+        # with a zero gradient.
+        e, k, f = data.triples.triples[0]
+        assert e != f
+        data = replace(data, triples=replace(data.triples, triples=((e, k, f), (e, k, e))))
+        optimize._rel_dist_pass(params, optimize._AdaState(params), data, hp, np.random.default_rng(0))
+        points, vectors = params.model.entity_points, params.rels.vectors
+        expected = []
+        for idx in np.random.default_rng(0).permutation(2):
+            te, tk, tf = data.triples.triples[idx]
+            # d/dP_f of 2 |P_f - P_e - r_k|^2; P_e and r_k take its negative.
+            g = (1.0 - self.ALPHA) * 4.0 * (points[tf] - points[te] - vectors[tk])
+            if te != tf:
+                expected += [(f"entity[{tf}]", g), (f"entity[{te}]", -g)]
+            else:
+                expected.append((f"entity[{te}]", np.zeros_like(g)))
+            expected.append((f"rel[{tk}]", -g))
+        self._assert_steps(steps, expected)
+        assert [name for name, _, _ in steps].count(f"entity[{e}]") == 2
+
+    def test_block_step(self, steps):
+        data, params, hp = self._instance(5)
+        tp = params.types["t1"]
+        points = params.model.entity_points[tp.members]
+        coeff_grad = self._block_grads(tp, points)[0]
+        acc = optimize._AdaState(params).blocks["t1"]
+        optimize._block_step(tp, points, acc, hp, False, False, TrainReport(), "t1")
+        # The anchor step follows the coefficient step: its gradient is
+        # taken at the projected coefficients.
+        anchor_grad = self._block_grads(tp, points)[1]
+        scale = 1.0 - self.ALPHA
+        self._assert_steps(steps, [("coeffs[t1]", scale * coeff_grad), ("anchors[t1]", scale * anchor_grad)])
+
+    def test_rel_dim_pass(self, steps):
+        data, params, hp = self._instance(6)
+        hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
+        m, rels = params.model, params.rels
+        state = optimize._AdaState(params)
+        plans = optimize._group_plans(params, state)
+        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
+        # A group's coefficient step is test_block_step's; the anchor, member
+        # and relation steps are taken at the projected coefficients, which
+        # the pass leaves behind.
+        steps[:] = [step for step in steps if not step[0].startswith("coeffs[")]
+        scale = 1.0 - self.ALPHA
+        expected = []
+        for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
+            for key in sorted(groups):
+                gp = groups[key]
+                # Members, then the endpoint moved by +r_k (tail group (e, k))
+                # or -r_k (head group (k, f)); the endpoint's partial goes to
+                # its entity and, signed, to the relation.
+                entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
+                points = np.vstack([m.entity_points[gp.members], m.entity_points[entity] + sign * rels.vectors[k]])
+                _, anchor_grad, point_grads = self._block_grads(gp, points)
+                entity_grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
+                entity_grads[entity] = entity_grads.get(entity, 0.0) + point_grads[-1]
+                expected.append((f"anchors[{side}{key}]", scale * anchor_grad))
+                expected += [(f"entity[{r}]", scale * g) for r, g in entity_grads.items()]
+                expected.append((f"rel[{k}]", scale * sign * point_grads[-1]))
+        assert sum(len(groups) for _, groups in rels.sides()) > 1
+        self._assert_steps(steps, expected)
 
 
 class TestRelGroupPass:
