@@ -21,6 +21,7 @@ import numpy as np
 
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TripleStore
 from typespace.params import (
+    BlockStore,
     EmbeddingModel,
     Hyperparams,
     ModelParams,
@@ -29,13 +30,9 @@ from typespace.params import (
     TypeSubspaceParams,
     GroupPlan,
     anchor_span_matrix,
-    group_plan,
     group_points,
     variant_flags,
 )
-
-_SIMPLEX_SUM_TOL = 1e-6
-_SIMPLEX_NEG_TOL = 1e-9
 
 
 class SimplexViolationError(ValueError):
@@ -97,10 +94,10 @@ def text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) 
     return float(np.sum(text_entry_terms(u[i], v[j], bu[i], bv[j], fx, np.log(table.weights))[0]))
 
 
-def _check_simplex(coeffs: np.ndarray, what: str) -> None:
-    sums = coeffs.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > _SIMPLEX_SUM_TOL) or np.any(coeffs < -_SIMPLEX_NEG_TOL):
-        raise SimplexViolationError(f"{what} coefficients violate the simplex constraint")
+def _check_simplex(store: BlockStore, what: str) -> None:
+    i = store.off_simplex()
+    if i is not None:
+        raise SimplexViolationError(f"{store.label(i)} {what} coefficients violate the simplex constraint")
 
 
 def block_resid(block: SubspaceBlock, points: np.ndarray) -> np.ndarray:
@@ -125,9 +122,9 @@ def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
 def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
     """Sum of squared residuals of entity points against their convex
     combination of type anchors."""
+    _check_simplex(types.per_type, "lambda")
     total = 0.0
-    for type_id, tp in types.items():
-        _check_simplex(tp.coeffs, f"type {type_id!r} lambda")
+    for tp in types.per_type.values():
         total += block_loss(block_resid(tp, model.entity_points[tp.members]))
     return total
 
@@ -162,11 +159,10 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     heads of a tail, plus the translated endpoint) against its convex
     combination of the group anchors."""
     total = 0.0
-    for side, groups in rels.sides():
-        for key, gp in groups.items():
-            _check_simplex(gp.coeffs, f"group {side}{key} mu")
-            points = group_points(model.entity_points, rels.vectors, group_plan(gp.members, side, key))
-            total += block_loss(block_resid(gp, points))
+    for _, groups in rels.sides():
+        _check_simplex(groups, "mu")
+        for gp, plan in zip(groups.values(), groups.plans):
+            total += block_loss(block_resid(gp, group_points(model.entity_points, rels.vectors, plan)))
     return total
 
 

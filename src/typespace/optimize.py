@@ -44,7 +44,6 @@ from typespace.params import (
     ModelParams,
     anchor_span_matrix,
     clone_params,
-    group_plan,
     group_points,
     init_parameters,
     set_anchor_span_matrix,
@@ -219,12 +218,10 @@ class _AdaState:
         self.ctx_bias = np.zeros_like(m.ctx_bias)
         self.entity_bias = np.zeros_like(m.entity_bias)
         self.rel = np.zeros_like(params.rels.vectors)
-        # (anchor, coefficient) accumulators per block, keyed by type id for
-        # types and by (side, key) for relation groups.
-        blocks = dict(params.types.items())
-        for side, groups in params.rels.sides():
-            blocks.update({(side, key): g for key, g in groups.items()})
-        self.blocks = {addr: (np.zeros_like(b.anchors), np.zeros_like(b.coeffs)) for addr, b in blocks.items()}
+        # Anchor and coefficient accumulators, stacked like the blocks.
+        self.types = params.types.per_type.zeros()
+        self.rhs = params.rels.rhs_groups.zeros()
+        self.lhs = params.rels.lhs_groups.zeros()
 
 
 def _text_schedule(tags, rows, cols, order, fits):
@@ -305,25 +302,24 @@ def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.n
     Projected AdaGrad on the simplex coefficient rows, an AdaGrad step on
     the anchors (plus the anchor-cohesion penalty when comb is set), then,
     when prox is set, singular-value thresholding of the anchor span matrix
-    with anchor 0 held as base point.  acc is the block's (anchor,
-    coefficient) accumulator pair.  Returns the residuals of the anchor
+    with anchor 0 held as base point.  acc holds the block's accumulators,
+    its view in _AdaState's stores.  Returns the residuals of the anchor
     step, for the caller to turn into point gradients, and the nuclear norm
     of the new span (0.0 without prox).
     """
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    acc_anchors, acc_coeffs = acc
     coeff_grad = block_coeff_grad(block, block_resid(block, points))
-    adagrad_step(block.coeffs, scale * coeff_grad, acc_coeffs, lr, name=f"coeffs[{label}]")
+    adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=f"coeffs[{label}]")
     block.coeffs[:] = project_to_simplex(block.coeffs)
     resid = block_resid(block, points)
     anchor_grad = block_anchor_grad(block, resid)
     if comb:
         anchor_grad = anchor_grad + comb_penalty_terms(block.anchors)[1]
-    adagrad_step(block.anchors, scale * anchor_grad, acc_anchors, lr, name=f"anchors[{label}]")
+    adagrad_step(block.anchors, scale * anchor_grad, acc.anchors, lr, name=f"anchors[{label}]")
     if not prox:
         return resid, 0.0
-    tau = hp.beta_reg * anchor_prox_scale(lr, acc_anchors)
+    tau = hp.beta_reg * anchor_prox_scale(lr, acc.anchors)
     span, norm = prox_nuclear(anchor_span_matrix(block.anchors), tau)
     set_anchor_span_matrix(block.anchors, span)
     report.prox_calls += 1
@@ -337,10 +333,9 @@ def _type_pass(params, state, hp, flags, report) -> float:
     proxes."""
     prox = flags.reg1 and hp.beta_reg > 0.0
     reg = 0.0
-    for type_id in sorted(params.types.per_type):
-        tp = params.types[type_id]
+    for (type_id, tp), acc in zip(params.types.items(), state.types.values()):
         points = params.model.entity_points[tp.members]
-        reg += _block_step(tp, points, state.blocks[type_id], hp, prox, flags.comb, report, type_id)[1]
+        reg += _block_step(tp, points, acc, hp, prox, flags.comb, report, type_id)[1]
     return reg
 
 
@@ -362,12 +357,12 @@ def _rel_dist_pass(params, state, data, hp, rng):
 
 
 def _group_plans(params, state):
-    """(block, index plan, accumulator pair, label) per relation group, in
-    pass order: tail groups then head groups, each side in key order."""
+    """(block, index plan, accumulators, label) per relation group, in pass
+    order: tail groups then head groups, each side in key order."""
     return [
-        (groups[key], group_plan(groups[key].members, side, key), state.blocks[(side, key)], f"{side}{key}")
-        for side, groups in params.rels.sides()
-        for key in sorted(groups)
+        (block, plan, acc, f"{side}{key}")
+        for (side, groups), accs in zip(params.rels.sides(), (state.rhs, state.lhs))
+        for (key, block), plan, acc in zip(groups.items(), groups.plans, accs.values())
     ]
 
 

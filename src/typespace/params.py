@@ -1,9 +1,17 @@
 """Trainable parameters, hyperparameters, and the model file format.
 
-The model file is a little-endian binary layout: magic, format version, the
-hyperparameters, id tables for entities/words/relations, every parameter
-array as raw float64, and a trailing CRC32 of everything before it.  The
-format round-trips losslessly; a text export is available for interop.
+Types and relation groups are the same subspace block, and the blocks of
+each kind (types, tail groups, head groups) are stacked in one BlockStore.
+
+The model file (format version 2) is a little-endian binary layout: magic,
+format version, the hyperparameters, id tables for entities/words/relations,
+the embedding and relation arrays as raw float64, per block kind its key
+table and its stacked anchors, member counts, members and coefficient rows,
+and a trailing CRC32 of everything before it.  Loading tests each array at
+once (shapes, member counts, indices in range, strictly ascending keys,
+finite floats, coefficient rows on the simplex).  A version-1 file, one
+record per block, gets a version error and must be retrained.  The format
+round-trips losslessly; a text export is available for interop.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import itertools
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +30,13 @@ import numpy as np
 from typespace.ingest import TripleStore, TypeSystem
 
 MAGIC = b"TYSPACE1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# A coefficient row is on the probability simplex when its sum is within
+# _SIMPLEX_SUM_TOL of 1 and no entry is below -_SIMPLEX_NEG_TOL
+# (BlockStore.off_simplex, for the objective and load_model alike).
+_SIMPLEX_SUM_TOL = 1e-6
+_SIMPLEX_NEG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,8 +75,8 @@ def variant_flags(variant: str) -> VariantFlags:
 class ModelFormatError(ValueError):
     """Wrong magic string, incompatible format version, a non-finite
     value, or contents that disagree with each other (array shapes against
-    the id tables and the embedding dimension, member indices,
-    relation-group keys)."""
+    the id tables and the embedding dimension, member counts and indices,
+    block keys, coefficient rows off the simplex)."""
 
 
 class ModelIntegrityError(ValueError):
@@ -121,26 +137,102 @@ class EmbeddingModel:
         return self.word_vecs.shape[0]
 
 
-@dataclass
-class SubspaceBlock:
-    """Points modelled as convex combinations of n+1 anchor points.
-
-    A type block has one simplex row of `coeffs` per member entity.  A
-    relation-group block has one row per member entity and a last row for
-    the group's translated virtual member (see group_points).
-    """
+class SubspaceBlock(NamedTuple):
+    """One block of a BlockStore, as views of its arrays: points modelled as
+    convex combinations of n+1 anchor points.  A type block has one simplex
+    row of `coeffs` per member entity; a relation-group block has one row
+    per member and a last row for its translated virtual member (see
+    group_points)."""
 
     anchors: np.ndarray  # (n+1, n)
     members: np.ndarray  # (m,) entity indices, ascending
     coeffs: np.ndarray   # (m, n+1) for a type, (m+1, n+1) for a group
 
-    def copy(self) -> "SubspaceBlock":
-        return SubspaceBlock(self.anchors.copy(), self.members.copy(), self.coeffs.copy())
+
+def _first_block(bad: np.ndarray, offsets: np.ndarray | None = None) -> int | None:
+    """The block of the first True in bad, a mask per block, or per entry of
+    the member or coefficient-row array whose BlockStore.offsets are given;
+    None when bad is all False."""
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i if offsets is None else int(np.searchsorted(offsets, i, side="right")) - 1
+
+
+@dataclass(eq=False)
+class BlockStore(Mapping):
+    """The subspace blocks of one kind, stacked: a mapping from key to the
+    SubspaceBlock view of its block, in ascending key order.
+
+    kind is "type" (keys are type ids), "rhs" (tail groups, keys (head,
+    rel)) or "lhs" (head groups, keys (rel, tail)).  Block i owns anchors[i],
+    the next counts[i] members, and one coefficient row per member plus a
+    group's virtual row.  The views share the arrays: edit them in place.
+    """
+
+    kind: str
+    key_table: tuple
+    anchors: np.ndarray  # (B, n+1, n)
+    counts: np.ndarray   # (B,) int64
+    members: np.ndarray  # (sum(counts),) int64
+    coeffs: np.ndarray   # (sum(counts), n+1) for types, (sum(counts) + B, n+1) for groups
+
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(member offsets, coefficient-row offsets), B+1 each: block i holds
+        members[m[i]:m[i+1]] and coeffs[c[i]:c[i+1]]."""
+        m = np.concatenate(([0], np.cumsum(self.counts)))
+        return m, m + (self.kind != "type") * np.arange(len(m))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {key: i for i, key in enumerate(self.key_table)}
+
+    @cached_property
+    def _blocks(self) -> list[SubspaceBlock]:
+        m, c = (o.tolist() for o in self.offsets)
+        return [
+            SubspaceBlock(self.anchors[i], self.members[m[i] : m[i + 1]], self.coeffs[c[i] : c[i + 1]])
+            for i in range(len(self.key_table))
+        ]
+
+    @cached_property
+    def plans(self) -> list[GroupPlan]:
+        """Each relation group's index plan, in key order, built once."""
+        return [group_plan(block.members, self.kind, key) for key, block in zip(self.key_table, self._blocks)]
+
+    def __getitem__(self, key) -> SubspaceBlock:
+        return self._blocks[self._index[key]]
+
+    def __iter__(self):
+        return iter(self.key_table)
+
+    def __len__(self) -> int:
+        return len(self.key_table)
+
+    def label(self, i: int) -> str:
+        """Block i's name in an error message."""
+        return f"type {self.key_table[i]}" if self.kind == "type" else f"group {self.kind} {self.key_table[i]}"
+
+    def off_simplex(self) -> int | None:
+        """The first block with a coefficient row off the probability
+        simplex, None when every row is on it."""
+        c = self.coeffs
+        bad = (np.abs(c.sum(axis=-1) - 1.0) > _SIMPLEX_SUM_TOL) | (c < -_SIMPLEX_NEG_TOL).any(axis=-1)
+        return _first_block(bad, self.offsets[1])
+
+    def zeros(self) -> BlockStore:
+        """The same blocks with zero anchors and coefficients: the layout of
+        their AdaGrad accumulators."""
+        return replace(self, anchors=np.zeros_like(self.anchors), coeffs=np.zeros_like(self.coeffs))
+
+    def copy(self) -> BlockStore:
+        return replace(self, **{f: getattr(self, f).copy() for f in ("anchors", "counts", "members", "coeffs")})
 
 
 @dataclass
 class TypeSubspaceParams:
-    per_type: dict[str, SubspaceBlock] = field(default_factory=dict)
+    per_type: BlockStore
 
     def __getitem__(self, type_id: str) -> SubspaceBlock:
         return self.per_type[type_id]
@@ -154,9 +246,9 @@ class TypeSubspaceParams:
 
 @dataclass
 class RelationParams:
-    vectors: np.ndarray  # (R, n) translation vector per relation
-    rhs_groups: dict[tuple[int, int], SubspaceBlock] = field(default_factory=dict)  # (head, rel)
-    lhs_groups: dict[tuple[int, int], SubspaceBlock] = field(default_factory=dict)  # (rel, tail)
+    vectors: np.ndarray     # (R, n) translation vector per relation
+    rhs_groups: BlockStore  # tail groups, keyed (head, rel)
+    lhs_groups: BlockStore  # head groups, keyed (rel, tail)
 
     def sides(self):
         """(side, groups) for the tail groups ("rhs") and the head groups ("lhs")."""
@@ -214,10 +306,16 @@ def group_points(entity_points: np.ndarray, vectors: np.ndarray, plan: GroupPlan
     return points
 
 
-def _new_block(points: np.ndarray, members: np.ndarray, n: int, rng) -> SubspaceBlock:
-    noise = 0.1 / n
-    anchors = points.mean(axis=0)[None, :] + rng.uniform(-noise, noise, size=(n + 1, n))
-    return SubspaceBlock(anchors=anchors, members=members, coeffs=np.full((len(points), n + 1), 1.0 / (n + 1)))
+def _new_store(kind: str, index, noise: np.ndarray, n: int) -> BlockStore:
+    """The blocks of index (key -> member entities) in one store, keyed in
+    ascending order, with noise[i], drawn for the i-th block of index, as
+    anchors and every coefficient row uniform at 1/(n+1)."""
+    keys = sorted(index)
+    position = {key: i for i, key in enumerate(index)}
+    counts = np.array([len(index[key]) for key in keys], dtype=np.int64)
+    members = np.fromiter(itertools.chain.from_iterable(index[key] for key in keys), np.int64, int(counts.sum()))
+    coeffs = np.full((len(members) + int(kind != "type") * len(keys), n + 1), 1.0 / (n + 1))
+    return BlockStore(kind, tuple(keys), noise[[position[key] for key in keys]], counts, members, coeffs)
 
 
 def init_parameters(
@@ -232,7 +330,9 @@ def init_parameters(
     Vectors are uniform in [-0.5/n, 0.5/n] per coordinate, biases zero.
     Type and group anchors start at the centroid of their member points
     plus uniform noise of scale 0.1/n, and every simplex coefficient row
-    starts uniform at 1/(n+1).
+    starts uniform at 1/(n+1).  The draws are the entity, word and context
+    vectors, the type noise, the relation vectors and the group noise, in
+    that order.
     """
     if n_entities < 1:
         raise ValueError("cannot initialize a model with zero entities")
@@ -241,6 +341,7 @@ def init_parameters(
     n = hp.n
     rng = np.random.default_rng(hp.seed)
     scale = 0.5 / n
+    noise = 0.1 / n
 
     def uniform(shape):
         return rng.uniform(-scale, scale, size=shape)
@@ -254,21 +355,25 @@ def init_parameters(
         entity_bias=np.zeros(n_entities),
     )
 
-    types = TypeSubspaceParams()
-    for type_id in type_system.type_ids:
-        members = np.array(type_system.instances[type_id], dtype=np.int64)
-        if members.size == 0:
-            raise ValueError(f"type {type_id!r} has no member entities; its anchors would have no centroid")
-        types.per_type[type_id] = _new_block(model.entity_points[members], members, n, rng)
+    type_noise = rng.uniform(-noise, noise, size=(len(type_system.type_ids), n + 1, n))
+    types = _new_store("type", {t: type_system.instances[t] for t in type_system.type_ids}, type_noise, n)
+    if not types.counts.all():
+        empty = types.key_table[int(np.argmin(types.counts))]
+        raise ValueError(f"type {empty!r} has no member entities; its anchors would have no centroid")
+    vectors = uniform((len(triples.relation_ids), n))
+    group_noise = rng.uniform(-noise, noise, size=(len(triples.rhs) + len(triples.lhs), n + 1, n))
+    rels = RelationParams(
+        vectors,
+        _new_store("rhs", triples.rhs, group_noise[: len(triples.rhs)], n),
+        _new_store("lhs", triples.lhs, group_noise[len(triples.rhs) :], n),
+    )
 
-    rels = RelationParams(vectors=uniform((len(triples.relation_ids), n)))
-    for (side, groups), index in zip(rels.sides(), (triples.rhs, triples.lhs)):
-        for key, entities in index.items():
-            members = np.array(entities, dtype=np.int64)
-            points = group_points(model.entity_points, rels.vectors, group_plan(members, side, key))
-            groups[key] = _new_block(points, members, n, rng)
-
-    return ModelParams(model=model, types=types, rels=rels)
+    points = model.entity_points
+    types.anchors += np.reshape([points[b.members].mean(axis=0) for b in types.values()], (-1, 1, n))
+    for _, groups in rels.sides():
+        centroids = [group_points(points, vectors, plan).mean(axis=0) for plan in groups.plans]
+        groups.anchors += np.reshape(centroids, (-1, 1, n))
+    return ModelParams(model, TypeSubspaceParams(types), rels)
 
 
 @dataclass
@@ -288,7 +393,7 @@ class LoadedModel:
 
 class _Writer:
     def __init__(self):
-        self.chunks: list[bytes] = []
+        self.chunks: list = []  # bytes-like
 
     def raw(self, b: bytes):
         self.chunks.append(b)
@@ -312,28 +417,29 @@ class _Writer:
         for s in items:
             self.string(s)
 
+    # The arrays' own buffers go into the chunks; payload copies them once.
     def array(self, a: np.ndarray):
-        a = np.ascontiguousarray(a, dtype=np.float64)
+        a = np.ascontiguousarray(a, dtype="<f8")
         self.u64(a.ndim)
         for d in a.shape:
             self.u64(d)
-        self.raw(a.astype("<f8").tobytes())
+        self.raw(a.data)
 
     def index_array(self, a: np.ndarray):
-        a = np.ascontiguousarray(a, dtype=np.int64)
+        a = np.ascontiguousarray(a, dtype="<i8")
         self.u64(a.shape[0])
-        self.raw(a.astype("<i8").tobytes())
+        self.raw(a.data)
 
     def payload(self) -> bytes:
         return b"".join(self.chunks)
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf):
+        self.buf = memoryview(buf)  # slices of it copy nothing
         self.pos = 0
 
-    def raw(self, size: int) -> bytes:
+    def raw(self, size: int) -> memoryview:
         if self.pos + size > len(self.buf):
             raise ModelIntegrityError("model file ends prematurely")
         out = self.buf[self.pos : self.pos + size]
@@ -350,12 +456,12 @@ class _Reader:
         return struct.unpack("<d", self.raw(8))[0]
 
     def string(self) -> str:
-        return self.raw(self.u64()).decode("utf-8")
+        return str(self.raw(self.u64()), "utf-8")
 
     def strings(self) -> tuple[str, ...]:
         return tuple(self.string() for _ in range(self.u64()))
 
-    def array(self, name: str, where: tuple = ()) -> np.ndarray:
+    def array(self, name: str, where: str = "") -> np.ndarray:
         """The next float array; _label(where, name) names it in the error
         for a NaN or infinite value."""
         ndim = self.u64()
@@ -391,66 +497,71 @@ def _read_hyperparams(r: _Reader) -> Hyperparams:
         raise ModelFormatError(f"hyperparameters: {exc}") from None
 
 
-def _write_block(w: _Writer, block: SubspaceBlock):
-    w.array(block.anchors)
-    w.index_array(block.members)
-    w.array(block.coeffs)
+def _label(where: str, name: str) -> str:
+    """An array's name in an error, after the block store (where) that holds it."""
+    return f"{where}: {name}" if where else name
 
 
-def _label(where: tuple, name: str) -> str:
-    """An array's name in an error, after the block (where) that holds it."""
-    return f"{' '.join(map(str, where))}: {name}" if where else name
-
-
-def _check_shapes(where: tuple, arrays) -> None:
+def _check_shapes(where: str, arrays) -> None:
     """Reject the first (name, array, expected shape) whose shape differs."""
     for name, arr, shape in arrays:
         if arr.shape != shape:
             raise ModelFormatError(f"{_label(where, name)} shape {arr.shape}, expected {shape}")
 
 
-def _read_block(r: _Reader, n: int, virtual: int, where: tuple) -> SubspaceBlock:
-    """Read a block and check its shapes against the embedding dimension n;
-    a relation group has one virtual coefficient row."""
-    block = SubspaceBlock(anchors=r.array("anchors", where), members=r.index_array(), coeffs=r.array("coeffs", where))
+_STORE_NAMES = {"type": "types", "rhs": "rhs groups", "lhs": "lhs groups"}  # in errors
+
+
+def _write_store(w: _Writer, store: BlockStore) -> None:
+    if store.kind == "type":
+        w.strings(store.key_table)
+    else:
+        w.u64(len(store))
+        w.raw(np.array(store.key_table, dtype="<i8").tobytes())
+    w.array(store.anchors)
+    w.index_array(store.counts)
+    w.index_array(store.members)
+    w.array(store.coeffs)
+
+
+def _read_store(r: _Reader, kind: str) -> BlockStore:
+    if kind == "type":
+        keys = r.strings()
+    else:
+        count = r.u64()
+        keys = tuple(map(tuple, np.frombuffer(r.raw(16 * count), dtype="<i8").reshape(count, 2).tolist()))
+    where = _STORE_NAMES[kind]
+    return BlockStore(kind, keys, r.array("anchors", where), r.index_array(), r.index_array(), r.array("coeffs", where))
+
+
+def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -> None:
+    """Reject a store whose arrays disagree with its key count, the
+    embedding dimension n, each other or the id tables, or whose keys are
+    not strictly ascending; one test per array, naming the first block that
+    fails."""
+    where, keys, n_members = _STORE_NAMES[store.kind], store.key_table, len(store.members)
     _check_shapes(where, (
-        ("anchors", block.anchors, (n + 1, n)),
-        ("coeffs", block.coeffs, (len(block.members) + virtual, n + 1)),
+        ("anchors", store.anchors, (len(keys), n + 1, n)),
+        ("member counts", store.counts, (len(keys),)),
+        ("coeffs", store.coeffs, (n_members + (store.kind != "type") * len(keys), n + 1)),
     ))
-    return block
-
-
-def _check_members(blocks: dict, n_entities: int) -> None:
-    """Reject member indices outside the entity table, naming the first
-    block that holds one; one vectorized test covers the common case."""
-
-    def in_range(members):
-        return np.all((members >= 0) & (members < n_entities))
-
-    if not blocks or in_range(np.concatenate([b.members for b in blocks.values()])):
-        return
-    where = next(where for where, b in blocks.items() if not in_range(b.members))
-    raise ModelFormatError(f"{' '.join(map(str, where))}: member index out of range of {n_entities} entities")
-
-
-def _check_group_keys(rels: RelationParams, n_entities: int, n_relations: int) -> None:
-    """Reject a relation-group key whose entity or relation index is out of
-    range, naming the first such group; one vectorized test covers both
-    sides."""
-    rhs, lhs = (
-        np.fromiter(itertools.chain.from_iterable(groups), np.int64, 2 * len(groups)).reshape(-1, 2)
-        for _, groups in rels.sides()
-    )
-    # (entity, relation) per key: a tail group's key is (e, k), a head group's (k, f).
-    pairs = np.concatenate([rhs, lhs[:, ::-1]])
-    bad = ((pairs < 0) | (pairs >= (n_entities, n_relations))).any(axis=1)
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    side, key = ("rhs", rhs[i]) if i < len(rhs) else ("lhs", lhs[i - len(rhs)])
-    raise ModelFormatError(
-        f"group {side} {tuple(key.tolist())}: key index out of range of {n_entities} entities and {n_relations} relations"
-    )
+    # A count above n_members would let the sum wrap around to n_members.
+    if ((store.counts < 0) | (store.counts > n_members)).any() or store.counts.sum() != n_members:
+        raise ModelFormatError(f"{where}: member counts must be non-negative and sum to the {n_members} members")
+    # (entity, relation) per group key: a tail group's key is (e, k), a head group's (k, f).
+    pairs = np.array(keys if store.kind != "type" else (), dtype=np.int64).reshape(-1, 2)
+    pairs = pairs if store.kind == "rhs" else pairs[:, ::-1]
+    for i, what in (
+        (_first_block(((pairs < 0) | (pairs >= (n_entities, n_relations))).any(axis=1)),
+         f"key index out of range of {n_entities} entities and {n_relations} relations"),
+        (_first_block(np.array([False] + [not a < b for a, b in zip(keys, keys[1:])])),
+         "duplicate or out-of-order key (keys must be strictly ascending)"),
+        (_first_block((store.members < 0) | (store.members >= n_entities), store.offsets[0]),
+         f"member index out of range of {n_entities} entities"),
+        (store.off_simplex(), "coefficient row off the probability simplex"),
+    ):
+        if i is not None:
+            raise ModelFormatError(f"{store.label(i)}: {what}")
 
 
 def save_model(
@@ -479,18 +590,10 @@ def save_model(
     w.array(model.ctx_bias)
     w.array(model.entity_bias)
 
-    w.u64(len(types.per_type))
-    for type_id in sorted(types.per_type):
-        w.string(type_id)
-        _write_block(w, types.per_type[type_id])
-
+    _write_store(w, types.per_type)
     w.array(rels.vectors)
     for _, groups in rels.sides():
-        w.u64(len(groups))
-        for key in sorted(groups):
-            w.i64(key[0])
-            w.i64(key[1])
-            _write_block(w, groups[key])
+        _write_store(w, groups)
 
     payload = w.payload()
     checksum = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
@@ -505,8 +608,8 @@ def load_model(path) -> LoadedModel:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4:
         raise ModelIntegrityError("model file too short")
-    payload, checksum = blob[:-4], blob[-4:]
-    if not payload.startswith(MAGIC):
+    payload, checksum = memoryview(blob)[:-4], blob[-4:]
+    if not blob.startswith(MAGIC):
         raise ModelFormatError("not a typespace model file (bad magic)")
     if struct.unpack("<I", checksum)[0] != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise ModelIntegrityError("model file checksum mismatch (truncated or corrupted)")
@@ -525,22 +628,12 @@ def load_model(path) -> LoadedModel:
         "entity_points", "word_vecs", "ctx_vecs", "word_bias", "ctx_bias", "entity_bias"
     )})
 
-    blocks = {}
-    types = TypeSubspaceParams()
-    for _ in range(r.u64()):
-        type_id = r.string()
-        blocks["type", type_id] = types.per_type[type_id] = _read_block(r, hp.n, 0, ("type", type_id))
-
-    rels = RelationParams(vectors=r.array("relation vectors"))
-    for side, groups in rels.sides():
-        for _ in range(r.u64()):
-            key = (r.i64(), r.i64())
-            blocks["group", side, key] = groups[key] = _read_block(r, hp.n, 1, ("group", side, key))
-
+    types = _read_store(r, "type")
+    rels = RelationParams(r.array("relation vectors"), _read_store(r, "rhs"), _read_store(r, "lhs"))
     if r.pos != len(payload):
         raise ModelIntegrityError("trailing bytes after model payload")
     n_e, n_w, n_r = len(entity_ids), len(word_ids), len(relation_ids)
-    _check_shapes((), (
+    _check_shapes("", (
         ("entity_points", model.entity_points, (n_e, hp.n)),
         ("entity_bias", model.entity_bias, (n_e,)),
         ("word_vecs", model.word_vecs, (n_w, hp.n)),
@@ -549,9 +642,9 @@ def load_model(path) -> LoadedModel:
         ("ctx_bias", model.ctx_bias, (n_w,)),
         ("relation vectors", rels.vectors, (n_r, hp.n)),
     ))
-    _check_members(blocks, n_e)
-    _check_group_keys(rels, n_e, n_r)
-    return LoadedModel(model, types, rels, hp, entity_ids, word_ids, relation_ids)
+    for store in (types, rels.rhs_groups, rels.lhs_groups):
+        _check_store(store, hp.n, n_e, n_r)
+    return LoadedModel(model, TypeSubspaceParams(types), rels, hp, entity_ids, word_ids, relation_ids)
 
 
 def export_text(path, model: EmbeddingModel, entity_ids, word_ids) -> None:
@@ -567,18 +660,6 @@ def export_text(path, model: EmbeddingModel, entity_ids, word_ids) -> None:
 
 def clone_params(params: ModelParams) -> ModelParams:
     """Deep copy of all trainable arrays (used for divergence snapshots)."""
-    model = EmbeddingModel(
-        entity_points=params.model.entity_points.copy(),
-        word_vecs=params.model.word_vecs.copy(),
-        ctx_vecs=params.model.ctx_vecs.copy(),
-        word_bias=params.model.word_bias.copy(),
-        ctx_bias=params.model.ctx_bias.copy(),
-        entity_bias=params.model.entity_bias.copy(),
-    )
-    types = TypeSubspaceParams({t: tp.copy() for t, tp in params.types.items()})
-    rels = RelationParams(
-        vectors=params.rels.vectors.copy(),
-        rhs_groups={key: g.copy() for key, g in params.rels.rhs_groups.items()},
-        lhs_groups={key: g.copy() for key, g in params.rels.lhs_groups.items()},
-    )
-    return ModelParams(model, types, rels)
+    model = EmbeddingModel(**{f.name: getattr(params.model, f.name).copy() for f in fields(EmbeddingModel)})
+    rels = RelationParams(params.rels.vectors.copy(), params.rels.rhs_groups.copy(), params.rels.lhs_groups.copy())
+    return ModelParams(model, TypeSubspaceParams(params.types.per_type.copy()), rels)

@@ -9,7 +9,7 @@ from typespace.ingest import (
     TypeSystem,
     WORD_WORD,
 )
-from typespace.params import Hyperparams, init_parameters
+from typespace.params import BlockStore, Hyperparams, init_parameters
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +17,21 @@ def micro_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("micro")
     paths = synth.make_micro_corpus(str(out))
     return paths
+
+
+def block_store(kind, blocks, n):
+    """A BlockStore of kind ("type", "rhs" or "lhs") holding blocks, a dict
+    key -> (anchors, members, coeffs), at embedding dimension n."""
+    keys = sorted(blocks)
+    parts = [tuple(np.asarray(a) for a in blocks[key]) for key in keys]
+    return BlockStore(
+        kind,
+        tuple(keys),
+        np.array([anchors for anchors, _, _ in parts], dtype=np.float64).reshape(len(keys), n + 1, n),
+        np.array([len(members) for _, members, _ in parts], dtype=np.int64),
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [members.astype(np.int64) for _, members, _ in parts]),
+        np.concatenate([np.zeros((0, n + 1))] + [coeffs.astype(np.float64).reshape(-1, n + 1) for _, _, coeffs in parts]),
+    )
 
 
 def random_instance(seed, n=4, n_entities=6, n_words=5):
@@ -69,12 +84,12 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
         arr += rng.normal(scale=0.2, size=arr.shape)
     params.rels.vectors += rng.normal(scale=0.3, size=params.rels.vectors.shape)
     for tp in params.types.per_type.values():
-        tp.anchors += rng.normal(scale=0.4, size=tp.anchors.shape)
+        tp.anchors[:] += rng.normal(scale=0.4, size=tp.anchors.shape)
         raw = rng.uniform(0.1, 1.0, size=tp.coeffs.shape)
         tp.coeffs[:] = raw / raw.sum(axis=1, keepdims=True)
     for groups in (params.rels.rhs_groups, params.rels.lhs_groups):
         for gp in groups.values():
-            gp.anchors += rng.normal(scale=0.4, size=gp.anchors.shape)
+            gp.anchors[:] += rng.normal(scale=0.4, size=gp.anchors.shape)
             raw = rng.uniform(0.1, 1.0, size=gp.coeffs.shape)
             gp.coeffs[:] = raw / raw.sum(axis=1, keepdims=True)
     return ww_t, ew_t, store, params, hp

@@ -199,7 +199,9 @@ def best_simplex_fit_residual(point, anchors, steps=1000):
 
 
 def collect_param_arrays(params):
-    """Named references to every trainable array, in a fixed order."""
+    """Named references to every trainable array, in a fixed order.  A
+    block's arrays are its views into its store's stacked arrays, one
+    entry per block, so that StepRecorder tells the blocks apart."""
     arrs = [
         ("entity", params.model.entity_points),
         ("word", params.model.word_vecs),
@@ -346,7 +348,8 @@ def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
     for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
         for key in sorted(groups):
             gp = groups[key]
-            acc_anchors, acc_coeffs = state.blocks[(side, key)]
+            acc = getattr(state, side)[key]
+            acc_anchors, acc_coeffs = acc.anchors, acc.coeffs
             entity, k = key if side == "rhs" else (key[1], key[0])
             sign = 1.0 if side == "rhs" else -1.0
             points = np.vstack([m.entity_points[gp.members], m.entity_points[entity] + sign * rels.vectors[k]])

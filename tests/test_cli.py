@@ -281,6 +281,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1 and err.strip() == "error: entity_points holds a non-finite value"
 
+    def test_off_simplex_model_one_line_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        # A valid checksum over a type's coefficient row that sums to 2: the
+        # load check names the type.
+        m = load_model(trained_model)
+        types = m.types.per_type
+        types.coeffs[types.offsets[1][1]] *= 2.0  # the first row of the second type
+        bad = tmp_path / "off_simplex.bin"
+        save_model(bad, m.model, m.types, m.rels, m.hp, m.entity_ids, m.word_ids, m.relation_ids)
+        code = run(["eval", "ranking", "--model", str(bad), "--problems", micro_dir["ranking"]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip() == f"error: type {types.key_table[1]}: coefficient row off the probability simplex"
+
     def test_ranking_problem_without_split_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
         with open(micro_dir["ranking"], encoding="utf-8") as fh:
             record = json.load(fh)

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import block_store, random_instance
 from reference_impls import best_simplex_fit_residual
 from typespace.ingest import (
     CooccurrenceTable,
@@ -31,7 +31,6 @@ from typespace.params import (
     Hyperparams,
     ModelParams,
     RelationParams,
-    SubspaceBlock,
     TypeSubspaceParams,
 )
 
@@ -116,9 +115,16 @@ class TestEntityWordLoss:
 
 
 def one_type(anchors, members, coeffs):
-    return TypeSubspaceParams(
-        {"t": SubspaceBlock(np.asarray(anchors, dtype=np.float64), np.asarray(members, dtype=np.int64), np.asarray(coeffs, dtype=np.float64))}
-    )
+    anchors = np.asarray(anchors, dtype=np.float64)
+    return TypeSubspaceParams(block_store("type", {"t": (anchors, members, coeffs)}, anchors.shape[1]))
+
+
+def relations(vectors, rhs=None, lhs=None):
+    """RelationParams over vectors, with the tail groups rhs and the head
+    groups lhs (key -> (anchors, members, coeffs)), none by default."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = vectors.shape[1]
+    return RelationParams(vectors, block_store("rhs", rhs or {}, n), block_store("lhs", lhs or {}, n))
 
 
 class TestTypeLoss:
@@ -180,19 +186,19 @@ def store_from_triples(triples, n_rel=1):
 class TestRelDistLoss:
     def test_exact_translation(self):
         model = make_model(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        rels = RelationParams(vectors=np.array([[1.0, 1.0]]))
+        rels = relations(np.array([[1.0, 1.0]]))
         store = store_from_triples([(0, 0, 1)])
         assert rel_dist_loss(store, model, rels) == 0.0
 
     def test_unit_residual_counted_twice(self):
         model = make_model(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        rels = RelationParams(vectors=np.array([[0.0, 0.0]]))
+        rels = relations(np.array([[0.0, 0.0]]))
         store = store_from_triples([(0, 0, 1)])
         assert rel_dist_loss(store, model, rels) == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_store(self):
         model = make_model(np.zeros((1, 2)))
-        rels = RelationParams(vectors=np.zeros((0, 2)))
+        rels = relations(np.zeros((0, 2)))
         assert rel_dist_loss(store_from_triples([]), model, rels) == 0.0
 
     def test_double_sum_equals_twice_triple_sum(self):
@@ -201,7 +207,7 @@ class TestRelDistLoss:
             n_e = int(rng.integers(3, 8))
             pts = rng.normal(size=(n_e, 3))
             model = make_model(pts, word_vecs=np.zeros((1, 3)))
-            rels = RelationParams(vectors=rng.normal(size=(2, 3)))
+            rels = relations(rng.normal(size=(2, 3)))
             triples = sorted({(int(rng.integers(n_e)), int(rng.integers(2)), int(rng.integers(n_e))) for _ in range(6)})
             store = store_from_triples(triples, n_rel=2)
             brute = 2.0 * sum(
@@ -213,14 +219,10 @@ class TestRelDistLoss:
 class TestRelDimLoss:
     def test_members_at_anchor(self):
         model = make_model(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        rels = RelationParams(vectors=np.array([[0.0, 0.0]]))
         coeffs = np.zeros((2, 3))
         coeffs[:, 0] = 1.0
-        rels.rhs_groups[(0, 0)] = SubspaceBlock(
-            anchors=np.array([[1.0, 2.0], [9.0, 9.0], [7.0, 7.0]]),
-            members=np.array([1]),
-            coeffs=coeffs,
-        )
+        anchors = np.array([[1.0, 2.0], [9.0, 9.0], [7.0, 7.0]])
+        rels = relations(np.array([[0.0, 0.0]]), rhs={(0, 0): (anchors, [1], coeffs)})
         assert rel_dim_loss(model, rels) == 0.0
 
     def test_two_members_distance_two_each(self):
@@ -230,9 +232,8 @@ class TestRelDimLoss:
         best = best_simplex_fit_residual(np.array([0.0, 2.0]), anchors, steps=1000)
         assert best == pytest.approx(4.0, abs=1e-6)
         model = make_model(np.array([[0.0, 2.0], [0.0, 2.0]]))
-        rels = RelationParams(vectors=np.array([[0.0, 0.0]]))
         coeffs = np.full((2, 3), np.array([0.5, 0.5, 0.0]))
-        rels.rhs_groups[(0, 0)] = SubspaceBlock(anchors=anchors, members=np.array([1]), coeffs=coeffs)
+        rels = relations(np.array([[0.0, 0.0]]), rhs={(0, 0): (anchors, [1], coeffs)})
         assert rel_dim_loss(model, rels) == pytest.approx(8.0, rel=1e-12)
 
 
@@ -261,19 +262,19 @@ class TestNuclearNorm:
 class TestRegularizer:
     def test_coincident_anchors_zero(self):
         types = one_type(np.ones((3, 2)), [0], [[1.0, 0.0, 0.0]])
-        rels = RelationParams(vectors=np.zeros((0, 2)))
+        rels = relations(np.zeros((0, 2)))
         j1, j2 = regularizer(types, rels, "full")
         assert j1 == 0.0 and j2 == 0.0
 
     def test_span_matrix_rows(self):
         types = one_type([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [0], [[1.0, 0.0, 0.0]])
-        rels = RelationParams(vectors=np.zeros((0, 2)))
+        rels = relations(np.zeros((0, 2)))
         j1, _ = regularizer(types, rels, "full")
         assert j1 == pytest.approx(1.0, rel=1e-12)
 
     def test_no_nn_zeroes_both(self):
         types = one_type([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0], [[1.0, 0.0, 0.0]])
-        rels = RelationParams(vectors=np.zeros((0, 2)))
+        rels = relations(np.zeros((0, 2)))
         assert regularizer(types, rels, "no_nn") == (0.0, 0.0)
 
     def test_variant_table(self):
@@ -326,13 +327,11 @@ class TestTotalObjective:
         lam = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
         types = one_type(anchors, [0, 1], lam)
         rvec = np.array([[0.15, -0.25]])
-        rels = RelationParams(vectors=rvec)
         qa = np.array([[0.1, 0.0], [0.0, 0.2], [0.3, 0.1]])
         mu = np.array([[0.4, 0.3, 0.3], [0.25, 0.5, 0.25]])
-        rels.rhs_groups[(0, 0)] = SubspaceBlock(anchors=qa, members=np.array([1]), coeffs=mu)
         qb = np.array([[0.0, -0.1], [0.2, 0.2], [-0.2, 0.0]])
         mu2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.1, 0.6, 0.3]])
-        rels.lhs_groups[(0, 1)] = SubspaceBlock(anchors=qb, members=np.array([0]), coeffs=mu2)
+        rels = relations(rvec, rhs={(0, 0): (qa, [1], mu)}, lhs={(0, 1): (qb, [0], mu2)})
         params = ModelParams(model, types, rels)
         ww = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): 4.0, (1, 0): 4.0})
         ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 3.0, (1, 1): 9.0})

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import block_store, random_instance
 from reference_impls import (
     collect_param_arrays,
     prox_objective,
@@ -33,7 +33,7 @@ from typespace.optimize import (
     train,
     tune,
 )
-from typespace.params import Hyperparams, SubspaceBlock, anchor_span_matrix, clone_params, init_parameters
+from typespace.params import Hyperparams, anchor_span_matrix, clone_params, init_parameters
 
 
 class TestProjectToSimplex:
@@ -534,7 +534,7 @@ class TestTrainerStepsWithCheckedGradients:
         tp = params.types["t1"]
         points = params.model.entity_points[tp.members]
         coeff_grad = self._block_grads(tp, points)[0]
-        acc = optimize._AdaState(params).blocks["t1"]
+        acc = optimize._AdaState(params).types["t1"]
         optimize._block_step(tp, points, acc, hp, False, False, TrainReport(), "t1")
         # The anchor step follows the coefficient step: its gradient is
         # taken at the projected coefficients.
@@ -593,9 +593,9 @@ class TestRelGroupPass:
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
             assert np.array_equal(state.entity, ref_state.entity) and np.array_equal(state.rel, ref_state.rel)
-            for addr, accs in state.blocks.items():
-                for got, want in zip(accs, ref_state.blocks[addr]):
-                    assert np.array_equal(got, want), addr
+            for side in ("rhs", "lhs"):
+                got, want = getattr(state, side), getattr(ref_state, side)
+                assert np.array_equal(got.anchors, want.anchors) and np.array_equal(got.coeffs, want.coeffs), side
         assert self_loops > 0  # some group's endpoint is one of its members
 
 
@@ -655,7 +655,9 @@ class TestCarriedNuclearNorms:
         ww, ew, store, params, hp = random_instance(3)
         n = hp.n
         anchors = np.random.default_rng(3).normal(size=(n + 1, n))
-        params.types.per_type["hollow"] = SubspaceBlock(anchors, np.zeros(0, dtype=np.int64), np.zeros((0, n + 1)))
+        blocks = {t: tuple(tp) for t, tp in params.types.items()}
+        blocks["hollow"] = (anchors, np.zeros(0, dtype=np.int64), np.zeros((0, n + 1)))
+        params.types.per_type = block_store("type", blocks, n)
         hp = replace(hp, alpha_mix=0.5, beta_reg=beta, epochs=3, variant=variant)
         data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
         trained, report = train(data, TrainConfig(hp=hp, shuffle_seed=7), params)

@@ -3,6 +3,7 @@ import pytest
 
 from typespace import synth
 from typespace.params import (
+    BlockStore,
     Hyperparams,
     ModelFormatError,
     ModelIntegrityError,
@@ -134,8 +135,9 @@ def assert_params_equal(a, b):
 
 
 _TARGETS = {
-    "type": lambda p: p.types["thing"],
-    "group": lambda p: next(iter(p.rels.rhs_groups.values())),
+    "types": lambda p: p.types.per_type,
+    "rhs": lambda p: p.rels.rhs_groups,
+    "lhs": lambda p: p.rels.lhs_groups,
     "model": lambda p: p.model,
     "rels": lambda p: p.rels,
 }
@@ -150,13 +152,16 @@ def _edit(target, field, edit):
 
 
 def _rekey(side, key):
-    """Move the first group of a side to another key."""
+    """Give the first group of a side another key."""
+    return _edit(side, "key_table", lambda keys: (key, *keys[1:]))
 
-    def tamper(params):
-        groups = getattr(params.rels, f"{side}_groups")
-        groups[key] = groups.pop(next(iter(groups)))
 
-    return tamper
+def _type_listed_twice(params):
+    """The one type, "thing", stored as two blocks under the same key."""
+    s = params.types.per_type
+    params.types.per_type = BlockStore(
+        "type", s.key_table * 2, *(np.concatenate([a, a]) for a in (s.anchors, s.counts, s.members, s.coeffs))
+    )
 
 
 def _extra_row(a):
@@ -173,15 +178,22 @@ def _nan_last(a):
     return a
 
 
+def _last_row_doubled(a):
+    a = a.copy()
+    a[-1] *= 2.0
+    return a
+
+
 _KEY_RANGE = "key index out of range"
-# case id -> (tamper, message); small_setup has 5 entities, 4 words and 2
-# relations.
+_OFF_SIMPLEX = "coefficient row off the probability simplex"
+# case id -> (tamper, message); small_setup has 5 entities, 4 words, 2
+# relations, the one type "thing" and 7 tail groups, the last keyed (3, 0).
 _INCONSISTENT = {
-    "member_too_large": (_edit("type", "members", lambda a: np.append(a[:-1], 99)), "member index out of range"),
-    "member_negative": (_edit("type", "members", lambda a: np.append(a[:-1], -1)), "member index out of range"),
-    "type_coeff_rows": (_edit("type", "coeffs", lambda a: a[:-1]), "coeffs shape"),
-    "anchor_rows": (_edit("type", "anchors", lambda a: a[:-1]), "anchors shape"),
-    "group_coeff_rows": (_edit("group", "coeffs", lambda a: a[:-1]), "coeffs shape"),  # no virtual row
+    "member_too_large": (_edit("types", "members", lambda a: np.append(a[:-1], 99)), "member index out of range"),
+    "member_negative": (_edit("types", "members", lambda a: np.append(a[:-1], -1)), "member index out of range"),
+    "type_coeff_rows": (_edit("types", "coeffs", lambda a: a[:-1]), "coeffs shape"),
+    "anchor_rows": (_edit("types", "anchors", lambda a: a[:, :-1]), "anchors shape"),
+    "group_coeff_rows": (_edit("rhs", "coeffs", lambda a: a[:-1]), "coeffs shape"),  # a virtual row short
     "entity_point_rows": (_edit("model", "entity_points", _extra_row), "entity_points shape"),
     "entity_bias_rows": (_edit("model", "entity_bias", _extra_row), "entity_bias shape"),
     "word_vec_rows": (_edit("model", "word_vecs", _extra_row), "word_vecs shape"),
@@ -198,6 +210,23 @@ _INCONSISTENT = {
     "lhs_key_relation_negative": (_rekey("lhs", (-1, 0)), _KEY_RANGE),
     "lhs_key_entity": (_rekey("lhs", (0, 5)), _KEY_RANGE),
     "entity_point_nan": (_edit("model", "entity_points", _nan_last), "entity_points holds a non-finite value"),
+    "duplicate_type_id": (_type_listed_twice, "type thing: duplicate or out-of-order key"),
+    "duplicate_group_key": (
+        _edit("lhs", "key_table", lambda keys: (keys[0], *keys)[: len(keys)]),
+        r"group lhs \(0, 1\): duplicate or out-of-order key",
+    ),
+    "type_off_simplex": (_edit("types", "coeffs", _last_row_doubled), "type thing: " + _OFF_SIMPLEX),
+    "group_off_simplex": (_edit("rhs", "coeffs", _last_row_doubled), r"group rhs \(3, 0\): " + _OFF_SIMPLEX),
+    "member_counts_sum": (
+        _edit("types", "counts", lambda a: a + 1), "types: member counts must be non-negative and sum to the 5 members"
+    ),
+    "member_counts_wrap": (  # four counts of 2**62 sum to 0 in int64
+        _edit("rhs", "counts", lambda a: np.array([2**62] * 4 + [len(a), 0, 0])),
+        "rhs groups: member counts must be non-negative and sum to the 7 members",
+    ),
+    "anchor_count_vs_keys": (
+        _edit("rhs", "anchors", lambda a: a[:-1]), r"rhs groups: anchors shape \(6, 4, 3\), expected \(7, 4, 3\)"
+    ),
 }
 
 
@@ -257,7 +286,8 @@ class TestPersistence:
         with pytest.raises(ModelIntegrityError):
             load_model(path)
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [999, 1])  # 1: the per-block layout, which must be retrained
+    def test_version_mismatch(self, tmp_path, version):
         params, hp, _ = small_setup()
         path = self._save(tmp_path, params, hp)
         blob = bytearray(path.read_bytes())
@@ -266,7 +296,7 @@ class TestPersistence:
         import struct
         import zlib
 
-        blob[8:16] = struct.pack("<Q", 999)
+        blob[8:16] = struct.pack("<Q", version)
         payload = bytes(blob[:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from typespace.params import SubspaceBlock, TypeSubspaceParams
+from conftest import block_store
+from typespace.params import TypeSubspaceParams
 from typespace.subspace import (
     centroid,
     effective_rank,
@@ -14,9 +15,7 @@ from typespace.subspace import (
 def types_with_anchors(anchors):
     anchors = np.asarray(anchors, dtype=np.float64)
     m = anchors.shape[0]
-    return TypeSubspaceParams(
-        {"t": SubspaceBlock(anchors, np.array([0]), np.full((1, m), 1.0 / m))}
-    )
+    return TypeSubspaceParams(block_store("type", {"t": (anchors, [0], np.full((1, m), 1.0 / m))}, anchors.shape[1]))
 
 
 class TestEffectiveRank:
