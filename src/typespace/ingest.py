@@ -169,26 +169,28 @@ class TripleStore:
 
 
 def _validate_document(doc: Document, lineno: int | None = None) -> None:
-    where = f"document {doc.doc_id!r}"
-    if lineno is not None:
-        where += f" (line {lineno})"
-    spans_by_sentence: dict[int, list[tuple[int, int]]] = {}
+    def where() -> str:  # formatted only for an error
+        return f"document {doc.doc_id!r}" + (f" (line {lineno})" if lineno is not None else "")
+
+    # Spans can overlap only when a document holds two mentions or more.
+    spans_by_sentence: dict[int, list[tuple[int, int]]] | None = {} if len(doc.mentions) > 1 else None
     for m in doc.mentions:
         if not 0 <= m.sentence < len(doc.sentences):
-            raise CorpusValidationError(f"{where}: mention of {m.entity!r} addresses missing sentence {m.sentence}")
+            raise CorpusValidationError(f"{where()}: mention of {m.entity!r} addresses missing sentence {m.sentence}")
         start, end = m.span
         n_tok = len(doc.sentences[m.sentence])
         if not (0 <= start < end <= n_tok):
             raise CorpusValidationError(
-                f"{where}: mention span {m.span} of {m.entity!r} outside sentence of length {n_tok}"
+                f"{where()}: mention span {m.span} of {m.entity!r} outside sentence of length {n_tok}"
             )
-        spans_by_sentence.setdefault(m.sentence, []).append((start, end))
-    for sent, spans in spans_by_sentence.items():
+        if spans_by_sentence is not None:
+            spans_by_sentence.setdefault(m.sentence, []).append((start, end))
+    for sent, spans in (spans_by_sentence or {}).items():
         spans.sort()
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
             if s1 < e0:
                 raise CorpusValidationError(
-                    f"{where}: overlapping mention spans {(s0, e0)} and {(s1, e1)} in sentence {sent}"
+                    f"{where()}: overlapping mention spans {(s0, e0)} and {(s1, e1)} in sentence {sent}"
                 )
 
 

@@ -30,7 +30,6 @@ from typespace.params import (
     TypeSubspaceParams,
     GroupPlan,
     anchor_span_matrix,
-    group_points,
     variant_flags,
 )
 
@@ -119,14 +118,28 @@ def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
     return -2.0 * resid @ block.anchors.T
 
 
+def block_fit_losses(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+    """Each block's block_loss(block_resid(...)) in key order, one stacked
+    fit per size class; each value is bit for bit the block's own."""
+    out = np.empty(len(store))
+    for cls in store.size_classes:
+        resid = store.class_points(cls, entity_points, vectors) - store.coeffs[cls.coeffs] @ store.anchors[cls.blocks]
+        out[cls.blocks] = np.sum(resid * resid, axis=(1, 2))
+    return out
+
+
+def _add_in_order(total: float, losses: np.ndarray) -> float:
+    """total plus each loss in turn, as a loop over the blocks adds them."""
+    for loss in losses.tolist():
+        total += loss
+    return total
+
+
 def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
     """Sum of squared residuals of entity points against their convex
     combination of type anchors."""
     _check_simplex(types.per_type, "lambda")
-    total = 0.0
-    for tp in types.per_type.values():
-        total += block_loss(block_resid(tp, model.entity_points[tp.members]))
-    return total
+    return _add_in_order(0.0, block_fit_losses(types.per_type, model.entity_points))
 
 
 def comb_penalty_terms(anchors: np.ndarray, tiny: float = 1e-12):
@@ -161,8 +174,7 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     total = 0.0
     for _, groups in rels.sides():
         _check_simplex(groups, "mu")
-        for gp, plan in zip(groups.values(), groups.plans):
-            total += block_loss(block_resid(gp, group_points(model.entity_points, rels.vectors, plan)))
+        total = _add_in_order(total, block_fit_losses(groups, model.entity_points, rels.vectors))
     return total
 
 

@@ -11,7 +11,10 @@ are the same subspace block, and one block step updates either: the
 simplex coefficients by projected gradient, the anchors by a gradient
 step, then singular-value thresholding of the anchor span matrix.  The
 nuclear norms are handled only by the proximal step, never by gradients.
-Training is a pure function of its inputs and seeds.
+The step kernels, called thousands of times per epoch, test finiteness
+from a sum of squares and take the exact test only when that sum is not
+finite (_finite).  The divergence snapshot is cloned after every epoch but
+the last.  Training is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -81,18 +84,30 @@ class TrainingDivergedError(RuntimeError):
         self.last_epoch = last_epoch
 
 
+def _finite(a: np.ndarray, sum_sq: float | None = None) -> bool:
+    """Whether every value of a is finite.  Its sum of squares (sum_sq, or
+    vdot(a, a)) is finite only if every value is, so only a non-finite sum
+    needs the exact test: a NaN or infinity, or finite values whose squares
+    overflow.  vdot, unlike a ufunc, raises no floating-point warning."""
+    if sum_sq is None:
+        sum_sq = np.vdot(a, a)
+    return math.isfinite(sum_sq) or bool(np.isfinite(a).all())
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1} (sort-based),
     row by row along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise ValueError("cannot project a non-finite vector")
-    u = np.sort(v, axis=-1)[..., ::-1]
+    k = v.shape[-1]
+    rows = v.reshape(-1, k)
+    u = np.sort(rows, axis=-1)[:, ::-1]
     css = u.cumsum(axis=-1) - 1.0
-    cond = u - css / np.arange(1, v.shape[-1] + 1) > 0
-    rho = v.shape[-1] - cond[..., ::-1].argmax(axis=-1)
-    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-    return np.maximum(v - theta, 0.0)
+    cond = u - css / np.arange(1, k + 1) > 0
+    rho = k - cond[:, ::-1].argmax(axis=-1)
+    theta = css[np.arange(len(css)), rho - 1] / rho
+    return np.maximum(v - theta.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
 def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
@@ -111,11 +126,11 @@ def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    if not np.all(np.isfinite(m)):
+    fro2 = float(np.vdot(m, m))
+    if not _finite(m, fro2):
         raise ValueError("cannot threshold a non-finite matrix")
     if tau == 0.0:
         return m.copy(), nuclear_norm(m)
-    fro2 = float(np.vdot(m, m))
     tau2 = tau * tau
     if fro2 <= tau2:
         return np.zeros_like(m), 0.0
@@ -140,15 +155,17 @@ def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: s
     non-finite row as name[row].
     """
     g = np.asarray(grad, dtype=np.float64)
-    finite = np.isfinite(g)
-    if not finite.all():
+    if not _finite(g):
         if rows is not None:
-            name = f"{name}[{rows[int(np.argmin(finite.reshape(len(g), -1).all(axis=1)))]}]"
+            name = f"{name}[{rows[int(np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1)))]}]"
         raise NonFiniteGradientError(f"non-finite gradient for {name}")
-    idx = ... if rows is None else rows
-    acc = state[idx] + g * g
-    state[idx] = acc
-    values[idx] -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
+    if rows is None:
+        state += g * g
+        values -= lr * g / np.sqrt(state + ADAGRAD_EPS)
+    else:
+        acc = state[rows] + g * g
+        state[rows] = acc
+        values[rows] -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
 
 
 def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
@@ -370,18 +387,20 @@ def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
     """One block step per relation group of plans, then AdaGrad steps on
     the group's entity points (one row step) and its relation vector.
     Returns the sum of the groups' span nuclear norms after their proxes."""
-    m, rels = params.model, params.rels
+    points_all, vectors = params.model.entity_points, params.rels.vectors
+    entity_acc, rel_acc = state.entity, state.rel
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     prox = flags.reg2 and hp.beta_reg > 0.0
     reg = 0.0
     for gp, plan, acc, label in plans:
-        points = group_points(m.entity_points, rels.vectors, plan)
+        k = plan.rel
+        points = group_points(points_all, vectors, plan)
         resid, norm = _block_step(gp, points, acc, hp, prox, False, report, label)
         reg += norm
         entity_grads, rel_grad = group_point_gradients(plan, resid)
-        adagrad_step(m.entity_points, scale * entity_grads, state.entity, lr, "entity", rows=plan.step_rows)
-        adagrad_step(rels.vectors[plan.rel], scale * rel_grad, state.rel[plan.rel], lr, name=f"rel[{plan.rel}]")
+        adagrad_step(points_all, scale * entity_grads, entity_acc, lr, "entity", rows=plan.step_rows)
+        adagrad_step(vectors[k], scale * rel_grad, rel_acc[k], lr, name=f"rel[{k}]")
     return reg
 
 
@@ -463,7 +482,8 @@ def train(
                 }
                 log_fh.write(json.dumps(record) + "\n")
                 log_fh.flush()
-            last_good = clone_params(params)
+            if epoch + 1 < hp.epochs:  # only a later epoch's divergence reads the snapshot
+                last_good = clone_params(params)
     finally:
         if log_fh is not None:
             log_fh.close()

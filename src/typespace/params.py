@@ -149,6 +149,16 @@ class SubspaceBlock(NamedTuple):
     coeffs: np.ndarray   # (m, n+1) for a type, (m+1, n+1) for a group
 
 
+class SizeClass(NamedTuple):
+    """The blocks of a BlockStore that hold r coefficient rows each, as
+    gather indices: row i describes block blocks[i]."""
+
+    blocks: np.ndarray  # (B_r,) block indices, ascending
+    rows: np.ndarray    # (B_r, r) entity rows of the blocks' points, a group's endpoint last
+    coeffs: np.ndarray  # (B_r, r) coefficient rows
+    rels: np.ndarray | None  # (B_r,) the relation of each group's virtual member; None for types
+
+
 def _first_block(bad: np.ndarray, offsets: np.ndarray | None = None) -> int | None:
     """The block of the first True in bad, a mask per block, or per entry of
     the member or coefficient-row array whose BlockStore.offsets are given;
@@ -200,6 +210,40 @@ class BlockStore(Mapping):
     def plans(self) -> list[GroupPlan]:
         """Each relation group's index plan, in key order, built once."""
         return [group_plan(block.members, self.kind, key) for key, block in zip(self.key_table, self._blocks)]
+
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """(B, 2): each relation group's (endpoint entity, relation), from its
+        key, (e, k) for a tail group and (k, f) for a head group; no rows for
+        types."""
+        pairs = np.array(self.key_table if self.kind != "type" else (), dtype=np.int64).reshape(-1, 2)
+        return pairs if self.kind == "rhs" else pairs[:, ::-1]
+
+    @cached_property
+    def size_classes(self) -> list[SizeClass]:
+        """The blocks grouped by coefficient-row count, one SizeClass per
+        count in ascending order, built once."""
+        m, c = self.offsets
+        sizes = np.diff(c)
+        virtual = int(self.kind != "type")
+        out = []
+        for r in np.unique(sizes).tolist():
+            blocks = np.flatnonzero(sizes == r)
+            rows = self.members[m[blocks, None] + np.arange(r - virtual)]
+            rels = None
+            if virtual:
+                rows = np.concatenate((rows, self.endpoints[blocks, :1]), axis=1)
+                rels = self.endpoints[blocks, 1]
+            out.append(SizeClass(blocks, rows, c[blocks, None] + np.arange(r), rels))
+        return out
+
+    def class_points(self, cls: SizeClass, entity_points: np.ndarray, vectors: np.ndarray | None) -> np.ndarray:
+        """The (B_r, r, n) points of size class cls's blocks: a type's
+        members, or a relation group's points as group_points builds them."""
+        points = entity_points[cls.rows]
+        if self.kind != "type":
+            points[:, -1] += (1.0 if self.kind == "rhs" else -1.0) * vectors[cls.rels]
+        return points
 
     def __getitem__(self, key) -> SubspaceBlock:
         return self._blocks[self._index[key]]
@@ -306,6 +350,15 @@ def group_points(entity_points: np.ndarray, vectors: np.ndarray, plan: GroupPlan
     return points
 
 
+def block_centroids(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(B, n): the mean of each block's points, one stacked mean per size
+    class; each row is bit for bit the block's own mean(axis=0)."""
+    out = np.empty((len(store), entity_points.shape[1]))
+    for cls in store.size_classes:
+        out[cls.blocks] = store.class_points(cls, entity_points, vectors).mean(axis=1)
+    return out
+
+
 def _new_store(kind: str, index, noise: np.ndarray, n: int) -> BlockStore:
     """The blocks of index (key -> member entities) in one store, keyed in
     ascending order, with noise[i], drawn for the i-th block of index, as
@@ -368,11 +421,8 @@ def init_parameters(
         _new_store("lhs", triples.lhs, group_noise[len(triples.rhs) :], n),
     )
 
-    points = model.entity_points
-    types.anchors += np.reshape([points[b.members].mean(axis=0) for b in types.values()], (-1, 1, n))
-    for _, groups in rels.sides():
-        centroids = [group_points(points, vectors, plan).mean(axis=0) for plan in groups.plans]
-        groups.anchors += np.reshape(centroids, (-1, 1, n))
+    for store in (types, rels.rhs_groups, rels.lhs_groups):
+        store.anchors += block_centroids(store, model.entity_points, vectors)[:, None]
     return ModelParams(model, TypeSubspaceParams(types), rels)
 
 
@@ -548,9 +598,7 @@ def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -
     # A count above n_members would let the sum wrap around to n_members.
     if ((store.counts < 0) | (store.counts > n_members)).any() or store.counts.sum() != n_members:
         raise ModelFormatError(f"{where}: member counts must be non-negative and sum to the {n_members} members")
-    # (entity, relation) per group key: a tail group's key is (e, k), a head group's (k, f).
-    pairs = np.array(keys if store.kind != "type" else (), dtype=np.int64).reshape(-1, 2)
-    pairs = pairs if store.kind == "rhs" else pairs[:, ::-1]
+    pairs = store.endpoints
     for i, what in (
         (_first_block(((pairs < 0) | (pairs >= (n_entities, n_relations))).any(axis=1)),
          f"key index out of range of {n_entities} entities and {n_relations} relations"),

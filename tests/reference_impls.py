@@ -313,10 +313,76 @@ def ref_text_pass(entries, order, model, state, lr, alpha, eps=1e-8):
             values[r] = values[r] - lr * g / np.sqrt(accum[r] + eps)
 
 
+# --- per-block fits and centroids ---------------------------------------------
+
+
+def _ref_block_points(store, entity_points, vectors):
+    """(block, points) per block in key order: a type's member points, or a
+    group's member points then its endpoint moved by +r_k (tail group
+    (e, k)) or -r_k (head group (k, f))."""
+    for key, block in store.items():
+        points = entity_points[block.members]
+        if store.kind != "type":
+            entity, k, sign = (key[0], key[1], 1.0) if store.kind == "rhs" else (key[1], key[0], -1.0)
+            points = np.vstack([points, entity_points[entity] + sign * vectors[k]])
+        yield block, points
+
+
+def ref_block_losses(store, entity_points, vectors=None):
+    """Each block's sum of squared fit residuals, block by block."""
+    out = []
+    for block, points in _ref_block_points(store, entity_points, vectors):
+        resid = points - block.coeffs @ block.anchors
+        out.append(float(np.sum(resid * resid)))
+    return out
+
+
+def ref_type_loss(types, model):
+    """type_loss as a loop over the types in key order."""
+    total = 0.0
+    for loss in ref_block_losses(types.per_type, model.entity_points):
+        total += loss
+    return total
+
+
+def ref_rel_dim_loss(model, rels):
+    """rel_dim_loss as one running sum over the tail groups, then the head
+    groups, each side in key order."""
+    total = 0.0
+    for groups in (rels.rhs_groups, rels.lhs_groups):
+        for loss in ref_block_losses(groups, model.entity_points, rels.vectors):
+            total += loss
+    return total
+
+
+def ref_block_centroids(store, entity_points, vectors):
+    """Each block's init centroid, one mean(axis=0) per block."""
+    return [points.mean(axis=0) for _, points in _ref_block_points(store, entity_points, vectors)]
+
+
+# --- step kernels ----------------------------------------------------------------
+
+
+def ref_adagrad_step(values, grad, state, lr, name="param", rows=None):
+    """optimize.adagrad_step as it was before its finiteness test read the
+    gradient's sum of squares: the exact isfinite test up front, then one
+    indexed update for whole arrays and rows alike."""
+    g = np.asarray(grad, dtype=np.float64)
+    finite = np.isfinite(g)
+    if not finite.all():
+        if rows is not None:
+            name = f"{name}[{rows[int(np.argmin(finite.reshape(len(g), -1).all(axis=1)))]}]"
+        raise FloatingPointError(f"non-finite gradient for {name}")
+    idx = ... if rows is None else rows
+    acc = state[idx] + g * g
+    state[idx] = acc
+    values[idx] -= lr * g / np.sqrt(acc + 1e-8)
+
+
 # --- sequential relation-group pass ------------------------------------------
 
 
-def _ref_simplex_rows(v):
+def ref_simplex_rows(v):
     """Sort-based Euclidean projection of each row onto the simplex."""
     u = np.flip(np.sort(v, axis=-1), axis=-1)
     css = np.cumsum(u, axis=-1) - 1.0
@@ -355,7 +421,7 @@ def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
             points = np.vstack([m.entity_points[gp.members], m.entity_points[entity] + sign * rels.vectors[k]])
             resid = points - gp.coeffs @ gp.anchors
             _ref_adagrad(gp.coeffs, ..., scale * (-2.0 * resid @ gp.anchors.T), acc_coeffs, lr)
-            gp.coeffs[:] = _ref_simplex_rows(gp.coeffs)
+            gp.coeffs[:] = ref_simplex_rows(gp.coeffs)
             resid = points - gp.coeffs @ gp.anchors
             _ref_adagrad(gp.anchors, ..., scale * (-2.0 * gp.coeffs.T @ resid), acc_anchors, lr)
             if prox:

@@ -94,6 +94,47 @@ class TestLoadCorpus:
         with pytest.raises(CorpusValidationError, match="dX"):
             load_corpus(p)
 
+    def test_adjacent_spans_load(self, tmp_path):
+        # A span may end where the next one starts; a lone mention and a
+        # mention-free document skip the overlap scan but still load.
+        p = tmp_path / "c.jsonl"
+        mentions = [
+            {"entity": "e2", "sentence": 0, "span": [1, 3]},
+            {"entity": "e1", "sentence": 0, "span": [0, 1]},
+            {"entity": "e3", "sentence": 1, "span": [0, 1]},
+        ]
+        write_corpus(p, [
+            {"doc_id": "d1", "sentences": [["a", "b", "c"], ["d"]], "mentions": mentions},
+            {"doc_id": "d2", "sentences": [["a"]], "mentions": [{"entity": "e1", "sentence": 0, "span": [0, 1]}]},
+            {"doc_id": "d3", "sentences": [["a"]], "mentions": []},
+        ])
+        docs = load_corpus(p)
+        assert [len(d.mentions) for d in docs] == [3, 1, 0]
+
+    @pytest.mark.parametrize("mentions, message", [
+        (
+            [{"entity": "e1", "sentence": 0, "span": [1, 3]}, {"entity": "e2", "sentence": 0, "span": [0, 2]}],
+            "document 'dX' (line 2): overlapping mention spans (0, 2) and (1, 3) in sentence 0",
+        ),
+        (
+            [{"entity": "e1", "sentence": 0, "span": [2, 4]}],
+            "document 'dX' (line 2): mention span (2, 4) of 'e1' outside sentence of length 3",
+        ),
+        (
+            [{"entity": "e1", "sentence": 1, "span": [0, 1]}],
+            "document 'dX' (line 2): mention of 'e1' addresses missing sentence 1",
+        ),
+    ], ids=["overlap", "span", "sentence"])
+    def test_validation_messages(self, tmp_path, mentions, message):
+        p = tmp_path / "c.jsonl"
+        write_corpus(p, [
+            {"doc_id": "ok", "sentences": [["a"]], "mentions": []},
+            {"doc_id": "dX", "sentences": [["a", "b", "c"]], "mentions": mentions},
+        ])
+        with pytest.raises(CorpusValidationError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == message
+
     def test_malformed_record_reports_line(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"doc_id": "ok", "sentences": [], "mentions": []}\n{"nope": 1}\n')

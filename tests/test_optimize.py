@@ -12,8 +12,10 @@ from reference_impls import (
     collect_param_arrays,
     prox_objective,
     prox_subgradient_residual,
+    ref_adagrad_step,
     ref_prox_nuclear,
     ref_rel_dim_pass,
+    ref_simplex_rows,
     simplex_bisection_oracle,
     simplex_grid_search,
 )
@@ -214,6 +216,93 @@ class TestAdagrad:
         assert np.array_equal(state, want_state)
 
 
+class TestFiniteGuards:
+    """adagrad_step, project_to_simplex and prox_nuclear take their
+    finiteness test from a sum of squares and fall back to the exact test
+    only when that sum is not finite: a NaN or infinity still raises before
+    anything moves, and finite values whose squares or sum overflow still
+    give the result of the exact test's code."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_adagrad_names_the_non_finite_row(self, bad, r):
+        rng = np.random.default_rng(1)
+        values, state = rng.normal(size=(6, 3)), rng.uniform(size=(6, 3))
+        before = values.copy(), state.copy()
+        rows = np.array([4, 1, 3])
+        grad = rng.normal(size=(3, 3))
+        grad[r, 1] = bad
+        grad[1, 0] = 1e200  # a finite row before or after it, whose square overflows
+        with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for entity\[{rows[r]}\]$"):
+            adagrad_step(values, grad, state, 0.1, "entity", rows=rows)
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient for anchors$"):
+            adagrad_step(values[:3], grad, state[:3], 0.1, "anchors")
+        assert values.tobytes() == before[0].tobytes() and state.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("rows", [None, [4, 1, 3]])
+    def test_adagrad_overflowing_square_still_steps(self, rows):
+        rng = np.random.default_rng(2)
+        shape = (3 if rows is None else 6, 4)
+        values, state = rng.normal(size=shape), rng.uniform(size=shape)
+        start = values.copy()
+        want_values, want_state = values.copy(), state.copy()
+        grad = rng.normal(size=(3, 4))
+        grad[1, 2], grad[2, 0] = 1e200, -1e200
+        with np.errstate(over="ignore"):  # g * g overflows to inf, as it always did
+            adagrad_step(values, grad, state, 0.1, "entity", rows=rows)
+            ref_adagrad_step(want_values, grad, want_state, 0.1, "entity", rows=rows)
+        assert values.tobytes() == want_values.tobytes() and state.tobytes() == want_state.tobytes()
+        assert np.isinf(state).sum() == 2 and (values != start).sum() == 3 * 4 - 2
+
+    def test_adagrad_matches_reference(self):
+        rng = np.random.default_rng(3)
+        for shape, rows in [((5,), None), ((4, 3), None), ((7, 3), [6, 0, 2]), ((7, 3), np.array([5]))]:
+            values, state = rng.normal(size=shape), np.zeros(shape)
+            want_values, want_state = values.copy(), state.copy()
+            for _ in range(3):
+                grad = rng.normal(size=shape if rows is None else (len(rows),) + shape[1:])
+                adagrad_step(values, grad, state, 0.05, rows=rows)
+                ref_adagrad_step(want_values, grad, want_state, 0.05, rows=rows)
+            assert values.tobytes() == want_values.tobytes() and state.tobytes() == want_state.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_simplex_rejects_non_finite(self, bad):
+        v = np.array([[0.2, 0.3, 0.5], [0.1, 0.9, 0.0]])
+        v[1, 2] = bad
+        for arg in (v, v[1]):
+            with pytest.raises(ValueError, match="^cannot project a non-finite vector$"):
+                project_to_simplex(arg)
+        v[0, 0] = np.inf if bad != np.inf else -np.inf  # +inf and -inf in one array
+        with pytest.raises(ValueError, match="^cannot project a non-finite vector$"):
+            project_to_simplex(v)
+
+    def test_simplex_matches_reference(self):
+        rng = np.random.default_rng(4)
+        rows = np.array([[1e200, -1e200, 0.5], [1e308, 1e308, 0.0], [0.2, 0.3, 0.5]])  # squares or sums overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert project_to_simplex(rows).tobytes() == ref_simplex_rows(rows).tobytes()
+        for shape in [(7,), (1, 4), (5, 21), (3, 2, 6)]:
+            v = rng.normal(scale=2.0, size=shape)
+            assert project_to_simplex(v).tobytes() == ref_simplex_rows(v).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_prox_rejects_non_finite(self, bad, tau):
+        m = np.random.default_rng(5).normal(size=(4, 4))
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="^cannot threshold a non-finite matrix$"):
+            prox_nuclear(m, tau)
+
+    def test_prox_accepts_overflowing_norm(self):
+        m = np.diag([1e200, 3.0, 0.5])  # ||M||_F^2 overflows
+        out, norm = prox_nuclear(m, 1.0)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        shrunk = np.maximum(s - 1.0, 0.0)
+        assert out.tobytes() == ((u * shrunk) @ vt).tobytes() and norm == float(np.sum(shrunk))
+        out, norm = prox_nuclear(m, 0.0)
+        assert np.array_equal(out, m) and norm == nuclear_norm(m)
+
+
 def _simplex_ok(params, tol=1e-9):
     for tp in params.types.per_type.values():
         assert np.all(tp.coeffs >= -tol)
@@ -277,16 +366,41 @@ class TestTrain:
             params, _ = train(data, TrainConfig(hp=hp, shuffle_seed=2))
             _simplex_ok(params)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_snapshot(self):
-        data, _, _ = synth.attribute_corpus(n_entities=30, seed=6)
-        hp = Hyperparams(n=4, alpha_mix=1.0, epochs=10, learn_rate=1e200, variant="text", seed=1)
-        with pytest.raises(TrainingDivergedError) as exc_info:
-            train(data, TrainConfig(hp=hp, shuffle_seed=1))
-        # The snapshot is either None (first epoch diverged) or finite.
+    def test_divergence_aborts_with_snapshot(self, monkeypatch):
+        # A non-finite total at epoch 3 aborts with the parameters after
+        # epoch 2, which are those of a clean 2-epoch run, array by array.
+        ww, ew, store, params, hp = random_instance(4)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=10, variant="full")
+        clean, _ = train(data, TrainConfig(hp=replace(hp, epochs=2), shuffle_seed=3), clone_params(params))
+        real = optimize.total_objective
+        calls = []
+
+        def objective(*args):
+            out = real(*args)
+            calls.append(out)
+            if len(calls) == 3:
+                out.total = math.inf
+            return out
+
+        monkeypatch.setattr(optimize, "total_objective", objective)
+        with pytest.raises(TrainingDivergedError, match="at epoch 3$") as exc_info:
+            train(data, TrainConfig(hp=hp, shuffle_seed=3), params)
         snap = exc_info.value.last_good
-        if snap is not None:
-            assert np.all(np.isfinite(snap.model.entity_points))
+        assert exc_info.value.last_epoch == 2 and len(calls) == 3
+        for (name, got), (_, want) in zip(collect_param_arrays(snap), collect_param_arrays(clean), strict=True):
+            assert got.tobytes() == want.tobytes(), name
+        # A copy: the live parameters moved on in epoch 3.
+        assert not np.array_equal(snap.model.entity_points, params.model.entity_points)
+
+    def test_no_snapshot_after_the_last_epoch(self, monkeypatch):
+        clones = []
+        monkeypatch.setattr(optimize, "clone_params", lambda p: clones.append(p) or clone_params(p))
+        data, _, _ = synth.attribute_corpus(n_entities=30, seed=6)
+        for epochs in (1, 3):
+            clones.clear()
+            train(data, TrainConfig(hp=Hyperparams(n=4, alpha_mix=1.0, epochs=epochs, variant="text", seed=1)))
+            assert len(clones) == epochs - 1
 
     def test_epoch_log_written(self, tmp_path):
         data, _, _ = synth.attribute_corpus(n_entities=30, seed=7)
