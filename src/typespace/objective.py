@@ -60,34 +60,22 @@ def weight_f(x, x_max: float, exp: float):
     return np.minimum(np.power(x / x_max, exp), 1.0)
 
 
-# Table kind -> (AdaGrad accumulator name, EmbeddingModel attribute) of its
-# fit's row vectors, column vectors, row biases and column biases.
-_TEXT_FITS = {
-    WORD_WORD: (("word", "word_vecs"), ("ctx", "ctx_vecs"), ("word_bias", "word_bias"), ("ctx_bias", "ctx_bias")),
-    ENTITY_WORD: (
-        ("entity", "entity_points"),
-        ("word", "word_vecs"),
-        ("entity_bias", "entity_bias"),
-        ("word_bias", "word_bias"),
-    ),
+# Table kind -> the EmbeddingModel attributes of its fit's row vectors,
+# column vectors, row biases and column biases.
+TEXT_FITS = {
+    WORD_WORD: ("word_vecs", "ctx_vecs", "word_bias", "ctx_bias"),
+    ENTITY_WORD: ("entity_points", "word_vecs", "entity_bias", "word_bias"),
 }
-
-
-def text_fit(model: EmbeddingModel, kind: str):
-    """(accumulator names, model arrays) of a table kind's bilinear fit, in the
-    order row vectors, column vectors, row biases, column biases."""
-    pairs = _TEXT_FITS[kind]
-    return tuple(name for name, _ in pairs), tuple(getattr(model, attr) for _, attr in pairs)
 
 
 def text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
     """Weighted least-squares fit of a table's log counts by the bilinear
-    fit text_fit chooses for its kind: word against context vectors for a
+    fit TEXT_FITS names for its kind: word against context vectors for a
     word-word table, entity points against word vectors for an entity-word
     table."""
     if len(table) == 0:
         return 0.0
-    _, (u, v, bu, bv) = text_fit(model, table.kind)
+    u, v, bu, bv = (getattr(model, attr) for attr in TEXT_FITS[table.kind])
     i, j = table.rows, table.cols
     fx = weight_f(table.weights, hp.x_max, hp.weight_exp)
     return float(np.sum(text_entry_terms(u[i], v[j], bu[i], bv[j], fx, np.log(table.weights))[0]))
@@ -102,12 +90,9 @@ def _check_simplex(store: BlockStore, what: str) -> None:
 def block_resid(block: SubspaceBlock, points: np.ndarray) -> np.ndarray:
     """Residual rows of a subspace block's fit: its points (one per
     coefficient row) minus their convex combinations of the anchors.  Its
-    loss is block_loss(resid), whose partial for point i is 2 * resid[i]."""
+    loss is the sum of squared residuals, whose partial for point i is
+    2 * resid[i]."""
     return points - block.coeffs @ block.anchors
-
-
-def block_loss(resid: np.ndarray) -> float:
-    return float(np.sum(resid * resid))
 
 
 def block_anchor_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
@@ -119,11 +104,12 @@ def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
 
 
 def block_fit_losses(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
-    """Each block's block_loss(block_resid(...)) in key order, one stacked
-    fit per size class; each value is bit for bit the block's own."""
+    """Each block's sum of squared block_resid rows, in key order, one
+    stacked fit per size class; each value is bit for bit the block's own."""
     out = np.empty(len(store))
     for cls in store.size_classes:
-        resid = store.class_points(cls, entity_points, vectors) - store.coeffs[cls.coeffs] @ store.anchors[cls.blocks]
+        anchors = store.anchors if len(cls.blocks) == len(store) else store.anchors[cls.blocks]
+        resid = store.class_points(cls, entity_points, vectors) - store.coeffs[cls.coeffs] @ anchors
         out[cls.blocks] = np.sum(resid * resid, axis=(1, 2))
     return out
 
@@ -178,17 +164,16 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     return total
 
 
-def group_point_gradients(plan: GroupPlan, resid: np.ndarray):
-    """Partials of a relation group's fit with respect to the entities
-    plan.step_rows (one row each) and to its relation vector, from the
-    group's residual rows.  The virtual member's partial goes to its
-    endpoint entity and, signed, to the relation."""
-    point_grads = 2.0 * resid
-    virt = point_grads[-1]
-    grads = point_grads[: len(plan.step_rows)]
+def group_point_gradients(plan: GroupPlan, resid: np.ndarray) -> np.ndarray:
+    """Partials of a relation group's fit with respect to the rows
+    plan.step_rows, its distinct entities and then its relation vector,
+    from the group's residual rows.  The virtual member's partial goes to
+    its endpoint entity and, signed, to the relation."""
+    grads = 2.0 * resid[plan.grad_rows]
     if plan.end_pos < len(plan.rows) - 1:  # the endpoint is a member
-        grads[plan.end_pos] += virt
-    return grads, plan.sign * virt
+        grads[plan.end_pos] += grads[-1]
+    grads[-1] *= plan.sign
+    return grads
 
 
 def nuclear_norm(m: np.ndarray) -> float:

@@ -2,33 +2,39 @@
 
 Each epoch makes three passes: (1) a shuffled pass over word-word and
 entity-word entries with AdaGrad updates, (2) a pass over types, (3) a pass
-over relation triples and then relation groups.  The text pass runs the
-per-entry loop over the shuffled order as an exact level schedule: an
-entry's level is one more than the highest level of any earlier entry
-sharing a row with it, and each level's entries of one table kind, which
-write distinct rows, take one vectorized step.  Types and relation groups
-are the same subspace block, and one block step updates either: the
-simplex coefficients by projected gradient, the anchors by a gradient
-step, then singular-value thresholding of the anchor span matrix.  The
-nuclear norms are handled only by the proximal step, never by gradients.
-The step kernels, called thousands of times per epoch, test finiteness
-from a sum of squares and take the exact test only when that sum is not
-finite (_finite).  The divergence snapshot is cloned after every epoch but
-the last.  Training is a pure function of its inputs and seeds.
+over relation triples and then relation groups.  The rows these passes
+step live in one row buffer and the biases in one bias buffer (_AdaState).
+The text pass runs the per-entry loop over the shuffled order as an exact
+level schedule: an entry's level is one more than the highest level of any
+earlier entry sharing a row with it, and each level's entries of one table
+kind, which write distinct rows, take one step on their rows and one on
+their biases.  A triple takes one step on its two entities and its
+relation.  Types and relation groups are the same subspace block, and one
+block step updates either: the simplex coefficients by projected gradient,
+the anchors by a gradient step, then singular-value thresholding of the
+anchor span matrix; a group's entities and relation then take one step.
+The nuclear norms are handled only by the proximal step, never by
+gradients.  The step kernels test finiteness from a sum of squares and
+take the exact test only when that sum is not finite (_finite).  The
+divergence snapshot is cloned after every epoch but the last.  Training
+is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
 from typespace.objective import (
+    TEXT_FITS,
     LossBreakdown,
     block_anchor_grad,
     block_coeff_grad,
@@ -38,7 +44,6 @@ from typespace.objective import (
     nuclear_norm,
     rel_dist_triple_terms,
     text_entry_terms,
-    text_fit,
     total_objective,
     weight_f,
 )
@@ -47,6 +52,7 @@ from typespace.params import (
     ModelParams,
     anchor_span_matrix,
     clone_params,
+    group_plans,
     group_points,
     init_parameters,
     set_anchor_span_matrix,
@@ -145,19 +151,21 @@ def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     return ((m @ vk) * (1.0 - tau / sigma)) @ vk.T, float(np.sum(sigma - tau))
 
 
-def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name: str = "param", rows=None) -> None:
+def adagrad_step(
+    values: np.ndarray, grad, state: np.ndarray, lr: float, name: str | Callable[[int], str] = "param", rows=None
+) -> None:
     """In-place AdaGrad update: accumulate g**2, then move each coordinate
     by -lr * g / sqrt(G + eps).
 
-    With rows (distinct indices), grad holds one gradient row per index and
-    only those rows of values and state move.  The gradient is checked once;
-    a non-finite one raises before anything moves and names its first
-    non-finite row as name[row].
+    With rows (distinct indices), grad holds one gradient row per index,
+    only those rows of values and state move, and name is a function from a
+    row index to its name.  The gradient is checked once; a non-finite one
+    raises before anything moves and names its first non-finite row.
     """
     g = np.asarray(grad, dtype=np.float64)
     if not _finite(g):
         if rows is not None:
-            name = f"{name}[{rows[int(np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1)))]}]"
+            name = name(rows[int(np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1)))])
         raise NonFiniteGradientError(f"non-finite gradient for {name}")
     if rows is None:
         state += g * g
@@ -224,93 +232,119 @@ class TrainData:
 
 
 class _AdaState:
-    """Accumulated squared gradients, parallel to every trainable array."""
+    """The trainer's row buffers and their accumulated squared gradients.
+
+    rows stacks the entity points, word, context and relation vectors,
+    (E+2V+R, n), and biases the entity, word and context biases, (E+2V,),
+    so a bias has its vector's row; starts maps an array's attribute to its
+    first row, and row_name and bias_name name a buffer row in errors.
+    Building the state copies params' arrays into the buffers and rebinds
+    params to views of them; release() copies the values back into the
+    arrays params held and rebinds those.
+    """
 
     def __init__(self, params: ModelParams):
-        m = params.model
-        self.entity = np.zeros_like(m.entity_points)
-        self.word = np.zeros_like(m.word_vecs)
-        self.ctx = np.zeros_like(m.ctx_vecs)
-        self.word_bias = np.zeros_like(m.word_bias)
-        self.ctx_bias = np.zeros_like(m.ctx_bias)
-        self.entity_bias = np.zeros_like(m.entity_bias)
-        self.rel = np.zeros_like(params.rels.vectors)
+        m, rels = params.model, params.rels
+        self._handed = []  # (owner, attribute, the array params held)
+        self.starts: dict[str, int] = {}
+        self.rows, self.row_name = self._stack(
+            (m, "entity_points", "entity"), (m, "word_vecs", "word"), (m, "ctx_vecs", "ctx"), (rels, "vectors", "rel")
+        )
+        self.biases, self.bias_name = self._stack(*((m, attr, attr) for attr in ("entity_bias", "word_bias", "ctx_bias")))
+        self.row_acc = np.zeros_like(self.rows)
+        self.bias_acc = np.zeros_like(self.biases)
         # Anchor and coefficient accumulators, stacked like the blocks.
         self.types = params.types.per_type.zeros()
-        self.rhs = params.rels.rhs_groups.zeros()
-        self.lhs = params.rels.lhs_groups.zeros()
+        self.rhs = rels.rhs_groups.zeros()
+        self.lhs = rels.lhs_groups.zeros()
+
+    def _stack(self, *arrays):
+        """One buffer holding the (owner, attribute, name) arrays, which the
+        owners then view, and a function naming a buffer row as name[row]."""
+        held = [getattr(owner, attr) for owner, attr, _ in arrays]
+        buf = np.concatenate(held)
+        firsts = np.cumsum([0] + [len(arr) for arr in held[:-1]]).tolist()
+        for (owner, attr, _), arr, first in zip(arrays, held, firsts):
+            self._handed.append((owner, attr, arr))
+            self.starts[attr] = first
+            setattr(owner, attr, buf[first : first + len(arr)])
+
+        def name(r) -> str:
+            i = bisect.bisect_right(firsts, r) - 1
+            return f"{arrays[i][2]}[{r - firsts[i]}]"
+
+        return buf, name
+
+    def release(self) -> None:
+        for owner, attr, arr in self._handed:
+            arr[...] = getattr(owner, attr)
+            setattr(owner, attr, arr)
 
 
-def _text_schedule(tags, rows, cols, order, fits):
-    """The entries of order as batches of one (level, table kind), in level
-    order.  An entry's level is one more than the highest level of any
-    earlier entry that writes one of its rows, so a batch writes distinct
-    rows and every row sees its updates in the order of order.  Rows are
-    keyed per vector array (a word row is one key in both table kinds); a
-    bias row is written with its vector row and shares its key.
+def _text_schedule(tags, urows, vrows, order, n_rows):
+    """The entries of order rearranged into batches of one (level, table
+    kind), in level order, and the batches' bounds in it.  An entry's level
+    is one more than the highest level of any earlier entry that writes one
+    of its rows, so a batch writes distinct rows and every row sees its
+    updates in the order of order.  Rows are row-buffer rows (a word row is
+    one row in both table kinds), and a bias is written with its vector's
+    row.
     """
-    offsets: dict[str, int] = {}  # first key of each vector array
-    n_keys = 0
-    for names, arrays, _ in fits:
-        for name, arr in zip(names[:2], arrays[:2]):
-            if name not in offsets:
-                offsets[name] = n_keys
-                n_keys += len(arr)
     kinds = tags[order]
-    keys_u = np.array([offsets[names[0]] for names, _, _ in fits])[kinds] + rows[order]
-    keys_v = np.array([offsets[names[1]] for names, _, _ in fits])[kinds] + cols[order]
-    last = [0] * n_keys
+    last = [0] * n_rows
     levels = []
-    for a, b in zip(keys_u.tolist(), keys_v.tolist()):
+    for a, b in zip(urows[order].tolist(), vrows[order].tolist()):
         la = last[a]
         lb = last[b]
         level = (la if la > lb else lb) + 1
         last[a] = last[b] = level
         levels.append(level)
-    batch_keys = np.array(levels, dtype=np.int64) * len(fits) + kinds
+    batch_keys = np.array(levels, dtype=np.int64) * len(_TEXT_KINDS) + kinds
     perm = np.argsort(batch_keys, kind="stable")
-    return np.split(order[perm], np.flatnonzero(np.diff(batch_keys[perm], prepend=-1)))[1:]
+    bounds = np.flatnonzero(np.diff(batch_keys[perm], prepend=-1))
+    return order[perm], np.append(bounds, len(order))
 
 
 def _text_pass(entries, order, params, state, hp, alpha) -> int:
     """AdaGrad updates over precomputed text entries, bit for bit those of
-    a per-entry loop in the given order, one step per batch of
-    _text_schedule; returns the number of batches.
+    a per-entry loop in the given order: per batch of _text_schedule, one
+    step on the batch's rows of the row buffer (u rows, then v rows) and
+    one on the same rows of the bias buffer.  Returns the number of
+    batches.
 
-    entries is (tags, rows, cols, fvals, logs); a tag indexes _TEXT_KINDS.
+    entries is (tags, u rows, v rows, fvals, logs), as
+    _prepare_text_entries builds them; a tag indexes _TEXT_KINDS.
     """
-    tags, rows, cols, fvals, logs = entries
+    tags, urows, vrows, fvals, logs = entries
     lr = hp.learn_rate
-    fits = []
-    for kind in _TEXT_KINDS:
-        names, arrays = text_fit(params.model, kind)
-        fits.append((names, arrays, tuple(getattr(state, name) for name in names)))
-    batches = _text_schedule(tags, rows, cols, np.asarray(order, dtype=np.intp), fits)
-    for idx in batches:
-        i = rows[idx]
-        j = cols[idx]
-        (nu, nv, nbu, nbv), (u, v, bu, bv), (su, sv, sbu, sbv) = fits[tags[idx[0]]]
-        _, gu, gv, gb = text_entry_terms(u[i], v[j], bu[i], bv[j], fvals[idx], logs[idx], alpha)
-        adagrad_step(u, gu, su, lr, nu, rows=i)
-        adagrad_step(v, gv, sv, lr, nv, rows=j)
-        adagrad_step(bu, gb, sbu, lr, nbu, rows=i)
-        adagrad_step(bv, gb, sbv, lr, nbv, rows=j)
-    return len(batches)
+    rows, biases = state.rows, state.biases
+    order, bounds = _text_schedule(tags, urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
+    urows, vrows, fvals, logs = urows[order], vrows[order], fvals[order], logs[order]
+    for s, t in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        r = np.concatenate((urows[s:t], vrows[s:t]))
+        x, b, k = rows[r], biases[r], t - s
+        _, gu, gv, gb = text_entry_terms(x[:k], x[k:], b[:k], b[k:], fvals[s:t], logs[s:t], alpha)
+        adagrad_step(rows, np.concatenate((gu, gv)), state.row_acc, lr, state.row_name, r)
+        adagrad_step(biases, np.concatenate((gb, gb)), state.bias_acc, lr, state.bias_name, r)
+    return len(bounds) - 1
 
 
-def _prepare_text_entries(data: TrainData, hp: Hyperparams):
-    tags, rows, cols, fvals, logs = [], [], [], [], []
+def _prepare_text_entries(data: TrainData, hp: Hyperparams, state: _AdaState):
+    """(tags, u rows, v rows, weights f(x), log x) of every text entry, its
+    rows and columns as rows of state's row buffer; None without entries."""
+    tags, urows, vrows, fvals, logs = [], [], [], [], []
     for table in (data.word_word, data.entity_word):
         if table is None or len(table) == 0:
             continue
+        u, v = TEXT_FITS[table.kind][:2]
         tags.append(np.full(len(table), _TEXT_KINDS.index(table.kind), dtype=np.int8))
-        rows.append(table.rows)
-        cols.append(table.cols)
+        urows.append(state.starts[u] + table.rows)
+        vrows.append(state.starts[v] + table.cols)
         fvals.append(weight_f(table.weights, hp.x_max, hp.weight_exp))
         logs.append(np.log(table.weights))
     if not tags:
         return None
-    return tuple(np.concatenate(parts) for parts in (tags, rows, cols, fvals, logs))
+    return tuple(np.concatenate(parts) for parts in (tags, urows, vrows, fvals, logs))
 
 
 def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.ndarray, float]:
@@ -358,19 +392,19 @@ def _type_pass(params, state, hp, flags, report) -> float:
 
 def _rel_dist_pass(params, state, data, hp, rng):
     """Per-triple AdaGrad updates of both entity points and the relation
-    vector, in shuffled triple order."""
+    vector, in shuffled triple order: one step on the rows of f, e and k
+    with gradients g, -g and -g."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    points, vectors = params.model.entity_points, params.rels.vectors
+    rows, acc, name, rel0 = state.rows, state.row_acc, state.row_name, state.starts["vectors"]
     triples = data.triples.triples
     for idx in rng.permutation(len(triples)):
         e, k, f = triples[idx]
         g = rel_dist_triple_terms(params.model, params.rels, e, k, f, scale)[1]
         if e != f:
-            adagrad_step(points[f], g, state.entity[f], lr, name=f"entity[{f}]")
-        # A self-loop's entity partials cancel: its entity takes a zero step.
-        adagrad_step(points[e], -g if e != f else np.zeros_like(g), state.entity[e], lr, name=f"entity[{e}]")
-        adagrad_step(vectors[k], -g, state.rel[k], lr, name=f"rel[{k}]")
+            adagrad_step(rows, np.array((g, -g, -g)), acc, lr, name, np.array((f, e, rel0 + k)))
+        else:  # a self-loop's entity partials cancel: its entity takes a zero step
+            adagrad_step(rows, np.array((np.zeros_like(g), -g)), acc, lr, name, np.array((e, rel0 + k)))
 
 
 def _group_plans(params, state):
@@ -379,28 +413,25 @@ def _group_plans(params, state):
     return [
         (block, plan, acc, f"{side}{key}")
         for (side, groups), accs in zip(params.rels.sides(), (state.rhs, state.lhs))
-        for (key, block), plan, acc in zip(groups.items(), groups.plans, accs.values())
+        for (key, block), plan, acc in zip(groups.items(), group_plans(groups, state.starts["vectors"]), accs.values())
     ]
 
 
 def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
-    """One block step per relation group of plans, then AdaGrad steps on
-    the group's entity points (one row step) and its relation vector.
-    Returns the sum of the groups' span nuclear norms after their proxes."""
+    """One block step per relation group of plans, then one AdaGrad step on
+    the group's entity points and its relation vector.  Returns the sum of
+    the groups' span nuclear norms after their proxes."""
     points_all, vectors = params.model.entity_points, params.rels.vectors
-    entity_acc, rel_acc = state.entity, state.rel
+    rows, acc_rows, name = state.rows, state.row_acc, state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     prox = flags.reg2 and hp.beta_reg > 0.0
     reg = 0.0
     for gp, plan, acc, label in plans:
-        k = plan.rel
         points = group_points(points_all, vectors, plan)
         resid, norm = _block_step(gp, points, acc, hp, prox, False, report, label)
         reg += norm
-        entity_grads, rel_grad = group_point_gradients(plan, resid)
-        adagrad_step(points_all, scale * entity_grads, entity_acc, lr, "entity", rows=plan.step_rows)
-        adagrad_step(vectors[k], scale * rel_grad, rel_acc[k], lr, name=f"rel[{k}]")
+        adagrad_step(rows, scale * group_point_gradients(plan, resid), acc_rows, lr, name, plan.step_rows)
     return reg
 
 
@@ -419,24 +450,25 @@ def train(
 
     The result is a pure function of the inputs and seeds.  With beta > 0
     each pass proxes a block last, so the objective takes the nuclear norms
-    the proxes return.
+    the proxes return.  The arrays of params hold the trained values
+    afterwards, whether train returns or raises.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
     if params is None:
         params = init_parameters(data.n_entities, data.n_words, data.type_system, data.triples, hp)
-    state = _AdaState(params)
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = TrainReport()
-    entries = _prepare_text_entries(data, hp)
     alpha = hp.alpha_mix
-    plans = _group_plans(params, state)
     carry_reg = hp.beta_reg > 0.0
-
-    log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     last_good: ModelParams | None = None
     collapsed = 0  # epochs in which every prox returned the zero span
+    log_fh = None
+    state = _AdaState(params)  # params views its buffers until state.release()
     try:
+        entries = _prepare_text_entries(data, hp, state)
+        plans = _group_plans(params, state)
+        log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
         for epoch in range(hp.epochs):
             t0 = time.perf_counter()
             pass_ms = dict.fromkeys(PASSES, 0.0)
@@ -485,6 +517,7 @@ def train(
             if epoch + 1 < hp.epochs:  # only a later epoch's divergence reads the snapshot
                 last_good = clone_params(params)
     finally:
+        state.release()
         if log_fh is not None:
             log_fh.close()
     if collapsed:

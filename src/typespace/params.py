@@ -207,11 +207,6 @@ class BlockStore(Mapping):
         ]
 
     @cached_property
-    def plans(self) -> list[GroupPlan]:
-        """Each relation group's index plan, in key order, built once."""
-        return [group_plan(block.members, self.kind, key) for key, block in zip(self.key_table, self._blocks)]
-
-    @cached_property
     def endpoints(self) -> np.ndarray:
         """(B, 2): each relation group's (endpoint entity, relation), from its
         key, (e, k) for a tail group and (k, f) for a head group; no rows for
@@ -320,27 +315,41 @@ def set_anchor_span_matrix(anchors: np.ndarray, span: np.ndarray) -> None:
 
 
 class GroupPlan(NamedTuple):
-    """Index plan of a relation group's fit.  Its points are
-    entity_points[rows] (members, then the endpoint), with sign * vectors[rel]
-    added to the last row, the virtual member: the translated head e + r_k
-    of a tail group (e, k), or the translated tail f - r_k of a head group
-    (k, f).  Its point gradients step the distinct entities step_rows (the
-    members, then the endpoint unless it is one), the endpoint at end_pos."""
+    """Index plan of a relation group's fit and point update.  Its points
+    are entity_points[rows] (members, then the endpoint), with
+    sign * vectors[rel] added to the last row, the virtual member: the
+    translated head e + r_k of a tail group (e, k), or the translated tail
+    f - r_k of a head group (k, f).  Its point update steps step_rows of
+    the trainer's row buffer: the distinct entities (the members, then the
+    endpoint unless it is one), then the relation's row.  grad_rows picks
+    each step row's residual row, the virtual member's for the endpoint and
+    the relation; the endpoint is at end_pos."""
 
     rows: np.ndarray
     rel: int
     sign: float
     step_rows: np.ndarray
+    grad_rows: np.ndarray
     end_pos: int
 
 
-def group_plan(members: np.ndarray, side: str, key: tuple[int, int]) -> GroupPlan:
-    entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
-    rows = np.concatenate((members, [entity]))
-    listed = members.tolist()
-    if entity in listed:
-        return GroupPlan(rows, k, sign, members, listed.index(entity))
-    return GroupPlan(rows, k, sign, rows, len(listed))
+def group_plans(store: BlockStore, rel_start: int) -> list[GroupPlan]:
+    """Each relation group's plan, in key order, built per size class.
+    Entity rows come first in the row buffer, and relation k's row is
+    rel_start + k."""
+    sign = 1.0 if store.kind == "rhs" else -1.0
+    plans = [None] * len(store)
+    for cls in store.size_classes:
+        r = cls.rows.shape[1]
+        match = cls.rows[:, :-1] == cls.rows[:, -1:]
+        member = match.any(axis=1).tolist()
+        end_pos = np.where(member, match.argmax(axis=1), r - 1).tolist()
+        steps = np.concatenate((cls.rows, rel_start + cls.rels[:, None]), axis=1)
+        keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
+        grad_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
+        for b, rows, rel, step, m, pos in zip(cls.blocks.tolist(), cls.rows, cls.rels.tolist(), steps, member, end_pos):
+            plans[b] = GroupPlan(rows, rel, sign, step[keep] if m else step, grad_rows[m], pos)
+    return plans
 
 
 def group_points(entity_points: np.ndarray, vectors: np.ndarray, plan: GroupPlan) -> np.ndarray:

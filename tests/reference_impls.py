@@ -222,16 +222,24 @@ def collect_param_arrays(params):
     return arrs
 
 
+def block_loss(resid):
+    """A subspace block's loss from its residual rows (block_resid): the sum
+    of their squares."""
+    return float(np.sum(resid * resid))
+
+
 class StepRecorder:
     """A stand-in for optimize.adagrad_step that moves nothing, so every
     gradient of a pass is taken at the same parameters.
 
     Each gradient is added into a zero array shaped like the parameter array
     the step would have moved (grads, keyed like collect_param_arrays, holds
-    the stepped arrays only).  The array is found by memory overlap, since a
-    step may move a row view.  steps lists (key, rows, gradient) per call in
-    call order; rows is None for a whole-array step and the row indices
-    otherwise, a row view counting as one row.
+    the stepped arrays only).  steps lists (targets, gradient) per call in
+    call order, targets holding (key, row) per gradient row.  A step on
+    given rows of one of the trainer's buffers is mapped back row by row to
+    the arrays that view the buffer, by the address of each row; a
+    whole-array step is one target (key, None), its array found by memory
+    overlap.
     """
 
     def __init__(self, params):
@@ -239,19 +247,28 @@ class StepRecorder:
         self.grads = {}
         self.steps = []
 
+    def _owner(self, address):
+        for key, arr in self.arrays:
+            offset = address - arr.ctypes.data
+            if 0 <= offset < arr.nbytes:
+                return key, arr, offset // arr.strides[0]
+        raise AssertionError("a stepped row that no parameter array holds")
+
     def __call__(self, values, grad, state, lr, name="param", rows=None):
-        key, arr = next((key, arr) for key, arr in self.arrays if np.shares_memory(values, arr))
         g = np.array(grad, dtype=np.float64)
-        dense = self.grads.setdefault(key, np.zeros_like(arr))
-        if values.shape != arr.shape:  # a row view
-            assert values.flags.c_contiguous and rows is None
-            rows = [(values.ctypes.data - arr.ctypes.data) // arr.strides[0]]
-            g = g[None]
         if rows is None:
-            dense += g
-        else:
-            np.add.at(dense, rows, g)
-        self.steps.append((key, None if rows is None else [int(r) for r in rows], g))
+            key, arr = next((key, arr) for key, arr in self.arrays if np.shares_memory(values, arr))
+            assert values.shape == arr.shape
+            self.grads.setdefault(key, np.zeros_like(arr))[...] += g
+            self.steps.append(([(key, None)], g))
+            return
+        assert len(set(int(r) for r in rows)) == len(rows) == len(g)
+        targets = []
+        for r, gr in zip(rows, g):
+            key, arr, row = self._owner(values.ctypes.data + int(r) * values.strides[0])
+            self.grads.setdefault(key, np.zeros_like(arr))[row] += gr
+            targets.append((key, int(row)))
+        self.steps.append((targets, g))
 
 
 def finite_difference_check(loss_fn, params, analytic, h=1e-5):
@@ -285,25 +302,25 @@ def finite_difference_check(loss_fn, params, analytic, h=1e-5):
 
 # --- sequential text pass ------------------------------------------------------
 
-# Tag -> (model attribute, accumulator name) of the row vectors, column
-# vectors, row biases and column biases a text entry writes: tag 0 is a
-# word-word entry, tag 1 an entity-word entry.
+# Tag -> model attributes of the row vectors, column vectors, row biases and
+# column biases a text entry writes: tag 0 is a word-word entry, tag 1 an
+# entity-word entry.
 _TEXT_ROLES = (
-    (("word_vecs", "word"), ("ctx_vecs", "ctx"), ("word_bias", "word_bias"), ("ctx_bias", "ctx_bias")),
-    (("entity_points", "entity"), ("word_vecs", "word"), ("entity_bias", "entity_bias"), ("word_bias", "word_bias")),
+    ("word_vecs", "ctx_vecs", "word_bias", "ctx_bias"),
+    ("entity_points", "word_vecs", "entity_bias", "word_bias"),
 )
 
 
-def ref_text_pass(entries, order, model, state, lr, alpha, eps=1e-8):
+def ref_text_pass(entries, order, model, accs, lr, alpha, eps=1e-8):
     """One entry at a time, in order: the gradient of
     alpha * f * (u.v + b_u + b_v - log x)**2 at the current rows, then an
-    AdaGrad step on each of the four rows.  The dot product is the one-row
-    einsum, whose bits the trainer's batched dot reproduces."""
+    AdaGrad step on each of the four rows.  entries is (tags, rows, cols,
+    fvals, logs), rows and cols indexing the model's arrays, and accs maps
+    each array's attribute to its accumulators.  The dot product is the
+    one-row einsum, whose bits the trainer's batched dot reproduces."""
     tags, rows, cols, fvals, logs = entries
     for idx in order:
-        (u, su), (v, sv), (bu, sbu), (bv, sbv) = (
-            (getattr(model, attr), getattr(state, acc)) for attr, acc in _TEXT_ROLES[tags[idx]]
-        )
+        (u, su), (v, sv), (bu, sbu), (bv, sbv) = ((getattr(model, attr), accs[attr]) for attr in _TEXT_ROLES[tags[idx]])
         i, j = rows[idx], cols[idx]
         resid = np.einsum("i,i->", u[i], v[j]) + bu[i] + bv[j] - logs[idx]
         coef = alpha * 2.0 * fvals[idx] * resid
@@ -398,7 +415,39 @@ def _ref_adagrad(values, idx, g, state, lr, eps=1e-8):
     values[idx] = values[idx] - lr * g / np.sqrt(acc + eps)
 
 
-def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
+def ref_rel_dist_pass(model, rels, entity_acc, rel_acc, triples, hp, rng):
+    """One triple at a time, in rng's shuffle: g = (1 - alpha) * 4 * r, r =
+    P_f - P_e - r_k, then an AdaGrad step on P_f with g, on P_e with -g
+    and on r_k with -g; a self-loop steps its entity with a zero gradient
+    instead of the two that cancel."""
+    lr, scale = hp.learn_rate, 1.0 - hp.alpha_mix
+    points = model.entity_points
+    for idx in rng.permutation(len(triples)):
+        e, k, f = triples[idx]
+        g = scale * 4.0 * (points[f] - points[e] - rels.vectors[k])
+        if e != f:
+            _ref_adagrad(points, f, g, entity_acc, lr)
+        _ref_adagrad(points, e, -g if e != f else np.zeros_like(g), entity_acc, lr)
+        _ref_adagrad(rels.vectors, k, -g, rel_acc, lr)
+
+
+def ref_group_plan(members, side, key, rel_start):
+    """One relation group's GroupPlan, built on its own: its point rows
+    (members, then the endpoint), its relation and sign, its row-buffer
+    step rows (the distinct entities, then rel_start + k), the residual row
+    of each step row's partial and the endpoint's position."""
+    from typespace.params import GroupPlan
+
+    entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
+    rows = np.concatenate((members, [entity]))
+    listed = members.tolist()
+    m = len(listed)
+    if entity in listed:
+        return GroupPlan(rows, k, sign, np.append(members, rel_start + k), np.arange(m + 1), listed.index(entity))
+    return GroupPlan(rows, k, sign, np.append(rows, rel_start + k), np.append(np.arange(m + 1), m), m)
+
+
+def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):
     """One group at a time, tail groups then head groups in key order: the
     group's points (members, then the endpoint moved by +r_k for a tail
     group (e, k) or -r_k for a head group (k, f)), a projected AdaGrad step
@@ -406,15 +455,16 @@ def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
     thresholding of the anchor span by prox_nuclear at
     beta * lr / sqrt(mean G + eps), then AdaGrad steps on the entities (the
     endpoint's partial added to its member row when it is a member) and on
-    the relation vector.  state holds the accumulators as the trainer's
-    _AdaState does."""
+    the relation vector.  accs is (entity accumulators, relation
+    accumulators, tail-group store, head-group store)."""
     m, rels = params.model, params.rels
+    entity_acc, rel_acc, *group_accs = accs
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
+    for side, groups, side_accs in zip(("rhs", "lhs"), (rels.rhs_groups, rels.lhs_groups), group_accs):
         for key in sorted(groups):
             gp = groups[key]
-            acc = getattr(state, side)[key]
+            acc = side_accs[key]
             acc_anchors, acc_coeffs = acc.anchors, acc.coeffs
             entity, k = key if side == "rhs" else (key[1], key[0])
             sign = 1.0 if side == "rhs" else -1.0
@@ -430,8 +480,8 @@ def ref_rel_dim_pass(params, state, hp, prox, prox_nuclear):
             point_grads = 2.0 * resid
             grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
             grads[entity] = grads[entity] + point_grads[-1] if entity in grads else point_grads[-1]
-            _ref_adagrad(m.entity_points, list(grads), scale * np.array(list(grads.values())), state.entity, lr)
-            _ref_adagrad(rels.vectors, k, scale * (sign * point_grads[-1]), state.rel, lr)
+            _ref_adagrad(m.entity_points, list(grads), scale * np.array(list(grads.values())), entity_acc, lr)
+            _ref_adagrad(rels.vectors, k, scale * (sign * point_grads[-1]), rel_acc, lr)
 
 
 # --- per-candidate evaluation loops ------------------------------------------

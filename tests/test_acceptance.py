@@ -28,7 +28,7 @@ from typespace.evalharness import (
 )
 from typespace.evalharness import _rank_of  # tie-rule rank used by link prediction
 from typespace.ingest import TypeSystem
-from typespace.objective import block_loss, block_resid, comb_penalty_terms, rel_dist_loss, text_loss
+from typespace.objective import block_resid, comb_penalty_terms, rel_dist_loss, text_loss
 from typespace.optimize import (
     TrainConfig,
     TrainData,
@@ -89,21 +89,23 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     def order(size):  # the shuffle of the text and triple passes
         return np.random.default_rng(seed).permutation(size)
 
+    text_batches = []
+
     def text():
-        entries = optimize._prepare_text_entries(data, hp)
-        optimize._text_pass(entries, order(len(entries[0])), params, state, hp, alpha)
+        entries = optimize._prepare_text_entries(data, hp, state)
+        text_batches.append(optimize._text_pass(entries, order(len(entries[0])), params, state, hp, alpha))
 
     def type_loss(comb):
         total = 0.0
         for tp in types.per_type.values():
-            total += block_loss(block_resid(tp, m.entity_points[tp.members]))
+            total += ref.block_loss(block_resid(tp, m.entity_points[tp.members]))
             total += comb_penalty_terms(tp.anchors)[0] if comb else 0.0
         return rest * total
 
     def group_loss():
         total = 0.0
         for gp, plan, _, _ in plans:
-            total += block_loss(block_resid(gp, group_points(m.entity_points, rels.vectors, plan)))
+            total += ref.block_loss(block_resid(gp, group_points(m.entity_points, rels.vectors, plan)))
         return rest * total
 
     def type_run(variant):
@@ -113,15 +115,20 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         return _check_block_steps(rec, [(types[t], []) for t in sorted(types.per_type)])
 
     def group_steps(rec):
-        # A group's block step, then its points' entities and its relation.
-        blocks = [(gp, [("entity", plan.step_rows.tolist()), ("rel", [plan.rel])]) for gp, plan, _, _ in plans]
+        # A group's block step, then one step on its points' distinct
+        # entities (members, then the endpoint unless it is one) and its
+        # relation.
+        blocks = []
+        for gp, plan, _, _ in plans:
+            entities = list(dict.fromkeys(plan.rows.tolist()))
+            blocks.append((gp, [[("entity", e) for e in entities] + [("rel", plan.rel)]]))
         return _check_block_steps(rec, blocks)
 
     type_keys = {str((kind, t)) for t in types.per_type for kind in ("anchors", "lambda")} | {"entity"}
     group_keys = {str((kind, side, key)) for side, groups in rels.sides() for key in groups for kind in ("q", "mu")}
     return [
         ("text", text, lambda: alpha * (text_loss(ww, m, hp) + text_loss(ew, m, hp)),
-         {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew)),
+         {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew, text_batches[-1])),
         ("type", type_run("full"), lambda: type_loss(False), type_keys, type_steps),
         ("type_comb", type_run("type_comb"), lambda: type_loss(True), type_keys, type_steps),
         ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
@@ -132,48 +139,48 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     ]
 
 
-def _check_text_steps(rec, ww, ew):
-    """Batches of four steps (row vectors, column vectors, row biases,
-    column biases) whose k-th rows are one entry's, and every entry stepped
-    exactly once.  Returns 1 when some batch holds several entries."""
-    tables = {("word", "ctx", "word_bias", "ctx_bias"): ww, ("entity", "word", "entity_bias", "word_bias"): ew}
-    assert len(rec.steps) % 4 == 0
+def _check_text_steps(rec, ww, ew, n_batches):
+    """Two steps per batch: one on the row vectors then the column vectors
+    of the batch's entries, the k-th row vector and the k-th column vector
+    being one entry's, and one on their biases, row for row; every entry
+    stepped exactly once.  Returns 1 when some batch holds several
+    entries."""
+    tables = {("word", "ctx"): ww, ("entity", "word"): ew}
+    assert len(rec.steps) == 2 * n_batches
     seen = []
-    for b in range(0, len(rec.steps), 4):
-        (ku, i, _), (kv, j, _), (kbu, bi, _), (kbv, bj, _) = rec.steps[b : b + 4]
-        assert bi == i and bj == j
-        seen += [(tables[ku, kv, kbu, kbv].kind, r, c) for r, c in zip(i, j)]
+    for (targets, _), (bias_targets, _) in zip(rec.steps[::2], rec.steps[1::2]):
+        assert bias_targets == [(f"{key}_bias", r) for key, r in targets]
+        k = len(targets) // 2
+        (ku, kv), = {(key_u, key_v) for (key_u, _), (key_v, _) in zip(targets[:k], targets[k:])}
+        seen += [(tables[ku, kv].kind, i, j) for (_, i), (_, j) in zip(targets[:k], targets[k:])]
     assert sorted(seen) == sorted((t.kind, int(r), int(c)) for t in (ww, ew) for r, c in zip(t.rows, t.cols))
-    return int(len(rec.steps) // 4 < len(seen))
+    return int(n_batches < len(seen))
 
 
 def _check_rel_dist_steps(rec, triples, order):
-    """Per triple in pass order, steps on entity f, entity e and relation k;
-    a self-loop steps its entity once, with a zero gradient.  Returns the
-    number of self-loops."""
-    it = iter(rec.steps)
+    """One step per triple in pass order, on entity f, entity e and
+    relation k; a self-loop steps its entity once, with a zero gradient,
+    then its relation.  Returns the number of self-loops."""
+    assert len(rec.steps) == len(order)
     loops = 0
-    for e, k, f in (triples[idx] for idx in order):
+    for (e, k, f), (targets, g) in zip((triples[idx] for idx in order), rec.steps):
         if e != f:
-            assert next(it)[:2] == ("entity", [f])
-        key, rows, g = next(it)
-        assert (key, rows) == ("entity", [e])
-        if e == f:
-            assert not g.any()
+            assert targets == [("entity", f), ("entity", e), ("rel", k)]
+        else:
+            assert targets == [("entity", e), ("rel", k)] and not g[0].any()
             loops += 1
-        assert next(it)[:2] == ("rel", [k])
-    assert next(it, None) is None
     return loops
 
 
 def _check_block_steps(rec, blocks):
     """Per (block, further steps) in pass order, the coefficient step, then
-    the anchor step, then the further (key, rows) steps.  Returns 0."""
+    the anchor step, then the further steps, each a list of (key, row).
+    Returns 0."""
     key_of = {id(arr): key for key, arr in rec.arrays}
     expected = []
     for block, further in blocks:
-        expected += [(key_of[id(block.coeffs)], None), (key_of[id(block.anchors)], None), *further]
-    assert [step[:2] for step in rec.steps] == expected
+        expected += [[(key_of[id(block.coeffs)], None)], [(key_of[id(block.anchors)], None)], *further]
+    assert [targets for targets, _ in rec.steps] == expected
     return 0
 
 

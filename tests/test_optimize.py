@@ -15,6 +15,7 @@ from reference_impls import (
     ref_adagrad_step,
     ref_prox_nuclear,
     ref_rel_dim_pass,
+    ref_rel_dist_pass,
     ref_simplex_rows,
     simplex_bisection_oracle,
     simplex_grid_search,
@@ -194,10 +195,10 @@ class TestAdagrad:
         grad = np.ones((3, 3))
         grad[1, 2] = np.nan
         with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[17\]$"):
-            adagrad_step(values, grad, state, 0.1, "word", rows=[4, 17, 2])
+            adagrad_step(values, grad, state, 0.1, "word[{}]".format, rows=[4, 17, 2])
         grad[2, 0] = np.inf
         with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[0\]$"):
-            adagrad_step(values, grad, state, 0.1, "word", rows=[3, 0, 1])
+            adagrad_step(values, grad, state, 0.1, "word[{}]".format, rows=[3, 0, 1])
         # The check comes before any row moves.
         assert np.array_equal(values, np.arange(15.0).reshape(5, 3))
         assert np.array_equal(state, np.ones((5, 3)))
@@ -234,7 +235,7 @@ class TestFiniteGuards:
         grad[r, 1] = bad
         grad[1, 0] = 1e200  # a finite row before or after it, whose square overflows
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for entity\[{rows[r]}\]$"):
-            adagrad_step(values, grad, state, 0.1, "entity", rows=rows)
+            adagrad_step(values, grad, state, 0.1, "entity[{}]".format, rows=rows)
         with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient for anchors$"):
             adagrad_step(values[:3], grad, state[:3], 0.1, "anchors")
         assert values.tobytes() == before[0].tobytes() and state.tobytes() == before[1].tobytes()
@@ -264,6 +265,82 @@ class TestFiniteGuards:
                 adagrad_step(values, grad, state, 0.05, rows=rows)
                 ref_adagrad_step(want_values, grad, want_state, 0.05, rows=rows)
             assert values.tobytes() == want_values.tobytes() and state.tobytes() == want_state.tobytes()
+
+    @staticmethod
+    def _bound(seed=0):
+        # 6 entities, 8 words and 3 relations.
+        ww, ew, store, params, hp = random_instance(seed, n_words=8)
+        params.rels.vectors = np.vstack((params.rels.vectors, np.zeros((1, hp.n))))
+        return store, params, hp
+
+    @staticmethod
+    def _buffers(state):
+        return [a.tobytes() for a in (state.rows, state.biases, state.row_acc, state.bias_acc)]
+
+    @pytest.mark.parametrize("kind, pair, poisoned, name", [
+        (WORD_WORD, (3, 7), ("word_vecs", 3), "word[3]"),
+        (WORD_WORD, (3, 7), ("ctx_bias", 7), "word[3]"),  # the row vectors' gradient is the first to go bad
+        (ENTITY_WORD, (5, 2), ("entity_points", 5), "entity[5]"),
+    ])
+    def test_buffered_text_step_names_the_row(self, kind, pair, poisoned, name):
+        store, params, hp = self._bound()
+        attr, row = poisoned
+        getattr(params.model, attr)[row] = np.nan
+        table = CooccurrenceTable.from_dict(kind, {pair: 5.0})
+        tables = (table, None) if kind == WORD_WORD else (None, table)
+        data = TrainData(6, 8, *tables, synth.empty_type_system(), store)
+        state = optimize._AdaState(params)
+        entries = optimize._prepare_text_entries(data, hp, state)
+        before = self._buffers(state)
+        with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
+            optimize._text_pass(entries, [0], params, state, hp, 0.5)
+        assert self._buffers(state) == before
+
+    def test_buffered_bias_step_names_the_bias(self):
+        _, params, _ = self._bound()
+        state = optimize._AdaState(params)
+        rows = [state.starts["entity_bias"] + 2, state.starts["word_bias"] + 3, state.starts["ctx_bias"] + 7]
+        before = self._buffers(state)
+        for bad, name in ((0, "entity_bias[2]"), (1, "word_bias[3]"), (2, "ctx_bias[7]")):
+            grad = np.ones(3)
+            grad[bad:] = np.nan
+            with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
+                adagrad_step(state.biases, grad, state.bias_acc, 0.1, state.bias_name, rows)
+        assert self._buffers(state) == before
+
+    @pytest.mark.parametrize("triple, name", [((0, 2, 5), "entity[5]"), ((5, 2, 5), "rel[2]")])
+    def test_buffered_triple_step_names_the_row(self, triple, name):
+        # A NaN relation vector makes g non-finite: a triple's first row is
+        # its tail f, and a self-loop's is its zero-gradient entity row, so
+        # the relation row is named.
+        store, params, hp = self._bound()
+        params.rels.vectors[2] = np.nan
+        data = TrainData(6, 8, None, None, synth.empty_type_system(), replace(store, triples=(triple,)))
+        state = optimize._AdaState(params)
+        before = self._buffers(state)
+        with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
+            optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(0))
+        assert self._buffers(state) == before
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_buffered_group_step_names_the_row(self, monkeypatch, bad):
+        store, params, hp = self._bound()
+        real = optimize.group_point_gradients
+
+        def poisoned(plan, resid):
+            grads = real(plan, resid)
+            grads[bad, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(optimize, "group_point_gradients", poisoned)
+        state = optimize._AdaState(params)
+        plans = optimize._group_plans(params, state)
+        plan = plans[0][1]
+        name = f"entity[{plan.rows[0]}]" if bad == 0 else f"rel[{plan.rel}]"
+        before = self._buffers(state)
+        with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
+            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+        assert self._buffers(state) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_simplex_rejects_non_finite(self, bad):
@@ -392,6 +469,43 @@ class TestTrain:
             assert got.tobytes() == want.tobytes(), name
         # A copy: the live parameters moved on in epoch 3.
         assert not np.array_equal(snap.model.entity_points, params.model.entity_points)
+
+    def test_trained_values_land_in_the_callers_arrays(self, monkeypatch):
+        # train steps views of its row buffers and leaves the values in the
+        # array objects it was handed, when it returns and when it raises.
+        ww, ew, store, params, hp = random_instance(6)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=2, variant="full")
+
+        def arrays(p):
+            m = p.model
+            return [m.entity_points, m.word_vecs, m.ctx_vecs, m.word_bias, m.ctx_bias, m.entity_bias, p.rels.vectors]
+
+        start = clone_params(params)
+        handed = arrays(params)
+        trained, _ = train(data, TrainConfig(hp=hp, shuffle_seed=2), params)
+        assert trained is params and all(got is want for got, want in zip(arrays(trained), handed))
+        assert any(got.tobytes() != want.tobytes() for got, want in zip(handed, arrays(start)))
+        # A non-finite total at epoch 3 raises after that epoch's passes; the
+        # parameters then hold three epochs of steps, which a clean 3-epoch
+        # run also ends with.
+        clean, _ = train(data, TrainConfig(hp=replace(hp, epochs=3), shuffle_seed=2), clone_params(start))
+        real = optimize.total_objective
+        calls = []
+
+        def objective(*args):
+            out = real(*args)
+            calls.append(out)
+            out.total = math.inf if len(calls) == 3 else out.total
+            return out
+
+        monkeypatch.setattr(optimize, "total_objective", objective)
+        handed = arrays(start)
+        with pytest.raises(TrainingDivergedError, match="at epoch 3$"):
+            train(data, TrainConfig(hp=replace(hp, epochs=5), shuffle_seed=2), start)
+        assert all(got is want for got, want in zip(arrays(start), handed))
+        for got, want in zip(handed, arrays(clean), strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_no_snapshot_after_the_last_epoch(self, monkeypatch):
         clones = []
@@ -567,11 +681,16 @@ class TestTrainerStepsWithCheckedGradients:
         return data, params, replace(hp, alpha_mix=self.ALPHA)
 
     @staticmethod
-    def _assert_steps(steps, expected):
-        # A row step is compared row by row, as name[row].
+    def _named(steps):
+        # A row step, row by row, as name(row).
         named = []
         for name, rows, grad in steps:
-            named += [(name, grad)] if rows is None else [(f"{name}[{r}]", g) for r, g in zip(rows, grad)]
+            named += [(name, grad)] if rows is None else [(name(r), g) for r, g in zip(rows, grad)]
+        return named
+
+    @classmethod
+    def _assert_steps(cls, steps, expected):
+        named = cls._named(steps)
         assert [name for name, _ in named] == [name for name, _ in expected]
         for (name, got), (_, want) in zip(named, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name)
@@ -585,36 +704,40 @@ class TestTrainerStepsWithCheckedGradients:
 
     def test_text_pass(self, steps):
         data, params, hp = self._instance(3)
+        state = optimize._AdaState(params)
         m = params.model
-        entries = optimize._prepare_text_entries(data, hp)
+        entries = optimize._prepare_text_entries(data, hp, state)
         order = np.random.default_rng(3).permutation(len(entries[0]))
-        n_batches = optimize._text_pass(entries, order, params, optimize._AdaState(params), hp, self.ALPHA)
-        assert len(steps) == 4 * n_batches
-        # Step names of a batch -> (table, row vectors, column vectors, row
-        # biases, column biases).
+        n_batches = optimize._text_pass(entries, order, params, state, hp, self.ALPHA)
+        assert len(steps) == 2 * n_batches
+        # Names of a batch's row vectors and column vectors -> (table, row
+        # vectors, column vectors, row biases, column biases).
         fits = {
-            ("word", "ctx", "word_bias", "ctx_bias"): (
-                data.word_word, m.word_vecs, m.ctx_vecs, m.word_bias, m.ctx_bias),
-            ("entity", "word", "entity_bias", "word_bias"): (
-                data.entity_word, m.entity_points, m.word_vecs, m.entity_bias, m.word_bias),
+            ("word", "ctx"): (data.word_word, m.word_vecs, m.ctx_vecs, m.word_bias, m.ctx_bias),
+            ("entity", "word"): (data.entity_word, m.entity_points, m.word_vecs, m.entity_bias, m.word_bias),
         }
         seen = []
-        for b in range(n_batches):
-            # One batch steps row vectors, column vectors, row biases and
-            # column biases; the k-th rows of all four belong to one entry.
-            batch = steps[4 * b : 4 * b + 4]
-            table, u, v, bu, bv = fits[tuple(name for name, _, _ in batch)]
-            i_rows, j_rows = batch[0][1], batch[1][1]
-            assert np.array_equal(batch[2][1], i_rows) and np.array_equal(batch[3][1], j_rows)
-            for k, (i, j) in enumerate(zip(i_rows.tolist(), j_rows.tolist())):
+        for (name, rows, grad), (bias_name, bias_rows, bias_grad) in zip(steps[::2], steps[1::2]):
+            # One step on the batch's row vectors, then its column vectors,
+            # and one on their biases, row for row: the k-th row vector and
+            # the k-th column vector belong to one entry.
+            labels = [re.fullmatch(r"(\w+)\[(\d+)\]", name(r)).groups() for r in rows]
+            assert np.array_equal(bias_rows, rows)
+            assert [bias_name(r) for r in rows] == [f"{a}_bias[{i}]" for a, i in labels]
+            k = len(rows) // 2
+            (names,) = {(a, b) for (a, _), (b, _) in zip(labels[:k], labels[k:])}
+            table, u, v, bu, bv = fits[names]
+            for p, ((_, i), (_, j)) in enumerate(zip(labels[:k], labels[k:])):
+                i, j = int(i), int(j)
                 x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
                 # d/dtheta of f(x) * (u.v + b_u + b_v - log x)^2.
                 coef = self.ALPHA * 2.0 * float(weight_f(x, hp.x_max, hp.weight_exp)) * (
                     float(u[i] @ v[j]) + bu[i] + bv[j] - math.log(x)
                 )
-                for (name, _, got), want in zip(batch, (coef * v[j], coef * u[i], coef, coef)):
+                pairs = ((grad[p], coef * v[j]), (grad[k + p], coef * u[i]), (bias_grad[p], coef), (bias_grad[k + p], coef))
+                for got, want in pairs:
                     np.testing.assert_allclose(
-                        np.atleast_1d(got[k]), np.atleast_1d(want), rtol=1e-12, atol=1e-15, err_msg=f"{name} {i},{j}"
+                        np.atleast_1d(got), np.atleast_1d(want), rtol=1e-12, atol=1e-15, err_msg=f"{names} {i},{j}"
                     )
                 seen.append((table.kind, i, j))
         everything = [(t.kind, int(i), int(j)) for t, *_ in fits.values() for i, j in zip(t.rows, t.cols)]
@@ -641,7 +764,8 @@ class TestTrainerStepsWithCheckedGradients:
                 expected.append((f"entity[{te}]", np.zeros_like(g)))
             expected.append((f"rel[{tk}]", -g))
         self._assert_steps(steps, expected)
-        assert [name for name, _, _ in steps].count(f"entity[{e}]") == 2
+        assert len(steps) == 2  # one step per triple
+        assert [name for name, _ in self._named(steps)].count(f"entity[{e}]") == 2
 
     def test_block_step(self, steps):
         data, params, hp = self._instance(5)
@@ -666,7 +790,7 @@ class TestTrainerStepsWithCheckedGradients:
         # A group's coefficient step is test_block_step's; the anchor, member
         # and relation steps are taken at the projected coefficients, which
         # the pass leaves behind.
-        steps[:] = [step for step in steps if not step[0].startswith("coeffs[")]
+        steps[:] = [step for step in steps if not (isinstance(step[0], str) and step[0].startswith("coeffs["))]
         scale = 1.0 - self.ALPHA
         expected = []
         for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
@@ -683,7 +807,9 @@ class TestTrainerStepsWithCheckedGradients:
                 expected.append((f"anchors[{side}{key}]", scale * anchor_grad))
                 expected += [(f"entity[{r}]", scale * g) for r, g in entity_grads.items()]
                 expected.append((f"rel[{k}]", scale * sign * point_grads[-1]))
-        assert sum(len(groups) for _, groups in rels.sides()) > 1
+        n_groups = sum(len(groups) for _, groups in rels.sides())
+        assert n_groups > 1
+        assert len(steps) == 2 * n_groups  # an anchor step and one point step per group
         self._assert_steps(steps, expected)
 
 
@@ -698,19 +824,94 @@ class TestRelGroupPass:
             ww, ew, store, params, hp = random_instance(seed)
             hp = replace(hp, alpha_mix=0.3, beta_reg=beta)
             ref_params = clone_params(params)
-            state, ref_state = optimize._AdaState(params), optimize._AdaState(ref_params)
+            m, rels = ref_params.model, ref_params.rels
+            ref_accs = (np.zeros_like(m.entity_points), np.zeros_like(rels.vectors), rels.rhs_groups.zeros(),
+                        rels.lhs_groups.zeros())
+            state = optimize._AdaState(params)
             plans = optimize._group_plans(params, state)
             self_loops += sum(plan.end_pos < len(plan.rows) - 1 for _, plan, _, _ in plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
-                ref_rel_dim_pass(ref_params, ref_state, hp, beta > 0.0, prox_nuclear)
+                ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
-            assert np.array_equal(state.entity, ref_state.entity) and np.array_equal(state.rel, ref_state.rel)
-            for side in ("rhs", "lhs"):
-                got, want = getattr(state, side), getattr(ref_state, side)
+            rel0 = state.starts["vectors"]
+            assert np.array_equal(state.row_acc[: len(m.entity_points)], ref_accs[0])
+            assert np.array_equal(state.row_acc[rel0:], ref_accs[1])
+            assert not state.row_acc[len(m.entity_points) : rel0].any() and not state.bias_acc.any()
+            for side, want in zip(("rhs", "lhs"), ref_accs[2:]):
+                got = getattr(state, side)
                 assert np.array_equal(got.anchors, want.anchors) and np.array_equal(got.coeffs, want.coeffs), side
         assert self_loops > 0  # some group's endpoint is one of its members
+
+
+class TestRelDistPass:
+    """The one-step-per-triple pass against the three-step per-triple loop
+    (reference_impls.ref_rel_dist_pass), bit for bit."""
+
+    def test_matches_per_triple_loop(self):
+        self_loops = 0
+        for seed in range(20):
+            ww, ew, store, params, hp = random_instance(seed)
+            rng = np.random.default_rng(seed)
+            loops = [(e, k, e) for e, k in zip(rng.integers(6, size=2).tolist(), rng.integers(2, size=2).tolist())]
+            triples = tuple(store.triples) + tuple(loops)
+            data = TrainData(6, 5, ww, ew, synth.empty_type_system(), replace(store, triples=triples))
+            hp = replace(hp, alpha_mix=0.3)
+            ref_params = clone_params(params)
+            m, rels = ref_params.model, ref_params.rels
+            entity_acc, rel_acc = np.zeros_like(m.entity_points), np.zeros_like(rels.vectors)
+            state = optimize._AdaState(params)
+            for epoch in range(2):  # the second pass starts from non-zero accumulators
+                optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed + epoch))
+                ref_rel_dist_pass(m, rels, entity_acc, rel_acc, triples, hp, np.random.default_rng(seed + epoch))
+            assert params.model.entity_points.tobytes() == m.entity_points.tobytes()
+            assert params.rels.vectors.tobytes() == rels.vectors.tobytes()
+            rel0 = state.starts["vectors"]
+            assert state.row_acc[:6].tobytes() == entity_acc.tobytes()
+            assert state.row_acc[rel0:].tobytes() == rel_acc.tobytes()
+            self_loops += sum(e == f for e, _, f in triples)
+        assert self_loops >= 40
+
+
+class TestStepCounts:
+    """Two AdaGrad steps per text batch, one per triple, and per relation
+    group its two block steps and one on its points; a type takes its two
+    block steps."""
+
+    def test_steps_per_batch_triple_and_group(self, monkeypatch):
+        ww, ew, store, params, hp = random_instance(5)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=2, variant="full")
+        calls, batches, current = {}, [], [None]
+        step = optimize.adagrad_step
+
+        def counting(*args, **kwargs):
+            calls[current[0]] = calls.get(current[0], 0) + 1
+            step(*args, **kwargs)
+
+        def counted(name, real):
+            def run(*args):
+                current[0] = name
+                out = real(*args)
+                if name == "text":
+                    batches.append(out)
+                return out
+
+            return run
+
+        monkeypatch.setattr(optimize, "adagrad_step", counting)
+        for name, attr in (("text", "_text_pass"), ("type", "_type_pass"), ("rel_dist", "_rel_dist_pass"),
+                           ("rel_group", "_rel_dim_pass")):
+            monkeypatch.setattr(optimize, attr, counted(name, getattr(optimize, attr)))
+        train(data, TrainConfig(hp=hp, shuffle_seed=1), params)
+        assert len(batches) == 2 and sum(batches) > 0
+        assert calls == {
+            "text": 2 * sum(batches),
+            "type": 2 * 2 * len(params.types.per_type),
+            "rel_dist": 2 * len(store.triples),
+            "rel_group": 2 * 3 * (len(store.rhs) + len(store.lhs)),
+        }
 
 
 class TestCarriedNuclearNorms:

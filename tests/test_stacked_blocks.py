@@ -1,7 +1,8 @@
 """The stacked size-class fits and init centroids against the per-block
 loops they replaced (kept in reference_impls), bit for bit: each block's
 loss and centroid, and the type and relation-group losses, whose per-block
-values are added in key order.  Instances mix block sizes, hold 1-member
+values are added in key order.  The relation-group plans built per size
+class equal each group's own plan.  Instances mix block sizes, hold 1-member
 types, group endpoints that are also members, and empty group stores."""
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import reference_impls as ref
 from conftest import block_store
 from typespace.objective import block_fit_losses, rel_dim_loss, type_loss
-from typespace.params import EmbeddingModel, RelationParams, TypeSubspaceParams, block_centroids
+from typespace.params import EmbeddingModel, RelationParams, TypeSubspaceParams, block_centroids, group_plans
 
 N_RELATIONS = 3
 
@@ -56,7 +57,20 @@ def _instance(rng, n, n_entities, type_sizes, rhs_sizes, lhs_sizes, endpoint_mem
     return model, TypeSubspaceParams(types), rels
 
 
+def _assert_plans_equal(rels, rel_start=17):
+    """Each group's plan from the size classes against its own group plan."""
+    for store in (rels.rhs_groups, rels.lhs_groups):
+        plans = group_plans(store, rel_start)
+        assert len(plans) == len(store)
+        for plan, (key, block) in zip(plans, store.items()):
+            want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
+            assert (plan.rel, plan.sign, plan.end_pos) == (want.rel, want.sign, want.end_pos), key
+            for field in ("rows", "step_rows", "grad_rows"):
+                assert np.array_equal(getattr(plan, field), getattr(want, field)), (key, field)
+
+
 def _assert_bit_equal(model, types, rels):
+    _assert_plans_equal(rels)
     points, vectors = model.entity_points, rels.vectors
     for store in (types.per_type, rels.rhs_groups, rels.lhs_groups):
         got = block_fit_losses(store, points, vectors)
@@ -97,7 +111,7 @@ class TestStackedFits:
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
         for store in (rels.rhs_groups, rels.lhs_groups):
-            assert all(store.plans[i].end_pos < len(store[key].members) for i, key in enumerate(store))
+            assert all(plan.end_pos < len(block.members) for plan, block in zip(group_plans(store, 3), store.values()))
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):

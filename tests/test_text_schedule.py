@@ -8,18 +8,54 @@ from conftest import random_instance
 from reference_impls import ref_text_pass
 from typespace import optimize
 
-_TEXT_STATE = ("entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias")
+_TEXT_ARRAYS = ("entity_points", "word_vecs", "ctx_vecs", "entity_bias", "word_bias", "ctx_bias")
 
 
 def _text_instance(seed, n, n_words):
-    """Parameters and AdaGrad accumulators, both random, for text-pass tests."""
+    """Parameters bound to the trainer's buffers, with random AdaGrad
+    accumulators, for text-pass tests."""
     _, _, _, params, hp = random_instance(seed, n=n, n_words=n_words)
     state = optimize._AdaState(params)
     rng = np.random.default_rng(seed)
-    for name in _TEXT_STATE:
-        acc = getattr(state, name)
-        acc += rng.uniform(0.0, 2.0, size=acc.shape)
+    state.row_acc += rng.uniform(0.0, 2.0, size=state.row_acc.shape)
+    state.bias_acc += rng.uniform(0.0, 2.0, size=state.bias_acc.shape)
     return params, state, hp
+
+
+def _accumulators(state, model):
+    """Each text array's attribute -> its rows of the state's accumulators."""
+    accs = {}
+    for attr in _TEXT_ARRAYS:
+        acc = state.bias_acc if attr.endswith("_bias") else state.row_acc
+        accs[attr] = acc[state.starts[attr] :][: len(getattr(model, attr))]
+    return accs
+
+
+def _run(tags, pairs, counts, order, n, seed, alpha, n_words):
+    """The trainer's text pass and ref_text_pass on the same entries;
+    asserts every parameter row and accumulator equal, and returns the
+    trainer's batch count."""
+    tags = np.array(tags, dtype=np.int8)
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    counts = np.array(counts, dtype=np.float64)
+    fvals, logs = np.minimum((counts / 50.0) ** 0.75, 1.0), np.log(counts)
+    params, state, hp = _text_instance(seed, n, n_words)
+    ref_params, ref_state, _ = _text_instance(seed, n, n_words)
+    # The trainer's entries index its row buffer: a word-word entry's rows
+    # are word rows and its columns context rows, an entity-word entry's
+    # rows entity rows and its columns word rows.
+    s = state.starts
+    urows = np.where(tags == 0, s["word_vecs"], s["entity_points"]) + rows
+    vrows = np.where(tags == 0, s["ctx_vecs"], s["word_vecs"]) + cols
+    n_batches = optimize._text_pass((tags, urows, vrows, fvals, logs), order, params, state, hp, alpha)
+    model = ref_params.model
+    ref_text_pass((tags, rows, cols, fvals, logs), order, model, _accumulators(ref_state, model), hp.learn_rate, alpha)
+    assert state.row_acc.tobytes() == ref_state.row_acc.tobytes()
+    assert state.bias_acc.tobytes() == ref_state.bias_acc.tobytes()
+    for attr in _TEXT_ARRAYS:
+        assert getattr(params.model, attr).tobytes() == getattr(model, attr).tobytes(), attr
+    return n_batches
 
 
 @st.composite
@@ -44,23 +80,23 @@ class TestLevelBatchedTextPass:
     @given(tables=_text_tables(), n=st.integers(1, 5), seed=st.integers(0, 2**16), alpha=st.sampled_from([1.0, 0.3]))
     def test_matches_sequential_reference(self, tables, n, seed, alpha):
         n_words, pairs, tags, counts, order = tables
-        counts = np.array(counts, dtype=np.float64)
-        entries = (
-            np.array(tags, dtype=np.int8),
-            np.array([i for i, _ in pairs]),
-            np.array([j for _, j in pairs]),
-            np.minimum((counts / 50.0) ** 0.75, 1.0),
-            np.log(counts),
-        )
-        params, state, hp = _text_instance(seed, n, n_words)
-        ref_params, ref_state, _ = _text_instance(seed, n, n_words)
-        n_batches = optimize._text_pass(entries, order, params, state, hp, alpha)
-        ref_text_pass(entries, order, ref_params.model, ref_state, hp.learn_rate, alpha)
-        for name in _TEXT_STATE:
-            assert np.array_equal(getattr(state, name), getattr(ref_state, name)), name
-        for attr in ("entity_points", "word_vecs", "ctx_vecs", "word_bias", "ctx_bias", "entity_bias"):
-            assert np.array_equal(getattr(params.model, attr), getattr(ref_params.model, attr)), attr
+        n_batches = _run(tags, pairs, counts, order, n, seed, alpha, n_words)
         # Entries that write one row never share a batch.
         writes = [(("word", "entity")[t], i) for t, (i, _) in zip(tags, pairs)]
         writes += [(("ctx", "word")[t], j) for t, (_, j) in zip(tags, pairs)]
         assert max(writes.count(w) for w in writes) <= n_batches <= len(pairs)
+
+    def test_both_kinds_write_the_same_word_rows(self):
+        # Word-word entries write word rows 0..2 as their rows and
+        # entity-word entries write them as their columns, interleaved in
+        # the order.  A word row is one buffer row for both kinds, so the
+        # levels in order are 1 2 1 2 1 3 2 3 3 (word row 1, say, is
+        # written at order positions 2, 3 and 5: entity-word, entity-word,
+        # word-word), and each level holds entries of both kinds: six
+        # batches.  Keying a word row apart per kind would give four.
+        pairs = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (4, 2), (1, 2), (5, 0), (2, 0)]
+        tags = [0, 1, 1, 0, 1, 1, 0, 1, 0]
+        counts = [3, 7, 11, 2, 5, 19, 4, 8, 13]
+        order = [1, 0, 2, 4, 3, 6, 5, 8, 7]
+        for seed in range(5):
+            assert _run(tags, pairs, counts, order, 3, seed, 0.5, 3) == 6
