@@ -211,6 +211,8 @@ def _ingest_all(args):
     docs = ingest.load_corpus(corpus_path)
     counts = _set_flags(args, {"min_count": "min_count", "min_mentions": "min_doc_mentions"})
     vocab, catalog = ingest.build_vocab_and_catalog(docs, **counts)
+    if not len(catalog):
+        raise UsageError(f"{corpus_path}: no entity is mentioned in {catalog.min_doc_mentions} or more documents")
     window = _set_flags(args, {"window": "window"})
     word_word = _checked(ingest.count_word_word, docs, vocab, **window)
     entity_word = ingest.count_entity_word(docs, vocab, catalog, **window)
@@ -290,8 +292,12 @@ def cmd_eval(args) -> int:
         results = evalharness.eval_induction(evalharness.load_induction_problems(problems_path), view, ts)
     elif args.task == "analogy":
         ts = _type_system_for_eval(args, loaded)
-        problems = evalharness.load_analogy_problems(problems_path)
-        per = [evalharness.eval_analogy(p, view, ts) for p in problems]
+        per = []
+        for i, problem in enumerate(evalharness.load_analogy_problems(problems_path)):
+            try:
+                per.append(evalharness.eval_analogy(problem, view, ts))
+            except evalharness.ProblemFormatError as exc:
+                raise UsageError(f"{problems_path}: record {i}: {exc}") from None
         results = {
             "task": "analogy",
             "accuracy": float(np.mean([r["accuracy"] for r in per])) if per else 0.0,

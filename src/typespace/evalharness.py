@@ -29,7 +29,8 @@ class DegenerateRankingError(ValueError):
 
 
 class ProblemFormatError(ValueError):
-    """A problem file is not valid JSON, or one of its records is malformed."""
+    """A problem file is not valid JSON, one of its records is malformed, or
+    the model holds none of a problem's training positives or gold answers."""
 
 
 @dataclass(frozen=True)
@@ -342,8 +343,12 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
     aps, p5s, rrs = [], [], []
     skipped = 0
     for prob in problems:
-        if not prob.train:
-            raise ValueError(f"induction problem ({prob.relation!r}, {prob.target!r}) has no training positives")
+        train_idx = [view.index[e] for e in prob.train if e in view.index]
+        if not train_idx:
+            raise ProblemFormatError(
+                f"induction problem ({prob.relation!r}, {prob.target!r}): the model holds none of its "
+                f"{len(prob.train)} training positives"
+            )
         all_pos = list(prob.train) + list(prob.valid) + list(prob.test)
         pos_idx = [view.index[e] for e in all_pos if e in view.index]
         if len(pos_idx) < len(all_pos):
@@ -352,8 +357,7 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
         type_id = most_specific_common_type(pos_idx, ts)
         excluded = {view.index[e] for e in list(prob.train) + list(prob.valid) if e in view.index}
         candidates = np.asarray([i for i in ts.instances[type_id] if i not in excluded], dtype=np.int64)
-        train_pts = view.points[[view.index[e] for e in prob.train if e in view.index]]
-        center = centroid(train_pts)
+        center = centroid(view.points[train_idx])
         dists = np.linalg.norm(view.points[candidates] - center, axis=1)
         ranked = candidates[np.lexsort((candidates, dists))]
         test_idx = [view.index[e] for e in prob.test if e in view.index]
@@ -409,7 +413,7 @@ def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -
     answers, excluding the three query entities."""
     gold_idx = [view.index[q[3]] for q in problem.quads if q[3] in view.index]
     if not gold_idx:
-        raise ValueError("analogy problem has no resolvable gold answers")
+        raise ProblemFormatError(f"the model holds none of the analogy problem's {len(problem.quads)} gold answers")
     pool_type = most_specific_common_type(gold_idx, ts)
     pool = np.asarray(ts.instances[pool_type], dtype=np.int64)
     degenerate = len(pool) == 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import graphlib
 import json
-import logging
 import sys
 import warnings
 from collections import Counter
@@ -20,8 +19,6 @@ from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 WORD_WORD = "word-word"
 ENTITY_WORD = "entity-word"

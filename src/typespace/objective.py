@@ -10,7 +10,9 @@ nuclear-norm regularizers on the anchor span matrices:
 
 The nuclear norms are non-smooth and contribute no gradient here; the
 optimizer treats them with a proximal step.  Everything else is smooth and
-its partials are computed exactly.
+its partials are computed exactly.  This module holds the loss formulas and
+their partials only; which rows a trainer step gathers and moves is
+optimize's concern.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typespace.params import (
     RelationParams,
     SubspaceBlock,
     TypeSubspaceParams,
-    GroupPlan,
     anchor_span_matrix,
     variant_flags,
 )
@@ -158,22 +159,10 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
     heads of a tail, plus the translated endpoint) against its convex
     combination of the group anchors."""
     total = 0.0
-    for _, groups in rels.sides():
+    for groups in (rels.rhs_groups, rels.lhs_groups):
         _check_simplex(groups, "mu")
         total = _add_in_order(total, block_fit_losses(groups, model.entity_points, rels.vectors))
     return total
-
-
-def group_point_gradients(plan: GroupPlan, resid: np.ndarray) -> np.ndarray:
-    """Partials of a relation group's fit with respect to the rows
-    plan.step_rows, its distinct entities and then its relation vector,
-    from the group's residual rows.  The virtual member's partial goes to
-    its endpoint entity and, signed, to the relation."""
-    grads = 2.0 * resid[plan.grad_rows]
-    if plan.end_pos < len(plan.rows) - 1:  # the endpoint is a member
-        grads[plan.end_pos] += grads[-1]
-    grads[-1] *= plan.sign
-    return grads
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -191,7 +180,7 @@ def regularizer(types: TypeSubspaceParams, rels: RelationParams, variant: str) -
     exclude each component: the reference for the sums the trainer carries
     from its proxes, and what total_objective uses when no prox ran."""
     flags = variant_flags(variant)
-    groups = (gp for _, side in rels.sides() for gp in side.values())
+    groups = (gp for side in (rels.rhs_groups, rels.lhs_groups) for gp in side.values())
     j1 = sum((nuclear_norm(anchor_span_matrix(tp.anchors)) for tp in types.per_type.values()), 0.0) if flags.reg1 else 0.0
     j2 = sum((nuclear_norm(anchor_span_matrix(gp.anchors)) for gp in groups), 0.0) if flags.reg2 else 0.0
     return j1, j2

@@ -40,7 +40,6 @@ from typespace.objective import (
     block_coeff_grad,
     block_resid,
     comb_penalty_terms,
-    group_point_gradients,
     nuclear_norm,
     rel_dist_triple_terms,
     text_entry_terms,
@@ -52,8 +51,6 @@ from typespace.params import (
     ModelParams,
     anchor_span_matrix,
     clone_params,
-    group_plans,
-    group_points,
     init_parameters,
     set_anchor_span_matrix,
     variant_flags,
@@ -407,31 +404,56 @@ def _rel_dist_pass(params, state, data, hp, rng):
             adagrad_step(rows, np.array((np.zeros_like(g), -g)), acc, lr, name, np.array((e, rel0 + k)))
 
 
-def _group_plans(params, state):
-    """(block, index plan, accumulators, label) per relation group, in pass
-    order: tail groups then head groups, each side in key order."""
-    return [
-        (block, plan, acc, f"{side}{key}")
-        for (side, groups), accs in zip(params.rels.sides(), (state.rhs, state.lhs))
-        for (key, block), plan, acc in zip(groups.items(), group_plans(groups, state.starts["vectors"]), accs.values())
-    ]
+def _group_plans(params, state) -> list[tuple]:
+    """Each relation group's plan, in pass order (tail groups then head
+    groups, each side in key order), built per size class: (block,
+    accumulators, label, sign, point rows, step rows, residual rows, member
+    position of the endpoint).  Rows are row-buffer rows; entity e's is e.
+    The group's points are its point rows (members, then the endpoint) with
+    sign times the relation's row, the last step row, added to the last:
+    the virtual member, the translated head e + r_k of a tail group (e, k)
+    or the translated tail f - r_k of a head group (k, f).  The step rows
+    are the distinct entities and then the relation; each takes the partial
+    of its residual row, the virtual member's for the endpoint and, signed,
+    the relation.  An endpoint that is also a member takes both partials at
+    its member position, which is None for any other endpoint."""
+    plans = []
+    for groups, accs in ((params.rels.rhs_groups, state.rhs), (params.rels.lhs_groups, state.lhs)):
+        side = [None] * len(groups)
+        for cls in groups.size_classes:
+            r = cls.rows.shape[1]
+            match = cls.rows[:, :-1] == cls.rows[:, -1:]
+            member = match.any(axis=1).tolist()
+            steps = np.concatenate((cls.rows, state.starts["vectors"] + cls.rels[:, None]), axis=1)
+            keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
+            resid_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
+            for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
+                side[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
+        sign = 1.0 if groups.kind == "rhs" else -1.0
+        plans += [(block, acc, f"{groups.kind}{key}", sign, *rows)
+                  for (key, block), acc, rows in zip(groups.items(), accs.values(), side)]
+    return plans
 
 
 def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
-    """One block step per relation group of plans, then one AdaGrad step on
-    the group's entity points and its relation vector.  Returns the sum of
-    the groups' span nuclear norms after their proxes."""
-    points_all, vectors = params.model.entity_points, params.rels.vectors
+    """One block step per relation group of plans (_group_plans), then one
+    AdaGrad step on the group's entity points and its relation vector.
+    Returns the sum of the groups' span nuclear norms after their proxes."""
     rows, acc_rows, name = state.rows, state.row_acc, state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     prox = flags.reg2 and hp.beta_reg > 0.0
     reg = 0.0
-    for gp, plan, acc, label in plans:
-        points = group_points(points_all, vectors, plan)
-        resid, norm = _block_step(gp, points, acc, hp, prox, False, report, label)
+    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member in plans:
+        points = rows[point_rows]
+        points[-1] += sign * rows[step_rows[-1]]
+        resid, norm = _block_step(block, points, acc, hp, prox, False, report, label)
         reg += norm
-        adagrad_step(rows, scale * group_point_gradients(plan, resid), acc_rows, lr, name, plan.step_rows)
+        grads = 2.0 * resid[resid_rows]
+        if end_member is not None:
+            grads[end_member] += grads[-1]
+        grads[-1] *= sign
+        adagrad_step(rows, scale * grads, acc_rows, lr, name, step_rows)
     return reg
 
 

@@ -2,6 +2,7 @@
 
 Types and relation groups are the same subspace block, and the blocks of
 each kind (types, tail groups, head groups) are stacked in one BlockStore.
+How the trainer lays out and steps these arrays is optimize's concern.
 
 The model file (format version 2) is a little-endian binary layout: magic,
 format version, the hyperparameters, id tables for entities/words/relations,
@@ -142,7 +143,7 @@ class SubspaceBlock(NamedTuple):
     convex combinations of n+1 anchor points.  A type block has one simplex
     row of `coeffs` per member entity; a relation-group block has one row
     per member and a last row for its translated virtual member (see
-    group_points)."""
+    BlockStore.class_points)."""
 
     anchors: np.ndarray  # (n+1, n)
     members: np.ndarray  # (m,) entity indices, ascending
@@ -234,7 +235,9 @@ class BlockStore(Mapping):
 
     def class_points(self, cls: SizeClass, entity_points: np.ndarray, vectors: np.ndarray | None) -> np.ndarray:
         """The (B_r, r, n) points of size class cls's blocks: a type's
-        members, or a relation group's points as group_points builds them."""
+        members, or a relation group's members and then its virtual member,
+        the translated head e + r_k of a tail group (e, k) or the translated
+        tail f - r_k of a head group (k, f)."""
         points = entity_points[cls.rows]
         if self.kind != "type":
             points[:, -1] += (1.0 if self.kind == "rhs" else -1.0) * vectors[cls.rels]
@@ -289,10 +292,6 @@ class RelationParams:
     rhs_groups: BlockStore  # tail groups, keyed (head, rel)
     lhs_groups: BlockStore  # head groups, keyed (rel, tail)
 
-    def sides(self):
-        """(side, groups) for the tail groups ("rhs") and the head groups ("lhs")."""
-        return (("rhs", self.rhs_groups), ("lhs", self.lhs_groups))
-
 
 @dataclass
 class ModelParams:
@@ -312,51 +311,6 @@ def anchor_span_matrix(anchors: np.ndarray) -> np.ndarray:
 def set_anchor_span_matrix(anchors: np.ndarray, span: np.ndarray) -> None:
     """Rewrite anchors 1..n from a span matrix, keeping anchor 0 as base."""
     anchors[1:] = anchors[0] + span
-
-
-class GroupPlan(NamedTuple):
-    """Index plan of a relation group's fit and point update.  Its points
-    are entity_points[rows] (members, then the endpoint), with
-    sign * vectors[rel] added to the last row, the virtual member: the
-    translated head e + r_k of a tail group (e, k), or the translated tail
-    f - r_k of a head group (k, f).  Its point update steps step_rows of
-    the trainer's row buffer: the distinct entities (the members, then the
-    endpoint unless it is one), then the relation's row.  grad_rows picks
-    each step row's residual row, the virtual member's for the endpoint and
-    the relation; the endpoint is at end_pos."""
-
-    rows: np.ndarray
-    rel: int
-    sign: float
-    step_rows: np.ndarray
-    grad_rows: np.ndarray
-    end_pos: int
-
-
-def group_plans(store: BlockStore, rel_start: int) -> list[GroupPlan]:
-    """Each relation group's plan, in key order, built per size class.
-    Entity rows come first in the row buffer, and relation k's row is
-    rel_start + k."""
-    sign = 1.0 if store.kind == "rhs" else -1.0
-    plans = [None] * len(store)
-    for cls in store.size_classes:
-        r = cls.rows.shape[1]
-        match = cls.rows[:, :-1] == cls.rows[:, -1:]
-        member = match.any(axis=1).tolist()
-        end_pos = np.where(member, match.argmax(axis=1), r - 1).tolist()
-        steps = np.concatenate((cls.rows, rel_start + cls.rels[:, None]), axis=1)
-        keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
-        grad_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
-        for b, rows, rel, step, m, pos in zip(cls.blocks.tolist(), cls.rows, cls.rels.tolist(), steps, member, end_pos):
-            plans[b] = GroupPlan(rows, rel, sign, step[keep] if m else step, grad_rows[m], pos)
-    return plans
-
-
-def group_points(entity_points: np.ndarray, vectors: np.ndarray, plan: GroupPlan) -> np.ndarray:
-    """A relation group's member points, its virtual member last."""
-    points = entity_points[plan.rows]
-    points[-1] += plan.sign * vectors[plan.rel]
-    return points
 
 
 def block_centroids(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -649,8 +603,8 @@ def save_model(
 
     _write_store(w, types.per_type)
     w.array(rels.vectors)
-    for _, groups in rels.sides():
-        _write_store(w, groups)
+    _write_store(w, rels.rhs_groups)
+    _write_store(w, rels.lhs_groups)
 
     payload = w.payload()
     checksum = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)

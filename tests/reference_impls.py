@@ -432,19 +432,18 @@ def ref_rel_dist_pass(model, rels, entity_acc, rel_acc, triples, hp, rng):
 
 
 def ref_group_plan(members, side, key, rel_start):
-    """One relation group's GroupPlan, built on its own: its point rows
-    (members, then the endpoint), its relation and sign, its row-buffer
-    step rows (the distinct entities, then rel_start + k), the residual row
-    of each step row's partial and the endpoint's position."""
-    from typespace.params import GroupPlan
-
+    """One relation group's plan after its block, accumulators and label
+    (optimize._group_plans), built on its own: its sign, its point rows (members, then the
+    endpoint), its row-buffer step rows (the distinct entities, then
+    rel_start + k), the residual row of each step row's partial and the
+    endpoint's member position, None when it is no member."""
     entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
     rows = np.concatenate((members, [entity]))
     listed = members.tolist()
     m = len(listed)
     if entity in listed:
-        return GroupPlan(rows, k, sign, np.append(members, rel_start + k), np.arange(m + 1), listed.index(entity))
-    return GroupPlan(rows, k, sign, np.append(rows, rel_start + k), np.append(np.arange(m + 1), m), m)
+        return sign, rows, np.append(members, rel_start + k), np.arange(m + 1), listed.index(entity)
+    return sign, rows, np.append(rows, rel_start + k), np.append(np.arange(m + 1), m), None
 
 
 def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):

@@ -40,7 +40,6 @@ from typespace.optimize import (
 from typespace.params import (
     Hyperparams,
     anchor_span_matrix,
-    group_points,
     init_parameters,
     load_model,
     save_model,
@@ -104,8 +103,13 @@ def _pass_runs(ww, ew, store, params, hp, seed):
 
     def group_loss():
         total = 0.0
-        for gp, plan, _, _ in plans:
-            total += ref.block_loss(block_resid(gp, group_points(m.entity_points, rels.vectors, plan)))
+        for groups in (rels.rhs_groups, rels.lhs_groups):
+            points = [None] * len(groups)
+            for cls in groups.size_classes:
+                for b, block_points in zip(cls.blocks.tolist(), groups.class_points(cls, m.entity_points, rels.vectors)):
+                    points[b] = block_points
+            for gp, block_points in zip(groups.values(), points):
+                total += ref.block_loss(block_resid(gp, block_points))
         return rest * total
 
     def type_run(variant):
@@ -119,13 +123,15 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         # entities (members, then the endpoint unless it is one) and its
         # relation.
         blocks = []
-        for gp, plan, _, _ in plans:
-            entities = list(dict.fromkeys(plan.rows.tolist()))
-            blocks.append((gp, [[("entity", e) for e in entities] + [("rel", plan.rel)]]))
+        for groups in (rels.rhs_groups, rels.lhs_groups):
+            for gp, (endpoint, k) in zip(groups.values(), groups.endpoints.tolist()):
+                entities = list(dict.fromkeys(gp.members.tolist() + [endpoint]))
+                blocks.append((gp, [[("entity", e) for e in entities] + [("rel", k)]]))
         return _check_block_steps(rec, blocks)
 
     type_keys = {str((kind, t)) for t in types.per_type for kind in ("anchors", "lambda")} | {"entity"}
-    group_keys = {str((kind, side, key)) for side, groups in rels.sides() for key in groups for kind in ("q", "mu")}
+    group_keys = {str((kind, groups.kind, key)) for groups in (rels.rhs_groups, rels.lhs_groups) for key in groups
+                  for kind in ("q", "mu")}
     return [
         ("text", text, lambda: alpha * (text_loss(ww, m, hp) + text_loss(ew, m, hp)),
          {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew, text_batches[-1])),

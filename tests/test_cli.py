@@ -96,6 +96,16 @@ class TestTrain:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists() and not (tmp_path / "m.bin.log.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_empty_entity_catalog_one_line_exit_one(self, micro_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--corpus", micro_dir["corpus"], "--variant", "text", "--epochs", "1", "--dim", "4",
+                "--min-count", "3", "--min-mentions", "1000", "--out", str(out)]
+        assert run(argv + (["--problems", micro_dir["ranking"]] if command == "tune" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {micro_dir['corpus']}: no entity is mentioned in 1000 or more documents"
+        assert not out.exists()
+
     def test_deterministic_reruns_byte_identical(self, micro_dir, tmp_path):
         outs = []
         for name in ("a.bin", "b.bin"):
@@ -324,6 +334,42 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "no type contains" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("unknown", ["empty_train", "every_positive", "train_positives"])
+    def test_induction_without_known_training_positive_exit_one(self, trained_model, micro_dir, tmp_path, capsys,
+                                                                unknown):
+        with open(micro_dir["induction"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        split = record["split"]
+        if unknown == "empty_train":
+            split["train"] = []
+        else:
+            parts = ("train", "valid", "test") if unknown == "every_positive" else ("train",)
+            for part in parts:
+                split[part] = [f"ghost{part}{i}" for i in range(len(split[part]))]
+        problems = tmp_path / "unknown.json"
+        problems.write_text(json.dumps(record))
+        argv = ["eval", "induction", "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        expected = f"error: induction problem ({record['relation']!r}, {record['target']!r}): the model holds none"
+        assert err.startswith(expected) and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "unknown.results_induction.json").exists()
+
+    def test_analogy_without_known_gold_answer_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        with open(micro_dir["analogy"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        problems = tmp_path / "unknown.json"
+        problems.write_text(json.dumps([record, {**record, "quads": [q[:3] + ["ghost"] for q in record["quads"]]}]))
+        argv = ["eval", "analogy", "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problems}: record 1: the model holds none of the analogy problem's")
+        assert len(err.strip().splitlines()) == 1
 
     def test_malformed_problem_json_exit_one(self, trained_model, tmp_path, capsys):
         problems = tmp_path / "broken.json"

@@ -324,19 +324,22 @@ class TestFiniteGuards:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_buffered_group_step_names_the_row(self, monkeypatch, bad):
+        # The first group's point-step partial of its first entity (bad 0)
+        # or of its relation (bad -1) is made infinite as the step gets it.
         store, params, hp = self._bound()
-        real = optimize.group_point_gradients
+        real = optimize.adagrad_step
 
-        def poisoned(plan, resid):
-            grads = real(plan, resid)
-            grads[bad, 0] = np.inf
-            return grads
+        def poisoned(values, grad, *args, **kwargs):
+            if values is state.rows:
+                grad = grad.copy()
+                grad[bad, 0] = np.inf
+            return real(values, grad, *args, **kwargs)
 
-        monkeypatch.setattr(optimize, "group_point_gradients", poisoned)
+        monkeypatch.setattr(optimize, "adagrad_step", poisoned)
         state = optimize._AdaState(params)
         plans = optimize._group_plans(params, state)
-        plan = plans[0][1]
-        name = f"entity[{plan.rows[0]}]" if bad == 0 else f"rel[{plan.rel}]"
+        point_rows, step_rows = plans[0][4:6]
+        name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
             optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
@@ -807,7 +810,7 @@ class TestTrainerStepsWithCheckedGradients:
                 expected.append((f"anchors[{side}{key}]", scale * anchor_grad))
                 expected += [(f"entity[{r}]", scale * g) for r, g in entity_grads.items()]
                 expected.append((f"rel[{k}]", scale * sign * point_grads[-1]))
-        n_groups = sum(len(groups) for _, groups in rels.sides())
+        n_groups = len(rels.rhs_groups) + len(rels.lhs_groups)
         assert n_groups > 1
         assert len(steps) == 2 * n_groups  # an anchor step and one point step per group
         self._assert_steps(steps, expected)
@@ -829,7 +832,7 @@ class TestRelGroupPass:
                         rels.lhs_groups.zeros())
             state = optimize._AdaState(params)
             plans = optimize._group_plans(params, state)
-            self_loops += sum(plan.end_pos < len(plan.rows) - 1 for _, plan, _, _ in plans)
+            self_loops += sum(plan[-1] is not None for plan in plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
                 ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import reference_impls as ref
 from conftest import block_store
+from typespace import optimize
 from typespace.objective import block_fit_losses, rel_dim_loss, type_loss
-from typespace.params import EmbeddingModel, RelationParams, TypeSubspaceParams, block_centroids, group_plans
+from typespace.params import EmbeddingModel, ModelParams, RelationParams, TypeSubspaceParams, block_centroids
 
 N_RELATIONS = 3
 
@@ -57,20 +58,32 @@ def _instance(rng, n, n_entities, type_sizes, rhs_sizes, lhs_sizes, endpoint_mem
     return model, TypeSubspaceParams(types), rels
 
 
-def _assert_plans_equal(rels, rel_start=17):
+def _group_plans(model, types, rels):
+    """optimize._group_plans of the instance, and the row-buffer row of
+    relation 0; the instance's arrays are its own again afterwards."""
+    params = ModelParams(model, types, rels)
+    state = optimize._AdaState(params)
+    try:
+        return optimize._group_plans(params, state), state.starts["vectors"]
+    finally:
+        state.release()
+
+
+def _assert_plans_equal(model, types, rels):
     """Each group's plan from the size classes against its own group plan."""
-    for store in (rels.rhs_groups, rels.lhs_groups):
-        plans = group_plans(store, rel_start)
-        assert len(plans) == len(store)
-        for plan, (key, block) in zip(plans, store.items()):
-            want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
-            assert (plan.rel, plan.sign, plan.end_pos) == (want.rel, want.sign, want.end_pos), key
-            for field in ("rows", "step_rows", "grad_rows"):
-                assert np.array_equal(getattr(plan, field), getattr(want, field)), (key, field)
+    plans, rel_start = _group_plans(model, types, rels)
+    assert len(plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
+    groups = [(store, key, block) for store in (rels.rhs_groups, rels.lhs_groups) for key, block in store.items()]
+    for plan, (store, key, block) in zip(plans, groups):
+        want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
+        assert plan[0] is block and plan[2] == f"{store.kind}{key}", key
+        assert (plan[3], plan[7]) == (want[0], want[4]), key
+        for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[4:7], want[1:4]):
+            assert np.array_equal(got, expected), (key, field)
 
 
 def _assert_bit_equal(model, types, rels):
-    _assert_plans_equal(rels)
+    _assert_plans_equal(model, types, rels)
     points, vectors = model.entity_points, rels.vectors
     for store in (types.per_type, rels.rhs_groups, rels.lhs_groups):
         got = block_fit_losses(store, points, vectors)
@@ -110,8 +123,7 @@ class TestStackedFits:
     def test_endpoint_is_member(self):
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
-        for store in (rels.rhs_groups, rels.lhs_groups):
-            assert all(plan.end_pos < len(block.members) for plan, block in zip(group_plans(store, 3), store.values()))
+        assert all(plan[-1] is not None for plan in _group_plans(model, types, rels)[0])
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):
