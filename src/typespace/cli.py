@@ -1,9 +1,9 @@
 """Command-line front end: train | eval <task> | inspect | tune | export.
 
 Flags may also come from a key=value config file (--config); explicit flags
-win.  All randomized behavior flows from --seed: re-running a command with
-identical flags reproduces its outputs byte for byte, apart from the
-`wall_ms` times.
+win.  All randomized behavior flows from the --seed of train and tune:
+re-running a command with identical flags reproduces its outputs byte for
+byte, apart from the `wall_ms` times.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -108,10 +108,10 @@ def _require_file(path, flag):
 
 def _add_common(p):
     p.add_argument("--config", help="key=value config file; explicit flags win")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_hyper(p):
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)

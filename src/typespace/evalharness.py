@@ -30,7 +30,8 @@ class DegenerateRankingError(ValueError):
 
 class ProblemFormatError(ValueError):
     """A problem file is not valid JSON, one of its records is malformed, or
-    the model holds none of a problem's training positives or gold answers."""
+    the model holds none of a problem's training positives or gold answers,
+    or resolves none of a task's test triples."""
 
 
 @dataclass(frozen=True)
@@ -479,7 +480,7 @@ def eval_link_prediction(test_triples, view: EmbeddingView) -> dict:
         head_scores = np.linalg.norm(view.points + rv - view.points[ti], axis=1)
         ranks.append(_rank_of(head_scores, hi))
     if not ranks:
-        return {"task": "link_prediction", "mean_rank": 0.0, "hits_at_10": 0.0, "n_ranks": 0, "skipped": skipped}
+        raise ProblemFormatError(f"the model resolves none of the {skipped} link prediction triples")
     ranks = np.asarray(ranks, dtype=np.float64)
     return {
         "task": "link_prediction",
@@ -546,6 +547,8 @@ def eval_triple_classification(valid_rows, test_rows, view: EmbeddingView) -> di
 
     valid_rels, valid_ids, valid_scores, valid_labels, skipped_valid = resolve(valid_rows)
     test_rels, _, test_scores, test_labels, skipped_test = resolve(test_rows)
+    if not test_rels:
+        raise ProblemFormatError(f"the model resolves none of the {skipped_test} triple classification test rows")
     if skipped_valid or skipped_test:
         warnings.warn(f"triple classification skipped {skipped_valid + skipped_test} unresolvable rows")
 
@@ -560,7 +563,7 @@ def eval_triple_classification(valid_rows, test_rows, view: EmbeddingView) -> di
     deltas = np.array([thresholds.get(rel, global_delta) for rel in test_rels])
     correct = int(np.count_nonzero((test_scores > deltas) == test_labels))
     total = len(test_rels)
-    accuracy = correct / total if total else 0.0
+    accuracy = correct / total
     return {
         "task": "triple_classification",
         "accuracy": accuracy,

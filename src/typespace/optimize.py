@@ -3,12 +3,12 @@
 Each epoch makes three passes: (1) a shuffled pass over word-word and
 entity-word entries with AdaGrad updates, (2) a pass over types, (3) a pass
 over relation triples and then relation groups.  The rows these passes
-step live in one row buffer and the biases in one bias buffer (_AdaState).
+step live in one row buffer, each row's bias its last column (_AdaState).
 The text pass runs the per-entry loop over the shuffled order as an exact
 level schedule: an entry's level is one more than the highest level of any
 earlier entry sharing a row with it, and each level's entries of one table
-kind, which write distinct rows, take one step on their rows and one on
-their biases.  A triple takes one step on its two entities and its
+kind, which write distinct rows, take one step on their rows, biases
+included.  A triple takes one step on its two entities and its
 relation.  Types and relation groups are the same subspace block, and one
 block step updates either: the simplex coefficients by projected gradient,
 the anchors by a gradient step, then singular-value thresholding of the
@@ -229,48 +229,47 @@ class TrainData:
 
 
 class _AdaState:
-    """The trainer's row buffers and their accumulated squared gradients.
+    """The trainer's row buffer and its accumulated squared gradients.
 
-    rows stacks the entity points, word, context and relation vectors,
-    (E+2V+R, n), and biases the entity, word and context biases, (E+2V,),
-    so a bias has its vector's row; starts maps an array's attribute to its
-    first row, and row_name and bias_name name a buffer row in errors.
-    Building the state copies params' arrays into the buffers and rebinds
-    params to views of them; release() copies the values back into the
-    arrays params held and rebinds those.
+    rows, (E+2V+R, n+1), stacks the entity points, word, context and
+    relation vectors in columns :n, and in column n each row's entity, word
+    or context bias (0 on relation rows), so a vector and its bias move in
+    one step; row_acc has its shape.  starts maps an array's attribute to
+    its first row, and row_name names a buffer row in errors.  Building the
+    state copies params' arrays into the buffer and rebinds params to views
+    of it; release() copies the values back into the arrays params held and
+    rebinds those.
     """
 
     def __init__(self, params: ModelParams):
         m, rels = params.model, params.rels
+        parts = ((m, "entity_points", "entity_bias", "entity"), (m, "word_vecs", "word_bias", "word"),
+                 (m, "ctx_vecs", "ctx_bias", "ctx"), (rels, "vectors", None, "rel"))
+        sizes = [len(getattr(owner, vecs)) for owner, vecs, _, _ in parts]
+        firsts = np.cumsum([0] + sizes[:-1]).tolist()
+        n = rels.vectors.shape[1]
+        self.rows = np.zeros((sum(sizes), n + 1))
+        self.row_acc = np.zeros_like(self.rows)
         self._handed = []  # (owner, attribute, the array params held)
         self.starts: dict[str, int] = {}
-        self.rows, self.row_name = self._stack(
-            (m, "entity_points", "entity"), (m, "word_vecs", "word"), (m, "ctx_vecs", "ctx"), (rels, "vectors", "rel")
-        )
-        self.biases, self.bias_name = self._stack(*((m, attr, attr) for attr in ("entity_bias", "word_bias", "ctx_bias")))
-        self.row_acc = np.zeros_like(self.rows)
-        self.bias_acc = np.zeros_like(self.biases)
+        for (owner, vecs, bias, _), first, size in zip(parts, firsts, sizes):
+            block = self.rows[first : first + size]
+            for attr, view in ((vecs, block[:, :n]), (bias, block[:, n])):
+                if attr is not None:
+                    self._handed.append((owner, attr, getattr(owner, attr)))
+                    self.starts[attr] = first
+                    view[...] = getattr(owner, attr)
+                    setattr(owner, attr, view)
+
+        def row_name(r) -> str:
+            i = bisect.bisect_right(firsts, r) - 1
+            return f"{parts[i][3]}[{r - firsts[i]}]"
+
+        self.row_name = row_name
         # Anchor and coefficient accumulators, stacked like the blocks.
         self.types = params.types.per_type.zeros()
         self.rhs = rels.rhs_groups.zeros()
         self.lhs = rels.lhs_groups.zeros()
-
-    def _stack(self, *arrays):
-        """One buffer holding the (owner, attribute, name) arrays, which the
-        owners then view, and a function naming a buffer row as name[row]."""
-        held = [getattr(owner, attr) for owner, attr, _ in arrays]
-        buf = np.concatenate(held)
-        firsts = np.cumsum([0] + [len(arr) for arr in held[:-1]]).tolist()
-        for (owner, attr, _), arr, first in zip(arrays, held, firsts):
-            self._handed.append((owner, attr, arr))
-            self.starts[attr] = first
-            setattr(owner, attr, buf[first : first + len(arr)])
-
-        def name(r) -> str:
-            i = bisect.bisect_right(firsts, r) - 1
-            return f"{arrays[i][2]}[{r - firsts[i]}]"
-
-        return buf, name
 
     def release(self) -> None:
         for owner, attr, arr in self._handed:
@@ -284,8 +283,7 @@ def _text_schedule(tags, urows, vrows, order, n_rows):
     is one more than the highest level of any earlier entry that writes one
     of its rows, so a batch writes distinct rows and every row sees its
     updates in the order of order.  Rows are row-buffer rows (a word row is
-    one row in both table kinds), and a bias is written with its vector's
-    row.
+    one row in both table kinds).
     """
     kinds = tags[order]
     last = [0] * n_rows
@@ -305,24 +303,24 @@ def _text_schedule(tags, urows, vrows, order, n_rows):
 def _text_pass(entries, order, params, state, hp, alpha) -> int:
     """AdaGrad updates over precomputed text entries, bit for bit those of
     a per-entry loop in the given order: per batch of _text_schedule, one
-    step on the batch's rows of the row buffer (u rows, then v rows) and
-    one on the same rows of the bias buffer.  Returns the number of
-    batches.
+    step on the batch's rows of the row buffer (u rows, then v rows), each
+    row's vector partial in columns :n and its bias partial in column n.
+    Returns the number of batches.
 
     entries is (tags, u rows, v rows, fvals, logs), as
     _prepare_text_entries builds them; a tag indexes _TEXT_KINDS.
     """
     tags, urows, vrows, fvals, logs = entries
     lr = hp.learn_rate
-    rows, biases = state.rows, state.biases
+    rows = state.rows
     order, bounds = _text_schedule(tags, urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
     urows, vrows, fvals, logs = urows[order], vrows[order], fvals[order], logs[order]
     for s, t in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         r = np.concatenate((urows[s:t], vrows[s:t]))
-        x, b, k = rows[r], biases[r], t - s
-        _, gu, gv, gb = text_entry_terms(x[:k], x[k:], b[:k], b[k:], fvals[s:t], logs[s:t], alpha)
-        adagrad_step(rows, np.concatenate((gu, gv)), state.row_acc, lr, state.row_name, r)
-        adagrad_step(biases, np.concatenate((gb, gb)), state.bias_acc, lr, state.bias_name, r)
+        x, k = rows[r], t - s
+        _, gu, gv, gb = text_entry_terms(x[:k, :-1], x[k:, :-1], x[:k, -1], x[k:, -1], fvals[s:t], logs[s:t], alpha)
+        grad = np.column_stack((np.concatenate((gu, gv)), np.concatenate((gb, gb))))
+        adagrad_step(rows, grad, state.row_acc, lr, state.row_name, r)
     return len(bounds) - 1
 
 
@@ -389,11 +387,11 @@ def _type_pass(params, state, hp, flags, report) -> float:
 
 def _rel_dist_pass(params, state, data, hp, rng):
     """Per-triple AdaGrad updates of both entity points and the relation
-    vector, in shuffled triple order: one step on the rows of f, e and k
-    with gradients g, -g and -g."""
+    vector, in shuffled triple order: one step on columns :n of the rows of
+    f, e and k with gradients g, -g and -g."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    rows, acc, name, rel0 = state.rows, state.row_acc, state.row_name, state.starts["vectors"]
+    rows, acc, name, rel0 = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name, state.starts["vectors"]
     triples = data.triples.triples
     for idx in rng.permutation(len(triples)):
         e, k, f = triples[idx]
@@ -437,9 +435,9 @@ def _group_plans(params, state) -> list[tuple]:
 
 def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
     """One block step per relation group of plans (_group_plans), then one
-    AdaGrad step on the group's entity points and its relation vector.
+    AdaGrad step on its entities and relation (columns :n of their rows).
     Returns the sum of the groups' span nuclear norms after their proxes."""
-    rows, acc_rows, name = state.rows, state.row_acc, state.row_name
+    rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     prox = flags.reg2 and hp.beta_reg > 0.0

@@ -235,11 +235,12 @@ class StepRecorder:
     Each gradient is added into a zero array shaped like the parameter array
     the step would have moved (grads, keyed like collect_param_arrays, holds
     the stepped arrays only).  steps lists (targets, gradient) per call in
-    call order, targets holding (key, row) per gradient row.  A step on
-    given rows of one of the trainer's buffers is mapped back row by row to
-    the arrays that view the buffer, by the address of each row; a
-    whole-array step is one target (key, None), its array found by memory
-    overlap.
+    call order, targets holding (key, row) per parameter array row stepped.
+    A step on given rows of the trainer's row buffer is mapped back row by
+    row to the arrays that view the buffer, by address: a buffer row holds a
+    vector (columns :n) and, on a text step, its bias (column n), and each
+    takes its columns of the gradient row.  A whole-array step is one target
+    (key, None), its array found by memory overlap.
     """
 
     def __init__(self, params):
@@ -247,12 +248,18 @@ class StepRecorder:
         self.grads = {}
         self.steps = []
 
-    def _owner(self, address):
+    def _owners(self, address, width):
+        """(column, key, array, row) of each parameter array row that lies
+        within the stepped row of width values at address, in column order,
+        column being where it starts in the gradient row."""
+        owners = []
         for key, arr in self.arrays:
-            offset = address - arr.ctypes.data
-            if 0 <= offset < arr.nbytes:
-                return key, arr, offset // arr.strides[0]
-        raise AssertionError("a stepped row that no parameter array holds")
+            row = -((arr.ctypes.data - address) // arr.strides[0])  # the first row at or past address
+            column, rest = divmod(arr.ctypes.data + row * arr.strides[0] - address, arr.itemsize)
+            if 0 <= row < len(arr) and not rest and 0 <= column <= width - arr[0].size:
+                owners.append((column, key, arr, row))
+        assert sum(arr[0].size for _, _, arr, _ in owners) == width, "a stepped row that no parameter array holds"
+        return sorted(owners, key=lambda owner: owner[0])
 
     def __call__(self, values, grad, state, lr, name="param", rows=None):
         g = np.array(grad, dtype=np.float64)
@@ -265,9 +272,10 @@ class StepRecorder:
         assert len(set(int(r) for r in rows)) == len(rows) == len(g)
         targets = []
         for r, gr in zip(rows, g):
-            key, arr, row = self._owner(values.ctypes.data + int(r) * values.strides[0])
-            self.grads.setdefault(key, np.zeros_like(arr))[row] += gr
-            targets.append((key, int(row)))
+            for column, key, arr, row in self._owners(values.ctypes.data + int(r) * values.strides[0], len(gr)):
+                part = gr[column : column + arr[0].size].reshape(arr.shape[1:])
+                self.grads.setdefault(key, np.zeros_like(arr))[row] += part
+                targets.append((key, int(row)))
         self.steps.append((targets, g))
 
 
@@ -511,15 +519,21 @@ def ref_analogy_answer(points, pool, query, target):
     """The pool entity of highest cosine to target, skipping the query
     entities: a zero norm scores -1, only a strictly higher score replaces
     the best so far (so the first maximum wins and NaN never does), and
-    None when nothing beats -inf."""
+    None when nothing beats -inf.  Each cosine is rounded as
+    evalharness._best_cosine rounds it: the dot product and the candidate's
+    squared norm summed by np.add.reduce, the target's norm by
+    np.linalg.norm.  A near-copy of the target can score within an ulp of
+    an exact copy, so another summation order can pick another answer."""
     best = None
     best_sim = -math.inf
+    nb = float(np.linalg.norm(target))
     for cand in pool:
         if cand in query:
             continue
-        na = float(np.linalg.norm(points[cand]))
-        nb = float(np.linalg.norm(target))
-        sim = -1.0 if na == 0.0 or nb == 0.0 else float(points[cand] @ target) / (na * nb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            na = float(np.sqrt(np.add.reduce(points[cand] * points[cand])))
+            dot = float(np.add.reduce(points[cand] * target))
+        sim = -1.0 if na == 0.0 or nb == 0.0 else dot / (na * nb)
         if sim > best_sim:
             best_sim = sim
             best = cand

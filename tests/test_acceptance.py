@@ -146,19 +146,19 @@ def _pass_runs(ww, ew, store, params, hp, seed):
 
 
 def _check_text_steps(rec, ww, ew, n_batches):
-    """Two steps per batch: one on the row vectors then the column vectors
-    of the batch's entries, the k-th row vector and the k-th column vector
-    being one entry's, and one on their biases, row for row; every entry
-    stepped exactly once.  Returns 1 when some batch holds several
-    entries."""
+    """One step per batch: on the row vectors then the column vectors of
+    the batch's entries, the k-th row vector and the k-th column vector
+    being one entry's, each stepped with its bias; every entry stepped
+    exactly once.  Returns 1 when some batch holds several entries."""
     tables = {("word", "ctx"): ww, ("entity", "word"): ew}
-    assert len(rec.steps) == 2 * n_batches
+    assert len(rec.steps) == n_batches
     seen = []
-    for (targets, _), (bias_targets, _) in zip(rec.steps[::2], rec.steps[1::2]):
-        assert bias_targets == [(f"{key}_bias", r) for key, r in targets]
-        k = len(targets) // 2
-        (ku, kv), = {(key_u, key_v) for (key_u, _), (key_v, _) in zip(targets[:k], targets[k:])}
-        seen += [(tables[ku, kv].kind, i, j) for (_, i), (_, j) in zip(targets[:k], targets[k:])]
+    for targets, _ in rec.steps:
+        vectors = targets[::2]
+        assert targets[1::2] == [(f"{key}_bias", r) for key, r in vectors]
+        k = len(vectors) // 2
+        (ku, kv), = {(key_u, key_v) for (key_u, _), (key_v, _) in zip(vectors[:k], vectors[k:])}
+        seen += [(tables[ku, kv].kind, i, j) for (_, i), (_, j) in zip(vectors[:k], vectors[k:])]
     assert sorted(seen) == sorted((t.kind, int(r), int(c)) for t in (ww, ew) for r, c in zip(t.rows, t.cols))
     return int(n_batches < len(seen))
 

@@ -371,6 +371,19 @@ class TestEval:
         assert err.startswith(f"error: {problems}: record 1: the model holds none of the analogy problem's")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("task, rows, what", [
+        ("link_prediction", ["ghost\tlocated_in\tc00", "p00\tghost_rel\tc00"], "2 link prediction triples"),
+        ("triple_classification", ["p00\tlocated_in\tc00\t1\tvalid", "ghost\tlocated_in\tc00\t1\ttest",
+                                   "p00\tghost_rel\tc00\t0\ttest"], "2 triple classification test rows"),
+    ])
+    def test_nothing_resolvable_exit_one(self, trained_model, tmp_path, capsys, task, rows, what):
+        # A mean rank or an accuracy over no test triple would read as a result.
+        problems = tmp_path / "unknown.tsv"
+        problems.write_text("\n".join(rows) + "\n")
+        assert run(["eval", task, "--model", str(trained_model), "--problems", str(problems)]) == 1
+        assert capsys.readouterr().err == f"error: the model resolves none of the {what}\n"
+        assert not (tmp_path / f"unknown.results_{task}.json").exists()
+
     def test_malformed_problem_json_exit_one(self, trained_model, tmp_path, capsys):
         problems = tmp_path / "broken.json"
         problems.write_text('{"type": "city", "attribute": ')
@@ -542,6 +555,17 @@ class TestConfigFile:
         conf = self._config(tmp_path, "from-points=yes")
         assert run(["inspect", "--config", conf, "--model", str(trained_model)]) == 0
         assert capsys.readouterr().out == flag_out
+
+    @pytest.mark.parametrize("command", ["eval", "inspect", "export"])
+    def test_seed_only_for_train_and_tune(self, trained_model, tmp_path, capsys, command):
+        # Only train and tune draw random numbers; the other commands take no
+        # seed, as a flag or as a config key.
+        argv = [command, *(["ranking"] if command == "eval" else []), "--model", str(trained_model)]
+        assert run([*argv, "--seed", "99"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 99\n"
+        conf = self._config(tmp_path, "seed=99")
+        assert run([*argv, "--config", conf]) == 1
+        assert capsys.readouterr().err == f"error: {conf}: key 'seed' names no flag of {command!r}\n"
 
     def test_uncastable_boolean_exit_one(self, trained_model, tmp_path, capsys):
         conf = self._config(tmp_path, "from-points=maybe")

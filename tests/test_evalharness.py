@@ -13,6 +13,7 @@ from typespace.evalharness import (
     DegenerateRankingError,
     EmbeddingView,
     InductionProblem,
+    ProblemFormatError,
     RankingProblem,
     eval_analogy,
     eval_induction,
@@ -296,9 +297,15 @@ class TestEvalLinkPrediction:
 
     def test_unknown_entities_skipped(self):
         view = make_view(np.zeros((2, 2)), rel_ids=("r",), rel_vectors=np.zeros((1, 2)))
-        out = eval_link_prediction([("ghost", "r", "e000"), ("e000", "ghost_rel", "e001")], view)
+        out = eval_link_prediction([("ghost", "r", "e000"), ("e000", "ghost_rel", "e001"), ("e000", "r", "e001")], view)
         assert out["skipped"] == 2
-        assert out["n_ranks"] == 0
+        assert out["n_ranks"] == 2
+
+    def test_nothing_ranked_is_an_error(self):
+        # A mean rank is at least 1; with no rank there is none to report.
+        view = make_view(np.zeros((2, 2)), rel_ids=("r",), rel_vectors=np.zeros((1, 2)))
+        with pytest.raises(ProblemFormatError, match="^the model resolves none of the 2 link prediction triples$"):
+            eval_link_prediction([("ghost", "r", "e000"), ("e000", "ghost_rel", "e001")], view)
 
     def test_matches_brute_force_on_random(self):
         rng = np.random.default_rng(9)
@@ -385,6 +392,13 @@ class TestEvalTripleClassification:
         got = _triple_scores(view, heads, rel_ids, tails)
         want = np.array([ref.ref_triple_score(view, h, r, t) for h, r, t in rows])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_no_resolvable_test_row_is_an_error(self):
+        view = self._view(np.zeros((2, 2)), np.zeros((1, 2)))
+        valid = [("e000", "r", "e001", 1), ("e000", "r", "e000", 0)]
+        test = [("ghost", "r", "e001", 1), ("e000", "ghost_rel", "e001", 0)]
+        with pytest.raises(ProblemFormatError, match="^the model resolves none of the 2 triple classification test rows$"):
+            eval_triple_classification(valid, test, view)
 
     def test_missing_relation_uses_global_fallback(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])

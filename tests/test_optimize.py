@@ -275,12 +275,13 @@ class TestFiniteGuards:
 
     @staticmethod
     def _buffers(state):
-        return [a.tobytes() for a in (state.rows, state.biases, state.row_acc, state.bias_acc)]
+        return [a.tobytes() for a in (state.rows, state.row_acc)]
 
     @pytest.mark.parametrize("kind, pair, poisoned, name", [
         (WORD_WORD, (3, 7), ("word_vecs", 3), "word[3]"),
-        (WORD_WORD, (3, 7), ("ctx_bias", 7), "word[3]"),  # the row vectors' gradient is the first to go bad
+        (WORD_WORD, (3, 7), ("ctx_bias", 7), "word[3]"),  # a bad bias makes every partial of its entry bad
         (ENTITY_WORD, (5, 2), ("entity_points", 5), "entity[5]"),
+        (ENTITY_WORD, (5, 2), ("entity_bias", 5), "entity[5]"),
     ])
     def test_buffered_text_step_names_the_row(self, kind, pair, poisoned, name):
         store, params, hp = self._bound()
@@ -294,18 +295,6 @@ class TestFiniteGuards:
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
             optimize._text_pass(entries, [0], params, state, hp, 0.5)
-        assert self._buffers(state) == before
-
-    def test_buffered_bias_step_names_the_bias(self):
-        _, params, _ = self._bound()
-        state = optimize._AdaState(params)
-        rows = [state.starts["entity_bias"] + 2, state.starts["word_bias"] + 3, state.starts["ctx_bias"] + 7]
-        before = self._buffers(state)
-        for bad, name in ((0, "entity_bias[2]"), (1, "word_bias[3]"), (2, "ctx_bias[7]")):
-            grad = np.ones(3)
-            grad[bad:] = np.nan
-            with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-                adagrad_step(state.biases, grad, state.bias_acc, 0.1, state.bias_name, rows)
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("triple, name", [((0, 2, 5), "entity[5]"), ((5, 2, 5), "rel[2]")])
@@ -330,7 +319,7 @@ class TestFiniteGuards:
         real = optimize.adagrad_step
 
         def poisoned(values, grad, *args, **kwargs):
-            if values is state.rows:
+            if np.shares_memory(values, state.rows):
                 grad = grad.copy()
                 grad[bad, 0] = np.inf
             return real(values, grad, *args, **kwargs)
@@ -712,7 +701,7 @@ class TestTrainerStepsWithCheckedGradients:
         entries = optimize._prepare_text_entries(data, hp, state)
         order = np.random.default_rng(3).permutation(len(entries[0]))
         n_batches = optimize._text_pass(entries, order, params, state, hp, self.ALPHA)
-        assert len(steps) == 2 * n_batches
+        assert len(steps) == n_batches
         # Names of a batch's row vectors and column vectors -> (table, row
         # vectors, column vectors, row biases, column biases).
         fits = {
@@ -720,13 +709,14 @@ class TestTrainerStepsWithCheckedGradients:
             ("entity", "word"): (data.entity_word, m.entity_points, m.word_vecs, m.entity_bias, m.word_bias),
         }
         seen = []
-        for (name, rows, grad), (bias_name, bias_rows, bias_grad) in zip(steps[::2], steps[1::2]):
+        n = hp.n
+        for name, rows, grad in steps:
             # One step on the batch's row vectors, then its column vectors,
-            # and one on their biases, row for row: the k-th row vector and
-            # the k-th column vector belong to one entry.
+            # each row's vector partial in columns :n and its bias partial in
+            # column n: the k-th row vector and the k-th column vector belong
+            # to one entry.
             labels = [re.fullmatch(r"(\w+)\[(\d+)\]", name(r)).groups() for r in rows]
-            assert np.array_equal(bias_rows, rows)
-            assert [bias_name(r) for r in rows] == [f"{a}_bias[{i}]" for a, i in labels]
+            assert grad.shape == (len(rows), n + 1)
             k = len(rows) // 2
             (names,) = {(a, b) for (a, _), (b, _) in zip(labels[:k], labels[k:])}
             table, u, v, bu, bv = fits[names]
@@ -737,7 +727,7 @@ class TestTrainerStepsWithCheckedGradients:
                 coef = self.ALPHA * 2.0 * float(weight_f(x, hp.x_max, hp.weight_exp)) * (
                     float(u[i] @ v[j]) + bu[i] + bv[j] - math.log(x)
                 )
-                pairs = ((grad[p], coef * v[j]), (grad[k + p], coef * u[i]), (bias_grad[p], coef), (bias_grad[k + p], coef))
+                pairs = ((grad[p, :n], coef * v[j]), (grad[k + p, :n], coef * u[i]), (grad[p, n], coef), (grad[k + p, n], coef))
                 for got, want in pairs:
                     np.testing.assert_allclose(
                         np.atleast_1d(got), np.atleast_1d(want), rtol=1e-12, atol=1e-15, err_msg=f"{names} {i},{j}"
@@ -838,10 +828,10 @@ class TestRelGroupPass:
                 ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
-            rel0 = state.starts["vectors"]
-            assert np.array_equal(state.row_acc[: len(m.entity_points)], ref_accs[0])
-            assert np.array_equal(state.row_acc[rel0:], ref_accs[1])
-            assert not state.row_acc[len(m.entity_points) : rel0].any() and not state.bias_acc.any()
+            rel0, n = state.starts["vectors"], hp.n
+            assert np.array_equal(state.row_acc[: len(m.entity_points), :n], ref_accs[0])
+            assert np.array_equal(state.row_acc[rel0:, :n], ref_accs[1])
+            assert not state.row_acc[len(m.entity_points) : rel0].any() and not state.row_acc[:, n].any()
             for side, want in zip(("rhs", "lhs"), ref_accs[2:]):
                 got = getattr(state, side)
                 assert np.array_equal(got.anchors, want.anchors) and np.array_equal(got.coeffs, want.coeffs), side
@@ -870,15 +860,16 @@ class TestRelDistPass:
                 ref_rel_dist_pass(m, rels, entity_acc, rel_acc, triples, hp, np.random.default_rng(seed + epoch))
             assert params.model.entity_points.tobytes() == m.entity_points.tobytes()
             assert params.rels.vectors.tobytes() == rels.vectors.tobytes()
-            rel0 = state.starts["vectors"]
-            assert state.row_acc[:6].tobytes() == entity_acc.tobytes()
-            assert state.row_acc[rel0:].tobytes() == rel_acc.tobytes()
+            rel0, n = state.starts["vectors"], hp.n
+            assert state.row_acc[:6, :n].tobytes() == entity_acc.tobytes()
+            assert state.row_acc[rel0:, :n].tobytes() == rel_acc.tobytes()
+            assert not state.row_acc[:, n].any()
             self_loops += sum(e == f for e, _, f in triples)
         assert self_loops >= 40
 
 
 class TestStepCounts:
-    """Two AdaGrad steps per text batch, one per triple, and per relation
+    """One AdaGrad step per text batch, one per triple, and per relation
     group its two block steps and one on its points; a type takes its two
     block steps."""
 
@@ -910,7 +901,7 @@ class TestStepCounts:
         train(data, TrainConfig(hp=hp, shuffle_seed=1), params)
         assert len(batches) == 2 and sum(batches) > 0
         assert calls == {
-            "text": 2 * sum(batches),
+            "text": sum(batches),
             "type": 2 * 2 * len(params.types.per_type),
             "rel_dist": 2 * len(store.triples),
             "rel_group": 2 * 3 * (len(store.rhs) + len(store.lhs)),

@@ -18,16 +18,17 @@ def _text_instance(seed, n, n_words):
     state = optimize._AdaState(params)
     rng = np.random.default_rng(seed)
     state.row_acc += rng.uniform(0.0, 2.0, size=state.row_acc.shape)
-    state.bias_acc += rng.uniform(0.0, 2.0, size=state.bias_acc.shape)
     return params, state, hp
 
 
 def _accumulators(state, model):
-    """Each text array's attribute -> its rows of the state's accumulators."""
+    """Each text array's attribute -> its rows of the state's accumulators:
+    columns :n for a vector array, column n for a bias array."""
     accs = {}
+    n = state.row_acc.shape[1] - 1
     for attr in _TEXT_ARRAYS:
-        acc = state.bias_acc if attr.endswith("_bias") else state.row_acc
-        accs[attr] = acc[state.starts[attr] :][: len(getattr(model, attr))]
+        acc = state.row_acc[state.starts[attr] :][: len(getattr(model, attr))]
+        accs[attr] = acc[:, n] if attr.endswith("_bias") else acc[:, :n]
     return accs
 
 
@@ -52,7 +53,6 @@ def _run(tags, pairs, counts, order, n, seed, alpha, n_words):
     model = ref_params.model
     ref_text_pass((tags, rows, cols, fvals, logs), order, model, _accumulators(ref_state, model), hp.learn_rate, alpha)
     assert state.row_acc.tobytes() == ref_state.row_acc.tobytes()
-    assert state.bias_acc.tobytes() == ref_state.bias_acc.tobytes()
     for attr in _TEXT_ARRAYS:
         assert getattr(params.model, attr).tobytes() == getattr(model, attr).tobytes(), attr
     return n_batches
