@@ -31,7 +31,8 @@ class DegenerateRankingError(ValueError):
 class ProblemFormatError(ValueError):
     """A problem file is not valid JSON, one of its records is malformed, or
     the model holds none of a problem's training positives or gold answers,
-    or resolves none of a task's test triples."""
+    or a task has nothing to score: no resolvable test triple or test quad,
+    or no ranking problem left after the skips."""
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,13 @@ def _average_ranks(x) -> np.ndarray:
     """1-based ranks with ties replaced by their average rank."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="mergesort")
+    s = x[order]
+    edges = np.ones(len(x) + 1, dtype=bool)
+    edges[1:-1] = s[1:] != s[:-1]  # NaN != NaN: each NaN is a block of its own
+    bounds = np.flatnonzero(edges)
+    first, stop = bounds[:-1], bounds[1:]
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + stop - 1) + 1.0, stop - first)
     return ranks
 
 
@@ -247,9 +247,10 @@ def reciprocal_rank(relevance) -> float:
 def _hinge_directions(diffs: np.ndarray, reg_grid, iters: int = 400) -> np.ndarray:
     """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of reg_grid
     by AdaGrad subgradient descent with iterate averaging, one row of the
-    iterate per c.  Margins take one matrix-vector product per row, and the
-    violated-pair sums one product laid out to add pairs in order, as a lone
-    solve rounds them: a margin one ulp off flips a violation at the hinge."""
+    iterate per c.  The margins of all rows take one stacked product, which
+    numpy runs as one matrix-vector product per row, and the violated-pair
+    sums one product laid out to add pairs in order, as a lone solve rounds
+    them: a margin one ulp off flips a violation at the hinge."""
     n = diffs.shape[1]
     scale = (2.0 / np.asarray(reg_grid, dtype=np.float64))[:, None]
     w = np.zeros((scale.size, n))
@@ -258,7 +259,7 @@ def _hinge_directions(diffs: np.ndarray, reg_grid, iters: int = 400) -> np.ndarr
     lr = 0.5
     half = iters // 2
     for t in range(iters):
-        viol = (np.array([diffs @ row for row in w]) < 1.0).astype(np.float64)
+        viol = (np.matmul(w[:, None, :], diffs.T)[:, 0] < 1.0).astype(np.float64)
         g = -(diffs.T @ viol.T).T + scale * w
         accum += g * g
         w -= lr * g / np.sqrt(accum + 1e-8)
@@ -327,9 +328,9 @@ def eval_ranking(problems, view: EmbeddingView, reg_grid=C_GRID) -> dict:
         per_problem.append(
             {"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test)}
         )
-    out = {"task": "ranking", "per_problem": per_problem, "skipped": skipped}
-    out["fisher_rho"] = fisher_mean(rhos) if rhos else 0.0
-    return out
+    if not rhos:
+        raise ProblemFormatError(f"none of the {skipped} ranking problems could be scored")
+    return {"task": "ranking", "per_problem": per_problem, "skipped": skipped, "fisher_rho": fisher_mean(rhos)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +438,11 @@ def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -
         evaluated += 1
         if best is not None and pool[best] == view.index[d]:
             correct += 1
-    accuracy = correct / evaluated if evaluated else 0.0
+    if not evaluated:
+        raise ProblemFormatError(f"the model resolves none of the analogy problem's {len(problem.test_idx)} test quads")
     return {
         "task": "analogy",
-        "accuracy": accuracy,
+        "accuracy": correct / evaluated,
         "n_evaluated": evaluated,
         "skipped": skipped,
         "pool_type": pool_type,
@@ -451,14 +453,83 @@ def eval_analogy(problem: AnalogyProblem, view: EmbeddingView, ts: TypeSystem) -
 # ---------------------------------------------------------------------------
 # Link prediction
 
+# Queries x entities per screened chunk: each (queries x entities) float64
+# temporary of the screen stays within 128 KiB.
+_SCREEN_CELLS = 1 << 14
 
-def _rank_of(scores: np.ndarray, target: int) -> int:
-    """1-based rank of `target` under ascending score, ties broken by
-    entity index."""
-    st = scores[target]
-    better = int(np.sum(scores < st))
-    tied_before = int(np.sum((scores == st) & (np.arange(len(scores)) < target)))
-    return better + tied_before + 1
+# The screen's slack factor c.  With u = 2**-53, the exact path's score is
+# s = fl(sqrt(sum_j fl(x_j - q_j)**2)): a subtraction and a square per term,
+# n - 1 additions and a square root, so |s**2 - d**2| <= gamma_{n+4} d**2
+# with d = |x - q| and gamma_k = k u / (1 - k u) (Higham 2002, sec. 3.1).  The
+# screen's a = |x|**2 + |q|**2 - 2 x.q takes three inner products of n terms,
+# in any order, and two additions, so |a - d**2| <= gamma_{n+2} (|x| + |q|)**2
+# by Cauchy-Schwarz.  As d <= |x| + |q|, |a - s**2| <= 2.01 (n + 4) u
+# (|x| + |q|)**2.  c = 8 also covers the rounding of the norms |x| and |q|
+# that the slack reads, of the slack itself, and of a + slack and of
+# (a + slack) - 2 slack, which stand for a +- slack in place.  Results
+# below 2**-1022 lose relative accuracy; each of the at most 3n + 8
+# roundings then errs by at most 2**-1075, which c (n + 4) 2**-1022 covers.
+_SLACK_C = 8.0
+_U = 2.0**-53
+_TINY = np.finfo(np.float64).tiny
+
+
+def _screened_ranks(rows: np.ndarray, queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """1-based rank of row targets[j] under the ascending score
+    np.linalg.norm(rows - queries[j], axis=1), ties broken by row index.
+
+    One product per chunk of queries gives a = |x|**2 + |q|**2 - 2 x.q for
+    every row x and query q, within a slack of the square of the row's
+    score.  Rows whose a +- slack lies on one side of the bounds on the
+    target's squared score are certainly closer or farther; every other
+    row (the band) is scored as above and compared exactly.  A NaN bound,
+    or a non-finite a or slack, certifies nothing."""
+    m, n = rows.shape
+    ranks = np.empty(len(targets), dtype=np.int64)
+    step = max(1, _SCREEN_CELLS // m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = np.einsum("ij,ij->i", rows, rows)
+        xn = np.sqrt(xx)
+        for start in range(0, len(targets), step):
+            q, t = queries[start : start + step], targets[start : start + step]
+            st = np.linalg.norm(rows[t] - q, axis=1)
+            t2 = st * st  # within u st**2 + 2**-1075 of st**2
+            lo = (t2 * (1.0 - 4.0 * _U) - _TINY)[:, None]
+            hi = (t2 * (1.0 + 4.0 * _U) + _TINY)[:, None]
+            qq = np.einsum("ij,ij->i", q, q)
+            a = q @ rows.T  # one row per query
+            a *= -2.0
+            a += xx
+            a += qq[:, None]
+            slack = np.sqrt(qq)[:, None] + xn
+            slack *= slack
+            slack *= _SLACK_C * (n + 4) * _U
+            slack += _SLACK_C * (n + 4) * _TINY
+            a += slack
+            closer = a < lo
+            slack *= 2.0
+            a -= slack
+            band = ~(closer | (a > hi))
+            band[np.arange(len(t)), t] = False  # a target never ranks before itself
+            j, i = np.divmod(np.flatnonzero(band), m)
+            s = np.linalg.norm(rows[i] - q[j], axis=1)
+            wins = (s < st[j]) | ((s == st[j]) & (i < t[j]))
+            ranks[start : start + step] = np.count_nonzero(closer, axis=1) + np.bincount(j[wins], minlength=len(t)) + 1
+    return ranks
+
+
+def _link_ranks(view: EmbeddingView, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Raw ranks of each (head, relation, tail) index triple by translation
+    distance, ties broken by entity index: column 0 ranks the tail among
+    all entities as tail of (h, r, ?), column 1 the head as head of
+    (?, r, t)."""
+    points, vectors = view.points, view.rel_vectors
+    ranks = np.empty((len(heads), 2), dtype=np.int64)
+    ranks[:, 0] = _screened_ranks(points, points[heads] + vectors[rels], tails)
+    for k in np.unique(rels):
+        sel = np.flatnonzero(rels == k)
+        ranks[sel, 1] = _screened_ranks(points + vectors[k], points[tails[sel]], heads[sel])
+    return ranks
 
 
 def eval_link_prediction(test_triples, view: EmbeddingView) -> dict:
@@ -467,21 +538,16 @@ def eval_link_prediction(test_triples, view: EmbeddingView) -> dict:
     known-true triples."""
     if view.rel_vectors is None:
         raise ValueError("model carries no relation vectors")
-    ranks = []
+    kept = []
     skipped = 0
     for h, r, t in test_triples:
         if h not in view.index or t not in view.index or r not in view.rel_index:
             skipped += 1
             continue
-        hi, ti = view.index[h], view.index[t]
-        rv = view.rel_vectors[view.rel_index[r]]
-        tail_scores = np.linalg.norm(view.points - (view.points[hi] + rv), axis=1)
-        ranks.append(_rank_of(tail_scores, ti))
-        head_scores = np.linalg.norm(view.points + rv - view.points[ti], axis=1)
-        ranks.append(_rank_of(head_scores, hi))
-    if not ranks:
+        kept.append((view.index[h], view.rel_index[r], view.index[t]))
+    if not kept:
         raise ProblemFormatError(f"the model resolves none of the {skipped} link prediction triples")
-    ranks = np.asarray(ranks, dtype=np.float64)
+    ranks = _link_ranks(view, *np.array(kept, dtype=np.intp).T).ravel().astype(np.float64)
     return {
         "task": "link_prediction",
         "mean_rank": float(np.mean(ranks)),

@@ -127,9 +127,6 @@ class CooccurrenceTable:
     def __len__(self):
         return len(self.weights)
 
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        return {(int(r), int(c)): float(w) for r, c, w in zip(self.rows, self.cols, self.weights)}
-
 
 @dataclass(frozen=True)
 class TypeSystem:

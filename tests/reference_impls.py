@@ -23,9 +23,10 @@ from typespace.ingest import (
 
 
 def ref_average_ranks(values):
-    """1-based ranks, ties get the average of their positions."""
+    """1-based ranks, ties get the average of their positions; NaN values
+    rank after every number, each alone, in index order."""
     values = list(values)
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=lambda i: (math.isnan(values[i]), 0.0 if math.isnan(values[i]) else values[i]))
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
@@ -100,6 +101,19 @@ def ref_rank_of_target(scores, target_index):
         elif s == scores[target_index] and i < target_index:
             rank += 1
     return rank
+
+
+def ref_link_ranks(points, rel_vectors, triples):
+    """Raw ranks of each (head, relation, tail) index triple, one query at a
+    time: the tail among all entities as tail of (h, r, ?), then the head as
+    head of (?, r, t), each query scoring every entity by np.linalg.norm."""
+    ranks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, k, t in triples:
+            tail_scores = np.linalg.norm(points - (points[h] + rel_vectors[k]), axis=1)
+            head_scores = np.linalg.norm(points + rel_vectors[k] - points[t], axis=1)
+            ranks.append((ref_rank_of_target(tail_scores.tolist(), t), ref_rank_of_target(head_scores.tolist(), h)))
+    return ranks
 
 
 def ref_fisher_mean(rhos):

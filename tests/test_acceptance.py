@@ -26,7 +26,7 @@ from typespace.evalharness import (
     reciprocal_rank,
     spearman,
 )
-from typespace.evalharness import _rank_of  # tie-rule rank used by link prediction
+from typespace.evalharness import _link_ranks  # the per-query ranks behind eval_link_prediction
 from typespace.ingest import TypeSystem
 from typespace.objective import block_resid, comb_penalty_terms, rel_dist_loss, text_loss
 from typespace.optimize import (
@@ -277,17 +277,18 @@ def test_criterion_03_metric_oracles():
         assert abs(float(np.mean(aps)) - sum(aps) / len(aps)) <= 1e-12  # MAP aggregation
         assert abs(float(np.mean(rrs)) - sum(rrs) / len(rrs)) <= 1e-12  # MRR aggregation
 
-        # link-prediction ranks, mean rank and hits@10
+        # link-prediction ranks, mean rank and hits@10 of eval_link_prediction
+        # on a random view whose grid points and relation vectors force ties
         m = int(rng.integers(3, 12))
-        scores = rng.normal(size=m)
-        if rng.random() < 0.3:  # force ties
-            scores[rng.integers(m)] = scores[rng.integers(m)]
-        target = int(rng.integers(m))
-        mine = _rank_of(scores, target)
-        assert mine == ref.ref_rank_of_target(scores.tolist(), target)
-        ranks = [mine, int(rng.integers(1, 20))]
-        assert abs(float(np.mean(ranks)) - ref.ref_mean_rank(ranks)) <= 1e-12
-        assert abs(float(np.mean(np.asarray(ranks) <= 10)) - ref.ref_hits_at_k(ranks, 10)) <= 1e-12
+        points = rng.integers(-1, 2, size=(m, 2)).astype(np.float64)
+        rel_vectors = rng.integers(-1, 2, size=(2, 2)).astype(np.float64)
+        view = EmbeddingView(tuple(f"e{i}" for i in range(m)), points, ("r0", "r1"), rel_vectors)
+        heads, rels, tails = rng.integers(m, size=3), rng.integers(2, size=3), rng.integers(m, size=3)
+        ranks = [r for pair in ref.ref_link_ranks(points, rel_vectors, zip(heads, rels, tails)) for r in pair]
+        assert _link_ranks(view, heads, rels, tails).ravel().tolist() == ranks
+        lp = eval_link_prediction([(f"e{h}", f"r{k}", f"e{t}") for h, k, t in zip(heads, rels, tails)], view)
+        assert abs(lp["mean_rank"] - ref.ref_mean_rank(ranks)) <= 1e-12
+        assert abs(lp["hits_at_10"] - ref.ref_hits_at_k(ranks, 10)) <= 1e-12
 
         # classification accuracy
         pred = (rng.random(n) < 0.5).tolist()

@@ -371,6 +371,45 @@ class TestEval:
         assert err.startswith(f"error: {problems}: record 1: the model holds none of the analogy problem's")
         assert len(err.strip().splitlines()) == 1
 
+    def test_analogy_without_known_test_quad_exit_one(self, trained_model, micro_dir, tmp_path, capsys):
+        # Every gold answer is known, so the pool resolves, but every test quad
+        # names an unknown entity: an accuracy over no quad would read as a result.
+        with open(micro_dir["analogy"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        test = record["split"]["test"]
+        quads = [["ghost", *q[1:]] if i in test else q for i, q in enumerate(record["quads"])]
+        problems = tmp_path / "unknown.json"
+        problems.write_text(json.dumps([record, {**record, "quads": quads}]))
+        argv = ["eval", "analogy", "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        with pytest.warns(UserWarning, match="skipped: unknown entity"):
+            assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {problems}: record 1: the model resolves none of the analogy problem's {len(test)} test quads\n"
+        assert not (tmp_path / "unknown.results_analogy.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "tune"])
+    def test_every_ranking_problem_skipped_exit_one(self, trained_model, micro_dir, tmp_path, capsys, command):
+        # A Fisher mean over no correlation would read as a result.
+        with open(micro_dir["ranking"], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        ghost = {e: f"ghost{i}" for i, e in enumerate(record["values"])}
+        record["values"] = {ghost[e]: v for e, v in record["values"].items()}
+        record["split"] = {part: [ghost[e] for e in ids] for part, ids in record["split"].items()}
+        problems = tmp_path / "unknown.json"
+        problems.write_text(json.dumps(record))
+        if command == "eval":
+            argv = ["eval", "ranking", "--model", str(trained_model), "--problems", str(problems)]
+        else:
+            argv = ["tune", "--corpus", micro_dir["corpus"], "--problems", str(problems), "--dim", "4", "--epochs", "1",
+                    "--min-count", "3", "--min-mentions", "3", "--out", str(tmp_path / "best.json")]
+        with pytest.warns(UserWarning, match="skipped: too few resolvable entities"):
+            assert run(argv) == 1
+        assert capsys.readouterr().err == "error: none of the 1 ranking problems could be scored\n"
+        assert not (tmp_path / "unknown.results_ranking.json").exists() and not (tmp_path / "best.json").exists()
+
     @pytest.mark.parametrize("task, rows, what", [
         ("link_prediction", ["ghost\tlocated_in\tc00", "p00\tghost_rel\tc00"], "2 link prediction triples"),
         ("triple_classification", ["p00\tlocated_in\tc00\t1\tvalid", "ghost\tlocated_in\tc00\t1\ttest",

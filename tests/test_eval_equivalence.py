@@ -1,10 +1,12 @@
 """The vectorized evaluation code against the per-candidate loops it
 replaced (kept in reference_impls): the stacked hinge solve, the analogy
-answer, the induction ordering and its AP, and the classification
-threshold.  Instances draw tied values, duplicate and zero points, and
-pools that hold the query entities."""
+answer, the induction ordering and its AP, the classification threshold,
+the average ranks and the screened link-prediction ranks.  Instances draw
+tied values, duplicate and zero points, and pools that hold the query
+entities."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impls as ref
+from typespace import evalharness
 from typespace.evalharness import (
     C_GRID,
     AnalogyProblem,
     EmbeddingView,
     InductionProblem,
+    _average_ranks,
     _best_threshold,
     _hinge_directions,
+    _link_ranks,
     average_precision,
     eval_analogy,
     eval_induction,
@@ -212,3 +217,47 @@ class TestThresholdScan:
         assert type(got) is float
         assert got.hex() == want.hex()
 
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan]), st.floats()), max_size=30))
+    def test_ranks_match_reference_loop(self, values):
+        # Ties share their average rank; NaN values rank last, each alone.
+        assert _average_ranks(values).tolist() == ref.ref_average_ranks(values)
+
+
+class TestScreenedLinkRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ranks_match_per_query_loop(self, data):
+        # The screen's band must hold every row it cannot order against the
+        # target: exact ties on grids and duplicate rows, relation vectors of
+        # size 0 or 1e-9, h == t, power-of-two scales from 2**-27 to 2**27,
+        # and rows near 1e200 whose squares overflow.  The chunk size is
+        # drawn down to one query per chunk.
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m, n = draw(st.integers(1, 40)), draw(st.integers(1, 10))
+        n_rels, n_triples = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+        scale = 2.0 ** draw(st.integers(-27, 27))
+        points = scale * _points(draw, rng, m, n)
+        rel_kind = draw(st.sampled_from(["grid", "normal", "zero", "tiny"]))
+        if rel_kind == "grid":
+            rel_vectors = rng.integers(-1, 2, size=(n_rels, n)).astype(np.float64)
+        else:
+            rel_vectors = rng.normal(size=(n_rels, n)) * {"normal": 1.0, "zero": 0.0, "tiny": 1e-9}[rel_kind]
+        rel_vectors *= scale
+        if draw(st.booleans()):
+            huge = rng.random(m) < 0.3
+            points[huge] = 1e200 * rng.normal(size=(int(huge.sum()), n))
+        heads, rels, tails = rng.integers(m, size=n_triples), rng.integers(n_rels, size=n_triples), rng.integers(m, size=n_triples)
+        if draw(st.booleans()):
+            same = rng.random(n_triples) < 0.5
+            tails[same] = heads[same]
+        view = EmbeddingView(tuple(f"e{i:03d}" for i in range(m)), points, tuple(f"r{k}" for k in range(n_rels)), rel_vectors)
+        cells = draw(st.sampled_from([1, 7, 64, evalharness._SCREEN_CELLS]))
+        with mock.patch.object(evalharness, "_SCREEN_CELLS", cells):
+            got = _link_ranks(view, heads, rels, tails)
+        want = ref.ref_link_ranks(points, rel_vectors, zip(heads, rels, tails))
+        assert got.tolist() == [list(pair) for pair in want]

@@ -141,11 +141,23 @@ class TestEvalRanking:
     def test_degenerate_problem_skipped(self):
         rng = np.random.default_rng(5)
         values = {f"e{i:03d}": 1.0 for i in range(30)}
+        scored = {f"e{i:03d}": float(i) for i in range(30)}
         view = make_view(rng.normal(size=(30, 2)))
         with pytest.warns(UserWarning, match="degenerate"):
-            out = eval_ranking([ranking_problem(values, rng)], view)
+            out = eval_ranking([ranking_problem(values, rng), ranking_problem(scored, rng)], view)
         assert out["skipped"] == 1
-        assert out["per_problem"] == []
+        assert len(out["per_problem"]) == 1
+
+    def test_every_problem_skipped_is_an_error(self):
+        # A Fisher mean over no correlation would read as a result.
+        rng = np.random.default_rng(5)
+        values = {f"e{i:03d}": 1.0 for i in range(30)}
+        view = make_view(rng.normal(size=(30, 2)))
+        with pytest.warns(UserWarning, match="degenerate"):
+            with pytest.raises(ProblemFormatError, match="^none of the 2 ranking problems could be scored$"):
+                eval_ranking([ranking_problem(values, rng), ranking_problem(values, rng)], view)
+        with pytest.raises(ProblemFormatError, match="^none of the 0 ranking problems could be scored$"):
+            eval_ranking([], view)
 
 
 class TestEvalInduction:
@@ -262,6 +274,16 @@ class TestEvalAnalogy:
             out = eval_analogy(prob, view, ts)
         assert out["skipped"] == 1
         assert out["n_evaluated"] == 1
+
+    def test_no_test_quad_evaluated_is_an_error(self):
+        # The tuning quad's gold answer is known, so the pool resolves, but no
+        # test quad does: an accuracy over no quad would read as a result.
+        view = make_view(np.eye(4))
+        ts = synth.single_type_system("thing", 4)
+        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"), ("ghost", "e001", "e002", "e003")), tune_idx=(0,), test_idx=(1,))
+        with pytest.warns(UserWarning, match="skipped"):
+            with pytest.raises(ProblemFormatError, match="^the model resolves none of the analogy problem's 1 test quads$"):
+                eval_analogy(prob, view, ts)
 
 
 class TestEvalLinkPrediction:

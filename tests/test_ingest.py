@@ -204,28 +204,34 @@ class TestVocabAndCatalog:
         assert vocab.words == ("a", "b", "c")
 
 
+def _weight(table, row, col):
+    """The weight of a table's (row, col) entry, or None when it has none."""
+    hit = np.flatnonzero((table.rows == row) & (table.cols == col))
+    assert hit.size <= 1, "duplicate entry"
+    return float(table.weights[hit[0]]) if hit.size else None
+
+
 class TestCountWordWord:
     def test_adjacent_pair(self):
         docs = [doc(sentences=(("a", "b"),))]
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
         table = count_word_word(docs, vocab, window=10)
-        d = table.to_dict()
         ia, ib = vocab.index["a"], vocab.index["b"]
-        assert d[(ia, ib)] == 1.0
-        assert d[(ib, ia)] == 1.0
+        assert _weight(table, ia, ib) == 1.0
+        assert _weight(table, ib, ia) == 1.0
 
     def test_outside_window_absent(self):
         docs = [doc(sentences=(("a", "b", "c"),))]
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
         table = count_word_word(docs, vocab, window=1)
-        assert (vocab.index["a"], vocab.index["c"]) not in table.to_dict()
+        assert _weight(table, vocab.index["a"], vocab.index["c"]) is None
 
     def test_distance_weighting_skips_oov(self):
         docs = [doc(sentences=(("a", "x", "b"), ("a", "pad", "pad"), ("b", "pad", "pad")))]
         vocab, _ = build_vocab_and_catalog(docs, 2, 1)  # "x" occurs once: dropped
         assert "x" not in vocab.index
         table = count_word_word([doc(sentences=(("a", "x", "b"),))], vocab, window=10)
-        assert table.to_dict()[(vocab.index["a"], vocab.index["b"])] == 0.5
+        assert _weight(table, vocab.index["a"], vocab.index["b"]) == 0.5
 
     def test_sentence_boundary_not_crossed(self):
         docs = [doc(sentences=(("a",), ("b",)))]
@@ -239,9 +245,9 @@ class TestCountWordWord:
         sents = tuple(tuple(rng.choice(words, size=rng.integers(2, 9))) for _ in range(20))
         docs = [doc(sentences=sents)]
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
-        d = count_word_word(docs, vocab, window=3).to_dict()
-        for (i, j), w in d.items():
-            assert d[(j, i)] == pytest.approx(w, abs=0)
+        table = count_word_word(docs, vocab, window=3)
+        for i, j, w in zip(table.rows, table.cols, table.weights):
+            assert _weight(table, j, i) == w
 
     def test_all_weights_positive_finite(self):
         docs = [doc(sentences=(("a", "b", "a", "c", "b"),))]
@@ -261,22 +267,20 @@ class TestCountEntityWord:
     def test_window_around_span(self):
         docs, vocab, catalog = self._setup((("the", "tower", "is", "tall"),), (Mention("E", 0, (1, 2)),))
         table = count_entity_word(docs, vocab, catalog, window=10)
-        d = table.to_dict()
         e = catalog.index["E"]
-        assert d[(e, vocab.index["the"])] == 1.0
-        assert d[(e, vocab.index["is"])] == 1.0
-        assert d[(e, vocab.index["tall"])] == 1.0
+        assert _weight(table, e, vocab.index["the"]) == 1.0
+        assert _weight(table, e, vocab.index["is"]) == 1.0
+        assert _weight(table, e, vocab.index["tall"]) == 1.0
         # the span's own token is excluded
-        assert (e, vocab.index["tower"]) not in d
+        assert _weight(table, e, vocab.index["tower"]) is None
 
     def test_window_cutoff(self):
         docs, vocab, catalog = self._setup((("e", "a", "b", "c"),), (Mention("E", 0, (0, 1)),))
         table = count_entity_word(docs, vocab, catalog, window=2)
-        d = table.to_dict()
         e = catalog.index["E"]
-        assert (e, vocab.index["c"]) not in d
-        assert d[(e, vocab.index["a"])] == 1.0
-        assert d[(e, vocab.index["b"])] == 1.0
+        assert _weight(table, e, vocab.index["c"]) is None
+        assert _weight(table, e, vocab.index["a"]) == 1.0
+        assert _weight(table, e, vocab.index["b"]) == 1.0
 
     def test_two_mentions_additive(self):
         docs, vocab, catalog = self._setup(
@@ -284,17 +288,17 @@ class TestCountEntityWord:
             (Mention("E", 0, (0, 1)), Mention("E", 1, (0, 1))),
         )
         table = count_entity_word(docs, vocab, catalog, window=5)
-        assert table.to_dict()[(catalog.index["E"], vocab.index["w"])] == 2.0
+        assert _weight(table, catalog.index["E"], vocab.index["w"]) == 2.0
 
     def test_article_document_counts_all_tokens(self):
         docs = [doc(doc_id="art", sentences=(("alpha", "beta"), ("beta", "gamma")), article_of="E")]
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
         catalog = ingest.EntityCatalog(("E",), (1,), 0)
-        d = count_entity_word(docs, vocab, catalog, window=10).to_dict()
+        table = count_entity_word(docs, vocab, catalog, window=10)
         e = catalog.index["E"]
-        assert d[(e, vocab.index["alpha"])] == 1.0
-        assert d[(e, vocab.index["beta"])] == 2.0
-        assert d[(e, vocab.index["gamma"])] == 1.0
+        assert _weight(table, e, vocab.index["alpha"]) == 1.0
+        assert _weight(table, e, vocab.index["beta"]) == 2.0
+        assert _weight(table, e, vocab.index["gamma"]) == 1.0
 
     def test_other_mention_tokens_are_context(self):
         # Tokens inside ANOTHER mention's span still count as context.
@@ -306,9 +310,9 @@ class TestCountEntityWord:
         ]
         vocab, _ = build_vocab_and_catalog(docs, 1, 1)
         catalog = ingest.EntityCatalog(("E", "F"), (1, 1), 0)
-        d = count_entity_word(docs, vocab, catalog, window=5).to_dict()
-        assert d[(catalog.index["E"], vocab.index["beta"])] == 1.0
-        assert d[(catalog.index["F"], vocab.index["alpha"])] == 1.0
+        table = count_entity_word(docs, vocab, catalog, window=5)
+        assert _weight(table, catalog.index["E"], vocab.index["beta"]) == 1.0
+        assert _weight(table, catalog.index["F"], vocab.index["alpha"]) == 1.0
 
     def test_unknown_entity_mentions_skipped(self):
         docs = [doc(sentences=(("w", "q"),), mentions=(Mention("ghost", 0, (0, 1)),))]
