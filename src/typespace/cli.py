@@ -298,9 +298,11 @@ def cmd_eval(args) -> int:
                 per.append(evalharness.eval_analogy(problem, view, ts))
             except evalharness.ProblemFormatError as exc:
                 raise UsageError(f"{problems_path}: record {i}: {exc}") from None
+        if not per:
+            raise evalharness.ProblemFormatError("no analogy problem to score")
         results = {
             "task": "analogy",
-            "accuracy": float(np.mean([r["accuracy"] for r in per])) if per else 0.0,
+            "accuracy": float(np.mean([r["accuracy"] for r in per])),
             "n_evaluated": int(sum(r["n_evaluated"] for r in per)),
             "skipped": int(sum(r["skipped"] for r in per)),
         }
@@ -367,6 +369,7 @@ def cmd_tune(args) -> int:
     alphas = _grid(args.alphas, "--alphas", base_hp, "alpha_mix")
     betas = _grid(args.betas, "--betas", base_hp, "beta_reg")
     data, vocab, catalog, ts, store = _ingest_all(args)
+    evalharness.ranking_splits(problems, catalog.index)  # raises before any training when nothing can be scored
 
     def objective(hp):
         params, _ = train(data, TrainConfig(hp=hp, shuffle_seed=hp.seed))

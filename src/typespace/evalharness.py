@@ -31,8 +31,8 @@ class DegenerateRankingError(ValueError):
 class ProblemFormatError(ValueError):
     """A problem file is not valid JSON, one of its records is malformed, or
     the model holds none of a problem's training positives or gold answers,
-    or a task has nothing to score: no resolvable test triple or test quad,
-    or no ranking problem left after the skips."""
+    or a task has nothing to score: no problem, no resolvable test triple or
+    test quad, or no ranking problem left after the skips."""
 
 
 @dataclass(frozen=True)
@@ -300,36 +300,40 @@ def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
     return best_w, 0.0
 
 
-def eval_ranking(problems, view: EmbeddingView, reg_grid=C_GRID) -> dict:
-    """Fit a direction per problem on its training split, select the
-    regularizer on validation, score the test split, and aggregate the
-    per-problem Spearman correlations through the Fisher transform."""
-    per_problem = []
-    rhos = []
-    skipped = 0
+def ranking_splits(problems, index) -> tuple[list, int]:
+    """The ranking problems that can be scored, as (problem, train, valid,
+    test), each split the (row of index, value) pairs of its entities that
+    index holds, and the number skipped with a warning: those with fewer
+    than two such training or test entities or with one training value.
+    Raises ProblemFormatError when every problem is skipped."""
+    kept = []
     for prob in problems:
-        def pairs(ids):
-            return [(view.points[view.index[e]], prob.values[e]) for e in ids if e in view.index]
-
-        train, valid, test = pairs(prob.train), pairs(prob.valid), pairs(prob.test)
+        train, valid, test = ([(index[e], prob.values[e]) for e in ids if e in index]
+                              for ids in (prob.train, prob.valid, prob.test))
         if len(test) < 2 or len(train) < 2:
             warnings.warn(f"ranking problem {prob.attribute!r} skipped: too few resolvable entities")
-            skipped += 1
-            continue
-        try:
-            w, _ = fit_ranking_direction(train, valid, reg_grid)
-        except DegenerateRankingError:
+        elif len({v for _, v in train}) < 2:
             warnings.warn(f"ranking problem {prob.attribute!r} skipped: degenerate training split")
-            skipped += 1
-            continue
-        scores = np.asarray([p for p, _ in test]) @ w
-        rho = spearman(scores, [v for _, v in test])
-        rhos.append(rho)
-        per_problem.append(
-            {"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test)}
-        )
-    if not rhos:
-        raise ProblemFormatError(f"none of the {skipped} ranking problems could be scored")
+        else:
+            kept.append((prob, train, valid, test))
+    if not kept:
+        raise ProblemFormatError(f"none of the {len(problems)} ranking problems could be scored")
+    return kept, len(problems) - len(kept)
+
+
+def eval_ranking(problems, view: EmbeddingView, reg_grid=C_GRID) -> dict:
+    """Fit a direction per problem of ranking_splits on its training split,
+    select the regularizer on validation, score the test split, and
+    aggregate the per-problem Spearman correlations through the Fisher
+    transform."""
+    splits, skipped = ranking_splits(problems, view.index)
+    per_problem = []
+    for prob, *parts in splits:
+        train, valid, test = ([(view.points[i], v) for i, v in part] for part in parts)
+        w, _ = fit_ranking_direction(train, valid, reg_grid)
+        rho = spearman(np.asarray([p for p, _ in test]) @ w, [v for _, v in test])
+        per_problem.append({"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test)})
+    rhos = [r["rho"] for r in per_problem]
     return {"task": "ranking", "per_problem": per_problem, "skipped": skipped, "fisher_rho": fisher_mean(rhos)}
 
 
@@ -341,8 +345,9 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
     """Rank candidate entities of the most specific common type by distance
     to the centroid of the training positives; held-out test positives are
     the relevant items."""
+    if not problems:
+        raise ProblemFormatError("no induction problem to score")
     per_problem = []
-    aps, p5s, rrs = [], [], []
     skipped = 0
     for prob in problems:
         train_idx = [view.index[e] for e in prob.train if e in view.index]
@@ -364,29 +369,23 @@ def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
         ranked = candidates[np.lexsort((candidates, dists))]
         test_idx = [view.index[e] for e in prob.test if e in view.index]
         relevance = np.isin(ranked, test_idx)
-        ap = average_precision(relevance)
-        p5 = precision_at_k(relevance, 5)
-        rr = reciprocal_rank(relevance)
-        aps.append(ap)
-        p5s.append(p5)
-        rrs.append(rr)
         per_problem.append(
             {
                 "relation": prob.relation,
                 "target": prob.target,
                 "type": type_id,
-                "ap": ap,
-                "p_at_5": p5,
-                "rr": rr,
+                "ap": average_precision(relevance),
+                "p_at_5": precision_at_k(relevance, 5),
+                "rr": reciprocal_rank(relevance),
                 "n_candidates": len(candidates),
             }
         )
     return {
         "task": "induction",
         "per_problem": per_problem,
-        "map": float(np.mean(aps)) if aps else 0.0,
-        "p_at_5": float(np.mean(p5s)) if p5s else 0.0,
-        "mrr": float(np.mean(rrs)) if rrs else 0.0,
+        "map": float(np.mean([r["ap"] for r in per_problem])),
+        "p_at_5": float(np.mean([r["p_at_5"] for r in per_problem])),
+        "mrr": float(np.mean([r["rr"] for r in per_problem])),
         "skipped": skipped,
     }
 

@@ -6,9 +6,9 @@ over relation triples and then relation groups.  The rows these passes
 step live in one row buffer, each row's bias its last column (_AdaState).
 The text pass runs the per-entry loop over the shuffled order as an exact
 level schedule: an entry's level is one more than the highest level of any
-earlier entry sharing a row with it, and each level's entries of one table
-kind, which write distinct rows, take one step on their rows, biases
-included.  A triple takes one step on its two entities and its
+earlier entry sharing a row with it, and each level's entries, which write
+distinct rows whichever table they come from, take one step on their rows,
+biases included.  A triple takes one step on its two entities and its
 relation.  Types and relation groups are the same subspace block, and one
 block step updates either: the simplex coefficients by projected gradient,
 the anchors by a gradient step, then singular-value thresholding of the
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
+from typespace.ingest import CooccurrenceTable, EntityCatalog, TripleStore, TypeSystem, Vocabulary
 from typespace.objective import (
     TEXT_FITS,
     LossBreakdown,
@@ -67,9 +67,6 @@ ADAGRAD_EPS = 1e-8
 # the worst relative error is 3.7e-14 at this switch, 8e-13 at 1e-3 and
 # 1.3e-11 at 1e-4.
 GRAM_MIN_TAU = 1e-2
-
-# A text entry's tag is its table kind's index here.
-_TEXT_KINDS = (WORD_WORD, ENTITY_WORD)
 
 PASSES = ("text", "type", "rel_dist", "rel_group", "objective")  # the keys of an epoch's pass_ms
 
@@ -277,15 +274,14 @@ class _AdaState:
             setattr(owner, attr, arr)
 
 
-def _text_schedule(tags, urows, vrows, order, n_rows):
-    """The entries of order rearranged into batches of one (level, table
-    kind), in level order, and the batches' bounds in it.  An entry's level
-    is one more than the highest level of any earlier entry that writes one
-    of its rows, so a batch writes distinct rows and every row sees its
-    updates in the order of order.  Rows are row-buffer rows (a word row is
-    one row in both table kinds).
+def _text_schedule(urows, vrows, order, n_rows):
+    """The entries of order rearranged into batches of one level, in level
+    order, and the batches' bounds in it.  An entry's level is one more
+    than the highest level of any earlier entry that writes one of its
+    rows, so a batch writes distinct rows and every row sees its updates in
+    the order of order.  Rows are row-buffer rows (a word row is one row in
+    both tables), so a level mixes the tables.
     """
-    kinds = tags[order]
     last = [0] * n_rows
     levels = []
     for a, b in zip(urows[order].tolist(), vrows[order].tolist()):
@@ -294,26 +290,27 @@ def _text_schedule(tags, urows, vrows, order, n_rows):
         level = (la if la > lb else lb) + 1
         last[a] = last[b] = level
         levels.append(level)
-    batch_keys = np.array(levels, dtype=np.int64) * len(_TEXT_KINDS) + kinds
-    perm = np.argsort(batch_keys, kind="stable")
-    bounds = np.flatnonzero(np.diff(batch_keys[perm], prepend=-1))
+    levels = np.array(levels, dtype=np.int64)
+    perm = np.argsort(levels, kind="stable")
+    bounds = np.flatnonzero(np.diff(levels[perm], prepend=0))
     return order[perm], np.append(bounds, len(order))
 
 
-def _text_pass(entries, order, params, state, hp, alpha) -> int:
+def _text_pass(entries, order, state, hp, alpha) -> int:
     """AdaGrad updates over precomputed text entries, bit for bit those of
     a per-entry loop in the given order: per batch of _text_schedule, one
     step on the batch's rows of the row buffer (u rows, then v rows), each
     row's vector partial in columns :n and its bias partial in column n.
-    Returns the number of batches.
+    An entry's step reads only its own rows, which no other entry of its
+    batch writes.  Returns the number of batches.
 
-    entries is (tags, u rows, v rows, fvals, logs), as
-    _prepare_text_entries builds them; a tag indexes _TEXT_KINDS.
+    entries is (u rows, v rows, fvals, logs), as _prepare_text_entries
+    builds them.
     """
-    tags, urows, vrows, fvals, logs = entries
+    urows, vrows, fvals, logs = entries
     lr = hp.learn_rate
     rows = state.rows
-    order, bounds = _text_schedule(tags, urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
+    order, bounds = _text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
     urows, vrows, fvals, logs = urows[order], vrows[order], fvals[order], logs[order]
     for s, t in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         r = np.concatenate((urows[s:t], vrows[s:t]))
@@ -325,21 +322,21 @@ def _text_pass(entries, order, params, state, hp, alpha) -> int:
 
 
 def _prepare_text_entries(data: TrainData, hp: Hyperparams, state: _AdaState):
-    """(tags, u rows, v rows, weights f(x), log x) of every text entry, its
-    rows and columns as rows of state's row buffer; None without entries."""
-    tags, urows, vrows, fvals, logs = [], [], [], [], []
+    """(u rows, v rows, weights f(x), log x) of every text entry of both
+    tables, its rows and columns as rows of state's row buffer; None
+    without entries."""
+    urows, vrows, fvals, logs = [], [], [], []
     for table in (data.word_word, data.entity_word):
         if table is None or len(table) == 0:
             continue
         u, v = TEXT_FITS[table.kind][:2]
-        tags.append(np.full(len(table), _TEXT_KINDS.index(table.kind), dtype=np.int8))
         urows.append(state.starts[u] + table.rows)
         vrows.append(state.starts[v] + table.cols)
         fvals.append(weight_f(table.weights, hp.x_max, hp.weight_exp))
         logs.append(np.log(table.weights))
-    if not tags:
+    if not urows:
         return None
-    return tuple(np.concatenate(parts) for parts in (tags, urows, vrows, fvals, logs))
+    return tuple(np.concatenate(parts) for parts in (urows, vrows, fvals, logs))
 
 
 def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.ndarray, float]:
@@ -498,7 +495,7 @@ def train(
             try:
                 if entries is not None and alpha > 0.0:
                     order = rng.permutation(len(entries[0]))
-                    text_batches = _timed(pass_ms, "text", _text_pass, entries, order, params, state, hp, alpha)
+                    text_batches = _timed(pass_ms, "text", _text_pass, entries, order, state, hp, alpha)
                 if flags.type_active:
                     reg1 = _timed(pass_ms, "type", _type_pass, params, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:

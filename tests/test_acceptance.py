@@ -92,7 +92,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
 
     def text():
         entries = optimize._prepare_text_entries(data, hp, state)
-        text_batches.append(optimize._text_pass(entries, order(len(entries[0])), params, state, hp, alpha))
+        text_batches.append(optimize._text_pass(entries, order(len(entries[0])), state, hp, alpha))
 
     def type_loss(comb):
         total = 0.0
@@ -148,8 +148,9 @@ def _pass_runs(ww, ew, store, params, hp, seed):
 def _check_text_steps(rec, ww, ew, n_batches):
     """One step per batch: on the row vectors then the column vectors of
     the batch's entries, the k-th row vector and the k-th column vector
-    being one entry's, each stepped with its bias; every entry stepped
-    exactly once.  Returns 1 when some batch holds several entries."""
+    being one entry's, each stepped with its bias; an entry's table is the
+    one its (row, column) names fit, and every entry is stepped exactly
+    once.  Returns 1 when some batch holds several entries."""
     tables = {("word", "ctx"): ww, ("entity", "word"): ew}
     assert len(rec.steps) == n_batches
     seen = []
@@ -157,8 +158,7 @@ def _check_text_steps(rec, ww, ew, n_batches):
         vectors = targets[::2]
         assert targets[1::2] == [(f"{key}_bias", r) for key, r in vectors]
         k = len(vectors) // 2
-        (ku, kv), = {(key_u, key_v) for (key_u, _), (key_v, _) in zip(vectors[:k], vectors[k:])}
-        seen += [(tables[ku, kv].kind, i, j) for (_, i), (_, j) in zip(vectors[:k], vectors[k:])]
+        seen += [(tables[ku, kv].kind, i, j) for (ku, i), (kv, j) in zip(vectors[:k], vectors[k:])]
     assert sorted(seen) == sorted((t.kind, int(r), int(c)) for t in (ww, ew) for r, c in zip(t.rows, t.cols))
     return int(n_batches < len(seen))
 

@@ -389,9 +389,25 @@ class TestEval:
         assert err == f"error: {problems}: record 1: the model resolves none of the analogy problem's {len(test)} test quads\n"
         assert not (tmp_path / "unknown.results_analogy.json").exists()
 
+    @pytest.mark.parametrize("task", ["analogy", "induction"])
+    def test_empty_problem_file_exit_one(self, trained_model, micro_dir, tmp_path, capsys, task):
+        # An accuracy or a MAP over no problem would read as a result.
+        problems = tmp_path / "empty.json"
+        problems.write_text("[]")
+        argv = ["eval", task, "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: no {task} problem to score\n"
+        assert not (tmp_path / f"empty.results_{task}.json").exists()
+
     @pytest.mark.parametrize("command", ["eval", "tune"])
-    def test_every_ranking_problem_skipped_exit_one(self, trained_model, micro_dir, tmp_path, capsys, command):
-        # A Fisher mean over no correlation would read as a result.
+    def test_every_ranking_problem_skipped_exit_one(self, trained_model, micro_dir, tmp_path, capsys, monkeypatch, command):
+        # A Fisher mean over no correlation would read as a result.  tune
+        # finds that before it trains anything.
+        def no_train(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", no_train)
         with open(micro_dir["ranking"], encoding="utf-8") as fh:
             record = json.load(fh)
         record = record[0] if isinstance(record, list) else record

@@ -294,7 +294,7 @@ class TestFiniteGuards:
         entries = optimize._prepare_text_entries(data, hp, state)
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-            optimize._text_pass(entries, [0], params, state, hp, 0.5)
+            optimize._text_pass(entries, [0], state, hp, 0.5)
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("triple, name", [((0, 2, 5), "entity[5]"), ((5, 2, 5), "rel[2]")])
@@ -528,10 +528,10 @@ class TestTrain:
             train(data, TrainConfig(hp=hp, shuffle_seed=1, log_path=str(log_path)))
             return [json.loads(line)["text_batches"] for line in log_path.read_text().strip().split("\n")]
 
-        # Entries on disjoint rows take one step per table kind ...
+        # Entries on disjoint rows take one step, whatever their tables ...
         disjoint_ww = CooccurrenceTable.from_dict(WORD_WORD, {(i, i): float(i + 2) for i in range(4)})
         disjoint_ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 4): 3.0})
-        assert batches(disjoint_ww, disjoint_ew) == [2, 2]
+        assert batches(disjoint_ww, disjoint_ew) == [1, 1]
         # ... and entries that all write word 0 take one step each.
         hub_ww = CooccurrenceTable.from_dict(WORD_WORD, {(0, j): float(j + 2) for j in range(5)})
         hub_ew = CooccurrenceTable.from_dict(ENTITY_WORD, {(e, 0): 3.0 for e in range(3)})
@@ -700,9 +700,9 @@ class TestTrainerStepsWithCheckedGradients:
         m = params.model
         entries = optimize._prepare_text_entries(data, hp, state)
         order = np.random.default_rng(3).permutation(len(entries[0]))
-        n_batches = optimize._text_pass(entries, order, params, state, hp, self.ALPHA)
+        n_batches = optimize._text_pass(entries, order, state, hp, self.ALPHA)
         assert len(steps) == n_batches
-        # Names of a batch's row vectors and column vectors -> (table, row
+        # Names of an entry's row vector and column vector -> (table, row
         # vectors, column vectors, row biases, column biases).
         fits = {
             ("word", "ctx"): (data.word_word, m.word_vecs, m.ctx_vecs, m.word_bias, m.ctx_bias),
@@ -714,13 +714,13 @@ class TestTrainerStepsWithCheckedGradients:
             # One step on the batch's row vectors, then its column vectors,
             # each row's vector partial in columns :n and its bias partial in
             # column n: the k-th row vector and the k-th column vector belong
-            # to one entry.
+            # to one entry, whose table their names tell.
             labels = [re.fullmatch(r"(\w+)\[(\d+)\]", name(r)).groups() for r in rows]
             assert grad.shape == (len(rows), n + 1)
             k = len(rows) // 2
-            (names,) = {(a, b) for (a, _), (b, _) in zip(labels[:k], labels[k:])}
-            table, u, v, bu, bv = fits[names]
-            for p, ((_, i), (_, j)) in enumerate(zip(labels[:k], labels[k:])):
+            for p, ((name_u, i), (name_v, j)) in enumerate(zip(labels[:k], labels[k:])):
+                names = (name_u, name_v)
+                table, u, v, bu, bv = fits[names]
                 i, j = int(i), int(j)
                 x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
                 # d/dtheta of f(x) * (u.v + b_u + b_v - log x)^2.

@@ -34,8 +34,9 @@ def _accumulators(state, model):
 
 def _run(tags, pairs, counts, order, n, seed, alpha, n_words):
     """The trainer's text pass and ref_text_pass on the same entries;
-    asserts every parameter row and accumulator equal, and returns the
-    trainer's batch count."""
+    asserts every parameter row and accumulator equal and that no batch
+    writes a buffer row twice, and returns the trainer's batch count and
+    the set of buffer rows each entry writes, in order."""
     tags = np.array(tags, dtype=np.int8)
     rows = np.array([i for i, _ in pairs], dtype=np.int64)
     cols = np.array([j for _, j in pairs], dtype=np.int64)
@@ -49,13 +50,29 @@ def _run(tags, pairs, counts, order, n, seed, alpha, n_words):
     s = state.starts
     urows = np.where(tags == 0, s["word_vecs"], s["entity_points"]) + rows
     vrows = np.where(tags == 0, s["ctx_vecs"], s["word_vecs"]) + cols
-    n_batches = optimize._text_pass((tags, urows, vrows, fvals, logs), order, params, state, hp, alpha)
+    n_batches = optimize._text_pass((urows, vrows, fvals, logs), order, state, hp, alpha)
     model = ref_params.model
     ref_text_pass((tags, rows, cols, fvals, logs), order, model, _accumulators(ref_state, model), hp.learn_rate, alpha)
     assert state.row_acc.tobytes() == ref_state.row_acc.tobytes()
     for attr in _TEXT_ARRAYS:
         assert getattr(params.model, attr).tobytes() == getattr(model, attr).tobytes(), attr
-    return n_batches
+    # Every batch of the schedule writes distinct buffer rows.
+    sched, bounds = optimize._text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(state.rows))
+    assert len(bounds) - 1 == n_batches
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        written = np.concatenate((urows[sched[lo:hi]], vrows[sched[lo:hi]]))
+        assert len(np.unique(written)) == len(written)
+    return n_batches, [{int(a), int(b)} for a, b in zip(urows[order], vrows[order])]
+
+
+def _level_count(writes):
+    """The number of levels of entries that write the given row sets, in
+    order, by the definition: an entry's level is one more than the
+    highest level of any earlier entry sharing a row with it, else 1."""
+    levels = []
+    for p, rows in enumerate(writes):
+        levels.append(1 + max((levels[q] for q in range(p) if writes[q] & rows), default=0))
+    return max(levels)
 
 
 @st.composite
@@ -80,23 +97,22 @@ class TestLevelBatchedTextPass:
     @given(tables=_text_tables(), n=st.integers(1, 5), seed=st.integers(0, 2**16), alpha=st.sampled_from([1.0, 0.3]))
     def test_matches_sequential_reference(self, tables, n, seed, alpha):
         n_words, pairs, tags, counts, order = tables
-        n_batches = _run(tags, pairs, counts, order, n, seed, alpha, n_words)
-        # Entries that write one row never share a batch.
-        writes = [(("word", "entity")[t], i) for t, (i, _) in zip(tags, pairs)]
-        writes += [(("ctx", "word")[t], j) for t, (_, j) in zip(tags, pairs)]
-        assert max(writes.count(w) for w in writes) <= n_batches <= len(pairs)
+        n_batches, writes = _run(tags, pairs, counts, order, n, seed, alpha, n_words)
+        # One batch per level, whatever the tables of its entries.
+        assert n_batches == _level_count(writes)
 
     def test_both_kinds_write_the_same_word_rows(self):
         # Word-word entries write word rows 0..2 as their rows and
         # entity-word entries write them as their columns, interleaved in
-        # the order.  A word row is one buffer row for both kinds, so the
+        # the order.  A word row is one buffer row in both tables, so the
         # levels in order are 1 2 1 2 1 3 2 3 3 (word row 1, say, is
         # written at order positions 2, 3 and 5: entity-word, entity-word,
-        # word-word), and each level holds entries of both kinds: six
-        # batches.  Keying a word row apart per kind would give four.
+        # word-word).  Each level holds entries of both tables and is one
+        # batch: three batches.  Keying a word row apart per table would
+        # give two.
         pairs = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (4, 2), (1, 2), (5, 0), (2, 0)]
         tags = [0, 1, 1, 0, 1, 1, 0, 1, 0]
         counts = [3, 7, 11, 2, 5, 19, 4, 8, 13]
         order = [1, 0, 2, 4, 3, 6, 5, 8, 7]
         for seed in range(5):
-            assert _run(tags, pairs, counts, order, 3, seed, 0.5, 3) == 6
+            assert _run(tags, pairs, counts, order, 3, seed, 0.5, 3)[0] == 3
