@@ -29,6 +29,6 @@ pts = rng.normal(scale=2.0, size=(8, 6))
 pts[3] = pts[1] - pts[0] + pts[2]
 view2 = EmbeddingView(entity_ids=tuple(f"x{i}" for i in range(8)), points=pts)
 ts2 = synth.single_type_system("thing", 8)
-problem = AnalogyProblem(quads=(("x0", "x1", "x2", "x3"),), tune_idx=(), test_idx=(0,))
+problem = AnalogyProblem(quads=(("x0", "x1", "x2", "x3"),), test_idx=(0,))
 out = eval_analogy(problem, view2, ts2)
 print(f"\nanalogy accuracy on the parallelogram fixture: {out['accuracy']:.0%}")

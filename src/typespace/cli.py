@@ -221,14 +221,14 @@ def _ingest_all(args):
         _require_file(args.subclass, "--subclass")
         ts = ingest.load_type_system(args.instances, args.subclass, catalog)
     else:
-        ts = ingest.TypeSystem((), (), {}, {}, {})
+        ts = ingest.TypeSystem((), {}, {})
     if args.triples:
         _require_file(args.triples, "--triples")
         store = ingest.load_triples(args.triples, catalog)
     else:
         store = ingest.index_triples((), catalog)
     data = TrainData.from_ingest(vocab, catalog, word_word, entity_word, ts, store)
-    return data, vocab, catalog, ts, store
+    return data, vocab, catalog, store
 
 
 def cmd_train(args) -> int:
@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
         raise UsageError("--out is required")
     hp = _hyperparams_from(args)
     log_path = args.out + ".log.jsonl"
-    data, vocab, catalog, _, store = _ingest_all(args)
+    data, vocab, catalog, store = _ingest_all(args)
     params, report = train(data, TrainConfig(hp=hp, shuffle_seed=hp.seed, log_path=log_path))
     save_model(
         args.out,
@@ -368,7 +368,7 @@ def cmd_tune(args) -> int:
     base_hp = _hyperparams_from(args)
     alphas = _grid(args.alphas, "--alphas", base_hp, "alpha_mix")
     betas = _grid(args.betas, "--betas", base_hp, "beta_reg")
-    data, vocab, catalog, ts, store = _ingest_all(args)
+    data, vocab, catalog, store = _ingest_all(args)
     evalharness.ranking_splits(problems, catalog.index)  # raises before any training when nothing can be scored
 
     def objective(hp):

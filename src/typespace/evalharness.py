@@ -60,6 +60,13 @@ class EmbeddingView:
         )
 
 
+def _check_disjoint(problem: str, *parts) -> None:
+    """Raise ValueError when two of a problem's split parts share an id."""
+    sets = [set(part) for part in parts]
+    if sum(map(len, sets)) > len(set().union(*sets)):
+        raise ValueError(f"{problem}: split parts overlap")
+
+
 @dataclass(frozen=True)
 class RankingProblem:
     type_id: str
@@ -70,11 +77,8 @@ class RankingProblem:
     test: tuple[str, ...]
 
     def __post_init__(self):
-        parts = [set(self.train), set(self.valid), set(self.test)]
-        if parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2]:
-            raise ValueError(f"ranking problem {self.attribute!r}: split parts overlap")
-        union = parts[0] | parts[1] | parts[2]
-        if union != set(self.values):
+        _check_disjoint(f"ranking problem {self.attribute!r}", self.train, self.valid, self.test)
+        if {*self.train, *self.valid, *self.test} != set(self.values):
             raise ValueError(f"ranking problem {self.attribute!r}: split does not cover the value set")
         if len(self.values) < RANKING_MIN_ENTITIES:
             raise ValueError(
@@ -90,11 +94,13 @@ class InductionProblem:
     valid: tuple[str, ...]
     test: tuple[str, ...]
 
+    def __post_init__(self):
+        _check_disjoint(f"induction problem ({self.relation!r}, {self.target!r})", self.train, self.valid, self.test)
+
 
 @dataclass(frozen=True)
 class AnalogyProblem:
     quads: tuple[tuple[str, str, str, str], ...]
-    tune_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
 
 
@@ -113,47 +119,53 @@ def _problem_records(path, build) -> list:
             out.append(build(rec))
         except KeyError as exc:
             raise ProblemFormatError(f"{path}: record {i} lacks the field {exc}") from None
-        except (TypeError, AttributeError, ValueError) as exc:
+        except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError(f"{path}: record {i}: {exc}") from None
     return out
 
 
+def _ids(value, what: str, size: int | None = None) -> tuple[str, ...]:
+    """value, which must be a list of id strings (of the given size), as a tuple."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value) and size in (None, len(value))):
+        noun = "id strings" if size is None else f"{size} id strings"
+        raise ValueError(f"{what} is not a list of {noun}")
+    return tuple(value)
+
+
+def _split(rec) -> dict[str, tuple[str, ...]]:
+    """The train, valid and test parts of a record's split."""
+    split = rec["split"]
+    return {part: _ids(split[part], f"split part {part!r}") for part in ("train", "valid", "test")}
+
+
 def load_ranking_problems(path) -> list[RankingProblem]:
     def build(rec):
-        split = rec["split"]
-        return RankingProblem(
-            type_id=rec["type"],
-            attribute=rec["attribute"],
-            values={k: float(v) for k, v in rec["values"].items()},
-            train=tuple(split["train"]),
-            valid=tuple(split["valid"]),
-            test=tuple(split["test"]),
-        )
+        parts = _split(rec)
+        values = {k: float(v) for k, v in rec["values"].items()}
+        return RankingProblem(type_id=rec["type"], attribute=rec["attribute"], values=values, **parts)
 
     return _problem_records(path, build)
 
 
 def load_induction_problems(path) -> list[InductionProblem]:
     def build(rec):
-        split = rec["split"]
-        return InductionProblem(
-            relation=rec["relation"],
-            target=rec["target"],
-            train=tuple(split["train"]),
-            valid=tuple(split["valid"]),
-            test=tuple(split["test"]),
-        )
+        parts = _split(rec)
+        return InductionProblem(relation=rec["relation"], target=rec["target"], **parts)
 
     return _problem_records(path, build)
 
 
 def load_analogy_problems(path) -> list[AnalogyProblem]:
+    """Analogy problems: quads of four id strings, and a split whose test
+    part lists quad indices (every quad when absent); a tune part is
+    accepted and ignored."""
+
     def build(rec):
-        quads = tuple(tuple(q) for q in rec["quads"])
-        split = rec.get("split") or {}
-        tune_idx = tuple(split.get("tune", ()))
-        test_idx = tuple(split.get("test", range(len(quads))))
-        return AnalogyProblem(quads=quads, tune_idx=tune_idx, test_idx=test_idx)
+        quads = tuple(_ids(q, f"quad {k}", 4) for k, q in enumerate(rec["quads"]))
+        test_idx = (rec.get("split") or {}).get("test", list(range(len(quads))))
+        if not isinstance(test_idx, list) or not all(type(i) is int and 0 <= i < len(quads) for i in test_idx):
+            raise ValueError(f"split part 'test' is not a list of quad indices in [0, {len(quads)})")
+        return AnalogyProblem(quads=quads, test_idx=tuple(test_idx))
 
     return _problem_records(path, build)
 
@@ -244,15 +256,15 @@ def reciprocal_rank(relevance) -> float:
 # Attribute ranking
 
 
-def _hinge_directions(diffs: np.ndarray, reg_grid, iters: int = 400) -> np.ndarray:
-    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of reg_grid
+def _hinge_directions(diffs: np.ndarray, iters: int = 400) -> np.ndarray:
+    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of C_GRID
     by AdaGrad subgradient descent with iterate averaging, one row of the
     iterate per c.  The margins of all rows take one stacked product, which
     numpy runs as one matrix-vector product per row, and the violated-pair
     sums one product laid out to add pairs in order, as a lone solve rounds
     them: a margin one ulp off flips a violation at the hinge."""
     n = diffs.shape[1]
-    scale = (2.0 / np.asarray(reg_grid, dtype=np.float64))[:, None]
+    scale = (2.0 / np.asarray(C_GRID, dtype=np.float64))[:, None]
     w = np.zeros((scale.size, n))
     accum = np.zeros_like(w)
     avg = np.zeros_like(w)
@@ -268,14 +280,14 @@ def _hinge_directions(diffs: np.ndarray, reg_grid, iters: int = 400) -> np.ndarr
     return avg / max(iters - half, 1)
 
 
-def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
+def fit_ranking_direction(train_pairs, val_pairs) -> np.ndarray:
     """Pairwise hinge-loss linear ranker.
 
     train_pairs/val_pairs are (point, value) sequences.  The regularization
-    constant is chosen from reg_grid by validation Spearman correlation
+    constant is chosen from C_GRID by validation Spearman correlation
     (training correlation when no validation pairs are given); the first
-    constant of the grid wins ties.  Returns the direction vector and a zero
-    offset (an offset never changes a ranking).
+    constant of the grid wins ties.  Returns the direction vector; no offset
+    is fitted, since an offset never changes a ranking.
     """
     train_pts = np.asarray([p for p, _ in train_pairs], dtype=np.float64)
     train_vals = np.asarray([v for _, v in train_pairs], dtype=np.float64)
@@ -289,7 +301,7 @@ def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
         val_vals = np.asarray([v for _, v in val_pairs], dtype=np.float64)
     else:
         val_pts, val_vals = train_pts, train_vals
-    directions = _hinge_directions(diffs, reg_grid)
+    directions = _hinge_directions(diffs)
     best_w = None
     best_rho = -math.inf
     for w in directions:
@@ -297,7 +309,7 @@ def fit_ranking_direction(train_pairs, val_pairs, reg_grid=C_GRID):
         if rho > best_rho:
             best_rho = rho
             best_w = w
-    return best_w, 0.0
+    return best_w
 
 
 def ranking_splits(problems, index) -> tuple[list, int]:
@@ -321,7 +333,7 @@ def ranking_splits(problems, index) -> tuple[list, int]:
     return kept, len(problems) - len(kept)
 
 
-def eval_ranking(problems, view: EmbeddingView, reg_grid=C_GRID) -> dict:
+def eval_ranking(problems, view: EmbeddingView) -> dict:
     """Fit a direction per problem of ranking_splits on its training split,
     select the regularizer on validation, score the test split, and
     aggregate the per-problem Spearman correlations through the Fisher
@@ -330,7 +342,7 @@ def eval_ranking(problems, view: EmbeddingView, reg_grid=C_GRID) -> dict:
     per_problem = []
     for prob, *parts in splits:
         train, valid, test = ([(view.points[i], v) for i, v in part] for part in parts)
-        w, _ = fit_ranking_direction(train, valid, reg_grid)
+        w = fit_ranking_direction(train, valid)
         rho = spearman(np.asarray([p for p, _ in test]) @ w, [v for _, v in test])
         per_problem.append({"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test)})
     rhos = [r["rho"] for r in per_problem]

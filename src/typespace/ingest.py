@@ -72,8 +72,6 @@ class Vocabulary:
     """Dense word index over words whose corpus frequency >= min_count."""
 
     words: tuple[str, ...]
-    frequencies: tuple[int, ...]
-    min_count: int
     index: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -138,13 +136,8 @@ class TypeSystem:
     """
 
     type_ids: tuple[str, ...]
-    subclass_edges: tuple[tuple[str, str], ...]  # (child, parent)
-    asserted: dict[str, tuple[int, ...]]
     instances: dict[str, tuple[int, ...]]
     ancestors: dict[str, frozenset[str]]  # reflexive-transitive
-
-    def instance_set(self, type_id: str) -> frozenset[int]:
-        return frozenset(self.instances[type_id])
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,6 @@ class TripleStore:
     """Deduplicated (head, relation, tail) triples with rhs/lhs indexes."""
 
     relation_ids: tuple[str, ...]
-    rel_index: dict[str, int]
     triples: tuple[tuple[int, int, int], ...]  # (head, rel, tail) indices
     rhs: dict[tuple[int, int], tuple[int, ...]]  # (head, rel) -> tails
     lhs: dict[tuple[int, int], tuple[int, ...]]  # (rel, tail) -> heads
@@ -241,7 +233,7 @@ def build_vocab_and_catalog(
         (e for e, ds in entity_docs.items() if len(ds) >= min_doc_mentions),
         key=lambda e: (-len(entity_docs[e]), e),
     )
-    vocab = Vocabulary(tuple(kept_words), tuple(word_freq[w] for w in kept_words), min_count)
+    vocab = Vocabulary(tuple(kept_words))
     catalog = EntityCatalog(
         tuple(kept_entities), tuple(len(entity_docs[e]) for e in kept_entities), min_doc_mentions
     )
@@ -458,11 +450,8 @@ def load_type_system(instances_path, subclass_path, catalog: EntityCatalog) -> T
 
     kept = tuple(sorted(t for t in order if closed[t]))
     kept_set = set(kept)
-    edges = tuple(sorted((c, p) for c, p in {tuple(r) for r in edge_rows} if c in kept_set and p in kept_set))
     return TypeSystem(
         type_ids=kept,
-        subclass_edges=edges,
-        asserted={t: tuple(sorted(asserted[t])) for t in kept if t in asserted},
         instances={t: tuple(sorted(closed[t])) for t in kept},
         ancestors={t: ancestors[t] & kept_set for t in kept},
     )
@@ -508,7 +497,6 @@ def index_triples(triples, catalog: EntityCatalog, dropped: int = 0) -> TripleSt
         lhs.setdefault((k, f), []).append(e)
     return TripleStore(
         relation_ids=relation_ids,
-        rel_index=rel_index,
         triples=indexed,
         rhs={key: tuple(sorted(v)) for key, v in sorted(rhs.items())},
         lhs={key: tuple(sorted(v)) for key, v in sorted(lhs.items())},
@@ -525,7 +513,7 @@ def most_specific_common_type(entities, ts: TypeSystem) -> str:
     wanted = set(entities)
     if not wanted:
         raise ValueError("entity set is empty")
-    containing = [s for s in ts.type_ids if wanted.issubset(ts.instance_set(s))]
+    containing = [s for s in ts.type_ids if wanted.issubset(ts.instances[s])]
     if not containing:
         raise NoCommonTypeError(f"no type contains all of {sorted(wanted)}")
     containing_set = set(containing)

@@ -30,6 +30,7 @@ from typespace.params import (
     RelationParams,
     SubspaceBlock,
     TypeSubspaceParams,
+    _finite,
     anchor_span_matrix,
     variant_flags,
 )
@@ -168,7 +169,7 @@ def rel_dim_loss(model: EmbeddingModel, rels: RelationParams) -> float:
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values; 0 for an all-zero matrix (a block the prox
     collapsed to a point) without an SVD."""
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise ValueError("nuclear norm of a non-finite matrix")
     if not np.any(m):
         return 0.0

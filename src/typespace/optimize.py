@@ -15,7 +15,7 @@ the anchors by a gradient step, then singular-value thresholding of the
 anchor span matrix; a group's entities and relation then take one step.
 The nuclear norms are handled only by the proximal step, never by
 gradients.  The step kernels test finiteness from a sum of squares and
-take the exact test only when that sum is not finite (_finite).  The
+take the exact test only when that sum is not finite (params._finite).  The
 divergence snapshot is cloned after every epoch but the last.  Training
 is a pure function of its inputs and seeds.
 """
@@ -49,6 +49,7 @@ from typespace.objective import (
 from typespace.params import (
     Hyperparams,
     ModelParams,
+    _finite,
     anchor_span_matrix,
     clone_params,
     init_parameters,
@@ -82,16 +83,6 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
         self.last_good = last_good
         self.last_epoch = last_epoch
-
-
-def _finite(a: np.ndarray, sum_sq: float | None = None) -> bool:
-    """Whether every value of a is finite.  Its sum of squares (sum_sq, or
-    vdot(a, a)) is finite only if every value is, so only a non-finite sum
-    needs the exact test: a NaN or infinity, or finite values whose squares
-    overflow.  vdot, unlike a ufunc, raises no floating-point warning."""
-    if sum_sq is None:
-        sum_sq = np.vdot(a, a)
-    return math.isfinite(sum_sq) or bool(np.isfinite(a).all())
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -430,7 +421,7 @@ def _group_plans(params, state) -> list[tuple]:
     return plans
 
 
-def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
+def _rel_dim_pass(state, hp, flags, report, plans) -> float:
     """One block step per relation group of plans (_group_plans), then one
     AdaGrad step on its entities and relation (columns :n of their rows).
     Returns the sum of the groups' span nuclear norms after their proxes."""
@@ -501,7 +492,7 @@ def train(
                 if flags.rel_dist_active and len(data.triples) > 0:
                     _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
                 if flags.rel_dim_active:
-                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report, plans)
+                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, state, hp, flags, report, plans)
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 

@@ -40,6 +40,16 @@ _SIMPLEX_SUM_TOL = 1e-6
 _SIMPLEX_NEG_TOL = 1e-9
 
 
+def _finite(a: np.ndarray, sum_sq: float | None = None) -> bool:
+    """Whether every value of a is finite.  Its sum of squares (sum_sq, or
+    vdot(a, a)) is finite only if every value is, so only a non-finite sum
+    needs the exact test: a NaN or infinity, or finite values whose squares
+    overflow.  vdot, unlike a ufunc, raises no floating-point warning."""
+    if sum_sq is None:
+        sum_sq = np.vdot(a, a)
+    return math.isfinite(sum_sq) or bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class VariantFlags:
     """Which objective components a model variant activates."""
@@ -481,10 +491,7 @@ class _Reader:
         shape = tuple(self.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(self.raw(count * 8), dtype="<f8")
-        # A sum of squares is finite only if every value is, and it costs
-        # half the exact test; only an overflow of finite values needs that.
-        # vdot, unlike matmul and dot, raises no floating-point warning.
-        if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
+        if not _finite(data):
             raise ModelFormatError(f"{_label(where, name)} holds a non-finite value")
         return data.reshape(shape).copy()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typespace.params import TypeSubspaceParams, anchor_span_matrix
+from typespace.params import TypeSubspaceParams, _finite, anchor_span_matrix
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def _rank_of_singular_values(s: np.ndarray, rank_eps: float) -> int:
 def effective_rank(m: np.ndarray, rank_eps: float = 1e-3) -> int:
     """Number of singular values exceeding rank_eps * max(sigma_1, 1); 0 for
     an all-zero matrix without an SVD."""
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise ValueError("effective_rank of a non-finite matrix")
     if not np.any(m):
         return 0

@@ -26,19 +26,17 @@ _FILLERS = ["the", "a", "of", "in", "and", "is", "was", "near", "with", "very"]
 
 
 def empty_type_system() -> TypeSystem:
-    return TypeSystem((), (), {}, {}, {})
+    return TypeSystem((), {}, {})
 
 
 def empty_triple_store() -> TripleStore:
-    return TripleStore((), {}, (), {}, {}, 0)
+    return TripleStore((), (), {}, {}, 0)
 
 
 def single_type_system(type_id: str, n_entities: int) -> TypeSystem:
     members = tuple(range(n_entities))
     return TypeSystem(
         type_ids=(type_id,),
-        subclass_edges=(),
-        asserted={type_id: members},
         instances={type_id: members},
         ancestors={type_id: frozenset({type_id})},
     )

@@ -53,8 +53,6 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
     members2 = tuple(sorted(int(x) for x in rng.choice(n_entities, size=4, replace=False)))
     ts = TypeSystem(
         ("t1", "t2"),
-        (),
-        {"t1": members1, "t2": members2},
         {"t1": members1, "t2": members2},
         {"t1": frozenset({"t1"}), "t2": frozenset({"t2"})},
     )
@@ -69,7 +67,6 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
         lhs.setdefault((k, f), []).append(e)
     store = TripleStore(
         ("r0", "r1"),
-        {"r0": 0, "r1": 1},
         tuple(triples),
         {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
         {k: tuple(sorted(v)) for k, v in sorted(lhs.items())},

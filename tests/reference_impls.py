@@ -679,11 +679,8 @@ def ref_load_type_system(instances_path, subclass_path, catalog):
 
     kept = tuple(sorted(t for t in all_types if closed[t]))
     kept_set = set(kept)
-    edges = tuple(sorted((c, p) for c, p in {tuple(r) for r in edge_rows} if c in kept_set and p in kept_set))
     return TypeSystem(
         type_ids=kept,
-        subclass_edges=edges,
-        asserted={t: tuple(sorted(asserted[t])) for t in kept if t in asserted},
         instances={t: tuple(sorted(closed[t])) for t in kept},
         ancestors={t: frozenset(ancestors(t) & kept_set) for t in kept},
     )

@@ -140,7 +140,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
          lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
          lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
-        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans),
+        ("rel_group", lambda: optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans),
          group_loss, group_keys | {"entity", "rel"}, group_steps),
     ]
 
@@ -319,9 +319,7 @@ def test_criterion_04_rank_selection():
     rng = np.random.default_rng(99)
     perm = rng.permutation(data.n_entities)
     train_members = tuple(sorted(int(i) for i in perm[:80]))
-    ts80 = TypeSystem(
-        ("thing",), (), {"thing": train_members}, {"thing": train_members}, {"thing": frozenset({"thing"})}
-    )
+    ts80 = TypeSystem(("thing",), {"thing": train_members}, {"thing": frozenset({"thing"})})
     data80 = TrainData(data.n_entities, 1, None, None, ts80, data.triples)
     held = points[perm[80:]]
     spread = float(np.sqrt(np.mean(np.sum((held - held.mean(axis=0)) ** 2, axis=1))))

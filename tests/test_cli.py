@@ -447,6 +447,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert "not valid JSON" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("task, edit, message", [
+        ("analogy", lambda rec: rec["split"].update(test=[99]), "split part 'test' is not a list of quad indices in [0, 11)"),
+        ("analogy", lambda rec: rec["split"].update(test=[-1]), "split part 'test' is not a list of quad indices in [0, 11)"),
+        ("analogy", lambda rec: rec["quads"][0].pop(), "quad 0 is not a list of 4 id strings"),
+        ("induction", lambda rec: rec["split"]["test"].extend(rec["split"]["train"][:2]),
+         "induction problem ('located_in', 'c00'): split parts overlap"),
+        ("induction", lambda rec: rec["split"].update(train="c01"), "split part 'train' is not a list of id strings"),
+    ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "string_part"])
+    def test_malformed_problem_record_exit_one(self, trained_model, micro_dir, tmp_path, capsys, task, edit, message):
+        # Unchecked at load, these end in an IndexError or read as a result.
+        with open(micro_dir[task], encoding="utf-8") as fh:
+            record = json.load(fh)
+        record = record[0] if isinstance(record, list) else record
+        edit(record)
+        problems = tmp_path / "bad.json"
+        problems.write_text(json.dumps(record))
+        argv = ["eval", task, "--model", str(trained_model), "--problems", str(problems),
+                "--instances", micro_dir["instances"], "--subclass", micro_dir["subclass"]]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {problems}: record 0: {message}\n"
+        assert not (tmp_path / f"bad.results_{task}.json").exists()
+
 
 class TestIngestDefaults:
     @staticmethod
@@ -457,7 +479,7 @@ class TestIngestDefaults:
 
     def test_unset_flags_take_the_ingest_defaults(self, micro_dir):
         args = cli.build_parser().parse_args(["train", "--corpus", micro_dir["corpus"]])
-        data, vocab, catalog, _, _ = cli._ingest_all(args)
+        data, vocab, catalog, _ = cli._ingest_all(args)
         docs = ingest.load_corpus(micro_dir["corpus"])
         want_vocab, want_catalog = ingest.build_vocab_and_catalog(docs)
         assert vocab == want_vocab and catalog == want_catalog
@@ -466,10 +488,12 @@ class TestIngestDefaults:
 
     def test_set_flags_reach_the_ingest_functions(self, micro_dir):
         argv = ["train", "--corpus", micro_dir["corpus"], "--min-count", "3", "--min-mentions", "2", "--window", "4"]
-        data, vocab, catalog, _, _ = cli._ingest_all(cli.build_parser().parse_args(argv))
+        data, vocab, catalog, _ = cli._ingest_all(cli.build_parser().parse_args(argv))
         docs = ingest.load_corpus(micro_dir["corpus"])
         want_vocab, want_catalog = ingest.build_vocab_and_catalog(docs, 3, 2)
-        assert vocab == want_vocab and catalog == want_catalog
+        # A vocabulary is its words, so --min-count shows only through them.
+        assert vocab == want_vocab and len(vocab) > len(ingest.build_vocab_and_catalog(docs)[0])
+        assert catalog == want_catalog
         assert self._tables_equal(data.word_word, ingest.count_word_word(docs, want_vocab, 4))
         assert self._tables_equal(data.entity_word, ingest.count_entity_word(docs, want_vocab, want_catalog, 4))
 

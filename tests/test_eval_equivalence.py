@@ -66,7 +66,7 @@ def _view(points):
 
 def _one_type(members):
     members = tuple(int(i) for i in members)
-    return TypeSystem(("pool",), (), {"pool": members}, {"pool": members}, {"pool": frozenset({"pool"})})
+    return TypeSystem(("pool",), {"pool": members}, {"pool": frozenset({"pool"})})
 
 
 def _assert_close(got, want):
@@ -88,7 +88,7 @@ class TestStackedHingeSolve:
         vals[:2] = (0.0, 1.0)
         ii, jj = np.nonzero(vals[:, None] > vals[None, :])
         diffs = pts[ii] - pts[jj]
-        stacked = _hinge_directions(diffs, C_GRID)
+        stacked = _hinge_directions(diffs)
         refs = [ref.ref_hinge_direction(diffs, c) for c in C_GRID]
         for k, want in enumerate(refs):
             _assert_close(stacked[k], want)
@@ -108,7 +108,7 @@ class TestStackedHingeSolve:
             rho = spearman(vp @ w, vv) if len(vv) >= 2 else 0.0
             if rho > best_rho:
                 best, best_rho = w, rho
-        got, _ = fit_ranking_direction(train, valid)
+        got = fit_ranking_direction(train, valid)
         _assert_close(got, best)
 
     @pytest.mark.parametrize("seed", [127, 421, 438])
@@ -121,7 +121,7 @@ class TestStackedHingeSolve:
         vals[:2] = (0.0, 1.0)
         ii, jj = np.nonzero(vals[:, None] > vals[None, :])
         diffs = pts[ii] - pts[jj]
-        stacked = _hinge_directions(diffs, C_GRID)
+        stacked = _hinge_directions(diffs)
         for k, c in enumerate(C_GRID):
             want = ref.ref_hinge_direction(diffs, c)
             _assert_close(stacked[k], want)
@@ -149,7 +149,7 @@ class TestAnalogyAnswer:
         want = ref.ref_analogy_answer(points, pool, {a, b, c}, target)
         view, ts = _view(points), _one_type(pool)
         for d in pool:
-            problem = AnalogyProblem(quads=((f"e{a:03d}", f"e{b:03d}", f"e{c:03d}", f"e{d:03d}"),), tune_idx=(), test_idx=(0,))
+            problem = AnalogyProblem(quads=((f"e{a:03d}", f"e{b:03d}", f"e{c:03d}", f"e{d:03d}"),), test_idx=(0,))
             out = eval_analogy(problem, view, ts)
             assert out["accuracy"] == (1.0 if d == want else 0.0), (d, want)
 
@@ -159,7 +159,7 @@ class TestAnalogyAnswer:
         # entry wins wherever the copies sit in memory.
         row = np.random.default_rng(seed).normal(size=9)
         points = np.vstack([np.tile(row, (7, 1)), np.zeros(9), row])
-        problem = AnalogyProblem(quads=(("e007", "e008", "e007", "e000"),), tune_idx=(), test_idx=(0,))
+        problem = AnalogyProblem(quads=(("e007", "e008", "e007", "e000"),), test_idx=(0,))
         assert eval_analogy(problem, _view(points), _one_type(range(7)))["accuracy"] == 1.0
 
 

@@ -76,9 +76,8 @@ class TestFitRankingDirection:
         pts = rng.uniform(-2.0, 2.0, size=(40, 1))
         pairs = [(pts[i], float(pts[i, 0])) for i in range(30)]
         val = [(pts[i], float(pts[i, 0])) for i in range(30, 40)]
-        w, offset = fit_ranking_direction(pairs, val)
+        w = fit_ranking_direction(pairs, val)
         assert w[0] > 0.0
-        assert offset == 0.0
         scores = pts[30:] @ w
         assert spearman(scores, [v for _, v in val]) == pytest.approx(1.0)
 
@@ -87,7 +86,7 @@ class TestFitRankingDirection:
         pts = rng.uniform(-2.0, 2.0, size=(40, 1))
         pairs = [(pts[i], -float(pts[i, 0])) for i in range(30)]
         val = [(pts[i], -float(pts[i, 0])) for i in range(30, 40)]
-        w, _ = fit_ranking_direction(pairs, val)
+        w = fit_ranking_direction(pairs, val)
         assert w[0] < 0.0
         assert spearman(pts[30:] @ w, [v for _, v in val]) == pytest.approx(1.0)
 
@@ -105,7 +104,7 @@ class TestFitRankingDirection:
         vals = pts[:, 0]
         train = [(pts[i], vals[i]) for i in range(150)]
         valid = [(pts[i], vals[i]) for i in range(150, 200)]
-        w, _ = fit_ranking_direction(train, valid)
+        w = fit_ranking_direction(train, valid)
         angle = math.degrees(math.acos(abs(w[0]) / float(np.linalg.norm(w))))
         assert angle < 10.0
         best_deg, best_rho = None, -2.0
@@ -222,7 +221,7 @@ class TestEvalAnalogy:
         )
         view = make_view(points)
         ts = synth.single_type_system("thing", 6)
-        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), tune_idx=(), test_idx=(0,))
+        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), test_idx=(0,))
         out = eval_analogy(prob, view, ts)
         assert out["accuracy"] == 1.0
 
@@ -236,7 +235,7 @@ class TestEvalAnalogy:
         points[3] = target * 1.5  # same direction scaled: cosine ~1
         view = make_view(points)
         ts = synth.single_type_system("thing", 5)
-        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), tune_idx=(), test_idx=(0,))
+        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), test_idx=(0,))
         out = eval_analogy(prob, view, ts)
 
         def cosine(a, b):
@@ -254,12 +253,10 @@ class TestEvalAnalogy:
 
         ts = TypeSystem(
             ("gold", "query"),
-            (),
-            {"gold": (3,), "query": (0, 1, 2)},
             {"gold": (3,), "query": (0, 1, 2)},
             {"gold": frozenset({"gold"}), "query": frozenset({"query"})},
         )
-        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), tune_idx=(), test_idx=(0,))
+        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"),), test_idx=(0,))
         with pytest.warns(UserWarning, match="single"):
             out = eval_analogy(prob, view, ts)
         assert out["degenerate_pool"] is True
@@ -269,18 +266,19 @@ class TestEvalAnalogy:
         points = np.zeros((4, 2))
         view = make_view(points)
         ts = synth.single_type_system("thing", 4)
-        prob = AnalogyProblem(quads=(("e000", "ghost", "e002", "e003"), ("e000", "e001", "e002", "e003")), tune_idx=(), test_idx=(0, 1))
+        prob = AnalogyProblem(quads=(("e000", "ghost", "e002", "e003"), ("e000", "e001", "e002", "e003")), test_idx=(0, 1))
         with pytest.warns(UserWarning, match="skipped"):
             out = eval_analogy(prob, view, ts)
         assert out["skipped"] == 1
         assert out["n_evaluated"] == 1
 
     def test_no_test_quad_evaluated_is_an_error(self):
-        # The tuning quad's gold answer is known, so the pool resolves, but no
-        # test quad does: an accuracy over no quad would read as a result.
+        # Quad 0, which is not under test, has a known gold answer, so the pool
+        # resolves, but no test quad does: an accuracy over no quad would read
+        # as a result.
         view = make_view(np.eye(4))
         ts = synth.single_type_system("thing", 4)
-        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"), ("ghost", "e001", "e002", "e003")), tune_idx=(0,), test_idx=(1,))
+        prob = AnalogyProblem(quads=(("e000", "e001", "e002", "e003"), ("ghost", "e001", "e002", "e003")), test_idx=(1,))
         with pytest.warns(UserWarning, match="skipped"):
             with pytest.raises(ProblemFormatError, match="^the model resolves none of the analogy problem's 1 test quads$"):
                 eval_analogy(prob, view, ts)
@@ -467,3 +465,12 @@ class TestProblemLoaders:
         p2.write_text(json.dumps({"quads": [["a", "b", "c", "d"]], "split": {"tune": [], "test": [0]}}))
         aprobs = load_analogy_problems(p2)
         assert aprobs[0].quads == (("a", "b", "c", "d"),)
+
+    def test_analogy_tune_part_ignored(self, tmp_path):
+        import json
+
+        p = tmp_path / "a.json"
+        quads = [["a", "b", "c", "d"], ["b", "c", "d", "a"]]
+        p.write_text(json.dumps([{"quads": quads, "split": {"tune": ["x", 7], "test": [1]}}, {"quads": quads}]))
+        assert load_analogy_problems(p) == [AnalogyProblem(tuple(map(tuple, quads)), (1,)),
+                                            AnalogyProblem(tuple(map(tuple, quads)), (0, 1))]

@@ -176,7 +176,6 @@ def store_from_triples(triples, n_rel=1):
         lhs.setdefault((k, f), []).append(e)
     return TripleStore(
         tuple(f"r{k}" for k in range(n_rel)),
-        {f"r{k}": k for k in range(n_rel)},
         tuple(sorted(triples)),
         {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
         {k: tuple(sorted(v)) for k, v in sorted(lhs.items())},
@@ -257,6 +256,12 @@ class TestNuclearNorm:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             nuclear_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_out_of_range(self, scale):
+        # A sum of squares that overflows leaves the finiteness test to the
+        # exact one, and one that underflows to 0 does not make a zero matrix.
+        assert nuclear_norm(scale * np.eye(2)) == pytest.approx(2 * scale, rel=1e-12)
 
 
 class TestRegularizer:

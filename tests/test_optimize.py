@@ -331,7 +331,7 @@ class TestFiniteGuards:
         name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+            optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans)
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -402,8 +402,7 @@ class TestTrain:
     def test_empty_type_one_line_error(self, beta):
         ww, ew, store, _, _ = random_instance(0)
         ts = TypeSystem(
-            ("hollow", "t1"), (), {"hollow": (), "t1": (0, 1, 2)}, {"hollow": (), "t1": (0, 1, 2)},
-            {"hollow": frozenset({"hollow"}), "t1": frozenset({"t1"})},
+            ("hollow", "t1"), {"hollow": (), "t1": (0, 1, 2)}, {"hollow": frozenset({"hollow"}), "t1": frozenset({"t1"})}
         )
         hp = Hyperparams(n=4, beta_reg=beta, epochs=1, seed=0)
         with pytest.raises(ValueError, match="'hollow' has no member entities") as exc_info:
@@ -779,7 +778,7 @@ class TestTrainerStepsWithCheckedGradients:
         m, rels = params.model, params.rels
         state = optimize._AdaState(params)
         plans = optimize._group_plans(params, state)
-        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
+        optimize._rel_dim_pass(state, hp, variant_flags(hp.variant), TrainReport(), plans)
         # A group's coefficient step is test_block_step's; the anchor, member
         # and relation steps are taken at the projected coefficients, which
         # the pass leaves behind.
@@ -824,7 +823,7 @@ class TestRelGroupPass:
             plans = optimize._group_plans(params, state)
             self_loops += sum(plan[-1] is not None for plan in plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
-                optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+                optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans)
                 ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name

@@ -57,6 +57,10 @@ class TestEffectiveRank:
         with pytest.raises(ValueError):
             effective_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_finite_values_whose_squares_overflow(self):
+        # The sum of squares overflows, so the exact finiteness test decides.
+        assert effective_rank(1e200 * np.eye(3)) == 3
+
 
 class TestTypeSubspace:
     def test_coincident_anchors(self):
