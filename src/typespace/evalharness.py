@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,6 +23,10 @@ from typespace.subspace import centroid
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 RANKING_MIN_ENTITIES = 30
+
+# Problems x pairs x (dims + |C_GRID|) float64 cells per stacked hinge solve,
+# which bounds its pair differences and margins to 32 MiB.
+_STACK_CELLS = 1 << 22
 
 
 class DegenerateRankingError(ValueError):
@@ -116,6 +121,8 @@ def _problem_records(path, build) -> list:
     out = []
     for i, rec in enumerate(data if isinstance(data, list) else [data]):
         try:
+            if not isinstance(rec, dict):
+                raise ValueError("not an object")
             out.append(build(rec))
         except KeyError as exc:
             raise ProblemFormatError(f"{path}: record {i} lacks the field {exc}") from None
@@ -132,16 +139,31 @@ def _ids(value, what: str, size: int | None = None) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _object(value, field: str) -> dict:
+    """value, the named field of a record, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"field {field!r} is not an object")
+    return value
+
+
+def _finite(value, entity: str) -> float:
+    """value, which must be a JSON int or float (not a bool) within the
+    finite float range, as a float."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # False for NaN
+        return float(value)
+    raise ValueError(f"value of entity {entity!r} is not a finite number")
+
+
 def _split(rec) -> dict[str, tuple[str, ...]]:
     """The train, valid and test parts of a record's split."""
-    split = rec["split"]
+    split = _object(rec["split"], "split")
     return {part: _ids(split[part], f"split part {part!r}") for part in ("train", "valid", "test")}
 
 
 def load_ranking_problems(path) -> list[RankingProblem]:
     def build(rec):
         parts = _split(rec)
-        values = {k: float(v) for k, v in rec["values"].items()}
+        values = {k: _finite(v, k) for k, v in _object(rec["values"], "values").items()}
         return RankingProblem(type_id=rec["type"], attribute=rec["attribute"], values=values, **parts)
 
     return _problem_records(path, build)
@@ -156,13 +178,15 @@ def load_induction_problems(path) -> list[InductionProblem]:
 
 
 def load_analogy_problems(path) -> list[AnalogyProblem]:
-    """Analogy problems: quads of four id strings, and a split whose test
-    part lists quad indices (every quad when absent); a tune part is
-    accepted and ignored."""
+    """Analogy problems: quads of four id strings, and a split object whose
+    test part lists quad indices; without a split or a test part every quad
+    is tested.  A tune part is accepted and ignored."""
 
     def build(rec):
+        if not isinstance(rec["quads"], list):
+            raise ValueError("field 'quads' is not a list")
         quads = tuple(_ids(q, f"quad {k}", 4) for k, q in enumerate(rec["quads"]))
-        test_idx = (rec.get("split") or {}).get("test", list(range(len(quads))))
+        test_idx = _object(rec.get("split", {}), "split").get("test", list(range(len(quads))))
         if not isinstance(test_idx, list) or not all(type(i) is int and 0 <= i < len(quads) for i in test_idx):
             raise ValueError(f"split part 'test' is not a list of quad indices in [0, {len(quads)})")
         return AnalogyProblem(quads=quads, test_idx=tuple(test_idx))
@@ -257,27 +281,59 @@ def reciprocal_rank(relevance) -> float:
 
 
 def _hinge_directions(diffs: np.ndarray, iters: int = 400) -> np.ndarray:
-    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of C_GRID
-    by AdaGrad subgradient descent with iterate averaging, one row of the
-    iterate per c.  The margins of all rows take one stacked product, which
-    numpy runs as one matrix-vector product per row, and the violated-pair
-    sums one product laid out to add pairs in order, as a lone solve rounds
-    them: a margin one ulp off flips a violation at the hinge."""
-    n = diffs.shape[1]
+    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for each c of C_GRID by
+    AdaGrad subgradient descent with iterate averaging, where D is a (P, n)
+    matrix of pair differences; diffs is one D or a stack (..., P, n) of
+    them.  Row [..., k] of the result is the direction for C_GRID[k].
+
+    One loop steps every row of every problem, and each row comes out
+    bit-equal to its problem's solve alone: the margins of each row take one
+    vector-matrix product, and the violated-pair sums of each problem one
+    product laid out to add pairs in order, as a lone solve rounds them (a
+    margin one ulp off flips a violation at the hinge).  So a stack holds
+    problems of one pair count P: zero-padding to a common P would change
+    how BLAS splits each product's tail columns, and with it the rounding."""
+    *lead, p, n = diffs.shape
     scale = (2.0 / np.asarray(C_GRID, dtype=np.float64))[:, None]
-    w = np.zeros((scale.size, n))
-    accum = np.zeros_like(w)
-    avg = np.zeros_like(w)
+    d_t = np.swapaxes(diffs, -1, -2)
+    w = np.zeros((*lead, scale.size, n))
+    accum, avg, g, tmp = (np.zeros_like(w) for _ in range(4))
+    margins = np.empty((*lead, scale.size, 1, p))
+    viol = np.swapaxes(margins[..., 0, :], -1, -2)  # 1.0 where a pair is violated, after the test below
+    sums = np.empty((*lead, n, scale.size))
+    w_rows, d_rows, sums_t = w[..., None, :], d_t[..., None, :, :], np.swapaxes(sums, -1, -2)
     lr = 0.5
     half = iters // 2
     for t in range(iters):
-        viol = (np.matmul(w[:, None, :], diffs.T)[:, 0] < 1.0).astype(np.float64)
-        g = -(diffs.T @ viol.T).T + scale * w
-        accum += g * g
-        w -= lr * g / np.sqrt(accum + 1e-8)
+        np.matmul(w_rows, d_rows, out=margins)
+        np.less(margins, 1.0, out=margins)
+        np.matmul(d_t, viol, out=sums)
+        np.multiply(scale, w, out=g)
+        g -= sums_t
+        np.multiply(g, g, out=tmp)
+        accum += tmp
+        np.add(accum, 1e-8, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        g *= lr
+        g /= tmp
+        w -= g
         if t >= half:
             avg += w
     return avg / max(iters - half, 1)
+
+
+def _pair_diffs(pts: np.ndarray, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """pts[i] - pts[j] for every pair with vals[i] > vals[j], in row-major
+    pair order (written to out when given)."""
+    ii, jj = np.nonzero(vals[:, None] > vals[None, :])
+    return np.subtract(pts[ii], pts[jj], out=out)
+
+
+def _best_direction(directions: np.ndarray, val_pts: np.ndarray, val_vals: np.ndarray) -> np.ndarray:
+    """The row of directions (one per c of C_GRID) of highest validation
+    Spearman correlation; the first wins ties."""
+    rhos = [spearman(val_pts @ w, val_vals) if len(val_vals) >= 2 else 0.0 for w in directions]
+    return directions[int(np.argmax(rhos))]
 
 
 def fit_ranking_direction(train_pairs, val_pairs) -> np.ndarray:
@@ -293,23 +349,12 @@ def fit_ranking_direction(train_pairs, val_pairs) -> np.ndarray:
     train_vals = np.asarray([v for _, v in train_pairs], dtype=np.float64)
     if len(set(train_vals.tolist())) < 2:
         raise DegenerateRankingError("all training values are equal")
-    gt = train_vals[:, None] > train_vals[None, :]
-    ii, jj = np.nonzero(gt)
-    diffs = train_pts[ii] - train_pts[jj]
     if val_pairs:
         val_pts = np.asarray([p for p, _ in val_pairs], dtype=np.float64)
         val_vals = np.asarray([v for _, v in val_pairs], dtype=np.float64)
     else:
         val_pts, val_vals = train_pts, train_vals
-    directions = _hinge_directions(diffs)
-    best_w = None
-    best_rho = -math.inf
-    for w in directions:
-        rho = spearman(val_pts @ w, val_vals) if len(val_vals) >= 2 else 0.0
-        if rho > best_rho:
-            best_rho = rho
-            best_w = w
-    return best_w
+    return _best_direction(_hinge_directions(_pair_diffs(train_pts, train_vals)), val_pts, val_vals)
 
 
 def ranking_splits(problems, index) -> tuple[list, int]:
@@ -337,14 +382,34 @@ def eval_ranking(problems, view: EmbeddingView) -> dict:
     """Fit a direction per problem of ranking_splits on its training split,
     select the regularizer on validation, score the test split, and
     aggregate the per-problem Spearman correlations through the Fisher
-    transform."""
+    transform.  The problems of one pair count take one stacked solve of
+    _hinge_directions, chunked by _STACK_CELLS; each direction equals
+    fit_ranking_direction's bit for bit."""
     splits, skipped = ranking_splits(problems, view.index)
+    points = np.asarray(view.points, dtype=np.float64)
+    n = points.shape[1]
+    fits = [
+        [(points[[i for i, _ in part]], np.array([v for _, v in part], dtype=np.float64)) for part in parts]
+        for _, *parts in splits
+    ]
+    by_pairs: dict[int, list[int]] = {}
+    for k, ((_, vals), _, _) in enumerate(fits):
+        by_pairs.setdefault(int(np.count_nonzero(vals[:, None] > vals[None, :])), []).append(k)
+    directions = [None] * len(fits)
+    for pairs, members in by_pairs.items():
+        step = max(1, _STACK_CELLS // (pairs * (n + len(C_GRID))))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            stack = np.empty((len(chunk), pairs, n))
+            for k, diffs in zip(chunk, stack):
+                _pair_diffs(*fits[k][0], out=diffs)
+            for k, rows in zip(chunk, _hinge_directions(stack)):
+                directions[k] = rows
     per_problem = []
-    for prob, *parts in splits:
-        train, valid, test = ([(view.points[i], v) for i, v in part] for part in parts)
-        w = fit_ranking_direction(train, valid)
-        rho = spearman(np.asarray([p for p, _ in test]) @ w, [v for _, v in test])
-        per_problem.append({"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test)})
+    for (prob, *_), (train, valid, (test_pts, test_vals)), rows in zip(splits, fits, directions):
+        w = _best_direction(rows, *(valid if len(valid[1]) else train))
+        rho = spearman(test_pts @ w, test_vals)
+        per_problem.append({"type": prob.type_id, "attribute": prob.attribute, "rho": rho, "n_test": len(test_vals)})
     rhos = [r["rho"] for r in per_problem]
     return {"task": "ranking", "per_problem": per_problem, "skipped": skipped, "fisher_rho": fisher_mean(rhos)}
 

@@ -454,9 +454,18 @@ class TestEval:
         ("induction", lambda rec: rec["split"]["test"].extend(rec["split"]["train"][:2]),
          "induction problem ('located_in', 'c00'): split parts overlap"),
         ("induction", lambda rec: rec["split"].update(train="c01"), "split part 'train' is not a list of id strings"),
-    ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "string_part"])
+        ("ranking", lambda rec: rec["values"].update(c03="nan"), "value of entity 'c03' is not a finite number"),
+        ("ranking", lambda rec: rec["values"].update(c03=float("inf")), "value of entity 'c03' is not a finite number"),
+        ("ranking", lambda rec: rec["values"].update(c03=True), "value of entity 'c03' is not a finite number"),
+        ("analogy", lambda rec: rec.update(split=[]), "field 'split' is not an object"),
+        ("analogy", lambda rec: rec.update(split=0), "field 'split' is not an object"),
+        ("ranking", lambda rec: rec.update(values=list(rec["values"])), "field 'values' is not an object"),
+        ("induction", lambda rec: rec.update(split=[rec["split"]]), "field 'split' is not an object"),
+    ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "string_part", "nan_string_value",
+            "infinite_value", "bool_value", "empty_list_split", "zero_split", "list_values", "list_split"])
     def test_malformed_problem_record_exit_one(self, trained_model, micro_dir, tmp_path, capsys, task, edit, message):
-        # Unchecked at load, these end in an IndexError or read as a result.
+        # Unchecked at load, these end in an IndexError or a message naming
+        # no field, or read as a result.
         with open(micro_dir[task], encoding="utf-8") as fh:
             record = json.load(fh)
         record = record[0] if isinstance(record, list) else record

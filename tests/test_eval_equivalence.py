@@ -1,7 +1,8 @@
 """The vectorized evaluation code against the per-candidate loops it
-replaced (kept in reference_impls): the stacked hinge solve, the analogy
-answer, the induction ordering and its AP, the classification threshold,
-the average ranks and the screened link-prediction ranks.  Instances draw
+replaced (kept in reference_impls): the stacked hinge solve and the problem
+stacks of eval_ranking, the analogy answer, the induction ordering and its
+AP, the classification threshold, the average ranks and the screened
+link-prediction ranks.  Instances draw
 tied values, duplicate and zero points, and pools that hold the query
 entities."""
 
@@ -20,6 +21,7 @@ from typespace.evalharness import (
     AnalogyProblem,
     EmbeddingView,
     InductionProblem,
+    RankingProblem,
     _average_ranks,
     _best_threshold,
     _hinge_directions,
@@ -125,6 +127,62 @@ class TestStackedHingeSolve:
         for k, c in enumerate(C_GRID):
             want = ref.ref_hinge_direction(diffs, c)
             _assert_close(stacked[k], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_stacked_problems_match_lone_solves(self, data):
+        # Problems of one pair count P share a stack; each must solve to the
+        # bits of its own solve, whatever the others hold.
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        b, m, n = draw(st.integers(1, 4)), draw(st.integers(2, 20)), draw(st.integers(1, 24))
+        vals = rng.integers(0, draw(st.integers(2, 6)), size=m).astype(np.float64)
+        vals[:2] = (0.0, 1.0)
+        lone = [evalharness._pair_diffs(_points(draw, rng, m, n), rng.permutation(vals)) for _ in range(b)]
+        stacked = _hinge_directions(np.stack(lone))
+        for diffs, rows in zip(lone, stacked):
+            assert rows.tobytes() == _hinge_directions(diffs).tobytes()
+            for k, c in enumerate(C_GRID):
+                _assert_close(rows[k], ref.ref_hinge_direction(diffs, c))
+
+    @pytest.mark.parametrize("cells", [1, evalharness._STACK_CELLS])
+    def test_eval_ranking_matches_per_problem_fits(self, cells):
+        # Two pair counts shared by two problems each and one of a single
+        # problem, interleaved; with one cell per stack every problem solves
+        # alone.
+        rng = np.random.default_rng(5)
+        view = _view(rng.normal(size=(60, 4)))
+        ids = view.entity_ids
+
+        def problem(name, size, train_vals):
+            members = [ids[i] for i in rng.permutation(60)[:size]]
+            n_train = len(train_vals)
+            rest = rng.normal(size=size - n_train).tolist()
+            values = dict(zip(members, [*train_vals, *rest]))
+            cut = n_train + (size - n_train) // 2
+            return RankingProblem("t", name, values, tuple(members[:n_train]), tuple(members[n_train:cut]), tuple(members[cut:]))
+
+        ties = [0.0, 1.0, 2.0] * 6
+        problems = [
+            problem("a1", 30, rng.permutation(18).tolist()),
+            problem("b1", 30, rng.permutation(ties).tolist()),
+            problem("s", 40, rng.permutation(24).tolist()),
+            problem("a2", 30, rng.permutation(18).tolist()),
+            problem("b2", 30, rng.permutation(ties).tolist()),
+        ]
+        picked, best = [], evalharness._best_direction
+        with mock.patch.object(evalharness, "_STACK_CELLS", cells), \
+             mock.patch.object(evalharness, "_hinge_directions", wraps=_hinge_directions) as solve, \
+             mock.patch.object(evalharness, "_best_direction", side_effect=lambda *a: picked.append(best(*a)) or picked[-1]):
+            out = evalharness.eval_ranking(problems, view)
+        assert [call.args[0].shape[0] for call in solve.call_args_list] == ([1] * 5 if cells == 1 else [2, 2, 1])
+        for prob, row, got in zip(problems, out["per_problem"], picked, strict=True):
+            train, valid, test = ([(view.points[view.index[e]], prob.values[e]) for e in part]
+                                  for part in (prob.train, prob.valid, prob.test))
+            w = fit_ranking_direction(train, valid)
+            assert got.tobytes() == w.tobytes()
+            rho = spearman(np.array([p for p, _ in test]) @ w, [v for _, v in test])
+            assert (row["attribute"], row["rho"]) == (prob.attribute, rho)
 
 
 # Single-entity pools and short candidate lists warn on purpose.

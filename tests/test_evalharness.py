@@ -474,3 +474,64 @@ class TestProblemLoaders:
         p.write_text(json.dumps([{"quads": quads, "split": {"tune": ["x", 7], "test": [1]}}, {"quads": quads}]))
         assert load_analogy_problems(p) == [AnalogyProblem(tuple(map(tuple, quads)), (1,)),
                                             AnalogyProblem(tuple(map(tuple, quads)), (0, 1))]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "3.5", True, False, None, [1.0], float("nan"), float("inf"), -float("inf"),
+                                       pytest.param(10**400, id="int_past_float_range")])
+    def test_ranking_value_must_be_a_finite_number(self, tmp_path, value):
+        # A string or a bool used to pass through float(); NaN and the
+        # infinities are JSON extensions that json.load reads.
+        import json
+
+        rec = {"type": "t", "attribute": "a", "values": {f"e{i}": i for i in range(30)},
+               "split": {"train": [f"e{i}" for i in range(18)], "valid": [], "test": [f"e{i}" for i in range(18, 30)]}}
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps([rec, rec]))
+        assert load_ranking_problems(p)[1].values["e4"] == 4.0
+        rec["values"]["e4"] = value
+        p.write_text(json.dumps([rec, rec]))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 0: value of entity 'e4' is not a finite number$"):
+            load_ranking_problems(p)
+
+    @pytest.mark.parametrize("split", [0, False, "", [], None, "test", [0]])
+    def test_analogy_split_must_be_an_object(self, tmp_path, split):
+        # A falsy split used to read as "no split", so every quad was tested.
+        import json
+
+        p = tmp_path / "a.json"
+        quads = [["a", "b", "c", "d"], ["b", "c", "d", "a"]]
+        p.write_text(json.dumps([{"quads": quads, "split": {}}, {"quads": quads, "split": split}]))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 1: field 'split' is not an object$"):
+            load_analogy_problems(p)
+
+    @pytest.mark.parametrize("loader, field", [
+        (load_ranking_problems, "split"), (load_ranking_problems, "values"), (load_induction_problems, "split"),
+    ])
+    @pytest.mark.parametrize("value", [[], ["train"], "split", 3, None])
+    def test_wrong_type_field_is_named(self, tmp_path, loader, field, value):
+        import json
+
+        rec = {"type": "t", "attribute": "a", "relation": "r", "target": "f", "values": {},
+               "split": {"train": [], "valid": [], "test": []}, field: value}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(rec))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 0: field '{field}' is not an object$"):
+            loader(p)
+
+    @pytest.mark.parametrize("quads", [None, True, 2.5, "abcd", {"a": "b"}])
+    def test_analogy_quads_must_be_a_list(self, tmp_path, quads):
+        import json
+
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"quads": quads}))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 0: field 'quads' is not a list$"):
+            load_analogy_problems(p)
+
+    @pytest.mark.parametrize("loader", [load_ranking_problems, load_induction_problems, load_analogy_problems])
+    @pytest.mark.parametrize("record", [[], ["quads"], "split", 3, None, True])
+    def test_record_must_be_an_object(self, tmp_path, loader, record):
+        import json
+
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps([record]))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 0: not an object$"):
+            loader(p)

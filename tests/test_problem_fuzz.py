@@ -5,13 +5,15 @@ eval` either writes a results file and exits 0, or prints one `error:` line
 and exits 1; it never ends in a traceback.  The files are drawn from the
 micro corpus's valid problem records with fields dropped or given values of
 other JSON types, test indices out of range or negative, split parts
-overlapping or given as strings, and ids the model does not know.
+overlapping or given as strings, ranking values that are non-finite,
+strings or booleans, falsy splits, and ids the model does not know.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -22,6 +24,8 @@ from typespace import cli
 
 TASKS = ("ranking", "induction", "analogy")
 PARTS = ("train", "valid", "test", "tune")
+BAD_VALUES = (math.nan, math.inf, -math.inf, "nan", "inf", "1.5", True, False, None)
+FALSY = (0, 0.0, False, "", [], {}, None)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
@@ -75,7 +79,9 @@ def _mutate(draw, rec):
     """rec with one random change; rec is any JSON value."""
     split = rec.get("split") if isinstance(rec, dict) else None
     lists = [p for p in PARTS if isinstance(split, dict) and isinstance(split.get(p), list)]
-    kind = draw(st.sampled_from(["drop", "replace", "indices", "overlap", "string_part", "unknown_id"]))
+    values = rec.get("values") if isinstance(rec, dict) else None
+    kind = draw(st.sampled_from(["drop", "replace", "indices", "overlap", "string_part", "unknown_id", "bad_value",
+                                 "falsy_split"]))
     if kind in ("drop", "replace") and isinstance(rec, dict):
         target = split if isinstance(split, dict) and split and draw(st.booleans()) else rec
         if target:
@@ -93,6 +99,10 @@ def _mutate(draw, rec):
     elif kind == "string_part" and lists:
         part = draw(st.sampled_from(lists))
         split[part] = "".join(map(str, split[part]))[: draw(st.integers(0, 8))]
+    elif kind == "bad_value" and isinstance(values, dict) and values:
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from(BAD_VALUES))
+    elif kind == "falsy_split" and isinstance(rec, dict):
+        rec["split"] = copy.deepcopy(draw(st.sampled_from(FALSY)))  # later mutations must not edit FALSY
     elif kind == "unknown_id" and (ids := sorted(set(_ids_of(rec)))):
         for i, old in enumerate(draw(st.lists(st.sampled_from(ids), max_size=12, unique=True))):
             rec = _rename(rec, old, f"ghost{i}")
