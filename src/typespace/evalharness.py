@@ -13,6 +13,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -146,6 +147,13 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _name(rec, field: str) -> str:
+    """rec[field], which must be a JSON string."""
+    if not isinstance(rec[field], str):
+        raise ValueError(f"field {field!r} is not a string")
+    return rec[field]
+
+
 def _finite(value, entity: str) -> float:
     """value, which must be a JSON int or float (not a bool) within the
     finite float range, as a float."""
@@ -164,7 +172,7 @@ def load_ranking_problems(path) -> list[RankingProblem]:
     def build(rec):
         parts = _split(rec)
         values = {k: _finite(v, k) for k, v in _object(rec["values"], "values").items()}
-        return RankingProblem(type_id=rec["type"], attribute=rec["attribute"], values=values, **parts)
+        return RankingProblem(type_id=_name(rec, "type"), attribute=_name(rec, "attribute"), values=values, **parts)
 
     return _problem_records(path, build)
 
@@ -172,7 +180,7 @@ def load_ranking_problems(path) -> list[RankingProblem]:
 def load_induction_problems(path) -> list[InductionProblem]:
     def build(rec):
         parts = _split(rec)
-        return InductionProblem(relation=rec["relation"], target=rec["target"], **parts)
+        return InductionProblem(relation=_name(rec, "relation"), target=_name(rec, "target"), **parts)
 
     return _problem_records(path, build)
 
@@ -608,22 +616,30 @@ def _link_ranks(view: EmbeddingView, heads: np.ndarray, rels: np.ndarray, tails:
     return ranks
 
 
+def _resolve_triples(rows, view: EmbeddingView) -> tuple[np.ndarray, int]:
+    """The rows whose head, relation and tail ids the view resolves, in row
+    order, with those ids replaced by their indices and any later fields
+    kept, flattened into one integer array; and the count of the other
+    rows."""
+    if view.rel_vectors is None:
+        raise ValueError("model carries no relation vectors")
+    index, rel_index = view.index, view.rel_index
+    kept = [
+        (index[row[0]], rel_index[row[1]], index[row[2]], *row[3:])
+        for row in rows
+        if row[0] in index and row[2] in index and row[1] in rel_index
+    ]
+    return np.fromiter(chain.from_iterable(kept), np.intp), len(rows) - len(kept)
+
+
 def eval_link_prediction(test_triples, view: EmbeddingView) -> dict:
     """Raw-protocol link prediction: rank every entity as tail of (h, r, ?)
     and as head of (?, r, t) by translation distance; no filtering of other
     known-true triples."""
-    if view.rel_vectors is None:
-        raise ValueError("model carries no relation vectors")
-    kept = []
-    skipped = 0
-    for h, r, t in test_triples:
-        if h not in view.index or t not in view.index or r not in view.rel_index:
-            skipped += 1
-            continue
-        kept.append((view.index[h], view.rel_index[r], view.index[t]))
-    if not kept:
+    kept, skipped = _resolve_triples(test_triples, view)
+    if not len(kept):
         raise ProblemFormatError(f"the model resolves none of the {skipped} link prediction triples")
-    ranks = _link_ranks(view, *np.array(kept, dtype=np.intp).T).ravel().astype(np.float64)
+    ranks = _link_ranks(view, *kept.reshape(-1, 3).T).ravel().astype(np.float64)
     return {
         "task": "link_prediction",
         "mean_rank": float(np.mean(ranks)),
@@ -669,47 +685,30 @@ def eval_triple_classification(valid_rows, test_rows, view: EmbeddingView) -> di
     """Relation-specific thresholds fitted on validation scores, applied to
     the test rows.  Rows are (head, relation, tail, label) with label in
     {0, 1}."""
-    if view.rel_vectors is None:
-        raise ValueError("model carries no relation vectors")
-
-    def resolve(rows):
-        """Relation ids, scores and labels of the resolvable rows, in row
-        order, and the count of the others."""
-        kept = [
-            (h, r, t, bool(int(label)))
-            for h, r, t, label in rows
-            if h in view.index and t in view.index and r in view.rel_index
-        ]
-        rows_idx = np.array(
-            [(view.index[h], view.rel_index[r], view.index[t]) for h, r, t, _ in kept], dtype=np.intp
-        ).reshape(-1, 3)
-        labels = np.array([y for _, _, _, y in kept], dtype=bool)
-        scores = _triple_scores(view, *rows_idx.T)
-        return [r for _, r, _, _ in kept], rows_idx[:, 1], scores, labels, len(rows) - len(kept)
-
-    valid_rels, valid_ids, valid_scores, valid_labels, skipped_valid = resolve(valid_rows)
-    test_rels, _, test_scores, test_labels, skipped_test = resolve(test_rows)
-    if not test_rels:
+    valid, skipped_valid = _resolve_triples(valid_rows, view)
+    test, skipped_test = _resolve_triples(test_rows, view)
+    if not len(test):
         raise ProblemFormatError(f"the model resolves none of the {skipped_test} triple classification test rows")
     if skipped_valid or skipped_test:
         warnings.warn(f"triple classification skipped {skipped_valid + skipped_test} unresolvable rows")
+    valid, test = valid.reshape(-1, 4), test.reshape(-1, 4)
+    valid_scores, valid_labels = _triple_scores(view, *valid[:, :3].T), valid[:, 3].astype(bool)
 
-    global_delta = _best_threshold(valid_scores, valid_labels) if valid_rels else 0.0
-    thresholds = {}
-    for rel in dict.fromkeys(valid_rels):
-        sel = valid_ids == view.rel_index[rel]
-        thresholds[rel] = _best_threshold(valid_scores[sel], valid_labels[sel])
-    for rel in dict.fromkeys(test_rels):
-        if rel not in thresholds:
-            warnings.warn(f"relation {rel!r} absent from validation; using the global threshold")
-    deltas = np.array([thresholds.get(rel, global_delta) for rel in test_rels])
-    correct = int(np.count_nonzero((test_scores > deltas) == test_labels))
-    total = len(test_rels)
-    accuracy = correct / total
+    global_delta = _best_threshold(valid_scores, valid_labels) if len(valid) else 0.0
+    thresholds = {}  # by relation index, in order of first validation row
+    for k in dict.fromkeys(valid[:, 1].tolist()):
+        sel = valid[:, 1] == k
+        thresholds[k] = _best_threshold(valid_scores[sel], valid_labels[sel])
+    test_rels = test[:, 1].tolist()
+    for k in dict.fromkeys(test_rels):
+        if k not in thresholds:
+            warnings.warn(f"relation {view.rel_ids[k]!r} absent from validation; using the global threshold")
+    deltas = np.array([thresholds.get(k, global_delta) for k in test_rels])
+    correct = int(np.count_nonzero((_triple_scores(view, *test[:, :3].T) > deltas) == test[:, 3].astype(bool)))
     return {
         "task": "triple_classification",
-        "accuracy": accuracy,
-        "n_test": total,
-        "thresholds": {r: float(d) for r, d in thresholds.items()},
+        "accuracy": correct / len(test_rels),
+        "n_test": len(test_rels),
+        "thresholds": {view.rel_ids[k]: float(d) for k, d in thresholds.items()},
         "skipped": skipped_valid + skipped_test,
     }

@@ -270,23 +270,23 @@ def _encoded_chunks(docs: list[Document], vocab: Vocabulary) -> Iterator[_Chunk]
         batch, n_tok = [], 0
 
 
-def _add_in_order(keys: np.ndarray, sums: np.ndarray, new_keys: np.ndarray, new_vals: np.ndarray):
-    """Add new_vals into the table of distinct sorted keys and their sums.
+def _merged_counts(docs: list[Document], vocab: Vocabulary, window: int, contributions):
+    """The distinct keys of contributions(chunk) = (keys, values) over the
+    documents' chunks, sorted, and each key's sum of its values.
 
-    Each key's sum is taken in order, its old sum first and then its new
-    values in array order, as a loop of `acc[key] += val` would take it:
-    the stable sort keeps that order within a key and `np.add.at` adds
-    unbuffered, in index order.
+    Each sum is taken in corpus order, as a loop of `acc[key] += val` would
+    take it: a chunk's merge lists the running sums first, then the chunk's
+    values in order, and `np.bincount` adds its weights in array order.
     """
-    keys = np.concatenate((keys, new_keys))
-    vals = np.concatenate((sums, new_vals))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    out = np.zeros(np.count_nonzero(first))
-    np.add.at(out, np.cumsum(first) - 1, vals[order])
-    return keys[first], out
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for chunk in _encoded_chunks(docs, vocab):
+        new_keys, new_vals = contributions(chunk)
+        keys, inverse = np.unique(np.concatenate((keys, new_keys)), return_inverse=True)
+        # The cast matters only for empty input, where np.bincount returns int64.
+        sums = np.bincount(inverse, np.concatenate((sums, new_vals)), len(keys)).astype(np.float64, copy=False)
+    return keys, sums
 
 
 def _word_pairs(chunk: _Chunk, window: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,19 +318,13 @@ def count_word_word(docs: list[Document], vocab: Vocabulary, window: int = 10) -
     within one sentence contributes 1/d; sentence boundaries are never
     crossed.  Each entry sums its contributions in corpus order.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     n_words = len(vocab)
-    keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
-    for chunk in _encoded_chunks(docs, vocab):
-        keys, sums = _add_in_order(keys, sums, *_word_pairs(chunk, window, n_words))
+    keys, sums = _merged_counts(docs, vocab, window, lambda chunk: _word_pairs(chunk, window, n_words))
     lo, hi = np.divmod(keys, n_words)
     off = lo != hi
     rows = np.concatenate((lo, hi[off]))
     cols = np.concatenate((hi, lo[off]))
-    # Keys are distinct, so any sort gives this order; the stable one is the kernel _add_in_order
-    # already paged in, where a first quicksort would add resident code.
-    order = np.argsort(rows * n_words + cols, kind="stable")
+    order = np.argsort(rows * n_words + cols)  # distinct keys: every sort gives this order
     return CooccurrenceTable(WORD_WORD, rows[order], cols[order], np.concatenate((sums, sums[off]))[order])
 
 
@@ -340,10 +334,10 @@ def _ranges(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
     return shift + np.arange(len(shift))
 
 
-def _entity_word_keys(chunk: _Chunk, eidx: dict[str, int], window: int, n_words: int) -> np.ndarray:
-    """The chunk's entity-word keys, one per counted (entity, token):
-    window tokens on either side of each catalog mention, and every token
-    of a catalog entity's article document."""
+def _entity_word_pairs(chunk: _Chunk, eidx: dict[str, int], window: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's entity-word keys, each with a count of 1, one per counted
+    (entity, token): window tokens on either side of each catalog mention,
+    and every token of a catalog entity's article document."""
     mentions = [
         (e, k, m.sentence, *m.span)
         for k, doc in enumerate(chunk.docs)
@@ -368,7 +362,7 @@ def _entity_word_keys(chunk: _Chunk, eidx: dict[str, int], window: int, n_words:
     words = chunk.ids[_ranges(begin, length)]
     entities = np.repeat(np.concatenate((ent, ent, art_ent)), length)
     keep = words >= 0
-    return entities[keep] * n_words + words[keep]
+    return entities[keep] * n_words + words[keep], np.ones(np.count_nonzero(keep))
 
 
 def count_entity_word(
@@ -379,13 +373,10 @@ def count_entity_word(
     tokens excluded), plus every vocabulary token of the entity's own
     article document.  Mentions must address a span inside one of their
     document's sentences, as `load_corpus` checks."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
     n_words = len(vocab)
-    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0)
-    for chunk in _encoded_chunks(docs, vocab):
-        new = _entity_word_keys(chunk, catalog.index, window, n_words)
-        keys, counts = _add_in_order(keys, counts, new, np.ones(len(new)))
+    keys, counts = _merged_counts(
+        docs, vocab, window, lambda chunk: _entity_word_pairs(chunk, catalog.index, window, n_words)
+    )
     rows, cols = np.divmod(keys, n_words)
     return CooccurrenceTable(ENTITY_WORD, rows, cols, counts)
 

@@ -597,6 +597,40 @@ def ref_triple_score(view, h, r, t):
     return -float(np.linalg.norm(view.points[t] - view.points[h] - view.rel_vectors[r]))
 
 
+def ref_triple_classification(valid_rows, test_rows, view):
+    """evalharness.eval_triple_classification row by row, its thresholds
+    keyed by relation id string.  Returns its result dict and the warning
+    messages in order, or None when no test row resolves.  Each score takes
+    the program's norm call on a one-row array, so it rounds as the
+    program's does."""
+
+    def resolve(rows):
+        known = view.index, view.rel_index, view.index
+        return [(h, r, t, bool(y)) for h, r, t, y in rows if all(x in ids for x, ids in zip((h, r, t), known))]
+
+    def score(h, r, t):
+        d = view.points[view.index[t]] - view.points[view.index[h]] - view.rel_vectors[view.rel_index[r]]
+        return -float(np.linalg.norm(d[None, :], axis=1)[0])
+
+    valid, test = resolve(valid_rows), resolve(test_rows)
+    if not test:
+        return None
+    skipped = len(valid_rows) - len(valid) + len(test_rows) - len(test)
+    messages = [f"triple classification skipped {skipped} unresolvable rows"] if skipped else []
+    by_relation = {}
+    for h, r, t, y in valid:
+        by_relation.setdefault(r, []).append((score(h, r, t), y))
+    thresholds = {r: ref_best_threshold(*zip(*rows)) for r, rows in by_relation.items()}
+    global_delta = ref_best_threshold([score(h, r, t) for h, r, t, _ in valid], [y for *_, y in valid]) if valid else 0.0
+    for r in dict.fromkeys(r for _, r, _, _ in test):
+        if r not in thresholds:
+            messages.append(f"relation {r!r} absent from validation; using the global threshold")
+    correct = sum((score(h, r, t) > thresholds.get(r, global_delta)) == y for h, r, t, y in test)
+    result = {"task": "triple_classification", "accuracy": correct / len(test), "n_test": len(test),
+              "thresholds": thresholds, "skipped": skipped}
+    return result, messages
+
+
 # --- recursive type-hierarchy closure ------------------------------------------
 
 

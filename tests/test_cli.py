@@ -461,8 +461,13 @@ class TestEval:
         ("analogy", lambda rec: rec.update(split=0), "field 'split' is not an object"),
         ("ranking", lambda rec: rec.update(values=list(rec["values"])), "field 'values' is not an object"),
         ("induction", lambda rec: rec.update(split=[rec["split"]]), "field 'split' is not an object"),
+        ("ranking", lambda rec: rec.update(attribute=[]), "field 'attribute' is not a string"),
+        ("ranking", lambda rec: rec.update(type=None), "field 'type' is not a string"),
+        ("induction", lambda rec: rec.update(relation=None), "field 'relation' is not a string"),
+        ("induction", lambda rec: rec.update(target=["c00"]), "field 'target' is not a string"),
     ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "string_part", "nan_string_value",
-            "infinite_value", "bool_value", "empty_list_split", "zero_split", "list_values", "list_split"])
+            "infinite_value", "bool_value", "empty_list_split", "zero_split", "list_values", "list_split",
+            "list_attribute", "null_type", "null_relation", "list_target"])
     def test_malformed_problem_record_exit_one(self, trained_model, micro_dir, tmp_path, capsys, task, edit, message):
         # Unchecked at load, these end in an IndexError or a message naming
         # no field, or read as a result.

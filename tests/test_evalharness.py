@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,34 @@ class TestEvalTripleClassification:
         want = np.array([ref.ref_triple_score(view, h, r, t) for h, r, t in rows])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_several_relations_match_per_row_reference(self, data):
+        # Small integer coordinates make equal scores, and so threshold ties, common.
+        n_ent, n_rel = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        coords = st.integers(-3, 3).map(float)
+        points = np.array(data.draw(st.lists(st.lists(coords, min_size=2, max_size=2), min_size=n_ent, max_size=n_ent)))
+        rels = np.array(data.draw(st.lists(st.lists(coords, min_size=2, max_size=2), min_size=n_rel, max_size=n_rel)))
+        rel_ids = [f"r{k}" for k in data.draw(st.permutations(range(n_rel)))]  # index order is not id order
+        view = make_view(points, rel_ids=rel_ids, rel_vectors=rels)
+        entity = st.sampled_from([*view.entity_ids, "ghost"])
+        relation = st.sampled_from([*rel_ids, "ghost_rel"])
+        row = st.tuples(entity, relation, entity, st.integers(0, 1))
+        valid, test = data.draw(st.lists(row, max_size=20)), data.draw(st.lists(row, max_size=20))
+        want = ref.ref_triple_classification(valid, test, view)
+        if want is None:
+            with pytest.raises(ProblemFormatError, match="resolves none"):
+                eval_triple_classification(valid, test, view)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = eval_triple_classification(valid, test, view)
+        result, messages = want
+        assert out == result
+        assert list(out["thresholds"]) == list(result["thresholds"])
+        assert [*map(float.hex, out["thresholds"].values())] == [*map(float.hex, result["thresholds"].values())]
+        assert [str(w.message) for w in caught] == messages
+
     def test_no_resolvable_test_row_is_an_error(self):
         view = self._view(np.zeros((2, 2)), np.zeros((1, 2)))
         valid = [("e000", "r", "e001", 1), ("e000", "r", "e000", 0)]
@@ -515,6 +544,23 @@ class TestProblemLoaders:
         p = tmp_path / "p.json"
         p.write_text(json.dumps(rec))
         with pytest.raises(ProblemFormatError, match=f"^{p}: record 0: field '{field}' is not an object$"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader, field", [
+        (load_ranking_problems, "type"), (load_ranking_problems, "attribute"),
+        (load_induction_problems, "relation"), (load_induction_problems, "target"),
+    ])
+    @pytest.mark.parametrize("value", [[], ["a"], None, 3, True, {"a": "b"}])
+    def test_name_field_must_be_a_string(self, tmp_path, loader, field, value):
+        # A list or null name used to load and reach messages and results files.
+        import json
+
+        rec = {"type": "t", "attribute": "a", "relation": "r", "target": "f",
+               "values": {f"e{i}": i for i in range(30)},
+               "split": {"train": [f"e{i}" for i in range(18)], "valid": [], "test": [f"e{i}" for i in range(18, 30)]}}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps([rec, {**rec, field: value}]))
+        with pytest.raises(ProblemFormatError, match=f"^{p}: record 1: field '{field}' is not a string$"):
             loader(p)
 
     @pytest.mark.parametrize("quads", [None, True, 2.5, "abcd", {"a": "b"}])

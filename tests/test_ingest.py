@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reference_impls import ref_count_entity_word, ref_count_word_word, ref_load_type_system
@@ -357,6 +357,12 @@ def _corpora(draw):
     return docs, vocab, _catalog(*entities)
 
 
+# The empty inputs of the merge: no chunk at all, and one chunk with nothing to count, on which
+# np.bincount returns int64 sums.
+_EMPTY_CORPUS = ([], ingest.Vocabulary(("a",)), ingest.EntityCatalog((), (), 0))
+_NOTHING_COUNTED = ([doc(sentences=((), ("b",)))], *_EMPTY_CORPUS[1:])
+
+
 class TestCountersMatchLoops:
     """The array counters against the loops they replaced, over corpora with
     out-of-vocabulary tokens, empty sentences, windows longer than a
@@ -364,6 +370,8 @@ class TestCountersMatchLoops:
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=_corpora(), window=st.integers(1, 14), chunk=st.integers(1, 40))
+    @example(corpus=_EMPTY_CORPUS, window=1, chunk=1)
+    @example(corpus=_NOTHING_COUNTED, window=1, chunk=1)
     def test_word_word_bit_identical(self, corpus, window, chunk):
         docs, vocab, _ = corpus
         with mock.patch.object(ingest, "_CHUNK_TOKENS", chunk):
@@ -372,6 +380,8 @@ class TestCountersMatchLoops:
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=_corpora(), window=st.integers(1, 14), chunk=st.integers(1, 40))
+    @example(corpus=_EMPTY_CORPUS, window=1, chunk=1)
+    @example(corpus=_NOTHING_COUNTED, window=1, chunk=1)
     def test_entity_word_bit_identical(self, corpus, window, chunk):
         docs, vocab, catalog = corpus
         with mock.patch.object(ingest, "_CHUNK_TOKENS", chunk):
