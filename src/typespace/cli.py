@@ -40,15 +40,14 @@ def _read_config(path) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"--config: no such file: {path}")
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in ingest.numbered_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -428,7 +427,7 @@ def main(argv=None) -> int:
         ingest.NoCommonTypeError,
         ingest.SubclassCycleError,
         evalharness.ProblemFormatError,
-        FileNotFoundError,
+        OSError,  # an unreadable file, or a directory where a file is due
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -180,6 +180,16 @@ def _validate_document(doc: Document, lineno: int | None = None) -> None:
                 )
 
 
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a UTF-8 text file; bytes that are
+    not UTF-8 raise CorpusParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise CorpusParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_corpus(path) -> list[Document]:
     """Load a JSON-lines corpus file into validated documents.
 
@@ -188,24 +198,23 @@ def load_corpus(path) -> list[Document]:
     entity catalog happens when counting.
     """
     docs: list[Document] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id = rec["doc_id"]
-                sentences = tuple(tuple(map(sys.intern, map(str.lower, map(str, sent)))) for sent in rec["sentences"])
-                mentions = tuple(
-                    Mention(m["entity"], int(m["sentence"]), (int(m["span"][0]), int(m["span"][1])))
-                    for m in rec.get("mentions", [])
-                )
-                article_of = rec.get("article_of")
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
-            doc = Document(doc_id=doc_id, sentences=sentences, mentions=mentions, article_of=article_of)
-            _validate_document(doc, lineno)
-            docs.append(doc)
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            doc_id = rec["doc_id"]
+            sentences = tuple(tuple(map(sys.intern, map(str.lower, map(str, sent)))) for sent in rec["sentences"])
+            mentions = tuple(
+                Mention(m["entity"], int(m["sentence"]), (int(m["span"][0]), int(m["span"][1])))
+                for m in rec.get("mentions", [])
+            )
+            article_of = rec.get("article_of")
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
+        doc = Document(doc_id=doc_id, sentences=sentences, mentions=mentions, article_of=article_of)
+        _validate_document(doc, lineno)
+        docs.append(doc)
     return docs
 
 
@@ -383,15 +392,14 @@ def count_entity_word(
 
 def _read_tsv(path, n_fields: int):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != n_fields:
-                raise CorpusParseError(f"{path}: expected {n_fields} tab-separated fields on line {lineno}")
-            rows.append(tuple(parts))
+    for lineno, line in numbered_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != n_fields:
+            raise CorpusParseError(f"{path}: expected {n_fields} tab-separated fields on line {lineno}")
+        rows.append(tuple(parts))
     return rows
 
 

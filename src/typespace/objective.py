@@ -53,13 +53,18 @@ class LossBreakdown:
     total: float = 0.0
 
 
-def weight_f(x, x_max: float, exp: float):
+# GloVe's co-occurrence weighting: counts saturate at X_MAX (Pennington et al., 2014).
+X_MAX = 100.0
+WEIGHT_EXP = 0.75
+
+
+def weight_f(x):
     """Co-occurrence weighting, elementwise on a count or an array of
-    counts: (x/x_max)**exp below x_max, 1 beyond."""
+    counts: (x/X_MAX)**WEIGHT_EXP below X_MAX, 1 beyond."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("co-occurrence count must be non-negative")
-    return np.minimum(np.power(x / x_max, exp), 1.0)
+    return np.minimum(np.power(x / X_MAX, WEIGHT_EXP), 1.0)
 
 
 # Table kind -> the EmbeddingModel attributes of its fit's row vectors,
@@ -70,7 +75,7 @@ TEXT_FITS = {
 }
 
 
-def text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) -> float:
+def text_loss(table: CooccurrenceTable, model: EmbeddingModel) -> float:
     """Weighted least-squares fit of a table's log counts by the bilinear
     fit TEXT_FITS names for its kind: word against context vectors for a
     word-word table, entity points against word vectors for an entity-word
@@ -79,7 +84,7 @@ def text_loss(table: CooccurrenceTable, model: EmbeddingModel, hp: Hyperparams) 
         return 0.0
     u, v, bu, bv = (getattr(model, attr) for attr in TEXT_FITS[table.kind])
     i, j = table.rows, table.cols
-    fx = weight_f(table.weights, hp.x_max, hp.weight_exp)
+    fx = weight_f(table.weights)
     return float(np.sum(text_entry_terms(u[i], v[j], bu[i], bv[j], fx, np.log(table.weights))[0]))
 
 
@@ -201,9 +206,9 @@ def total_objective(
     flags = variant_flags(hp.variant)
     out = LossBreakdown()
     if word_word is not None:
-        out.j_glove = text_loss(word_word, params.model, hp)
+        out.j_glove = text_loss(word_word, params.model)
     if entity_word is not None:
-        out.j_text_entity = text_loss(entity_word, params.model, hp)
+        out.j_text_entity = text_loss(entity_word, params.model)
     if flags.type_active:
         out.j_type = type_loss(params.types, params.model)
         if flags.comb:

@@ -312,7 +312,7 @@ def _text_pass(entries, order, state, hp, alpha) -> int:
     return len(bounds) - 1
 
 
-def _prepare_text_entries(data: TrainData, hp: Hyperparams, state: _AdaState):
+def _prepare_text_entries(data: TrainData, state: _AdaState):
     """(u rows, v rows, weights f(x), log x) of every text entry of both
     tables, its rows and columns as rows of state's row buffer; None
     without entries."""
@@ -323,7 +323,7 @@ def _prepare_text_entries(data: TrainData, hp: Hyperparams, state: _AdaState):
         u, v = TEXT_FITS[table.kind][:2]
         urows.append(state.starts[u] + table.rows)
         vrows.append(state.starts[v] + table.cols)
-        fvals.append(weight_f(table.weights, hp.x_max, hp.weight_exp))
+        fvals.append(weight_f(table.weights))
         logs.append(np.log(table.weights))
     if not urows:
         return None
@@ -474,7 +474,7 @@ def train(
     log_fh = None
     state = _AdaState(params)  # params views its buffers until state.release()
     try:
-        entries = _prepare_text_entries(data, hp, state)
+        entries = _prepare_text_entries(data, state)
         plans = _group_plans(params, state)
         log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
         for epoch in range(hp.epochs):

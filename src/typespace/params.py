@@ -4,20 +4,22 @@ Types and relation groups are the same subspace block, and the blocks of
 each kind (types, tail groups, head groups) are stacked in one BlockStore.
 How the trainer lays out and steps these arrays is optimize's concern.
 
-The model file (format version 2) is a little-endian binary layout: magic,
-format version, the hyperparameters, id tables for entities/words/relations,
-the embedding and relation arrays as raw float64, per block kind its key
-table and its stacked anchors, member counts, members and coefficient rows,
-and a trailing CRC32 of everything before it.  Loading tests each array at
-once (shapes, member counts, indices in range, strictly ascending keys,
-finite floats, coefficient rows on the simplex).  A version-1 file, one
-record per block, gets a version error and must be retrained.  The format
+The model file (format version 3) is the magic, the format version and the
+header length as little-endian u64s, a UTF-8 JSON header (hyperparameters,
+id tables, type ids, array shapes), the arrays as raw little-endian bytes
+(embedding arrays, relation vectors, then per block kind its group keys,
+stacked anchors, member counts, members and coefficient rows), and a CRC32
+of everything before it.  Loading checks each header field's JSON type,
+then each array at once (shapes, member counts, indices in range, strictly
+ascending keys, finite floats, coefficient rows on the simplex).  A file of
+an older version gets a version error and must be retrained.  The format
 round-trips losslessly; a text export is available for interop.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import struct
 import zlib
@@ -31,7 +33,7 @@ import numpy as np
 from typespace.ingest import TripleStore, TypeSystem
 
 MAGIC = b"TYSPACE1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # A coefficient row is on the probability simplex when its sum is within
 # _SIMPLEX_SUM_TOL of 1 and no entry is below -_SIMPLEX_NEG_TOL
@@ -96,12 +98,10 @@ class ModelIntegrityError(ValueError):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    # The model file stores the fields in this order (_write_hyperparams).
+    # The model header stores the fields in this order (save_model).
     n: int = 50
     alpha_mix: float = 0.5
     beta_reg: float = 300.0
-    x_max: float = 100.0
-    weight_exp: float = 0.75
     epochs: int = 20
     learn_rate: float = 0.05
     variant: str = "full"
@@ -109,16 +109,15 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not 0.0 <= self.alpha_mix <= 1.0:
             raise ValueError("alpha_mix must lie in [0, 1]")
         if self.beta_reg < 0.0:
             raise ValueError("beta_reg must be non-negative")
-        if self.x_max <= 0.0:
-            raise ValueError("x_max must be positive")
-        if not 0.0 < self.weight_exp <= 1.0:
-            raise ValueError("weight_exp must lie in (0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learn_rate <= 0.0:
@@ -414,107 +413,24 @@ class LoadedModel:
         return ModelParams(self.model, self.types, self.rels)
 
 
-class _Writer:
-    def __init__(self):
-        self.chunks: list = []  # bytes-like
+# Hyperparams field annotation -> the Python type of its value in the model header.
+_HP_TYPES = {"int": int, "float": float, "str": str}
 
-    def raw(self, b: bytes):
-        self.chunks.append(b)
-
-    def u64(self, v: int):
-        self.raw(struct.pack("<Q", v))
-
-    def i64(self, v: int):
-        self.raw(struct.pack("<q", v))
-
-    def f64(self, v: float):
-        self.raw(struct.pack("<d", v))
-
-    def string(self, s: str):
-        b = s.encode("utf-8")
-        self.u64(len(b))
-        self.raw(b)
-
-    def strings(self, items):
-        self.u64(len(items))
-        for s in items:
-            self.string(s)
-
-    # The arrays' own buffers go into the chunks; payload copies them once.
-    def array(self, a: np.ndarray):
-        a = np.ascontiguousarray(a, dtype="<f8")
-        self.u64(a.ndim)
-        for d in a.shape:
-            self.u64(d)
-        self.raw(a.data)
-
-    def index_array(self, a: np.ndarray):
-        a = np.ascontiguousarray(a, dtype="<i8")
-        self.u64(a.shape[0])
-        self.raw(a.data)
-
-    def payload(self) -> bytes:
-        return b"".join(self.chunks)
-
-
-class _Reader:
-    def __init__(self, buf):
-        self.buf = memoryview(buf)  # slices of it copy nothing
-        self.pos = 0
-
-    def raw(self, size: int) -> memoryview:
-        if self.pos + size > len(self.buf):
-            raise ModelIntegrityError("model file ends prematurely")
-        out = self.buf[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.raw(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.raw(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
-
-    def string(self) -> str:
-        return str(self.raw(self.u64()), "utf-8")
-
-    def strings(self) -> tuple[str, ...]:
-        return tuple(self.string() for _ in range(self.u64()))
-
-    def array(self, name: str, where: str = "") -> np.ndarray:
-        """The next float array; _label(where, name) names it in the error
-        for a NaN or infinite value."""
-        ndim = self.u64()
-        shape = tuple(self.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.raw(count * 8), dtype="<f8")
-        if not _finite(data):
-            raise ModelFormatError(f"{_label(where, name)} holds a non-finite value")
-        return data.reshape(shape).copy()
-
-    def index_array(self) -> np.ndarray:
-        count = self.u64()
-        return np.frombuffer(self.raw(count * 8), dtype="<i8").astype(np.int64)
-
-
-# Hyperparams field annotation -> _Writer/_Reader method.
-_HP_CODECS = {"int": "i64", "float": "f64", "str": "string"}
-
-
-def _write_hyperparams(w: _Writer, hp: Hyperparams):
-    for f in fields(Hyperparams):
-        getattr(w, _HP_CODECS[f.type])(getattr(hp, f.name))
-
-
-def _read_hyperparams(r: _Reader) -> Hyperparams:
-    values = {f.name: getattr(r, _HP_CODECS[f.type])() for f in fields(Hyperparams)}
-    try:
-        return Hyperparams(**values)
-    except ValueError as exc:
-        raise ModelFormatError(f"hyperparameters: {exc}") from None
+_MODEL_ARRAYS = {"entity_points": 2, "word_vecs": 2, "ctx_vecs": 2, "word_bias": 1, "ctx_bias": 1, "entity_bias": 1}
+_STORE_ARRAYS = (("anchors", "<f8", 3), ("counts", "<i8", 1), ("members", "<i8", 1), ("coeffs", "<f8", 2))
+_STORE_NAMES = {"type": "types", "rhs": "rhs groups", "lhs": "lhs groups"}  # in errors
+# The body's arrays in file order, as (store, name, dtype, ndim): the
+# embedding arrays, the relation vectors, then each store's arrays, a group
+# store's (B, 2) keys first (the type ids are in the header).  store is the
+# block store's name in errors, "" for the others.
+_BODY = (
+    *(("", name, "<f8", ndim) for name, ndim in (*_MODEL_ARRAYS.items(), ("relation vectors", 2))),
+    *(
+        (where, *spec)
+        for kind, where in _STORE_NAMES.items()
+        for spec in ((("keys", "<i8", 2),) if kind != "type" else ()) + _STORE_ARRAYS
+    ),
+)
 
 
 def _label(where: str, name: str) -> str:
@@ -527,31 +443,6 @@ def _check_shapes(where: str, arrays) -> None:
     for name, arr, shape in arrays:
         if arr.shape != shape:
             raise ModelFormatError(f"{_label(where, name)} shape {arr.shape}, expected {shape}")
-
-
-_STORE_NAMES = {"type": "types", "rhs": "rhs groups", "lhs": "lhs groups"}  # in errors
-
-
-def _write_store(w: _Writer, store: BlockStore) -> None:
-    if store.kind == "type":
-        w.strings(store.key_table)
-    else:
-        w.u64(len(store))
-        w.raw(np.array(store.key_table, dtype="<i8").tobytes())
-    w.array(store.anchors)
-    w.index_array(store.counts)
-    w.index_array(store.members)
-    w.array(store.coeffs)
-
-
-def _read_store(r: _Reader, kind: str) -> BlockStore:
-    if kind == "type":
-        keys = r.strings()
-    else:
-        count = r.u64()
-        keys = tuple(map(tuple, np.frombuffer(r.raw(16 * count), dtype="<i8").reshape(count, 2).tolist()))
-    where = _STORE_NAMES[kind]
-    return BlockStore(kind, keys, r.array("anchors", where), r.index_array(), r.index_array(), r.array("coeffs", where))
 
 
 def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -> None:
@@ -593,63 +484,110 @@ def save_model(
     relation_ids,
 ) -> None:
     """Write the versioned binary model file (lossless round-trip)."""
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u64(FORMAT_VERSION)
-    _write_hyperparams(w, hp)
-    w.strings(tuple(entity_ids))
-    w.strings(tuple(word_ids))
-    w.strings(tuple(relation_ids))
-
-    w.array(model.entity_points)
-    w.array(model.word_vecs)
-    w.array(model.ctx_vecs)
-    w.array(model.word_bias)
-    w.array(model.ctx_bias)
-    w.array(model.entity_bias)
-
-    _write_store(w, types.per_type)
-    w.array(rels.vectors)
-    _write_store(w, rels.rhs_groups)
-    _write_store(w, rels.lhs_groups)
-
-    payload = w.payload()
-    checksum = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    arrays = [getattr(model, name) for name in _MODEL_ARRAYS] + [rels.vectors]
+    for store in (types.per_type, rels.rhs_groups, rels.lhs_groups):
+        if store.kind != "type":
+            arrays.append(np.array(store.key_table, dtype=np.int64).reshape(-1, 2))
+        arrays += [getattr(store, name) for name, _, _ in _STORE_ARRAYS]
+    arrays = [np.ascontiguousarray(a, dtype) for a, (_, _, dtype, _) in zip(arrays, _BODY)]
+    header = json.dumps(
+        {
+            "hp": {f.name: _HP_TYPES[f.type](getattr(hp, f.name)) for f in fields(hp)},
+            "entity_ids": list(entity_ids),
+            "word_ids": list(word_ids),
+            "relation_ids": list(relation_ids),
+            "type_ids": list(types.per_type.key_table),
+            "shapes": [a.shape for a in arrays],
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    # The arrays' own buffers go into the join, which copies them once.
+    payload = b"".join([MAGIC, struct.pack("<QQ", FORMAT_VERSION, len(header)), header, *(a.data for a in arrays)])
     with open(path, "wb") as fh:
         fh.write(payload)
-        fh.write(checksum)
+        fh.write(struct.pack("<I", zlib.crc32(payload)))
+
+
+def _typed(value, kind: type, what: str, item: type | None = None):
+    """value, which must be a JSON value of Python type kind, a list of item
+    values when item is given; what names it in the error."""
+    if type(value) is not kind or (item and not set(map(type, value)) <= {item}):
+        raise ModelFormatError(f"model header: {what} is not {kind.__name__}{f' of {item.__name__}' if item else ''}")
+    return value
+
+
+def _read_header(raw: memoryview) -> tuple[dict, Hyperparams]:
+    """The model header from its raw bytes, each field of the type save_model
+    writes, and its Hyperparams."""
+    try:
+        header = json.loads(str(raw, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ModelFormatError(f"model header is not UTF-8 JSON: {exc}") from None
+    _typed(header, dict, "the header")
+    for name in ("entity_ids", "word_ids", "relation_ids", "type_ids"):
+        _typed(header.get(name), list, f"field {name!r}", str)
+    shapes = _typed(header.get("shapes"), list, "field 'shapes'")
+    if len(shapes) != len(_BODY):
+        raise ModelFormatError(f"model header: {len(shapes)} array shapes, expected {len(_BODY)}")
+    for shape, (where, name, _, ndim) in zip(shapes, _BODY):
+        if type(shape) is not list or len(shape) != ndim or not set(map(type, shape)) <= {int} or min(shape) < 0:
+            raise ModelFormatError(f"model header: shape of {_label(where, name)} is not {ndim} non-negative ints")
+    hp = _typed(header.get("hp"), dict, "field 'hp'")
+    values = {f.name: _typed(hp.get(f.name), _HP_TYPES[f.type], f"hp field {f.name!r}") for f in fields(Hyperparams)}
+    try:
+        return header, Hyperparams(**values)
+    except ValueError as exc:
+        raise ModelFormatError(f"hyperparameters: {exc}") from None
 
 
 def load_model(path) -> LoadedModel:
     """Read a model file written by save_model, verifying the checksum."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) + 4:
+    start = len(MAGIC) + 16  # the header's first byte
+    if len(blob) < start + 4:
         raise ModelIntegrityError("model file too short")
     payload, checksum = memoryview(blob)[:-4], blob[-4:]
     if not blob.startswith(MAGIC):
         raise ModelFormatError("not a typespace model file (bad magic)")
-    if struct.unpack("<I", checksum)[0] != (zlib.crc32(payload) & 0xFFFFFFFF):
+    if struct.unpack("<I", checksum)[0] != zlib.crc32(payload):
         raise ModelIntegrityError("model file checksum mismatch (truncated or corrupted)")
 
-    r = _Reader(payload)
-    r.raw(len(MAGIC))
-    version = r.u64()
+    version, size = struct.unpack_from("<QQ", payload, len(MAGIC))
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"model format version {version} not supported (expected {FORMAT_VERSION})")
-    hp = _read_hyperparams(r)
-    entity_ids = r.strings()
-    word_ids = r.strings()
-    relation_ids = r.strings()
+    header, hp = _read_header(payload[start : start + size])
+    # A header length past the end leaves the first offset past it too.
+    offsets = list(itertools.accumulate((8 * math.prod(s) for s in header["shapes"]), initial=start + size))
+    if offsets[-1] != len(payload):
+        raise ModelFormatError(
+            f"the array shapes take {offsets[-1] - offsets[0]} bytes, the model file holds {len(payload) - offsets[0]}"
+        )
 
-    model = EmbeddingModel(**{name: r.array(name) for name in (
-        "entity_points", "word_vecs", "ctx_vecs", "word_bias", "ctx_bias", "entity_bias"
-    )})
+    arrays = []
+    for (where, name, dtype, _), shape, offset in zip(_BODY, header["shapes"], offsets):
+        data = np.frombuffer(payload, dtype, math.prod(shape), offset)
+        if dtype == "<f8" and not _finite(data):
+            raise ModelFormatError(f"{_label(where, name)} holds a non-finite value")
+        try:
+            arrays.append(data.reshape(shape).copy())
+        except ValueError:  # a dimension too large for an array, next to a zero
+            raise ModelFormatError(f"{_label(where, name)} shape {tuple(shape)} is too large") from None
+    arrays = iter(arrays)
+    model = EmbeddingModel(**{name: next(arrays) for name in _MODEL_ARRAYS})
+    vectors = next(arrays)
+    stores = []
+    for kind, where in _STORE_NAMES.items():
+        if kind == "type":
+            keys = tuple(header["type_ids"])
+        else:
+            pairs = next(arrays)
+            _check_shapes(where, (("keys", pairs, (len(pairs), 2)),))
+            keys = tuple(map(tuple, pairs.tolist()))
+        stores.append(BlockStore(kind, keys, *(next(arrays) for _ in _STORE_ARRAYS)))
+    types, rels = stores[0], RelationParams(vectors, *stores[1:])
 
-    types = _read_store(r, "type")
-    rels = RelationParams(r.array("relation vectors"), _read_store(r, "rhs"), _read_store(r, "lhs"))
-    if r.pos != len(payload):
-        raise ModelIntegrityError("trailing bytes after model payload")
+    entity_ids, word_ids, relation_ids = (tuple(header[name]) for name in ("entity_ids", "word_ids", "relation_ids"))
     n_e, n_w, n_r = len(entity_ids), len(word_ids), len(relation_ids)
     _check_shapes("", (
         ("entity_points", model.entity_points, (n_e, hp.n)),
@@ -660,7 +598,7 @@ def load_model(path) -> LoadedModel:
         ("ctx_bias", model.ctx_bias, (n_w,)),
         ("relation vectors", rels.vectors, (n_r, hp.n)),
     ))
-    for store in (types, rels.rhs_groups, rels.lhs_groups):
+    for store in stores:
         _check_store(store, hp.n, n_e, n_r)
     return LoadedModel(model, TypeSubspaceParams(types), rels, hp, entity_ids, word_ids, relation_ids)
 

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,26 @@ def micro_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("micro")
     paths = synth.make_micro_corpus(str(out))
     return paths
+
+
+def with_crc(payload: bytes) -> bytes:
+    """payload followed by its CRC32, as save_model ends a file."""
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def split_model(blob: bytes) -> tuple[bytes, bytes, bytes]:
+    """(magic and version, header, array bytes) of a model file; the checksum is dropped."""
+    size = struct.unpack_from("<Q", blob, 16)[0]
+    return blob[:16], blob[24 : 24 + size], blob[24 + size : -4]
+
+
+def rewrite_header(path, edit, raw=False) -> None:
+    """Replace the model file's header by edit(header) and refresh the
+    length and checksum; edit takes and returns the header bytes when raw,
+    the parsed header otherwise."""
+    start, header, body = split_model(path.read_bytes())
+    header = edit(header) if raw else json.dumps(edit(json.loads(header))).encode()
+    path.write_bytes(with_crc(start + struct.pack("<Q", len(header)) + header + body))
 
 
 def block_store(kind, blocks, n):

@@ -91,7 +91,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     text_batches = []
 
     def text():
-        entries = optimize._prepare_text_entries(data, hp, state)
+        entries = optimize._prepare_text_entries(data, state)
         text_batches.append(optimize._text_pass(entries, order(len(entries[0])), state, hp, alpha))
 
     def type_loss(comb):
@@ -133,7 +133,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     group_keys = {str((kind, groups.kind, key)) for groups in (rels.rhs_groups, rels.lhs_groups) for key in groups
                   for kind in ("q", "mu")}
     return [
-        ("text", text, lambda: alpha * (text_loss(ww, m, hp) + text_loss(ew, m, hp)),
+        ("text", text, lambda: alpha * (text_loss(ww, m) + text_loss(ew, m)),
          {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew, text_batches[-1])),
         ("type", type_run("full"), lambda: type_loss(False), type_keys, type_steps),
         ("type_comb", type_run("type_comb"), lambda: type_loss(True), type_keys, type_steps),

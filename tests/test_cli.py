@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rewrite_header
 from typespace import cli, evalharness, ingest, subspace
 from typespace.params import Hyperparams, load_model, save_model
 
@@ -85,6 +86,10 @@ class TestTrain:
             ("--window", "0"),
             ("--epochs", "0"),
             ("--epochs", "-1"),
+            ("--beta", "nan"),
+            ("--rank-eps", "nan"),
+            ("--lr", "inf"),
+            ("--beta", "-inf"),
         ],
     )
     def test_bad_value_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
@@ -484,6 +489,58 @@ class TestEval:
         assert not (tmp_path / f"bad.results_{task}.json").exists()
 
 
+class TestUnreadableInputs:
+    """A file that is not UTF-8 text, a directory where a file is due, or a
+    model file whose header cannot be read ends in one error line with exit
+    1, not a traceback."""
+
+    def _train(self, micro_dir, tmp_path, **flags):
+        argv = {"--corpus": micro_dir["corpus"], "--variant": "text", "--epochs": "1", "--dim": "4",
+                "--min-count": "3", "--min-mentions": "3", "--out": str(tmp_path / "m.bin"), **flags}
+        return run(["train", *(x for pair in argv.items() for x in pair)])
+
+    def _one_error_line(self, capsys, code, *parts):
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert all(str(part) in err for part in parts)
+
+    def test_non_utf8_corpus(self, micro_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(Path(micro_dir["corpus"]).read_bytes() + b'{"doc_id": "d\xff", "sentences": []}\n')
+        self._one_error_line(capsys, self._train(micro_dir, tmp_path, **{"--corpus": str(corpus)}), corpus, "UTF-8")
+
+    def test_non_utf8_triples(self, micro_dir, tmp_path, capsys):
+        triples = tmp_path / "triples.tsv"
+        triples.write_bytes(Path(micro_dir["triples"]).read_bytes() + b"e\xff\tr\tt\n")
+        code = self._train(micro_dir, tmp_path, **{"--variant": "full", "--triples": str(triples)})
+        self._one_error_line(capsys, code, triples, "UTF-8")
+
+    def test_non_utf8_config(self, micro_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"epochs=1\n\xff=2\n")
+        self._one_error_line(capsys, self._train(micro_dir, tmp_path, **{"--config": str(conf)}), conf, "UTF-8")
+
+    def test_directory_as_corpus(self, micro_dir, tmp_path, capsys):
+        self._one_error_line(capsys, self._train(micro_dir, tmp_path, **{"--corpus": str(tmp_path)}), tmp_path)
+
+    def test_directory_as_model(self, tmp_path, capsys):
+        code = run(["export", "--model", str(tmp_path), "--out", str(tmp_path / "emb.txt")])
+        self._one_error_line(capsys, code, tmp_path)
+
+    @pytest.mark.parametrize("edit, raw, message", [
+        (lambda h: {**h, "shapes": [[2**32, 2**32], *h["shapes"][1:]]}, False,
+         "the array shapes take 1475739525896764"),
+        (lambda h: h.replace(b'"entity_ids":["', b'"entity_ids":["\xff'), True, "model header is not UTF-8 JSON"),
+    ], ids=["huge_shape", "non_utf8_entity_id"])
+    def test_unreadable_model_header(self, trained_model, tmp_path, capsys, edit, raw, message):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(trained_model.read_bytes())
+        rewrite_header(bad, edit, raw)
+        code = run(["export", "--model", str(bad), "--out", str(tmp_path / "emb.txt")])
+        self._one_error_line(capsys, code, message)
+        assert not (tmp_path / "emb.txt").exists()
+
+
 class TestIngestDefaults:
     @staticmethod
     def _tables_equal(got, want):
@@ -553,7 +610,7 @@ class TestInspect:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) > 1
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_rank_eps_not_positive_exit_one(self, trained_model, capsys, value):
         code = run(["inspect", "--model", str(trained_model), "--rank-eps", value])
         assert code == 1
@@ -695,7 +752,8 @@ class TestTune:
     def test_missing_problems_exit_one(self, micro_dir, capsys):
         assert run(["tune", "--corpus", micro_dir["corpus"]]) == 1
 
-    @pytest.mark.parametrize("flag,value", [("--alphas", "a,b"), ("--betas", "1,x"), ("--alphas", "0.5,2"), ("--betas", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--alphas", "a,b"), ("--betas", "1,x"), ("--alphas", "0.5,2"), ("--betas", "-1"),
+                                           ("--betas", "1,nan")])
     def test_bad_grid_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "best.json"
         argv = ["tune", "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"], "--dim", "4",

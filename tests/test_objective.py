@@ -51,67 +51,64 @@ def make_model(entity_points, word_vecs=None, ctx_vecs=None, word_bias=None, ctx
     )
 
 
-HP = Hyperparams(n=2, epochs=1)
-
-
 class TestWeightF:
     def test_at_x_max(self):
-        assert weight_f(100.0, 100.0, 0.75) == 1.0
+        assert weight_f(100.0) == 1.0
 
     def test_clamped_above(self):
-        assert weight_f(150.0, 100.0, 0.75) == 1.0
+        assert weight_f(150.0) == 1.0
 
     def test_fractional_value(self):
         # (0.16)**(3/4) == (2/5)**(3/2)
-        assert weight_f(16.0, 100.0, 0.75) == pytest.approx(0.25298221281347033, rel=1e-12)
+        assert weight_f(16.0) == pytest.approx(0.25298221281347033, rel=1e-12)
 
     def test_monotone_and_saturating(self):
         xs = np.linspace(0.0, 250.0, 400)
-        vals = [weight_f(x, 100.0, 0.75) for x in xs]
+        vals = [weight_f(x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(v == 1.0 for x, v in zip(xs, vals) if x >= 100.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            weight_f(-1.0, 100.0, 0.75)
+            weight_f(-1.0)
 
 
 class TestGloveLoss:
     def test_log_one_zero_residual(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): 1.0})
-        assert text_loss(table, model, HP) == 0.0
+        assert text_loss(table, model) == 0.0
 
     def test_count_e_unit_residual(self):
         # pred = 2 against log(e) = 1 leaves residual 1, so the loss is
         # exactly f(e) = (e/100)**0.75.
         model = make_model(np.zeros((1, 2)), word_bias=[2.0, 0.0])
         table = CooccurrenceTable.from_dict(WORD_WORD, {(0, 1): math.e})
-        assert text_loss(table, model, HP) == pytest.approx(0.06694541859110348, rel=1e-12)
-        assert text_loss(table, model, HP) == pytest.approx((math.e / 100.0) ** 0.75, rel=1e-12)
+        assert text_loss(table, model) == pytest.approx(0.06694541859110348, rel=1e-12)
+        assert text_loss(table, model) == pytest.approx((math.e / 100.0) ** 0.75, rel=1e-12)
 
     def test_empty_table(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(WORD_WORD, {})
-        assert text_loss(table, model, HP) == 0.0
+        assert text_loss(table, model) == 0.0
 
 
 class TestEntityWordLoss:
     def test_count_one_zero_params(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 1.0})
-        assert text_loss(table, model, HP) == 0.0
+        assert text_loss(table, model) == 0.0
 
     def test_exact_fit_zero(self):
         model = make_model(np.array([[1.0, 0.0]]), word_vecs=np.array([[math.log(7.0), 0.0], [0.0, 0.0]]))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 7.0})
-        assert text_loss(table, model, HP) == pytest.approx(0.0, abs=1e-15)
+        assert text_loss(table, model) == pytest.approx(0.0, abs=1e-15)
 
     def test_count_two_zero_params(self):
         model = make_model(np.zeros((1, 2)))
         table = CooccurrenceTable.from_dict(ENTITY_WORD, {(0, 0): 2.0})
         # f(2) * (ln 2)^2, frozen
-        assert text_loss(table, model, HP) == pytest.approx(0.02555191292596024, rel=1e-12)
+        assert text_loss(table, model) == pytest.approx(0.02555191292596024, rel=1e-12)
 
 
 def one_type(anchors, members, coeffs):
@@ -431,7 +428,7 @@ class TestLossAndGradients:
         ww, ew, store, params, hp = random_instance(3)
         i, j, x = int(ww.rows[0]), int(ww.cols[0]), float(ww.weights[0])
         m = params.model
-        fx = weight_f(x, hp.x_max, hp.weight_exp)
+        fx = weight_f(x)
         gb = text_entry_terms(m.word_vecs[i], m.ctx_vecs[j], m.word_bias[i], m.ctx_bias[j], fx, math.log(x))[3]
         resid = float(m.word_vecs[i] @ m.ctx_vecs[j]) + m.word_bias[i] + m.ctx_bias[j] - math.log(x)
         assert gb == pytest.approx(2.0 * fx * resid, rel=1e-12)
@@ -441,7 +438,7 @@ class TestLossAndGradients:
         # four rows taken alone, to the bit.
         ww, ew, store, params, hp = random_instance(5)
         m, i, j = params.model, ew.rows, ew.cols
-        fx, logx = weight_f(ew.weights, hp.x_max, hp.weight_exp), np.log(ew.weights)
+        fx, logx = weight_f(ew.weights), np.log(ew.weights)
         batch = text_entry_terms(m.entity_points[i], m.word_vecs[j], m.entity_bias[i], m.word_bias[j], fx, logx)
         for k in range(len(ew)):
             alone = text_entry_terms(

@@ -291,7 +291,7 @@ class TestFiniteGuards:
         tables = (table, None) if kind == WORD_WORD else (None, table)
         data = TrainData(6, 8, *tables, synth.empty_type_system(), store)
         state = optimize._AdaState(params)
-        entries = optimize._prepare_text_entries(data, hp, state)
+        entries = optimize._prepare_text_entries(data, state)
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
             optimize._text_pass(entries, [0], state, hp, 0.5)
@@ -697,7 +697,7 @@ class TestTrainerStepsWithCheckedGradients:
         data, params, hp = self._instance(3)
         state = optimize._AdaState(params)
         m = params.model
-        entries = optimize._prepare_text_entries(data, hp, state)
+        entries = optimize._prepare_text_entries(data, state)
         order = np.random.default_rng(3).permutation(len(entries[0]))
         n_batches = optimize._text_pass(entries, order, state, hp, self.ALPHA)
         assert len(steps) == n_batches
@@ -723,7 +723,7 @@ class TestTrainerStepsWithCheckedGradients:
                 i, j = int(i), int(j)
                 x = float(table.weights[(table.rows == i) & (table.cols == j)][0])
                 # d/dtheta of f(x) * (u.v + b_u + b_v - log x)^2.
-                coef = self.ALPHA * 2.0 * float(weight_f(x, hp.x_max, hp.weight_exp)) * (
+                coef = self.ALPHA * 2.0 * float(weight_f(x)) * (
                     float(u[i] @ v[j]) + bu[i] + bv[j] - math.log(x)
                 )
                 pairs = ((grad[p, :n], coef * v[j]), (grad[k + p, :n], coef * u[i]), (grad[p, n], coef), (grad[k + p, n], coef))

@@ -1,16 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
+from conftest import rewrite_header, split_model, with_crc
 from typespace import synth
 from typespace.params import (
     BlockStore,
     Hyperparams,
     ModelFormatError,
     ModelIntegrityError,
-    _Reader,
-    _Writer,
-    _read_hyperparams,
-    _write_hyperparams,
     anchor_span_matrix,
     clone_params,
     export_text,
@@ -21,12 +20,21 @@ from typespace.params import (
 )
 
 
-def small_setup(n=3, n_entities=5, n_words=4, seed=42):
-    ts = synth.single_type_system("thing", n_entities)
+def small_setup(n=3, n_entities=5, n_words=4, seed=42, typed=True):
+    ts = synth.single_type_system("thing", n_entities) if typed else synth.empty_type_system()
     data = synth.chain_graph(n_entities)
     hp = Hyperparams(n=n, seed=seed, epochs=1)
     params = init_parameters(n_entities, n_words, ts, data.triples, hp)
     return params, hp, data
+
+
+def save_small(path, params, hp):
+    """save_model with small_setup's id tables: 5 entities, 4 words, 2 relations."""
+    save_model(
+        path, params.model, params.types, params.rels, hp,
+        entity_ids=[f"e{i}" for i in range(5)], word_ids=[f"w{j}" for j in range(4)], relation_ids=["next", "skip"],
+    )
+    return path
 
 
 class TestHyperparams:
@@ -51,21 +59,27 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="epochs"):
             Hyperparams(epochs=epochs)
 
-    def test_encoding_is_pinned(self):
-        # The model file holds the fields in declaration order; reordering
-        # Hyperparams' fields would change the file format.
+    @pytest.mark.parametrize("field", ["alpha_mix", "beta_reg", "learn_rate", "rank_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Hyperparams(**{field: value})
+
+    def test_encoding_is_pinned(self, tmp_path):
+        # The model header holds the fields in declaration order, each as a
+        # JSON value of its annotated type; reordering Hyperparams' fields
+        # would change the file format.
+        params, _, _ = small_setup(n=7)
         hp = Hyperparams(
-            n=7, alpha_mix=0.25, beta_reg=1.5, x_max=42.0, weight_exp=0.5, epochs=3, learn_rate=0.125,
-            variant="type_comb", rank_eps=0.01, seed=11,
+            n=7, alpha_mix=0.25, beta_reg=1.5, epochs=3, learn_rate=0.125, variant="type_comb", rank_eps=0.01, seed=11
         )
-        w = _Writer()
-        _write_hyperparams(w, hp)
-        assert w.payload().hex() == (
-            "0700000000000000000000000000d03f000000000000f83f0000000000004540000000000000e03f"
-            "0300000000000000000000000000c03f0900000000000000747970655f636f6d627b14ae47e17a84"
-            "3f0b00000000000000"
+        path = save_small(tmp_path / "model.bin", params, hp)
+        header = split_model(path.read_bytes())[1].decode()
+        assert header.startswith(
+            '{"hp":{"n":7,"alpha_mix":0.25,"beta_reg":1.5,"epochs":3,"learn_rate":0.125,'
+            '"variant":"type_comb","rank_eps":0.01,"seed":11},'
         )
-        assert _read_hyperparams(_Reader(w.payload())) == hp
+        assert load_model(path).hp == hp
 
 
 class TestInit:
@@ -184,6 +198,7 @@ def _last_row_doubled(a):
     return a
 
 
+_DELETE = "<delete>"  # as a value for TestPersistence._set: delete the field
 _KEY_RANGE = "key index out of range"
 _OFF_SIMPLEX = "coefficient row off the probability simplex"
 # case id -> (tamper, message); small_setup has 5 entities, 4 words, 2
@@ -230,20 +245,35 @@ _INCONSISTENT = {
 }
 
 
+# (header path, value) -> message; a path indexes the parsed header.
+_HEADER_CASES = [
+    (("hp", []), "field 'hp' is not dict"),
+    (("hp", "n", True), "hp field 'n' is not int"),
+    (("hp", "epochs", 1.0), "hp field 'epochs' is not int"),
+    (("hp", "beta_reg", 1), "hp field 'beta_reg' is not float"),
+    (("hp", "beta_reg", "1.0"), "hp field 'beta_reg' is not float"),
+    (("hp", "variant", None), "hp field 'variant' is not str"),
+    (("hp", "seed", _DELETE), "hp field 'seed' is not int"),
+    (("hp", "learn_rate", float("nan")), "hyperparameters: learn_rate must be finite"),
+    (("entity_ids", "e0"), "field 'entity_ids' is not list of str"),
+    (("word_ids", 0, 7), "field 'word_ids' is not list of str"),
+    (("type_ids", _DELETE), "field 'type_ids' is not list of str"),
+    (("shapes", {}), "field 'shapes' is not list"),
+    (("shapes", 20, _DELETE), "20 array shapes, expected 21"),
+    (("shapes", 0, [15]), r"shape of entity_points is not 2 non-negative ints"),
+    (("shapes", 0, 1, True), r"shape of entity_points is not 2 non-negative ints"),
+    (("shapes", 3, 0, -4), r"shape of word_bias is not 1 non-negative ints"),
+    (("shapes", 7, 0, 3.0), r"shape of types: anchors is not 3 non-negative ints"),
+    (("shapes", 0, [4294967296, 4294967296]), "the array shapes take"),
+    (("shapes", 0, [5, 4]), "the array shapes take 3496 bytes, the model file holds 3456"),
+    (("shapes", 11, [14, 1]), r"rhs groups: keys shape \(14, 1\), expected \(14, 2\)"),
+    (("shapes", 0, [3, 5]), r"entity_points shape \(3, 5\), expected \(5, 3\)"),
+]
+
+
 class TestPersistence:
     def _save(self, tmp_path, params, hp):
-        path = tmp_path / "model.bin"
-        save_model(
-            path,
-            params.model,
-            params.types,
-            params.rels,
-            hp,
-            entity_ids=[f"e{i}" for i in range(params.model.n_entities)],
-            word_ids=[f"w{j}" for j in range(params.model.n_words)],
-            relation_ids=["next", "skip"],
-        )
-        return path
+        return save_small(tmp_path / "model.bin", params, hp)
 
     def test_round_trip_exact(self, tmp_path):
         params, hp, _ = small_setup(seed=3)
@@ -286,21 +316,67 @@ class TestPersistence:
         with pytest.raises(ModelIntegrityError):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [999, 1])  # 1: the per-block layout, which must be retrained
+    # 1: the per-block layout; 2: the scalar-coded header.  Both must be retrained.
+    @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatch(self, tmp_path, version):
         params, hp, _ = small_setup()
         path = self._save(tmp_path, params, hp)
-        blob = bytearray(path.read_bytes())
         # bump the version field (first u64 after the 8-byte magic) and
         # refresh the checksum so only the version check can fail
-        import struct
-        import zlib
-
-        blob[8:16] = struct.pack("<Q", version)
-        payload = bytes(blob[:-4])
-        blob[-4:] = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        blob = path.read_bytes()
+        path.write_bytes(with_crc(blob[:8] + struct.pack("<Q", version) + blob[16:-4]))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.replace(b'"e1"', b'"e\xff"'), "model header is not UTF-8 JSON"),
+        (lambda h: h[:-1], "model header is not UTF-8 JSON"),
+        (lambda h: b"[" * 100000 + b"]" * 100000, "model header is not UTF-8 JSON"),
+        (lambda h: b"[]", "model header: the header is not dict"),
+    ], ids=["non_utf8_id", "truncated_json", "deep_nesting", "not_an_object"])
+    def test_unreadable_header_rejected(self, tmp_path, edit, message):
+        params, hp, _ = small_setup()
+        path = save_small(tmp_path / "model.bin", params, hp)
+        rewrite_header(path, edit, raw=True)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def _set(self, *path_and_value):
+        """An edit that sets header[path[0]][path[1]]... to value."""
+        *keys, last, value = path_and_value
+
+        def edit(header):
+            obj = header
+            for key in keys:
+                obj = obj[key]
+            if value == _DELETE:
+                del obj[last]
+            else:
+                obj[last] = value
+            return header
+
+        return edit
+
+    @pytest.mark.parametrize(
+        "path_and_value, message", _HEADER_CASES,
+        ids=["-".join(map(str, p[:-1])) + "=" + repr(p[-1]) for p, _ in _HEADER_CASES],
+    )
+    def test_header_field_types_checked(self, tmp_path, path_and_value, message):
+        # Only the header changes and the checksum is refreshed, so only the header checks can fail.
+        params, hp, _ = small_setup()
+        path = save_small(tmp_path / "model.bin", params, hp)
+        rewrite_header(path, self._set(*path_and_value))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_huge_dimension_of_an_empty_array_rejected(self, tmp_path):
+        # An empty type store holds no anchor bytes, so the byte count of its
+        # anchors matches for any shape with a zero.
+        params, hp, _ = small_setup(typed=False)
+        path = save_small(tmp_path / "model.bin", params, hp)
+        rewrite_header(path, self._set("shapes", 7, [0, 2**40, 2**40]))
+        message = r"types: anchors shape \(0, 1099511627776, 1099511627776\) is too large"
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     @pytest.mark.parametrize("tamper, message", _INCONSISTENT.values(), ids=_INCONSISTENT.keys())
