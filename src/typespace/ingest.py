@@ -52,15 +52,13 @@ class NoCommonTypeError(LookupError):
     """No semantic type contains all the requested entities."""
 
 
-@dataclass(frozen=True, slots=True)
-class Mention:
+class Mention(NamedTuple):
     entity: str
     sentence: int
     span: tuple[int, int]  # half-open token indices
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     sentences: tuple[tuple[str, ...], ...]
     mentions: tuple[Mention, ...]
@@ -158,20 +156,22 @@ def _validate_document(doc: Document, lineno: int | None = None) -> None:
     def where() -> str:  # formatted only for an error
         return f"document {doc.doc_id!r}" + (f" (line {lineno})" if lineno is not None else "")
 
-    # Spans can overlap only when a document holds two mentions or more.
-    spans_by_sentence: dict[int, list[tuple[int, int]]] | None = {} if len(doc.mentions) > 1 else None
-    for m in doc.mentions:
-        if not 0 <= m.sentence < len(doc.sentences):
-            raise CorpusValidationError(f"{where()}: mention of {m.entity!r} addresses missing sentence {m.sentence}")
-        start, end = m.span
-        n_tok = len(doc.sentences[m.sentence])
-        if not (0 <= start < end <= n_tok):
+    sentences, mentions = doc.sentences, doc.mentions
+    for entity, s, span in mentions:
+        if not 0 <= s < len(sentences):
+            raise CorpusValidationError(f"{where()}: mention of {entity!r} addresses missing sentence {s}")
+        start, end = span
+        if not 0 <= start < end <= len(sentences[s]):
             raise CorpusValidationError(
-                f"{where()}: mention span {m.span} of {m.entity!r} outside sentence of length {n_tok}"
+                f"{where()}: mention span {span} of {entity!r} outside sentence of length {len(sentences[s])}"
             )
-        if spans_by_sentence is not None:
-            spans_by_sentence.setdefault(m.sentence, []).append((start, end))
-    for sent, spans in (spans_by_sentence or {}).items():
+    # Spans can overlap only when two mentions share a sentence.
+    if len({m.sentence for m in mentions}) == len(mentions):
+        return
+    spans_by_sentence: dict[int, list[tuple[int, int]]] = {}
+    for m in mentions:
+        spans_by_sentence.setdefault(m.sentence, []).append(m.span)
+    for sent, spans in spans_by_sentence.items():
         spans.sort()
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
             if s1 < e0:
@@ -190,29 +190,47 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
             raise CorpusParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+class _Lexicon(dict):
+    """Raw token -> its lower-cased, interned form; each distinct raw token
+    is normalized once."""
+
+    def __missing__(self, raw: str) -> str:
+        self[raw] = token = sys.intern(raw.lower())
+        return token
+
+
 def load_corpus(path) -> list[Document]:
     """Load a JSON-lines corpus file into validated documents.
 
     Tokens are lowercased and interned on load, so equal tokens are one
-    string object.  Mentions of every entity are kept; filtering by the
-    entity catalog happens when counting.
+    string object.  Document ids and mentioned entities must be strings,
+    article_of a string or null.  Mentions of every entity are kept;
+    filtering by the entity catalog happens when counting.
     """
     docs: list[Document] = []
+    normalized = _Lexicon().__getitem__
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
             doc_id = rec["doc_id"]
-            sentences = tuple(tuple(map(sys.intern, map(str.lower, map(str, sent)))) for sent in rec["sentences"])
+            sentences = tuple(tuple(map(normalized, map(str, sent))) for sent in rec["sentences"])
             mentions = tuple(
                 Mention(m["entity"], int(m["sentence"]), (int(m["span"][0]), int(m["span"][1])))
                 for m in rec.get("mentions", [])
             )
             article_of = rec.get("article_of")
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            if type(doc_id) is not str:
+                raise TypeError("doc_id is not a string")
+            for k, m in enumerate(mentions):
+                if type(m.entity) is not str:
+                    raise TypeError(f"entity of mention {k} is not a string")
+            if article_of is not None and type(article_of) is not str:
+                raise TypeError("article_of is neither a string nor null")
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
             raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
-        doc = Document(doc_id=doc_id, sentences=sentences, mentions=mentions, article_of=article_of)
+        doc = Document(doc_id, sentences, mentions, article_of)
         _validate_document(doc, lineno)
         docs.append(doc)
     return docs
@@ -347,23 +365,24 @@ def _entity_word_pairs(chunk: _Chunk, eidx: dict[str, int], window: int, n_words
     """The chunk's entity-word keys, each with a count of 1, one per counted
     (entity, token): window tokens on either side of each catalog mention,
     and every token of a catalog entity's article document."""
-    mentions = [
-        (e, k, m.sentence, *m.span)
-        for k, doc in enumerate(chunk.docs)
-        for m in doc.mentions
-        if (e := eidx.get(m.entity)) is not None
-    ]
-    ent, k, sent, start, end = np.array(mentions, dtype=np.int64).reshape(-1, 5).T
-    sent = chunk.doc_starts[k] + sent
+    docs, eidx_get = chunk.docs, eidx.get
+    per_doc = np.fromiter(map(len, (doc.mentions for doc in docs)), np.int64, len(docs))
+    n = int(per_doc.sum())
+    entities, sentences, spans = zip(*chain.from_iterable(doc.mentions for doc in docs)) if n else ((), (), ())
+    ent = np.fromiter(map(eidx_get, entities, repeat(-1)), np.int64, n)
+    sent = np.fromiter(sentences, np.int64, n)
+    start, end = np.fromiter(chain.from_iterable(spans), np.int64, 2 * n).reshape(-1, 2).T
+    k = np.repeat(np.arange(len(docs)), per_doc)
+    known = ent >= 0
+    ent, sent, start, end = ent[known], chunk.doc_starts[k[known]] + sent[known], start[known], end[known]
     s0 = chunk.sent_starts[sent]
     lo = np.maximum(start - window, 0)
     hi = np.minimum(end + window, chunk.sent_starts[sent + 1] - s0)
-    articles = [
-        (e, k)
-        for k, doc in enumerate(chunk.docs)
-        if doc.article_of is not None and (e := eidx.get(doc.article_of)) is not None
-    ]
-    art_ent, art_doc = np.array(articles, dtype=np.int64).reshape(-1, 2).T
+    art = np.fromiter(
+        (-1 if doc.article_of is None else eidx_get(doc.article_of, -1) for doc in docs), np.int64, len(docs)
+    )
+    art_doc = np.flatnonzero(art >= 0)
+    art_ent = art[art_doc]
     a0 = chunk.sent_starts[chunk.doc_starts[art_doc]]
     a1 = chunk.sent_starts[chunk.doc_starts[art_doc + 1]]
     begin = np.concatenate((s0 + lo, s0 + end, a0))  # left context, right context, article

@@ -23,6 +23,7 @@ import json
 import math
 import struct
 import zlib
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -124,6 +125,8 @@ class Hyperparams:
             raise ValueError("learn_rate must be positive")
         if self.rank_eps <= 0.0:
             raise ValueError("rank_eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         variant_flags(self.variant)  # rejects an unknown variant
 
 
@@ -525,7 +528,10 @@ def _read_header(raw: memoryview) -> tuple[dict, Hyperparams]:
         raise ModelFormatError(f"model header is not UTF-8 JSON: {exc}") from None
     _typed(header, dict, "the header")
     for name in ("entity_ids", "word_ids", "relation_ids", "type_ids"):
-        _typed(header.get(name), list, f"field {name!r}", str)
+        ids = _typed(header.get(name), list, f"field {name!r}", str)
+        if len(set(ids)) < len(ids):
+            repeated = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ModelFormatError(f"model header: field {name!r} repeats the id {repeated!r}")
     shapes = _typed(header.get("shapes"), list, "field 'shapes'")
     if len(shapes) != len(_BODY):
         raise ModelFormatError(f"model header: {len(shapes)} array shapes, expected {len(_BODY)}")

@@ -4,7 +4,9 @@ Everything here is deliberately written as plain loops from the metric /
 operator definitions, independent of the package's vectorized code paths.
 """
 
+import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,9 +15,14 @@ from typespace.ingest import (
     ENTITY_WORD,
     WORD_WORD,
     CooccurrenceTable,
+    CorpusParseError,
+    CorpusValidationError,
+    Document,
+    Mention,
     SubclassCycleError,
     TypeSystem,
     _read_tsv,
+    numbered_lines,
 )
 
 
@@ -718,6 +725,80 @@ def ref_load_type_system(instances_path, subclass_path, catalog):
         instances={t: tuple(sorted(closed[t])) for t in kept},
         ancestors={t: frozenset(ancestors(t) & kept_set) for t in kept},
     )
+
+
+# --- corpus loading ------------------------------------------------------------
+
+
+def _ref_record(rec):
+    """(doc_id, sentences, mentions, article_of) of one decoded corpus
+    record; a malformed record raises the error of the first failing step."""
+    doc_id = rec["doc_id"]
+    sentences = []
+    for sent in rec["sentences"]:
+        tokens = []
+        for token in sent:
+            tokens.append(sys.intern(str(token).lower()))
+        sentences.append(tuple(tokens))
+    mentions = []
+    for m in rec.get("mentions", []):
+        entity = m["entity"]
+        sentence = int(m["sentence"])
+        start = int(m["span"][0])
+        end = int(m["span"][1])
+        mentions.append(Mention(entity, sentence, (start, end)))
+    article_of = rec.get("article_of")
+    if not isinstance(doc_id, str):
+        raise TypeError("doc_id is not a string")
+    for k, m in enumerate(mentions):
+        if not isinstance(m.entity, str):
+            raise TypeError(f"entity of mention {k} is not a string")
+    if not (article_of is None or isinstance(article_of, str)):
+        raise TypeError("article_of is neither a string nor null")
+    return doc_id, tuple(sentences), tuple(mentions), article_of
+
+
+def _ref_check_mentions(doc_id, sentences, mentions, lineno):
+    """Every mention inside a sentence, then no two spans of one sentence
+    overlapping: the first pair of neighbours in start order, sentences in
+    the order of their first mention."""
+    where = f"document {doc_id!r} (line {lineno})"
+    for m in mentions:
+        if m.sentence < 0 or m.sentence >= len(sentences):
+            raise CorpusValidationError(f"{where}: mention of {m.entity!r} addresses missing sentence {m.sentence}")
+        start, end = m.span
+        length = len(sentences[m.sentence])
+        if not (0 <= start and start < end and end <= length):
+            raise CorpusValidationError(
+                f"{where}: mention span {m.span} of {m.entity!r} outside sentence of length {length}"
+            )
+    order = []
+    for m in mentions:
+        if m.sentence not in order:
+            order.append(m.sentence)
+    for sent in order:
+        spans = sorted(m.span for m in mentions if m.sentence == sent)
+        for a in range(len(spans) - 1):
+            if spans[a + 1][0] < spans[a][1]:
+                raise CorpusValidationError(
+                    f"{where}: overlapping mention spans {spans[a]} and {spans[a + 1]} in sentence {sent}"
+                )
+
+
+def ref_load_corpus(path):
+    """ingest.load_corpus as one loop over the lines: json.loads, the record's
+    fields read and coerced one by one, then the mention checks."""
+    docs = []
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            doc_id, sentences, mentions, article_of = _ref_record(json.loads(line))
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+            raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
+        _ref_check_mentions(doc_id, sentences, mentions, lineno)
+        docs.append(Document(doc_id, sentences, mentions, article_of))
+    return docs
 
 
 # --- co-occurrence counting loops ------------------------------------------------

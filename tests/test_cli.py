@@ -90,6 +90,7 @@ class TestTrain:
             ("--rank-eps", "nan"),
             ("--lr", "inf"),
             ("--beta", "-inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_value_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
@@ -531,7 +532,9 @@ class TestUnreadableInputs:
         (lambda h: {**h, "shapes": [[2**32, 2**32], *h["shapes"][1:]]}, False,
          "the array shapes take 1475739525896764"),
         (lambda h: h.replace(b'"entity_ids":["', b'"entity_ids":["\xff'), True, "model header is not UTF-8 JSON"),
-    ], ids=["huge_shape", "non_utf8_entity_id"])
+        (lambda h: {**h, "entity_ids": h["entity_ids"][:1] * 2 + h["entity_ids"][2:]}, False,
+         "model header: field 'entity_ids' repeats the id"),
+    ], ids=["huge_shape", "non_utf8_entity_id", "duplicate_entity_id"])
     def test_unreadable_model_header(self, trained_model, tmp_path, capsys, edit, raw, message):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(trained_model.read_bytes())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import ref_count_entity_word, ref_count_word_word, ref_load_type_system
+from reference_impls import ref_count_entity_word, ref_count_word_word, ref_load_corpus, ref_load_type_system
 from typespace import ingest, synth
 from typespace.ingest import (
     CorpusParseError,
@@ -140,6 +140,22 @@ class TestLoadCorpus:
         p.write_text('{"doc_id": "ok", "sentences": [], "mentions": []}\n{"nope": 1}\n')
         with pytest.raises(CorpusParseError, match="line 2"):
             load_corpus(p)
+
+    @pytest.mark.parametrize("line, detail", [
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": 1e400, "span": [0, 1]}]}',
+         "cannot convert float infinity to integer"),
+        ("[" * 100000, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": ["x"], "sentence": 0, "span": [0, 1]}]}',
+         "entity of mention 0 is not a string"),
+        ('{"doc_id": ["x"], "sentences": [["a"]], "mentions": []}', "doc_id is not a string"),
+        ('{"doc_id": "d", "sentences": [["a"]], "article_of": {"a": 1}}', "article_of is neither a string nor null"),
+    ], ids=["infinite_sentence", "deep_nesting", "list_entity", "list_doc_id", "dict_article_of"])
+    def test_malformed_value_is_a_parse_error(self, tmp_path, line, detail):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"doc_id": "ok", "sentences": [], "mentions": []}\n' + line + "\n")
+        with pytest.raises(CorpusParseError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == f"{p}: malformed corpus record on line 2: {detail}"
 
     def test_tokens_lowercased(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -423,6 +439,67 @@ class TestCountersMatchLoops:
 
 def _catalog(*ids):
     return ingest.EntityCatalog(tuple(ids), tuple(1 for _ in ids), 0)
+
+
+def _write_scaled_corpus(path, seed=3, n_entities=90, n_context=1200):
+    """A corpus laid out like the benchmark's: one three-sentence article per
+    entity, then context documents that mention three entities, one per
+    sentence; words in mixed case, entity tokens at random positions.  A
+    tenth of the articles are about entities no other document mentions."""
+    rng = np.random.default_rng(seed)
+    words = ["the", "River", "bridge", "TRAM", "of", "in", "Busy", "square", "was", "market", "is", "and"]
+    entities = [f"x{i:03d}" for i in range(n_entities)]
+
+    def sentence(entity):
+        tokens = [w.upper() if rng.random() < 0.1 else w for w in rng.choice(words, size=int(rng.integers(3, 9)))]
+        pos = int(rng.integers(len(tokens) + 1))
+        return tokens[:pos] + [entity] + tokens[pos:], [pos, pos + 1]
+
+    records = []
+    for i, e in enumerate(entities):
+        subject = e if i % 10 else f"lone{i}"
+        sents = [sentence(subject) for _ in range(3)]
+        mentions = [{"entity": subject, "sentence": s, "span": span} for s, (_, span) in enumerate(sents)]
+        records.append({"doc_id": f"art_{subject}", "article_of": subject, "sentences": [t for t, _ in sents],
+                        "mentions": mentions})
+    for d in range(n_context):
+        sents = [(e, *sentence(e)) for e in rng.choice(entities, size=3, replace=False).tolist()]
+        mentions = [{"entity": e, "sentence": s, "span": span} for s, (e, _, span) in enumerate(sents)]
+        records.append({"doc_id": f"ctx_{d:05d}", "article_of": None, "sentences": [t for _, t, _ in sents],
+                        "mentions": mentions})
+    write_corpus(path, records)
+
+
+class TestIngestMatchesReference:
+    """load_corpus, the vocabulary and catalog built from its documents, and
+    both co-occurrence tables, against ref_load_corpus and the reference
+    counting loops: equal, the tables bit for bit."""
+
+    @pytest.fixture(params=["micro", "scaled"])
+    def corpus(self, request, micro_dir, tmp_path):
+        """(corpus path, min_count, min_doc_mentions)."""
+        if request.param == "micro":
+            return micro_dir["corpus"], 3, 3
+        path = tmp_path / "scaled.jsonl"
+        _write_scaled_corpus(path)
+        return path, 1, 2
+
+    def test_bit_identical(self, corpus):
+        path, min_count, min_mentions = corpus
+        docs, ref_docs = load_corpus(path), ref_load_corpus(path)
+        assert docs == ref_docs
+        vocab, catalog = build_vocab_and_catalog(docs, min_count, min_mentions)
+        ref_vocab, ref_catalog = build_vocab_and_catalog(ref_docs, min_count, min_mentions)
+        assert vocab.words == ref_vocab.words and vocab.index == ref_vocab.index
+        assert (catalog.ids, catalog.doc_mentions) == (ref_catalog.ids, ref_catalog.doc_mentions)
+        for window in (1, 10):
+            _identical(count_word_word(docs, vocab, window), ref_count_word_word(ref_docs, ref_vocab, window))
+        # Every other entity of the catalog: mentions and articles of the rest are skipped.
+        part = _catalog(*catalog.ids[::2])
+        assert any(m.entity not in part.index for d in docs for m in d.mentions)
+        assert any(d.article_of is not None and d.article_of not in part.index for d in docs)
+        for cat in (catalog, part):
+            _identical(count_entity_word(docs, vocab, cat), ref_count_entity_word(ref_docs, ref_vocab, cat))
 
 
 class TestTypeSystem:

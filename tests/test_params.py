@@ -50,6 +50,10 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(variant="bogus")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Hyperparams(seed=-1)
+
     def test_dimension_positive(self):
         with pytest.raises(ValueError):
             Hyperparams(n=0)
@@ -171,10 +175,11 @@ def _rekey(side, key):
 
 
 def _type_listed_twice(params):
-    """The one type, "thing", stored as two blocks under the same key."""
+    """The one type, "thing", stored as two blocks under two distinct keys
+    out of order, ("thing", "a")."""
     s = params.types.per_type
     params.types.per_type = BlockStore(
-        "type", s.key_table * 2, *(np.concatenate([a, a]) for a in (s.anchors, s.counts, s.members, s.coeffs))
+        "type", (*s.key_table, "a"), *(np.concatenate([a, a]) for a in (s.anchors, s.counts, s.members, s.coeffs))
     )
 
 
@@ -225,7 +230,7 @@ _INCONSISTENT = {
     "lhs_key_relation_negative": (_rekey("lhs", (-1, 0)), _KEY_RANGE),
     "lhs_key_entity": (_rekey("lhs", (0, 5)), _KEY_RANGE),
     "entity_point_nan": (_edit("model", "entity_points", _nan_last), "entity_points holds a non-finite value"),
-    "duplicate_type_id": (_type_listed_twice, "type thing: duplicate or out-of-order key"),
+    "duplicate_type_id": (_type_listed_twice, "type a: duplicate or out-of-order key"),
     "duplicate_group_key": (
         _edit("lhs", "key_table", lambda keys: (keys[0], *keys)[: len(keys)]),
         r"group lhs \(0, 1\): duplicate or out-of-order key",
@@ -255,6 +260,11 @@ _HEADER_CASES = [
     (("hp", "variant", None), "hp field 'variant' is not str"),
     (("hp", "seed", _DELETE), "hp field 'seed' is not int"),
     (("hp", "learn_rate", float("nan")), "hyperparameters: learn_rate must be finite"),
+    (("hp", "seed", -1), "hyperparameters: seed must be non-negative"),
+    (("entity_ids", 1, "e0"), "model header: field 'entity_ids' repeats the id 'e0'"),
+    (("word_ids", 3, "w2"), "model header: field 'word_ids' repeats the id 'w2'"),
+    (("relation_ids", 0, "skip"), "model header: field 'relation_ids' repeats the id 'skip'"),
+    (("type_ids", ["thing", "thing"]), "model header: field 'type_ids' repeats the id 'thing'"),
     (("entity_ids", "e0"), "field 'entity_ids' is not list of str"),
     (("word_ids", 0, 7), "field 'word_ids' is not list of str"),
     (("type_ids", _DELETE), "field 'type_ids' is not list of str"),
