@@ -310,9 +310,10 @@ def cmd_eval(args) -> int:
         results = evalharness.eval_link_prediction(rows, view)
     else:
         rows = ingest._read_tsv(problems_path, 5)
-        bad = next((row for row in rows if row[3] not in ("0", "1")), None)
-        if bad is not None:
-            raise UsageError(f"{problems_path}: label {bad[3]!r} of triple {bad[:3]} is not 0 or 1")
+        for k, name, allowed in ((3, "label", ("0", "1")), (4, "split", ("valid", "test"))):
+            bad = next((row for row in rows if row[k] not in allowed), None)
+            if bad is not None:
+                raise UsageError(f"{problems_path}: {name} {bad[k]!r} of triple {bad[:3]} is not {' or '.join(allowed)}")
         valid = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "valid"]
         test = [(h, r, t, int(label)) for h, r, t, label, split in rows if split == "test"]
         results = evalharness.eval_triple_classification(valid, test, view)

@@ -294,26 +294,27 @@ def _hinge_directions(diffs: np.ndarray, iters: int = 400) -> np.ndarray:
     matrix of pair differences; diffs is one D or a stack (..., P, n) of
     them.  Row [..., k] of the result is the direction for C_GRID[k].
 
-    One loop steps every row of every problem, and each row comes out
-    bit-equal to its problem's solve alone: the margins of each row take one
-    vector-matrix product, and the violated-pair sums of each problem one
-    product laid out to add pairs in order, as a lone solve rounds them (a
-    margin one ulp off flips a violation at the hinge).  So a stack holds
-    problems of one pair count P: zero-padding to a common P would change
-    how BLAS splits each product's tail columns, and with it the rounding."""
+    One loop steps every row of every problem.  Per step, each problem takes
+    one (C x n)(n x P) product for the margins of all its rows, and one
+    (n x P)(P x C) product for its violated-pair sums.  Each row comes out
+    bit-equal to its problem's solve alone, since a problem's products have
+    the same shapes and layouts in a stack as alone (a margin one ulp off
+    flips a violation at the hinge).  So a stack holds problems of one pair
+    count P: zero-padding to a common P would change how BLAS splits each
+    product's tail columns, and with it the rounding."""
     *lead, p, n = diffs.shape
     scale = (2.0 / np.asarray(C_GRID, dtype=np.float64))[:, None]
     d_t = np.swapaxes(diffs, -1, -2)
     w = np.zeros((*lead, scale.size, n))
     accum, avg, g, tmp = (np.zeros_like(w) for _ in range(4))
-    margins = np.empty((*lead, scale.size, 1, p))
-    viol = np.swapaxes(margins[..., 0, :], -1, -2)  # 1.0 where a pair is violated, after the test below
+    margins = np.empty((*lead, scale.size, p))
+    viol = np.swapaxes(margins, -1, -2)  # 1.0 where a pair is violated, after the test below
     sums = np.empty((*lead, n, scale.size))
-    w_rows, d_rows, sums_t = w[..., None, :], d_t[..., None, :, :], np.swapaxes(sums, -1, -2)
+    sums_t = np.swapaxes(sums, -1, -2)
     lr = 0.5
     half = iters // 2
     for t in range(iters):
-        np.matmul(w_rows, d_rows, out=margins)
+        np.matmul(w, d_t, out=margins)
         np.less(margins, 1.0, out=margins)
         np.matmul(d_t, viol, out=sums)
         np.multiply(scale, w, out=g)
@@ -391,7 +392,8 @@ def eval_ranking(problems, view: EmbeddingView) -> dict:
     select the regularizer on validation, score the test split, and
     aggregate the per-problem Spearman correlations through the Fisher
     transform.  The problems of one pair count take one stacked solve of
-    _hinge_directions, chunked by _STACK_CELLS; each direction equals
+    _hinge_directions, chunked by _STACK_CELLS, whose every step takes one
+    margin product per problem; each direction equals
     fit_ranking_direction's bit for bit."""
     splits, skipped = ranking_splits(problems, view.index)
     points = np.asarray(view.points, dtype=np.float64)
@@ -427,33 +429,39 @@ def eval_ranking(problems, view: EmbeddingView) -> dict:
 
 
 def eval_induction(problems, view: EmbeddingView, ts: TypeSystem) -> dict:
-    """Rank candidate entities of the most specific common type by distance
-    to the centroid of the training positives; held-out test positives are
-    the relevant items."""
+    """Rank candidate entities of the most specific common type of a
+    problem's resolved positives by distance to the centroid of the training
+    positives, ties by entity index.  The train and valid positives are no
+    candidates; the test positives are the relevant items.  Both sets are
+    boolean masks over the entities."""
     if not problems:
         raise ProblemFormatError("no induction problem to score")
     per_problem = []
     skipped = 0
+    index = view.index
     for prob in problems:
-        train_idx = [view.index[e] for e in prob.train if e in view.index]
+        train_idx = [index[e] for e in prob.train if e in index]
         if not train_idx:
             raise ProblemFormatError(
                 f"induction problem ({prob.relation!r}, {prob.target!r}): the model holds none of its "
                 f"{len(prob.train)} training positives"
             )
-        all_pos = list(prob.train) + list(prob.valid) + list(prob.test)
-        pos_idx = [view.index[e] for e in all_pos if e in view.index]
-        if len(pos_idx) < len(all_pos):
-            skipped += len(all_pos) - len(pos_idx)
+        seen_idx = train_idx + [index[e] for e in prob.valid if e in index]
+        test_idx = [index[e] for e in prob.test if e in index]
+        unresolved = len(prob.train) + len(prob.valid) + len(prob.test) - len(seen_idx) - len(test_idx)
+        if unresolved:
+            skipped += unresolved
             warnings.warn(f"induction problem ({prob.relation!r}, {prob.target!r}): unresolved positives dropped")
-        type_id = most_specific_common_type(pos_idx, ts)
-        excluded = {view.index[e] for e in list(prob.train) + list(prob.valid) if e in view.index}
-        candidates = np.asarray([i for i in ts.instances[type_id] if i not in excluded], dtype=np.int64)
+        type_id = most_specific_common_type(seen_idx + test_idx, ts)
+        members = np.asarray(ts.instances[type_id], dtype=np.int64)
+        seen, relevant = np.zeros((2, len(view.points)), dtype=bool)
+        seen[seen_idx] = True
+        candidates = members[~seen[members]]
         center = centroid(view.points[train_idx])
         dists = np.linalg.norm(view.points[candidates] - center, axis=1)
         ranked = candidates[np.lexsort((candidates, dists))]
-        test_idx = [view.index[e] for e in prob.test if e in view.index]
-        relevance = np.isin(ranked, test_idx)
+        relevant[test_idx] = True
+        relevance = relevant[ranked]
         per_problem.append(
             {
                 "relation": prob.relation,

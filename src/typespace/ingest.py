@@ -15,6 +15,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
@@ -137,6 +138,11 @@ class TypeSystem:
     instances: dict[str, tuple[int, ...]]
     ancestors: dict[str, frozenset[str]]  # reflexive-transitive
 
+    @cached_property
+    def member_sets(self) -> dict[str, frozenset[int]]:
+        """instances[s] as a set, for each type s; built on first use."""
+        return {s: frozenset(members) for s, members in self.instances.items()}
+
 
 @dataclass(frozen=True)
 class TripleStore:
@@ -192,9 +198,12 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
 
 class _Lexicon(dict):
     """Raw token -> its lower-cased, interned form; each distinct raw token
-    is normalized once."""
+    is checked and normalized once.  A token that is not a string raises
+    TypeError, here or, for a list or an object, in the lookup."""
 
     def __missing__(self, raw: str) -> str:
+        if type(raw) is not str:
+            raise TypeError(raw)
         self[raw] = token = sys.intern(raw.lower())
         return token
 
@@ -202,10 +211,12 @@ class _Lexicon(dict):
 def load_corpus(path) -> list[Document]:
     """Load a JSON-lines corpus file into validated documents.
 
-    Tokens are lowercased and interned on load, so equal tokens are one
-    string object.  Document ids and mentioned entities must be strings,
-    article_of a string or null.  Mentions of every entity are kept;
-    filtering by the entity catalog happens when counting.
+    Tokens must be strings; they are lowercased and interned on load, so
+    equal tokens are one string object.  Sentences and mentions must be
+    lists, document ids and mentioned entities strings, mention sentences
+    and span bounds integers (not booleans), and article_of a string or
+    null.  Mentions of every entity are kept; filtering by the entity
+    catalog happens when counting.
     """
     docs: list[Document] = []
     normalized = _Lexicon().__getitem__
@@ -215,22 +226,35 @@ def load_corpus(path) -> list[Document]:
         try:
             rec = json.loads(line)
             doc_id = rec["doc_id"]
-            sentences = tuple(tuple(map(normalized, map(str, sent))) for sent in rec["sentences"])
-            mentions = tuple(
-                Mention(m["entity"], int(m["sentence"]), (int(m["span"][0]), int(m["span"][1])))
-                for m in rec.get("mentions", [])
-            )
+            sentences = rec["sentences"]
+            if type(sentences) is not list or not {list}.issuperset(map(type, sentences)):
+                raise TypeError("sentences is not a list of token lists")
+            try:
+                sentences = tuple(tuple(map(normalized, sent)) for sent in sentences)
+            except TypeError:
+                bad = next(token for sent in sentences for token in sent if type(token) is not str)
+                raise TypeError(f"token {bad!r} is not a string") from None
+            mentions = rec.get("mentions", [])
+            if type(mentions) is not list:
+                raise TypeError("mentions is not a list")
+            fields = [(m["entity"], m["sentence"], m["span"]) for m in mentions]
             article_of = rec.get("article_of")
             if type(doc_id) is not str:
                 raise TypeError("doc_id is not a string")
-            for k, m in enumerate(mentions):
-                if type(m.entity) is not str:
+            mentions = []
+            for k, (entity, sentence, span) in enumerate(fields):
+                if type(entity) is not str:
                     raise TypeError(f"entity of mention {k} is not a string")
+                if type(sentence) is not int:
+                    raise TypeError(f"sentence of mention {k} is not an integer")
+                if type(span) is not list or len(span) != 2 or type(span[0]) is not int or type(span[1]) is not int:
+                    raise TypeError(f"span of mention {k} is not a list of two integers")
+                mentions.append(Mention(entity, sentence, tuple(span)))
             if article_of is not None and type(article_of) is not str:
                 raise TypeError("article_of is neither a string nor null")
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
-        doc = Document(doc_id, sentences, mentions, article_of)
+        doc = Document(doc_id, sentences, tuple(mentions), article_of)
         _validate_document(doc, lineno)
         docs.append(doc)
     return docs
@@ -410,6 +434,9 @@ def count_entity_word(
 
 
 def _read_tsv(path, n_fields: int):
+    """The rows of a TSV file as tuples of n_fields non-empty strings.  Blank
+    lines and lines whose first non-blank character is # are skipped; each
+    other line, stripped of surrounding whitespace, is split on tabs."""
     rows = []
     for lineno, line in numbered_lines(path):
         stripped = line.strip()
@@ -418,6 +445,8 @@ def _read_tsv(path, n_fields: int):
         parts = stripped.split("\t")
         if len(parts) != n_fields:
             raise CorpusParseError(f"{path}: expected {n_fields} tab-separated fields on line {lineno}")
+        if "\t\t" in stripped:  # stripped neither starts nor ends with a tab
+            raise CorpusParseError(f"{path}: empty field on line {lineno}")
         rows.append(tuple(parts))
     return rows
 
@@ -531,14 +560,11 @@ def most_specific_common_type(entities, ts: TypeSystem) -> str:
     wanted = set(entities)
     if not wanted:
         raise ValueError("entity set is empty")
-    containing = [s for s in ts.type_ids if wanted.issubset(ts.instances[s])]
+    member_sets = ts.member_sets
+    containing = [s for s in ts.type_ids if wanted <= member_sets[s]]
     if not containing:
         raise NoCommonTypeError(f"no type contains all of {sorted(wanted)}")
-    containing_set = set(containing)
-    minimal = [
-        s
-        for s in containing
-        if not any(t != s and s in ts.ancestors[t] for t in containing_set)
-    ]
+    above = set().union(*(ts.ancestors[t] - {t} for t in containing))  # strict supertypes of a containing type
+    minimal = [s for s in containing if s not in above]
     minimal.sort(key=lambda s: (len(ts.instances[s]), s))
     return minimal[0]

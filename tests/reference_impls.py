@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from typespace.evalharness import C_GRID, ProblemFormatError
 from typespace.ingest import (
     ENTITY_WORD,
     WORD_WORD,
@@ -19,6 +20,7 @@ from typespace.ingest import (
     CorpusValidationError,
     Document,
     Mention,
+    NoCommonTypeError,
     SubclassCycleError,
     TypeSystem,
     _read_tsv,
@@ -516,19 +518,30 @@ def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):
 
 
 def ref_hinge_direction(diffs, c, iters=400):
-    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for one c by AdaGrad
-    subgradient descent with iterate averaging, summing the violated rows of
-    D directly."""
-    n = diffs.shape[1]
+    """Minimize sum(max(0, 1 - D w)) + (1/c) ||w||^2 for one c of C_GRID by
+    AdaGrad subgradient descent with iterate averaging.
+
+    Each step rounds as evalharness._hinge_directions rounds it, which BLAS
+    does not promise for other shapes: the margins are row k (the index of
+    c) of one (C x n)(n x P) product whose other rows are zero, and the
+    violated-pair sums column k of one (n x P)(P x C) product whose other
+    columns are zero, each operand laid out as the solve lays it out (D^T a
+    transposed view of D, the flags a transposed view of a (C, P) array)."""
+    p, n = diffs.shape
+    k = C_GRID.index(c)
+    d_t = np.swapaxes(np.ascontiguousarray(diffs), 0, 1)
     w = np.zeros(n)
     accum = np.zeros(n)
     avg = np.zeros(n)
     lr = 0.5
     half = iters // 2
     for t in range(iters):
-        margins = diffs @ w
-        viol = margins < 1.0
-        g = -diffs[viol].sum(axis=0) + (2.0 / c) * w
+        rows = np.zeros((len(C_GRID), n))
+        rows[k] = w
+        margins = (rows @ d_t)[k]
+        flags = np.zeros((len(C_GRID), p))
+        flags[k] = margins < 1.0
+        g = -(d_t @ flags.T)[:, k] + (2.0 / c) * w
         accum += g * g
         w = w - lr * g / np.sqrt(accum + 1e-8)
         if t >= half:
@@ -565,6 +578,70 @@ def ref_induction_relevance(candidates, dists, test_set):
     """Relevance flags of the candidates sorted by (distance, entity index)."""
     order = sorted(range(len(candidates)), key=lambda i: (dists[i], candidates[i]))
     return [candidates[i] in test_set for i in order]
+
+
+def ref_most_specific_common_type(entities, ts):
+    """ingest.most_specific_common_type by brute force: every type whose
+    instance tuple holds every entity, those of them no other containing
+    type lies below, and the first of these by (instance count, id)."""
+    wanted = set(entities)
+    if not wanted:
+        raise ValueError("entity set is empty")
+    containing = [s for s in ts.type_ids if all(e in ts.instances[s] for e in wanted)]
+    if not containing:
+        raise NoCommonTypeError(f"no type contains all of {sorted(wanted)}")
+    best = None
+    for s in containing:
+        if any(t != s and s in ts.ancestors[t] for t in containing):
+            continue
+        if best is None or (len(ts.instances[s]), s) < (len(ts.instances[best]), best):
+            best = s
+    return best
+
+
+def ref_eval_induction(problems, view, ts):
+    """evalharness.eval_induction one problem and one candidate at a time.
+    Each distance is the program's norm call on a one-row array, so it
+    rounds as the program's does; means are np.mean of the per-item values,
+    as the program takes them."""
+    if not problems:
+        raise ProblemFormatError("no induction problem to score")
+    per_problem = []
+    skipped = 0
+    for prob in problems:
+        name = f"induction problem ({prob.relation!r}, {prob.target!r})"
+        train = [view.index[e] for e in prob.train if e in view.index]
+        if not train:
+            raise ProblemFormatError(f"{name}: the model holds none of its {len(prob.train)} training positives")
+        valid = [view.index[e] for e in prob.valid if e in view.index]
+        test = [view.index[e] for e in prob.test if e in view.index]
+        positives = len(prob.train) + len(prob.valid) + len(prob.test)
+        if len(train) + len(valid) + len(test) < positives:
+            skipped += positives - len(train) - len(valid) - len(test)
+            warnings.warn(f"{name}: unresolved positives dropped")
+        type_id = ref_most_specific_common_type(train + valid + test, ts)
+        candidates = [i for i in ts.instances[type_id] if i not in train and i not in valid]
+        center = view.points[train].mean(axis=0)
+        dists = [float(np.linalg.norm((view.points[i] - center)[None, :], axis=1)[0]) for i in candidates]
+        relevance = ref_induction_relevance(candidates, dists, set(test))
+        precisions = ref_precisions_at_hits(relevance)
+        per_problem.append({
+            "relation": prob.relation,
+            "target": prob.target,
+            "type": type_id,
+            "ap": float(np.mean(precisions)) if precisions else 0.0,
+            "p_at_5": ref_precision_at_k(relevance, 5),
+            "rr": ref_reciprocal_rank(relevance),
+            "n_candidates": len(candidates),
+        })
+    return {
+        "task": "induction",
+        "per_problem": per_problem,
+        "map": float(np.mean([r["ap"] for r in per_problem])),
+        "p_at_5": float(np.mean([r["p_at_5"] for r in per_problem])),
+        "mrr": float(np.mean([r["rr"] for r in per_problem])),
+        "skipped": skipped,
+    }
 
 
 def ref_precisions_at_hits(relevance):
@@ -727,35 +804,79 @@ def ref_load_type_system(instances_path, subclass_path, catalog):
     )
 
 
+def ref_read_tsv(path, n_fields):
+    """ingest._read_tsv character by character: blank lines and lines whose
+    first non-blank character is # are skipped; every other line, stripped
+    of surrounding whitespace, is cut at each tab into exactly n_fields
+    fields, none of them empty."""
+    rows = []
+    for lineno, line in numbered_lines(path):
+        text = line.strip()
+        if text == "" or text[0] == "#":
+            continue
+        fields = [""]
+        for ch in text:
+            if ch == "\t":
+                fields.append("")
+            else:
+                fields[-1] += ch
+        if len(fields) != n_fields:
+            raise CorpusParseError(f"{path}: expected {n_fields} tab-separated fields on line {lineno}")
+        for value in fields:
+            if value == "":
+                raise CorpusParseError(f"{path}: empty field on line {lineno}")
+        rows.append(tuple(fields))
+    return rows
+
+
 # --- corpus loading ------------------------------------------------------------
 
 
 def _ref_record(rec):
     """(doc_id, sentences, mentions, article_of) of one decoded corpus
-    record; a malformed record raises the error of the first failing step."""
+    record; a malformed record raises the error of the first failing step:
+    reading doc_id, the sentences and their tokens, each mention's fields,
+    and article_of, then checking the types of doc_id, of each mention's
+    fields and of article_of."""
     doc_id = rec["doc_id"]
+    raw_sentences = rec["sentences"]
+    if not isinstance(raw_sentences, list) or not all(isinstance(sent, list) for sent in raw_sentences):
+        raise TypeError("sentences is not a list of token lists")
     sentences = []
-    for sent in rec["sentences"]:
+    for sent in raw_sentences:
         tokens = []
         for token in sent:
-            tokens.append(sys.intern(str(token).lower()))
+            if not isinstance(token, str):
+                raise TypeError(f"token {token!r} is not a string")
+            tokens.append(sys.intern(token.lower()))
         sentences.append(tuple(tokens))
-    mentions = []
-    for m in rec.get("mentions", []):
+    raw_mentions = rec.get("mentions", [])
+    if not isinstance(raw_mentions, list):
+        raise TypeError("mentions is not a list")
+    fields = []
+    for m in raw_mentions:
         entity = m["entity"]
-        sentence = int(m["sentence"])
-        start = int(m["span"][0])
-        end = int(m["span"][1])
-        mentions.append(Mention(entity, sentence, (start, end)))
+        sentence = m["sentence"]
+        span = m["span"]
+        fields.append((entity, sentence, span))
     article_of = rec.get("article_of")
+
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
     if not isinstance(doc_id, str):
         raise TypeError("doc_id is not a string")
-    for k, m in enumerate(mentions):
-        if not isinstance(m.entity, str):
+    for k, (entity, sentence, span) in enumerate(fields):
+        if not isinstance(entity, str):
             raise TypeError(f"entity of mention {k} is not a string")
+        if not is_int(sentence):
+            raise TypeError(f"sentence of mention {k} is not an integer")
+        if not (isinstance(span, list) and len(span) == 2 and is_int(span[0]) and is_int(span[1])):
+            raise TypeError(f"span of mention {k} is not a list of two integers")
     if not (article_of is None or isinstance(article_of, str)):
         raise TypeError("article_of is neither a string nor null")
-    return doc_id, tuple(sentences), tuple(mentions), article_of
+    mentions = tuple(Mention(entity, sentence, (span[0], span[1])) for entity, sentence, span in fields)
+    return doc_id, tuple(sentences), mentions, article_of
 
 
 def _ref_check_mentions(doc_id, sentences, mentions, lineno):
@@ -787,14 +908,14 @@ def _ref_check_mentions(doc_id, sentences, mentions, lineno):
 
 def ref_load_corpus(path):
     """ingest.load_corpus as one loop over the lines: json.loads, the record's
-    fields read and coerced one by one, then the mention checks."""
+    fields read and type-checked one by one, then the mention checks."""
     docs = []
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
         try:
             doc_id, sentences, mentions, article_of = _ref_record(json.loads(line))
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
         _ref_check_mentions(doc_id, sentences, mentions, lineno)
         docs.append(Document(doc_id, sentences, mentions, article_of))

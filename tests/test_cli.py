@@ -279,6 +279,21 @@ class TestEval:
         assert repr(label) in err and "not 0 or 1" in err and len(err.strip().splitlines()) == 1
         assert not results.exists()
 
+    @pytest.mark.parametrize("split", ["tune", "Test", "train"])
+    def test_classification_split_unknown_exit_one(self, trained_model, micro_dir, tmp_path, capsys, split):
+        # A row of another split used to be dropped without a word.
+        with open(micro_dir["tc"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        h, r, t, label, _ = lines[0].split("\t")
+        problems = tmp_path / "tc.tsv"
+        problems.write_text("\n".join(lines + [f"{h}\t{r}\t{t}\t{label}\t{split}"]) + "\n")
+        results = tmp_path / "res.json"
+        argv = ["eval", "triple_classification", "--model", str(trained_model), "--problems", str(problems),
+                "--results", str(results)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {problems}: split {split!r} of triple {(h, r, t)} is not valid or test\n"
+        assert not results.exists()
+
     def test_corrupt_model_exit_one(self, trained_model, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         blob = bytearray(trained_model.read_bytes())

@@ -1,8 +1,8 @@
 """The vectorized evaluation code against the per-candidate loops it
 replaced (kept in reference_impls): the stacked hinge solve and the problem
 stacks of eval_ranking, the analogy answer, the induction ordering and its
-AP, the classification threshold, the average ranks and the screened
-link-prediction ranks.  Instances draw
+AP, eval_induction on multi-type hierarchies, the classification threshold,
+the average ranks and the screened link-prediction ranks.  Instances draw
 tied values, duplicate and zero points, and pools that hold the query
 entities."""
 
@@ -34,7 +34,7 @@ from typespace.evalharness import (
     reciprocal_rank,
     spearman,
 )
-from typespace.ingest import TypeSystem
+from typespace.ingest import NoCommonTypeError, TypeSystem
 from typespace.subspace import centroid
 
 
@@ -71,11 +71,11 @@ def _one_type(members):
     return TypeSystem(("pool",), {"pool": members}, {"pool": frozenset({"pool"})})
 
 
-def _assert_close(got, want):
-    """Equal to 1e-12 of the larger of max |want| and 1: an AdaGrad step
-    moves a coordinate by at most lr = 0.5, so rounding differences scale
-    with the steps, not with a direction whose sum cancels to near zero."""
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(float(np.max(np.abs(want))), 1.0)
+def _assert_same_bits(got, want):
+    """Equal bit for bit: the reference rounds each product as the solve
+    rounds it, so any difference is a changed rounding, and a margin one ulp
+    off flips a violation at the hinge."""
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestStackedHingeSolve:
@@ -93,7 +93,7 @@ class TestStackedHingeSolve:
         stacked = _hinge_directions(diffs)
         refs = [ref.ref_hinge_direction(diffs, c) for c in C_GRID]
         for k, want in enumerate(refs):
-            _assert_close(stacked[k], want)
+            _assert_same_bits(stacked[k], want)
 
         # The validation rho of each row picks C, the first best winning.
         n_train = draw(st.integers(2, m))
@@ -111,7 +111,7 @@ class TestStackedHingeSolve:
             if rho > best_rho:
                 best, best_rho = w, rho
         got = fit_ranking_direction(train, valid)
-        _assert_close(got, best)
+        _assert_same_bits(got, best)
 
     @pytest.mark.parametrize("seed", [127, 421, 438])
     def test_margins_on_the_hinge(self, seed):
@@ -126,7 +126,7 @@ class TestStackedHingeSolve:
         stacked = _hinge_directions(diffs)
         for k, c in enumerate(C_GRID):
             want = ref.ref_hinge_direction(diffs, c)
-            _assert_close(stacked[k], want)
+            _assert_same_bits(stacked[k], want)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -143,7 +143,7 @@ class TestStackedHingeSolve:
         for diffs, rows in zip(lone, stacked):
             assert rows.tobytes() == _hinge_directions(diffs).tobytes()
             for k, c in enumerate(C_GRID):
-                _assert_close(rows[k], ref.ref_hinge_direction(diffs, c))
+                _assert_same_bits(rows[k], ref.ref_hinge_direction(diffs, c))
 
     @pytest.mark.parametrize("cells", [1, evalharness._STACK_CELLS])
     def test_eval_ranking_matches_per_problem_fits(self, cells):
@@ -251,6 +251,72 @@ class TestInductionOrdering:
     def test_average_precision_is_mean_of_precisions_at_hits(self, relevance):
         precisions = ref.ref_precisions_at_hits(relevance)
         assert average_precision(relevance) == (float(np.mean(precisions)) if precisions else 0.0)
+
+
+def _hierarchy(draw, rng, m):
+    """A random type system over m entities: k types, each below zero to
+    two types later in a shuffled name list (a DAG whose subtype ids sort
+    either side of their supertypes'), instance sets closed upward; the
+    last type may hold every entity, and some may be empty."""
+    k = draw(st.integers(1, 6))
+    names = [f"t{i}" for i in rng.permutation(k)]
+    parents = {}
+    for i, t in enumerate(names):
+        above = rng.choice(range(i + 1, k), size=min(int(rng.integers(0, 3)), k - i - 1), replace=False)
+        parents[t] = {names[j] for j in above}
+    asserted = {t: set(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()) for t in parents}
+    if draw(st.booleans()):
+        asserted[names[-1]] = set(range(m))
+    ancestors = {}
+    for t in reversed(names):
+        ancestors[t] = frozenset({t}.union(*(ancestors[p] for p in parents[t])))
+    closed = {t: set() for t in parents}
+    for t, members in asserted.items():
+        for a in ancestors[t]:
+            closed[a] |= members
+    type_ids = tuple(sorted(parents))
+    return TypeSystem(type_ids, {t: tuple(sorted(closed[t])) for t in type_ids}, ancestors)
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestInductionMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_multi_type_problems_match_plain_loops(self, data):
+        # Grid points tie distances; ghost ids leave positives unresolved;
+        # train and valid positives of the pool must never be candidates.
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m, n = draw(st.integers(2, 24)), draw(st.integers(1, 3))
+        view, ts = _view(_points(draw, rng, m, n)), _hierarchy(draw, rng, m)
+        ids = list(view.entity_ids) + ["ghost0", "ghost1", "ghost2"]
+        problems = []
+        for p in range(draw(st.integers(1, 3))):
+            chosen = [ids[int(i)] for i in rng.permutation(len(ids))[: draw(st.integers(1, min(len(ids), 12)))]]
+            cut1 = draw(st.integers(1, len(chosen)))
+            cut2 = draw(st.integers(cut1, len(chosen)))
+            problems.append(InductionProblem("r", f"x{p}", tuple(chosen[:cut1]), tuple(chosen[cut1:cut2]), tuple(chosen[cut2:])))
+        outcomes = []
+        for run in (eval_induction, ref.ref_eval_induction):
+            try:
+                outcomes.append((run(problems, view, ts), None))
+            except (evalharness.ProblemFormatError, NoCommonTypeError) as exc:
+                outcomes.append((None, exc))
+        (got, got_exc), (want, want_exc) = outcomes
+        assert type(got_exc) is type(want_exc) and str(got_exc) == str(want_exc)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seen_positives_are_never_candidates(self, seed):
+        # Every entity is a positive of one part; only the test part may rank.
+        rng = np.random.default_rng(seed)
+        view = _view(rng.integers(-1, 2, size=(12, 2)).astype(np.float64))
+        ids = [view.entity_ids[i] for i in rng.permutation(12)]
+        prob = InductionProblem("r", "x", tuple(ids[:4]), tuple(ids[4:7]), tuple(ids[7:]))
+        out = eval_induction([prob], view, _one_type(range(12)))
+        assert out == ref.ref_eval_induction([prob], view, _one_type(range(12)))
+        assert out["per_problem"][0]["n_candidates"] == 5
+        assert out["per_problem"][0]["ap"] == 1.0
 
 
 class TestThresholdScan:

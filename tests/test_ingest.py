@@ -7,7 +7,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import ref_count_entity_word, ref_count_word_word, ref_load_corpus, ref_load_type_system
+from reference_impls import (
+    ref_count_entity_word,
+    ref_count_word_word,
+    ref_load_corpus,
+    ref_load_type_system,
+    ref_most_specific_common_type,
+)
 from typespace import ingest, synth
 from typespace.ingest import (
     CorpusParseError,
@@ -143,13 +149,28 @@ class TestLoadCorpus:
 
     @pytest.mark.parametrize("line, detail", [
         ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": 1e400, "span": [0, 1]}]}',
-         "cannot convert float infinity to integer"),
+         "sentence of mention 0 is not an integer"),
         ("[" * 100000, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
         ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": ["x"], "sentence": 0, "span": [0, 1]}]}',
          "entity of mention 0 is not a string"),
         ('{"doc_id": ["x"], "sentences": [["a"]], "mentions": []}', "doc_id is not a string"),
         ('{"doc_id": "d", "sentences": [["a"]], "article_of": {"a": 1}}', "article_of is neither a string nor null"),
-    ], ids=["infinite_sentence", "deep_nesting", "list_entity", "list_doc_id", "dict_article_of"])
+        ('{"doc_id": "d", "sentences": [["a", null]]}', "token None is not a string"),
+        ('{"doc_id": "d", "sentences": [["a", 1, ["b"]]]}', "token 1 is not a string"),
+        ('{"doc_id": "d", "sentences": [["a", ["b"], 1]]}', "token ['b'] is not a string"),
+        ('{"doc_id": "d", "sentences": ["ab"]}', "sentences is not a list of token lists"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": ""}', "mentions is not a list"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": true, "span": [0, 1]}]}',
+         "sentence of mention 0 is not an integer"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": "0", "span": [0, 1]}]}',
+         "sentence of mention 0 is not an integer"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": 0, "span": [0, 1.0]}]}',
+         "span of mention 0 is not a list of two integers"),
+        ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": 0, "span": [0, 1, 1]}]}',
+         "span of mention 0 is not a list of two integers"),
+    ], ids=["infinite_sentence", "deep_nesting", "list_entity", "list_doc_id", "dict_article_of", "null_token",
+            "int_token", "list_token", "string_sentence", "string_mentions", "bool_sentence_index", "string_sentence_index",
+            "float_span_bound", "three_span_bounds"])
     def test_malformed_value_is_a_parse_error(self, tmp_path, line, detail):
         p = tmp_path / "c.jsonl"
         p.write_text('{"doc_id": "ok", "sentences": [], "mentions": []}\n' + line + "\n")
@@ -630,6 +651,17 @@ class TestTriples:
         with pytest.raises(CorpusParseError, match="line 2"):
             load_triples(tmp_path / "t.tsv", _catalog("e1", "e2"))
 
+    @pytest.mark.parametrize("line", ["e1\t\te2", "e1\t \t\te2", "e1\tk\t\t"])
+    def test_empty_field_rejected(self, tmp_path, line):
+        # An empty relation or entity id is a malformed row, not an id; a
+        # line's surrounding whitespace, tabs included, is not a field.
+        (tmp_path / "t.tsv").write_text(f"e1\tk\te2\n{line}\n")
+        fields = len(line.strip().split("\t"))
+        message = "empty field" if fields == 3 else "expected 3 tab-separated fields"
+        with pytest.raises(CorpusParseError) as exc:
+            load_triples(tmp_path / "t.tsv", _catalog("e1", "e2"))
+        assert str(exc.value) == f"{tmp_path / 't.tsv'}: {message} on line 2"
+
     def test_reserved_relations_excluded(self, tmp_path):
         (tmp_path / "t.tsv").write_text("e1\tinstance of\te2\ne1\tsubclass_of\te2\ne1\tk\te2\n")
         with pytest.warns(UserWarning):
@@ -712,6 +744,42 @@ class TestMostSpecificCommonType:
             for other in ts.type_ids:
                 if other != got and got in ts.ancestors[other]:
                     assert not query <= set(ts.instances[other])
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_random_hierarchies(self, data):
+        # A random DAG over up to 8 types (edges from lower to higher
+        # positions of a shuffled name list, so a subtype's id may sort
+        # either side of its supertype's), random assertions closed upward,
+        # random queries.
+        draw = data.draw
+        n_types, n_entities = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+        names = draw(st.permutations([f"t{t}" for t in range(n_types)]))
+        edges = draw(st.lists(
+            st.tuples(st.integers(0, n_types - 1), st.integers(0, n_types - 1)).filter(lambda e: e[0] < e[1]),
+            max_size=12,
+        ))
+        instances = {name: tuple(draw(st.sets(st.integers(0, n_entities - 1), max_size=n_entities))) for name in names}
+        ts = _ts(instances, edges=tuple((names[c], names[p]) for c, p in edges))
+        for _ in range(5):
+            query = draw(st.sets(st.integers(0, n_entities - 1), min_size=1, max_size=4))
+            try:
+                want = ref_most_specific_common_type(query, ts)
+            except NoCommonTypeError as exc:
+                with pytest.raises(NoCommonTypeError) as got:
+                    most_specific_common_type(query, ts)
+                assert str(got.value) == str(exc)
+            else:
+                assert most_specific_common_type(list(query), ts) == want
+
+    def test_member_sets_built_once(self):
+        ts = _ts({"person": (0, 1)}, edges=(("person", "agent"),))
+        sets = ts.member_sets
+        assert sets == {"person": {0, 1}, "agent": {0, 1}}
+        assert ts.member_sets is sets
+        most_specific_common_type({0}, ts)
+        assert ts.member_sets is sets
 
 
 class TestDeterminismAndMerge:
