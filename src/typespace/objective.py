@@ -94,16 +94,19 @@ def _check_simplex(store: BlockStore, what: str) -> None:
         raise SimplexViolationError(f"{store.label(i)} {what} coefficients violate the simplex constraint")
 
 
-def block_resid(block: SubspaceBlock, points: np.ndarray) -> np.ndarray:
+def block_resid(block: SubspaceBlock, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Residual rows of a subspace block's fit: its points (one per
-    coefficient row) minus their convex combinations of the anchors.  Its
-    loss is the sum of squared residuals, whose partial for point i is
-    2 * resid[i]."""
-    return points - block.coeffs @ block.anchors
+    coefficient row) minus their convex combinations of the anchors, in out
+    when given.  Its loss is the sum of squared residuals, whose partial for
+    point i is 2 * resid[i]."""
+    return np.subtract(points, block.coeffs @ block.anchors, out=out)
 
 
-def block_anchor_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
-    return -2.0 * block.coeffs.T @ resid
+def block_anchor_grad(coeffs: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """-2 C^T R: the anchor partials of a block's fit from its coefficient
+    rows C and residual rows R, or of a stack of blocks from (B, r, k) and
+    (B, r, n) stacks, each block's bit for bit its own."""
+    return -2.0 * np.swapaxes(coeffs, -1, -2) @ resid
 
 
 def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
@@ -137,18 +140,20 @@ def type_loss(types: TypeSubspaceParams, model: EmbeddingModel) -> float:
 
 def comb_penalty_terms(anchors: np.ndarray, tiny: float = 1e-12):
     """Loss and anchor partials of the anchor-cohesion penalty: the summed
-    Euclidean distances of the anchors to their centroid.  At a kink
-    (anchor exactly at the centroid) the zero subgradient is used."""
-    centered = anchors - anchors.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1)
+    Euclidean distances of the anchors to their centroid.  anchors is one
+    block's (k, n) or a (B, k, n) stack, whose losses and partials are each
+    block's own bit for bit.  At a kink (anchor exactly at the centroid) the
+    zero subgradient is used."""
+    centered = anchors - anchors.mean(axis=-2, keepdims=True)
+    norms = np.linalg.norm(centered, axis=-1)
     safe = np.where(norms > tiny, norms, 1.0)
-    units = np.where((norms > tiny)[:, None], centered / safe[:, None], 0.0)
-    return float(np.sum(norms)), units - units.mean(axis=0)
+    units = np.where((norms > tiny)[..., None], centered / safe[..., None], 0.0)
+    return np.sum(norms, axis=-1), units - units.mean(axis=-2, keepdims=True)
 
 
 def type_comb_penalty(types: TypeSubspaceParams) -> float:
     """Anchor-cohesion penalty summed over types."""
-    return sum(comb_penalty_terms(tp.anchors)[0] for tp in types.per_type.values())
+    return float(sum(comb_penalty_terms(tp.anchors)[0] for tp in types.per_type.values()))
 
 
 def rel_dist_loss(store: TripleStore, model: EmbeddingModel, rels: RelationParams) -> float:

@@ -12,7 +12,10 @@ biases included.  A triple takes one step on its two entities and its
 relation.  Types and relation groups are the same subspace block, and one
 block step updates either: the simplex coefficients by projected gradient,
 the anchors by a gradient step, then singular-value thresholding of the
-anchor span matrix; a group's entities and relation then take one step.
+anchor span matrix.  A pass's per-block loop takes the coefficient steps,
+each group's followed by one step on its entities and relation; no block
+reads another's anchors, so the anchor steps and proxes run after the
+loop, stacked per size class (_anchor_steps), bit for bit as per block.
 The nuclear norms are handled only by the proximal step, never by
 gradients.  The step kernels test finiteness from a sum of squares and
 take the exact test only when that sum is not finite (params._finite).  The
@@ -36,6 +39,7 @@ from typespace.ingest import CooccurrenceTable, EntityCatalog, TripleStore, Type
 from typespace.objective import (
     TEXT_FITS,
     LossBreakdown,
+    _add_in_order,
     block_anchor_grad,
     block_coeff_grad,
     block_resid,
@@ -68,6 +72,11 @@ ADAGRAD_EPS = 1e-8
 # the worst relative error is 3.7e-14 at this switch, 8e-13 at 1e-3 and
 # 1.3e-11 at 1e-4.
 GRAM_MIN_TAU = 1e-2
+
+# Gathered values per temporary of a chunk of deferred anchor steps
+# (_anchor_steps): 256 KiB of float64, so a size class of many blocks is
+# stepped in cache-sized pieces.
+_ANCHOR_CHUNK_CELLS = 1 << 15
 
 PASSES = ("text", "type", "rel_dist", "rel_group", "objective")  # the keys of an epoch's pass_ms
 
@@ -155,20 +164,27 @@ def adagrad_step(
     if rows is None:
         state += g * g
         values -= lr * g / np.sqrt(state + ADAGRAD_EPS)
-    else:
-        acc = state[rows] + g * g
+    else:  # in place on the gathered rows, so a chunk of blocks takes few temporaries
+        acc = state[rows]
+        acc += g * g
         state[rows] = acc
-        values[rows] -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
+        acc += ADAGRAD_EPS
+        step = lr * g
+        step /= np.sqrt(acc, out=acc)
+        values[rows] -= step
 
 
-def anchor_prox_scale(lr: float, accum: np.ndarray) -> float:
+def anchor_prox_scale(lr: float, accum: np.ndarray):
     """Effective AdaGrad scale of an anchor block, used to couple the
     nuclear-norm strength to the current step size: lr / sqrt(mean G + eps).
+    accum is one block's (k, n) accumulators, or a (B, k, n) stack whose
+    (B,) scales are each bit for bit the block's own.
 
     This coupling is deliberately isolated here so it can be revised in one
     place.
     """
-    return lr / math.sqrt(float(np.sum(accum)) / accum.size + ADAGRAD_EPS)
+    mean = np.sum(accum, axis=(-2, -1)) / (accum.shape[-2] * accum.shape[-1])
+    return lr / np.sqrt(mean + ADAGRAD_EPS)
 
 
 @dataclass
@@ -330,47 +346,78 @@ def _prepare_text_entries(data: TrainData, state: _AdaState):
     return tuple(np.concatenate(parts) for parts in (urows, vrows, fvals, logs))
 
 
-def _block_step(block, points, acc, hp, prox, comb, report, label) -> tuple[np.ndarray, float]:
-    """One update of a subspace block whose current points are `points`.
+def _coeff_step(block, points, acc, lr, scale, name, resid) -> None:
+    """Projected AdaGrad on a block's simplex coefficient rows, then the
+    residual rows of its fit at the new coefficients, written to resid.
+    acc holds the block's accumulators, its view in _AdaState's stores."""
+    coeff_grad = block_coeff_grad(block, block_resid(block, points))
+    adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=name)
+    block.coeffs[:] = project_to_simplex(block.coeffs)
+    block_resid(block, points, out=resid)
 
-    Projected AdaGrad on the simplex coefficient rows, an AdaGrad step on
-    the anchors (plus the anchor-cohesion penalty when comb is set), then,
-    when prox is set, singular-value thresholding of the anchor span matrix
-    with anchor 0 held as base point.  acc holds the block's accumulators,
-    its view in _AdaState's stores.  Returns the residuals of the anchor
-    step, for the caller to turn into point gradients, and the nuclear norm
-    of the new span (0.0 without prox).
-    """
+
+def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
+    """The anchor half of the block steps of a pass over store, run after
+    its per-block loop: per size class, in chunks of about
+    _ANCHOR_CHUNK_CELLS gathered values per temporary, one stacked gradient
+    -2 C^T R (plus the anchor-cohesion partials when comb is set), one
+    AdaGrad step on the chunk's anchors, then, when prox is set, one span
+    build, singular-value thresholding of each block's span at
+    beta * anchor_prox_scale with anchor 0 held as base point, and one
+    rewrite of the anchors.  resid holds the pass's residual rows, laid out
+    like store.coeffs; accs is store's accumulator store.  No block reads
+    another's anchors within a pass, so every block moves bit for bit as
+    its own step would.  Returns each block's span nuclear norm after its
+    prox, in key order (zeros without prox)."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    coeff_grad = block_coeff_grad(block, block_resid(block, points))
-    adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=f"coeffs[{label}]")
-    block.coeffs[:] = project_to_simplex(block.coeffs)
-    resid = block_resid(block, points)
-    anchor_grad = block_anchor_grad(block, resid)
-    if comb:
-        anchor_grad = anchor_grad + comb_penalty_terms(block.anchors)[1]
-    adagrad_step(block.anchors, scale * anchor_grad, acc.anchors, lr, name=f"anchors[{label}]")
-    if not prox:
-        return resid, 0.0
-    tau = hp.beta_reg * anchor_prox_scale(lr, acc.anchors)
-    span, norm = prox_nuclear(anchor_span_matrix(block.anchors), tau)
-    set_anchor_span_matrix(block.anchors, span)
-    report.prox_calls += 1
-    report.prox_zero += not span.any()
-    return resid, norm
+    prefix = "" if store.kind == "type" else store.kind
+
+    def name(b) -> str:
+        return f"anchors[{prefix}{store.key_table[b]}]"
+
+    k, n = store.anchors.shape[1:]
+    norms = np.zeros(len(store))
+    for cls in store.size_classes:
+        per = max(1, _ANCHOR_CHUNK_CELLS // (k * max(n, cls.coeffs.shape[1])))
+        for s in range(0, len(cls.blocks), per):
+            blocks, rows = cls.blocks[s : s + per], cls.coeffs[s : s + per]
+            grad = block_anchor_grad(store.coeffs[rows], resid[rows])
+            if comb:
+                grad = grad + comb_penalty_terms(store.anchors[blocks])[1]
+            adagrad_step(store.anchors, scale * grad, accs.anchors, lr, name, blocks)
+            if not prox:
+                continue
+            anchors = store.anchors[blocks]
+            spans = anchor_span_matrix(anchors)
+            taus = hp.beta_reg * anchor_prox_scale(lr, accs.anchors[blocks])
+            for j, tau in enumerate(taus.tolist()):
+                spans[j], norms[blocks[j]] = prox_nuclear(spans[j], tau)
+            set_anchor_span_matrix(anchors, spans)
+            store.anchors[blocks] = anchors
+            report.prox_calls += len(blocks)
+            report.prox_zero += len(blocks) - int(np.count_nonzero(spans.reshape(len(blocks), -1).any(axis=1)))
+    return norms
 
 
 def _type_pass(params, state, hp, flags, report) -> float:
-    """One block step per type, in type-id order; the entity points stay
-    fixed.  Returns the sum of the types' span nuclear norms after their
-    proxes."""
+    """One coefficient step per type, in type-id order, then the types'
+    anchor steps and proxes (_anchor_steps); the entity points stay fixed.
+    Returns the sum of the types' span nuclear norms after their proxes.
+
+    A non-finite gradient names the first type, in id order, whose
+    coefficient gradient is not finite; failing that, the first whose
+    anchor gradient is not finite, in the order the anchor steps run: size
+    classes ascending, each in key order."""
+    store, accs, points = params.types.per_type, state.types, params.model.entity_points
+    resid = np.empty((len(store.coeffs), points.shape[1]))  # laid out like store.coeffs
+    lr = hp.learn_rate
+    scale = 1.0 - hp.alpha_mix
     prox = flags.reg1 and hp.beta_reg > 0.0
-    reg = 0.0
-    for (type_id, tp), acc in zip(params.types.items(), state.types.values()):
-        points = params.model.entity_points[tp.members]
-        reg += _block_step(tp, points, acc, hp, prox, flags.comb, report, type_id)[1]
-    return reg
+    c = store.offsets[1].tolist()
+    for i, ((type_id, tp), acc) in enumerate(zip(store.items(), accs.values())):
+        _coeff_step(tp, points[tp.members], acc, lr, scale, f"coeffs[{type_id}]", resid[c[i] : c[i + 1]])
+    return _add_in_order(0.0, _anchor_steps(store, accs, resid, hp, prox, flags.comb, report))
 
 
 def _rel_dist_pass(params, state, data, hp, rng):
@@ -394,7 +441,10 @@ def _group_plans(params, state) -> list[tuple]:
     """Each relation group's plan, in pass order (tail groups then head
     groups, each side in key order), built per size class: (block,
     accumulators, label, sign, point rows, step rows, residual rows, member
-    position of the endpoint).  Rows are row-buffer rows; entity e's is e.
+    position of the endpoint, coefficient rows).  Rows are row-buffer rows;
+    entity e's is e.  The coefficient rows are a slice of both stores'
+    coefficients laid end to end, tail groups first: where _rel_dim_pass
+    keeps the group's residuals.
     The group's points are its point rows (members, then the endpoint) with
     sign times the relation's row, the last step row, added to the last:
     the virtual member, the translated head e + r_k of a tail group (e, k)
@@ -404,6 +454,7 @@ def _group_plans(params, state) -> list[tuple]:
     the relation.  An endpoint that is also a member takes both partials at
     its member position, which is None for any other endpoint."""
     plans = []
+    base = 0
     for groups, accs in ((params.rels.rhs_groups, state.rhs), (params.rels.lhs_groups, state.lhs)):
         side = [None] * len(groups)
         for cls in groups.size_classes:
@@ -416,31 +467,44 @@ def _group_plans(params, state) -> list[tuple]:
             for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
                 side[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
         sign = 1.0 if groups.kind == "rhs" else -1.0
-        plans += [(block, acc, f"{groups.kind}{key}", sign, *rows)
-                  for (key, block), acc, rows in zip(groups.items(), accs.values(), side)]
+        c = (base + groups.offsets[1]).tolist()
+        plans += [(block, acc, f"{groups.kind}{key}", sign, *rows, slice(c[i], c[i + 1]))
+                  for i, ((key, block), acc, rows) in enumerate(zip(groups.items(), accs.values(), side))]
+        base = c[-1]
     return plans
 
 
-def _rel_dim_pass(state, hp, flags, report, plans) -> float:
-    """One block step per relation group of plans (_group_plans), then one
-    AdaGrad step on its entities and relation (columns :n of their rows).
-    Returns the sum of the groups' span nuclear norms after their proxes."""
+def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
+    """One coefficient step per relation group of plans (_group_plans),
+    each followed by one AdaGrad step on its entities and relation (columns
+    :n of their rows), then the groups' anchor steps and proxes, tail
+    groups first (_anchor_steps).  Returns the sum of the groups' span
+    nuclear norms after their proxes.
+
+    A non-finite gradient raises at the first step that meets one.  In pass
+    order, a group's coefficient step names the group (coeffs[...]) and its
+    point step the entity or relation row.  The anchor steps then run tail
+    groups first, each side by size class ascending and each class in key
+    order, and name the first group whose anchor gradient is not finite
+    (anchors[...])."""
     rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    prox = flags.reg2 and hp.beta_reg > 0.0
-    reg = 0.0
-    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member in plans:
+    rhs, lhs = params.rels.rhs_groups, params.rels.lhs_groups
+    resid = np.empty((len(rhs.coeffs) + len(lhs.coeffs), rows.shape[1]))
+    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
         points = rows[point_rows]
         points[-1] += sign * rows[step_rows[-1]]
-        resid, norm = _block_step(block, points, acc, hp, prox, False, report, label)
-        reg += norm
-        grads = 2.0 * resid[resid_rows]
+        out = resid[at]
+        _coeff_step(block, points, acc, lr, scale, f"coeffs[{label}]", out)
+        grads = 2.0 * out[resid_rows]
         if end_member is not None:
             grads[end_member] += grads[-1]
         grads[-1] *= sign
         adagrad_step(rows, scale * grads, acc_rows, lr, name, step_rows)
-    return reg
+    prox = flags.reg2 and hp.beta_reg > 0.0
+    reg = _add_in_order(0.0, _anchor_steps(rhs, state.rhs, resid[: len(rhs.coeffs)], hp, prox, False, report))
+    return _add_in_order(reg, _anchor_steps(lhs, state.lhs, resid[len(rhs.coeffs) :], hp, prox, False, report))
 
 
 def _timed(pass_ms, name, fn, *args):
@@ -459,7 +523,9 @@ def train(
     The result is a pure function of the inputs and seeds.  With beta > 0
     each pass proxes a block last, so the objective takes the nuclear norms
     the proxes return.  The arrays of params hold the trained values
-    afterwards, whether train returns or raises.
+    afterwards, whether train returns or raises; a non-finite gradient
+    raises before its step moves anything and names the block _type_pass
+    and _rel_dim_pass say.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
@@ -492,7 +558,7 @@ def train(
                 if flags.rel_dist_active and len(data.triples) > 0:
                     _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
                 if flags.rel_dim_active:
-                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, state, hp, flags, report, plans)
+                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report, plans)
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 

@@ -316,13 +316,15 @@ class ModelParams:
 
 def anchor_span_matrix(anchors: np.ndarray) -> np.ndarray:
     """The n x n matrix whose i-th row is anchor i minus anchor 0; its rank
-    is the dimension of the anchors' affine span."""
-    return anchors[1:] - anchors[0]
+    is the dimension of the anchors' affine span.  A (B, n+1, n) stack of
+    anchors gives the (B, n, n) stack of its blocks' spans."""
+    return anchors[..., 1:, :] - anchors[..., :1, :]
 
 
 def set_anchor_span_matrix(anchors: np.ndarray, span: np.ndarray) -> None:
-    """Rewrite anchors 1..n from a span matrix, keeping anchor 0 as base."""
-    anchors[1:] = anchors[0] + span
+    """Rewrite anchors 1..n from a span matrix, keeping anchor 0 as base;
+    stacks as anchor_span_matrix."""
+    anchors[..., 1:, :] = anchors[..., :1, :] + span
 
 
 def block_centroids(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from typespace.ingest import (
     TypeSystem,
     WORD_WORD,
 )
+from typespace.optimize import TrainData
 from typespace.params import BlockStore, Hyperparams, init_parameters
 
 
@@ -98,6 +99,43 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
 
     hp = Hyperparams(n=n, seed=seed, epochs=1)
     params = init_parameters(n_entities, n_words, ts, store, hp)
+    perturb(params, rng)
+    return ww_t, ew_t, store, params, hp
+
+
+def interleaved_instance(seed, n=4, n_entities=10, n_words=5):
+    """(data, params, hp): random_instance's tables, seven types of 2, 4, 2,
+    1, 4, 3 and 2 members and head groups of 2, 3, 2 and 3 rows, in key
+    order, so the blocks of a size class are not contiguous, plus a few
+    random triples; parameters perturbed as random_instance's."""
+    ww, ew, _, _, hp = random_instance(seed, n=n, n_entities=n_entities, n_words=n_words)
+    rng = np.random.default_rng(seed)
+    members = {f"t{i}": tuple(sorted(rng.choice(n_entities, size=size, replace=False).tolist()))
+               for i, size in enumerate((2, 4, 2, 1, 4, 3, 2))}
+    ts = TypeSystem(tuple(members), members, {t: frozenset({t}) for t in members})
+    triples = {(h, 0, f) for f, heads in enumerate(((4,), (5, 6), (7,), (8, 9))) for h in heads}
+    triples |= {(int(rng.integers(n_entities)), int(rng.integers(1, 3)), int(rng.integers(n_entities)))
+                for _ in range(6)}
+    rhs: dict = {}
+    lhs: dict = {}
+    for e, k, f in sorted(triples):
+        rhs.setdefault((e, k), []).append(f)
+        lhs.setdefault((k, f), []).append(e)
+    store = TripleStore(
+        ("r0", "r1", "r2"),
+        tuple(sorted(triples)),
+        {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
+        {k: tuple(sorted(v)) for k, v in sorted(lhs.items())},
+    )
+    params = init_parameters(n_entities, n_words, ts, store, hp)
+    perturb(params, rng)
+    return TrainData(n_entities, n_words, ww, ew, ts, store), params, hp
+
+
+def perturb(params, rng):
+    """Move params away from initialization with rng's draws: every vector,
+    bias and anchor by Gaussian noise, and every coefficient row to a
+    random point of the simplex."""
     m = params.model
     for arr in (m.entity_points, m.word_vecs, m.ctx_vecs):
         arr += rng.normal(scale=0.3, size=arr.shape)
@@ -113,4 +151,3 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
             gp.anchors[:] += rng.normal(scale=0.4, size=gp.anchors.shape)
             raw = rng.uniform(0.1, 1.0, size=gp.coeffs.shape)
             gp.coeffs[:] = raw / raw.sum(axis=1, keepdims=True)
-    return ww_t, ew_t, store, params, hp

@@ -262,8 +262,11 @@ class StepRecorder:
     A step on given rows of the trainer's row buffer is mapped back row by
     row to the arrays that view the buffer, by address: a buffer row holds a
     vector (columns :n) and, on a text step, its bias (column n), and each
-    takes its columns of the gradient row.  A whole-array step is one target
-    (key, None), its array found by memory overlap.
+    takes its columns of the gradient row.  A step on given blocks of a
+    stacked anchor store (a gradient block per index) is mapped back block
+    by block to the block's own anchor array, one target (key, None) each.
+    A whole-array step is one target (key, None), its array found by memory
+    overlap.
     """
 
     def __init__(self, params):
@@ -295,7 +298,14 @@ class StepRecorder:
         assert len(set(int(r) for r in rows)) == len(rows) == len(g)
         targets = []
         for r, gr in zip(rows, g):
-            for column, key, arr, row in self._owners(values.ctypes.data + int(r) * values.strides[0], len(gr)):
+            address = values.ctypes.data + int(r) * values.strides[0]
+            if gr.ndim > 1:  # a block of a stacked store
+                key, arr = next((key, arr) for key, arr in self.arrays
+                                if arr.ctypes.data == address and arr.shape == gr.shape)
+                self.grads.setdefault(key, np.zeros_like(arr))[...] += gr
+                targets.append((key, None))
+                continue
+            for column, key, arr, row in self._owners(address, len(gr)):
                 part = gr[column : column + arr[0].size].reshape(arr.shape[1:])
                 self.grads.setdefault(key, np.zeros_like(arr))[row] += part
                 targets.append((key, int(row)))
@@ -477,6 +487,48 @@ def ref_group_plan(members, side, key, rel_start):
     return sign, rows, np.append(rows, rel_start + k), np.append(np.arange(m + 1), m), None
 
 
+def ref_comb_partials(anchors, tiny=1e-12):
+    """The anchor partials of the anchor-cohesion penalty of one block, as
+    objective.comb_penalty_terms took them before it took stacks: each
+    anchor's unit offset from the centroid (zero within tiny of it), minus
+    the mean of those units."""
+    centered = anchors - anchors.mean(axis=0)
+    norms = np.linalg.norm(centered, axis=1)
+    safe = np.where(norms > tiny, norms, 1.0)
+    units = np.where((norms > tiny)[:, None], centered / safe[:, None], 0.0)
+    return units - units.mean(axis=0)
+
+
+def ref_type_pass(params, accs, hp, prox, comb, prox_nuclear):
+    """One type at a time in id order, the entity points fixed: a projected
+    AdaGrad step on its coefficients, an AdaGrad step on its anchors (plus
+    ref_comb_partials with comb), then with prox the thresholding of the
+    anchor span by prox_nuclear at beta * lr / sqrt(mean G + eps).  accs is
+    the types' accumulator store.  Returns the nuclear norms summed in type
+    order (0.0 without prox)."""
+    m, types = params.model, params.types
+    lr = hp.learn_rate
+    scale = 1.0 - hp.alpha_mix
+    reg = 0.0
+    for t in sorted(types.per_type):
+        tp, acc = types[t], accs[t]
+        points = m.entity_points[tp.members]
+        resid = points - tp.coeffs @ tp.anchors
+        _ref_adagrad(tp.coeffs, ..., scale * (-2.0 * resid @ tp.anchors.T), acc.coeffs, lr)
+        tp.coeffs[:] = ref_simplex_rows(tp.coeffs)
+        resid = points - tp.coeffs @ tp.anchors
+        grad = -2.0 * tp.coeffs.T @ resid
+        if comb:
+            grad = grad + ref_comb_partials(tp.anchors)
+        _ref_adagrad(tp.anchors, ..., scale * grad, acc.anchors, lr)
+        if prox:
+            tau = hp.beta_reg * lr / math.sqrt(float(np.mean(acc.anchors)) + 1e-8)
+            span, norm = prox_nuclear(tp.anchors[1:] - tp.anchors[0], tau)
+            tp.anchors[1:] = tp.anchors[0] + span
+            reg += norm
+    return reg
+
+
 def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):
     """One group at a time, tail groups then head groups in key order: the
     group's points (members, then the endpoint moved by +r_k for a tail
@@ -486,11 +538,13 @@ def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):
     beta * lr / sqrt(mean G + eps), then AdaGrad steps on the entities (the
     endpoint's partial added to its member row when it is a member) and on
     the relation vector.  accs is (entity accumulators, relation
-    accumulators, tail-group store, head-group store)."""
+    accumulators, tail-group store, head-group store).  Returns the nuclear
+    norms summed in pass order (0.0 without prox)."""
     m, rels = params.model, params.rels
     entity_acc, rel_acc, *group_accs = accs
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
+    reg = 0.0
     for side, groups, side_accs in zip(("rhs", "lhs"), (rels.rhs_groups, rels.lhs_groups), group_accs):
         for key in sorted(groups):
             gp = groups[key]
@@ -506,12 +560,15 @@ def ref_rel_dim_pass(params, accs, hp, prox, prox_nuclear):
             _ref_adagrad(gp.anchors, ..., scale * (-2.0 * gp.coeffs.T @ resid), acc_anchors, lr)
             if prox:
                 tau = hp.beta_reg * lr / math.sqrt(float(np.mean(acc_anchors)) + 1e-8)
-                gp.anchors[1:] = gp.anchors[0] + prox_nuclear(gp.anchors[1:] - gp.anchors[0], tau)[0]
+                span, norm = prox_nuclear(gp.anchors[1:] - gp.anchors[0], tau)
+                gp.anchors[1:] = gp.anchors[0] + span
+                reg += norm
             point_grads = 2.0 * resid
             grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
             grads[entity] = grads[entity] + point_grads[-1] if entity in grads else point_grads[-1]
             _ref_adagrad(m.entity_points, list(grads), scale * np.array(list(grads.values())), entity_acc, lr)
             _ref_adagrad(rels.vectors, k, scale * (sign * point_grads[-1]), rel_acc, lr)
+    return reg
 
 
 # --- per-candidate evaluation loops ------------------------------------------

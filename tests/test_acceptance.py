@@ -116,18 +116,19 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         return lambda: optimize._type_pass(params, state, hp, variant_flags(variant), TrainReport())
 
     def type_steps(rec):
-        return _check_block_steps(rec, [(types[t], []) for t in sorted(types.per_type)])
+        return _check_block_steps(rec, [types.per_type], [[[]] * len(types.per_type)])
 
     def group_steps(rec):
-        # A group's block step, then one step on its points' distinct
+        # A group's coefficient step, then one step on its points' distinct
         # entities (members, then the endpoint unless it is one) and its
         # relation.
-        blocks = []
+        further = []
         for groups in (rels.rhs_groups, rels.lhs_groups):
+            further.append([])
             for gp, (endpoint, k) in zip(groups.values(), groups.endpoints.tolist()):
                 entities = list(dict.fromkeys(gp.members.tolist() + [endpoint]))
-                blocks.append((gp, [[("entity", e) for e in entities] + [("rel", k)]]))
-        return _check_block_steps(rec, blocks)
+                further[-1].append([[("entity", e) for e in entities] + [("rel", k)]])
+        return _check_block_steps(rec, [rels.rhs_groups, rels.lhs_groups], further)
 
     type_keys = {str((kind, t)) for t in types.per_type for kind in ("anchors", "lambda")} | {"entity"}
     group_keys = {str((kind, groups.kind, key)) for groups in (rels.rhs_groups, rels.lhs_groups) for key in groups
@@ -140,7 +141,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
          lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
          lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
-        ("rel_group", lambda: optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans),
+        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans),
          group_loss, group_keys | {"entity", "rel"}, group_steps),
     ]
 
@@ -178,15 +179,29 @@ def _check_rel_dist_steps(rec, triples, order):
     return loops
 
 
-def _check_block_steps(rec, blocks):
-    """Per (block, further steps) in pass order, the coefficient step, then
-    the anchor step, then the further steps, each a list of (key, row).
-    Returns 0."""
+def _check_block_steps(rec, stores, further):
+    """Per store in pass order, per block in key order, the coefficient
+    step and then the block's further steps (further[store][block], a list
+    of (key, row) lists); then per store the anchor steps, each on the
+    blocks of one size class: the classes ascending, a class's blocks in
+    key order, every block in exactly one step.  Returns 0."""
     key_of = {id(arr): key for key, arr in rec.arrays}
     expected = []
-    for block, further in blocks:
-        expected += [[(key_of[id(block.coeffs)], None)], [(key_of[id(block.anchors)], None)], *further]
-    assert [targets for targets, _ in rec.steps] == expected
+    for store, more in zip(stores, further, strict=True):
+        for block, steps in zip(store.values(), more, strict=True):
+            expected += [[(key_of[id(block.coeffs)], None)], *steps]
+    got = [targets for targets, _ in rec.steps]
+    assert got[: len(expected)] == expected
+    rest = got[len(expected) :]
+    for store in stores:
+        blocks = list(store.values())
+        for cls in store.size_classes:
+            want = [(key_of[id(blocks[b].anchors)], None) for b in cls.blocks.tolist()]
+            while want:
+                step = rest.pop(0)
+                assert step and step == want[: len(step)]
+                want = want[len(step) :]
+    assert not rest
     return 0
 
 

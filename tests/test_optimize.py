@@ -7,22 +7,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import block_store, random_instance
+from conftest import block_store, interleaved_instance, random_instance
 from reference_impls import (
     collect_param_arrays,
     prox_objective,
     prox_subgradient_residual,
     ref_adagrad_step,
     ref_prox_nuclear,
+    ref_comb_partials,
     ref_rel_dim_pass,
     ref_rel_dist_pass,
+    ref_type_pass,
     ref_simplex_rows,
     simplex_bisection_oracle,
     simplex_grid_search,
 )
 from typespace import optimize, synth
 from typespace.ingest import ENTITY_WORD, WORD_WORD, CooccurrenceTable, TypeSystem
-from typespace.objective import nuclear_norm, regularizer, variant_flags, weight_f
+from typespace.objective import (
+    block_anchor_grad,
+    comb_penalty_terms,
+    nuclear_norm,
+    regularizer,
+    variant_flags,
+    weight_f,
+)
 from typespace.optimize import (
     NonFiniteGradientError,
     TrainConfig,
@@ -331,7 +340,7 @@ class TestFiniteGuards:
         name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-            optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans)
+            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -760,17 +769,29 @@ class TestTrainerStepsWithCheckedGradients:
         assert [name for name, _ in self._named(steps)].count(f"entity[{e}]") == 2
 
     def test_block_step(self, steps):
-        data, params, hp = self._instance(5)
-        tp = params.types["t1"]
-        points = params.model.entity_points[tp.members]
-        coeff_grad = self._block_grads(tp, points)[0]
-        acc = optimize._AdaState(params).types["t1"]
-        optimize._block_step(tp, points, acc, hp, False, False, TrainReport(), "t1")
-        # The anchor step follows the coefficient step: its gradient is
-        # taken at the projected coefficients.
-        anchor_grad = self._block_grads(tp, points)[1]
-        scale = 1.0 - self.ALPHA
-        self._assert_steps(steps, [("coeffs[t1]", scale * coeff_grad), ("anchors[t1]", scale * anchor_grad)])
+        for variant in ("full", "type_comb"):
+            steps.clear()
+            data, params, hp = self._instance(5)
+            hp = replace(hp, variant=variant, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
+            types = params.types
+            points = {t: params.model.entity_points[tp.members] for t, tp in types.items()}
+            coeff_grads = {t: self._block_grads(tp, points[t])[0] for t, tp in types.items()}
+            optimize._type_pass(params, optimize._AdaState(params), hp, variant_flags(variant), TrainReport())
+            # Every type's coefficient step in id order, then the anchor
+            # steps, one per size class here, whose gradients are taken at
+            # the projected coefficients (plus the comb partials for
+            # type_comb).
+            scale = 1.0 - self.ALPHA
+            expected = [(f"coeffs[{t}]", scale * coeff_grads[t]) for t in types.per_type]
+            for cls in types.per_type.size_classes:
+                for t in (types.per_type.key_table[b] for b in cls.blocks.tolist()):
+                    grad = self._block_grads(types[t], points[t])[1]
+                    if variant == "type_comb":
+                        grad = grad + ref_comb_partials(types[t].anchors)
+                    expected.append((f"anchors[{t}]", scale * grad))
+            assert len(types.per_type.size_classes) > 1
+            assert len(steps) == len(types.per_type) + len(types.per_type.size_classes)
+            self._assert_steps(steps, expected)
 
     def test_rel_dim_pass(self, steps):
         data, params, hp = self._instance(6)
@@ -778,13 +799,14 @@ class TestTrainerStepsWithCheckedGradients:
         m, rels = params.model, params.rels
         state = optimize._AdaState(params)
         plans = optimize._group_plans(params, state)
-        optimize._rel_dim_pass(state, hp, variant_flags(hp.variant), TrainReport(), plans)
-        # A group's coefficient step is test_block_step's; the anchor, member
-        # and relation steps are taken at the projected coefficients, which
-        # the pass leaves behind.
+        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
+        # A group's coefficient step is test_block_step's; the member and
+        # relation steps follow it in pass order, and the anchor steps, one
+        # per size class here, come after every group's; all are taken at
+        # the projected coefficients, which the pass leaves behind.
         steps[:] = [step for step in steps if not (isinstance(step[0], str) and step[0].startswith("coeffs["))]
         scale = 1.0 - self.ALPHA
-        expected = []
+        expected, anchor_steps = [], []
         for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
             for key in sorted(groups):
                 gp = groups[key]
@@ -796,24 +818,40 @@ class TestTrainerStepsWithCheckedGradients:
                 _, anchor_grad, point_grads = self._block_grads(gp, points)
                 entity_grads = dict(zip(gp.members.tolist(), point_grads[:-1]))
                 entity_grads[entity] = entity_grads.get(entity, 0.0) + point_grads[-1]
-                expected.append((f"anchors[{side}{key}]", scale * anchor_grad))
+                step = (f"anchors[{side}{key}]", scale * anchor_grad)
+                anchor_steps.append(((side, groups.key_table.index(key)), step))
                 expected += [(f"entity[{r}]", scale * g) for r, g in entity_grads.items()]
                 expected.append((f"rel[{k}]", scale * sign * point_grads[-1]))
+        # The anchor steps: tail groups then head groups, each side by size
+        # class, a class's groups in key order.
+        order = {(side, b): i for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups))
+                 for i, b in enumerate(b for cls in groups.size_classes for b in cls.blocks.tolist())}
+        expected += [step for _, step in sorted(anchor_steps, key=lambda item: (item[0][0] != "rhs", order[item[0]]))]
         n_groups = len(rels.rhs_groups) + len(rels.lhs_groups)
-        assert n_groups > 1
-        assert len(steps) == 2 * n_groups  # an anchor step and one point step per group
+        n_classes = len(rels.rhs_groups.size_classes) + len(rels.lhs_groups.size_classes)
+        assert n_groups > n_classes > 2
+        assert len(steps) == n_groups + n_classes  # one point step per group, one anchor step per class
         self._assert_steps(steps, expected)
 
 
 class TestRelGroupPass:
-    """The planned relation-group pass against the per-group loop it
-    replaced (reference_impls.ref_rel_dim_pass), bit for bit."""
+    """The planned relation-group pass, its anchor steps deferred to after
+    the per-group loop, against the per-group loop it replaced
+    (reference_impls.ref_rel_dim_pass), bit for bit."""
+
+    @staticmethod
+    def _instances():
+        for seed in range(10):
+            yield random_instance(seed)[3:]
+        for seed in range(5):  # head-group size classes interleave in key order
+            _, params, hp = interleaved_instance(seed)
+            assert any(np.any(np.diff(cls.blocks) > 1) for cls in params.rels.lhs_groups.size_classes)
+            yield params, hp
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_matches_per_group_loop(self, beta):
         self_loops = 0
-        for seed in range(10):
-            ww, ew, store, params, hp = random_instance(seed)
+        for params, hp in self._instances():
             hp = replace(hp, alpha_mix=0.3, beta_reg=beta)
             ref_params = clone_params(params)
             m, rels = ref_params.model, ref_params.rels
@@ -821,10 +859,10 @@ class TestRelGroupPass:
                         rels.lhs_groups.zeros())
             state = optimize._AdaState(params)
             plans = optimize._group_plans(params, state)
-            self_loops += sum(plan[-1] is not None for plan in plans)
+            self_loops += sum(plan[7] is not None for plan in plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
-                optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport(), plans)
-                ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
+                reg = optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+                assert reg == ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
             rel0, n = state.starts["vectors"], hp.n
@@ -835,6 +873,209 @@ class TestRelGroupPass:
                 got = getattr(state, side)
                 assert np.array_equal(got.anchors, want.anchors) and np.array_equal(got.coeffs, want.coeffs), side
         assert self_loops > 0  # some group's endpoint is one of its members
+
+
+class TestTypePass:
+    """The type pass, its anchor steps deferred to after the per-type loop,
+    against the per-type loop (reference_impls.ref_type_pass), bit for
+    bit."""
+
+    @pytest.mark.parametrize("variant", ["full", "type_comb"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_matches_per_type_loop(self, beta, variant):
+        flags = variant_flags(variant)
+        for seed in range(10):
+            # Seven types whose size classes interleave in key order.
+            _, params, hp = interleaved_instance(seed)
+            hp = replace(hp, alpha_mix=0.3, beta_reg=beta, variant=variant)
+            ref_params = clone_params(params)
+            ref_accs = ref_params.types.per_type.zeros()
+            state = optimize._AdaState(params)
+            for _ in range(2):  # the second pass starts from non-zero accumulators
+                reg = optimize._type_pass(params, state, hp, flags, TrainReport())
+                assert reg == ref_type_pass(ref_params, ref_accs, hp, beta > 0.0, flags.comb, prox_nuclear)
+            pairs = zip(collect_param_arrays(params), collect_param_arrays(ref_params), strict=True)
+            for (name, got), (_, want) in pairs:
+                assert np.array_equal(got, want), name
+            assert np.array_equal(state.types.anchors, ref_accs.anchors)
+            assert np.array_equal(state.types.coeffs, ref_accs.coeffs)
+
+
+class TestDeferredAnchorSteps:
+    """Exactness edges of the anchor steps a block pass runs after its
+    per-block loop (optimize._anchor_steps)."""
+
+    @staticmethod
+    def _train(data, params, hp):
+        trained, report = train(data, TrainConfig(hp=hp, shuffle_seed=5), clone_params(params))
+        return [arr.tobytes() for _, arr in collect_param_arrays(trained)], [lb.total for lb in report.losses]
+
+    @pytest.mark.parametrize("variant", ["full", "type_comb"])
+    def test_chunk_size_changes_nothing(self, monkeypatch, variant):
+        data, params, hp = interleaved_instance(3)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=3, variant=variant)
+        want = self._train(data, params, hp)
+        n_blocks = sum(len(s) for s in (params.types.per_type, params.rels.rhs_groups, params.rels.lhs_groups))
+        chunks = []
+        step = optimize.adagrad_step
+
+        def counting(values, *args, **kwargs):
+            chunks[-1] += values.ndim == 3  # a step on a stacked anchor store
+            step(values, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "adagrad_step", counting)
+        # One block per chunk, two (n = 4, at most 5 rows: 50 // (5 * 5)),
+        # and a whole size class.
+        for cells in (1, 50, 10**9):
+            monkeypatch.setattr(optimize, "_ANCHOR_CHUNK_CELLS", cells)
+            chunks.append(0)
+            assert self._train(data, params, hp) == want, cells
+        assert chunks[0] == 3 * n_blocks > chunks[1] > chunks[2]
+
+    @pytest.mark.parametrize("variant", ["full", "type_comb"])
+    @pytest.mark.parametrize("absent", ["groups", "types"])
+    def test_empty_store(self, variant, absent):
+        data, _, hp = interleaved_instance(1)
+        if absent == "groups":
+            data = replace(data, triples=synth.empty_triple_store())
+        else:
+            data = replace(data, type_system=synth.empty_type_system())
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=2, variant=variant)
+        trained, report = train(data, TrainConfig(hp=hp, shuffle_seed=1))
+        blocks = len(data.type_system.type_ids) + len(data.triples.rhs) + len(data.triples.lhs)
+        assert report.prox_calls == 2 * blocks > 0
+        assert all(math.isfinite(lb.total) for lb in report.losses)
+        # The empty pass on its own: no step, no prox, a zero sum.
+        state, flags, report = optimize._AdaState(trained), variant_flags(variant), TrainReport()
+        if absent == "groups":
+            plans = optimize._group_plans(trained, state)
+            assert optimize._rel_dim_pass(trained, state, hp, flags, report, plans) == 0.0
+        else:
+            assert optimize._type_pass(trained, state, hp, flags, report) == 0.0
+        assert report.prox_calls == 0
+
+    def test_stacked_prox_scale_is_the_scalar_formula(self):
+        rng = np.random.default_rng(0)
+        lr = 0.05
+        for n in (1, 2, 4, 7, 20, 50):
+            store = rng.gamma(0.5, size=(9, n + 1, n)) * 10.0 ** rng.uniform(-6, 6, size=(9, 1, 1))
+            blocks = rng.permutation(9)[:5]  # gathered, as the trainer gathers a chunk
+            want = [lr / math.sqrt(float(np.sum(store[b])) / store[b].size + optimize.ADAGRAD_EPS) for b in blocks]
+            assert anchor_prox_scale(lr, store[blocks]).tolist() == want
+            assert [float(anchor_prox_scale(lr, store[b])) for b in blocks] == want
+
+    def test_stacked_gradients_are_per_block(self):
+        rng = np.random.default_rng(1)
+        for n, r in ((1, 1), (2, 5), (4, 3), (20, 1), (20, 30), (50, 2)):
+            anchors = rng.normal(size=(9, n + 1, n))
+            anchors[0, -1] = anchors[0, :-1].mean(axis=0)  # an anchor at the centroid: the zero subgradient
+            coeffs, resid = rng.uniform(size=(9, r, n + 1)), rng.normal(size=(9, r, n))
+            blocks = rng.permutation(9)[:5]
+            losses, partials = comb_penalty_terms(anchors[blocks])
+            grads = block_anchor_grad(coeffs[blocks], resid[blocks])
+            for j, b in enumerate(blocks):
+                assert partials[j].tobytes() == ref_comb_partials(anchors[b]).tobytes()
+                assert losses[j] == comb_penalty_terms(anchors[b])[0]
+                assert grads[j].tobytes() == (-2.0 * coeffs[b].T @ resid[b]).tobytes()
+
+
+class TestDivergenceNamesTheBlock:
+    """A non-finite gradient in a block pass ends training with
+    TrainingDivergedError naming the block, and params' arrays hold the
+    values the pass had reached: a clean run's for every step taken before
+    the error, the start values for every step after it."""
+
+    @staticmethod
+    def _run(data, params, hp, plant, name):
+        """(start, clean): params after a clean one-epoch run, and then,
+        after plant(params) plants a non-finite value, before the run of hp
+        that must raise within its first epoch, naming name."""
+        clean, _ = train(data, TrainConfig(hp=replace(hp, epochs=1), shuffle_seed=0), clone_params(params))
+        plant(params)
+        start = clone_params(params)
+        message = rf"^diverged at epoch 1: non-finite gradient for {re.escape(name)}$"
+        with pytest.raises(TrainingDivergedError, match=message) as exc_info:
+            train(data, TrainConfig(hp=hp, shuffle_seed=0), params)
+        assert exc_info.value.last_good is None
+        return start, clean
+
+    @staticmethod
+    def _same(got, want):
+        return got.tobytes() == want.tobytes()
+
+    def test_nan_point_names_the_first_type_that_reads_it(self):
+        data, params, hp = interleaved_instance(2)
+        hp = replace(hp, alpha_mix=0.0, beta_reg=0.5, epochs=2, variant="full")
+        types = params.types.per_type
+        e = next(e for e in range(10) if e not in types["t0"].members and any(e in tp.members for tp in types.values()))
+        bad = next(t for t, tp in types.items() if e in tp.members)  # the first type in id order
+        handed = params.model.entity_points
+
+        def plant(p):
+            p.model.entity_points[e] = np.nan
+
+        start, clean = self._run(data, params, hp, plant, f"coeffs[{bad}]")
+        # The coefficient steps of the types before it; no anchor step.
+        for t, tp in types.items():
+            assert self._same(tp.coeffs, (clean if t < bad else start).types[t].coeffs), t
+        assert self._same(types.anchors, start.types.per_type.anchors)
+        assert params.model.entity_points is handed and self._same(handed, start.model.entity_points)
+        for side in ("rhs_groups", "lhs_groups"):
+            got, want = getattr(params.rels, side), getattr(start.rels, side)
+            assert self._same(got.anchors, want.anchors) and self._same(got.coeffs, want.coeffs)
+        assert not self._same(types.coeffs, start.types.per_type.coeffs)
+
+    def test_nan_in_a_head_group_names_it(self):
+        # Every entity and relation a head group reads, a tail group reads
+        # first, so the NaN is planted in the head group's anchors.
+        data, params, hp = interleaved_instance(2)
+        hp = replace(hp, alpha_mix=0.0, beta_reg=0.5, epochs=2, variant="full")
+        lhs = params.rels.lhs_groups
+        key = lhs.key_table[3]
+
+        def plant(p):
+            p.rels.lhs_groups[key].anchors[1, 0] = np.nan
+
+        start, clean = self._run(data, params, hp, plant, f"coeffs[lhs{key}]")
+        # The whole type pass, the relation-distance pass and the coefficient
+        # steps of every group before it; no group's anchor step.
+        assert self._same(params.types.per_type.anchors, clean.types.per_type.anchors)
+        assert self._same(params.types.per_type.coeffs, clean.types.per_type.coeffs)
+        assert self._same(params.rels.rhs_groups.coeffs, clean.rels.rhs_groups.coeffs)
+        for i, k in enumerate(lhs.key_table):
+            assert self._same(lhs[k].coeffs, (clean if i < 3 else start).rels.lhs_groups[k].coeffs), k
+        for side in ("rhs_groups", "lhs_groups"):
+            assert self._same(getattr(params.rels, side).anchors, getattr(start.rels, side).anchors)
+        assert not self._same(params.model.entity_points, start.model.entity_points)
+
+    def test_bad_anchor_gradients_name_the_first_of_the_first_bad_chunk(self, monkeypatch):
+        # Poisoned comb partials for t1 (4 members) and t5 (3 members): the
+        # anchor steps run by size class, so t5's chunk comes first.
+        data, params, hp = interleaved_instance(2)
+        hp = replace(hp, alpha_mix=0.0, beta_reg=0.5, epochs=2, variant="type_comb")
+        types = params.types.per_type
+        real = optimize.comb_penalty_terms
+
+        def poisoned(anchors):
+            loss, partials = real(anchors)
+            for j, block in enumerate(anchors):
+                if any(np.array_equal(block, types[t].anchors) for t in ("t1", "t5")):
+                    partials[j, 0, 0] = np.nan
+            return loss, partials
+
+        start = clone_params(params)
+        clean, _ = train(data, TrainConfig(hp=replace(hp, epochs=1), shuffle_seed=0), clone_params(params))
+        monkeypatch.setattr(optimize, "comb_penalty_terms", poisoned)
+        message = r"^diverged at epoch 1: non-finite gradient for anchors\[t5\]$"
+        with pytest.raises(TrainingDivergedError, match=message):
+            train(data, TrainConfig(hp=hp, shuffle_seed=0), params)
+        # Every coefficient step, and the anchor steps of the chunks before
+        # t5's: the classes of 1 and 2 members.
+        assert self._same(types.coeffs, clean.types.per_type.coeffs)
+        stepped = {types.key_table[b] for cls in types.size_classes[:2] for b in cls.blocks.tolist()}
+        assert stepped == {"t0", "t2", "t3", "t6"}
+        for t, tp in types.items():
+            assert self._same(tp.anchors, (clean if t in stepped else start).types[t].anchors), t
 
 
 class TestRelDistPass:
@@ -869,8 +1110,9 @@ class TestRelDistPass:
 
 class TestStepCounts:
     """One AdaGrad step per text batch, one per triple, and per relation
-    group its two block steps and one on its points; a type takes its two
-    block steps."""
+    group its coefficient step and one on its points; a type takes its
+    coefficient step; each block pass then takes one anchor step per chunk
+    of a size class."""
 
     def test_steps_per_batch_triple_and_group(self, monkeypatch):
         ww, ew, store, params, hp = random_instance(5)
@@ -899,11 +1141,15 @@ class TestStepCounts:
             monkeypatch.setattr(optimize, attr, counted(name, getattr(optimize, attr)))
         train(data, TrainConfig(hp=hp, shuffle_seed=1), params)
         assert len(batches) == 2 and sum(batches) > 0
+        # Every size class here fits in one chunk.
+        types, rels = params.types.per_type, params.rels
+        group_classes = len(rels.rhs_groups.size_classes) + len(rels.lhs_groups.size_classes)
+        assert len(types.size_classes) > 1 and group_classes > 2
         assert calls == {
             "text": sum(batches),
-            "type": 2 * 2 * len(params.types.per_type),
+            "type": 2 * (len(types) + len(types.size_classes)),
             "rel_dist": 2 * len(store.triples),
-            "rel_group": 2 * 3 * (len(store.rhs) + len(store.lhs)),
+            "rel_group": 2 * (2 * (len(store.rhs) + len(store.lhs)) + group_classes),
         }
 
 
