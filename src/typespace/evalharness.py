@@ -67,10 +67,10 @@ class EmbeddingView:
 
 
 def _check_disjoint(problem: str, *parts) -> None:
-    """Raise ValueError when two of a problem's split parts share an id."""
-    sets = [set(part) for part in parts]
-    if sum(map(len, sets)) > len(set().union(*sets)):
-        raise ValueError(f"{problem}: split parts overlap")
+    """Raise ValueError when an id sits twice in a problem's split parts,
+    in two parts or twice in one."""
+    if sum(map(len, parts)) > len(set().union(*parts)):
+        raise ValueError(f"{problem}: split parts overlap or repeat an id")
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def load_induction_problems(path) -> list[InductionProblem]:
 
 def load_analogy_problems(path) -> list[AnalogyProblem]:
     """Analogy problems: quads of four id strings, and a split object whose
-    test part lists quad indices; without a split or a test part every quad
-    is tested.  A tune part is accepted and ignored."""
+    test part lists distinct quad indices; without a split or a test part
+    every quad is tested.  A tune part is accepted and ignored."""
 
     def build(rec):
         if not isinstance(rec["quads"], list):
@@ -197,6 +197,8 @@ def load_analogy_problems(path) -> list[AnalogyProblem]:
         test_idx = _object(rec.get("split", {}), "split").get("test", list(range(len(quads))))
         if not isinstance(test_idx, list) or not all(type(i) is int and 0 <= i < len(quads) for i in test_idx):
             raise ValueError(f"split part 'test' is not a list of quad indices in [0, {len(quads)})")
+        if len(set(test_idx)) < len(test_idx):
+            raise ValueError("split part 'test' repeats a quad index")
         return AnalogyProblem(quads=quads, test_idx=tuple(test_idx))
 
     return _problem_records(path, build)

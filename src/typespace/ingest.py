@@ -215,10 +215,11 @@ def load_corpus(path) -> list[Document]:
     equal tokens are one string object.  Sentences and mentions must be
     lists, document ids and mentioned entities strings, mention sentences
     and span bounds integers (not booleans), and article_of a string or
-    null.  Mentions of every entity are kept; filtering by the entity
-    catalog happens when counting.
+    null.  No two documents may share an id.  Mentions of every entity are
+    kept; filtering by the entity catalog happens when counting.
     """
     docs: list[Document] = []
+    id_line: dict[str, int] = {}
     normalized = _Lexicon().__getitem__
     for lineno, line in numbered_lines(path):
         if not line.strip():
@@ -254,6 +255,8 @@ def load_corpus(path) -> list[Document]:
                 raise TypeError("article_of is neither a string nor null")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
+        if (earlier := id_line.setdefault(doc_id, lineno)) != lineno:
+            raise CorpusParseError(f"{path}: doc_id {doc_id!r} on line {lineno} repeats the doc_id of line {earlier}")
         doc = Document(doc_id, sentences, tuple(mentions), article_of)
         _validate_document(doc, lineno)
         docs.append(doc)

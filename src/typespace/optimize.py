@@ -10,17 +10,16 @@ earlier entry sharing a row with it, and each level's entries, which write
 distinct rows whichever table they come from, take one step on their rows,
 biases included.  A triple takes one step on its two entities and its
 relation.  Types and relation groups are the same subspace block, and one
-block step updates either: the simplex coefficients by projected gradient,
-the anchors by a gradient step, then singular-value thresholding of the
-anchor span matrix.  A pass's per-block loop takes the coefficient steps,
-each group's followed by one step on its entities and relation; no block
-reads another's anchors, so the anchor steps and proxes run after the
-loop, stacked per size class (_anchor_steps), bit for bit as per block.
-The nuclear norms are handled only by the proximal step, never by
-gradients.  The step kernels test finiteness from a sum of squares and
-take the exact test only when that sum is not finite (params._finite).  The
-divergence snapshot is cloned after every epoch but the last.  Training
-is a pure function of its inputs and seeds.
+loop steps either (_block_pass), by plans built once per run
+(_block_plans): the simplex coefficients by projected gradient, then a
+group's entities and relation.  No block reads another's anchors, so the
+anchor gradient steps and the singular-value thresholding of the anchor
+span matrices run after the loop, stacked per size class (_anchor_steps),
+bit for bit as per block.  The nuclear norms are handled only by the
+proximal step, never by gradients.  The step kernels test finiteness from
+a sum of squares and take the exact test only when that sum is not finite
+(params._finite).  The divergence snapshot is cloned after every epoch but
+the last.  Training is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -270,10 +269,15 @@ class _AdaState:
             return f"{parts[i][3]}[{r - firsts[i]}]"
 
         self.row_name = row_name
-        # Anchor and coefficient accumulators, stacked like the blocks.
+        # Anchor and coefficient accumulators, stacked like the blocks; each
+        # block pass's (store, accumulators) pairs and its plans.
         self.types = params.types.per_type.zeros()
         self.rhs = rels.rhs_groups.zeros()
         self.lhs = rels.lhs_groups.zeros()
+        self.type_stores = ((params.types.per_type, self.types),)
+        self.group_stores = ((rels.rhs_groups, self.rhs), (rels.lhs_groups, self.lhs))
+        self.type_plans = _block_plans(self.type_stores, self.starts["vectors"])
+        self.group_plans = _block_plans(self.group_stores, self.starts["vectors"])
 
     def release(self) -> None:
         for owner, attr, arr in self._handed:
@@ -346,16 +350,6 @@ def _prepare_text_entries(data: TrainData, state: _AdaState):
     return tuple(np.concatenate(parts) for parts in (urows, vrows, fvals, logs))
 
 
-def _coeff_step(block, points, acc, lr, scale, name, resid) -> None:
-    """Projected AdaGrad on a block's simplex coefficient rows, then the
-    residual rows of its fit at the new coefficients, written to resid.
-    acc holds the block's accumulators, its view in _AdaState's stores."""
-    coeff_grad = block_coeff_grad(block, block_resid(block, points))
-    adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=name)
-    block.coeffs[:] = project_to_simplex(block.coeffs)
-    block_resid(block, points, out=resid)
-
-
 def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     """The anchor half of the block steps of a pass over store, run after
     its per-block loop: per size class, in chunks of about
@@ -364,17 +358,16 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     AdaGrad step on the chunk's anchors, then, when prox is set, one span
     build, singular-value thresholding of each block's span at
     beta * anchor_prox_scale with anchor 0 held as base point, and one
-    rewrite of the anchors.  resid holds the pass's residual rows, laid out
-    like store.coeffs; accs is store's accumulator store.  No block reads
+    rewrite of the anchors.  resid begins with store's residual rows, laid
+    out like store.coeffs; accs is store's accumulator store.  No block reads
     another's anchors within a pass, so every block moves bit for bit as
     its own step would.  Returns each block's span nuclear norm after its
     prox, in key order (zeros without prox)."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    prefix = "" if store.kind == "type" else store.kind
 
     def name(b) -> str:
-        return f"anchors[{prefix}{store.key_table[b]}]"
+        return f"anchors[{_label(store, b)}]"
 
     k, n = store.anchors.shape[1:]
     norms = np.zeros(len(store))
@@ -400,24 +393,93 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     return norms
 
 
-def _type_pass(params, state, hp, flags, report) -> float:
-    """One coefficient step per type, in type-id order, then the types'
-    anchor steps and proxes (_anchor_steps); the entity points stay fixed.
-    Returns the sum of the types' span nuclear norms after their proxes.
+def _label(store, b) -> str:
+    """Block b of store in a step's error: its type id, or a relation
+    group's side and key."""
+    return f"{'' if store.kind == 'type' else store.kind}{store.key_table[b]}"
 
-    A non-finite gradient names the first type, in id order, whose
-    coefficient gradient is not finite; failing that, the first whose
-    anchor gradient is not finite, in the order the anchor steps run: size
-    classes ascending, each in key order."""
-    store, accs, points = params.types.per_type, state.types, params.model.entity_points
-    resid = np.empty((len(store.coeffs), points.shape[1]))  # laid out like store.coeffs
+
+def _block_plans(stores, rel0) -> list[tuple]:
+    """Each block's plan in a pass over stores, (store, accumulator store)
+    pairs, store by store in key order: (block, accumulators, label, sign,
+    point rows, step rows, residual rows, member position of the endpoint,
+    coefficient rows).  Rows are row-buffer rows: entity e's is e, relation
+    k's rel0 + k.  The coefficient rows slice the stores' coefficients laid
+    end to end, as _block_pass lays out the residuals.
+    A type's points are its members; its sign is 0 and it has no step rows.
+    A relation group's plan is built per size class.  Its points are its
+    point rows (members, then the endpoint) with sign times the last step
+    row, the relation's, added to the last: the virtual member, e + r_k of a
+    tail group (e, k) (sign 1) or f - r_k of a head group (k, f) (sign -1).
+    The step rows are the distinct entities, then the relation; each takes
+    the partial of its residual row, the virtual member's for the endpoint
+    and, signed, the relation.  An endpoint that is also a member takes both
+    partials at its member position, which is None for any other endpoint."""
+    plans, base = [], 0
+    for store, accs in stores:
+        per_block = [(block.members, None, None, None) for block in store.values()]  # a type's
+        for cls in store.size_classes if store.kind != "type" else ():
+            r = cls.rows.shape[1]
+            match = cls.rows[:, :-1] == cls.rows[:, -1:]
+            member = match.any(axis=1).tolist()
+            steps = np.concatenate((cls.rows, rel0 + cls.rels[:, None]), axis=1)
+            keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
+            resid_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
+            for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
+                per_block[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
+        sign = {"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind]
+        c = (base + store.offsets[1]).tolist()
+        plans += [(block, acc, _label(store, i), sign, *rows, slice(c[i], c[i + 1]))
+                  for i, (block, acc, rows) in enumerate(zip(store.values(), accs.values(), per_block))]
+        base = c[-1]
+    return plans
+
+
+def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
+    """A pass over the blocks of stores, (store, accumulator store) pairs:
+    per plan (_block_plans), projected AdaGrad on the block's coefficient
+    rows, its residual rows at the new coefficients, then one AdaGrad step
+    on its step rows, if any (columns :n); then the anchor steps store by
+    store (_anchor_steps), with proxes when reg is set and beta > 0.
+    Returns the sum of the span nuclear norms after the proxes.
+
+    A non-finite gradient raises at the first step that meets one: in plan
+    order, a coefficient step names the block (coeffs[...]) and a point
+    step the entity or relation row; then, store by store, each by size
+    class ascending and each class in key order, the first block whose
+    anchor gradient is not finite (anchors[...])."""
+    rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    prox = flags.reg1 and hp.beta_reg > 0.0
-    c = store.offsets[1].tolist()
-    for i, ((type_id, tp), acc) in enumerate(zip(store.items(), accs.values())):
-        _coeff_step(tp, points[tp.members], acc, lr, scale, f"coeffs[{type_id}]", resid[c[i] : c[i + 1]])
-    return _add_in_order(0.0, _anchor_steps(store, accs, resid, hp, prox, flags.comb, report))
+    resid = np.empty((sum(len(store.coeffs) for store, _ in stores), rows.shape[1]))
+    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
+        points = rows[point_rows]
+        if sign:  # a group's virtual member
+            points[-1] += sign * rows[step_rows[-1]]
+        coeff_grad = block_coeff_grad(block, block_resid(block, points))
+        adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=f"coeffs[{label}]")
+        block.coeffs[:] = project_to_simplex(block.coeffs)
+        out = block_resid(block, points, out=resid[at])
+        if step_rows is None:
+            continue
+        grads = 2.0 * out[resid_rows]
+        if end_member is not None:
+            grads[end_member] += grads[-1]
+        if sign:  # the relation's partial: the virtual member's, signed
+            grads[-1] *= sign
+        adagrad_step(rows, scale * grads, acc_rows, lr, name, step_rows)
+    prox = reg and hp.beta_reg > 0.0
+    total, base = 0.0, 0
+    for store, accs in stores:
+        total = _add_in_order(total, _anchor_steps(store, accs, resid[base:], hp, prox, comb, report))
+        base += len(store.coeffs)
+    return total
+
+
+def _type_pass(params, state, hp, flags, report) -> float:
+    """The block pass over the types, in type-id order (_block_pass); the
+    entity points stay fixed."""
+    return _block_pass(state.type_stores, state.type_plans, state, hp, flags.reg1, flags.comb, report)
 
 
 def _rel_dist_pass(params, state, data, hp, rng):
@@ -437,74 +499,11 @@ def _rel_dist_pass(params, state, data, hp, rng):
             adagrad_step(rows, np.array((np.zeros_like(g), -g)), acc, lr, name, np.array((e, rel0 + k)))
 
 
-def _group_plans(params, state) -> list[tuple]:
-    """Each relation group's plan, in pass order (tail groups then head
-    groups, each side in key order), built per size class: (block,
-    accumulators, label, sign, point rows, step rows, residual rows, member
-    position of the endpoint, coefficient rows).  Rows are row-buffer rows;
-    entity e's is e.  The coefficient rows are a slice of both stores'
-    coefficients laid end to end, tail groups first: where _rel_dim_pass
-    keeps the group's residuals.
-    The group's points are its point rows (members, then the endpoint) with
-    sign times the relation's row, the last step row, added to the last:
-    the virtual member, the translated head e + r_k of a tail group (e, k)
-    or the translated tail f - r_k of a head group (k, f).  The step rows
-    are the distinct entities and then the relation; each takes the partial
-    of its residual row, the virtual member's for the endpoint and, signed,
-    the relation.  An endpoint that is also a member takes both partials at
-    its member position, which is None for any other endpoint."""
-    plans = []
-    base = 0
-    for groups, accs in ((params.rels.rhs_groups, state.rhs), (params.rels.lhs_groups, state.lhs)):
-        side = [None] * len(groups)
-        for cls in groups.size_classes:
-            r = cls.rows.shape[1]
-            match = cls.rows[:, :-1] == cls.rows[:, -1:]
-            member = match.any(axis=1).tolist()
-            steps = np.concatenate((cls.rows, state.starts["vectors"] + cls.rels[:, None]), axis=1)
-            keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
-            resid_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
-            for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
-                side[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
-        sign = 1.0 if groups.kind == "rhs" else -1.0
-        c = (base + groups.offsets[1]).tolist()
-        plans += [(block, acc, f"{groups.kind}{key}", sign, *rows, slice(c[i], c[i + 1]))
-                  for i, ((key, block), acc, rows) in enumerate(zip(groups.items(), accs.values(), side))]
-        base = c[-1]
-    return plans
-
-
-def _rel_dim_pass(params, state, hp, flags, report, plans) -> float:
-    """One coefficient step per relation group of plans (_group_plans),
-    each followed by one AdaGrad step on its entities and relation (columns
-    :n of their rows), then the groups' anchor steps and proxes, tail
-    groups first (_anchor_steps).  Returns the sum of the groups' span
-    nuclear norms after their proxes.
-
-    A non-finite gradient raises at the first step that meets one.  In pass
-    order, a group's coefficient step names the group (coeffs[...]) and its
-    point step the entity or relation row.  The anchor steps then run tail
-    groups first, each side by size class ascending and each class in key
-    order, and name the first group whose anchor gradient is not finite
-    (anchors[...])."""
-    rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
-    lr = hp.learn_rate
-    scale = 1.0 - hp.alpha_mix
-    rhs, lhs = params.rels.rhs_groups, params.rels.lhs_groups
-    resid = np.empty((len(rhs.coeffs) + len(lhs.coeffs), rows.shape[1]))
-    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
-        points = rows[point_rows]
-        points[-1] += sign * rows[step_rows[-1]]
-        out = resid[at]
-        _coeff_step(block, points, acc, lr, scale, f"coeffs[{label}]", out)
-        grads = 2.0 * out[resid_rows]
-        if end_member is not None:
-            grads[end_member] += grads[-1]
-        grads[-1] *= sign
-        adagrad_step(rows, scale * grads, acc_rows, lr, name, step_rows)
-    prox = flags.reg2 and hp.beta_reg > 0.0
-    reg = _add_in_order(0.0, _anchor_steps(rhs, state.rhs, resid[: len(rhs.coeffs)], hp, prox, False, report))
-    return _add_in_order(reg, _anchor_steps(lhs, state.lhs, resid[len(rhs.coeffs) :], hp, prox, False, report))
+def _rel_dim_pass(params, state, hp, flags, report) -> float:
+    """The block pass over the relation groups, tail groups then head
+    groups, each side in key order (_block_pass): a group's coefficient step
+    is followed by one step on its entities and relation."""
+    return _block_pass(state.group_stores, state.group_plans, state, hp, flags.reg2, False, report)
 
 
 def _timed(pass_ms, name, fn, *args):
@@ -524,8 +523,8 @@ def train(
     each pass proxes a block last, so the objective takes the nuclear norms
     the proxes return.  The arrays of params hold the trained values
     afterwards, whether train returns or raises; a non-finite gradient
-    raises before its step moves anything and names the block _type_pass
-    and _rel_dim_pass say.
+    raises before its step moves anything and names the block _block_pass
+    says.
     """
     hp = cfg.hp
     flags = variant_flags(hp.variant)
@@ -541,7 +540,6 @@ def train(
     state = _AdaState(params)  # params views its buffers until state.release()
     try:
         entries = _prepare_text_entries(data, state)
-        plans = _group_plans(params, state)
         log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
         for epoch in range(hp.epochs):
             t0 = time.perf_counter()
@@ -558,7 +556,7 @@ def train(
                 if flags.rel_dist_active and len(data.triples) > 0:
                     _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
                 if flags.rel_dim_active:
-                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report, plans)
+                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report)
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 

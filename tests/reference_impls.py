@@ -474,8 +474,8 @@ def ref_rel_dist_pass(model, rels, entity_acc, rel_acc, triples, hp, rng):
 
 def ref_group_plan(members, side, key, rel_start):
     """One relation group's plan after its block, accumulators and label
-    (optimize._group_plans), built on its own: its sign, its point rows (members, then the
-    endpoint), its row-buffer step rows (the distinct entities, then
+    (optimize._block_plans), built on its own: its sign, its point rows
+    (members, then the endpoint), its row-buffer step rows (the distinct entities, then
     rel_start + k), the residual row of each step row's partial and the
     endpoint's member position, None when it is no member."""
     entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
@@ -965,8 +965,9 @@ def _ref_check_mentions(doc_id, sentences, mentions, lineno):
 
 def ref_load_corpus(path):
     """ingest.load_corpus as one loop over the lines: json.loads, the record's
-    fields read and type-checked one by one, then the mention checks."""
-    docs = []
+    fields read and type-checked one by one, a doc_id seen on no earlier
+    line, then the mention checks."""
+    docs, seen_lines = [], []
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
@@ -974,6 +975,12 @@ def ref_load_corpus(path):
             doc_id, sentences, mentions, article_of = _ref_record(json.loads(line))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusParseError(f"{path}: malformed corpus record on line {lineno}: {exc}") from exc
+        for earlier, doc in zip(seen_lines, docs):
+            if doc.doc_id == doc_id:
+                raise CorpusParseError(
+                    f"{path}: doc_id {doc_id!r} on line {lineno} repeats the doc_id of line {earlier}"
+                )
+        seen_lines.append(lineno)
         _ref_check_mentions(doc_id, sentences, mentions, lineno)
         docs.append(Document(doc_id, sentences, mentions, article_of))
     return docs

@@ -82,7 +82,6 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     m, types, rels = params.model, params.types, params.rels
     data = TrainData(m.n_entities, m.n_words, ww, ew, synth.empty_type_system(), store)
     state = optimize._AdaState(params)
-    plans = optimize._group_plans(params, state)
     alpha, rest = hp.alpha_mix, 1.0 - hp.alpha_mix
 
     def order(size):  # the shuffle of the text and triple passes
@@ -141,7 +140,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
          lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
          lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
-        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans),
+        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport()),
          group_loss, group_keys | {"entity", "rel"}, group_steps),
     ]
 

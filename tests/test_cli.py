@@ -473,7 +473,10 @@ class TestEval:
         ("analogy", lambda rec: rec["split"].update(test=[-1]), "split part 'test' is not a list of quad indices in [0, 11)"),
         ("analogy", lambda rec: rec["quads"][0].pop(), "quad 0 is not a list of 4 id strings"),
         ("induction", lambda rec: rec["split"]["test"].extend(rec["split"]["train"][:2]),
-         "induction problem ('located_in', 'c00'): split parts overlap"),
+         "induction problem ('located_in', 'c00'): split parts overlap or repeat an id"),
+        ("induction", lambda rec: rec["split"]["test"].append(rec["split"]["test"][0]),
+         "induction problem ('located_in', 'c00'): split parts overlap or repeat an id"),
+        ("analogy", lambda rec: rec["split"].update(test=[1, 0, 1]), "split part 'test' repeats a quad index"),
         ("induction", lambda rec: rec["split"].update(train="c01"), "split part 'train' is not a list of id strings"),
         ("ranking", lambda rec: rec["values"].update(c03="nan"), "value of entity 'c03' is not a finite number"),
         ("ranking", lambda rec: rec["values"].update(c03=float("inf")), "value of entity 'c03' is not a finite number"),
@@ -486,7 +489,8 @@ class TestEval:
         ("ranking", lambda rec: rec.update(type=None), "field 'type' is not a string"),
         ("induction", lambda rec: rec.update(relation=None), "field 'relation' is not a string"),
         ("induction", lambda rec: rec.update(target=["c00"]), "field 'target' is not a string"),
-    ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "string_part", "nan_string_value",
+    ], ids=["index_past_end", "negative_index", "three_ids", "test_repeats_train", "test_repeats_itself",
+            "repeated_index", "string_part", "nan_string_value",
             "infinite_value", "bool_value", "empty_list_split", "zero_split", "list_values", "list_split",
             "list_attribute", "null_type", "null_relation", "list_target"])
     def test_malformed_problem_record_exit_one(self, trained_model, micro_dir, tmp_path, capsys, task, edit, message):

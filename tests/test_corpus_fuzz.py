@@ -8,8 +8,8 @@ on a file the loader rejects prints one `error:` line and exits 1; the
 documents of a file it accepts go through the rest of ingest.  The files are
 drawn from valid records with fields, sentences or tokens dropped or given
 values of other JSON types, mention sentences and spans out of range or
-overlapping, lines cut or spliced, and blank, padded or deeply nested lines
-in between.  Nothing is coerced: sentences and mentions must be lists, a
+overlapping, document ids repeated, lines cut or spliced, and blank, padded
+or deeply nested lines in between.  Nothing is coerced: sentences and mentions must be lists, a
 token a string, and a mention's sentence and span bounds integers.
 """
 
@@ -118,11 +118,14 @@ OTHER_SPACE = st.sampled_from(["\x0b", "\xa0", "\ufeff", "\u2028"])
 
 @st.composite
 def corpus_lines(draw):
-    """The lines of a corpus file: valid records padded with JSON whitespace
-    or between blank lines, in about half the files one record broken by
+    """The lines of a corpus file: valid records of distinct ids padded
+    with JSON whitespace or between blank lines, at times one more record
+    repeating an earlier id, in about half the files one record broken by
     changes to its values or to its line, and at times a deeply nested
     line."""
-    recs = draw(st.lists(records(), max_size=4))
+    recs = draw(st.lists(records(), max_size=4, unique_by=lambda rec: rec["doc_id"]))
+    if recs and draw(st.sampled_from([False] * 4 + [True])):
+        recs.append({**draw(records()), "doc_id": draw(st.sampled_from(recs))["doc_id"]})
     lines = [draw(JSON_SPACE) + json.dumps(rec) + draw(JSON_SPACE) for rec in recs]
     if recs and draw(st.booleans()):
         k = draw(st.integers(0, len(recs) - 1))
@@ -221,6 +224,7 @@ def work(tmp_path_factory):
 @example(lines=[_line(_DOC, mentions=[{**_MENTION, "span": [0, 1, 2]}])])
 @example(lines=[_line(_DOC, mentions=[{**_MENTION, "span": [0]}])])
 @example(lines=[_line(_DOC, mentions=[{**_MENTION, "span": [0, 1]}, {"entity": 1, "sentence": 0}])])  # a missing field first
+@example(lines=[_line(_DOC), "", _line(_DOC, doc_id="d2"), _line(_DOC, sentences=[])])  # a repeated id on line 4
 def test_loader_matches_reference_and_cli_errors_in_one_line(work, lines):
     corpus = work / "corpus.jsonl"
     corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -58,6 +58,16 @@ class TestRankingProblemValidation:
         with pytest.raises(ValueError, match="overlap"):
             RankingProblem("t", "a", values, tuple(ids[:20]), tuple(ids[18:25]), tuple(ids[25:]))
 
+    def test_repeated_id_rejected(self):
+        # A repeated test entity would weigh twice in the problem's rho, as
+        # it would in an induction problem's precision.
+        values = {f"e{i}": float(i) for i in range(30)}
+        ids = sorted(values)
+        with pytest.raises(ValueError, match="repeat an id"):
+            RankingProblem("t", "a", values, tuple(ids[:20]), tuple(ids[20:25]), tuple(ids[25:]) + (ids[25],))
+        with pytest.raises(ValueError, match="repeat an id"):
+            InductionProblem("r", "f", train=("a",), valid=(), test=("b", "b"))
+
     def test_union_must_cover(self):
         values = {f"e{i}": float(i) for i in range(31)}
         ids = sorted(values)

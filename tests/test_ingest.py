@@ -147,6 +147,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusParseError, match="line 2"):
             load_corpus(p)
 
+    def test_repeated_doc_id_is_a_parse_error(self, tmp_path):
+        # Two documents of one id would count as one in the catalog's
+        # document counts, so min_doc_mentions=2 would drop e.
+        p = tmp_path / "c.jsonl"
+        doc = {"doc_id": "d1", "sentences": [["a", "b"]], "mentions": [{"entity": "e", "sentence": 0, "span": [0, 1]}]}
+        write_corpus(p, [doc, {"doc_id": "d2", "sentences": []}, doc])
+        with pytest.raises(CorpusParseError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == f"{p}: doc_id 'd1' on line 3 repeats the doc_id of line 1"
+        assert str(exc.value) == str(pytest.raises(CorpusParseError, ref_load_corpus, p).value)
+
     @pytest.mark.parametrize("line, detail", [
         ('{"doc_id": "d", "sentences": [["a"]], "mentions": [{"entity": "e", "sentence": 1e400, "span": [0, 1]}]}',
          "sentence of mention 0 is not an integer"),

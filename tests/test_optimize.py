@@ -335,12 +335,11 @@ class TestFiniteGuards:
 
         monkeypatch.setattr(optimize, "adagrad_step", poisoned)
         state = optimize._AdaState(params)
-        plans = optimize._group_plans(params, state)
-        point_rows, step_rows = plans[0][4:6]
+        point_rows, step_rows = state.group_plans[0][4:6]
         name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport())
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -798,8 +797,7 @@ class TestTrainerStepsWithCheckedGradients:
         hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
         m, rels = params.model, params.rels
         state = optimize._AdaState(params)
-        plans = optimize._group_plans(params, state)
-        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport(), plans)
+        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport())
         # A group's coefficient step is test_block_step's; the member and
         # relation steps follow it in pass order, and the anchor steps, one
         # per size class here, come after every group's; all are taken at
@@ -858,10 +856,9 @@ class TestRelGroupPass:
             ref_accs = (np.zeros_like(m.entity_points), np.zeros_like(rels.vectors), rels.rhs_groups.zeros(),
                         rels.lhs_groups.zeros())
             state = optimize._AdaState(params)
-            plans = optimize._group_plans(params, state)
-            self_loops += sum(plan[7] is not None for plan in plans)
+            self_loops += sum(plan[7] is not None for plan in state.group_plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
-                reg = optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport(), plans)
+                reg = optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport())
                 assert reg == ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
@@ -948,8 +945,7 @@ class TestDeferredAnchorSteps:
         # The empty pass on its own: no step, no prox, a zero sum.
         state, flags, report = optimize._AdaState(trained), variant_flags(variant), TrainReport()
         if absent == "groups":
-            plans = optimize._group_plans(trained, state)
-            assert optimize._rel_dim_pass(trained, state, hp, flags, report, plans) == 0.0
+            assert optimize._rel_dim_pass(trained, state, hp, flags, report) == 0.0
         else:
             assert optimize._type_pass(trained, state, hp, flags, report) == 0.0
         assert report.prox_calls == 0

@@ -2,8 +2,10 @@
 loops they replaced (kept in reference_impls), bit for bit: each block's
 loss and centroid, and the type and relation-group losses, whose per-block
 values are added in key order.  The relation-group plans built per size
-class equal each group's own plan.  Instances mix block sizes, hold 1-member
-types, group endpoints that are also members, and empty group stores."""
+class equal each group's own plan, a type's plan steps no rows, and each
+pass's plans tile its coefficient rows.  Instances mix block sizes, hold
+1-member types, group endpoints that are also members, and empty group
+stores."""
 
 import numpy as np
 import pytest
@@ -58,28 +60,43 @@ def _instance(rng, n, n_entities, type_sizes, rhs_sizes, lhs_sizes, endpoint_mem
     return model, TypeSubspaceParams(types), rels
 
 
-def _group_plans(model, types, rels):
-    """optimize._group_plans of the instance, and the row-buffer row of
-    relation 0; the instance's arrays are its own again afterwards."""
+def _block_plans(model, types, rels):
+    """The type plans and relation-group plans optimize._AdaState builds
+    for the instance, and the row-buffer row of relation 0; the instance's
+    arrays are its own again afterwards."""
     params = ModelParams(model, types, rels)
     state = optimize._AdaState(params)
     try:
-        return optimize._group_plans(params, state), state.starts["vectors"]
+        return state.type_plans, state.group_plans, state.starts["vectors"]
     finally:
         state.release()
 
 
 def _assert_plans_equal(model, types, rels):
-    """Each group's plan from the size classes against its own group plan."""
-    plans, rel_start = _group_plans(model, types, rels)
-    assert len(plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
+    """Each type's plan is its members with no step rows, each group's plan
+    from the size classes is its own group plan, and a pass's coefficient
+    slices tile its stores' coefficient rows, laid end to end, in key
+    order."""
+    type_plans, group_plans, rel_start = _block_plans(model, types, rels)
+    assert len(type_plans) == len(types.per_type)
+    for plan, (key, block) in zip(type_plans, types.per_type.items()):
+        assert plan[0] is block and plan[2] == key, key
+        assert plan[3] == 0.0 and plan[5:8] == (None, None, None), key
+        assert np.array_equal(plan[4], block.members), key
+    assert len(group_plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
     groups = [(store, key, block) for store in (rels.rhs_groups, rels.lhs_groups) for key, block in store.items()]
-    for plan, (store, key, block) in zip(plans, groups):
+    for plan, (store, key, block) in zip(group_plans, groups):
         want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
         assert plan[0] is block and plan[2] == f"{store.kind}{key}", key
         assert (plan[3], plan[7]) == (want[0], want[4]), key
         for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[4:7], want[1:4]):
             assert np.array_equal(got, expected), (key, field)
+    for plans, stores in ((type_plans, [types.per_type]), (group_plans, [rels.rhs_groups, rels.lhs_groups])):
+        coeffs = np.concatenate([store.coeffs for store in stores])
+        starts = [plan[8].start for plan in plans] + [len(coeffs)]
+        assert starts[0] == 0 and [plan[8].stop for plan in plans] == starts[1:]
+        for plan in plans:
+            assert np.array_equal(coeffs[plan[8]], plan[0].coeffs), plan[2]
 
 
 def _assert_bit_equal(model, types, rels):
@@ -123,7 +140,7 @@ class TestStackedFits:
     def test_endpoint_is_member(self):
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
-        assert all(plan[-1] is not None for plan in _group_plans(model, types, rels)[0])
+        assert all(plan[7] is not None for plan in _block_plans(model, types, rels)[1])
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):
