@@ -476,7 +476,7 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     return total
 
 
-def _type_pass(params, state, hp, flags, report) -> float:
+def _type_pass(state, hp, flags, report) -> float:
     """The block pass over the types, in type-id order (_block_pass); the
     entity points stay fixed."""
     return _block_pass(state.type_stores, state.type_plans, state, hp, flags.reg1, flags.comb, report)
@@ -499,7 +499,7 @@ def _rel_dist_pass(params, state, data, hp, rng):
             adagrad_step(rows, np.array((np.zeros_like(g), -g)), acc, lr, name, np.array((e, rel0 + k)))
 
 
-def _rel_dim_pass(params, state, hp, flags, report) -> float:
+def _rel_dim_pass(state, hp, flags, report) -> float:
     """The block pass over the relation groups, tail groups then head
     groups, each side in key order (_block_pass): a group's coefficient step
     is followed by one step on its entities and relation."""
@@ -552,11 +552,11 @@ def train(
                     order = rng.permutation(len(entries[0]))
                     text_batches = _timed(pass_ms, "text", _text_pass, entries, order, state, hp, alpha)
                 if flags.type_active:
-                    reg1 = _timed(pass_ms, "type", _type_pass, params, state, hp, flags, report)
+                    reg1 = _timed(pass_ms, "type", _type_pass, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:
                     _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
                 if flags.rel_dim_active:
-                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, params, state, hp, flags, report)
+                    reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, state, hp, flags, report)
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(f"diverged at epoch {epoch + 1}: {exc}", last_good, epoch) from exc
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 import zlib
 from collections import Counter
@@ -35,6 +36,9 @@ from typespace.ingest import TripleStore, TypeSystem
 
 MAGIC = b"TYSPACE1"
 FORMAT_VERSION = 3
+# The largest write buffer of save_model, and the chunk in which load_model
+# checksums a file whose arrays it does not read.
+_IO_BUFFER = 1 << 20
 
 # A coefficient row is on the probability simplex when its sum is within
 # _SIMPLEX_SUM_TOL of 1 and no entry is below -_SIMPLEX_NEG_TOL
@@ -506,11 +510,16 @@ def save_model(
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    # The arrays' own buffers go into the join, which copies them once.
-    payload = b"".join([MAGIC, struct.pack("<QQ", FORMAT_VERSION, len(header)), header, *(a.data for a in arrays)])
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    # The arrays' own buffers are written and checksummed in place: small
+    # ones fill the write buffer, larger ones bypass it.  A buffer larger
+    # than the file would only hold unused memory.
+    crc = 0
+    size = len(MAGIC) + 16 + len(header) + sum(a.nbytes for a in arrays) + 4  # the whole file
+    with open(path, "wb", buffering=min(size, _IO_BUFFER)) as fh:
+        for part in (MAGIC, struct.pack("<QQ", FORMAT_VERSION, len(header)), header, *(a.data for a in arrays)):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _typed(value, kind: type, what: str, item: type | None = None):
@@ -521,7 +530,7 @@ def _typed(value, kind: type, what: str, item: type | None = None):
     return value
 
 
-def _read_header(raw: memoryview) -> tuple[dict, Hyperparams]:
+def _read_header(raw: bytes) -> tuple[dict, Hyperparams]:
     """The model header from its raw bytes, each field of the type save_model
     writes, and its Hyperparams."""
     try:
@@ -548,37 +557,69 @@ def _read_header(raw: memoryview) -> tuple[dict, Hyperparams]:
         raise ModelFormatError(f"hyperparameters: {exc}") from None
 
 
-def load_model(path) -> LoadedModel:
-    """Read a model file written by save_model, verifying the checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    start = len(MAGIC) + 16  # the header's first byte
-    if len(blob) < start + 4:
-        raise ModelIntegrityError("model file too short")
-    payload, checksum = memoryview(blob)[:-4], blob[-4:]
-    if not blob.startswith(MAGIC):
-        raise ModelFormatError("not a typespace model file (bad magic)")
-    if struct.unpack("<I", checksum)[0] != zlib.crc32(payload):
-        raise ModelIntegrityError("model file checksum mismatch (truncated or corrupted)")
+def _layout(raw: bytes, body: int, end: int) -> tuple[dict, Hyperparams, list[int]]:
+    """The header from its raw bytes, its Hyperparams and the element count
+    of each array, whose bytes must fill the file from offset body, the
+    header's end, to end, the checksum's offset."""
+    header, hp = _read_header(raw)
+    counts = [math.prod(shape) for shape in header["shapes"]]
+    if body + 8 * sum(counts) != end:
+        raise ModelFormatError(f"the array shapes take {8 * sum(counts)} bytes, the model file holds {end - body}")
+    return header, hp, counts
 
-    version, size = struct.unpack_from("<QQ", payload, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"model format version {version} not supported (expected {FORMAT_VERSION})")
-    header, hp = _read_header(payload[start : start + size])
-    # A header length past the end leaves the first offset past it too.
-    offsets = list(itertools.accumulate((8 * math.prod(s) for s in header["shapes"]), initial=start + size))
-    if offsets[-1] != len(payload):
-        raise ModelFormatError(
-            f"the array shapes take {offsets[-1] - offsets[0]} bytes, the model file holds {len(payload) - offsets[0]}"
-        )
+
+def load_model(path) -> LoadedModel:
+    """Read a model file written by save_model, verifying the checksum
+    before any other check.  When the header's shapes account for the
+    file's bytes, each array is read into its own buffer as the CRC32 is
+    chained; otherwise the rest is only checksummed, in bounded chunks, and
+    the header or size error is raised after it."""
+    start = len(MAGIC) + 16  # the header's first byte
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size - 4
+        if end < start:
+            raise ModelIntegrityError("model file too short")
+        preamble = fh.read(start)
+        if not preamble.startswith(MAGIC):
+            raise ModelFormatError("not a typespace model file (bad magic)")
+        version, size = struct.unpack_from("<QQ", preamble, len(MAGIC))
+        crc = zlib.crc32(preamble)
+        layout = error = None
+        if version != FORMAT_VERSION:
+            error = ModelFormatError(f"model format version {version} not supported (expected {FORMAT_VERSION})")
+        elif size <= end - start:  # a longer header is parsed only after the checksum
+            raw = fh.read(size)
+            crc = zlib.crc32(raw, crc)
+            try:
+                layout = _layout(raw, start + size, end)
+            except ModelFormatError as exc:
+                error = exc
+        flat = []
+        if layout is not None:
+            for (_, _, dtype, _), count in zip(_BODY, layout[2]):
+                data = np.empty(count, dtype)
+                if fh.readinto(data) != data.nbytes:
+                    raise ModelIntegrityError("model file truncated while reading")
+                crc = zlib.crc32(data, crc)
+                flat.append(data)
+        else:
+            while (left := end - fh.tell()) > 0 and (part := fh.read(min(left, _IO_BUFFER))):
+                crc = zlib.crc32(part, crc)
+        if fh.read(4) != struct.pack("<I", crc):
+            raise ModelIntegrityError("model file checksum mismatch (truncated or corrupted)")
+        if error is not None:
+            raise error
+        if layout is None:  # the header length runs past the arrays: a header or size error
+            fh.seek(start)
+            _layout(fh.read(end - start), start + size, end)
+    header, hp, _ = layout
 
     arrays = []
-    for (where, name, dtype, _), shape, offset in zip(_BODY, header["shapes"], offsets):
-        data = np.frombuffer(payload, dtype, math.prod(shape), offset)
+    for (where, name, dtype, _), shape, data in zip(_BODY, header["shapes"], flat):
         if dtype == "<f8" and not _finite(data):
             raise ModelFormatError(f"{_label(where, name)} holds a non-finite value")
         try:
-            arrays.append(data.reshape(shape).copy())
+            arrays.append(data.reshape(shape))
         except ValueError:  # a dimension too large for an array, next to a zero
             raise ModelFormatError(f"{_label(where, name)} shape {tuple(shape)} is too large") from None
     arrays = iter(arrays)

@@ -6,8 +6,11 @@ operator definitions, independent of the package's vectorized code paths.
 
 import json
 import math
+import struct
 import sys
 import warnings
+import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -1043,3 +1046,35 @@ def ref_count_entity_word(docs, vocab, catalog, window=10):
                         if j is not None:
                             acc[(e, j)] = acc.get((e, j), 0.0) + 1.0
     return CooccurrenceTable.from_dict(ENTITY_WORD, acc)
+
+
+# --- joined model-file writer ------------------------------------------------------
+
+
+def ref_save_model_joined(path, model, types, rels, hp, entity_ids, word_ids, relation_ids):
+    """The model file (format version 3) built as one joined byte string and
+    written with the CRC32 of all of it: the magic, the version and header
+    length as little-endian u64s, the compact JSON header, then the arrays'
+    bytes in file order."""
+    arrays = [model.entity_points, model.word_vecs, model.ctx_vecs, model.word_bias, model.ctx_bias,
+              model.entity_bias, rels.vectors]
+    for store in (types.per_type, rels.rhs_groups, rels.lhs_groups):
+        if store.kind != "type":
+            arrays.append(np.array(store.key_table, dtype=np.int64).reshape(-1, 2))
+        arrays += [store.anchors, store.counts, store.members, store.coeffs]
+    arrays = [np.ascontiguousarray(a, "<i8" if a.dtype.kind == "i" else "<f8") for a in arrays]
+    header = json.dumps(
+        {
+            # Each hyperparameter as the type of its default.
+            "hp": {f.name: type(f.default)(getattr(hp, f.name)) for f in fields(hp)},
+            "entity_ids": list(entity_ids),
+            "word_ids": list(word_ids),
+            "relation_ids": list(relation_ids),
+            "type_ids": list(types.per_type.key_table),
+            "shapes": [a.shape for a in arrays],
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    payload = b"".join([b"TYSPACE1", struct.pack("<QQ", 3, len(header)), header, *(a.tobytes() for a in arrays)])
+    with open(path, "wb") as fh:
+        fh.write(payload + struct.pack("<I", zlib.crc32(payload)))

@@ -112,7 +112,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         return rest * total
 
     def type_run(variant):
-        return lambda: optimize._type_pass(params, state, hp, variant_flags(variant), TrainReport())
+        return lambda: optimize._type_pass(state, hp, variant_flags(variant), TrainReport())
 
     def type_steps(rec):
         return _check_block_steps(rec, [types.per_type], [[[]] * len(types.per_type)])
@@ -140,7 +140,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
         ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
          lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
          lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
-        ("rel_group", lambda: optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport()),
+        ("rel_group", lambda: optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport()),
          group_loss, group_keys | {"entity", "rel"}, group_steps),
     ]
 

@@ -339,7 +339,7 @@ class TestFiniteGuards:
         name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
-            optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport())
+            optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport())
         assert self._buffers(state) == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -775,7 +775,7 @@ class TestTrainerStepsWithCheckedGradients:
             types = params.types
             points = {t: params.model.entity_points[tp.members] for t, tp in types.items()}
             coeff_grads = {t: self._block_grads(tp, points[t])[0] for t, tp in types.items()}
-            optimize._type_pass(params, optimize._AdaState(params), hp, variant_flags(variant), TrainReport())
+            optimize._type_pass(optimize._AdaState(params), hp, variant_flags(variant), TrainReport())
             # Every type's coefficient step in id order, then the anchor
             # steps, one per size class here, whose gradients are taken at
             # the projected coefficients (plus the comb partials for
@@ -797,7 +797,7 @@ class TestTrainerStepsWithCheckedGradients:
         hp = replace(hp, beta_reg=0.0)  # no prox: the recorder leaves every anchor in place
         m, rels = params.model, params.rels
         state = optimize._AdaState(params)
-        optimize._rel_dim_pass(params, state, hp, variant_flags(hp.variant), TrainReport())
+        optimize._rel_dim_pass(state, hp, variant_flags(hp.variant), TrainReport())
         # A group's coefficient step is test_block_step's; the member and
         # relation steps follow it in pass order, and the anchor steps, one
         # per size class here, come after every group's; all are taken at
@@ -858,7 +858,7 @@ class TestRelGroupPass:
             state = optimize._AdaState(params)
             self_loops += sum(plan[7] is not None for plan in state.group_plans)
             for _ in range(2):  # the second pass starts from non-zero accumulators
-                reg = optimize._rel_dim_pass(params, state, hp, variant_flags("full"), TrainReport())
+                reg = optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport())
                 assert reg == ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
             for (name, got), (_, want) in zip(collect_param_arrays(params), collect_param_arrays(ref_params)):
                 assert np.array_equal(got, want), name
@@ -889,7 +889,7 @@ class TestTypePass:
             ref_accs = ref_params.types.per_type.zeros()
             state = optimize._AdaState(params)
             for _ in range(2):  # the second pass starts from non-zero accumulators
-                reg = optimize._type_pass(params, state, hp, flags, TrainReport())
+                reg = optimize._type_pass(state, hp, flags, TrainReport())
                 assert reg == ref_type_pass(ref_params, ref_accs, hp, beta > 0.0, flags.comb, prox_nuclear)
             pairs = zip(collect_param_arrays(params), collect_param_arrays(ref_params), strict=True)
             for (name, got), (_, want) in pairs:
@@ -945,9 +945,9 @@ class TestDeferredAnchorSteps:
         # The empty pass on its own: no step, no prox, a zero sum.
         state, flags, report = optimize._AdaState(trained), variant_flags(variant), TrainReport()
         if absent == "groups":
-            assert optimize._rel_dim_pass(trained, state, hp, flags, report) == 0.0
+            assert optimize._rel_dim_pass(state, hp, flags, report) == 0.0
         else:
-            assert optimize._type_pass(trained, state, hp, flags, report) == 0.0
+            assert optimize._type_pass(state, hp, flags, report) == 0.0
         assert report.prox_calls == 0
 
     def test_stacked_prox_scale_is_the_scalar_formula(self):

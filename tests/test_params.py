@@ -1,9 +1,14 @@
+import gc
+import json
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_header, split_model, with_crc
+from reference_impls import ref_save_model_joined
 from typespace import synth
 from typespace.params import (
     BlockStore,
@@ -426,6 +431,118 @@ class TestPersistence:
                 relation_ids=["next", "skip"],
             )
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def large_setup():
+    """(params, hp, id tables) of a model whose file is about 9.7 MiB, 9.2 MiB
+    of it the anchors of 474 relation groups at n = 50: kb's shape."""
+    ts, data = synth.single_type_system("thing", 120), synth.chain_graph(120)
+    hp = Hyperparams(n=50, seed=3, epochs=1)
+    params = init_parameters(120, 4, ts, data.triples, hp)
+    return params, hp, ([f"e{i}" for i in range(120)], [f"w{j}" for j in range(4)], ["next", "skip"])
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that fn() allocates, in bytes (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def load_fails(path, error, match):
+    """load_model(path) raises error, its message matching match, and leaves
+    no file open."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(error, match=match):
+            load_model(path)
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
+class TestStreamedFile:
+    """save_model writes and checksums the arrays' own buffers, and
+    load_model reads each array into its own buffer; the checksum is still
+    verified before any other check."""
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """The large model's file and its bytes."""
+        params, hp, ids = large_setup()
+        path = tmp_path_factory.mktemp("large") / "model.bin"
+        save_model(path, params.model, params.types, params.rels, hp, *ids)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("setup", ["small", "large"])
+    def test_file_is_the_joined_writers(self, tmp_path, setup):
+        if setup == "small":
+            params, hp, _ = small_setup(seed=3)
+            ids = ([f"e{i}" for i in range(5)], [f"w{j}" for j in range(4)], ["next", "skip"])
+        else:
+            params, hp, ids = large_setup()
+            assert params.rels.rhs_groups.anchors.nbytes + params.rels.lhs_groups.anchors.nbytes >= 2 * 2**20
+        save_model(tmp_path / "streamed.bin", params.model, params.types, params.rels, hp, *ids)
+        ref_save_model_joined(tmp_path / "joined.bin", params.model, params.types, params.rels, hp, *ids)
+        assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "joined.bin").read_bytes()
+
+    def test_save_holds_no_copy_of_the_file(self, tmp_path, large):
+        # A joined file is a second copy of every array (about 1.0x the
+        # file); the write buffer is 1 MiB.
+        params, hp, ids = large_setup()
+        path = tmp_path / "model.bin"
+        assert traced_peak(lambda: save_model(path, params.model, params.types, params.rels, hp, *ids)) < 0.15 * len(large[1])
+
+    def test_load_holds_one_copy_of_the_arrays(self, large):
+        # Reading the whole file and then copying each array out of it
+        # peaks at about 2.0x the file.
+        assert traced_peak(lambda: load_model(large[0])) < 1.2 * len(large[1])
+
+    def test_corrupted_header_is_a_checksum_error(self, tmp_path, large):
+        # The header no longer parses, but the checksum fails first.
+        blob = bytearray(large[1])
+        blob[24] = ord("[")
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        load_fails(path, ModelIntegrityError, "checksum mismatch")
+
+    @pytest.mark.parametrize("crc", ["refreshed", "stale"])
+    def test_header_length_past_the_file(self, tmp_path, large, crc):
+        blob = large[1][:16] + struct.pack("<Q", 2**63) + large[1][24:]
+        path = tmp_path / "model.bin"
+        if crc == "refreshed":
+            # The header runs to the checksum: it takes in the arrays' bytes.
+            path.write_bytes(with_crc(blob[:-4]))
+            load_fails(path, ModelFormatError, "model header is not UTF-8 JSON")
+        else:
+            # Nothing is read from the unverified length: the file is only checksummed.
+            path.write_bytes(blob)
+            assert traced_peak(lambda: load_fails(path, ModelIntegrityError, "checksum mismatch")) < len(blob)
+
+    @pytest.mark.parametrize("crc", ["refreshed", "stale"])
+    def test_shapes_past_the_file(self, tmp_path, large, crc):
+        path = tmp_path / "model.bin"
+        path.write_bytes(large[1])
+
+        def grow(header):
+            header["shapes"][-4][0] += 1  # one more head group's anchors than the file holds
+            return header
+
+        rewrite_header(path, grow)
+        if crc == "refreshed":
+            error, match = ModelFormatError, r"the array shapes take \d+ bytes, the model file holds \d+"
+        else:
+            path.write_bytes(path.read_bytes()[:-4] + large[1][-4:])
+            error, match = ModelIntegrityError, "checksum mismatch"
+        assert traced_peak(lambda: load_fails(path, error, match)) < len(large[1])
+
+    def test_byte_cut_from_an_array_is_a_checksum_error(self, tmp_path, large):
+        blob = large[1]
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob[: len(blob) // 2] + blob[len(blob) // 2 + 1 :])
+        load_fails(path, ModelIntegrityError, "checksum mismatch")
 
 
 class TestExportAndClone:
