@@ -105,6 +105,16 @@ def _require_file(path, flag):
     return path
 
 
+def _require_writable(path, flag):
+    """Check, before any work, that path, a file the command writes when it
+    is done, is no directory and lies in a directory that exists."""
+    if os.path.isdir(path):
+        raise UsageError(f"{flag}: {path} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise UsageError(f"{flag}: no such directory: {parent}")
+
+
 def _add_common(p):
     p.add_argument("--config", help="key=value config file; explicit flags win")
 
@@ -209,7 +219,7 @@ def _ingest_all(args):
     corpus_path = _require_file(args.corpus, "--corpus")
     docs = ingest.load_corpus(corpus_path)
     counts = _set_flags(args, {"min_count": "min_count", "min_mentions": "min_doc_mentions"})
-    vocab, catalog = ingest.build_vocab_and_catalog(docs, **counts)
+    vocab, catalog = _checked(ingest.build_vocab_and_catalog, docs, **counts)
     if not len(catalog):
         raise UsageError(f"{corpus_path}: no entity is mentioned in {catalog.min_doc_mentions} or more documents")
     window = _set_flags(args, {"window": "window"})
@@ -233,6 +243,7 @@ def _ingest_all(args):
 def cmd_train(args) -> int:
     if args.out is None:
         raise UsageError("--out is required")
+    _require_writable(args.out, "--out")
     hp = _hyperparams_from(args)
     log_path = args.out + ".log.jsonl"
     data, vocab, catalog, store = _ingest_all(args)
@@ -364,6 +375,8 @@ def _grid(raw, flag, base_hp: Hyperparams, field: str):
 
 def cmd_tune(args) -> int:
     problems_path = _require_file(args.problems, "--problems")
+    if args.out:
+        _require_writable(args.out, "--out")
     problems = evalharness.load_ranking_problems(problems_path)
     base_hp = _hyperparams_from(args)
     alphas = _grid(args.alphas, "--alphas", base_hp, "alpha_mix")

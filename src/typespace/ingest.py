@@ -269,9 +269,13 @@ def build_vocab_and_catalog(
     """Count words and entity mentions, then assign dense indices.
 
     Words below min_count and entities mentioned in fewer than
-    min_doc_mentions distinct documents are dropped.  Indices are sorted by
-    descending frequency, ties by id, so runs are reproducible.
+    min_doc_mentions distinct documents are dropped; both thresholds must be
+    at least 1.  Indices are sorted by descending frequency, ties by id, so
+    runs are reproducible.
     """
+    for name, value in (("min_count", min_count), ("min_doc_mentions", min_doc_mentions)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     word_freq = Counter(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs)))
     entity_docs: dict[str, set[str]] = {}
     for doc in docs:

@@ -113,13 +113,20 @@ def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
     return -2.0 * resid @ block.anchors.T
 
 
+def block_fits(store: BlockStore, cls) -> np.ndarray:
+    """The fits C A that block_resid subtracts from the points, of each
+    block of a size class, stacked (B, r, n); each block's bit for bit its
+    own."""
+    anchors = store.anchors if len(cls.blocks) == len(store) else store.anchors[cls.blocks]
+    return store.coeffs[cls.coeffs] @ anchors
+
+
 def block_fit_losses(store: BlockStore, entity_points: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
     """Each block's sum of squared block_resid rows, in key order, one
     stacked fit per size class; each value is bit for bit the block's own."""
     out = np.empty(len(store))
     for cls in store.size_classes:
-        anchors = store.anchors if len(cls.blocks) == len(store) else store.anchors[cls.blocks]
-        resid = store.class_points(cls, entity_points, vectors) - store.coeffs[cls.coeffs] @ anchors
+        resid = store.class_points(cls, entity_points, vectors) - block_fits(store, cls)
         out[cls.blocks] = np.sum(resid * resid, axis=(1, 2))
     return out
 
@@ -157,8 +164,8 @@ def type_comb_penalty(types: TypeSubspaceParams) -> float:
 
 
 def rel_dist_loss(store: TripleStore, model: EmbeddingModel, rels: RelationParams) -> float:
-    """Translation loss 2 * sum of |P_f - P_e - r_k|^2 over the triples, the
-    residual of rel_dist_triple_terms: each triple counts once in its
+    """Translation loss 2 * sum of |P_f - P_e - r_k|^2 over the triples, whose
+    partials rel_dist_triple_terms takes: each triple counts once in its
     (head, rel) group and once in its (rel, tail) group."""
     e, k, f = np.array(store.triples, dtype=np.int64).reshape(-1, 3).T
     r = model.entity_points[f] - model.entity_points[e] - rels.vectors[k]
@@ -237,7 +244,7 @@ def total_objective(
 # the trainer's steps.
 
 
-def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
+def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0, out=None):
     """Loss f * (u.v + b_u + b_v - log x)**2 of one text entry, with weight
     fx = f(x) and logx = log x, and its partials times scale.
 
@@ -245,17 +252,44 @@ def text_entry_terms(u, v, bu, bv, fx, logx, scale=1.0):
     arguments as arrays; the dot product gives the same bits either way.
     Returns (loss, d/du, d/dv, d/db); d/db is the partial with respect to
     either bias.
+
+    With out, a buffer of at least 2k rows of n + 1 values for a batch of k
+    entries, only the partials are taken, and fx is each entry's partial
+    weight scale * 2 * f(x) as the caller formed it (scale is not read).
+    They go into out[:2k], one row per stepped row: d/du in rows :k and d/dv
+    in rows k:2k, columns :n, and d/db in column n of both.  Returns
+    out[:2k].
     """
     resid = np.einsum("...i,...i->...", u, v) + bu + bv - logx
-    coef = scale * 2.0 * fx * resid
-    return fx * resid * resid, coef[..., None] * v, coef[..., None] * u, coef
+    if out is None:
+        coef = scale * 2.0 * fx * resid
+        return fx * resid * resid, *_text_partials(u, v, coef)
+    k = len(resid)
+    grads, coef = out[: 2 * k], fx * resid
+    _text_partials(u, v, coef, grads[:k, :-1], grads[k:, :-1])
+    grads[:k, -1] = coef
+    grads[k:, -1] = coef
+    return grads
 
 
-def rel_dist_triple_terms(model: EmbeddingModel, rels: RelationParams, e: int, k: int, f: int, scale=1.0):
-    """Loss of one triple's translation residual r = P_f - P_e - r_k, and
-    g = its partial with respect to P_f times scale; the partials with
-    respect to P_e and r_k are -g.  The factor 2 reflects the triple's
-    appearance in both group sums.  For a self-loop (e == f) the two entity
-    partials cancel."""
-    r = model.entity_points[f] - model.entity_points[e] - rels.vectors[k]
-    return 2.0 * float(r @ r), scale * 4.0 * r
+def _text_partials(u, v, coef, gu=None, gv=None):
+    """The partials of text_entry_terms from coef = scale * 2 * f * resid:
+    d/du = coef v and d/dv = coef u, in gu and gv when given, and d/db =
+    coef."""
+    c = coef[..., None]
+    return np.multiply(c, v, out=gu), np.multiply(c, u, out=gv), coef
+
+
+def rel_dist_triple_terms(rows, scale, out):
+    """The partials of one triple's translation loss 2 |r|^2, times scale,
+    for rows = (P_f, P_e, r_k) stacked, r = P_f - P_e - r_k: g = 4 * scale *
+    r for P_f, and -g for P_e and r_k, written into out's rows like rows'.
+    The factor 2 reflects the triple's appearance in both group sums
+    (rel_dist_loss).  For a self-loop (e == f) the two entity partials
+    cancel; the caller steps its entity with a zero partial."""
+    g = np.subtract(rows[0], rows[1], out=out[0])
+    g -= rows[2]
+    g *= scale * 4.0
+    np.negative(g, out=out[1])
+    out[2] = out[1]
+    return out

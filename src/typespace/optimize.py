@@ -15,21 +15,24 @@ loop steps either (_block_pass), by plans built once per run
 group's entities and relation.  No block reads another's anchors, so the
 anchor gradient steps and the singular-value thresholding of the anchor
 span matrices run after the loop, stacked per size class (_anchor_steps),
-bit for bit as per block.  The nuclear norms are handled only by the
-proximal step, never by gradients.  The step kernels test finiteness from
-a sum of squares and take the exact test only when that sum is not finite
-(params._finite).  The divergence snapshot is cloned after every epoch but
-the last.  Training is a pure function of its inputs and seeds.
+bit for bit as per block.  A pass does once, before its step loop, what
+the loop need not redo (the rows each step gathers, the text weights, the
+blocks' fits C A), and its steps write their partials into one reused
+buffer.  The nuclear norms are handled only by the proximal step, never by
+gradients.  The step kernels test finiteness from a sum of squares and
+take the exact test only when that sum is not finite (params._finite).
+The divergence snapshot is cloned after every epoch but the last.
+Training is a pure function of its inputs and seeds.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import logging
 import math
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -41,6 +44,7 @@ from typespace.objective import (
     _add_in_order,
     block_anchor_grad,
     block_coeff_grad,
+    block_fits,
     block_resid,
     comb_penalty_terms,
     nuclear_norm,
@@ -145,15 +149,18 @@ def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
 
 
 def adagrad_step(
-    values: np.ndarray, grad, state: np.ndarray, lr: float, name: str | Callable[[int], str] = "param", rows=None
+    values: np.ndarray, grad, state: np.ndarray, lr: float, name: object = "param", rows=None, gathered=None
 ) -> None:
     """In-place AdaGrad update: accumulate g**2, then move each coordinate
-    by -lr * g / sqrt(G + eps).
+    by -lr * g / sqrt(G + eps).  str(name) names the parameter in an error,
+    and is formatted only then.
 
     With rows (distinct indices), grad holds one gradient row per index,
     only those rows of values and state move, and name is a function from a
-    row index to its name.  The gradient is checked once; a non-finite one
-    raises before anything moves and names its first non-finite row.
+    row index to its name.  gathered, when given, is values[rows] as the
+    caller gathered it, which the step moves in place and writes back.  The
+    gradient is checked once; a non-finite one raises before anything moves
+    and names its first non-finite row.
     """
     g = np.asarray(grad, dtype=np.float64)
     if not _finite(g):
@@ -170,7 +177,9 @@ def adagrad_step(
         acc += ADAGRAD_EPS
         step = lr * g
         step /= np.sqrt(acc, out=acc)
-        values[rows] -= step
+        moved = values[rows] if gathered is None else gathered
+        moved -= step
+        values[rows] = moved
 
 
 def anchor_prox_scale(lr: float, accum: np.ndarray):
@@ -287,11 +296,13 @@ class _AdaState:
 
 def _text_schedule(urows, vrows, order, n_rows):
     """The entries of order rearranged into batches of one level, in level
-    order, and the batches' bounds in it.  An entry's level is one more
-    than the highest level of any earlier entry that writes one of its
-    rows, so a batch writes distinct rows and every row sees its updates in
-    the order of order.  Rows are row-buffer rows (a word row is one row in
-    both tables), so a level mixes the tables.
+    order, the batches' bounds in it, and the batches' rows laid end to
+    end, each batch's u rows then its v rows, so that batch [s, t) writes
+    rows[2s:2t].  An entry's level is one more than the highest level of
+    any earlier entry that writes one of its rows, so a batch writes
+    distinct rows and every row sees its updates in the order of order.
+    Rows are row-buffer rows (a word row is one row in both tables), so a
+    level mixes the tables.
     """
     last = [0] * n_rows
     levels = []
@@ -303,8 +314,14 @@ def _text_schedule(urows, vrows, order, n_rows):
         levels.append(level)
     levels = np.array(levels, dtype=np.int64)
     perm = np.argsort(levels, kind="stable")
-    bounds = np.flatnonzero(np.diff(levels[perm], prepend=0))
-    return order[perm], np.append(bounds, len(order))
+    order = order[perm]
+    bounds = np.append(np.flatnonzero(np.diff(levels[perm], prepend=0)), len(order))
+    # Entry p of batch [s, t) writes its u row at 2s + (p - s) and its v row t - s further on.
+    sizes, at = np.diff(bounds), np.arange(len(order))
+    rows = np.empty(2 * len(order), dtype=np.intp)
+    rows[at + np.repeat(bounds[:-1], sizes)] = urows[order]
+    rows[at + np.repeat(bounds[1:], sizes)] = vrows[order]
+    return order, bounds, rows
 
 
 def _text_pass(entries, order, state, hp, alpha) -> int:
@@ -313,22 +330,23 @@ def _text_pass(entries, order, state, hp, alpha) -> int:
     step on the batch's rows of the row buffer (u rows, then v rows), each
     row's vector partial in columns :n and its bias partial in column n.
     An entry's step reads only its own rows, which no other entry of its
-    batch writes.  Returns the number of batches.
+    batch writes.  The pass lays out its rows and forms the partials'
+    weights alpha * 2 * f(x) once; each batch gathers its rows once and
+    writes its partials into one buffer.  Returns the number of batches.
 
     entries is (u rows, v rows, fvals, logs), as _prepare_text_entries
     builds them.
     """
     urows, vrows, fvals, logs = entries
-    lr = hp.learn_rate
-    rows = state.rows
-    order, bounds = _text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
-    urows, vrows, fvals, logs = urows[order], vrows[order], fvals[order], logs[order]
+    lr, rows, acc, name = hp.learn_rate, state.rows, state.row_acc, state.row_name
+    order, bounds, batch_rows = _text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(rows))
+    weights, logs = alpha * 2.0 * fvals[order], logs[order]  # (alpha * 2.0) * f rounds as text_entry_terms' product
+    grads = np.empty((2 * int(np.diff(bounds).max(initial=0)), rows.shape[1]))
     for s, t in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        r = np.concatenate((urows[s:t], vrows[s:t]))
+        r = batch_rows[2 * s : 2 * t]
         x, k = rows[r], t - s
-        _, gu, gv, gb = text_entry_terms(x[:k, :-1], x[k:, :-1], x[:k, -1], x[k:, -1], fvals[s:t], logs[s:t], alpha)
-        grad = np.column_stack((np.concatenate((gu, gv)), np.concatenate((gb, gb))))
-        adagrad_step(rows, grad, state.row_acc, lr, state.row_name, r)
+        grad = text_entry_terms(x[:k, :-1], x[k:, :-1], x[:k, -1], x[k:, -1], weights[s:t], logs[s:t], out=grads)
+        adagrad_step(rows, grad, acc, lr, name, r, x)
     return len(bounds) - 1
 
 
@@ -365,10 +383,7 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     prox, in key order (zeros without prox)."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-
-    def name(b) -> str:
-        return f"anchors[{_label(store, b)}]"
-
+    name = functools.partial(_BlockName, "anchors", store)
     k, n = store.anchors.shape[1:]
     norms = np.zeros(len(store))
     for cls in store.size_classes:
@@ -393,19 +408,29 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     return norms
 
 
-def _label(store, b) -> str:
-    """Block b of store in a step's error: its type id, or a relation
-    group's side and key."""
-    return f"{'' if store.kind == 'type' else store.kind}{store.key_table[b]}"
+class _BlockName:
+    """Block b of store's coefficients or anchors in a step's error, such
+    as coeffs[t3] or anchors[rhs(0, 1)]: its type id, or a relation group's
+    side and key.  Formatted only when the error is raised."""
+
+    __slots__ = ("what", "store", "b")
+
+    def __init__(self, what: str, store, b: int):
+        self.what, self.store, self.b = what, store, b
+
+    def __str__(self) -> str:
+        kind = self.store.kind
+        return f"{self.what}[{'' if kind == 'type' else kind}{self.store.key_table[self.b]}]"
 
 
 def _block_plans(stores, rel0) -> list[tuple]:
     """Each block's plan in a pass over stores, (store, accumulator store)
-    pairs, store by store in key order: (block, accumulators, label, sign,
-    point rows, step rows, residual rows, member position of the endpoint,
-    coefficient rows).  Rows are row-buffer rows: entity e's is e, relation
-    k's rel0 + k.  The coefficient rows slice the stores' coefficients laid
-    end to end, as _block_pass lays out the residuals.
+    pairs, store by store in key order: (block, accumulators, coefficient
+    name (_BlockName), sign, point rows, step rows, residual rows, member
+    position of the endpoint, coefficient rows).  Rows are row-buffer rows:
+    entity e's is e, relation k's rel0 + k.  The coefficient rows slice
+    the stores' coefficients laid end to end, as _block_pass lays out the
+    residuals.
     A type's points are its members; its sign is 0 and it has no step rows.
     A relation group's plan is built per size class.  Its points are its
     point rows (members, then the endpoint) with sign times the last step
@@ -429,7 +454,7 @@ def _block_plans(stores, rel0) -> list[tuple]:
                 per_block[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
         sign = {"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind]
         c = (base + store.offsets[1]).tolist()
-        plans += [(block, acc, _label(store, i), sign, *rows, slice(c[i], c[i + 1]))
+        plans += [(block, acc, _BlockName("coeffs", store, i), sign, *rows, slice(c[i], c[i + 1]))
                   for i, (block, acc, rows) in enumerate(zip(store.values(), accs.values(), per_block))]
         base = c[-1]
     return plans
@@ -441,7 +466,11 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     rows, its residual rows at the new coefficients, then one AdaGrad step
     on its step rows, if any (columns :n); then the anchor steps store by
     store (_anchor_steps), with proxes when reg is set and beta > 0.
-    Returns the sum of the span nuclear norms after the proxes.
+    Returns the sum of the span nuclear norms after the proxes.  A block's
+    coefficients move only at its own step and its anchors only after the
+    loop, so every block's fit C A at the pass's starting coefficients is
+    taken before the loop, stacked per size class (block_fits), in the
+    residual buffer that its first residual then overwrites.
 
     A non-finite gradient raises at the first step that meets one: in plan
     order, a coefficient step names the block (coeffs[...]) and a point
@@ -452,14 +481,20 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     resid = np.empty((sum(len(store.coeffs) for store, _ in stores), rows.shape[1]))
-    for block, acc, label, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
+    base = 0
+    for store, _ in stores:
+        for cls in store.size_classes:
+            resid[base + cls.coeffs] = block_fits(store, cls)
+        base += len(store.coeffs)
+    for block, acc, coeff_name, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
         points = rows[point_rows]
         if sign:  # a group's virtual member
             points[-1] += sign * rows[step_rows[-1]]
-        coeff_grad = block_coeff_grad(block, block_resid(block, points))
-        adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, name=f"coeffs[{label}]")
+        out = resid[at]
+        coeff_grad = block_coeff_grad(block, np.subtract(points, out, out=out))  # block_resid, from the fit C A
+        adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, coeff_name)
         block.coeffs[:] = project_to_simplex(block.coeffs)
-        out = block_resid(block, points, out=resid[at])
+        block_resid(block, points, out=out)
         if step_rows is None:
             continue
         grads = 2.0 * out[resid_rows]
@@ -482,21 +517,27 @@ def _type_pass(state, hp, flags, report) -> float:
     return _block_pass(state.type_stores, state.type_plans, state, hp, flags.reg1, flags.comb, report)
 
 
-def _rel_dist_pass(params, state, data, hp, rng):
+def _rel_dist_pass(state, data, hp, rng):
     """Per-triple AdaGrad updates of both entity points and the relation
     vector, in shuffled triple order: one step on columns :n of the rows of
-    f, e and k with gradients g, -g and -g."""
+    f, e and k with the partials rel_dist_triple_terms takes from them, g,
+    -g and -g.  The pass lays out each triple's three rows once; a triple
+    gathers them once and writes its partials into one buffer."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
-    rows, acc, name, rel0 = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name, state.starts["vectors"]
-    triples = data.triples.triples
-    for idx in rng.permutation(len(triples)):
-        e, k, f = triples[idx]
-        g = rel_dist_triple_terms(params.model, params.rels, e, k, f, scale)[1]
-        if e != f:
-            adagrad_step(rows, np.array((g, -g, -g)), acc, lr, name, np.array((f, e, rel0 + k)))
+    rows, acc, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
+    triples = np.array(data.triples.triples, dtype=np.intp).reshape(-1, 3)[rng.permutation(len(data.triples))]
+    e, k, f = triples.T
+    steps = np.column_stack((f, e, state.starts["vectors"] + k))
+    grads = np.empty((3, rows.shape[1]))
+    for step_rows, loop in zip(steps, (e == f).tolist()):
+        x = rows[step_rows]
+        rel_dist_triple_terms(x, scale, grads)
+        if not loop:
+            adagrad_step(rows, grads, acc, lr, name, step_rows, x)
         else:  # a self-loop's entity partials cancel: its entity takes a zero step
-            adagrad_step(rows, np.array((np.zeros_like(g), -g)), acc, lr, name, np.array((e, rel0 + k)))
+            grads[1] = 0.0
+            adagrad_step(rows, grads[1:], acc, lr, name, step_rows[1:], x[1:])
 
 
 def _rel_dim_pass(state, hp, flags, report) -> float:
@@ -554,7 +595,7 @@ def train(
                 if flags.type_active:
                     reg1 = _timed(pass_ms, "type", _type_pass, state, hp, flags, report)
                 if flags.rel_dist_active and len(data.triples) > 0:
-                    _timed(pass_ms, "rel_dist", _rel_dist_pass, params, state, data, hp, rng)
+                    _timed(pass_ms, "rel_dist", _rel_dist_pass, state, data, hp, rng)
                 if flags.rel_dim_active:
                     reg2 = _timed(pass_ms, "rel_group", _rel_dim_pass, state, hp, flags, report)
             except NonFiniteGradientError as exc:

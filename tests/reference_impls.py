@@ -290,7 +290,7 @@ class StepRecorder:
         assert sum(arr[0].size for _, _, arr, _ in owners) == width, "a stepped row that no parameter array holds"
         return sorted(owners, key=lambda owner: owner[0])
 
-    def __call__(self, values, grad, state, lr, name="param", rows=None):
+    def __call__(self, values, grad, state, lr, name="param", rows=None, gathered=None):
         g = np.array(grad, dtype=np.float64)
         if rows is None:
             key, arr = next((key, arr) for key, arr in self.arrays if np.shares_memory(values, arr))

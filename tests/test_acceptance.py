@@ -137,7 +137,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
          {"entity", "word", "ctx", "word_bias", "ctx_bias", "entity_bias"}, lambda rec: _check_text_steps(rec, ww, ew, text_batches[-1])),
         ("type", type_run("full"), lambda: type_loss(False), type_keys, type_steps),
         ("type_comb", type_run("type_comb"), lambda: type_loss(True), type_keys, type_steps),
-        ("rel_dist", lambda: optimize._rel_dist_pass(params, state, data, hp, np.random.default_rng(seed)),
+        ("rel_dist", lambda: optimize._rel_dist_pass(state, data, hp, np.random.default_rng(seed)),
          lambda: rest * rel_dist_loss(store, m, rels), {"entity", "rel"},
          lambda rec: _check_rel_dist_steps(rec, store.triples, order(len(store)))),
         ("rel_group", lambda: optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport()),

@@ -91,6 +91,10 @@ class TestTrain:
             ("--lr", "inf"),
             ("--beta", "-inf"),
             ("--seed", "-1"),
+            ("--min-count", "0"),
+            ("--min-count", "-5"),
+            ("--min-mentions", "0"),
+            ("--min-mentions", "-2"),
         ],
     )
     def test_bad_value_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
@@ -101,6 +105,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists() and not (tmp_path / "m.bin.log.jsonl").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_fails_before_training(self, micro_dir, tmp_path, capsys, monkeypatch, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "m.bin"
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        argv = ["train", "--corpus", micro_dir["corpus"], "--variant", "text", "--epochs", "1", "--dim", "4",
+                "--min-count", "3", "--min-mentions", "3", "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and len(err.strip().splitlines()) == 1
+        assert not Path(f"{out}.log.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["train", "tune"])
     def test_empty_entity_catalog_one_line_exit_one(self, micro_dir, tmp_path, capsys, command):
@@ -773,6 +788,18 @@ class TestTune:
 
     def test_missing_problems_exit_one(self, micro_dir, capsys):
         assert run(["tune", "--corpus", micro_dir["corpus"]]) == 1
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_fails_before_training(self, micro_dir, tmp_path, capsys, monkeypatch, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "best.json"
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        argv = ["tune", "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"], "--dim", "4",
+                "--epochs", "1", "--min-count", "3", "--min-mentions", "3", "--alphas", "0.5", "--betas", "1",
+                "--out", str(out)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ") and len(captured.err.strip().splitlines()) == 1
+        assert "best" not in captured.out
 
     @pytest.mark.parametrize("flag,value", [("--alphas", "a,b"), ("--betas", "1,x"), ("--alphas", "0.5,2"), ("--betas", "-1"),
                                            ("--betas", "1,nan")])

@@ -246,6 +246,15 @@ class TestVocabAndCatalog:
         with pytest.raises(EmptyVocabularyError):
             build_vocab_and_catalog(docs, min_count=2, min_doc_mentions=1)
 
+    @pytest.mark.parametrize("counts", [{"min_count": 0}, {"min_count": -5}, {"min_doc_mentions": 0},
+                                        {"min_doc_mentions": -2}])
+    def test_threshold_below_one_rejected(self, counts):
+        # Below 1 a threshold would keep everything, as 1 does, silently.
+        docs = [doc(sentences=(("a", "b"),), mentions=(Mention("e1", 0, (0, 1)),))]
+        name = next(iter(counts))
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {counts[name]}$"):
+            build_vocab_and_catalog(docs, **{"min_count": 1, "min_doc_mentions": 1, **counts})
+
     def test_index_order_frequency_then_id(self):
         docs = [doc(sentences=(("b", "b", "a", "a", "c"),))]
         vocab, _ = build_vocab_and_catalog(docs, min_count=1, min_doc_mentions=1)

@@ -80,14 +80,14 @@ def _assert_plans_equal(model, types, rels):
     type_plans, group_plans, rel_start = _block_plans(model, types, rels)
     assert len(type_plans) == len(types.per_type)
     for plan, (key, block) in zip(type_plans, types.per_type.items()):
-        assert plan[0] is block and plan[2] == key, key
+        assert plan[0] is block and str(plan[2]) == f"coeffs[{key}]", key
         assert plan[3] == 0.0 and plan[5:8] == (None, None, None), key
         assert np.array_equal(plan[4], block.members), key
     assert len(group_plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
     groups = [(store, key, block) for store in (rels.rhs_groups, rels.lhs_groups) for key, block in store.items()]
     for plan, (store, key, block) in zip(group_plans, groups):
         want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
-        assert plan[0] is block and plan[2] == f"{store.kind}{key}", key
+        assert plan[0] is block and str(plan[2]) == f"coeffs[{store.kind}{key}]", key
         assert (plan[3], plan[7]) == (want[0], want[4]), key
         for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[4:7], want[1:4]):
             assert np.array_equal(got, expected), (key, field)

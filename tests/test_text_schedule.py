@@ -56,11 +56,13 @@ def _run(tags, pairs, counts, order, n, seed, alpha, n_words):
     assert state.row_acc.tobytes() == ref_state.row_acc.tobytes()
     for attr in _TEXT_ARRAYS:
         assert getattr(params.model, attr).tobytes() == getattr(model, attr).tobytes(), attr
-    # Every batch of the schedule writes distinct buffer rows.
-    sched, bounds = optimize._text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(state.rows))
-    assert len(bounds) - 1 == n_batches
+    # Every batch of the schedule writes distinct buffer rows, laid out as
+    # its u rows then its v rows.
+    sched, bounds, batch_rows = optimize._text_schedule(urows, vrows, np.asarray(order, dtype=np.intp), len(state.rows))
+    assert len(bounds) - 1 == n_batches and len(batch_rows) == 2 * len(sched)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         written = np.concatenate((urows[sched[lo:hi]], vrows[sched[lo:hi]]))
+        assert np.array_equal(batch_rows[2 * lo : 2 * hi], written)
         assert len(np.unique(written)) == len(written)
     return n_batches, [{int(a), int(b)} for a, b in zip(urows[order], vrows[order])]
 
