@@ -291,6 +291,8 @@ def _print_metrics(results: dict):
 def cmd_eval(args) -> int:
     if args.task not in EVAL_TASKS:
         raise UsageError(f"unknown task {args.task!r}; valid tasks: {', '.join(EVAL_TASKS)}")
+    if args.results is not None:
+        _require_writable(args.results, "--results")
     loaded, view = _load_view(args)
     problems_path = _require_file(args.problems, "--problems")
 
@@ -405,6 +407,7 @@ def cmd_tune(args) -> int:
 def cmd_export(args) -> int:
     if args.out is None:
         raise UsageError("--out is required")
+    _require_writable(args.out, "--out")
     loaded, _ = _load_view(args)
     export_text(args.out, loaded.model, loaded.entity_ids, loaded.word_ids)
     print(f"wrote {len(loaded.entity_ids)} entity and {len(loaded.word_ids)} word vectors to {args.out}")

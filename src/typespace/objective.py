@@ -28,7 +28,6 @@ from typespace.params import (
     Hyperparams,
     ModelParams,
     RelationParams,
-    SubspaceBlock,
     TypeSubspaceParams,
     _finite,
     anchor_span_matrix,
@@ -94,12 +93,13 @@ def _check_simplex(store: BlockStore, what: str) -> None:
         raise SimplexViolationError(f"{store.label(i)} {what} coefficients violate the simplex constraint")
 
 
-def block_resid(block: SubspaceBlock, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def block_resid(coeffs: np.ndarray, anchors: np.ndarray, points: np.ndarray, out=None) -> np.ndarray:
     """Residual rows of a subspace block's fit: its points (one per
-    coefficient row) minus their convex combinations of the anchors, in out
-    when given.  Its loss is the sum of squared residuals, whose partial for
-    point i is 2 * resid[i]."""
-    return np.subtract(points, block.coeffs @ block.anchors, out=out)
+    coefficient row of coeffs) minus their convex combinations of the
+    anchors, in out when given.  Its loss is the sum of squared residuals,
+    whose partial for point i is 2 * resid[i]."""
+    fit = np.matmul(coeffs, anchors, out=out)
+    return np.subtract(points, fit, out=fit)
 
 
 def block_anchor_grad(coeffs: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -109,8 +109,13 @@ def block_anchor_grad(coeffs: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return -2.0 * np.swapaxes(coeffs, -1, -2) @ resid
 
 
-def block_coeff_grad(block: SubspaceBlock, resid: np.ndarray) -> np.ndarray:
-    return -2.0 * resid @ block.anchors.T
+def block_coeff_grad(resid: np.ndarray, anchors: np.ndarray, scale: float) -> np.ndarray:
+    """-2 R A^T times scale: the coefficient partials of a block's fit from
+    its residual rows R and anchors A, formed as (R A^T) (-2 scale), bit for
+    bit scale (-2 R A^T) since doubling is exact."""
+    grad = resid @ anchors.T
+    grad *= -2.0 * scale
+    return grad
 
 
 def block_fits(store: BlockStore, cls) -> np.ndarray:

@@ -11,11 +11,13 @@ distinct rows whichever table they come from, take one step on their rows,
 biases included.  A triple takes one step on its two entities and its
 relation.  Types and relation groups are the same subspace block, and one
 loop steps either (_block_pass), by plans built once per run
-(_block_plans): the simplex coefficients by projected gradient, then a
-group's entities and relation.  No block reads another's anchors, so the
-anchor gradient steps and the singular-value thresholding of the anchor
-span matrices run after the loop, stacked per size class (_anchor_steps),
-bit for bit as per block.  A pass does once, before its step loop, what
+(_block_plans) of slices of the stacked stores: the simplex coefficients
+by projected gradient, projected in place, then a group's entities and
+relation, each block in one fused step whose residual and refit share
+one buffer.  No block reads another's anchors, so the anchor gradient
+steps and the singular-value thresholding of the anchor span matrices run
+after the loop, stacked per size class (_anchor_steps), bit for bit as
+per block.  A pass does once, before its step loop, what
 the loop need not redo (the rows each step gathers, the text weights, the
 blocks' fits C A), and its steps write their partials into one reused
 buffer.  The nuclear norms are handled only by the proximal step, never by
@@ -97,9 +99,10 @@ class TrainingDivergedError(RuntimeError):
         self.last_epoch = last_epoch
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
+def project_to_simplex(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1} (sort-based),
-    row by row along the last axis."""
+    row by row along the last axis, into out when given (out may be v).  A
+    non-finite v raises before out is written."""
     v = np.asarray(v, dtype=np.float64)
     if not _finite(v):
         raise ValueError("cannot project a non-finite vector")
@@ -110,7 +113,8 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     cond = u - css / np.arange(1, k + 1) > 0
     rho = k - cond[:, ::-1].argmax(axis=-1)
     theta = css[np.arange(len(css)), rho - 1] / rho
-    return np.maximum(v - theta.reshape(v.shape[:-1] + (1,)), 0.0)
+    shifted = np.subtract(v, theta.reshape(v.shape[:-1] + (1,)), out=out)
+    return np.maximum(shifted, 0.0, out=shifted)
 
 
 def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
@@ -425,11 +429,13 @@ class _BlockName:
 
 def _block_plans(stores, rel0) -> list[tuple]:
     """Each block's plan in a pass over stores, (store, accumulator store)
-    pairs, store by store in key order: (block, accumulators, coefficient
-    name (_BlockName), sign, point rows, step rows, residual rows, member
-    position of the endpoint, coefficient rows).  Rows are row-buffer rows:
-    entity e's is e, relation k's rel0 + k.  The coefficient rows slice
-    the stores' coefficients laid end to end, as _block_pass lays out the
+    pairs, store by store in key order: (coefficients, their accumulators,
+    anchors, coefficient name (_BlockName), sign, point rows, step rows,
+    residual rows, member position of the endpoint, residual slice).  The
+    first three are slices of store.coeffs, accs.coeffs and store.anchors,
+    cut by store.offsets.  Rows are row-buffer rows: entity e's is e,
+    relation k's rel0 + k.  The residual slice cuts the stores'
+    coefficient rows laid end to end, as _block_pass lays out the
     residuals.
     A type's points are its members; its sign is 0 and it has no step rows.
     A relation group's plan is built per size class.  Its points are its
@@ -442,7 +448,8 @@ def _block_plans(stores, rel0) -> list[tuple]:
     partials at its member position, which is None for any other endpoint."""
     plans, base = [], 0
     for store, accs in stores:
-        per_block = [(block.members, None, None, None) for block in store.values()]  # a type's
+        starts, c = (o.tolist() for o in store.offsets)
+        per_block = [(store.members[starts[i] : starts[i + 1]], None, None, None) for i in range(len(store))]  # a type's
         for cls in store.size_classes if store.kind != "type" else ():
             r = cls.rows.shape[1]
             match = cls.rows[:, :-1] == cls.rows[:, -1:]
@@ -453,24 +460,26 @@ def _block_plans(stores, rel0) -> list[tuple]:
             for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
                 per_block[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
         sign = {"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind]
-        c = (base + store.offsets[1]).tolist()
-        plans += [(block, acc, _BlockName("coeffs", store, i), sign, *rows, slice(c[i], c[i + 1]))
-                  for i, (block, acc, rows) in enumerate(zip(store.values(), accs.values(), per_block))]
-        base = c[-1]
+        plans += [(store.coeffs[c[i] : c[i + 1]], accs.coeffs[c[i] : c[i + 1]], store.anchors[i],
+                   _BlockName("coeffs", store, i), sign, *rows, slice(base + c[i], base + c[i + 1]))
+                  for i, rows in enumerate(per_block)]
+        base += c[-1]
     return plans
 
 
 def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     """A pass over the blocks of stores, (store, accumulator store) pairs:
-    per plan (_block_plans), projected AdaGrad on the block's coefficient
-    rows, its residual rows at the new coefficients, then one AdaGrad step
-    on its step rows, if any (columns :n); then the anchor steps store by
-    store (_anchor_steps), with proxes when reg is set and beta > 0.
-    Returns the sum of the span nuclear norms after the proxes.  A block's
-    coefficients move only at its own step and its anchors only after the
-    loop, so every block's fit C A at the pass's starting coefficients is
-    taken before the loop, stacked per size class (block_fits), in the
-    residual buffer that its first residual then overwrites.
+    per plan (_block_plans), one fused step: the block's residual rows,
+    projected AdaGrad on its coefficient rows (the projection in place),
+    its residual rows at the new coefficients, then one AdaGrad step on its
+    step rows, if any (columns :n), whose partials are scaled once; then
+    the anchor steps store by store (_anchor_steps), with proxes when reg
+    is set and beta > 0.  Returns the sum of the span nuclear norms after
+    the proxes.  A block's coefficients move only at its own step and its
+    anchors only after the loop, so every block's fit C A at the pass's
+    starting coefficients is taken before the loop, stacked per size class
+    (block_fits), in the residual buffer that its first residual then
+    overwrites, and its refit C A is taken into that buffer too.
 
     A non-finite gradient raises at the first step that meets one: in plan
     order, a coefficient step names the block (coeffs[...]) and a point
@@ -480,29 +489,31 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
+    row_scale = 2.0 * scale  # the point partials 2 R, times scale: bit for bit scale (2 R)
     resid = np.empty((sum(len(store.coeffs) for store, _ in stores), rows.shape[1]))
     base = 0
     for store, _ in stores:
         for cls in store.size_classes:
             resid[base + cls.coeffs] = block_fits(store, cls)
         base += len(store.coeffs)
-    for block, acc, coeff_name, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
+    for coeffs, acc, anchors, coeff_name, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
         points = rows[point_rows]
         if sign:  # a group's virtual member
             points[-1] += sign * rows[step_rows[-1]]
         out = resid[at]
-        coeff_grad = block_coeff_grad(block, np.subtract(points, out, out=out))  # block_resid, from the fit C A
-        adagrad_step(block.coeffs, scale * coeff_grad, acc.coeffs, lr, coeff_name)
-        block.coeffs[:] = project_to_simplex(block.coeffs)
-        block_resid(block, points, out=out)
+        np.subtract(points, out, out=out)  # block_resid, from the fit C A
+        adagrad_step(coeffs, block_coeff_grad(out, anchors, scale), acc, lr, coeff_name)
+        project_to_simplex(coeffs, out=coeffs)
+        block_resid(coeffs, anchors, points, out=out)
         if step_rows is None:
             continue
-        grads = 2.0 * out[resid_rows]
+        grads = out[resid_rows]
         if end_member is not None:
             grads[end_member] += grads[-1]
-        if sign:  # the relation's partial: the virtual member's, signed
+        grads *= row_scale
+        if sign < 0.0:  # the relation's partial: the virtual member's, signed
             grads[-1] *= sign
-        adagrad_step(rows, scale * grads, acc_rows, lr, name, step_rows)
+        adagrad_step(rows, grads, acc_rows, lr, name, step_rows)
     prox = reg and hp.beta_reg > 0.0
     total, base = 0.0, 0
     for store, accs in stores:

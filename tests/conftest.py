@@ -59,6 +59,20 @@ def block_store(kind, blocks, n):
     )
 
 
+def triple_store(relation_ids, triples):
+    """A TripleStore of the distinct (head, rel, tail) index triples in
+    sorted order, with their tail groups (head, rel) -> tails and head
+    groups (rel, tail) -> heads, keyed and listed in ascending order."""
+    triples = sorted(set(triples))
+    rhs: dict = {}
+    lhs: dict = {}
+    for e, k, f in triples:
+        rhs.setdefault((e, k), []).append(f)
+        lhs.setdefault((k, f), []).append(e)
+    return TripleStore(tuple(relation_ids), tuple(triples), {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
+                       {k: tuple(sorted(v)) for k, v in sorted(lhs.items())})
+
+
 def random_instance(seed, n=4, n_entities=6, n_words=5):
     """A small random model + data instance for gradient checking: random
     tables, two overlapping types, a handful of triples with groups, and
@@ -82,20 +96,8 @@ def random_instance(seed, n=4, n_entities=6, n_words=5):
         {"t1": frozenset({"t1"}), "t2": frozenset({"t2"})},
     )
 
-    triples = sorted(
-        {(int(rng.integers(n_entities)), int(rng.integers(2)), int(rng.integers(n_entities))) for _ in range(5)}
-    )
-    rhs: dict = {}
-    lhs: dict = {}
-    for e, k, f in triples:
-        rhs.setdefault((e, k), []).append(f)
-        lhs.setdefault((k, f), []).append(e)
-    store = TripleStore(
-        ("r0", "r1"),
-        tuple(triples),
-        {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
-        {k: tuple(sorted(v)) for k, v in sorted(lhs.items())},
-    )
+    triples = {(int(rng.integers(n_entities)), int(rng.integers(2)), int(rng.integers(n_entities))) for _ in range(5)}
+    store = triple_store(("r0", "r1"), triples)
 
     hp = Hyperparams(n=n, seed=seed, epochs=1)
     params = init_parameters(n_entities, n_words, ts, store, hp)
@@ -116,17 +118,7 @@ def interleaved_instance(seed, n=4, n_entities=10, n_words=5):
     triples = {(h, 0, f) for f, heads in enumerate(((4,), (5, 6), (7,), (8, 9))) for h in heads}
     triples |= {(int(rng.integers(n_entities)), int(rng.integers(1, 3)), int(rng.integers(n_entities)))
                 for _ in range(6)}
-    rhs: dict = {}
-    lhs: dict = {}
-    for e, k, f in sorted(triples):
-        rhs.setdefault((e, k), []).append(f)
-        lhs.setdefault((k, f), []).append(e)
-    store = TripleStore(
-        ("r0", "r1", "r2"),
-        tuple(sorted(triples)),
-        {k: tuple(sorted(v)) for k, v in sorted(rhs.items())},
-        {k: tuple(sorted(v)) for k, v in sorted(lhs.items())},
-    )
+    store = triple_store(("r0", "r1", "r2"), triples)
     params = init_parameters(n_entities, n_words, ts, store, hp)
     perturb(params, rng)
     return TrainData(n_entities, n_words, ww, ew, ts, store), params, hp

@@ -476,11 +476,12 @@ def ref_rel_dist_pass(model, rels, entity_acc, rel_acc, triples, hp, rng):
 
 
 def ref_group_plan(members, side, key, rel_start):
-    """One relation group's plan after its block, accumulators and label
-    (optimize._block_plans), built on its own: its sign, its point rows
-    (members, then the endpoint), its row-buffer step rows (the distinct entities, then
-    rel_start + k), the residual row of each step row's partial and the
-    endpoint's member position, None when it is no member."""
+    """One relation group's plan after its coefficients, their
+    accumulators, its anchors and its name (optimize._block_plans), built on
+    its own: its sign, its point rows (members, then the endpoint), its
+    row-buffer step rows (the distinct entities, then rel_start + k), the
+    residual row of each step row's partial and the endpoint's member
+    position, None when it is no member."""
     entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
     rows = np.concatenate((members, [entity]))
     listed = members.tolist()

@@ -96,7 +96,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
     def type_loss(comb):
         total = 0.0
         for tp in types.per_type.values():
-            total += ref.block_loss(block_resid(tp, m.entity_points[tp.members]))
+            total += ref.block_loss(block_resid(tp.coeffs, tp.anchors, m.entity_points[tp.members]))
             total += comb_penalty_terms(tp.anchors)[0] if comb else 0.0
         return rest * total
 
@@ -108,7 +108,7 @@ def _pass_runs(ww, ew, store, params, hp, seed):
                 for b, block_points in zip(cls.blocks.tolist(), groups.class_points(cls, m.entity_points, rels.vectors)):
                     points[b] = block_points
             for gp, block_points in zip(groups.values(), points):
-                total += ref.block_loss(block_resid(gp, block_points))
+                total += ref.block_loss(block_resid(gp.coeffs, gp.anchors, block_points))
         return rest * total
 
     def type_run(variant):

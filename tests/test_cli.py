@@ -207,6 +207,19 @@ class TestEval:
         for task in cli.EVAL_TASKS:
             assert task in err
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_results_fails_before_scoring(self, trained_model, micro_dir, tmp_path, capsys, monkeypatch,
+                                                     where):
+        results = tmp_path if where == "directory" else tmp_path / "missing" / "res.json"
+        monkeypatch.setattr(cli, "load_model", lambda *args, **kwargs: pytest.fail("loaded the model"))
+        monkeypatch.setattr(evalharness, "eval_ranking", lambda *args, **kwargs: pytest.fail("scored"))
+        argv = ["eval", "ranking", "--model", str(trained_model), "--problems", micro_dir["ranking"],
+                "--results", str(results)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --results: ") and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_ranking_results_contain_fisher_rho(self, trained_model, micro_dir, tmp_path):
         results = tmp_path / "res.json"
         code = run(
@@ -667,6 +680,16 @@ class TestExport:
         first = lines[0].split()
         assert first[0] == loaded.entity_ids[0]
         assert np.allclose([float(x) for x in first[1:]], loaded.model.entity_points[0])
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_fails_before_export(self, trained_model, tmp_path, capsys, monkeypatch, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "emb.txt"
+        monkeypatch.setattr(cli, "load_model", lambda *args, **kwargs: pytest.fail("loaded the model"))
+        monkeypatch.setattr(cli, "export_text", lambda *args, **kwargs: pytest.fail("exported"))
+        assert run(["export", "--model", str(trained_model), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ") and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestConfigFile:

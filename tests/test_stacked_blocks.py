@@ -62,41 +62,56 @@ def _instance(rng, n, n_entities, type_sizes, rhs_sizes, lhs_sizes, endpoint_mem
 
 def _block_plans(model, types, rels):
     """The type plans and relation-group plans optimize._AdaState builds
-    for the instance, and the row-buffer row of relation 0; the instance's
-    arrays are its own again afterwards."""
+    for the instance, the accumulator stores they step, keyed by store
+    kind, and the row-buffer row of relation 0; the instance's arrays are
+    its own again afterwards."""
     params = ModelParams(model, types, rels)
     state = optimize._AdaState(params)
     try:
-        return state.type_plans, state.group_plans, state.starts["vectors"]
+        accs = {"type": state.types, "rhs": state.rhs, "lhs": state.lhs}
+        return state.type_plans, state.group_plans, accs, state.starts["vectors"]
     finally:
         state.release()
 
 
+def _is_view(got, want):
+    """Whether got views exactly the values want views."""
+    return (got.ctypes.data, got.shape, got.strides) == (want.ctypes.data, want.shape, want.strides)
+
+
+def _assert_block_views(plan, store, accs, key, label):
+    """A plan's coefficients, their accumulators and its anchors are views
+    of its block's own arrays in store and accs."""
+    block, acc = store[key], accs[store.kind][key]
+    assert _is_view(plan[0], block.coeffs) and _is_view(plan[1], acc.coeffs), key
+    assert _is_view(plan[2], block.anchors) and str(plan[3]) == f"coeffs[{label}]", key
+
+
 def _assert_plans_equal(model, types, rels):
     """Each type's plan is its members with no step rows, each group's plan
-    from the size classes is its own group plan, and a pass's coefficient
-    slices tile its stores' coefficient rows, laid end to end, in key
-    order."""
-    type_plans, group_plans, rel_start = _block_plans(model, types, rels)
+    from the size classes is its own group plan, each plan's arrays are
+    views of its block's, and a pass's residual slices tile its stores'
+    coefficient rows, laid end to end, in key order."""
+    type_plans, group_plans, accs, rel_start = _block_plans(model, types, rels)
     assert len(type_plans) == len(types.per_type)
     for plan, (key, block) in zip(type_plans, types.per_type.items()):
-        assert plan[0] is block and str(plan[2]) == f"coeffs[{key}]", key
-        assert plan[3] == 0.0 and plan[5:8] == (None, None, None), key
-        assert np.array_equal(plan[4], block.members), key
+        _assert_block_views(plan, types.per_type, accs, key, key)
+        assert plan[4] == 0.0 and plan[6:9] == (None, None, None), key
+        assert np.array_equal(plan[5], block.members), key
     assert len(group_plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
     groups = [(store, key, block) for store in (rels.rhs_groups, rels.lhs_groups) for key, block in store.items()]
     for plan, (store, key, block) in zip(group_plans, groups):
         want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
-        assert plan[0] is block and str(plan[2]) == f"coeffs[{store.kind}{key}]", key
-        assert (plan[3], plan[7]) == (want[0], want[4]), key
-        for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[4:7], want[1:4]):
+        _assert_block_views(plan, store, accs, key, f"{store.kind}{key}")
+        assert (plan[4], plan[8]) == (want[0], want[4]), key
+        for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[5:8], want[1:4]):
             assert np.array_equal(got, expected), (key, field)
     for plans, stores in ((type_plans, [types.per_type]), (group_plans, [rels.rhs_groups, rels.lhs_groups])):
         coeffs = np.concatenate([store.coeffs for store in stores])
-        starts = [plan[8].start for plan in plans] + [len(coeffs)]
-        assert starts[0] == 0 and [plan[8].stop for plan in plans] == starts[1:]
+        starts = [plan[9].start for plan in plans] + [len(coeffs)]
+        assert starts[0] == 0 and [plan[9].stop for plan in plans] == starts[1:]
         for plan in plans:
-            assert np.array_equal(coeffs[plan[8]], plan[0].coeffs), plan[2]
+            assert np.array_equal(coeffs[plan[9]], plan[0]), plan[3]
 
 
 def _assert_bit_equal(model, types, rels):
@@ -140,7 +155,7 @@ class TestStackedFits:
     def test_endpoint_is_member(self):
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
-        assert all(plan[7] is not None for plan in _block_plans(model, types, rels)[1])
+        assert all(plan[8] is not None for plan in _block_plans(model, types, rels)[1])
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):
