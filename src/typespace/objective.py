@@ -112,8 +112,9 @@ def block_anchor_grad(coeffs: np.ndarray, resid: np.ndarray) -> np.ndarray:
 def block_coeff_grad(resid: np.ndarray, anchors: np.ndarray, scale: float) -> np.ndarray:
     """-2 R A^T times scale: the coefficient partials of a block's fit from
     its residual rows R and anchors A, formed as (R A^T) (-2 scale), bit for
-    bit scale (-2 R A^T) since doubling is exact."""
-    grad = resid @ anchors.T
+    bit scale (-2 R A^T) since doubling is exact.  Stacks (B, r, n) and
+    (B, k, n) give each block's (r, k) partials bit for bit its own."""
+    grad = resid @ np.swapaxes(anchors, -1, -2)
     grad *= -2.0 * scale
     return grad
 
@@ -286,15 +287,16 @@ def _text_partials(u, v, coef, gu=None, gv=None):
 
 
 def rel_dist_triple_terms(rows, scale, out):
-    """The partials of one triple's translation loss 2 |r|^2, times scale,
-    for rows = (P_f, P_e, r_k) stacked, r = P_f - P_e - r_k: g = 4 * scale *
-    r for P_f, and -g for P_e and r_k, written into out's rows like rows'.
+    """The partials of the translation loss 2 |r|^2 of each triple of a
+    (T, 3, n) stack rows, times scale, a triple's rows (P_f, P_e, r_k) and
+    r = P_f - P_e - r_k: g = 4 * scale * r for P_f, and -g for P_e and r_k,
+    written into out's rows like rows', each triple's bit for bit its own.
     The factor 2 reflects the triple's appearance in both group sums
     (rel_dist_loss).  For a self-loop (e == f) the two entity partials
     cancel; the caller steps its entity with a zero partial."""
-    g = np.subtract(rows[0], rows[1], out=out[0])
-    g -= rows[2]
+    g = np.subtract(rows[:, 0], rows[:, 1], out=out[:, 0])
+    g -= rows[:, 2]
     g *= scale * 4.0
-    np.negative(g, out=out[1])
-    out[2] = out[1]
+    np.negative(g, out=out[:, 1])
+    out[:, 2] = out[:, 1]
     return out

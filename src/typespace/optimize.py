@@ -4,23 +4,26 @@ Each epoch makes three passes: (1) a shuffled pass over word-word and
 entity-word entries with AdaGrad updates, (2) a pass over types, (3) a pass
 over relation triples and then relation groups.  The rows these passes
 step live in one row buffer, each row's bias its last column (_AdaState).
-The text pass runs the per-entry loop over the shuffled order as an exact
-level schedule: an entry's level is one more than the highest level of any
-earlier entry sharing a row with it, and each level's entries, which write
-distinct rows whichever table they come from, take one step on their rows,
-biases included.  A triple takes one step on its two entities and its
-relation.  Types and relation groups are the same subspace block, and one
-loop steps either (_block_pass), by plans built once per run
-(_block_plans) of slices of the stacked stores: the simplex coefficients
-by projected gradient, projected in place, then a group's entities and
-relation, each block in one fused step whose residual and refit share
-one buffer.  No block reads another's anchors, so the anchor gradient
-steps and the singular-value thresholding of the anchor span matrices run
-after the loop, stacked per size class (_anchor_steps), bit for bit as
-per block.  A pass does once, before its step loop, what
-the loop need not redo (the rows each step gathers, the text weights, the
-blocks' fits C A), and its steps write their partials into one reused
-buffer.  The nuclear norms are handled only by the proximal step, never by
+The text pass, the triple pass and the block passes run their per-item
+loops as one exact level schedule (_level_batches): an item's level is one
+more than the highest level of any earlier item sharing a row with it, and
+a level's items, which write distinct rows, take one step together, bit
+for bit the per-item loop.  A text level steps its entries' rows, biases
+included, whichever table they come from; a level of shuffled triples
+steps their two entities and their relation, its self-loops apart.  Types
+and relation groups are the same subspace block, and one loop steps
+either (_block_pass), by batch plans built once per run (_block_plans),
+one per (level, store, size class, endpoint-is-member): the simplex
+coefficients by projected gradient, projected in place, then a group's
+entities and relation, each batch in one fused step whose residual and
+refit share one buffer, a batch of one block on slices of the stacked
+stores and a larger one gathered, stacked and written back.  No block
+reads another's anchors, so the anchor gradient steps and the
+singular-value thresholding of the anchor span matrices run after the
+loop, stacked per size class (_anchor_steps), bit for bit as per block.
+A pass does once, before its step loop, what the loop need not redo (the
+rows each step gathers, the text weights, the blocks' fits C A), and its
+steps write their partials into one reused buffer.  The nuclear norms are handled only by the proximal step, never by
 gradients.  The step kernels test finiteness from a sum of squares and
 take the exact test only when that sum is not finite (params._finite).
 The divergence snapshot is cloned after every epoch but the last.
@@ -298,28 +301,40 @@ class _AdaState:
             setattr(owner, attr, arr)
 
 
-def _text_schedule(urows, vrows, order, n_rows):
-    """The entries of order rearranged into batches of one level, in level
-    order, the batches' bounds in it, and the batches' rows laid end to
-    end, each batch's u rows then its v rows, so that batch [s, t) writes
-    rows[2s:2t].  An entry's level is one more than the highest level of
-    any earlier entry that writes one of its rows, so a batch writes
-    distinct rows and every row sees its updates in the order of order.
-    Rows are row-buffer rows (a word row is one row in both tables), so a
-    level mixes the tables.
-    """
-    last = [0] * n_rows
-    levels = []
-    for a, b in zip(urows[order].tolist(), vrows[order].tolist()):
-        la = last[a]
-        lb = last[b]
-        level = (la if la > lb else lb) + 1
-        last[a] = last[b] = level
+def _level_batches(items, n_rows, keys=()):
+    """The exact level schedule of items, each the list of rows it writes,
+    in order: an item's level is one more than the highest level of any
+    earlier item that writes one of its rows (1 when none does).  Returns
+    the items' positions sorted stably by level and then by keys (arrays,
+    one value per item), and the bounds of the batches, the runs of equal
+    level and keys, in that order.  A batch writes distinct rows, and
+    items that share a row keep their order."""
+    last, levels = [0] * n_rows, []
+    for rows in items:
+        level = 0
+        for r in rows:
+            seen = last[r]
+            level = seen if seen > level else level
+        level += 1
+        for r in rows:
+            last[r] = level
         levels.append(level)
     levels = np.array(levels, dtype=np.int64)
-    perm = np.argsort(levels, kind="stable")
+    perm = np.lexsort((*keys[::-1], levels))
+    sorted_keys = np.stack((levels, *keys)).reshape(len(keys) + 1, -1)[:, perm]
+    starts = np.flatnonzero((np.diff(sorted_keys, axis=1, prepend=-1) != 0).any(axis=0))
+    return perm, np.append(starts, len(perm))
+
+
+def _text_schedule(urows, vrows, order, n_rows):
+    """The entries of order rearranged into batches of one level
+    (_level_batches), in level order, the batches' bounds in it, and the
+    batches' rows laid end to end, each batch's u rows then its v rows, so
+    that batch [s, t) writes rows[2s:2t].  Rows are row-buffer rows (a word
+    row is one row in both tables), so a level mixes the tables.
+    """
+    perm, bounds = _level_batches(zip(urows[order].tolist(), vrows[order].tolist()), n_rows)
     order = order[perm]
-    bounds = np.append(np.flatnonzero(np.diff(levels[perm], prepend=0)), len(order))
     # Entry p of batch [s, t) writes its u row at 2s + (p - s) and its v row t - s further on.
     sizes, at = np.diff(bounds), np.arange(len(order))
     rows = np.empty(2 * len(order), dtype=np.intp)
@@ -415,12 +430,14 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
 class _BlockName:
     """Block b of store's coefficients or anchors in a step's error, such
     as coeffs[t3] or anchors[rhs(0, 1)]: its type id, or a relation group's
-    side and key.  Formatted only when the error is raised."""
+    side and key; with by_row, the block that owns coefficient row b.
+    Formatted only when the error is raised."""
 
     __slots__ = ("what", "store", "b")
 
-    def __init__(self, what: str, store, b: int):
-        self.what, self.store, self.b = what, store, b
+    def __init__(self, what: str, store, b: int, by_row: bool = False):
+        self.what, self.store = what, store
+        self.b = int(np.searchsorted(store.offsets[1], b, side="right")) - 1 if by_row else b
 
     def __str__(self) -> str:
         kind = self.store.kind
@@ -428,67 +445,104 @@ class _BlockName:
 
 
 def _block_plans(stores, rel0) -> list[tuple]:
-    """Each block's plan in a pass over stores, (store, accumulator store)
-    pairs, store by store in key order: (coefficients, their accumulators,
-    anchors, coefficient name (_BlockName), sign, point rows, step rows,
-    residual rows, member position of the endpoint, residual slice).  The
-    first three are slices of store.coeffs, accs.coeffs and store.anchors,
-    cut by store.offsets.  Rows are row-buffer rows: entity e's is e,
-    relation k's rel0 + k.  The residual slice cuts the stores'
-    coefficient rows laid end to end, as _block_pass lays out the
-    residuals.
-    A type's points are its members; its sign is 0 and it has no step rows.
-    A relation group's plan is built per size class.  Its points are its
-    point rows (members, then the endpoint) with sign times the last step
-    row, the relation's, added to the last: the virtual member, e + r_k of a
+    """The batch plans of a pass over stores, (store, accumulator store)
+    pairs, built once per run: the blocks in plan order (store by store,
+    each in key order) go through _level_batches, a group writing its step
+    rows and a type none, keyed by store, coefficient-row count r and
+    whether a group's endpoint is a member.  A plan is (coefficients, their
+    accumulators, anchors, coefficient name, sign, point rows, virtual
+    member's point row, relation row, step rows, residual rows of the step
+    partials, member position of the endpoint, relation's step position,
+    residual rows of the buffer, gather); a relation group has all of them,
+    a type no relation, step and member rows.
+    A batch of one block holds slices of store.coeffs, accs.coeffs and
+    store.anchors (cut by store.offsets), its _BlockName, -1 for the two
+    positions of its virtual member and its relation, and a residual
+    slice, with gather None.  A batch of B >= 2 blocks holds the stores'
+    whole arrays, a function from a coefficient row to its block's name,
+    and its blocks' rows and positions laid end to end, block by block;
+    gather is its coefficient rows (B, r), flat, and its block indices.
+    The buffer's residual rows are the stores' coefficient rows laid end
+    to end, as _block_pass lays out the residuals.  Rows are row-buffer
+    rows: entity e's is e, relation k's rel0 + k.
+    A type's points are its members; its sign is 0.  A relation group's
+    points are its point rows (members, then the endpoint) with sign times
+    its relation row added to the last: the virtual member, e + r_k of a
     tail group (e, k) (sign 1) or f - r_k of a head group (k, f) (sign -1).
     The step rows are the distinct entities, then the relation; each takes
     the partial of its residual row, the virtual member's for the endpoint
-    and, signed, the relation.  An endpoint that is also a member takes both
-    partials at its member position, which is None for any other endpoint."""
-    plans, base = [], 0
-    for store, accs in stores:
-        starts, c = (o.tolist() for o in store.offsets)
-        per_block = [(store.members[starts[i] : starts[i + 1]], None, None, None) for i in range(len(store))]  # a type's
+    and, signed, the relation.  An endpoint that is also a member takes
+    both partials at its member position, which is None for any other
+    endpoint."""
+    blocks, bases = [], np.cumsum([0] + [len(store.coeffs) for store, _ in stores]).tolist()
+    for s, (store, _) in enumerate(stores):  # per block in plan order: (store, b, coefficient rows, point rows, ...)
+        m, c = (o.tolist() for o in store.offsets)
+        per_block = [(store.members[m[i] : m[i + 1]], None, None, None) if store.kind == "type" else None
+                     for i in range(len(store))]  # a type's rows are its members; a group's follow
         for cls in store.size_classes if store.kind != "type" else ():
             r = cls.rows.shape[1]
             match = cls.rows[:, :-1] == cls.rows[:, -1:]
-            member = match.any(axis=1).tolist()
             steps = np.concatenate((cls.rows, rel0 + cls.rels[:, None]), axis=1)
-            keep = np.arange(r + 1) != r - 1  # a member endpoint is stepped as a member
-            resid_rows = (np.append(np.arange(r), r - 1), np.arange(r))  # by whether the endpoint is a member
-            for b, rows, step, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, member, match.argmax(axis=1).tolist()):
-                per_block[b] = (rows, step[keep] if m else step, resid_rows[m], pos if m else None)
-        sign = {"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind]
-        plans += [(store.coeffs[c[i] : c[i + 1]], accs.coeffs[c[i] : c[i + 1]], store.anchors[i],
-                   _BlockName("coeffs", store, i), sign, *rows, slice(base + c[i], base + c[i + 1]))
-                  for i, rows in enumerate(per_block)]
-        base += c[-1]
+            for b, rows, step, rel, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, (rel0 + cls.rels).tolist(),
+                                                  match.any(axis=1).tolist(), match.argmax(axis=1).tolist()):
+                per_block[b] = (rows, rel, np.delete(step, r - 1) if m else step, pos if m else None)  # once, if a member
+        blocks += [(s, b, c[b], c[b + 1], *blk) for b, blk in enumerate(per_block)]
+    writes = [() if blk[6] is None else blk[6].tolist() for blk in blocks]
+    keys = np.array([(blk[0], blk[3] - blk[2], blk[7] is not None) for blk in blocks], dtype=np.int64).reshape(-1, 3)
+    perm, bounds = _level_batches(writes, 1 + max((max(w) for w in writes if w), default=0), tuple(keys.T))
+    plans, perm, resid = [], perm.tolist(), {}
+    signs = [{"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind] for store, _ in stores]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        s, b, c0, c1, rows, rel, step, pos = blocks[perm[lo]]
+        (store, accs), base, r = stores[s], bases[s], c1 - c0
+        if step is not None and (r, pos is None) not in resid:  # the step partials' residual rows, by membership
+            resid[r, pos is None] = np.minimum(np.arange(r + (pos is None)), r - 1)
+        resid_rows = None if step is None else resid[r, pos is None]
+        if hi - lo == 1:
+            plans.append((store.coeffs[c0:c1], accs.coeffs[c0:c1], store.anchors[b], _BlockName("coeffs", store, b),
+                          signs[s], rows, -1, rel, step, resid_rows, pos, -1, slice(base + c0, base + c1), None))
+            continue
+        batch = [blocks[p] for p in perm[lo:hi]]
+        k, at = 0 if step is None else len(step), np.arange(len(batch))
+        idx, cidx = np.array([blk[1] for blk in batch]), np.array([blk[2] for blk in batch])[:, None] + np.arange(r)
+        name = functools.partial(_BlockName, "coeffs", store, by_row=True)
+        group = (None,) * 3 if step is None else (np.array([blk[5] for blk in batch]),
+                                                  np.concatenate([blk[6] for blk in batch]), (at[:, None] * r + resid_rows).ravel())
+        plans.append((store.coeffs, accs.coeffs, store.anchors, name, signs[s], np.concatenate([blk[4] for blk in batch]),
+                      at * r + r - 1, *group, None if pos is None else at * k + [blk[7] for blk in batch], at * k + k - 1,
+                      base + cidx.ravel(), (cidx, cidx.ravel(), idx)))
     return plans
 
 
 def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
-    """A pass over the blocks of stores, (store, accumulator store) pairs:
-    per plan (_block_plans), one fused step: the block's residual rows,
-    projected AdaGrad on its coefficient rows (the projection in place),
-    its residual rows at the new coefficients, then one AdaGrad step on its
-    step rows, if any (columns :n), whose partials are scaled once; then
-    the anchor steps store by store (_anchor_steps), with proxes when reg
-    is set and beta > 0.  Returns the sum of the span nuclear norms after
-    the proxes.  A block's coefficients move only at its own step and its
-    anchors only after the loop, so every block's fit C A at the pass's
-    starting coefficients is taken before the loop, stacked per size class
-    (block_fits), in the residual buffer that its first residual then
-    overwrites, and its refit C A is taken into that buffer too.
+    """A pass over the blocks of stores, (store, accumulator store) pairs,
+    bit for bit the per-block loop in plan order: per batch plan
+    (_block_plans), one fused step on its blocks: their residual rows,
+    projected AdaGrad on their coefficient rows (the projection in place),
+    their residual rows at the new coefficients, then one AdaGrad step on
+    their step rows, if any (columns :n), whose partials are scaled once;
+    then the anchor steps store by store (_anchor_steps), with proxes when
+    reg is set and beta > 0.  Returns the sum of the span nuclear norms
+    after the proxes.  A batch of one block steps views of its arrays; a
+    batch of B >= 2 gathers them, steps them stacked, each block's
+    products with its own 2-D shapes, and writes them back.  The blocks of
+    a batch write distinct rows and own their coefficients, and a block's
+    anchors move only after the loop, so every block's fit C A at the
+    pass's starting coefficients is taken before the loop, stacked per
+    size class (block_fits), in the residual buffer that its first
+    residual then overwrites, and its refit C A is taken into that buffer
+    too.
 
-    A non-finite gradient raises at the first step that meets one: in plan
-    order, a coefficient step names the block (coeffs[...]) and a point
-    step the entity or relation row; then, store by store, each by size
-    class ascending and each class in key order, the first block whose
-    anchor gradient is not finite (anchors[...])."""
+    A non-finite gradient raises before its batch moves anything, at the
+    first step that meets one, batch by batch in level order (within a
+    level, store by store, by size class ascending, endpoints that are no
+    member first): a batch's coefficient step names its first bad block
+    (coeffs[...]) and its point step the first bad entity or relation row,
+    block by block; then, store by store, each by size class ascending and
+    each class in key order, the first block whose anchor gradient is not
+    finite (anchors[...])."""
     rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
-    lr = hp.learn_rate
-    scale = 1.0 - hp.alpha_mix
+    lr, scale = hp.learn_rate, 1.0 - hp.alpha_mix
     row_scale = 2.0 * scale  # the point partials 2 R, times scale: bit for bit scale (2 R)
     resid = np.empty((sum(len(store.coeffs) for store, _ in stores), rows.shape[1]))
     base = 0
@@ -496,23 +550,32 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
         for cls in store.size_classes:
             resid[base + cls.coeffs] = block_fits(store, cls)
         base += len(store.coeffs)
-    for coeffs, acc, anchors, coeff_name, sign, point_rows, step_rows, resid_rows, end_member, at in plans:
+    for coeffs, acc, anchors, coeff_name, sign, point_rows, last, rel, step_rows, resid_rows, end_member, rel_at, at, gather in plans:
         points = rows[point_rows]
         if sign:  # a group's virtual member
-            points[-1] += sign * rows[step_rows[-1]]
+            points[last] += sign * rows[rel]
         out = resid[at]
         np.subtract(points, out, out=out)  # block_resid, from the fit C A
-        adagrad_step(coeffs, block_coeff_grad(out, anchors, scale), acc, lr, coeff_name)
-        project_to_simplex(coeffs, out=coeffs)
-        block_resid(coeffs, anchors, points, out=out)
+        if gather is None:
+            adagrad_step(coeffs, block_coeff_grad(out, anchors, scale), acc, lr, coeff_name)
+            project_to_simplex(coeffs, out=coeffs)
+            block_resid(coeffs, anchors, points, out=out)
+        else:  # B >= 2 blocks: gathered, stepped stacked (B, r, .), written back
+            cidx, flat, blocks = gather
+            c, a, stacked = coeffs[cidx], anchors[blocks], out.reshape(cidx.shape + (-1,))
+            grad = block_coeff_grad(stacked, a, scale)
+            adagrad_step(coeffs, grad.reshape(len(flat), -1), acc, lr, coeff_name, flat, c.reshape(len(flat), -1))
+            coeffs[cidx] = project_to_simplex(c, out=c)
+            block_resid(c, a, points.reshape(stacked.shape), out=stacked)
+            resid[at] = out
         if step_rows is None:
             continue
         grads = out[resid_rows]
         if end_member is not None:
-            grads[end_member] += grads[-1]
+            grads[end_member] += grads[rel_at]
         grads *= row_scale
         if sign < 0.0:  # the relation's partial: the virtual member's, signed
-            grads[-1] *= sign
+            grads[rel_at] *= sign
         adagrad_step(rows, grads, acc_rows, lr, name, step_rows)
     prox = reg and hp.beta_reg > 0.0
     total, base = 0.0, 0
@@ -529,26 +592,33 @@ def _type_pass(state, hp, flags, report) -> float:
 
 
 def _rel_dist_pass(state, data, hp, rng):
-    """Per-triple AdaGrad updates of both entity points and the relation
-    vector, in shuffled triple order: one step on columns :n of the rows of
-    f, e and k with the partials rel_dist_triple_terms takes from them, g,
-    -g and -g.  The pass lays out each triple's three rows once; a triple
-    gathers them once and writes its partials into one buffer."""
-    lr = hp.learn_rate
-    scale = 1.0 - hp.alpha_mix
+    """AdaGrad updates of both entity points and the relation vector of
+    each triple, bit for bit those of a per-triple loop in shuffled triple
+    order: the shuffled triples go through _level_batches (a triple writes
+    the rows of f, e and k), a level's self-loops batched apart, and each
+    batch takes one step on columns :n of its triples' rows, triple by
+    triple f, e and k, with the partials rel_dist_triple_terms takes from
+    them, g, -g and -g.  A self-loop's entity partials cancel: it steps its
+    entity once, with a zero partial, and its relation.  A non-finite
+    gradient raises at the first batch, in level order, that meets one,
+    naming that batch's first bad row."""
+    lr, scale = hp.learn_rate, 1.0 - hp.alpha_mix
     rows, acc, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     triples = np.array(data.triples.triples, dtype=np.intp).reshape(-1, 3)[rng.permutation(len(data.triples))]
     e, k, f = triples.T
     steps = np.column_stack((f, e, state.starts["vectors"] + k))
-    grads = np.empty((3, rows.shape[1]))
-    for step_rows, loop in zip(steps, (e == f).tolist()):
-        x = rows[step_rows]
-        rel_dist_triple_terms(x, scale, grads)
-        if not loop:
-            adagrad_step(rows, grads, acc, lr, name, step_rows, x)
-        else:  # a self-loop's entity partials cancel: its entity takes a zero step
-            grads[1] = 0.0
-            adagrad_step(rows, grads[1:], acc, lr, name, step_rows[1:], x[1:])
+    perm, bounds = _level_batches(steps.tolist(), len(rows), (e == f,))
+    steps, loops = steps[perm], (e == f)[perm]
+    flat = steps.ravel()[(np.arange(steps.size) % 3 > 0) | ~np.repeat(loops, 3)]  # a self-loop's f row goes
+    ends = np.append(0, np.cumsum(3 - loops))[bounds].tolist()  # each batch's stepped rows in flat
+    grads = np.empty((int(np.diff(bounds).max(initial=0)), 3, rows.shape[1]))
+    for s, t, lo, hi, loop in zip(bounds[:-1].tolist(), bounds[1:].tolist(), ends[:-1], ends[1:], loops[bounds[:-1]].tolist()):
+        x = rows[steps[s:t]]
+        g = rel_dist_triple_terms(x, scale, grads[: t - s])
+        if loop:  # a self-loop steps its entity with a zero partial, then its relation
+            g[:, 1] = 0.0
+            g, x = g[:, 1:], x[:, 1:]
+        adagrad_step(rows, g.reshape(hi - lo, -1), acc, lr, name, flat[lo:hi], x.reshape(hi - lo, -1))
 
 
 def _rel_dim_pass(state, hp, flags, report) -> float:

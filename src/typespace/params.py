@@ -127,8 +127,8 @@ class Hyperparams:
             raise ValueError("epochs must be >= 1")
         if self.learn_rate <= 0.0:
             raise ValueError("learn_rate must be positive")
-        if self.rank_eps <= 0.0:
-            raise ValueError("rank_eps must be positive")
+        if not 0.0 < self.rank_eps < 1.0:  # at 1 or more every rank would read 0
+            raise ValueError("rank_eps must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         variant_flags(self.variant)  # rejects an unknown variant
@@ -343,13 +343,17 @@ def block_centroids(store: BlockStore, entity_points: np.ndarray, vectors: np.nd
 def _new_store(kind: str, index, noise: np.ndarray, n: int) -> BlockStore:
     """The blocks of index (key -> member entities) in one store, keyed in
     ascending order, with noise[i], drawn for the i-th block of index, as
-    anchors and every coefficient row uniform at 1/(n+1)."""
+    anchors and every coefficient row uniform at 1/(n+1).  An index already
+    in key order, as ingest builds them, takes noise itself as the anchors,
+    without a copy."""
     keys = sorted(index)
-    position = {key: i for i, key in enumerate(index)}
     counts = np.array([len(index[key]) for key in keys], dtype=np.int64)
     members = np.fromiter(itertools.chain.from_iterable(index[key] for key in keys), np.int64, int(counts.sum()))
     coeffs = np.full((len(members) + int(kind != "type") * len(keys), n + 1), 1.0 / (n + 1))
-    return BlockStore(kind, tuple(keys), noise[[position[key] for key in keys]], counts, members, coeffs)
+    if keys != list(index):
+        position = {key: i for i, key in enumerate(index)}
+        noise = noise[[position[key] for key in keys]]
+    return BlockStore(kind, tuple(keys), noise, counts, members, coeffs)
 
 
 def init_parameters(

@@ -475,6 +475,26 @@ def ref_rel_dist_pass(model, rels, entity_acc, rel_acc, triples, hp, rng):
         _ref_adagrad(rels.vectors, k, -g, rel_acc, lr)
 
 
+def ref_level_batches(writes, keys=None):
+    """The batches of items that write the given row collections, in
+    order, by the definition of the exact level schedule: an item's level
+    is one more than the highest level of any earlier item sharing a row
+    with it, else 1; items are ordered stably by (level, key) and a batch is
+    a run of equal (level, key).  Returns lists of item positions."""
+    writes = [set(rows) for rows in writes]
+    levels = []
+    for p, rows in enumerate(writes):
+        levels.append(1 + max((levels[q] for q in range(p) if writes[q] & rows), default=0))
+    keys = [()] * len(writes) if keys is None else [tuple(key) for key in keys]
+    batches = []
+    for p in sorted(range(len(writes)), key=lambda p: (levels[p], keys[p])):
+        if batches and (levels[batches[-1][0]], keys[batches[-1][0]]) == (levels[p], keys[p]):
+            batches[-1].append(p)
+        else:
+            batches.append([p])
+    return batches
+
+
 def ref_group_plan(members, side, key, rel_start):
     """One relation group's plan after its coefficients, their
     accumulators, its anchors and its name (optimize._block_plans), built on

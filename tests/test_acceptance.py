@@ -164,44 +164,67 @@ def _check_text_steps(rec, ww, ew, n_batches):
 
 
 def _check_rel_dist_steps(rec, triples, order):
-    """One step per triple in pass order, on entity f, entity e and
-    relation k; a self-loop steps its entity once, with a zero gradient,
-    then its relation.  Returns the number of self-loops."""
-    assert len(rec.steps) == len(order)
+    """One step per batch of the triples in pass order
+    (ref.ref_level_batches, self-loops batched apart), triple by triple on
+    entity f, entity e and relation k; a self-loop steps its entity once,
+    with a zero gradient, then its relation.  Returns the number of
+    self-loops."""
+    triples = [triples[idx] for idx in order]
+    writes = [[("entity", f), ("entity", e), ("rel", k)] for e, k, f in triples]
+    batches = ref.ref_level_batches(writes, [(e == f,) for e, _, f in triples])
+    assert len(rec.steps) == len(batches)
     loops = 0
-    for (e, k, f), (targets, g) in zip((triples[idx] for idx in order), rec.steps):
-        if e != f:
-            assert targets == [("entity", f), ("entity", e), ("rel", k)]
-        else:
-            assert targets == [("entity", e), ("rel", k)] and not g[0].any()
-            loops += 1
+    for batch, (targets, g) in zip(batches, rec.steps):
+        expected = []
+        for e, k, f in (triples[p] for p in batch):
+            expected += [("entity", f), ("entity", e), ("rel", k)] if e != f else [("entity", e), ("rel", k)]
+        assert targets == expected
+        if triples[batch[0]][0] == triples[batch[0]][2]:
+            assert not g[::2].any()
+            loops += len(batch)
     return loops
 
 
 def _check_block_steps(rec, stores, further):
-    """Per store in pass order, per block in key order, the coefficient
-    step and then the block's further steps (further[store][block], a list
-    of (key, row) lists); then per store the anchor steps, each on the
-    blocks of one size class: the classes ascending, a class's blocks in
-    key order, every block in exactly one step.  Returns 0."""
+    """Per batch of the blocks in pass order (ref.ref_level_batches over
+    the rows each block's further steps write, keyed by store, coefficient
+    rows and whether a group's endpoint is a member), the batch's
+    coefficient step, whole for one block and row by row for several, then
+    its blocks' further steps as one (further[store][block], a list of
+    (key, row) lists); then per store the anchor steps, each on the blocks
+    of one size class: the classes ascending, a class's blocks in key
+    order, every block in exactly one step.  Returns the number of batches
+    of several blocks."""
     key_of = {id(arr): key for key, arr in rec.arrays}
-    expected = []
-    for store, more in zip(stores, further, strict=True):
-        for block, steps in zip(store.values(), more, strict=True):
-            expected += [[(key_of[id(block.coeffs)], None)], *steps]
+    blocks, keys = [], []
+    for s, (store, more) in enumerate(zip(stores, further, strict=True)):
+        ends = store.endpoints[:, 0].tolist() if store.kind != "type" else [None] * len(store)
+        for block, steps, end in zip(store.values(), more, ends, strict=True):
+            blocks.append((block, steps))
+            keys.append((s, len(block.coeffs), end in block.members.tolist()))
+    expected, stacked = [], 0
+    for batch in ref.ref_level_batches([sum(steps, []) for _, steps in blocks], keys):
+        coeffs = [blocks[p][0].coeffs for p in batch]
+        if len(batch) == 1:
+            expected.append([(key_of[id(coeffs[0])], None)])
+        else:
+            expected.append([(key_of[id(c)], row) for c in coeffs for row in range(len(c))])
+            stacked += 1
+        if blocks[batch[0]][1]:
+            expected.append(sum((blocks[p][1][0] for p in batch), []))
     got = [targets for targets, _ in rec.steps]
     assert got[: len(expected)] == expected
     rest = got[len(expected) :]
     for store in stores:
-        blocks = list(store.values())
+        store_blocks = list(store.values())
         for cls in store.size_classes:
-            want = [(key_of[id(blocks[b].anchors)], None) for b in cls.blocks.tolist()]
+            want = [(key_of[id(store_blocks[b].anchors)], None) for b in cls.blocks.tolist()]
             while want:
                 step = rest.pop(0)
                 assert step and step == want[: len(step)]
                 want = want[len(step) :]
     assert not rest
-    return 0
+    return stacked
 
 
 def test_criterion_01_gradient_suite(monkeypatch):
@@ -222,8 +245,9 @@ def test_criterion_01_gradient_suite(monkeypatch):
             worst = ref.finite_difference_check(loss, params, rec.grads, h=1e-5)
             assert worst < 1e-4, f"pass {name}, seed {seed}: rel err {worst:.2e}"
             counts[name] = counts.get(name, 0) + check(rec)
-    # Some text batch held several entries, and some triple was a self-loop.
-    assert counts["text"] and counts["rel_dist"]
+    # Some text batch held several entries, some triple was a self-loop,
+    # and some batch held several relation groups.
+    assert counts["text"] and counts["rel_dist"] and counts["rel_group"]
     elapsed = sw.check()
     report(f"ACCEPTANCE 1 gradient suite: PASS ({elapsed:.1f}s)")
 

@@ -83,6 +83,8 @@ class TestTrain:
             ("--lr", "-1"),
             ("--beta", "-1"),
             ("--rank-eps", "0"),
+            ("--rank-eps", "1"),
+            ("--rank-eps", "2"),
             ("--window", "0"),
             ("--epochs", "0"),
             ("--epochs", "-1"),
@@ -660,7 +662,7 @@ class TestInspect:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) > 1
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1", "2"])
     def test_rank_eps_not_positive_exit_one(self, trained_model, capsys, value):
         code = run(["inspect", "--model", str(trained_model), "--rank-eps", value])
         assert code == 1
@@ -825,7 +827,7 @@ class TestTune:
         assert "best" not in captured.out
 
     @pytest.mark.parametrize("flag,value", [("--alphas", "a,b"), ("--betas", "1,x"), ("--alphas", "0.5,2"), ("--betas", "-1"),
-                                           ("--betas", "1,nan")])
+                                           ("--betas", "1,nan"), ("--rank-eps", "2"), ("--rank-eps", "1")])
     def test_bad_grid_one_line_exit_one(self, micro_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "best.json"
         argv = ["tune", "--corpus", micro_dir["corpus"], "--problems", micro_dir["ranking"], "--dim", "4",

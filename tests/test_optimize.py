@@ -17,6 +17,7 @@ from reference_impls import (
     ref_adagrad_step,
     ref_prox_nuclear,
     ref_comb_partials,
+    ref_level_batches,
     ref_rel_dim_pass,
     ref_rel_dist_pass,
     ref_type_pass,
@@ -378,8 +379,9 @@ class TestFiniteGuards:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_buffered_group_step_names_the_row(self, monkeypatch, bad):
-        # The first group's point-step partial of its first entity (bad 0)
-        # or of its relation (bad -1) is made infinite as the step gets it.
+        # The first batch's point-step partial of its first entity row (bad
+        # 0) or of its last block's relation row (bad -1) is made infinite as
+        # the step gets it.
         store, params, hp = self._bound()
         real = optimize.adagrad_step
 
@@ -391,8 +393,9 @@ class TestFiniteGuards:
 
         monkeypatch.setattr(optimize, "adagrad_step", poisoned)
         state = optimize._AdaState(params)
-        point_rows, step_rows = state.group_plans[0][5:7]
-        name = f"entity[{point_rows[0]}]" if bad == 0 else f"rel[{step_rows[-1] - state.starts['vectors']}]"
+        step_rows = state.group_plans[0][8]
+        name = state.row_name(int(step_rows[bad]))
+        assert name.startswith("entity[" if bad == 0 else "rel[")
         before = self._buffers(state)
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for {re.escape(name)}$"):
             optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport())
@@ -890,14 +893,15 @@ class TestTrainerStepsWithCheckedGradients:
 
 @st.composite
 def _group_instances(draw):
-    """A relation-group instance: distinct triples over few entities and
-    1-4 relations, so that groups of several sizes interleave in key order
-    on both sides and self-loops make endpoints members, with the point
-    width n and a seed for the parameters."""
-    n_entities = draw(st.integers(1, 5))
-    n_rels = draw(st.integers(1, 4))
+    """A relation-group instance: distinct triples over 2-10 entities and
+    2-8 relations, so that groups of several sizes interleave in key order
+    on both sides, self-loops make endpoints members, and groups of other
+    relations and entities share a level, with the point width n and a
+    seed for the parameters."""
+    n_entities = draw(st.integers(2, 10))
+    n_rels = draw(st.integers(2, 8))
     triple = st.tuples(st.integers(0, n_entities - 1), st.integers(0, n_rels - 1), st.integers(0, n_entities - 1))
-    triples = draw(st.lists(triple, min_size=1, max_size=20))  # repeats are dropped
+    triples = draw(st.lists(triple, min_size=3, max_size=24))  # repeats are dropped
     return "drawn", (triples, n_entities, n_rels, draw(st.integers(1, 8)), draw(st.integers(0, 2**16)))
 
 
@@ -921,17 +925,43 @@ def _group_pass_instances(kind, drawn):
         yield params, hp
 
 
+def _group_batches(rels):
+    """ref_level_batches over the relation groups in pass order, each
+    writing its entities and its relation, keyed by side, coefficient rows
+    and whether its endpoint is a member."""
+    writes, keys = [], []
+    for s, groups in enumerate((rels.rhs_groups, rels.lhs_groups)):
+        for (entity, k), gp in zip(groups.endpoints.tolist(), groups.values()):
+            members = gp.members.tolist()
+            writes.append([("entity", e) for e in members + [entity]] + [("rel", k)])
+            keys.append((s, len(gp.coeffs), entity in members))
+    return ref_level_batches(writes, keys)
+
+
 class TestRelGroupPass:
-    """The planned relation-group pass, its anchor steps deferred to after
-    the per-group loop, against the per-group loop it replaced
+    """The level-batched relation-group pass, its anchor steps deferred to
+    after the batch loop, against the per-group loop it replaced
     (reference_impls.ref_rel_dim_pass), bit for bit over two passes."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(instance=_group_instances(), alpha=st.sampled_from([0.3, 1.0]), beta=st.sampled_from([0.0, 0.5]))
-    @example(instance=("fixed", None), alpha=0.3, beta=0.0)
-    @example(instance=("fixed", None), alpha=0.3, beta=0.5)
-    def test_matches_per_group_loop(self, instance, alpha, beta):
-        self_loops = 0
+    def test_matches_per_group_loop(self):
+        stacked = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(instance=_group_instances(), alpha=st.sampled_from([0.3, 1.0]), beta=st.sampled_from([0.0, 0.5]))
+        @example(instance=("fixed", None), alpha=0.3, beta=0.0)
+        @example(instance=("fixed", None), alpha=0.3, beta=0.5)
+        def check(instance, alpha, beta):
+            stacked.append(self._check(instance, alpha, beta))
+
+        check()
+        # Many draws (about two in five) hold a batch of several groups.
+        assert sum(stacked) >= len(stacked) // 4
+
+    @staticmethod
+    def _check(instance, alpha, beta):
+        """Asserts the pass equals the reference on each instance of the
+        draw; returns whether some batch held several groups."""
+        self_loops = stacked = 0
         for params, hp in _group_pass_instances(*instance):
             hp = replace(hp, alpha_mix=alpha, beta_reg=beta)
             ref_params = clone_params(params)
@@ -939,7 +969,10 @@ class TestRelGroupPass:
             ref_accs = (np.zeros_like(m.entity_points), np.zeros_like(rels.vectors), rels.rhs_groups.zeros(),
                         rels.lhs_groups.zeros())
             state = optimize._AdaState(params)
-            self_loops += sum(plan[8] is not None for plan in state.group_plans)
+            self_loops += sum(plan[10] is not None for plan in state.group_plans)
+            batches = _group_batches(rels)
+            assert len(state.group_plans) == len(batches)
+            stacked += any(len(batch) > 1 for batch in batches)
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 reg = optimize._rel_dim_pass(state, hp, variant_flags("full"), TrainReport())
                 assert reg == ref_rel_dim_pass(ref_params, ref_accs, hp, beta > 0.0, prox_nuclear)
@@ -955,6 +988,7 @@ class TestRelGroupPass:
                 assert got.coeffs.tobytes() == want.coeffs.tobytes(), side
         if instance[0] == "fixed":
             assert self_loops > 0  # some group's endpoint is one of its members
+        return stacked > 0
 
 
 class TestTypePass:
@@ -973,6 +1007,8 @@ class TestTypePass:
             ref_params = clone_params(params)
             ref_accs = ref_params.types.per_type.zeros()
             state = optimize._AdaState(params)
+            # The three 2-member types step as one batch, the two 4-member ones as another.
+            assert sorted(len(plan[13][2]) for plan in state.type_plans if plan[13] is not None) == [2, 3]
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 reg = optimize._type_pass(state, hp, flags, TrainReport())
                 assert reg == ref_type_pass(ref_params, ref_accs, hp, beta > 0.0, flags.comb, prox_nuclear)
@@ -1089,16 +1125,19 @@ class TestDivergenceNamesTheBlock:
         hp = replace(hp, alpha_mix=0.0, beta_reg=0.5, epochs=2, variant="full")
         types = params.types.per_type
         e = next(e for e in range(10) if e not in types["t0"].members and any(e in tp.members for tp in types.values()))
-        bad = next(t for t, tp in types.items() if e in tp.members)  # the first type in id order
+        # Types write no rows, so they step in one batch per size class,
+        # ascending: the first type that reads e in that order is named.
+        size = {t: len(tp.members) for t, tp in types.items()}
+        bad = min((size[t], t) for t, tp in types.items() if e in tp.members)[1]
         handed = params.model.entity_points
 
         def plant(p):
             p.model.entity_points[e] = np.nan
 
         start, clean = self._run(data, params, hp, plant, f"coeffs[{bad}]")
-        # The coefficient steps of the types before it; no anchor step.
+        # The coefficient steps of the batches before its batch; no anchor step.
         for t, tp in types.items():
-            assert self._same(tp.coeffs, (clean if t < bad else start).types[t].coeffs), t
+            assert self._same(tp.coeffs, (clean if size[t] < size[bad] else start).types[t].coeffs), t
         assert self._same(types.anchors, start.types.per_type.anchors)
         assert params.model.entity_points is handed and self._same(handed, start.model.entity_points)
         for side in ("rhs_groups", "lhs_groups"):
@@ -1162,25 +1201,39 @@ class TestDivergenceNamesTheBlock:
 @st.composite
 def _triple_passes(draw):
     """Triples over few entities and many relations, so that rows repeat
-    within a pass and self-loops are common, with the point width n."""
-    n_entities = draw(st.integers(1, 4))
-    n_rels = draw(st.integers(1, 12))
+    within a pass, self-loops are common and triples of other relations and
+    entities share a level, with the point width n."""
+    n_entities = draw(st.integers(2, 10))
+    n_rels = draw(st.integers(2, 12))
     triple = st.tuples(st.integers(0, n_entities - 1), st.integers(0, n_rels - 1), st.integers(0, n_entities - 1))
-    return draw(st.lists(triple, min_size=1, max_size=30)), n_rels, draw(st.integers(1, 8))
+    return draw(st.lists(triple, min_size=3, max_size=30)), n_rels, draw(st.integers(1, 8))
 
 
 class TestRelDistPass:
-    """The one-step-per-triple pass against the three-step per-triple loop
+    """The level-batched triple pass against the three-step per-triple loop
     (reference_impls.ref_rel_dist_pass), bit for bit, over two passes."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(passes=_triple_passes(), seed=st.integers(0, 2**16), alpha=st.sampled_from([0.3, 1.0]))
-    @example(passes=([(0, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0)], 2, 3), seed=0, alpha=0.3)
-    def test_matches_per_triple_loop(self, passes, seed, alpha):
+    def test_matches_per_triple_loop(self):
+        stacked = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(passes=_triple_passes(), seed=st.integers(0, 2**16), alpha=st.sampled_from([0.3, 1.0]))
+        @example(passes=([(0, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0)], 2, 3), seed=0, alpha=0.3)
+        def check(passes, seed, alpha):
+            stacked.append(self._check(passes, seed, alpha))
+
+        check()
+        # Many draws (about two in five) hold a batch of several triples.
+        assert sum(stacked) >= len(stacked) // 4
+
+    @staticmethod
+    def _check(passes, seed, alpha):
+        """Asserts the pass equals the reference; returns whether some
+        batch of the first pass held several triples."""
         triples, n_rels, n = passes
-        _, _, store, params, hp = random_instance(seed, n=n)
+        _, _, store, params, hp = random_instance(seed, n=n, n_entities=10)
         params.rels.vectors = np.random.default_rng(seed).normal(size=(n_rels, n))
-        data = TrainData(6, 5, None, None, synth.empty_type_system(), replace(store, triples=tuple(triples)))
+        data = TrainData(10, 5, None, None, synth.empty_type_system(), replace(store, triples=tuple(triples)))
         hp = replace(hp, alpha_mix=alpha)
         ref_params = clone_params(params)
         m, rels = ref_params.model, ref_params.rels
@@ -1192,16 +1245,19 @@ class TestRelDistPass:
         assert params.model.entity_points.tobytes() == m.entity_points.tobytes()
         assert params.rels.vectors.tobytes() == rels.vectors.tobytes()
         rel0 = state.starts["vectors"]
-        assert state.row_acc[:6, :n].tobytes() == entity_acc.tobytes()
+        assert state.row_acc[:10, :n].tobytes() == entity_acc.tobytes()
         assert state.row_acc[rel0:, :n].tobytes() == rel_acc.tobytes()
         assert not state.row_acc[:, n].any()
+        shuffled = [triples[i] for i in np.random.default_rng(seed).permutation(len(triples))]
+        writes = [[("entity", f), ("entity", e), ("rel", k)] for e, k, f in shuffled]
+        return max(map(len, ref_level_batches(writes, [(e == f,) for e, _, f in shuffled]))) > 1
 
 
 class TestStepCounts:
-    """One AdaGrad step per text batch, one per triple, and per relation
-    group its coefficient step and one on its points; a type takes its
-    coefficient step; each block pass then takes one anchor step per chunk
-    of a size class."""
+    """One AdaGrad step per text batch and one per triple batch; per batch
+    of relation groups its coefficient step and one on its points; per batch
+    of types its coefficient step; each block pass then takes one anchor
+    step per chunk of a size class."""
 
     def test_steps_per_batch_triple_and_group(self, monkeypatch):
         ww, ew, store, params, hp = random_instance(5)
@@ -1230,15 +1286,23 @@ class TestStepCounts:
             monkeypatch.setattr(optimize, attr, counted(name, getattr(optimize, attr)))
         train(data, TrainConfig(hp=hp, shuffle_seed=1), params)
         assert len(batches) == 2 and sum(batches) > 0
-        # Every size class here fits in one chunk.
+        # The trainer's shuffles, epoch by epoch: the text entries', then the triples'.
+        rng, triple_batches = np.random.default_rng(1), 0
+        for _ in range(2):
+            rng.permutation(len(ww) + len(ew))
+            shuffled = [store.triples[i] for i in rng.permutation(len(store.triples))]
+            writes = [[("entity", f), ("entity", e), ("rel", k)] for e, k, f in shuffled]
+            triple_batches += len(ref_level_batches(writes, [(e == f,) for e, _, f in shuffled]))
+        # Every size class here fits in one chunk, and types write no rows:
+        # one type batch per size class.
         types, rels = params.types.per_type, params.rels
         group_classes = len(rels.rhs_groups.size_classes) + len(rels.lhs_groups.size_classes)
         assert len(types.size_classes) > 1 and group_classes > 2
         assert calls == {
             "text": sum(batches),
-            "type": 2 * (len(types) + len(types.size_classes)),
-            "rel_dist": 2 * len(store.triples),
-            "rel_group": 2 * (2 * (len(store.rhs) + len(store.lhs)) + group_classes),
+            "type": 2 * 2 * len(types.size_classes),
+            "rel_dist": triple_batches,
+            "rel_group": 2 * (2 * len(_group_batches(rels)) + group_classes),
         }
 
 

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rewrite_header, split_model, with_crc
-from reference_impls import ref_save_model_joined
+from conftest import rewrite_header, split_model, triple_store, with_crc
+from reference_impls import ref_block_centroids, ref_save_model_joined
 from typespace import synth
+from typespace.ingest import TripleStore, TypeSystem
 from typespace.params import (
     BlockStore,
     Hyperparams,
@@ -67,6 +68,14 @@ class TestHyperparams:
     def test_epochs_at_least_one(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             Hyperparams(epochs=epochs)
+
+    @pytest.mark.parametrize("rank_eps", [0.0, -1e-3, 1.0, 2.0])
+    def test_rank_eps_in_open_unit_interval(self, rank_eps):
+        # Ranks count singular values above rank_eps * max(sigma_1, 1): at 1
+        # or more every rank would read 0.
+        with pytest.raises(ValueError, match=r"^rank_eps must lie in \(0, 1\)$"):
+            Hyperparams(rank_eps=rank_eps)
+        assert Hyperparams(rank_eps=0.999).rank_eps == 0.999
 
     @pytest.mark.parametrize("field", ["alpha_mix", "beta_reg", "learn_rate", "rank_eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -284,6 +293,43 @@ _HEADER_CASES = [
     (("shapes", 11, [14, 1]), r"rhs groups: keys shape \(14, 1\), expected \(14, 2\)"),
     (("shapes", 0, [3, 5]), r"entity_points shape \(3, 5\), expected \(5, 3\)"),
 ]
+
+
+class TestInitNoiseOrder:
+    """init_parameters gives block i of an index the i-th noise draw,
+    whether the index is in key order (as ingest builds it, so no copy is
+    needed) or not (the draws are permuted into key order)."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_matches_the_permuting_path(self, shuffled):
+        n, n_entities, n_words = 3, 9, 4
+        rng = np.random.default_rng(5)
+        types = {f"t{i}": tuple(sorted(rng.choice(n_entities, size=1 + i % 4, replace=False).tolist())) for i in range(6)}
+        store = triple_store(("r0", "r1", "r2"), [tuple(rng.integers([0, 0, 0], [n_entities, 3, n_entities]).tolist())
+                                                  for _ in range(12)])
+        type_ids = tuple(types)
+        if shuffled:
+            type_ids = type_ids[::-1]
+            store = TripleStore(store.relation_ids, store.triples, dict(reversed(store.rhs.items())),
+                                dict(reversed(store.lhs.items())))
+        ts = TypeSystem(type_ids, types, {t: frozenset({t}) for t in types})
+        hp = Hyperparams(n=n, seed=3)
+        params = init_parameters(n_entities, n_words, ts, store, hp)
+        draws = np.random.default_rng(hp.seed)
+        points = draws.uniform(-0.5 / n, 0.5 / n, size=(n_entities, n))
+        draws.uniform(-0.5 / n, 0.5 / n, size=(2 * n_words, n))  # the word and context vectors
+        type_noise = draws.uniform(-0.1 / n, 0.1 / n, size=(len(types), n + 1, n))
+        vectors = draws.uniform(-0.5 / n, 0.5 / n, size=(3, n))
+        group_noise = draws.uniform(-0.1 / n, 0.1 / n, size=(len(store.rhs) + len(store.lhs), n + 1, n))
+        sides = ((params.types.per_type, type_ids, type_noise),
+                 (params.rels.rhs_groups, list(store.rhs), group_noise[: len(store.rhs)]),
+                 (params.rels.lhs_groups, list(store.lhs), group_noise[len(store.rhs) :]))
+        for got, index_order, noise in sides:
+            assert got.key_table == tuple(sorted(index_order))
+            position = {key: i for i, key in enumerate(index_order)}
+            want = noise[[position[key] for key in got.key_table]]
+            want += np.array(ref_block_centroids(got, points, vectors)).reshape(-1, 1, n)
+            assert got.anchors.tobytes() == want.tobytes(), got.kind
 
 
 class TestPersistence:

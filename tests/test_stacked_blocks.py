@@ -1,9 +1,9 @@
 """The stacked size-class fits and init centroids against the per-block
 loops they replaced (kept in reference_impls), bit for bit: each block's
 loss and centroid, and the type and relation-group losses, whose per-block
-values are added in key order.  The relation-group plans built per size
-class equal each group's own plan, a type's plan steps no rows, and each
-pass's plans tile its coefficient rows.  Instances mix block sizes, hold
+values are added in key order.  The block passes' batch plans are the
+exact level batches of their blocks, each block's rows in them are its own
+plan's, and a type's plan steps no rows.  Instances mix block sizes, hold
 1-member types, group endpoints that are also members, and empty group
 stores."""
 
@@ -79,39 +79,72 @@ def _is_view(got, want):
     return (got.ctypes.data, got.shape, got.strides) == (want.ctypes.data, want.shape, want.strides)
 
 
-def _assert_block_views(plan, store, accs, key, label):
-    """A plan's coefficients, their accumulators and its anchors are views
-    of its block's own arrays in store and accs."""
-    block, acc = store[key], accs[store.kind][key]
-    assert _is_view(plan[0], block.coeffs) and _is_view(plan[1], acc.coeffs), key
-    assert _is_view(plan[2], block.anchors) and str(plan[3]) == f"coeffs[{label}]", key
+def _plan_blocks(plan, stores):
+    """(store, block indices) of a batch plan: a batch of one names its
+    block (its _BlockName), a batch of several gathers them."""
+    if plan[13] is None:
+        return plan[3].store, [plan[3].b]
+    return next(store for store in stores if plan[0] is store.coeffs), plan[13][2].tolist()
 
 
 def _assert_plans_equal(model, types, rels):
-    """Each type's plan is its members with no step rows, each group's plan
-    from the size classes is its own group plan, each plan's arrays are
-    views of its block's, and a pass's residual slices tile its stores'
-    coefficient rows, laid end to end, in key order."""
+    """The plans are the batches of ref.ref_level_batches over the blocks
+    in pass order (a group writing its step rows, keyed by store,
+    coefficient rows and endpoint membership).  A batch of one block holds
+    views of its block's arrays and its residual slice; a batch of several
+    holds the stores' arrays and its blocks' rows and positions laid end
+    to end.  Each block's rows are its own plan's (ref.ref_group_plan), a
+    type steps no rows, and each block's residual rows are its coefficient
+    rows in the stores laid end to end."""
     type_plans, group_plans, accs, rel_start = _block_plans(model, types, rels)
-    assert len(type_plans) == len(types.per_type)
-    for plan, (key, block) in zip(type_plans, types.per_type.items()):
-        _assert_block_views(plan, types.per_type, accs, key, key)
-        assert plan[4] == 0.0 and plan[6:9] == (None, None, None), key
-        assert np.array_equal(plan[5], block.members), key
-    assert len(group_plans) == len(rels.rhs_groups) + len(rels.lhs_groups)
-    groups = [(store, key, block) for store in (rels.rhs_groups, rels.lhs_groups) for key, block in store.items()]
-    for plan, (store, key, block) in zip(group_plans, groups):
-        want = ref.ref_group_plan(block.members, store.kind, key, rel_start)
-        _assert_block_views(plan, store, accs, key, f"{store.kind}{key}")
-        assert (plan[4], plan[8]) == (want[0], want[4]), key
-        for field, got, expected in zip(("point rows", "step rows", "resid rows"), plan[5:8], want[1:4]):
-            assert np.array_equal(got, expected), (key, field)
     for plans, stores in ((type_plans, [types.per_type]), (group_plans, [rels.rhs_groups, rels.lhs_groups])):
-        coeffs = np.concatenate([store.coeffs for store in stores])
-        starts = [plan[9].start for plan in plans] + [len(coeffs)]
-        assert starts[0] == 0 and [plan[9].stop for plan in plans] == starts[1:]
-        for plan in plans:
-            assert np.array_equal(coeffs[plan[9]], plan[0]), plan[3]
+        blocks, writes, keys, bases = [], [], [], {}
+        for s, store in enumerate(stores):
+            bases[store.kind] = sum(len(st.coeffs) for st in stores[:s])
+            for i, (key, block) in enumerate(store.items()):
+                want = None if store.kind == "type" else ref.ref_group_plan(block.members, store.kind, key, rel_start)
+                blocks.append((store, i))
+                writes.append([] if want is None else want[2].tolist())
+                keys.append((s, len(block.coeffs), want is not None and want[4] is not None))
+        batches = ref.ref_level_batches(writes, keys)
+        assert len(plans) == len(batches)
+        for plan, batch in zip(plans, batches, strict=True):
+            store, got = _plan_blocks(plan, stores)
+            assert [(store, b) for b in got] == [blocks[p] for p in batch]
+            base, c = bases[store.kind], store.offsets[1]
+            rows = [np.arange(c[b], c[b + 1]) for b in got]
+            r, k = len(rows[0]), 0 if plan[8] is None else len(plan[8]) // len(got)
+            if plan[13] is not None:
+                cidx, flat, _ = plan[13]
+                assert np.array_equal(cidx, np.array(rows)) and np.array_equal(flat, np.concatenate(rows))
+                assert plan[1] is accs[store.kind].coeffs and plan[2] is store.anchors
+                assert np.array_equal(plan[12], base + flat)
+                assert np.array_equal(plan[6], np.arange(len(got)) * r + r - 1)
+                if k:
+                    assert np.array_equal(plan[11], np.arange(len(got)) * k + k - 1)
+            else:
+                assert plan[12] == slice(base + c[got[0]], base + c[got[0] + 1]) and plan[6] == plan[11] == -1
+            for j, b in enumerate(got):
+                key, block = store.key_table[b], store[store.key_table[b]]
+                label = key if store.kind == "type" else f"{store.kind}{key}"
+                if plan[13] is None:
+                    assert _is_view(plan[0], block.coeffs) and _is_view(plan[1], accs[store.kind][key].coeffs), key
+                    assert _is_view(plan[2], block.anchors) and str(plan[3]) == f"coeffs[{label}]", key
+                else:
+                    assert {str(plan[3](row)) for row in rows[j]} == {f"coeffs[{label}]"}, key
+                point_rows = plan[5][j * r : (j + 1) * r]
+                if store.kind == "type":
+                    assert plan[4] == 0.0 and plan[7:11] == (None, None, None, None), key
+                    assert np.array_equal(point_rows, block.members), key
+                    continue
+                sign, want_points, want_steps, want_resid, want_pos = ref.ref_group_plan(
+                    block.members, store.kind, key, rel_start)
+                pos = None if plan[10] is None else int(np.atleast_1d(plan[10])[j]) - j * k
+                rel = int(np.atleast_1d(plan[7])[j])
+                assert (plan[4], pos, rel) == (sign, want_pos, want_steps[-1]), key
+                assert np.array_equal(point_rows, want_points), key
+                assert np.array_equal(plan[8][j * k : (j + 1) * k], want_steps), key
+                assert np.array_equal(plan[9][j * k : (j + 1) * k] - j * r, want_resid), key
 
 
 def _assert_bit_equal(model, types, rels):
@@ -155,7 +188,7 @@ class TestStackedFits:
     def test_endpoint_is_member(self):
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
-        assert all(plan[8] is not None for plan in _block_plans(model, types, rels)[1])
+        assert all(plan[10] is not None for plan in _block_plans(model, types, rels)[1])
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):

@@ -1,11 +1,13 @@
-"""The level-batched text pass against the per-entry sequential loop."""
+"""The exact level schedule that the text, triple and block passes share
+(optimize._level_batches), and the level-batched text pass against the
+per-entry sequential loop."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
-from reference_impls import ref_text_pass
+from reference_impls import ref_level_batches, ref_text_pass
 from typespace import optimize
 
 _TEXT_ARRAYS = ("entity_points", "word_vecs", "ctx_vecs", "entity_bias", "word_bias", "ctx_bias")
@@ -118,3 +120,38 @@ class TestLevelBatchedTextPass:
         order = [1, 0, 2, 4, 3, 6, 5, 8, 7]
         for seed in range(5):
             assert _run(tags, pairs, counts, order, 3, seed, 0.5, 3)[0] == 3
+
+
+@st.composite
+def _items(draw):
+    """Items that write 0-4 of a few rows (rows repeat within and across
+    items, and some items write none), with 0-2 keys of few values."""
+    n_rows = draw(st.integers(1, 8))
+    items = draw(st.lists(st.lists(st.integers(0, n_rows - 1), max_size=4), max_size=30))
+    n_keys = draw(st.integers(0, 2))
+    keys = [draw(st.lists(st.integers(0, 2), min_size=len(items), max_size=len(items))) for _ in range(n_keys)]
+    return items, n_rows, keys
+
+
+class TestLevelBatches:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_items())
+    def test_batches_are_the_exact_levels(self, drawn):
+        items, n_rows, keys = drawn
+        perm, bounds = optimize._level_batches(items, n_rows, tuple(np.array(k, dtype=np.int64) for k in keys))
+        batches = [perm[s:t].tolist() for s, t in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        # Every item lands in exactly one batch, and the batches are the
+        # definition's.
+        assert sorted(perm.tolist()) == list(range(len(items))) and bounds[0] == 0
+        assert batches == ref_level_batches(items, list(zip(*keys)) if keys else None)
+        position = {p: i for i, batch in enumerate(batches) for p in batch}
+        for i, batch in enumerate(batches):
+            # A batch writes distinct rows, and its items share their keys.
+            written = [r for p in batch for r in set(items[p])]
+            assert len(written) == len(set(written))
+            assert len({tuple(k[p] for k in keys) for p in batch}) == 1
+        # Items that share a row keep their order, in increasing level.
+        for p in range(len(items)):
+            for q in range(p):
+                if set(items[p]) & set(items[q]):
+                    assert position[q] < position[p]
