@@ -503,14 +503,14 @@ def _block_plans(stores, rel0) -> list[tuple]:
                           signs[s], rows, -1, rel, step, resid_rows, pos, -1, slice(base + c0, base + c1), None))
             continue
         batch = [blocks[p] for p in perm[lo:hi]]
-        k, at = 0 if step is None else len(step), np.arange(len(batch))
+        k, at = 0 if step is None else len(step), np.arange(0, len(batch) * r, r)  # at: each block's first point
         idx, cidx = np.array([blk[1] for blk in batch]), np.array([blk[2] for blk in batch])[:, None] + np.arange(r)
-        name = functools.partial(_BlockName, "coeffs", store, by_row=True)
+        name, flat = functools.partial(_BlockName, "coeffs", store, by_row=True), cidx.ravel()
         group = (None,) * 3 if step is None else (np.array([blk[5] for blk in batch]),
-                                                  np.concatenate([blk[6] for blk in batch]), (at[:, None] * r + resid_rows).ravel())
+                                                  np.concatenate([blk[6] for blk in batch]), np.add.outer(at, resid_rows).ravel())
         plans.append((store.coeffs, accs.coeffs, store.anchors, name, signs[s], np.concatenate([blk[4] for blk in batch]),
-                      at * r + r - 1, *group, None if pos is None else at * k + [blk[7] for blk in batch], at * k + k - 1,
-                      base + cidx.ravel(), (cidx, cidx.ravel(), idx)))
+                      at + (r - 1), *group, None if pos is None else np.arange(0, len(batch) * k, k) + [blk[7] for blk in batch],
+                      np.arange(k - 1, len(batch) * k, k or 1), base + flat, (cidx, flat, idx)))
     return plans
 
 
