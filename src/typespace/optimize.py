@@ -12,19 +12,18 @@ for bit the per-item loop.  A text level steps its entries' rows, biases
 included, whichever table they come from; a level of shuffled triples
 steps their two entities and their relation, its self-loops apart.  Types
 and relation groups are the same subspace block, and one loop steps
-either (_block_pass), by batch plans built once per run (_block_plans),
+either (_block_pass), by named batch plans (_Batch) built once per run,
 one per (level, store, size class, endpoint-is-member): the simplex
 coefficients by projected gradient, projected in place, then a group's
 entities and relation, each batch in one fused step whose residual and
-refit share one buffer, a batch of one block on slices of the stacked
-stores and a larger one gathered, stacked and written back.  No block
-reads another's anchors, so the anchor gradient steps and the
-singular-value thresholding of the anchor span matrices run after the
-loop, stacked per size class (_anchor_steps), bit for bit as per block.
-A pass does once, before its step loop, what the loop need not redo (the
-rows each step gathers, the text weights, the blocks' fits C A), and its
-steps write their partials into one reused buffer.  The nuclear norms are handled only by the proximal step, never by
-gradients.  The step kernels test finiteness from a sum of squares and
+refit share one buffer.  No block reads another's anchors, so the anchor
+gradient steps and the singular-value thresholding of the anchor span
+matrices run after the loop, stacked per size class (_anchor_steps), bit
+for bit as per block.  A pass does once, before its step loop, what the
+loop need not redo (the rows each step gathers, the text weights, the
+blocks' fits C A), and its steps write their partials into one reused
+buffer.  The nuclear norms are handled only by the proximal step, never
+by gradients.  The step kernels test finiteness from a sum of squares and
 take the exact test only when that sum is not finite (params._finite).
 The divergence snapshot is cloned after every epoch but the last.
 Training is a pure function of its inputs and seeds.
@@ -39,6 +38,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,14 +286,13 @@ class _AdaState:
 
         self.row_name = row_name
         # Anchor and coefficient accumulators, stacked like the blocks; each
-        # block pass's (store, accumulators) pairs and its plans.
+        # block pass's plans and (store, accumulators, residual rows) triples.
         self.types = params.types.per_type.zeros()
         self.rhs = rels.rhs_groups.zeros()
         self.lhs = rels.lhs_groups.zeros()
-        self.type_stores = ((params.types.per_type, self.types),)
-        self.group_stores = ((rels.rhs_groups, self.rhs), (rels.lhs_groups, self.lhs))
-        self.type_plans = _block_plans(self.type_stores, self.starts["vectors"])
-        self.group_plans = _block_plans(self.group_stores, self.starts["vectors"])
+        self.type_plans, self.type_stores = _block_plans(((params.types.per_type, self.types),), self.starts["vectors"])
+        self.group_plans, self.group_stores = _block_plans(
+            ((rels.rhs_groups, self.rhs), (rels.lhs_groups, self.lhs)), self.starts["vectors"])
 
     def release(self) -> None:
         for owner, attr, arr in self._handed:
@@ -387,7 +386,7 @@ def _prepare_text_entries(data: TrainData, state: _AdaState):
     return tuple(np.concatenate(parts) for parts in (urows, vrows, fvals, logs))
 
 
-def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
+def _anchor_steps(store, accs, at, resid, hp, prox, comb, report) -> np.ndarray:
     """The anchor half of the block steps of a pass over store, run after
     its per-block loop: per size class, in chunks of about
     _ANCHOR_CHUNK_CELLS gathered values per temporary, one stacked gradient
@@ -395,8 +394,8 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
     AdaGrad step on the chunk's anchors, then, when prox is set, one span
     build, singular-value thresholding of each block's span at
     beta * anchor_prox_scale with anchor 0 held as base point, and one
-    rewrite of the anchors.  resid begins with store's residual rows, laid
-    out like store.coeffs; accs is store's accumulator store.  No block reads
+    rewrite of the anchors.  resid[at] is store's residual rows, laid out
+    like store.coeffs; accs is store's accumulator store.  No block reads
     another's anchors within a pass, so every block moves bit for bit as
     its own step would.  Returns each block's span nuclear norm after its
     prox, in key order (zeros without prox)."""
@@ -409,7 +408,7 @@ def _anchor_steps(store, accs, resid, hp, prox, comb, report) -> np.ndarray:
         per = max(1, _ANCHOR_CHUNK_CELLS // (k * max(n, cls.coeffs.shape[1])))
         for s in range(0, len(cls.blocks), per):
             blocks, rows = cls.blocks[s : s + per], cls.coeffs[s : s + per]
-            grad = block_anchor_grad(store.coeffs[rows], resid[rows])
+            grad = block_anchor_grad(store.coeffs[rows], resid[at[rows]])
             if comb:
                 grad = grad + comb_penalty_terms(store.anchors[blocks])[1]
             adagrad_step(store.anchors, scale * grad, accs.anchors, lr, name, blocks)
@@ -444,88 +443,93 @@ class _BlockName:
         return f"{self.what}[{'' if kind == 'type' else kind}{self.store.key_table[self.b]}]"
 
 
-def _block_plans(stores, rel0) -> list[tuple]:
+class _Batch(NamedTuple):
+    """One batch plan of a block pass (_block_plans): B blocks of one level,
+    store, size class (r coefficient rows) and endpoint membership.  Rows
+    are row-buffer rows: entity e's is e, relation k's rel0 + k."""
+
+    coeffs: np.ndarray  # one block's coefficient rows, a slice of store.coeffs; for B >= 2, store.coeffs
+    acc: np.ndarray  # their accumulators, cut as coeffs is
+    anchors: np.ndarray  # one block's anchors; for B >= 2, store.anchors
+    name: object  # one block's _BlockName; for B >= 2, a function from a coefficient row to its block's
+    gather: tuple | None  # for B >= 2, the (B, r) coefficient rows, them flat, and the (B,) block indices
+    at: slice  # the blocks' residual rows, r each, in the pass's buffer, which is laid out in batch order
+    points: np.ndarray  # (B r,) the rows of the points: a type's members, a group's members then its endpoint
+    virtual: slice  # the virtual members in points: a group's endpoint plus sign times its relation
+    sign: float  # 1 for tail groups, -1 for head groups; 0 for types, whose step fields below are None
+    steps: np.ndarray | None  # (B k,) the rows a group steps: its distinct entities, then its relation
+    rel_at: slice | None  # the relations in steps
+    partials: np.ndarray | None  # (B k,) each step row's row of at; the endpoint and relation take the virtual one's
+    member: np.ndarray | None  # (B,) where in steps each member endpoint takes both; None for other endpoints
+
+
+def _block_plans(stores, rel0) -> tuple[list[_Batch], tuple]:
     """The batch plans of a pass over stores, (store, accumulator store)
-    pairs, built once per run: the blocks in plan order (store by store,
-    each in key order) go through _level_batches, a group writing its step
-    rows and a type none, keyed by store, coefficient-row count r and
-    whether a group's endpoint is a member.  A plan is (coefficients, their
-    accumulators, anchors, coefficient name, sign, point rows, virtual
-    member's point row, relation row, step rows, residual rows of the step
-    partials, member position of the endpoint, relation's step position,
-    residual rows of the buffer, gather); a relation group has all of them,
-    a type no relation, step and member rows.
-    A batch of one block holds slices of store.coeffs, accs.coeffs and
-    store.anchors (cut by store.offsets), its _BlockName, -1 for the two
-    positions of its virtual member and its relation, and a residual
-    slice, with gather None.  A batch of B >= 2 blocks holds the stores'
-    whole arrays, a function from a coefficient row to its block's name,
-    and its blocks' rows and positions laid end to end, block by block;
-    gather is its coefficient rows (B, r), flat, and its block indices.
-    The buffer's residual rows are the stores' coefficient rows laid end
-    to end, as _block_pass lays out the residuals.  Rows are row-buffer
-    rows: entity e's is e, relation k's rel0 + k.
-    A type's points are its members; its sign is 0.  A relation group's
-    points are its point rows (members, then the endpoint) with sign times
-    its relation row added to the last: the virtual member, e + r_k of a
-    tail group (e, k) (sign 1) or f - r_k of a head group (k, f) (sign -1).
-    The step rows are the distinct entities, then the relation; each takes
-    the partial of its residual row, the virtual member's for the endpoint
-    and, signed, the relation.  An endpoint that is also a member takes
-    both partials at its member position, which is None for any other
-    endpoint."""
-    blocks, bases = [], np.cumsum([0] + [len(store.coeffs) for store, _ in stores]).tolist()
-    for s, (store, _) in enumerate(stores):  # per block in plan order: (store, b, coefficient rows, point rows, ...)
-        m, c = (o.tolist() for o in store.offsets)
-        per_block = [(store.members[m[i] : m[i + 1]], None, None, None) if store.kind == "type" else None
-                     for i in range(len(store))]  # a type's rows are its members; a group's follow
-        for cls in store.size_classes if store.kind != "type" else ():
-            r = cls.rows.shape[1]
-            match = cls.rows[:, :-1] == cls.rows[:, -1:]
-            steps = np.concatenate((cls.rows, rel0 + cls.rels[:, None]), axis=1)
-            for b, rows, step, rel, m, pos in zip(cls.blocks.tolist(), cls.rows, steps, (rel0 + cls.rels).tolist(),
-                                                  match.any(axis=1).tolist(), match.argmax(axis=1).tolist()):
-                per_block[b] = (rows, rel, np.delete(step, r - 1) if m else step, pos if m else None)  # once, if a member
-        blocks += [(s, b, c[b], c[b + 1], *blk) for b, blk in enumerate(per_block)]
-    writes = [() if blk[6] is None else blk[6].tolist() for blk in blocks]
-    keys = np.array([(blk[0], blk[3] - blk[2], blk[7] is not None) for blk in blocks], dtype=np.int64).reshape(-1, 3)
-    perm, bounds = _level_batches(writes, 1 + max((max(w) for w in writes if w), default=0), tuple(keys.T))
-    plans, perm, resid = [], perm.tolist(), {}
+    pairs, built once per run, and the stores as (store, accumulator store,
+    residual rows) triples: each coefficient row's row in the pass's buffer.
+    The blocks in plan order (store by store, each in key order) go through
+    _level_batches, keyed by store, size class and endpoint membership, and
+    every block's rows are laid out once, in batch order, cut per batch."""
+    firsts = np.cumsum([0] + [len(store) for store, _ in stores]).tolist()  # each store's first block
+    bases = np.cumsum([0] + [len(store.coeffs) for store, _ in stores]).tolist()  # and first coefficient row
+    writes, grouped, total = [()] * firsts[-1], False, bases[-1]
+    store_of, key, width, block, pos, rel = np.zeros((6, firsts[-1]), dtype=np.intp)
+    points, coeffs = np.empty((2, total), dtype=np.intp)  # each coefficient row's point row and row in its store
+    for q, (s, cls) in enumerate((s, cls) for s, (store, _) in enumerate(stores) for cls in store.size_classes):
+        items, member = firsts[s] + cls.blocks, 0
+        points[bases[s] + cls.coeffs], coeffs[bases[s] + cls.coeffs] = cls.rows, cls.coeffs
+        if cls.rels is not None:
+            match, grouped = cls.rows[:, :-1] == cls.rows[:, -1:], True  # the endpoint among the members
+            member, pos[items], rel[items] = match.any(axis=1), match.argmax(axis=1), rel0 + cls.rels
+            for i, written in zip(items.tolist(), np.column_stack((cls.rows, rel[items])).tolist()):
+                writes[i] = written
+        store_of[items], key[items], width[items], block[items] = s, 2 * q + member, cls.rows.shape[1], cls.blocks
+    perm, bounds = _level_batches(writes, int(rel.max(initial=0)) + 1, (key,))  # classes ascend by store, then size
+    row0 = (np.cumsum(width) - width)[perm]  # each block's first coefficient row, the stores laid end to end
+    sizes, member, width = np.diff(bounds), key[perm] % 2, width[perm]
+    at = np.append(0, np.cumsum(width))  # each block's first residual row
+    rows = np.repeat(row0 - at[:-1], width) + np.arange(total)  # each residual row's coefficient row
+    points, coeffs, where = points[rows], coeffs[rows], np.empty_like(rows)
+    where[rows] = np.arange(total)
+    n = (width + 1 - member) * grouped  # each block's step-row count: its distinct entities and its relation
+    step_at = np.append(0, np.cumsum(n))
+    if grouped:  # a member endpoint steps as a member, not as its block's last point
+        kept, ends = np.ones(total, dtype=bool), np.cumsum(n - 1)
+        kept[at[1:][member == 1] - 1] = False
+        steps = np.insert(points[kept], ends, rel[perm])
+        partials = np.insert(np.flatnonzero(kept), ends, at[1:] - 1) - np.repeat(np.repeat(at[bounds[:-1]], sizes), n)
+        member_at = step_at[:-1] + pos[perm] - np.repeat(step_at[bounds[:-1]], sizes)
+    names = [functools.partial(_BlockName, "coeffs", store, by_row=True) for store, _ in stores]
     signs = [{"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind] for store, _ in stores]
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        s, b, c0, c1, rows, rel, step, pos = blocks[perm[lo]]
-        (store, accs), base, r = stores[s], bases[s], c1 - c0
-        if step is not None and (r, pos is None) not in resid:  # the step partials' residual rows, by membership
-            resid[r, pos is None] = np.minimum(np.arange(r + (pos is None)), r - 1)
-        resid_rows = None if step is None else resid[r, pos is None]
+    lasts = {w: slice(w - 1, None, w) for r in set(width.tolist()) for w in (r, r + 1)}  # the last of every w
+    blocks, plans, new, lo, hi = block[perm], [], tuple.__new__, bounds[:-1], bounds[1:]  # new skips _Batch.__new__
+    batches = (lo, hi, at[lo], at[hi], step_at[lo], step_at[hi], store_of[perm][lo], width[lo], n[lo], coeffs[at[lo]],
+               blocks[lo], member[lo])  # per batch: its bounds, then its first block's
+    for lo, hi, a0, a1, s0, s1, s, r, k, c, b, m in zip(*(x.tolist() for x in batches)):
+        (store, accs), step, rel_at, partial, end = stores[s], None, None, None, None
+        if grouped:
+            step, rel_at, partial, end = steps[s0:s1], lasts[k], partials[s0:s1], member_at[lo:hi] if m else None
         if hi - lo == 1:
-            plans.append((store.coeffs[c0:c1], accs.coeffs[c0:c1], store.anchors[b], _BlockName("coeffs", store, b),
-                          signs[s], rows, -1, rel, step, resid_rows, pos, -1, slice(base + c0, base + c1), None))
-            continue
-        batch = [blocks[p] for p in perm[lo:hi]]
-        k, at = 0 if step is None else len(step), np.arange(0, len(batch) * r, r)  # at: each block's first point
-        idx, cidx = np.array([blk[1] for blk in batch]), np.array([blk[2] for blk in batch])[:, None] + np.arange(r)
-        name, flat = functools.partial(_BlockName, "coeffs", store, by_row=True), cidx.ravel()
-        group = (None,) * 3 if step is None else (np.array([blk[5] for blk in batch]),
-                                                  np.concatenate([blk[6] for blk in batch]), np.add.outer(at, resid_rows).ravel())
-        plans.append((store.coeffs, accs.coeffs, store.anchors, name, signs[s], np.concatenate([blk[4] for blk in batch]),
-                      at + (r - 1), *group, None if pos is None else np.arange(0, len(batch) * k, k) + [blk[7] for blk in batch],
-                      np.arange(k - 1, len(batch) * k, k or 1), base + flat, (cidx, flat, idx)))
-    return plans
+            plan = (store.coeffs[c : c + r], accs.coeffs[c : c + r], store.anchors[b], _BlockName("coeffs", store, b),
+                    None, slice(a0, a1), points[a0:a1], lasts[r], signs[s], step, rel_at, partial, end)
+        else:
+            plan = (store.coeffs, accs.coeffs, store.anchors, names[s], (coeffs[a0:a1].reshape(-1, r), coeffs[a0:a1],
+                    blocks[lo:hi]), slice(a0, a1), points[a0:a1], lasts[r], signs[s], step, rel_at, partial, end)
+        plans.append(new(_Batch, plan))
+    return plans, tuple((store, accs, where[lo:hi]) for (store, accs), lo, hi in zip(stores, bases, bases[1:]))
 
 
 def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
-    """A pass over the blocks of stores, (store, accumulator store) pairs,
-    bit for bit the per-block loop in plan order: per batch plan
-    (_block_plans), one fused step on its blocks: their residual rows,
+    """A pass over the blocks of stores, (store, accumulator store,
+    residual rows) triples, bit for bit the per-block loop in plan order:
+    per batch plan, one fused step on its blocks: their residual rows,
     projected AdaGrad on their coefficient rows (the projection in place),
     their residual rows at the new coefficients, then one AdaGrad step on
     their step rows, if any (columns :n), whose partials are scaled once;
     then the anchor steps store by store (_anchor_steps), with proxes when
     reg is set and beta > 0.  Returns the sum of the span nuclear norms
-    after the proxes.  A batch of one block steps views of its arrays; a
-    batch of B >= 2 gathers them, steps them stacked, each block's
-    products with its own 2-D shapes, and writes them back.  The blocks of
+    after the proxes.  A batch of B >= 2 blocks is gathered and stepped
+    stacked, each block's products with its own 2-D shapes.  The blocks of
     a batch write distinct rows and own their coefficients, and a block's
     anchors move only after the loop, so every block's fit C A at the
     pass's starting coefficients is taken before the loop, stacked per
@@ -544,44 +548,40 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     rows, acc_rows, name = state.rows[:, :-1], state.row_acc[:, :-1], state.row_name
     lr, scale = hp.learn_rate, 1.0 - hp.alpha_mix
     row_scale = 2.0 * scale  # the point partials 2 R, times scale: bit for bit scale (2 R)
-    resid = np.empty((sum(len(store.coeffs) for store, _ in stores), rows.shape[1]))
-    base = 0
-    for store, _ in stores:
+    resid = np.empty((sum(len(at) for _, _, at in stores), rows.shape[1]))
+    for store, _, at in stores:
         for cls in store.size_classes:
-            resid[base + cls.coeffs] = block_fits(store, cls)
-        base += len(store.coeffs)
-    for coeffs, acc, anchors, coeff_name, sign, point_rows, last, rel, step_rows, resid_rows, end_member, rel_at, at, gather in plans:
-        points = rows[point_rows]
-        if sign:  # a group's virtual member
-            points[last] += sign * rows[rel]
-        out = resid[at]
+            resid[at[cls.coeffs]] = block_fits(store, cls)
+    for p in plans:
+        points = rows[p.points]
+        if p.steps is not None:  # a group's virtual members, from its step rows, which only its last step moves
+            moved = rows[p.steps]
+            points[p.virtual] += p.sign * moved[p.rel_at]
+        out = resid[p.at]
         np.subtract(points, out, out=out)  # block_resid, from the fit C A
-        if gather is None:
-            adagrad_step(coeffs, block_coeff_grad(out, anchors, scale), acc, lr, coeff_name)
-            project_to_simplex(coeffs, out=coeffs)
-            block_resid(coeffs, anchors, points, out=out)
-        else:  # B >= 2 blocks: gathered, stepped stacked (B, r, .), written back
-            cidx, flat, blocks = gather
-            c, a, stacked = coeffs[cidx], anchors[blocks], out.reshape(cidx.shape + (-1,))
+        if p.gather is None:
+            adagrad_step(p.coeffs, block_coeff_grad(out, p.anchors, scale), p.acc, lr, p.name)
+            project_to_simplex(p.coeffs, out=p.coeffs)
+            block_resid(p.coeffs, p.anchors, points, out=out)
+        else:  # B >= 2 blocks: gathered and stepped stacked (B, r, .)
+            cidx, flat, blocks = p.gather
+            c, a, stacked = p.coeffs[cidx], p.anchors[blocks], out.reshape(cidx.shape + (-1,))
             grad = block_coeff_grad(stacked, a, scale)
-            adagrad_step(coeffs, grad.reshape(len(flat), -1), acc, lr, coeff_name, flat, c.reshape(len(flat), -1))
-            coeffs[cidx] = project_to_simplex(c, out=c)
+            adagrad_step(p.coeffs, grad.reshape(len(flat), -1), p.acc, lr, p.name, flat, c.reshape(len(flat), -1))
+            p.coeffs[cidx] = project_to_simplex(c, out=c)
             block_resid(c, a, points.reshape(stacked.shape), out=stacked)
-            resid[at] = out
-        if step_rows is None:
+        if p.steps is None:
             continue
-        grads = out[resid_rows]
-        if end_member is not None:
-            grads[end_member] += grads[rel_at]
+        grads = out[p.partials]
+        if p.member is not None:
+            grads[p.member] += grads[p.rel_at]
         grads *= row_scale
-        if sign < 0.0:  # the relation's partial: the virtual member's, signed
-            grads[rel_at] *= sign
-        adagrad_step(rows, grads, acc_rows, lr, name, step_rows)
-    prox = reg and hp.beta_reg > 0.0
-    total, base = 0.0, 0
-    for store, accs in stores:
-        total = _add_in_order(total, _anchor_steps(store, accs, resid[base:], hp, prox, comb, report))
-        base += len(store.coeffs)
+        if p.sign < 0.0:  # the relation's partial: the virtual member's, signed
+            grads[p.rel_at] *= p.sign
+        adagrad_step(rows, grads, acc_rows, lr, name, p.steps, moved)
+    prox, total = reg and hp.beta_reg > 0.0, 0.0
+    for store, accs, at in stores:
+        total = _add_in_order(total, _anchor_steps(store, accs, at, resid, hp, prox, comb, report))
     return total
 
 

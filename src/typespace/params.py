@@ -11,7 +11,8 @@ id tables, type ids, array shapes), the arrays as raw little-endian bytes
 stacked anchors, member counts, members and coefficient rows), and a CRC32
 of everything before it.  Loading checks each header field's JSON type,
 then each array at once (shapes, member counts, indices in range, strictly
-ascending keys, finite floats, coefficient rows on the simplex).  A file of
+ascending keys and block members, finite floats, coefficient rows on the
+simplex).  A file of
 an older version gets a version error and must be retrained.  The format
 round-trips losslessly; a text export is available for interop.
 """
@@ -460,9 +461,9 @@ def _check_shapes(where: str, arrays) -> None:
 
 def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -> None:
     """Reject a store whose arrays disagree with its key count, the
-    embedding dimension n, each other or the id tables, or whose keys are
-    not strictly ascending; one test per array, naming the first block that
-    fails."""
+    embedding dimension n, each other or the id tables, or whose keys or
+    blocks' members are not strictly ascending; one test per array, naming
+    the first block that fails."""
     where, keys, n_members = _STORE_NAMES[store.kind], store.key_table, len(store.members)
     _check_shapes(where, (
         ("anchors", store.anchors, (len(keys), n + 1, n)),
@@ -473,6 +474,7 @@ def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -
     if ((store.counts < 0) | (store.counts > n_members)).any() or store.counts.sum() != n_members:
         raise ModelFormatError(f"{where}: member counts must be non-negative and sum to the {n_members} members")
     pairs = store.endpoints
+    ranked = store.members + np.repeat(n_entities * np.arange(len(keys)), store.counts)  # ascending iff each block's is
     for i, what in (
         (_first_block(((pairs < 0) | (pairs >= (n_entities, n_relations))).any(axis=1)),
          f"key index out of range of {n_entities} entities and {n_relations} relations"),
@@ -480,6 +482,8 @@ def _check_store(store: BlockStore, n: int, n_entities: int, n_relations: int) -
          "duplicate or out-of-order key (keys must be strictly ascending)"),
         (_first_block((store.members < 0) | (store.members >= n_entities), store.offsets[0]),
          f"member index out of range of {n_entities} entities"),
+        (_first_block(np.diff(ranked) <= 0, store.offsets[0] - 1),  # diff i compares member i + 1 with member i
+         "duplicate or out-of-order member (a block's members must be strictly ascending)"),
         (store.off_simplex(), "coefficient row off the probability simplex"),
     ):
         if i is not None:

@@ -496,12 +496,11 @@ def ref_level_batches(writes, keys=None):
 
 
 def ref_group_plan(members, side, key, rel_start):
-    """One relation group's plan after its coefficients, their
-    accumulators, its anchors and its name (optimize._block_plans), built on
-    its own: its sign, its point rows (members, then the endpoint), its
-    row-buffer step rows (the distinct entities, then rel_start + k), the
-    residual row of each step row's partial and the endpoint's member
-    position, None when it is no member."""
+    """One relation group's batch plan fields (optimize._Batch), built on
+    its own: its sign, its points (members, then the endpoint), its steps
+    (the distinct entities, then rel_start + k), its partials (the residual
+    row of each step row's partial) and its member position (the
+    endpoint's among the members, None when it is no member)."""
     entity, k, sign = (key[0], key[1], 1.0) if side == "rhs" else (key[1], key[0], -1.0)
     rows = np.concatenate((members, [entity]))
     listed = members.tolist()
@@ -509,6 +508,24 @@ def ref_group_plan(members, side, key, rel_start):
     if entity in listed:
         return sign, rows, np.append(members, rel_start + k), np.arange(m + 1), listed.index(entity)
     return sign, rows, np.append(rows, rel_start + k), np.append(np.arange(m + 1), m), None
+
+
+def ref_block_batches(stores, rel_start):
+    """The batches of a block pass over stores, in pass order (store by
+    store, each in key order), by ref_level_batches: a relation group
+    writes its steps (ref_group_plan), a type nothing, keyed by store,
+    coefficient-row count and whether a group's endpoint is a member.
+    Returns each batch as a list of (store, block index) pairs."""
+    blocks, writes, keys = [], [], []
+    for s, store in enumerate(stores):
+        for b, (key, block) in enumerate(store.items()):
+            steps, member = [], None
+            if store.kind != "type":
+                _, _, steps, _, member = ref_group_plan(block.members, store.kind, key, rel_start)
+            blocks.append((store, b))
+            writes.append(list(steps))
+            keys.append((s, len(block.coeffs), member is not None))
+    return [[blocks[p] for p in batch] for batch in ref_level_batches(writes, keys)]
 
 
 def ref_comb_partials(anchors, tiny=1e-12):

@@ -15,6 +15,7 @@ from reference_impls import (
     prox_objective,
     prox_subgradient_residual,
     ref_adagrad_step,
+    ref_block_batches,
     ref_prox_nuclear,
     ref_comb_partials,
     ref_level_batches,
@@ -393,7 +394,7 @@ class TestFiniteGuards:
 
         monkeypatch.setattr(optimize, "adagrad_step", poisoned)
         state = optimize._AdaState(params)
-        step_rows = state.group_plans[0][8]
+        step_rows = state.group_plans[0].steps
         name = state.row_name(int(step_rows[bad]))
         assert name.startswith("entity[" if bad == 0 else "rel[")
         before = self._buffers(state)
@@ -925,19 +926,6 @@ def _group_pass_instances(kind, drawn):
         yield params, hp
 
 
-def _group_batches(rels):
-    """ref_level_batches over the relation groups in pass order, each
-    writing its entities and its relation, keyed by side, coefficient rows
-    and whether its endpoint is a member."""
-    writes, keys = [], []
-    for s, groups in enumerate((rels.rhs_groups, rels.lhs_groups)):
-        for (entity, k), gp in zip(groups.endpoints.tolist(), groups.values()):
-            members = gp.members.tolist()
-            writes.append([("entity", e) for e in members + [entity]] + [("rel", k)])
-            keys.append((s, len(gp.coeffs), entity in members))
-    return ref_level_batches(writes, keys)
-
-
 class TestRelGroupPass:
     """The level-batched relation-group pass, its anchor steps deferred to
     after the batch loop, against the per-group loop it replaced
@@ -969,8 +957,8 @@ class TestRelGroupPass:
             ref_accs = (np.zeros_like(m.entity_points), np.zeros_like(rels.vectors), rels.rhs_groups.zeros(),
                         rels.lhs_groups.zeros())
             state = optimize._AdaState(params)
-            self_loops += sum(plan[10] is not None for plan in state.group_plans)
-            batches = _group_batches(rels)
+            self_loops += sum(plan.member is not None for plan in state.group_plans)
+            batches = ref_block_batches((rels.rhs_groups, rels.lhs_groups), state.starts["vectors"])
             assert len(state.group_plans) == len(batches)
             stacked += any(len(batch) > 1 for batch in batches)
             for _ in range(2):  # the second pass starts from non-zero accumulators
@@ -1008,7 +996,7 @@ class TestTypePass:
             ref_accs = ref_params.types.per_type.zeros()
             state = optimize._AdaState(params)
             # The three 2-member types step as one batch, the two 4-member ones as another.
-            assert sorted(len(plan[13][2]) for plan in state.type_plans if plan[13] is not None) == [2, 3]
+            assert sorted(len(plan.gather[2]) for plan in state.type_plans if plan.gather is not None) == [2, 3]
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 reg = optimize._type_pass(state, hp, flags, TrainReport())
                 assert reg == ref_type_pass(ref_params, ref_accs, hp, beta > 0.0, flags.comb, prox_nuclear)
@@ -1302,7 +1290,7 @@ class TestStepCounts:
             "text": sum(batches),
             "type": 2 * 2 * len(types.size_classes),
             "rel_dist": triple_batches,
-            "rel_group": 2 * (2 * len(_group_batches(rels)) + group_classes),
+            "rel_group": 2 * (2 * len(ref_block_batches((rels.rhs_groups, rels.lhs_groups), data.n_entities)) + group_classes),
         }
 
 

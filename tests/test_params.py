@@ -225,6 +225,9 @@ _OFF_SIMPLEX = "coefficient row off the probability simplex"
 _INCONSISTENT = {
     "member_too_large": (_edit("types", "members", lambda a: np.append(a[:-1], 99)), "member index out of range"),
     "member_negative": (_edit("types", "members", lambda a: np.append(a[:-1], -1)), "member index out of range"),
+    "member_repeated": (
+        _edit("types", "members", lambda a: np.concatenate([a[:1], a[:-1]])), "type thing: duplicate or out-of-order member"
+    ),
     "type_coeff_rows": (_edit("types", "coeffs", lambda a: a[:-1]), "coeffs shape"),
     "anchor_rows": (_edit("types", "anchors", lambda a: a[:, :-1]), "anchors shape"),
     "group_coeff_rows": (_edit("rhs", "coeffs", lambda a: a[:-1]), "coeffs shape"),  # a virtual row short

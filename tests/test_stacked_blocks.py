@@ -62,14 +62,16 @@ def _instance(rng, n, n_entities, type_sizes, rhs_sizes, lhs_sizes, endpoint_mem
 
 def _block_plans(model, types, rels):
     """The type plans and relation-group plans optimize._AdaState builds
-    for the instance, the accumulator stores they step, keyed by store
-    kind, and the row-buffer row of relation 0; the instance's arrays are
-    its own again afterwards."""
+    for the instance, the accumulator stores they step and the residual
+    rows of each store's coefficient rows, both keyed by store kind, and
+    the row-buffer row of relation 0; the instance's arrays are its own
+    again afterwards."""
     params = ModelParams(model, types, rels)
     state = optimize._AdaState(params)
     try:
         accs = {"type": state.types, "rhs": state.rhs, "lhs": state.lhs}
-        return state.type_plans, state.group_plans, accs, state.starts["vectors"]
+        resid = {store.kind: at for store, _, at in state.type_stores + state.group_stores}
+        return state.type_plans, state.group_plans, accs, resid, state.starts["vectors"]
     finally:
         state.release()
 
@@ -82,69 +84,62 @@ def _is_view(got, want):
 def _plan_blocks(plan, stores):
     """(store, block indices) of a batch plan: a batch of one names its
     block (its _BlockName), a batch of several gathers them."""
-    if plan[13] is None:
-        return plan[3].store, [plan[3].b]
-    return next(store for store in stores if plan[0] is store.coeffs), plan[13][2].tolist()
+    if plan.gather is None:
+        return plan.name.store, [plan.name.b]
+    _, _, blocks = plan.gather
+    return next(store for store in stores if plan.coeffs is store.coeffs), blocks.tolist()
 
 
 def _assert_plans_equal(model, types, rels):
-    """The plans are the batches of ref.ref_level_batches over the blocks
-    in pass order (a group writing its step rows, keyed by store,
-    coefficient rows and endpoint membership).  A batch of one block holds
-    views of its block's arrays and its residual slice; a batch of several
-    holds the stores' arrays and its blocks' rows and positions laid end
-    to end.  Each block's rows are its own plan's (ref.ref_group_plan), a
-    type steps no rows, and each block's residual rows are its coefficient
-    rows in the stores laid end to end."""
-    type_plans, group_plans, accs, rel_start = _block_plans(model, types, rels)
+    """The plans are the batches of ref.ref_block_batches.  A batch of one
+    block holds views of its block's arrays; a batch of several holds the
+    stores' arrays and its blocks' rows and positions laid end to end.
+    Each block's rows are its own plan's (ref.ref_group_plan), a type steps
+    no rows, and the batches' residual rows run through the pass's buffer
+    in batch order, where each store's residual rows find its blocks'."""
+    type_plans, group_plans, accs, resid, rel_start = _block_plans(model, types, rels)
     for plans, stores in ((type_plans, [types.per_type]), (group_plans, [rels.rhs_groups, rels.lhs_groups])):
-        blocks, writes, keys, bases = [], [], [], {}
-        for s, store in enumerate(stores):
-            bases[store.kind] = sum(len(st.coeffs) for st in stores[:s])
-            for i, (key, block) in enumerate(store.items()):
-                want = None if store.kind == "type" else ref.ref_group_plan(block.members, store.kind, key, rel_start)
-                blocks.append((store, i))
-                writes.append([] if want is None else want[2].tolist())
-                keys.append((s, len(block.coeffs), want is not None and want[4] is not None))
-        batches = ref.ref_level_batches(writes, keys)
+        batches = ref.ref_block_batches(stores, rel_start)
         assert len(plans) == len(batches)
+        end = 0
         for plan, batch in zip(plans, batches, strict=True):
             store, got = _plan_blocks(plan, stores)
-            assert [(store, b) for b in got] == [blocks[p] for p in batch]
-            base, c = bases[store.kind], store.offsets[1]
+            assert [(store, b) for b in got] == batch
+            c = store.offsets[1]
             rows = [np.arange(c[b], c[b + 1]) for b in got]
-            r, k = len(rows[0]), 0 if plan[8] is None else len(plan[8]) // len(got)
-            if plan[13] is not None:
-                cidx, flat, _ = plan[13]
+            r, k = len(rows[0]), 0 if plan.steps is None else len(plan.steps) // len(got)
+            assert plan.at.start == end and plan.at.step is None
+            end = plan.at.stop
+            assert np.array_equal(resid[store.kind][np.concatenate(rows)], np.arange(plan.at.start, end))
+            assert np.array_equal(np.arange(len(got) * r)[plan.virtual], np.arange(len(got)) * r + r - 1)
+            if k:
+                assert np.array_equal(np.arange(len(got) * k)[plan.rel_at], np.arange(len(got)) * k + k - 1)
+            if plan.gather is not None:
+                cidx, flat, _ = plan.gather
                 assert np.array_equal(cidx, np.array(rows)) and np.array_equal(flat, np.concatenate(rows))
-                assert plan[1] is accs[store.kind].coeffs and plan[2] is store.anchors
-                assert np.array_equal(plan[12], base + flat)
-                assert np.array_equal(plan[6], np.arange(len(got)) * r + r - 1)
-                if k:
-                    assert np.array_equal(plan[11], np.arange(len(got)) * k + k - 1)
-            else:
-                assert plan[12] == slice(base + c[got[0]], base + c[got[0] + 1]) and plan[6] == plan[11] == -1
+                assert plan.acc is accs[store.kind].coeffs and plan.anchors is store.anchors
             for j, b in enumerate(got):
                 key, block = store.key_table[b], store[store.key_table[b]]
                 label = key if store.kind == "type" else f"{store.kind}{key}"
-                if plan[13] is None:
-                    assert _is_view(plan[0], block.coeffs) and _is_view(plan[1], accs[store.kind][key].coeffs), key
-                    assert _is_view(plan[2], block.anchors) and str(plan[3]) == f"coeffs[{label}]", key
+                if plan.gather is None:
+                    assert _is_view(plan.coeffs, block.coeffs) and _is_view(plan.acc, accs[store.kind][key].coeffs), key
+                    assert _is_view(plan.anchors, block.anchors) and str(plan.name) == f"coeffs[{label}]", key
                 else:
-                    assert {str(plan[3](row)) for row in rows[j]} == {f"coeffs[{label}]"}, key
-                point_rows = plan[5][j * r : (j + 1) * r]
+                    assert {str(plan.name(row)) for row in rows[j]} == {f"coeffs[{label}]"}, key
+                point_rows = plan.points[j * r : (j + 1) * r]
                 if store.kind == "type":
-                    assert plan[4] == 0.0 and plan[7:11] == (None, None, None, None), key
+                    assert plan.sign == 0.0 and (plan.steps, plan.rel_at, plan.partials, plan.member) == (None,) * 4, key
                     assert np.array_equal(point_rows, block.members), key
                     continue
-                sign, want_points, want_steps, want_resid, want_pos = ref.ref_group_plan(
+                sign, want_points, want_steps, want_partials, want_member = ref.ref_group_plan(
                     block.members, store.kind, key, rel_start)
-                pos = None if plan[10] is None else int(np.atleast_1d(plan[10])[j]) - j * k
-                rel = int(np.atleast_1d(plan[7])[j])
-                assert (plan[4], pos, rel) == (sign, want_pos, want_steps[-1]), key
+                member = None if plan.member is None else int(plan.member[j]) - j * k
+                rel = int(plan.steps[plan.rel_at][j])
+                assert (plan.sign, member, rel) == (sign, want_member, want_steps[-1]), key
                 assert np.array_equal(point_rows, want_points), key
-                assert np.array_equal(plan[8][j * k : (j + 1) * k], want_steps), key
-                assert np.array_equal(plan[9][j * k : (j + 1) * k] - j * r, want_resid), key
+                assert np.array_equal(plan.steps[j * k : (j + 1) * k], want_steps), key
+                assert np.array_equal(plan.partials[j * k : (j + 1) * k] - j * r, want_partials), key
+        assert end == sum(len(store.coeffs) for store in stores)
 
 
 def _assert_bit_equal(model, types, rels):
@@ -188,7 +183,7 @@ class TestStackedFits:
     def test_endpoint_is_member(self):
         rng = np.random.default_rng(0)
         model, types, rels = _instance(rng, 4, 10, [2], [1, 3, 2], [2, 4], endpoint_member=True)
-        assert all(plan[10] is not None for plan in _block_plans(model, types, rels)[1])
+        assert all(plan.member is not None for plan in _block_plans(model, types, rels)[1])
         _assert_bit_equal(model, types, rels)
 
     def test_large_blocks(self):
