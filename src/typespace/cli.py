@@ -80,19 +80,20 @@ _FLAG_CASTERS = {
 def _merge_config(args):
     """Fill unset flags from the config file; explicit flags win.  Every
     flag's unset value is None, and its command resolves the default.  A key
-    that names no flag of the command, or a value the flag rejects, is a
-    usage error."""
+    that names no --flag of the command (a positional argument names none),
+    or a value the flag rejects, is a usage error."""
     if not getattr(args, "config", None):
         return
     conf = _read_config(args.config)
     for key, raw in conf.items():
-        if key in ("command", "config") or not hasattr(args, key):
+        dest = args.config_keys.get(key)
+        if dest is None:
             raise UsageError(f"{args.config}: key {key!r} names no flag of {args.command!r}")
-        if getattr(args, key) is not None:
+        if getattr(args, dest) is not None:
             continue
-        cast = _FLAG_CASTERS.get(key, str)
+        cast = _FLAG_CASTERS.get(dest, str)
         try:
-            setattr(args, key, cast(raw))
+            setattr(args, dest, cast(raw))
         except ValueError:
             raise UsageError(f"{args.config}: {key}={raw!r} is not a valid {cast.__name__}") from None
 
@@ -185,6 +186,9 @@ def build_parser() -> _Parser:
     p_export.add_argument("--model", default=None)
     p_export.add_argument("--out", default=None)
 
+    for p in sub.choices.values():  # each --flag but --config and --help as a config key, and the attribute it sets
+        p.set_defaults(config_keys={opt[2:].replace("-", "_"): a.dest for a in p._actions for opt in a.option_strings
+                                    if opt.startswith("--") and a.dest not in ("config", "help")})
     return parser
 
 

@@ -15,18 +15,21 @@ and relation groups are the same subspace block, and one loop steps
 either (_block_pass), by named batch plans (_Batch) built once per run,
 one per (level, store, size class, endpoint-is-member): the simplex
 coefficients by projected gradient, projected in place, then a group's
-entities and relation, each batch in one fused step whose residual and
-refit share one buffer.  No block reads another's anchors, so the anchor
-gradient steps and the singular-value thresholding of the anchor span
-matrices run after the loop, stacked per size class (_anchor_steps), bit
-for bit as per block.  A pass does once, before its step loop, what the
-loop need not redo (the rows each step gathers, the text weights, the
-blocks' fits C A), and its steps write their partials into one reused
-buffer.  The nuclear norms are handled only by the proximal step, never
-by gradients.  The step kernels test finiteness from a sum of squares and
-take the exact test only when that sum is not finite (params._finite).
-The divergence snapshot is cloned after every epoch but the last.
-Training is a pure function of its inputs and seeds.
+entities and relation, each batch in one fused step, stacked (B, r, .)
+whatever B, whose residual and refit share one buffer; a batch of one
+block steps views of its rows.  Every step hands adagrad_step its rows,
+indices or a slice, and the values it gathered from them.  No block
+reads another's anchors, so the anchor gradient steps and the
+singular-value thresholding of the anchor span matrices run after the
+loop, stacked per size class (_anchor_steps), bit for bit as per block.
+A pass does once, before its step loop, what the loop need not redo (the
+rows each step gathers, the text weights, the blocks' fits C A), and its
+steps write their partials into one reused buffer.  The nuclear norms are
+handled only by the proximal step, never by gradients.  The step kernels
+test finiteness from a sum of squares and take the exact test only when
+that sum is not finite (params._finite).  The divergence snapshot is
+cloned after every epoch but the last.  Training is a pure function of
+its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -155,38 +158,24 @@ def prox_nuclear(m: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     return ((m @ vk) * (1.0 - tau / sigma)) @ vk.T, float(np.sum(sigma - tau))
 
 
-def adagrad_step(
-    values: np.ndarray, grad, state: np.ndarray, lr: float, name: object = "param", rows=None, gathered=None
-) -> None:
-    """In-place AdaGrad update: accumulate g**2, then move each coordinate
-    by -lr * g / sqrt(G + eps).  str(name) names the parameter in an error,
-    and is formatted only then.
-
-    With rows (distinct indices), grad holds one gradient row per index,
-    only those rows of values and state move, and name is a function from a
-    row index to its name.  gathered, when given, is values[rows] as the
-    caller gathered it, which the step moves in place and writes back.  The
-    gradient is checked once; a non-finite one raises before anything moves
-    and names its first non-finite row.
-    """
+def adagrad_step(values: np.ndarray, grad, state: np.ndarray, lr: float, name, rows, gathered: np.ndarray) -> None:
+    """In-place AdaGrad update of values[rows], rows distinct indices or a
+    slice, with one gradient row each: accumulate g**2 into state[rows],
+    then move each coordinate by -lr * g / sqrt(G + eps).  gathered is
+    values[rows] as the caller gathered it (a view for a slice), which the
+    step moves in place and writes back.  A non-finite gradient raises
+    before anything moves, naming its first bad row r by str(name(r))."""
     g = np.asarray(grad, dtype=np.float64)
     if not _finite(g):
-        if rows is not None:
-            name = name(rows[int(np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1)))])
-        raise NonFiniteGradientError(f"non-finite gradient for {name}")
-    if rows is None:
-        state += g * g
-        values -= lr * g / np.sqrt(state + ADAGRAD_EPS)
-    else:  # in place on the gathered rows, so a chunk of blocks takes few temporaries
-        acc = state[rows]
-        acc += g * g
-        state[rows] = acc
-        acc += ADAGRAD_EPS
-        step = lr * g
-        step /= np.sqrt(acc, out=acc)
-        moved = values[rows] if gathered is None else gathered
-        moved -= step
-        values[rows] = moved
+        bad = int(np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1)))
+        raise NonFiniteGradientError(f"non-finite gradient for {name(np.arange(len(values))[rows][bad])}")
+    acc = state[rows]  # a view of state when rows is a slice
+    acc += g * g
+    state[rows] = acc
+    step, scale = lr * g, acc + ADAGRAD_EPS
+    step /= np.sqrt(scale, out=scale)
+    gathered -= step
+    values[rows] = gathered
 
 
 def anchor_prox_scale(lr: float, accum: np.ndarray):
@@ -389,16 +378,17 @@ def _prepare_text_entries(data: TrainData, state: _AdaState):
 def _anchor_steps(store, accs, at, resid, hp, prox, comb, report) -> np.ndarray:
     """The anchor half of the block steps of a pass over store, run after
     its per-block loop: per size class, in chunks of about
-    _ANCHOR_CHUNK_CELLS gathered values per temporary, one stacked gradient
-    -2 C^T R (plus the anchor-cohesion partials when comb is set), one
-    AdaGrad step on the chunk's anchors, then, when prox is set, one span
-    build, singular-value thresholding of each block's span at
-    beta * anchor_prox_scale with anchor 0 held as base point, and one
-    rewrite of the anchors.  resid[at] is store's residual rows, laid out
-    like store.coeffs; accs is store's accumulator store.  No block reads
-    another's anchors within a pass, so every block moves bit for bit as
-    its own step would.  Returns each block's span nuclear norm after its
-    prox, in key order (zeros without prox)."""
+    _ANCHOR_CHUNK_CELLS gathered values per temporary, the chunk's anchors
+    gathered once, one stacked gradient -2 C^T R (plus the anchor-cohesion
+    partials of the gathered anchors when comb is set), one AdaGrad step on
+    them, then, when prox is set, one span build from them, singular-value
+    thresholding of each block's span at beta * anchor_prox_scale with
+    anchor 0 held as base point, and one rewrite of the anchors.  resid[at]
+    is store's residual rows, laid out like store.coeffs; accs is store's
+    accumulator store.  No block reads another's anchors within a pass, so
+    every block moves bit for bit as its own step would.  Returns each
+    block's span nuclear norm after its prox, in key order (zeros without
+    prox)."""
     lr = hp.learn_rate
     scale = 1.0 - hp.alpha_mix
     name = functools.partial(_BlockName, "anchors", store)
@@ -408,13 +398,13 @@ def _anchor_steps(store, accs, at, resid, hp, prox, comb, report) -> np.ndarray:
         per = max(1, _ANCHOR_CHUNK_CELLS // (k * max(n, cls.coeffs.shape[1])))
         for s in range(0, len(cls.blocks), per):
             blocks, rows = cls.blocks[s : s + per], cls.coeffs[s : s + per]
+            anchors = store.anchors[blocks]
             grad = block_anchor_grad(store.coeffs[rows], resid[at[rows]])
             if comb:
-                grad = grad + comb_penalty_terms(store.anchors[blocks])[1]
-            adagrad_step(store.anchors, scale * grad, accs.anchors, lr, name, blocks)
+                grad = grad + comb_penalty_terms(anchors)[1]
+            adagrad_step(store.anchors, scale * grad, accs.anchors, lr, name, blocks, anchors)
             if not prox:
                 continue
-            anchors = store.anchors[blocks]
             spans = anchor_span_matrix(anchors)
             taus = hp.beta_reg * anchor_prox_scale(lr, accs.anchors[blocks])
             for j, tau in enumerate(taus.tolist()):
@@ -445,18 +435,19 @@ class _BlockName:
 
 class _Batch(NamedTuple):
     """One batch plan of a block pass (_block_plans): B blocks of one level,
-    store, size class (r coefficient rows) and endpoint membership.  Rows
-    are row-buffer rows: entity e's is e, relation k's rel0 + k."""
+    store, size class (r coefficient rows) and endpoint membership, stepped
+    stacked (B, r, .).  Rows are row-buffer rows: entity e's is e, relation
+    k's rel0 + k."""
 
-    coeffs: np.ndarray  # one block's coefficient rows, a slice of store.coeffs; for B >= 2, store.coeffs
-    acc: np.ndarray  # their accumulators, cut as coeffs is
-    anchors: np.ndarray  # one block's anchors; for B >= 2, store.anchors
-    name: object  # one block's _BlockName; for B >= 2, a function from a coefficient row to its block's
-    gather: tuple | None  # for B >= 2, the (B, r) coefficient rows, them flat, and the (B,) block indices
+    coeffs: np.ndarray  # store.coeffs
+    acc: np.ndarray  # its accumulators
+    anchors: np.ndarray  # store.anchors
+    name: object  # a function from a coefficient row to its block's _BlockName
+    gather: tuple  # the (B r,) coefficient rows, the (B,) blocks and (B, r); slices for B = 1, so they select views
     at: slice  # the blocks' residual rows, r each, in the pass's buffer, which is laid out in batch order
     points: np.ndarray  # (B r,) the rows of the points: a type's members, a group's members then its endpoint
     virtual: slice  # the virtual members in points: a group's endpoint plus sign times its relation
-    sign: float  # 1 for tail groups, -1 for head groups; 0 for types, whose step fields below are None
+    sign: float  # store.sign: 1 for tail groups, -1 for head groups; 0 for types, whose step fields below are None
     steps: np.ndarray | None  # (B k,) the rows a group steps: its distinct entities, then its relation
     rel_at: slice | None  # the relations in steps
     partials: np.ndarray | None  # (B k,) each step row's row of at; the endpoint and relation take the virtual one's
@@ -486,6 +477,7 @@ def _block_plans(stores, rel0) -> tuple[list[_Batch], tuple]:
         store_of[items], key[items], width[items], block[items] = s, 2 * q + member, cls.rows.shape[1], cls.blocks
     perm, bounds = _level_batches(writes, int(rel.max(initial=0)) + 1, (key,))  # classes ascend by store, then size
     row0 = (np.cumsum(width) - width)[perm]  # each block's first coefficient row, the stores laid end to end
+    first = row0 - np.take(bases, store_of[perm])  # and in its own store
     sizes, member, width = np.diff(bounds), key[perm] % 2, width[perm]
     at = np.append(0, np.cumsum(width))  # each block's first residual row
     rows = np.repeat(row0 - at[:-1], width) + np.arange(total)  # each residual row's coefficient row
@@ -500,22 +492,17 @@ def _block_plans(stores, rel0) -> tuple[list[_Batch], tuple]:
         partials = np.insert(np.flatnonzero(kept), ends, at[1:] - 1) - np.repeat(np.repeat(at[bounds[:-1]], sizes), n)
         member_at = step_at[:-1] + pos[perm] - np.repeat(step_at[bounds[:-1]], sizes)
     names = [functools.partial(_BlockName, "coeffs", store, by_row=True) for store, _ in stores]
-    signs = [{"type": 0.0, "rhs": 1.0, "lhs": -1.0}[store.kind] for store, _ in stores]
     lasts = {w: slice(w - 1, None, w) for r in set(width.tolist()) for w in (r, r + 1)}  # the last of every w
     blocks, plans, new, lo, hi = block[perm], [], tuple.__new__, bounds[:-1], bounds[1:]  # new skips _Batch.__new__
-    batches = (lo, hi, at[lo], at[hi], step_at[lo], step_at[hi], store_of[perm][lo], width[lo], n[lo], coeffs[at[lo]],
+    batches = (lo, hi, at[lo], at[hi], step_at[lo], step_at[hi], store_of[perm][lo], width[lo], n[lo], first[lo],
                blocks[lo], member[lo])  # per batch: its bounds, then its first block's
     for lo, hi, a0, a1, s0, s1, s, r, k, c, b, m in zip(*(x.tolist() for x in batches)):
         (store, accs), step, rel_at, partial, end = stores[s], None, None, None, None
         if grouped:
             step, rel_at, partial, end = steps[s0:s1], lasts[k], partials[s0:s1], member_at[lo:hi] if m else None
-        if hi - lo == 1:
-            plan = (store.coeffs[c : c + r], accs.coeffs[c : c + r], store.anchors[b], _BlockName("coeffs", store, b),
-                    None, slice(a0, a1), points[a0:a1], lasts[r], signs[s], step, rel_at, partial, end)
-        else:
-            plan = (store.coeffs, accs.coeffs, store.anchors, names[s], (coeffs[a0:a1].reshape(-1, r), coeffs[a0:a1],
-                    blocks[lo:hi]), slice(a0, a1), points[a0:a1], lasts[r], signs[s], step, rel_at, partial, end)
-        plans.append(new(_Batch, plan))
+        cidx, bidx = (coeffs[a0:a1], blocks[lo:hi]) if hi - lo > 1 else (slice(c, c + r), slice(b, b + 1))
+        plans.append(new(_Batch, (store.coeffs, accs.coeffs, store.anchors, names[s], (cidx, bidx, (hi - lo, r)),
+                                  slice(a0, a1), points[a0:a1], lasts[r], store.sign, step, rel_at, partial, end)))
     return plans, tuple((store, accs, where[lo:hi]) for (store, accs), lo, hi in zip(stores, bases, bases[1:]))
 
 
@@ -528,8 +515,9 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
     their step rows, if any (columns :n), whose partials are scaled once;
     then the anchor steps store by store (_anchor_steps), with proxes when
     reg is set and beta > 0.  Returns the sum of the span nuclear norms
-    after the proxes.  A batch of B >= 2 blocks is gathered and stepped
-    stacked, each block's products with its own 2-D shapes.  The blocks of
+    after the proxes.  Every batch steps stacked (B, r, .), each block's
+    products bit for bit its own; a batch of one block steps views of its
+    block's rows, a batch of several gathers and writes back.  The blocks of
     a batch write distinct rows and own their coefficients, and a block's
     anchors move only after the loop, so every block's fit C A at the
     pass's starting coefficients is taken before the loop, stacked per
@@ -559,17 +547,11 @@ def _block_pass(stores, plans, state, hp, reg, comb, report) -> float:
             points[p.virtual] += p.sign * moved[p.rel_at]
         out = resid[p.at]
         np.subtract(points, out, out=out)  # block_resid, from the fit C A
-        if p.gather is None:
-            adagrad_step(p.coeffs, block_coeff_grad(out, p.anchors, scale), p.acc, lr, p.name)
-            project_to_simplex(p.coeffs, out=p.coeffs)
-            block_resid(p.coeffs, p.anchors, points, out=out)
-        else:  # B >= 2 blocks: gathered and stepped stacked (B, r, .)
-            cidx, flat, blocks = p.gather
-            c, a, stacked = p.coeffs[cidx], p.anchors[blocks], out.reshape(cidx.shape + (-1,))
-            grad = block_coeff_grad(stacked, a, scale)
-            adagrad_step(p.coeffs, grad.reshape(len(flat), -1), p.acc, lr, p.name, flat, c.reshape(len(flat), -1))
-            p.coeffs[cidx] = project_to_simplex(c, out=c)
-            block_resid(c, a, points.reshape(stacked.shape), out=stacked)
+        cidx, blocks, shape = p.gather
+        c, a, stacked = p.coeffs[cidx], p.anchors[blocks], out.reshape(shape + out.shape[1:])
+        adagrad_step(p.coeffs, block_coeff_grad(stacked, a, scale).reshape(c.shape), p.acc, lr, p.name, cidx, c)
+        p.coeffs[cidx] = project_to_simplex(c, out=c)
+        block_resid(c.reshape(shape + c.shape[1:]), a, points.reshape(stacked.shape), out=stacked)
         if p.steps is None:
             continue
         grads = out[p.partials]

@@ -225,6 +225,11 @@ class BlockStore(Mapping):
         ]
 
     @cached_property
+    def sign(self) -> float:
+        """The relation's sign in a block's virtual member: +1 tail group, -1 head group, 0 type (none)."""
+        return {"type": 0.0, "rhs": 1.0, "lhs": -1.0}[self.kind]
+
+    @cached_property
     def endpoints(self) -> np.ndarray:
         """(B, 2): each relation group's (endpoint entity, relation), from its
         key, (e, k) for a tail group and (k, f) for a head group; no rows for
@@ -256,8 +261,8 @@ class BlockStore(Mapping):
         the translated head e + r_k of a tail group (e, k) or the translated
         tail f - r_k of a head group (k, f)."""
         points = entity_points[cls.rows]
-        if self.kind != "type":
-            points[:, -1] += (1.0 if self.kind == "rhs" else -1.0) * vectors[cls.rels]
+        if self.sign:
+            points[:, -1] += self.sign * vectors[cls.rels]
         return points
 
     def __getitem__(self, key) -> SubspaceBlock:

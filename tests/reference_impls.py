@@ -262,14 +262,14 @@ class StepRecorder:
     the step would have moved (grads, keyed like collect_param_arrays, holds
     the stepped arrays only).  steps lists (targets, gradient) per call in
     call order, targets holding (key, row) per parameter array row stepped.
-    A step on given rows of the trainer's row buffer is mapped back row by
-    row to the arrays that view the buffer, by address: a buffer row holds a
-    vector (columns :n) and, on a text step, its bias (column n), and each
-    takes its columns of the gradient row.  A step on given blocks of a
-    stacked anchor store (a gradient block per index) is mapped back block
-    by block to the block's own anchor array, one target (key, None) each.
-    A whole-array step is one target (key, None), its array found by memory
-    overlap.
+    A step's rows (indices or a slice) are mapped back row by row to the
+    arrays that view the stepped array, by address: a row of the trainer's
+    row buffer holds a vector (columns :n) and, on a text step, its bias
+    (column n), and each takes its columns of the gradient row; a row of a
+    stacked coefficient store is one row of its block's coefficients.  A
+    step on given blocks of a stacked anchor store (a gradient block per
+    index) is mapped back block by block to the block's own anchor array,
+    one target (key, None) each.
     """
 
     def __init__(self, params):
@@ -290,14 +290,9 @@ class StepRecorder:
         assert sum(arr[0].size for _, _, arr, _ in owners) == width, "a stepped row that no parameter array holds"
         return sorted(owners, key=lambda owner: owner[0])
 
-    def __call__(self, values, grad, state, lr, name="param", rows=None, gathered=None):
+    def __call__(self, values, grad, state, lr, name, rows, gathered):
         g = np.array(grad, dtype=np.float64)
-        if rows is None:
-            key, arr = next((key, arr) for key, arr in self.arrays if np.shares_memory(values, arr))
-            assert values.shape == arr.shape
-            self.grads.setdefault(key, np.zeros_like(arr))[...] += g
-            self.steps.append(([(key, None)], g))
-            return
+        rows = np.arange(len(values))[rows]
         assert len(set(int(r) for r in rows)) == len(rows) == len(g)
         targets = []
         for r, gr in zip(rows, g):

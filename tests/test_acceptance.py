@@ -189,12 +189,11 @@ def _check_block_steps(rec, stores, further):
     """Per batch of the blocks in pass order (ref.ref_level_batches over
     the rows each block's further steps write, keyed by store, coefficient
     rows and whether a group's endpoint is a member), the batch's
-    coefficient step, whole for one block and row by row for several, then
-    its blocks' further steps as one (further[store][block], a list of
-    (key, row) lists); then per store the anchor steps, each on the blocks
-    of one size class: the classes ascending, a class's blocks in key
-    order, every block in exactly one step.  Returns the number of batches
-    of several blocks."""
+    coefficient step, row by row, then its blocks' further steps as one
+    (further[store][block], a list of (key, row) lists); then per store the
+    anchor steps, each on the blocks of one size class: the classes
+    ascending, a class's blocks in key order, every block in exactly one
+    step.  Returns the number of batches of several blocks."""
     key_of = {id(arr): key for key, arr in rec.arrays}
     blocks, keys = [], []
     for s, (store, more) in enumerate(zip(stores, further, strict=True)):
@@ -205,11 +204,8 @@ def _check_block_steps(rec, stores, further):
     expected, stacked = [], 0
     for batch in ref.ref_level_batches([sum(steps, []) for _, steps in blocks], keys):
         coeffs = [blocks[p][0].coeffs for p in batch]
-        if len(batch) == 1:
-            expected.append([(key_of[id(coeffs[0])], None)])
-        else:
-            expected.append([(key_of[id(c)], row) for c in coeffs for row in range(len(c))])
-            stacked += 1
+        expected.append([(key_of[id(c)], row) for c in coeffs for row in range(len(c))])
+        stacked += len(batch) > 1
         if blocks[batch[0]][1]:
             expected.append(sum((blocks[p][1][0] for p in batch), []))
     got = [targets for targets, _ in rec.steps]

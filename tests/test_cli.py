@@ -779,6 +779,27 @@ class TestConfigFile:
         assert run([*argv, "--config", conf]) == 1
         assert capsys.readouterr().err == f"error: {conf}: key 'seed' names no flag of {command!r}\n"
 
+    def test_key_is_the_flag_name_not_its_attribute(self, trained_model, tmp_path, capsys):
+        # --type stores to type_filter: the config key is the flag's name.
+        model = ["--model", str(trained_model)]
+        flag_out = self._inspect_out(capsys, *model, "--type", "city")
+        assert flag_out != self._inspect_out(capsys, *model)
+        assert self._inspect_out(capsys, "--config", self._config(tmp_path, "type=city"), *model) == flag_out
+        conf = self._config(tmp_path, "type_filter=city")
+        assert run(["inspect", "--config", conf, *model]) == 1
+        assert capsys.readouterr().err == f"error: {conf}: key 'type_filter' names no flag of 'inspect'\n"
+
+    def test_positional_argument_is_no_key(self, trained_model, micro_dir, tmp_path, capsys):
+        # The task is eval's positional argument, not a flag, so a config
+        # key cannot name it.
+        conf = self._config(tmp_path, "task=induction")
+        results = tmp_path / "results.json"
+        argv = ["eval", "ranking", "--config", conf, "--model", str(trained_model), "--problems", micro_dir["ranking"],
+                "--results", str(results)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {conf}: key 'task' names no flag of 'eval'\n"
+        assert not results.exists()
+
     def test_uncastable_boolean_exit_one(self, trained_model, tmp_path, capsys):
         conf = self._config(tmp_path, "from-points=maybe")
         assert run(["inspect", "--config", conf, "--model", str(trained_model)]) == 1

@@ -231,13 +231,13 @@ class TestAdagrad:
     def test_zero_gradient_no_change(self):
         v = np.array([1.0, 2.0])
         state = np.array([0.5, 0.5])
-        adagrad_step(v, np.zeros(2), state, lr=0.1)
+        adagrad_step(v, np.zeros(2), state, 0.1, "v[{}]".format, slice(None), v[:])
         assert np.array_equal(v, [1.0, 2.0])
 
     def test_first_step_delta(self):
         v = np.array([0.0])
         state = np.zeros(1)
-        adagrad_step(v, np.array([1.0]), state, lr=0.05)
+        adagrad_step(v, np.array([1.0]), state, 0.05, "v[{}]".format, slice(None), v[:])
         # -0.05 * 1 / sqrt(1 + 1e-8), frozen
         assert v[0] == pytest.approx(-0.04999999975, rel=1e-12)
         assert state[0] == 1.0
@@ -245,30 +245,30 @@ class TestAdagrad:
     def test_second_step_smaller(self):
         v = np.array([0.0])
         state = np.zeros(1)
-        adagrad_step(v, np.array([1.0]), state, lr=0.05)
+        adagrad_step(v, np.array([1.0]), state, 0.05, "v[{}]".format, slice(None), v[:])
         first = abs(v[0])
         before = v[0]
-        adagrad_step(v, np.array([1.0]), state, lr=0.05)
+        adagrad_step(v, np.array([1.0]), state, 0.05, "v[{}]".format, slice(None), v[:])
         assert abs(v[0] - before) < first
 
     def test_non_finite_gradient_names_parameter(self):
-        v = np.array([0.0])
+        v = np.zeros(4)
         with pytest.raises(NonFiniteGradientError, match="entity\\[3\\]"):
-            adagrad_step(v, np.array([np.nan]), np.zeros(1), lr=0.1, name="entity[3]")
+            adagrad_step(v, np.array([np.nan]), np.zeros(4), 0.1, "entity[{}]".format, slice(3, 4), v[3:4])
 
     def test_row_step_names_first_non_finite_row(self):
-        values = np.arange(15.0).reshape(5, 3)
-        state = np.ones((5, 3))
+        values = np.arange(60.0).reshape(20, 3)
+        state = np.ones((20, 3))
         grad = np.ones((3, 3))
         grad[1, 2] = np.nan
         with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[17\]$"):
-            adagrad_step(values, grad, state, 0.1, "word[{}]".format, rows=[4, 17, 2])
+            adagrad_step(values, grad, state, 0.1, "word[{}]".format, [4, 17, 2], values[[4, 17, 2]])
         grad[2, 0] = np.inf
         with pytest.raises(NonFiniteGradientError, match=r"non-finite gradient for word\[0\]$"):
-            adagrad_step(values, grad, state, 0.1, "word[{}]".format, rows=[3, 0, 1])
+            adagrad_step(values, grad, state, 0.1, "word[{}]".format, [3, 0, 1], values[[3, 0, 1]])
         # The check comes before any row moves.
-        assert np.array_equal(values, np.arange(15.0).reshape(5, 3))
-        assert np.array_equal(state, np.ones((5, 3)))
+        assert np.array_equal(values, np.arange(60.0).reshape(20, 3))
+        assert np.array_equal(state, np.ones((20, 3)))
 
     def test_row_step_matches_per_row_steps(self):
         rng = np.random.default_rng(8)
@@ -278,10 +278,40 @@ class TestAdagrad:
         rows = [5, 1, 3]
         want_values, want_state = values.copy(), state.copy()
         for r, g in zip(rows, grad):
-            adagrad_step(want_values[r], g, want_state[r], 0.05)
-        adagrad_step(values, grad, state, 0.05, "entity", rows=rows)
+            one = slice(r, r + 1)
+            adagrad_step(want_values, g[None], want_state, 0.05, "entity[{}]".format, one, want_values[one])
+        adagrad_step(values, grad, state, 0.05, "entity[{}]".format, rows, values[rows])
         assert np.array_equal(values, want_values)
         assert np.array_equal(state, want_state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_rows=st.integers(1, 8), width=st.integers(1, 4), bounds=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+           stride=st.integers(1, 3), bad=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                                               st.sampled_from([np.nan, np.inf, -np.inf])),
+           seed=st.integers(0, 2**16))
+    def test_slice_rows_step_like_index_rows(self, n_rows, width, bounds, stride, bad, seed):
+        # The same rows, as a slice and as an index array, give bit-identical
+        # values and accumulators, and a non-finite gradient names the same
+        # first bad row and moves nothing.
+        rows = slice(min(bounds), max(bounds), stride)
+        index = np.arange(n_rows)[rows]
+        rng = np.random.default_rng(seed)
+        values, state = rng.normal(size=(n_rows, width)), rng.uniform(size=(n_rows, width))
+        grad = rng.normal(size=(len(index), width))
+        if bad is not None and len(index):
+            grad[bad[0] % len(index), bad[1] % width] = bad[2]
+        results = []
+        for sel in (rows, index):
+            v, acc = values.copy(), state.copy()
+            try:
+                adagrad_step(v, grad, acc, 0.05, "entity[{}]".format, sel, v[sel])
+                raised = None
+            except NonFiniteGradientError as exc:
+                raised = str(exc)
+                assert v.tobytes() == values.tobytes() and acc.tobytes() == state.tobytes()
+            results.append((raised, v.tobytes(), acc.tobytes()))
+        assert results[0] == results[1]
+        assert (results[0][0] is not None) == (not np.isfinite(grad).all())
 
 
 class TestFiniteGuards:
@@ -302,9 +332,9 @@ class TestFiniteGuards:
         grad[r, 1] = bad
         grad[1, 0] = 1e200  # a finite row before or after it, whose square overflows
         with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for entity\[{rows[r]}\]$"):
-            adagrad_step(values, grad, state, 0.1, "entity[{}]".format, rows=rows)
-        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient for anchors$"):
-            adagrad_step(values[:3], grad, state[:3], 0.1, "anchors")
+            adagrad_step(values, grad, state, 0.1, "entity[{}]".format, rows, values[rows])
+        with pytest.raises(NonFiniteGradientError, match=rf"^non-finite gradient for entity\[{1 + r}\]$"):
+            adagrad_step(values, grad, state, 0.1, "entity[{}]".format, slice(1, 4), values[1:4])
         assert values.tobytes() == before[0].tobytes() and state.tobytes() == before[1].tobytes()
 
     @pytest.mark.parametrize("rows", [None, [4, 1, 3]])
@@ -317,7 +347,8 @@ class TestFiniteGuards:
         grad = rng.normal(size=(3, 4))
         grad[1, 2], grad[2, 0] = 1e200, -1e200
         with np.errstate(over="ignore"):  # g * g overflows to inf, as it always did
-            adagrad_step(values, grad, state, 0.1, "entity", rows=rows)
+            sel = slice(None) if rows is None else rows
+            adagrad_step(values, grad, state, 0.1, "entity[{}]".format, sel, values[sel])
             ref_adagrad_step(want_values, grad, want_state, 0.1, "entity", rows=rows)
         assert values.tobytes() == want_values.tobytes() and state.tobytes() == want_state.tobytes()
         assert np.isinf(state).sum() == 2 and (values != start).sum() == 3 * 4 - 2
@@ -329,7 +360,8 @@ class TestFiniteGuards:
             want_values, want_state = values.copy(), state.copy()
             for _ in range(3):
                 grad = rng.normal(size=shape if rows is None else (len(rows),) + shape[1:])
-                adagrad_step(values, grad, state, 0.05, rows=rows)
+                sel = slice(None) if rows is None else rows
+                adagrad_step(values, grad, state, 0.05, "v[{}]".format, sel, values[sel])
                 ref_adagrad_step(want_values, grad, want_state, 0.05, rows=rows)
             assert values.tobytes() == want_values.tobytes() and state.tobytes() == want_state.tobytes()
 
@@ -724,12 +756,13 @@ class TestTrainerStepsWithCheckedGradients:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        # Records every step as (name, rows, gradient) and moves nothing, so
-        # all gradients of a pass are taken at the same parameters.
+        # Records every step as (name, row indices, gradient) and moves
+        # nothing, so all gradients of a pass are taken at the same
+        # parameters.
         calls = []
 
-        def record(values, grad, state, lr, name="param", rows=None, gathered=None):
-            calls.append((name, rows, np.array(grad, dtype=np.float64)))
+        def record(values, grad, state, lr, name, rows, gathered):
+            calls.append((name, np.arange(len(values))[rows], np.array(grad, dtype=np.float64)))
 
         monkeypatch.setattr(optimize, "adagrad_step", record)
         return calls
@@ -741,10 +774,16 @@ class TestTrainerStepsWithCheckedGradients:
 
     @staticmethod
     def _named(steps):
-        # A row step, row by row, as name(row).
+        # A step, row by row, as name(row); the coefficient rows of one
+        # block as one (rows, k) gradient under the block's name.
         named = []
         for name, rows, grad in steps:
-            named += [(str(name), grad)] if rows is None else [(str(name(r)), g) for r, g in zip(rows, grad)]
+            for r, g in zip(rows, grad):
+                label = str(name(r))
+                if label.startswith("coeffs[") and named and named[-1][0] == label:
+                    named[-1] = (label, np.vstack((named[-1][1], g)))
+                else:
+                    named.append((label, g[None] if label.startswith("coeffs[") else g))
         return named
 
     @classmethod
@@ -862,7 +901,7 @@ class TestTrainerStepsWithCheckedGradients:
         # relation steps follow it in pass order, and the anchor steps, one
         # per size class here, come after every group's; all are taken at
         # the projected coefficients, which the pass leaves behind.
-        steps[:] = [step for step in steps if not str(step[0]).startswith("coeffs[")]
+        steps[:] = [(name, rows, grad) for name, rows, grad in steps if not str(name(rows[0])).startswith("coeffs[")]
         scale = 1.0 - self.ALPHA
         expected, anchor_steps = [], []
         for side, groups in (("rhs", rels.rhs_groups), ("lhs", rels.lhs_groups)):
@@ -996,7 +1035,7 @@ class TestTypePass:
             ref_accs = ref_params.types.per_type.zeros()
             state = optimize._AdaState(params)
             # The three 2-member types step as one batch, the two 4-member ones as another.
-            assert sorted(len(plan.gather[2]) for plan in state.type_plans if plan.gather is not None) == [2, 3]
+            assert sorted(plan.gather[2][0] for plan in state.type_plans if plan.gather[2][0] > 1) == [2, 3]
             for _ in range(2):  # the second pass starts from non-zero accumulators
                 reg = optimize._type_pass(state, hp, flags, TrainReport())
                 assert reg == ref_type_pass(ref_params, ref_accs, hp, beta > 0.0, flags.comb, prox_nuclear)
@@ -1154,6 +1193,44 @@ class TestDivergenceNamesTheBlock:
             assert self._same(lhs[k].coeffs, (clean if i < 3 else start).rels.lhs_groups[k].coeffs), k
         for side in ("rhs_groups", "lhs_groups"):
             assert self._same(getattr(params.rels, side).anchors, getattr(start.rels, side).anchors)
+        assert not self._same(params.model.entity_points, start.model.entity_points)
+
+    @pytest.mark.parametrize("several", [False, True], ids=["one_group_batch", "several_group_batch"])
+    def test_nan_read_by_one_group_names_it(self, several):
+        # The NaN goes into the anchors of one group, which no other block
+        # reads: of a batch of one group, stepped through views, or of the
+        # last group of a batch of several, gathered.  Its batch's
+        # coefficient step raises naming it; the batches before it have
+        # stepped, and it and every later batch keep their start values.
+        data, params, hp = interleaved_instance(2)
+        hp = replace(hp, alpha_mix=0.0, beta_reg=0.5, epochs=2, variant="full")
+        state = optimize._AdaState(params)
+        plans = state.group_plans
+        state.release()
+        stores = (params.rels.rhs_groups, params.rels.lhs_groups)
+        batch_of = {}  # (store kind, block) -> its batch's position in pass order
+        for i, plan in enumerate(plans):
+            store = next(store for store in stores if plan.coeffs is store.coeffs)
+            batch_of.update(((store.kind, b), i) for b in np.arange(len(store))[plan.gather[1]].tolist())
+        matching = [i for i, plan in enumerate(plans) if (plan.gather[2][0] > 1) == several]
+        bad = matching[len(matching) // 2]
+        assert 0 < bad < len(plans) - 1  # batches run before it and after it
+        kind, b = max(block for block, i in batch_of.items() if i == bad)
+        store = next(store for store in stores if store.kind == kind)
+        key = store.key_table[b]
+
+        def plant(p):
+            getattr(p.rels, f"{kind}_groups")[key].anchors[1, 0] = np.nan
+
+        start, clean = self._run(data, params, hp, plant, f"coeffs[{kind}{key}]")
+        assert self._same(params.types.per_type.anchors, clean.types.per_type.anchors)
+        assert self._same(params.types.per_type.coeffs, clean.types.per_type.coeffs)
+        for store in stores:
+            side = f"{store.kind}_groups"
+            for b, k in enumerate(store.key_table):
+                want = (clean if batch_of[store.kind, b] < bad else start).rels
+                assert self._same(store[k].coeffs, getattr(want, side)[k].coeffs), (store.kind, k)
+            assert self._same(store.anchors, getattr(start.rels, side).anchors)
         assert not self._same(params.model.entity_points, start.model.entity_points)
 
     def test_bad_anchor_gradients_name_the_first_of_the_first_bad_chunk(self, monkeypatch):
@@ -1364,6 +1441,18 @@ class TestCarriedNuclearNorms:
                 assert carried[0] == pytest.approx(reference[0], rel=1e-12, abs=0.0)
         if variant == "full" and beta > 0.0:
             assert not anchor_span_matrix(trained.types["hollow"].anchors).any()
+
+
+    def test_types_all_empty(self):
+        # A type store whose every type is empty holds no coefficient row at all.
+        ww, ew, store, params, hp = random_instance(3)
+        n = hp.n
+        hollow = (np.random.default_rng(3).normal(size=(n + 1, n)), np.zeros(0, dtype=np.int64), np.zeros((0, n + 1)))
+        params.types.per_type = block_store("type", {"hollow": hollow}, n)
+        data = TrainData(6, 5, ww, ew, synth.empty_type_system(), store)
+        hp = replace(hp, alpha_mix=0.5, beta_reg=0.5, epochs=2, variant="full")
+        _, report = train(data, TrainConfig(hp=hp, shuffle_seed=7), params)
+        assert report.epochs == 2 and all(np.isfinite(lb.total) for lb in report.losses)
 
 
 class TestAnchorProxScale:

@@ -82,21 +82,21 @@ def _is_view(got, want):
 
 
 def _plan_blocks(plan, stores):
-    """(store, block indices) of a batch plan: a batch of one names its
-    block (its _BlockName), a batch of several gathers them."""
-    if plan.gather is None:
-        return plan.name.store, [plan.name.b]
-    _, _, blocks = plan.gather
-    return next(store for store in stores if plan.coeffs is store.coeffs), blocks.tolist()
+    """(store, block indices) of a batch plan: the store whose coefficients
+    it steps, and the blocks its gather selects, a slice for a batch of one
+    and indices for a batch of several."""
+    store = next(store for store in stores if plan.coeffs is store.coeffs)
+    return store, np.arange(len(store))[plan.gather[1]].tolist()
 
 
 def _assert_plans_equal(model, types, rels):
-    """The plans are the batches of ref.ref_block_batches.  A batch of one
-    block holds views of its block's arrays; a batch of several holds the
-    stores' arrays and its blocks' rows and positions laid end to end.
-    Each block's rows are its own plan's (ref.ref_group_plan), a type steps
-    no rows, and the batches' residual rows run through the pass's buffer
-    in batch order, where each store's residual rows find its blocks'."""
+    """The plans are the batches of ref.ref_block_batches.  Every batch
+    holds the stores' arrays and its blocks' rows and positions laid end to
+    end; a batch of one block selects them by slices, which view its
+    block's arrays.  Each block's rows are its own plan's
+    (ref.ref_group_plan), a type steps no rows, and the batches' residual
+    rows run through the pass's buffer in batch order, where each store's
+    residual rows find its blocks'."""
     type_plans, group_plans, accs, resid, rel_start = _block_plans(model, types, rels)
     for plans, stores in ((type_plans, [types.per_type]), (group_plans, [rels.rhs_groups, rels.lhs_groups])):
         batches = ref.ref_block_batches(stores, rel_start)
@@ -114,18 +114,18 @@ def _assert_plans_equal(model, types, rels):
             assert np.array_equal(np.arange(len(got) * r)[plan.virtual], np.arange(len(got)) * r + r - 1)
             if k:
                 assert np.array_equal(np.arange(len(got) * k)[plan.rel_at], np.arange(len(got)) * k + k - 1)
-            if plan.gather is not None:
-                cidx, flat, _ = plan.gather
-                assert np.array_equal(cidx, np.array(rows)) and np.array_equal(flat, np.concatenate(rows))
-                assert plan.acc is accs[store.kind].coeffs and plan.anchors is store.anchors
+            cidx, blocks, shape = plan.gather
+            assert shape == (len(got), r) and np.array_equal(np.arange(len(store.coeffs))[cidx], np.concatenate(rows))
+            assert plan.acc is accs[store.kind].coeffs and plan.anchors is store.anchors
             for j, b in enumerate(got):
                 key, block = store.key_table[b], store[store.key_table[b]]
                 label = key if store.kind == "type" else f"{store.kind}{key}"
-                if plan.gather is None:
-                    assert _is_view(plan.coeffs, block.coeffs) and _is_view(plan.acc, accs[store.kind][key].coeffs), key
-                    assert _is_view(plan.anchors, block.anchors) and str(plan.name) == f"coeffs[{label}]", key
-                else:
-                    assert {str(plan.name(row)) for row in rows[j]} == {f"coeffs[{label}]"}, key
+                if len(got) == 1:
+                    assert isinstance(cidx, slice) and isinstance(blocks, slice), key
+                    assert _is_view(plan.coeffs[cidx], block.coeffs), key
+                    assert _is_view(plan.acc[cidx], accs[store.kind][key].coeffs), key
+                    assert _is_view(plan.anchors[blocks][0], block.anchors), key
+                assert {str(plan.name(row)) for row in rows[j]} == {f"coeffs[{label}]"}, key
                 point_rows = plan.points[j * r : (j + 1) * r]
                 if store.kind == "type":
                     assert plan.sign == 0.0 and (plan.steps, plan.rel_at, plan.partials, plan.member) == (None,) * 4, key
